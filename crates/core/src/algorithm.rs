@@ -396,20 +396,20 @@ pub(crate) fn alg3_catch_up(
     let mut done = st.chk.panels_done;
     let mut right_done = st.chk.right_done_for_next;
     while done < full {
-        let f = st.factors[done].clone();
+        let f = &st.factors[done];
         if right && !right_done {
-            let ve = ve_rows(enc, &f);
-            ft_right_chk_only(enc, &f, &ve, s);
+            let ve = ve_rows(enc, f);
+            ft_right_chk_only(enc, f, &ve, s);
         }
-        ft_left_chk_only(ctx, enc, &f, s);
+        ft_left_chk_only(ctx, enc, f, s);
         done += 1;
         right_done = false;
     }
     if extra_right && !right_done {
         if right {
-            let f = st.factors[full].clone();
-            let ve = ve_rows(enc, &f);
-            ft_right_chk_only(enc, &f, &ve, s);
+            let f = &st.factors[full];
+            let ve = ve_rows(enc, f);
+            ft_right_chk_only(enc, f, &ve, s);
         }
         right_done = true;
     }
@@ -1239,20 +1239,32 @@ fn run_loop(
             hook(ctx, enc, st.panel_idx, Phase::BeforePanel);
         }
 
+        // `Ve` of this panel (NonDelayed): computed once for the pseudo-
+        // checksum store and handed to the right update. A run that resumes
+        // at `Step::Right`, or recovered a failure in between, recomputes it
+        // from the (replicated, restored) factors — a replacement process
+        // keeps nothing across its death.
+        let mut ve_panel: Option<Matrix> = None;
+
         if st.resume == Step::Panel {
             let f = solver.factor_panel(ctx, &mut enc.a, n, st.k, w);
             debug_assert_eq!(f.v_row_offset, solver.v_row_offset(), "panel kernel/solver geometry mismatch");
             if solver.has_right_update() && variant == Variant::NonDelayed {
                 let ve = ve_rows(enc, &f);
                 store_ve(enc, &f, &ve);
+                ve_panel = Some(ve);
             }
             {
                 let t = Instant::now();
-                st.scope.as_mut().unwrap().bookkeep_panel(ctx, enc, &f);
+                st.scope.as_mut().unwrap().bookkeep_panel(ctx, enc, f);
                 report.bookkeeping_secs += t.elapsed().as_secs_f64();
             }
             let sc = st.scope.as_mut().unwrap();
+            let recoveries = report.recoveries;
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterPanel, scrub, report)?;
+            if report.recoveries != recoveries {
+                ve_panel = None;
+            }
             commit_boundary_image(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s);
             hook(ctx, enc, st.panel_idx, Phase::AfterPanel);
         }
@@ -1265,9 +1277,9 @@ fn run_loop(
             // boundary so fail-point ids and the rollback protocol are
             // solver-independent.
             if solver.has_right_update() {
-                let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored").clone();
-                let ve = ve_rows(enc, &f);
-                ft_right(enc, &f, &ve, st.k + w, n, include_chk, s);
+                let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored");
+                let ve = ve_panel.take().unwrap_or_else(|| ve_rows(enc, f));
+                ft_right(enc, f, &ve, st.k + w, n, include_chk, s);
             }
             let sc = st.scope.as_mut().unwrap();
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterRightUpdate, scrub, report)?;
@@ -1276,8 +1288,8 @@ fn run_loop(
         }
 
         if st.resume == Step::Left {
-            let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored").clone();
-            ft_left(ctx, enc, &f, st.k + w, n, include_chk, s);
+            let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored");
+            ft_left(ctx, enc, f, st.k + w, n, include_chk, s);
             let sc = st.scope.as_mut().unwrap();
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterLeftUpdate, scrub, report)?;
             commit_boundary_image(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s);
@@ -1291,8 +1303,7 @@ fn run_loop(
                 // Keep the progress marker meaningful for both variants.
                 sc.chk.panels_done = sc.factors.len();
             }
-            let f_tau = sc.factors.last().expect("panel factored").tau.clone();
-            tau[st.k..st.k + w].copy_from_slice(&f_tau);
+            tau[st.k..st.k + w].copy_from_slice(&sc.factors.last().expect("panel factored").tau);
         }
         // Seeded silent corruption lands here — the quiescent boundary the
         // injector's message-op clock drains into. A re-execution after a

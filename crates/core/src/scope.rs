@@ -25,6 +25,7 @@ use crate::encode::Encoded;
 use ft_dense::Matrix;
 use ft_pblas::PanelFactors;
 use ft_runtime::{Ctx, Tag};
+use std::sync::Arc;
 
 // SNAP/BOOK are offset by the ring distance `d` (bounded by the tolerated
 // failure count), so they get disjoint channel ranges.
@@ -167,7 +168,7 @@ impl ScopeState {
     /// column sends its finished panel columns, `Y` and `T` to the next `h`
     /// process columns; receivers store the panel piece. Everyone records
     /// the factors. Call right after `pdlahrd`.
-    pub fn bookkeep_panel(&mut self, ctx: &Ctx, enc: &Encoded, f: &PanelFactors) {
+    pub fn bookkeep_panel(&mut self, ctx: &Ctx, enc: &Encoded, f: PanelFactors) {
         let q = ctx.npcol();
         let q_pan = enc.a.col_owner(f.k);
         let scope_panel_idx = (f.k / enc.nb()) % q;
@@ -181,28 +182,31 @@ impl ScopeState {
             let panel_piece = copy_local_cols(enc, &lcs);
             // Paper line 8/9: the panel itself, Y and T travel to the next
             // process column(s). One message per holder keeps the
-            // communication accounting faithful.
-            let mut msg = Vec::with_capacity(panel_piece.len() + f.y_loc.as_slice().len() + f.t.as_slice().len());
-            msg.extend_from_slice(&panel_piece);
-            msg.extend_from_slice(f.y_loc.as_slice());
-            msg.extend_from_slice(f.t.as_slice());
+            // communication accounting faithful; the payload is built once
+            // and shared.
+            let msg: Arc<[f64]> = panel_piece
+                .iter()
+                .chain(f.y_loc.as_slice())
+                .chain(f.t.as_slice())
+                .copied()
+                .collect();
             for d in 1..=self.holders {
                 let dst = ctx.grid().rank_of(ctx.myrow(), (q_pan + d) % q);
-                ctx.send(dst, TAG_BOOK.offset(d as u16), &msg);
+                ctx.send_arc(dst, TAG_BOOK.offset(d as u16), Arc::clone(&msg));
             }
             self.my_panel_pieces.push((scope_panel_idx, panel_piece));
         } else {
             for d in 1..=self.holders {
                 if ctx.mycol() == (q_pan + d) % q {
                     let src = ctx.grid().rank_of(ctx.myrow(), q_pan);
-                    let msg = ctx.recv(src, TAG_BOOK.offset(d as u16));
+                    let msg = ctx.recv_arc(src, TAG_BOOK.offset(d as u16));
                     let lrn = enc.a.local_rows_below(enc.n());
                     let panel_piece = msg[..lrn * f.w].to_vec();
                     self.panel_backups.push((d, scope_panel_idx, panel_piece));
                 }
             }
         }
-        self.factors.push(f.clone());
+        self.factors.push(f);
     }
 
     /// Restore the scope columns in `[from_col, end_col)` from the local

@@ -16,6 +16,20 @@
 //! ScaLAPACK, but unit positions keep their β value — the implicit 1 is
 //! materialized only in extracted copies, so no set/restore dance is needed
 //! across processes.
+//!
+//! ### The panel's V buffer
+//!
+//! `pdlahrd` keeps one such extracted copy per panel: on the panel-owning
+//! process column, an `m×w` buffer (`m` = this process's local rows in
+//! `[k+1, n)`) to which reflector `j` is appended — zeros above its unit, 1
+//! at the unit, the stored entries below — right after it is generated.
+//! Column `j`'s left update reads the buffer's first `j` columns and the
+//! closing [`replicate_reflector_block`] step replicates the whole of it, so
+//! nothing is re-extracted from `A` inside the column loop, where every
+//! other process is waiting on this one. A stored reflector never changes
+//! after its column step (later steps write only their own column, the
+//! top-row fix only rows `≤ k`), so the buffer equals a fresh extraction at
+//! every step, bit for bit.
 
 use crate::dist::DistMatrix;
 use ft_dense::level1::scal;
@@ -135,21 +149,34 @@ fn extract_v_local(a: &DistMatrix, k: usize, j: usize, from_g: usize, n: usize, 
 /// solver's `v_row_offset` — 1 for Hessenberg reflectors below the first
 /// subdiagonal, 0 for QR reflectors at the diagonal) with explicit
 /// unit/zero structure, read from the reflectors stored in `a`. Collective.
-/// Used by the panel factorizations themselves and by
-/// [`crate::verify::pd_orghr`] / [`crate::verify::pd_orgqr`] to rebuild `Q`
-/// after the fact.
+/// Used by [`pdlaqrf`] and by [`crate::verify::pd_orghr`] /
+/// [`crate::verify::pd_orgqr`] to rebuild `Q` after the fact; [`pdlahrd`]
+/// replicates the V buffer it already holds.
 pub fn replicate_reflector_block(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, w: usize, off: usize) -> Matrix {
+    let vmine = if ctx.mycol() == a.col_owner(k) {
+        extract_v_local(a, k, w, k + off, n, off)
+    } else {
+        Matrix::zeros(0, w)
+    };
+    replicate_v(ctx, a, n, k, w, off, vmine.as_slice())
+}
+
+/// The collective half of [`replicate_reflector_block`]: `vmine` is this
+/// process's rows of `V` (local rows in `[k+off, n)` × `w`, column-major,
+/// explicit unit/zero structure) on the panel-owning process column and
+/// unread elsewhere.
+fn replicate_v(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, w: usize, off: usize, vmine: &[f64]) -> Matrix {
     let q_pan = a.col_owner(k);
-    let on_panel = ctx.mycol() == q_pan;
     let vm = n - k - off;
     let mut vfull_buf = vec![0.0f64; vm * w];
-    if on_panel {
-        let vmine = extract_v_local(a, k, w, k + off, n, off);
+    if ctx.mycol() == q_pan {
         let lr0 = a.local_rows_below(k + off);
+        let m = a.local_rows_below(n) - lr0;
+        // Row of `V` behind each of my local rows, worked out once.
+        let vrow_of: Vec<usize> = (lr0..lr0 + m).map(|lr| a.l2g_row(lr) - k - off).collect();
         for l in 0..w {
-            for i in 0..vmine.rows() {
-                let g = a.l2g_row(lr0 + i);
-                vfull_buf[(g - k - off) + l * vm] = vmine[(i, l)];
+            for (i, &r) in vrow_of.iter().enumerate() {
+                vfull_buf[r + l * vm] = vmine[i + l * m];
             }
         }
         ctx.allreduce_sum_col(&mut vfull_buf, TAG_VFULL);
@@ -163,6 +190,14 @@ pub fn replicate_reflector_block(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, 
 /// Requires the panel `[k, k+w)` to lie within one block column
 /// (`w ≤ nb` and `k % nb == 0`) and `k + w ≤ n − 2`.
 pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> PanelFactors {
+    pdlahrd_impl(ctx, a, n, k, w, false)
+}
+
+/// [`pdlahrd`]. With `rebuild_v` the reflector block is re-extracted from
+/// `a` at every use ([`extract_v_local`]) instead of read from the V buffer
+/// — the kernel as it was before the buffer existed, kept as the oracle the
+/// buffer is tested against, bit for bit.
+fn pdlahrd_impl(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize, rebuild_v: bool) -> PanelFactors {
     assert!(w >= 1 && k + w < n, "pdlahrd: bad panel (k={k}, w={w}, n={n})");
     assert_eq!(k % a.desc().nb, 0, "pdlahrd: panel must start on a block boundary");
     assert!(w <= a.desc().nb, "pdlahrd: panel wider than the blocking factor");
@@ -172,17 +207,33 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
     let on_panel = ctx.mycol() == q_pan;
     let ldl = a.local().ld().max(1);
     let lr_n = a.local_rows_below(n);
+    let lr0 = a.local_rows_below(k + 1);
+    let mlen = lr_n - lr0;
+    let lcn = a.local_cols_below(n);
 
     let mut t = Matrix::zeros(w, w);
     let mut tau = vec![0.0f64; w];
     let mut y_loc = Matrix::zeros(lr_n, w);
     let ldy = lr_n.max(1);
+    // The panel's V buffer (module docs): my local rows in [k+1, n) of the
+    // reflectors generated so far, column l = reflector l.
+    let mut vbuf = vec![0.0f64; if on_panel { mlen * w } else { 0 }];
+
+    // Per-column scratch, allocated once per panel.
+    let mut vrow: Vec<f64> = Vec::with_capacity(w);
+    let mut wv: Vec<f64> = Vec::with_capacity(w);
+    let mut tcol: Vec<f64> = Vec::with_capacity(w);
+    let mut al = vec![0.0f64];
+    let mut v: Vec<f64> = Vec::with_capacity(n - k - 1);
+    let mut ypart = vec![0.0f64; mlen];
+    let mut xloc: Vec<f64> = Vec::with_capacity(lcn - a.local_cols_below(k + 1));
+    let mut vloc: Vec<f64> = Vec::with_capacity(mlen);
 
     for j in 0..w {
         let c = k + j;
         let u = c + 1;
-        let lr0 = a.local_rows_below(k + 1);
-        let mlen = lr_n - lr0;
+        v.clear();
+        v.resize(n - u, 0.0);
 
         if on_panel {
             let lc = a.g2l_col(c);
@@ -190,7 +241,8 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
                 // ---- right update of column c: b(k+1..n) −= Y(:,0..j)·vrowᵀ
                 // vrow = row k+j of V columns 0..j (unit of reflector j−1 = 1).
                 let p_r = a.row_owner(k + j);
-                let mut vrow = vec![0.0; j];
+                vrow.clear();
+                vrow.resize(j, 0.0);
                 if ctx.myrow() == p_r {
                     let lrr = a.g2l_row(k + j);
                     for (l, vr) in vrow.iter_mut().enumerate() {
@@ -204,21 +256,29 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
                 }
 
                 // ---- left update of column c: b −= V·Tᵀ·Vᵀ·b over rows k+1..n
-                let vfix = extract_v_local(a, k, j, k + 1, n, 1);
-                let mut wv = vec![0.0; j];
+                let rebuilt;
+                let vfix: &[f64] = if rebuild_v {
+                    rebuilt = extract_v_local(a, k, j, k + 1, n, 1);
+                    rebuilt.as_slice()
+                } else {
+                    &vbuf[..mlen * j]
+                };
+                wv.clear();
+                wv.resize(j, 0.0);
                 if mlen > 0 {
                     let bcol = &a.local().as_slice()[lc * ldl + lr0..lc * ldl + lr_n];
-                    gemv(Trans::Yes, mlen, j, 1.0, vfix.as_slice(), mlen.max(1), bcol, 0.0, &mut wv);
+                    gemv(Trans::Yes, mlen, j, 1.0, vfix, mlen.max(1), bcol, 0.0, &mut wv);
                 }
                 ctx.allreduce_sum_col(&mut wv, TAG_LEFTW);
                 trmv(UpLo::Upper, Trans::Yes, Diag::NonUnit, j, t.as_slice(), w, &mut wv);
                 if mlen > 0 {
                     let bcol = &mut a.local_mut().as_mut_slice()[lc * ldl + lr0..lc * ldl + lr_n];
-                    gemv(Trans::No, mlen, j, -1.0, vfix.as_slice(), mlen.max(1), &wv, 1.0, bcol);
+                    gemv(Trans::No, mlen, j, -1.0, vfix, mlen.max(1), &wv, 1.0, bcol);
                 }
             }
 
             // ---- generate the reflector for column c (distributed larfg) --
+            let lr_u = a.local_rows_below(u);
             let lr_u1 = a.local_rows_below(u + 1);
             let mut ss = [0.0f64];
             for lr in lr_u1..lr_n {
@@ -227,10 +287,7 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
             }
             ctx.allreduce_sum_col(&mut ss, TAG_NRM);
             let p_u = a.row_owner(u);
-            let mut al = vec![0.0f64];
-            if ctx.myrow() == p_u {
-                al[0] = a.get(u, c);
-            }
+            al[0] = if ctx.myrow() == p_u { a.get(u, c) } else { 0.0 };
             ctx.bcast_col(p_u, &mut al, TAG_ALPHA);
             let alpha = al[0];
             let xnorm = ss[0].sqrt();
@@ -249,30 +306,33 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
                 (beta - alpha) / beta
             };
             tau[j] = tau_j;
-        }
 
-        // ---- replicate v = [1; A(u+1..n, c)] on every process -------------
-        let mut v = vec![0.0f64; n - u];
-        if on_panel {
-            let lc = a.g2l_col(c);
-            let lr_u = a.local_rows_below(u);
-            for lr in lr_u..lr_n {
-                let g = a.l2g_row(lr);
-                v[g - u] = if g == u { 1.0 } else { a.local()[(lr, lc)] };
+            // ---- append reflector j to the V buffer: rows above the unit
+            // stay 0, the unit row (when it is mine) reads 1, the rest is
+            // the column just scaled.
+            let vcol = &mut vbuf[j * mlen..(j + 1) * mlen];
+            vcol[lr_u - lr0..lr_u1 - lr0].fill(1.0);
+            vcol[lr_u1 - lr0..].copy_from_slice(&a.local().as_slice()[lc * ldl + lr_u1..lc * ldl + lr_n]);
+
+            // ---- v = [1; A(u+1..n, c)], my rows; summed over the column ----
+            for (lr, &x) in (lr_u..lr_n).zip(&vcol[lr_u - lr0..]) {
+                v[a.l2g_row(lr) - u] = x;
             }
             ctx.allreduce_sum_col(&mut v, TAG_VCOL);
         }
+        // ---- replicate v on every process -------------------------------
         ctx.bcast_row(q_pan, &mut v, TAG_VCAST);
 
         // ---- y(k+1..n) = A(k+1..n, c+1..n)·v : everyone contributes -------
         let lc0 = a.local_cols_below(c + 1);
-        let lcn = a.local_cols_below(n);
         let ncl = lcn - lc0;
-        let mut ypart = vec![0.0f64; mlen];
         if mlen > 0 && ncl > 0 {
-            let xloc: Vec<f64> = (lc0..lcn).map(|lcx| v[a.l2g_col(lcx) - u]).collect();
+            xloc.clear();
+            xloc.extend((lc0..lcn).map(|lcx| v[a.l2g_col(lcx) - u]));
             let abuf = &a.local().as_slice()[lc0 * ldl + lr0..];
             gemv(Trans::No, mlen, ncl, 1.0, abuf, ldl, &xloc, 0.0, &mut ypart);
+        } else {
+            ypart.fill(0.0);
         }
         ctx.reduce_sum_row(q_pan, &mut ypart, TAG_YRED);
 
@@ -280,11 +340,13 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
             // ---- tcol = V(u..n, 0..j)ᵀ·v (rows ≥ u are plain stored data) --
             let lr_u = a.local_rows_below(u);
             let mmt = lr_n - lr_u;
-            let mut tcol = vec![0.0f64; j];
+            tcol.clear();
+            tcol.resize(j, 0.0);
             if j > 0 {
                 if mmt > 0 {
                     let lck = a.g2l_col(k);
-                    let vloc: Vec<f64> = (lr_u..lr_n).map(|lr| v[a.l2g_row(lr) - u]).collect();
+                    vloc.clear();
+                    vloc.extend((lr_u..lr_n).map(|lr| v[a.l2g_row(lr) - u]));
                     let abuf = &a.local().as_slice()[lck * ldl + lr_u..];
                     gemv(Trans::Yes, mmt, j, 1.0, abuf, ldl, &vloc, 0.0, &mut tcol);
                 }
@@ -312,12 +374,15 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
     }
 
     // ---- replicate V (rows k+1..n, explicit structure) everywhere ---------
-    let vfull = replicate_reflector_block(ctx, a, n, k, w, 1);
+    let vfull = if rebuild_v {
+        replicate_reflector_block(ctx, a, n, k, w, 1)
+    } else {
+        replicate_v(ctx, a, n, k, w, 1, &vbuf)
+    };
 
     // ---- Y top rows (0..=k): Y_top = A(0..=k, k+1..n)·V·T ------------------
-    let lrtop = a.local_rows_below(k + 1);
+    let lrtop = lr0;
     let lc0 = a.local_cols_below(k + 1);
-    let lcn = a.local_cols_below(n);
     let ncl = lcn - lc0;
     let mut ptop = vec![0.0f64; lrtop * w];
     if lrtop > 0 && ncl > 0 {
@@ -592,6 +657,31 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The V buffer changes what is recomputed, never a floating-point
+    /// operation: every output equals the re-extracting kernel's bit for
+    /// bit, on every rank, first and interior panels, full and ragged width.
+    #[test]
+    fn pdlahrd_v_buffer_is_bitwise_the_reextracting_kernel() {
+        let (n, nb, seed) = (37, 5, 913);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for (p, q) in [(1usize, 1usize), (1, 2), (2, 2), (2, 3)] {
+            for (k, w) in [(0usize, nb), (10, nb), (30, 4)] {
+                run_spmd(p, q, FaultScript::none(), move |ctx| {
+                    let fresh = || DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
+                    let (mut a, mut a_ref) = (fresh(), fresh());
+                    let f = pdlahrd_impl(&ctx, &mut a, n, k, w, false);
+                    let f_ref = pdlahrd_impl(&ctx, &mut a_ref, n, k, w, true);
+                    let at = format!("{p}x{q} k={k} w={w} rank {}", ctx.rank());
+                    assert_eq!(bits(&f.tau), bits(&f_ref.tau), "tau, {at}");
+                    assert_eq!(bits(f.t.as_slice()), bits(f_ref.t.as_slice()), "T, {at}");
+                    assert_eq!(bits(f.vfull.as_slice()), bits(f_ref.vfull.as_slice()), "vfull, {at}");
+                    assert_eq!(bits(f.y_loc.as_slice()), bits(f_ref.y_loc.as_slice()), "y_loc, {at}");
+                    assert_eq!(bits(a.local().as_slice()), bits(a_ref.local().as_slice()), "panel columns, {at}");
+                });
+            }
+        }
     }
 
     #[test]

@@ -208,17 +208,15 @@ impl Ctx {
     /// Post an eager broadcast within this process's grid row from the
     /// process at column `root_q`. Only the root's `data` is read.
     pub fn post_bcast_row(&self, root_q: usize, data: &[f64], tag: impl Into<Tag>) -> PendingBcast {
-        let members = self.row_ranks();
         let root = self.grid().rank_of(self.myrow(), root_q);
-        self.post_bcast_group(&members, root, data, tag.into())
+        self.post_bcast_group(self.row_ranks(), root, data, tag.into())
     }
 
     /// Post an eager broadcast within this process's grid column from the
     /// process at row `root_p`. Only the root's `data` is read.
     pub fn post_bcast_col(&self, root_p: usize, data: &[f64], tag: impl Into<Tag>) -> PendingBcast {
-        let members = self.col_ranks();
         let root = self.grid().rank_of(root_p, self.mycol());
-        self.post_bcast_group(&members, root, data, tag.into())
+        self.post_bcast_group(self.col_ranks(), root, data, tag.into())
     }
 
     // --- broadcasts ----------------------------------------------------------
@@ -226,17 +224,15 @@ impl Ctx {
     /// Broadcast within this process's grid row from the process at column
     /// `root_q`. Root passes the payload; the others' `data` is overwritten.
     pub fn bcast_row(&self, root_q: usize, data: &mut Vec<f64>, tag: impl Into<Tag>) {
-        let members = self.row_ranks();
         let root = self.grid().rank_of(self.myrow(), root_q);
-        self.bcast_group(&members, root, data, tag.into());
+        self.bcast_group(self.row_ranks(), root, data, tag.into());
     }
 
     /// Broadcast within this process's grid column from the process at row
     /// `root_p`.
     pub fn bcast_col(&self, root_p: usize, data: &mut Vec<f64>, tag: impl Into<Tag>) {
-        let members = self.col_ranks();
         let root = self.grid().rank_of(root_p, self.mycol());
-        self.bcast_group(&members, root, data, tag.into());
+        self.bcast_group(self.col_ranks(), root, data, tag.into());
     }
 
     /// Broadcast to all processes from `root` (a rank).
@@ -249,28 +245,24 @@ impl Ctx {
 
     /// Sum-reduce within the grid row to column `root_q`.
     pub fn reduce_sum_row(&self, root_q: usize, data: &mut [f64], tag: impl Into<Tag>) {
-        let members = self.row_ranks();
         let root = self.grid().rank_of(self.myrow(), root_q);
-        self.reduce_sum_group(&members, root, data, tag.into());
+        self.reduce_sum_group(self.row_ranks(), root, data, tag.into());
     }
 
     /// Sum-reduce within the grid column to row `root_p`.
     pub fn reduce_sum_col(&self, root_p: usize, data: &mut [f64], tag: impl Into<Tag>) {
-        let members = self.col_ranks();
         let root = self.grid().rank_of(root_p, self.mycol());
-        self.reduce_sum_group(&members, root, data, tag.into());
+        self.reduce_sum_group(self.col_ranks(), root, data, tag.into());
     }
 
     /// All-reduce (sum) within the grid row.
     pub fn allreduce_sum_row(&self, data: &mut [f64], tag: impl Into<Tag>) {
-        let members = self.row_ranks();
-        self.allreduce_sum_group(&members, data, tag.into());
+        self.allreduce_sum_group(self.row_ranks(), data, tag.into());
     }
 
     /// All-reduce (sum) within the grid column.
     pub fn allreduce_sum_col(&self, data: &mut [f64], tag: impl Into<Tag>) {
-        let members = self.col_ranks();
-        self.allreduce_sum_group(&members, data, tag.into());
+        self.allreduce_sum_group(self.col_ranks(), data, tag.into());
     }
 
     /// All-reduce (sum) over the whole grid.

@@ -153,6 +153,10 @@ pub enum FailCheck {
 pub struct Ctx {
     rank: usize,
     grid: Grid,
+    /// Ranks of this process's grid row (column order) and grid column
+    /// (row order): the member lists of every row/column collective.
+    row_ranks: Vec<usize>,
+    col_ranks: Vec<usize>,
     pub(crate) transport: Box<dyn Transport>,
     /// Out-of-order stash for selective receive by `(src, wire)`; each
     /// entry keeps the envelope epoch so an agreement can flush exactly
@@ -229,9 +233,12 @@ impl Ctx {
         sdc: Arc<SdcScript>,
     ) -> Ctx {
         let world = grid.size();
+        let (p, q) = grid.coords_of(rank);
         Ctx {
             rank,
             grid,
+            row_ranks: (0..grid.npcol()).map(|c| grid.rank_of(p, c)).collect(),
+            col_ranks: (0..grid.nprow()).map(|r| grid.rank_of(r, q)).collect(),
             transport,
             stash: RefCell::new(HashMap::new()),
             detector,
@@ -610,15 +617,13 @@ impl Ctx {
     }
 
     /// Ranks of this process's grid row, in column order.
-    pub fn row_ranks(&self) -> Vec<usize> {
-        let p = self.myrow();
-        (0..self.grid.npcol()).map(|q| self.grid.rank_of(p, q)).collect()
+    pub fn row_ranks(&self) -> &[usize] {
+        &self.row_ranks
     }
 
     /// Ranks of this process's grid column, in row order.
-    pub fn col_ranks(&self) -> Vec<usize> {
-        let q = self.mycol();
-        (0..self.grid.nprow()).map(|p| self.grid.rank_of(p, q)).collect()
+    pub fn col_ranks(&self) -> &[usize] {
+        &self.col_ranks
     }
 
     // --- fault handling ----------------------------------------------------
@@ -629,10 +634,20 @@ impl Ctx {
     /// If the fault script kills this process here, it announces itself on
     /// the detector's notice board; the two enclosing barriers make the
     /// board read race-free, so every rank returns the same [`FailCheck`]
-    /// for the same point. When no script entry has ever fired the check is
-    /// two barriers plus one atomic load — no lock is taken.
+    /// for the same point.
+    ///
+    /// With an **empty** script the check returns [`FailCheck::AllGood`] at
+    /// once, without a barrier: the script is the notice board's only
+    /// writer, so there is nothing to read, and every rank holds the same
+    /// script and takes the same branch. Chaos kills and wire deaths do not
+    /// use the board — they revoke the world and surface as interrupts in
+    /// the next communication call. With a non-empty script the protocol is
+    /// two barriers plus one atomic load at every point, fired or not.
     pub fn check_failpoint(&self, point: u64) -> FailCheck {
-        if !self.script.is_empty() && self.script.is_victim_at(point, self.rank) && self.fired_points.borrow_mut().insert(point) {
+        if self.script.is_empty() {
+            return FailCheck::AllGood;
+        }
+        if self.script.is_victim_at(point, self.rank) && self.fired_points.borrow_mut().insert(point) {
             self.detector.announce(self.rank);
         }
         self.barrier();
@@ -910,6 +925,39 @@ mod tests {
         run_spmd(2, 2, FaultScript::none(), |ctx| {
             assert_eq!(ctx.check_failpoint(1), FailCheck::AllGood);
             assert_eq!(ctx.check_failpoint(2), FailCheck::AllGood);
+        });
+    }
+
+    #[test]
+    fn failpoint_with_an_empty_script_takes_no_barrier() {
+        run_spmd(1, 2, FaultScript::none(), |ctx| {
+            // Rank 1 reaches its first fail point only after rank 0 has
+            // passed all of its own: a check that synchronized would wedge.
+            if ctx.rank() == 1 {
+                ctx.recv(0, 7);
+            }
+            for point in 0..3 {
+                assert_eq!(ctx.check_failpoint(point), FailCheck::AllGood);
+            }
+            if ctx.rank() == 0 {
+                ctx.send(1, 7, &[]);
+            }
+            assert_eq!(ctx.detector.barrier_generation(), 0, "an empty script must not reach the barrier");
+        });
+    }
+
+    #[test]
+    fn failpoint_with_a_script_keeps_the_two_barrier_protocol() {
+        run_spmd(2, 2, FaultScript::one(2, 1), |ctx| {
+            // Two barriers a point, fired or not; my read of the generation
+            // is exact because no later barrier completes without me.
+            assert_eq!(ctx.check_failpoint(0), FailCheck::AllGood);
+            assert_eq!(ctx.detector.barrier_generation(), 2);
+            let hit = ctx.check_failpoint(1);
+            assert_eq!(hit, FailCheck::Failure { victims: vec![2], me: ctx.rank() == 2 }, "rank {}", ctx.rank());
+            assert_eq!(ctx.detector.barrier_generation(), 4);
+            assert_eq!(ctx.check_failpoint(2), FailCheck::AllGood);
+            assert_eq!(ctx.detector.barrier_generation(), 6);
         });
     }
 

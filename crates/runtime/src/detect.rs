@@ -245,6 +245,12 @@ impl Detector {
         }
     }
 
+    /// Completed barrier generations so far.
+    #[cfg(test)]
+    pub(crate) fn barrier_generation(&self) -> u64 {
+        self.lock().bar_gen
+    }
+
     /// Commit fail-point boundary `id`: recovery for the current round is
     /// complete and protection is re-armed, so the round's victim set is
     /// cleared — except victims revoked since the last agreement. Such a

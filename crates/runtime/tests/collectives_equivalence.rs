@@ -66,13 +66,13 @@ fn tree_broadcast_matches_linear_reference_on_all_grids() {
                     let mut tree = payload(ctx.rank(), 5);
                     let mut lin = tree.clone();
                     ctx.bcast_row(rq, &mut tree, 104);
-                    linear_bcast(&ctx, &ctx.row_ranks(), ctx.grid().rank_of(ctx.myrow(), rq), &mut lin, 106);
+                    linear_bcast(&ctx, ctx.row_ranks(), ctx.grid().rank_of(ctx.myrow(), rq), &mut lin, 106);
                     assert_eq!(tree, lin, "{p}x{q} row bcast diverged");
 
                     let mut tree = payload(ctx.rank(), 5);
                     let mut lin = tree.clone();
                     ctx.bcast_col(rp, &mut tree, 108);
-                    linear_bcast(&ctx, &ctx.col_ranks(), ctx.grid().rank_of(rp, ctx.mycol()), &mut lin, 110);
+                    linear_bcast(&ctx, ctx.col_ranks(), ctx.grid().rank_of(rp, ctx.mycol()), &mut lin, 110);
                     assert_eq!(tree, lin, "{p}x{q} col bcast diverged");
                 });
             }
@@ -103,7 +103,7 @@ fn tree_reduce_matches_linear_reference_on_all_grids() {
                     let mut tree = payload(ctx.rank(), 4);
                     let mut lin = tree.clone();
                     ctx.reduce_sum_row(rq, &mut tree, 206);
-                    linear_reduce(&ctx, &ctx.row_ranks(), ctx.grid().rank_of(ctx.myrow(), rq), &mut lin, 208);
+                    linear_reduce(&ctx, ctx.row_ranks(), ctx.grid().rank_of(ctx.myrow(), rq), &mut lin, 208);
                     if ctx.mycol() == rq {
                         assert_eq!(tree, lin, "{p}x{q} row reduce diverged");
                     }
@@ -112,7 +112,7 @@ fn tree_reduce_matches_linear_reference_on_all_grids() {
                     let mut tree = payload(ctx.rank(), 4);
                     let mut lin = tree.clone();
                     ctx.reduce_sum_col(rp, &mut tree, 210);
-                    linear_reduce(&ctx, &ctx.col_ranks(), ctx.grid().rank_of(rp, ctx.mycol()), &mut lin, 212);
+                    linear_reduce(&ctx, ctx.col_ranks(), ctx.grid().rank_of(rp, ctx.mycol()), &mut lin, 212);
                     if ctx.myrow() == rp {
                         assert_eq!(tree, lin, "{p}x{q} col reduce diverged");
                     }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite, the kernel fuzz
-# loop, the bench compile gate, a perf smoke with hard floors, and the
-# chaos soak. Runs entirely offline — the workspace (benches included) has
-# zero external dependencies.
+# loop, the bench compile gate, a perf smoke with hard floors, the repo
+# benchmark's tests and smoke, and the chaos soak. Runs entirely offline —
+# the workspace (benches included) has zero external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,6 +50,16 @@ cargo bench --no-run -q
 # 512×512 (the gates live inside the bench binary).
 echo "== kernels perf smoke"
 FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
+
+# The repo benchmark (BENCHMARK.json) is a package of its own outside the
+# workspace, so nothing above builds or tests it. Its own tests (the traced
+# loops and the decorated transport are bitwise the library's) and one
+# smoke workload through the whole command — every check of every leg, the
+# result line, exit 0 — keep a crate change from breaking the measurement.
+echo "== benchsuite (tests, hess_dense smoke)"
+cargo test --release -q --manifest-path benchsuite/Cargo.toml
+cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
+    --workload hess_dense --smoke >/dev/null
 
 # Deterministic chaos soak: seeded kills at arbitrary message-op boundaries
 # through the release CLI, for BOTH solvers on the shared framework. A run
