@@ -118,7 +118,7 @@ fn abft_vs_cr() {
     }
 }
 
-/// Ablation 6: fault-free cost of the redundancy levels. Dual doubles the
+/// Ablation 6: fault-free cost of the redundancy levels. `Coded(2)` doubles the
 /// checksum columns (4 weighted vs 2 duplicated), roughly doubling the
 /// checksum-update flops, in exchange for tolerating two failures per
 /// process row.
@@ -128,7 +128,7 @@ fn redundancy_levels() {
     let (t_plain, f_plain) = time_plain(cfg, 6);
     println!("{:>8}  {:>9} {:>11} {:>11}", "scheme", "time s", "wall pen %", "flop pen %");
     println!("{:>8}  {:>9.3} {:>11} {:>11}", "none", t_plain, "-", "-");
-    for (label, red) in [("single", Redundancy::Single), ("dual", Redundancy::Dual)] {
+    for (label, red) in [("single", Redundancy::Single), ("coded2", Redundancy::Coded(2))] {
         ft_dense::counters::reset_flops();
         let t = Instant::now();
         run_spmd(p, q, FaultScript::none(), move |ctx| {

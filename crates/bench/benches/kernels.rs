@@ -23,7 +23,7 @@ use ft_dense::level3::{
 };
 use ft_dense::simd::Isa;
 use ft_dense::{Matrix, Trans};
-use ft_hess::{ft_pdgehrd_scrubbed, Encoded, ScrubPolicy, Variant};
+use ft_hess::{ft_solve, DriverControl, Encoded, Hessenberg, ScrubPolicy, Variant};
 use ft_lapack::lahr2;
 use ft_runtime::{run_spmd, FaultScript};
 use std::hint::black_box;
@@ -224,7 +224,8 @@ fn main() {
             run_spmd(sp, sq, FaultScript::none(), move |ctx| {
                 let mut enc = Encoded::from_global_fn(&ctx, sn, snb, |i, j| uniform_entry(9, i, j));
                 let mut tau = vec![0.0; sn - 1];
-                ft_pdgehrd_scrubbed(&ctx, &mut enc, Variant::NonDelayed, &mut tau, policy).expect("fault-free");
+                let ctl = DriverControl { scrub: policy, ..DriverControl::default() };
+                ft_solve(&ctx, &Hessenberg, &mut enc, Variant::NonDelayed, &mut tau, ctl).expect("fault-free");
             });
         })
     };

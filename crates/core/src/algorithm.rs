@@ -91,15 +91,6 @@ impl Phase {
         Phase::AfterLeftUpdate,
     ];
 
-    fn index(self) -> u64 {
-        match self {
-            Phase::BeforePanel => 0,
-            Phase::AfterPanel => 1,
-            Phase::AfterRightUpdate => 2,
-            Phase::AfterLeftUpdate => 3,
-        }
-    }
-
     fn from_index(i: u64) -> Phase {
         Phase::ALL[i as usize]
     }
@@ -108,7 +99,7 @@ impl Phase {
 /// Encode a fail point id for [`ft_runtime::FaultScript`]: failure of panel
 /// iteration `panel` at `phase`.
 pub fn failpoint(panel: usize, phase: Phase) -> u64 {
-    (panel as u64) * 4 + phase.index()
+    (panel as u64) * 4 + phase as u64
 }
 
 /// Terminal failure of a fault-tolerant reduction: the observed victim set
@@ -122,7 +113,7 @@ pub enum FtError {
     /// per (row × group) than the surviving checksum copies can determine
     /// (see [`crate::recovery::check_tolerance`]). Raised at the
     /// deterministic tolerance gate, before any recovery work, for every
-    /// redundancy level (`Single`, `Dual`, `Coded(f)`).
+    /// redundancy level (`Single`, `Coded(f)`).
     ExceededCodeDistance {
         /// The agreed victim set (sorted for chaos failures, announcement
         /// order for scripted ones).
@@ -157,6 +148,24 @@ pub enum FtError {
         /// The group's copy-0 checksum block column (global block index).
         block_col: usize,
     },
+}
+
+impl FtError {
+    /// The tolerance gate's verdict `tol` on `victims`, raised at the last
+    /// consistent boundary `(panel, phase)`.
+    fn exceeded(victims: Vec<usize>, panel: usize, phase: Phase, tol: recovery::ToleranceExceeded) -> FtError {
+        let recovery::ToleranceExceeded { row, count, max_per_row, encoding_max, cap } = tol;
+        FtError::ExceededCodeDistance {
+            victims,
+            panel,
+            phase,
+            row,
+            count,
+            max_per_row,
+            encoding_max,
+            cap,
+        }
+    }
 }
 
 impl std::fmt::Display for FtError {
@@ -233,7 +242,7 @@ pub fn ve_row_index(enc: &Encoded, g: usize, copy: usize, off: usize) -> usize {
 /// `(g, copy, off)` (see [`ve_row_index`]), holding
 /// `Σ_q w(copy, q)·V((gQ+q)·nb + off, :)` — the "V row" of that checksum
 /// column in the extended right update. With [`crate::encode::Redundancy::Single`]
-/// the weights are 1 and the two copies' rows are identical; with `Dual`
+/// the weights are 1 and the two copies' rows are identical; with `Coded(f)`
 /// they carry the Vandermonde weights. Deterministic and identical on every
 /// process (computed from the replicated `V`).
 pub fn ve_rows(enc: &Encoded, f: &PanelFactors) -> Matrix {
@@ -436,25 +445,9 @@ enum Step {
 }
 
 impl Step {
-    fn index(self) -> u64 {
-        match self {
-            Step::Begin => 0,
-            Step::Panel => 1,
-            Step::Right => 2,
-            Step::Left => 3,
-            Step::ScopeEnd => 4,
-        }
-    }
-
+    /// Inverse of `step as u64` (the control-image wire form).
     fn from_index(i: u64) -> Step {
-        match i {
-            0 => Step::Begin,
-            1 => Step::Panel,
-            2 => Step::Right,
-            3 => Step::Left,
-            4 => Step::ScopeEnd,
-            _ => panic!("invalid Step index {i}"),
-        }
+        [Step::Begin, Step::Panel, Step::Right, Step::Left, Step::ScopeEnd][i as usize]
     }
 }
 
@@ -583,8 +576,8 @@ fn serialize_ctl_image(img: &BoundaryImage) -> Vec<f64> {
     buf[0] = img.id as f64;
     buf[1] = img.k as f64;
     buf[2] = img.panel_idx as f64;
-    buf[3] = img.resume.index() as f64;
-    buf[4] = img.phase.index() as f64;
+    buf[3] = img.resume as u64 as f64;
+    buf[4] = img.phase as u64 as f64;
     buf[5] = img.s as f64;
     if let Some(sc) = &img.scope {
         buf[6] = 1.0;
@@ -725,7 +718,7 @@ fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[u
 /// assert_eq!(recoveries, vec![1, 1, 1, 1]);
 /// ```
 pub fn ft_pdgehrd(ctx: &Ctx, enc: &mut Encoded, variant: Variant, tau: &mut [f64]) -> Result<FtReport, FtError> {
-    ft_pdgehrd_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), &mut |_, _, _, _| {})
+    ft_solve(ctx, &Hessenberg, enc, variant, tau, DriverControl::default())
 }
 
 /// The fault-tolerant distributed Householder QR (SPMD) — the second solver
@@ -759,148 +752,41 @@ pub fn ft_pdgehrd(ctx: &Ctx, enc: &mut Encoded, variant: Variant, tau: &mut [f64
 /// assert_eq!(recoveries, vec![1, 1, 1, 1]);
 /// ```
 pub fn ft_pdgeqrf(ctx: &Ctx, enc: &mut Encoded, variant: Variant, tau: &mut [f64]) -> Result<FtReport, FtError> {
-    ft_pdgeqrf_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), &mut |_, _, _, _| {})
+    ft_solve(ctx, &HouseholderQr, enc, variant, tau, DriverControl::default())
 }
 
-/// [`ft_pdgeqrf`] with the online SDC scrub engine enabled — the QR
-/// counterpart of [`ft_pdgehrd_scrubbed`].
-pub fn ft_pdgeqrf_scrubbed(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    ft_pdgeqrf_full(ctx, enc, variant, tau, policy, &mut |_, _, _, _| {})
-}
-
-/// [`ft_pdgeqrf`] with an observation hook — the QR counterpart of
-/// [`ft_pdgehrd_hooked`] (same hook contract and caveats).
-pub fn ft_pdgeqrf_hooked(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_pdgeqrf_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), hook)
-}
-
-/// The full-surface QR driver: scrub policy + observation hook. All other
-/// `ft_pdgeqrf*` entry points delegate here.
-pub fn ft_pdgeqrf_full(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &HouseholderQr, enc, variant, tau, policy, hook, DriverControl::default())
-}
-
-/// Replacement-process entry point for a distributed QR run — the QR
-/// counterpart of [`ft_pdgehrd_replacement`].
-pub fn ft_pdgeqrf_replacement(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    assert!(ctx.distributed(), "ft_pdgeqrf_replacement only makes sense on a real transport");
-    ft_solver_driver(
-        ctx,
-        &HouseholderQr,
-        enc,
-        variant,
-        tau,
-        policy,
-        &mut |_, _, _, _| {},
-        DriverControl { replacement: true, ..DriverControl::default() },
-    )
-}
-
-/// [`ft_pdgehrd`] with the online SDC scrub engine enabled: at the
-/// boundaries `policy` schedules, the engine verifies every live checksum
-/// copy, separates data from checksum corruption, localizes and corrects
-/// single-block damage in place, and escalates the rest to a
-/// verified-boundary rollback (or [`FtError::ScrubUnrecoverable`]). The
-/// returned report carries the per-rank [`FtReport::scrub`] statistics.
-pub fn ft_pdgehrd_scrubbed(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-) -> Result<FtReport, FtError> {
-    ft_pdgehrd_full(ctx, enc, variant, tau, policy, &mut |_, _, _, _| {})
-}
-
-/// [`ft_pdgehrd`] with an observation hook called (collectively, on every
-/// process) after each phase boundary — used by the test suites to check
-/// the Theorem 1 checksum invariant at every step and to inject silent
-/// corruption into the encoded matrix. The hook may run collectives and
-/// corrupt matrix *data*, but must not mutate driver bookkeeping.
-/// Chaos-mode rollbacks resume *after* a boundary, so under chaos injection
-/// a boundary's hook invocation can be skipped on re-execution —
-/// invariant-checking hooks belong to scripted runs.
-pub fn ft_pdgehrd_hooked(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
-) -> Result<FtReport, FtError> {
-    ft_pdgehrd_full(ctx, enc, variant, tau, ScrubPolicy::disabled(), hook)
-}
-
-/// The full-surface driver: scrub policy + observation hook. All other
-/// `ft_pdgehrd*` entry points delegate here.
+/// [`ft_pdgehrd`] with a scrub policy and an observation hook — shorthand
+/// for [`ft_solve`] with [`DriverControl::scrub`] and [`DriverControl::hook`]
+/// set.
 pub fn ft_pdgehrd_full(
     ctx: &Ctx,
     enc: &mut Encoded,
     variant: Variant,
     tau: &mut [f64],
     policy: ScrubPolicy,
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
+    hook: &mut PhaseHook,
 ) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &Hessenberg, enc, variant, tau, policy, hook, DriverControl::default())
+    let ctl = DriverControl { scrub: policy, hook: Some(hook), ..Default::default() };
+    ft_solve(ctx, &Hessenberg, enc, variant, tau, ctl)
 }
 
-/// Entry point for a **respawned replacement process** in a distributed run:
-/// a rank that was SIGKILLed, re-spawned by the launcher and re-admitted by
-/// the transport's epoch-fenced handshake. The replacement holds a freshly
-/// allocated (garbage) encoded matrix; it skips the initial encoding and the
-/// pre-loop boundary and goes straight into the recovery protocol, where the
-/// survivors' agreement names it a victim, a survivor ships it the control
-/// image of the rollback boundary, and §5.3 recovery rebuilds its matrix
-/// data. From then on it runs the driver loop like everybody else and
-/// returns the same result.
-pub fn ft_pdgehrd_replacement(
+/// The QR counterpart of [`ft_pdgehrd_full`].
+pub fn ft_pdgeqrf_full(
     ctx: &Ctx,
     enc: &mut Encoded,
     variant: Variant,
     tau: &mut [f64],
     policy: ScrubPolicy,
+    hook: &mut PhaseHook,
 ) -> Result<FtReport, FtError> {
-    assert!(ctx.distributed(), "ft_pdgehrd_replacement only makes sense on a real transport");
-    ft_solver_driver(
-        ctx,
-        &Hessenberg,
-        enc,
-        variant,
-        tau,
-        policy,
-        &mut |_, _, _, _| {},
-        DriverControl { replacement: true, ..DriverControl::default() },
-    )
+    let ctl = DriverControl { scrub: policy, hook: Some(hook), ..Default::default() };
+    ft_solve(ctx, &HouseholderQr, enc, variant, tau, ctl)
 }
 
-/// Serving-layer controls for a driver run: resume a factorization from a
-/// checkpointed scope boundary, join as a replacement, and/or observe scope
-/// closes for checkpoint capture. The plain entry points are all shorthands
-/// for specific settings of this struct.
+/// Everything about a driver run beyond "which solver, which variant": the
+/// scrub policy, an observation hook, checkpoint capture, restart-resume and
+/// joining as a replacement. `DriverControl::default()` is the plain
+/// fault-tolerant run of the paper.
 ///
 /// ## Resume contract
 ///
@@ -921,10 +807,16 @@ pub struct DriverControl<'a> {
     /// First panel iteration to execute; 0 runs from the start. Must be a
     /// scope entry (see the resume contract above).
     pub start_panel: usize,
-    /// This process is a respawned replacement joining an in-flight run
-    /// (see [`ft_pdgehrd_replacement`]). Mutually exclusive with a nonzero
-    /// `start_panel`: a replacement's state comes from its peers, not from
-    /// a checkpoint.
+    /// This process is a **respawned replacement** joining an in-flight
+    /// distributed run: a rank that was SIGKILLed, re-spawned and
+    /// re-admitted by the transport's epoch-fenced handshake. It holds a
+    /// freshly allocated (garbage) encoded matrix; the driver skips the
+    /// initial encoding and the pre-loop boundary and goes straight into
+    /// the recovery protocol, where the survivors' agreement names it a
+    /// victim, a survivor ships it the control image of the rollback
+    /// boundary, and §5.3 recovery rebuilds its matrix data. Mutually
+    /// exclusive with a nonzero `start_panel`: a replacement's state comes
+    /// from its peers, not from a checkpoint.
     pub replacement: bool,
     /// Called (collectively, on every rank) after each scope close except
     /// the final one, with the just-finished panel index — the exact
@@ -933,53 +825,55 @@ pub struct DriverControl<'a> {
     /// rolled-back scope can fire the sink again; re-execution is
     /// deterministic, so the re-captured image is bitwise identical.
     pub scope_sink: Option<&'a mut ScopeSink<'a>>,
+    /// The online SDC scrub engine's schedule (default: disabled). At the
+    /// boundaries the policy names, the engine verifies every live checksum
+    /// copy, separates data from checksum corruption, localizes and
+    /// corrects single-block damage in place, and escalates the rest to a
+    /// verified-boundary rollback (or [`FtError::ScrubUnrecoverable`]). The
+    /// per-rank statistics come back in [`FtReport::scrub`].
+    pub scrub: ScrubPolicy,
+    /// Observation hook called (collectively, on every process) after each
+    /// phase boundary — used by the test suites to check the Theorem 1
+    /// checksum invariant at every step and to inject silent corruption
+    /// into the encoded matrix. The hook may run collectives and corrupt
+    /// matrix *data*, but must not mutate driver bookkeeping. Chaos-mode
+    /// rollbacks resume *after* a boundary, so under chaos injection a
+    /// boundary's hook invocation can be skipped on re-execution —
+    /// invariant-checking hooks belong to scripted runs.
+    pub hook: Option<&'a mut PhaseHook<'a>>,
 }
 
 /// Callback fired at every scope close with `(ctx, enc, tau, panel)` — the
 /// checkpointable boundary state (see [`DriverControl::scope_sink`]).
 pub type ScopeSink<'a> = dyn FnMut(&Ctx, &Encoded, &[f64], usize) + 'a;
 
-/// [`ft_pdgehrd`] under explicit [`DriverControl`] — the serving layer's
-/// entry point (checkpoint capture and restart-resume).
-pub fn ft_pdgehrd_ctl(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    ctl: DriverControl,
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &Hessenberg, enc, variant, tau, policy, &mut |_, _, _, _| {}, ctl)
-}
+/// Callback fired after every phase boundary with `(ctx, enc, panel, phase)`
+/// (see [`DriverControl::hook`]).
+pub type PhaseHook<'a> = dyn FnMut(&Ctx, &mut Encoded, usize, Phase) + 'a;
 
-/// [`ft_pdgeqrf`] under explicit [`DriverControl`] — the QR counterpart of
-/// [`ft_pdgehrd_ctl`].
-pub fn ft_pdgeqrf_ctl(
-    ctx: &Ctx,
-    enc: &mut Encoded,
-    variant: Variant,
-    tau: &mut [f64],
-    policy: ScrubPolicy,
-    ctl: DriverControl,
-) -> Result<FtReport, FtError> {
-    ft_solver_driver(ctx, &HouseholderQr, enc, variant, tau, policy, &mut |_, _, _, _| {}, ctl)
-}
-
-/// The generic driver every `ft_pdgehrd*` / `ft_pdgeqrf*` entry point
-/// delegates to: the whole ABFT state machine, written once over the
-/// [`FtSolver`] contract.
-#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
-fn ft_solver_driver(
+/// The fault-tolerant driver: the whole ABFT state machine, written once
+/// over the [`FtSolver`] contract. This is the only way in — [`ft_pdgehrd`],
+/// [`ft_pdgeqrf`] and the `*_full` pair are one-line shorthands for it.
+///
+/// Factors the logical `N×N` part of `enc` in place, leaving exactly what
+/// [`FtSolver::plain`] would, with `tau` (length ≥ [`FtSolver::tau_len`])
+/// replicated on exit.
+pub fn ft_solve(
     ctx: &Ctx,
     solver: &dyn FtSolver,
     enc: &mut Encoded,
     variant: Variant,
     tau: &mut [f64],
-    policy: ScrubPolicy,
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
     ctl: DriverControl,
 ) -> Result<FtReport, FtError> {
-    let DriverControl { start_panel, replacement, mut scope_sink } = ctl;
+    let DriverControl {
+        start_panel,
+        replacement,
+        mut scope_sink,
+        scrub: policy,
+        mut hook,
+    } = ctl;
+    assert!(!replacement || ctx.distributed(), "a replacement only makes sense on a real transport");
     let n = enc.n();
     let nb = enc.nb();
     let q = ctx.npcol();
@@ -1063,7 +957,19 @@ fn ft_solver_driver(
     'run: loop {
         if !need_recovery {
             match catch_interrupt(|| {
-                run_loop(ctx, solver, enc, variant, tau, hook, &mut scope_sink, &mut st, &mut imgs, &mut scrub, &mut report)
+                run_loop(
+                    ctx,
+                    solver,
+                    enc,
+                    variant,
+                    tau,
+                    &mut hook,
+                    &mut scope_sink,
+                    &mut st,
+                    &mut imgs,
+                    &mut scrub,
+                    &mut report,
+                )
             }) {
                 Ok(done) => {
                     done?;
@@ -1089,16 +995,7 @@ fn ft_solver_driver(
                 // this same error, none panics. A replacement has no image
                 // yet — it reports the pre-loop boundary.
                 let (panel, phase) = imgs.cur.as_ref().map_or((0, Phase::BeforePanel), |i| (i.panel_idx, i.phase));
-                return Err(FtError::ExceededCodeDistance {
-                    victims: agreed.victims,
-                    panel,
-                    phase,
-                    row: tol.row,
-                    count: tol.count,
-                    max_per_row: tol.max_per_row,
-                    encoding_max: tol.encoding_max,
-                    cap: tol.cap,
-                });
+                return Err(FtError::exceeded(agreed.victims, panel, phase, tol));
             }
             let t = Instant::now();
             ctx.begin_recovery();
@@ -1210,7 +1107,7 @@ fn run_loop(
     enc: &mut Encoded,
     variant: Variant,
     tau: &mut [f64],
-    hook: &mut dyn FnMut(&Ctx, &mut Encoded, usize, Phase),
+    hook: &mut Option<&mut PhaseHook>,
     sink: &mut Option<&mut ScopeSink>,
     st: &mut DriverState,
     imgs: &mut Images,
@@ -1236,7 +1133,7 @@ fn run_loop(
             let sc = st.scope.as_mut().expect("scope always begins before panels");
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::BeforePanel, scrub, report)?;
             commit_boundary_image(ctx, enc, tau, st, imgs, Step::Panel, Phase::BeforePanel, s);
-            hook(ctx, enc, st.panel_idx, Phase::BeforePanel);
+            observe(hook, ctx, enc, st.panel_idx, Phase::BeforePanel);
         }
 
         // `Ve` of this panel (NonDelayed): computed once for the pseudo-
@@ -1266,7 +1163,7 @@ fn run_loop(
                 ve_panel = None;
             }
             commit_boundary_image(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s);
-            hook(ctx, enc, st.panel_idx, Phase::AfterPanel);
+            observe(hook, ctx, enc, st.panel_idx, Phase::AfterPanel);
         }
 
         if st.resume == Step::Right {
@@ -1284,7 +1181,7 @@ fn run_loop(
             let sc = st.scope.as_mut().unwrap();
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterRightUpdate, scrub, report)?;
             commit_boundary_image(ctx, enc, tau, st, imgs, Step::Left, Phase::AfterRightUpdate, s);
-            hook(ctx, enc, st.panel_idx, Phase::AfterRightUpdate);
+            observe(hook, ctx, enc, st.panel_idx, Phase::AfterRightUpdate);
         }
 
         if st.resume == Step::Left {
@@ -1293,7 +1190,7 @@ fn run_loop(
             let sc = st.scope.as_mut().unwrap();
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterLeftUpdate, scrub, report)?;
             commit_boundary_image(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s);
-            hook(ctx, enc, st.panel_idx, Phase::AfterLeftUpdate);
+            observe(hook, ctx, enc, st.panel_idx, Phase::AfterLeftUpdate);
         }
 
         // Step::ScopeEnd — tau write, progress marker, scope-end work.
@@ -1408,6 +1305,13 @@ fn run_loop(
     Ok(())
 }
 
+#[inline]
+fn observe(hook: &mut Option<&mut PhaseHook>, ctx: &Ctx, enc: &mut Encoded, panel_idx: usize, phase: Phase) {
+    if let Some(h) = hook.as_mut() {
+        h(ctx, enc, panel_idx, phase);
+    }
+}
+
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn handle_failpoint(
     ctx: &Ctx,
@@ -1425,16 +1329,7 @@ fn handle_failpoint(
         FailCheck::AllGood => Ok(()),
         FailCheck::Failure { victims, me } => {
             if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &victims) {
-                return Err(FtError::ExceededCodeDistance {
-                    victims,
-                    panel: panel_idx,
-                    phase,
-                    row: tol.row,
-                    count: tol.count,
-                    max_per_row: tol.max_per_row,
-                    encoding_max: tol.encoding_max,
-                    cap: tol.cap,
-                });
+                return Err(FtError::exceeded(victims, panel_idx, phase, tol));
             }
             let t = Instant::now();
             // Scripted recovery runs inside a recovery round too, so the

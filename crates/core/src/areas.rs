@@ -176,14 +176,15 @@ mod tests {
         });
     }
 
-    /// Dual weights: the weighted partial applies (idx+1)^copy per member —
+    /// `Coded(2)` weights: the weighted partial applies `(1 + idx/Q)^copy`
+    /// per member —
     /// checked against a direct per-element sum, and the write-back twin
     /// round-trips a member block exactly.
     #[test]
     fn dual_weighted_partial_and_write_back_round_trip() {
         run_spmd(1, 4, FaultScript::none(), |ctx| {
             use crate::encode::Redundancy;
-            let mut enc = Encoded::with_redundancy(&ctx, 8, 2, Redundancy::Dual, |i, j| (1 + i * 8 + j) as f64);
+            let mut enc = Encoded::with_redundancy(&ctx, 8, 2, Redundancy::Coded(2), |i, j| (1 + i * 8 + j) as f64);
             let lrn = enc.a.local_rows_below(enc.n());
             for copy in 0..enc.ncopies() {
                 let partial = weighted_partial_block(&enc, 0, lrn, |_| true, |c| enc.col_weight(copy, c));

@@ -63,7 +63,7 @@ const FT_CKPT_MAGIC: [u8; 8] = *b"FTHCKPT1";
 /// checkpoint [`cr_pdgehrd`] keeps on a neighbor: the byte format lets a
 /// checkpoint outlive the process (disk, object store, a spare's memory).
 /// Capture it from an observation hook
-/// ([`crate::ft_pdgehrd_hooked`] / [`crate::ft_pdgeqrf_hooked`]); the hook
+/// ([`crate::DriverControl::hook`]); the hook
 /// holds no borrow of `tau`, so the reflector prefix is attached afterwards
 /// via [`FtCheckpoint::record_tau`] — sound because every driver writes
 /// each `tau` entry exactly once (a completed panel's entries never change
@@ -505,7 +505,7 @@ mod tests {
     /// Theorem 1 holds for every group strictly after the captured panel's
     /// scope, and the restored `tau` prefix is bitwise the solver's.
     fn ft_checkpoint_roundtrip(solver: &'static str) {
-        use crate::algorithm::{ft_pdgehrd_hooked, ft_pdgeqrf_hooked, Phase, Variant};
+        use crate::algorithm::{ft_solve, DriverControl, Phase, Variant};
         use crate::encode::{Encoded, Redundancy};
         use crate::scrub::assert_theorem1;
         use std::sync::Arc;
@@ -516,10 +516,8 @@ mod tests {
         let (n, nb, p, q) = (96usize, 8usize, 1usize, 6usize);
         const CAPTURE_PANEL: usize = 2;
         let seed = 77u64;
-        let tau_len = match solver {
-            "hessenberg" => n - 1,
-            _ => n,
-        };
+        let ft = crate::solver_by_name(solver).expect("registered solver");
+        let tau_len = ft.tau_len(n);
 
         // Run 1: fault-free factorization; the hook snapshots the encoded
         // state right after panel 2's left update, tau rides along after
@@ -533,11 +531,8 @@ mod tests {
                     ckpt = Some(FtCheckpoint::capture(enc, &[], panel));
                 }
             };
-            match solver {
-                "hessenberg" => ft_pdgehrd_hooked(&ctx, &mut enc, Variant::NonDelayed, &mut tau, &mut hook),
-                _ => ft_pdgeqrf_hooked(&ctx, &mut enc, Variant::NonDelayed, &mut tau, &mut hook),
-            }
-            .expect("fault-free run");
+            let ctl = DriverControl { hook: Some(&mut hook), ..DriverControl::default() };
+            ft_solve(&ctx, ft, &mut enc, Variant::NonDelayed, &mut tau, ctl).expect("fault-free run");
             let mut ckpt = ckpt.expect("capture hook fired at panel 2");
             ckpt.record_tau(&tau[..(CAPTURE_PANEL + 1) * nb]);
             (ckpt.to_bytes(), tau)
@@ -589,11 +584,11 @@ mod tests {
     /// `DriverControl::start_panel` — the factorization and tau must come
     /// out bitwise identical for both solvers.
     fn driver_resume_roundtrip(qr: bool) {
-        use crate::algorithm::{ft_pdgehrd_ctl, ft_pdgeqrf_ctl, DriverControl, Variant};
+        use crate::algorithm::{ft_solve, DriverControl, Variant};
         use crate::encode::Encoded;
-        use crate::scrub::ScrubPolicy;
 
         let (n, nb, seed) = (16usize, 2usize, 91u64);
+        let ft = crate::solver_by_name(if qr { "qr" } else { "hessenberg" }).expect("registered solver");
         run_spmd(2, 2, FaultScript::none(), move |ctx| {
             let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
             let mut tau = vec![0.0; n];
@@ -603,12 +598,7 @@ mod tests {
                     ckpts.push(FtCheckpoint::capture(e, t, panel));
                 };
                 let ctl = DriverControl { scope_sink: Some(&mut sink), ..DriverControl::default() };
-                if qr {
-                    ft_pdgeqrf_ctl(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::disabled(), ctl)
-                } else {
-                    ft_pdgehrd_ctl(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::disabled(), ctl)
-                }
-                .expect("fault-free run");
+                ft_solve(&ctx, ft, &mut enc, Variant::NonDelayed, &mut tau, ctl).expect("fault-free run");
             }
             let reference = enc.gather_logical(&ctx, 650);
             assert!(!ckpts.is_empty(), "no scope close fired the sink");
@@ -619,12 +609,7 @@ mod tests {
             let mut tau2 = vec![0.0; n];
             ck.restore(&mut enc2, &mut tau2);
             let ctl = DriverControl { start_panel: ck.panel() + 1, ..DriverControl::default() };
-            if qr {
-                ft_pdgeqrf_ctl(&ctx, &mut enc2, Variant::NonDelayed, &mut tau2, ScrubPolicy::disabled(), ctl)
-            } else {
-                ft_pdgehrd_ctl(&ctx, &mut enc2, Variant::NonDelayed, &mut tau2, ScrubPolicy::disabled(), ctl)
-            }
-            .expect("resumed run");
+            ft_solve(&ctx, ft, &mut enc2, Variant::NonDelayed, &mut tau2, ctl).expect("resumed run");
             let resumed = enc2.gather_logical(&ctx, 652);
             for i in 0..n {
                 for j in 0..n {

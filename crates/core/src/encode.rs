@@ -32,37 +32,27 @@ const TAG_ENCODE: Tag = Tag::Checksum(0);
 ///
 /// [`Redundancy::Single`] is the paper's scheme: two *identical* checksum
 /// copies per group on distinct process columns, tolerating one failure per
-/// process row. [`Redundancy::Dual`] implements the paper's stated future
-/// work ("exploring methods to tolerate multiple simultaneous failures",
-/// §8): four *Vandermonde-weighted* checksums per group — checksum `c` of
+/// process row.
+///
+/// [`Redundancy::Coded`]`(f)` implements the paper's stated future work
+/// ("exploring methods to tolerate multiple simultaneous failures", §8):
+/// `2f` *Vandermonde-weighted* checksum copies per group — checksum `c` of
 /// group `g` stores `Σ_q node(q)^c·A(:, member_q)` with the nodes
 /// `node(q) = 1 + q/Q` (see [`Redundancy::node`] for why the nodes live in
-/// `[1, 2)`). Any two of the four weight rows are linearly independent, so
-/// any two lost blocks per
-/// (process row × group) — data or checksum — are recoverable: two
-/// surviving checksums give a 2×2 Vandermonde system for the two lost
-/// member blocks, and lost checksum blocks are recomputed afterwards.
-/// Requires `Q ≥ 4` so the four checksum block columns land on distinct
-/// process columns.
-///
-/// [`Redundancy::Coded`]`(f)` generalizes Dual to an arbitrary distance:
-/// `2f` Vandermonde-weighted checksum copies per group (checksum `c`
-/// stores `Σ_q node(q)^c·A(:, member_q)`), tolerating up to `f` simultaneous
-/// failures per (process row × group). The count is `2f`, not `f+1`: a
-/// worst-case failure of `f` ranks in one process row erases up to `f`
-/// member blocks *and* up to `f` checksum copies of the same group, and
-/// the `f` surviving copies (any `f` rows of a Vandermonde matrix with
-/// distinct nodes are independent) still determine the `f` lost members.
-/// `Dual` is exactly `Coded(2)` — same geometry, same weights — and is
-/// kept as a named level for the CLI and the existing test batteries.
-/// Requires `Q ≥ 2f` distinct process columns.
+/// `[1, 2)`) — tolerating up to `f` simultaneous failures per (process row
+/// × group), data or checksum. The count is `2f`, not `f+1`: a worst-case
+/// failure of `f` ranks in one process row erases up to `f` member blocks
+/// *and* up to `f` checksum copies of the same group, and the `f` surviving
+/// copies (any `f` rows of a Vandermonde matrix with distinct nodes are
+/// independent) still determine the `f` lost members; lost checksum blocks
+/// are recomputed afterwards. Requires `Q ≥ 2f` so the copies land on
+/// distinct process columns ([`Redundancy::min_q`]). The CLI word `dual`
+/// is a spelling of `Coded(2)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Redundancy {
     /// Paper §5.2: duplicated checksums; ≤ 1 failure per process row.
     #[default]
     Single,
-    /// Weighted checksums; ≤ 2 simultaneous failures per process row.
-    Dual,
     /// Reed–Solomon/Vandermonde checksums with `2f` copies per group;
     /// ≤ `f` simultaneous failures per process row.
     Coded(usize),
@@ -73,7 +63,6 @@ impl Redundancy {
     pub fn ncopies(self) -> usize {
         match self {
             Redundancy::Single => 2,
-            Redundancy::Dual => 4,
             Redundancy::Coded(f) => 2 * f,
         }
     }
@@ -82,7 +71,6 @@ impl Redundancy {
     pub fn max_failures_per_row(self) -> usize {
         match self {
             Redundancy::Single => 1,
-            Redundancy::Dual => 2,
             Redundancy::Coded(f) => f,
         }
     }
@@ -103,7 +91,7 @@ impl Redundancy {
     pub fn node(self, idx: usize, members: usize) -> f64 {
         match self {
             Redundancy::Single => 1.0, // flat duplicates carry no position
-            Redundancy::Dual | Redundancy::Coded(_) => 1.0 + idx as f64 / members as f64,
+            Redundancy::Coded(_) => 1.0 + idx as f64 / members as f64,
         }
     }
 
@@ -113,7 +101,7 @@ impl Redundancy {
     pub fn weight(self, copy: usize, idx: usize, members: usize) -> f64 {
         match self {
             Redundancy::Single => 1.0, // both copies are plain duplicates
-            Redundancy::Dual | Redundancy::Coded(_) => self.node(idx, members).powi(copy as i32),
+            Redundancy::Coded(_) => self.node(idx, members).powi(copy as i32),
         }
     }
 
@@ -127,11 +115,14 @@ impl Redundancy {
 
     /// Minimum grid width `Q` this level needs so every checksum copy of a
     /// group lands on a distinct process column and enough survive any
-    /// in-tolerance failure.
+    /// in-tolerance failure — the one statement of the rule; the encoder,
+    /// the CLI and the serve admission check all read it from here.
+    /// `Single` answers 1: its duplicates still serve the scrub engine on a
+    /// 1×1 grid, and the FT driver itself refuses `Q = 1` on any larger one.
     pub fn min_q(self) -> usize {
         match self {
-            Redundancy::Single => 2,
-            Redundancy::Dual | Redundancy::Coded(_) => self.ncopies(),
+            Redundancy::Single => 1,
+            Redundancy::Coded(f) => 2 * f,
         }
     }
 }
@@ -171,20 +162,12 @@ impl Encoded {
     pub fn with_redundancy(ctx: &Ctx, n: usize, nb: usize, redundancy: Redundancy, f: impl Fn(usize, usize) -> f64) -> Self {
         assert!(nb > 0 && n > 0, "encoding requires N > 0 and nb > 0");
         let q = ctx.npcol();
-        match redundancy {
-            Redundancy::Single => {}
-            Redundancy::Dual => {
-                assert!(q >= 4, "Dual redundancy needs Q >= 4 distinct process columns for its checksums");
-            }
-            Redundancy::Coded(f) => {
-                assert!(f >= 1, "Coded redundancy needs f >= 1");
-                assert!(
-                    q >= 2 * f,
-                    "Coded({f}) redundancy needs Q >= {} distinct process columns for its checksums (got Q = {q})",
-                    2 * f
-                );
-            }
-        }
+        assert!(redundancy != Redundancy::Coded(0), "Coded redundancy needs f >= 1");
+        assert!(
+            q >= redundancy.min_q(),
+            "{redundancy:?} redundancy needs Q >= {} distinct process columns for its checksums (got Q = {q})",
+            redundancy.min_q()
+        );
         let nblocks = n.div_ceil(nb);
         let n_pad = nblocks * nb;
         let groups = nblocks.div_ceil(q);

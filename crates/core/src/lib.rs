@@ -5,26 +5,30 @@
 //! hybrid ABFT + diskless-checkpointing scheme that makes the distributed
 //! blocked Hessenberg reduction resilient to fail-stop process failures.
 //! The machinery is written once against the [`FtSolver`] contract
-//! (DESIGN.md §12) and instantiated twice: [`ft_pdgehrd`] (the paper's
-//! solver) and [`ft_pdgeqrf`] (right-looking Householder QR, a left-only
-//! solver that needs none of the pseudo-checksum `Ve` machinery).
+//! (DESIGN.md §12) with one way in, [`ft_solve`], and instantiated twice:
+//! [`ft_pdgehrd`] (the paper's solver) and [`ft_pdgeqrf`] (right-looking
+//! Householder QR, a left-only solver that needs none of the
+//! pseudo-checksum `Ve` machinery).
 //!
 //! * [`solver`] — the [`FtSolver`] trait: panel geometry, reflector offset,
-//!   and whether a trailing right update exists.
+//!   whether a trailing right update exists, and the plain driver /
+//!   residual oracle / flop coefficient every caller needs; plus the
+//!   [`SOLVERS`] registry behind [`solver_by_name`].
 //! * [`encode`] — checksum encoding of the input matrix (§4): duplicated
 //!   row-checksum block columns on the right, pseudo-checksum rows at the
 //!   bottom for `Ve`.
 //! * `areas` (crate-internal) — the shared checksum-group address
 //!   arithmetic and the one copy of the weighted partial-sum loop that
 //!   encoding, recovery and scrub correction all use.
-//! * [`algorithm`] — [`ft_pdgehrd`] / [`ft_pdgeqrf`], Algorithm 2
-//!   (non-delayed) and Algorithm 3 (delayed checksum updates), with
-//!   scripted fail points between the phases of every iteration.
+//! * [`algorithm`] — [`ft_solve`], Algorithm 2 (non-delayed) and
+//!   Algorithm 3 (delayed checksum updates), with scripted fail points
+//!   between the phases of every iteration.
 //! * [`scope`] — the panel-scope diskless checkpoints: snapshots and the
 //!   per-panel `(panel, Y, T)` bookkeeping on the next process column.
 //! * [`recovery`] — the §5.3 recovery procedure over the four areas of
-//!   Figure 5; tolerates any simultaneous failures with at most one victim
-//!   per process row.
+//!   Figure 5; tolerates any simultaneous failures with at most
+//!   [`Redundancy::max_failures_per_row`] victims per process row (1 for
+//!   the paper's `Single`, `f` for `Coded(f)`).
 //! * [`model`] — the §6 flop/storage cost model (validated against runtime
 //!   flop counters by the `model_validation` bench).
 //! * [`scrub`] — the online SDC scrub engine (DESIGN.md §10): checksum
@@ -49,9 +53,8 @@ pub mod scrub;
 pub mod solver;
 
 pub use algorithm::{
-    failpoint, ft_pdgehrd, ft_pdgehrd_ctl, ft_pdgehrd_full, ft_pdgehrd_hooked, ft_pdgehrd_replacement, ft_pdgehrd_scrubbed,
-    ft_pdgeqrf, ft_pdgeqrf_ctl, ft_pdgeqrf_full, ft_pdgeqrf_hooked, ft_pdgeqrf_replacement, ft_pdgeqrf_scrubbed, ve_rows,
-    DriverControl, FtError, FtReport, Phase, Variant,
+    failpoint, ft_pdgehrd, ft_pdgehrd_full, ft_pdgeqrf, ft_pdgeqrf_full, ft_solve, ve_rows, DriverControl, FtError, FtReport,
+    Phase, PhaseHook, ScopeSink, Variant,
 };
 pub use checkpoint_restart::{cr_failpoint, cr_pdgehrd, CrReport, FtCheckpoint};
 pub use encode::{Encoded, Redundancy};
@@ -62,4 +65,4 @@ pub use scrub::{
     assert_theorem1, diagnose, first_theorem1_violation, local_row_span, locate_member, scan_group, scrub_groups, Diagnosis,
     GroupScan, ScrubCadence, ScrubEngine, ScrubEscalation, ScrubFinding, ScrubPolicy, ScrubReport, TrailingScan,
 };
-pub use solver::{FtSolver, Hessenberg, HouseholderQr};
+pub use solver::{solver_by_name, FtSolver, Hessenberg, HouseholderQr, SOLVERS};

@@ -23,9 +23,9 @@
 //!
 //! Tolerated failure set: any number of simultaneous victims with at most
 //! `max_failures_per_row()` per process row — 1 with the paper's duplicated
-//! checksums ([`Redundancy::Single`]), 2 with the weighted extension
-//! ([`Redundancy::Dual`], the paper's §8 future work), and `f` with the
-//! Reed–Solomon generalization ([`Redundancy::Coded`]`(f)`, DESIGN.md §13).
+//! checksums ([`Redundancy::Single`]) and `f` with the Reed–Solomon weighted
+//! extension ([`Redundancy::Coded`]`(f)`, the paper's §8 future work,
+//! DESIGN.md §13).
 //! For multiple victims in one row, Areas 1/2 become a per-element
 //! Vandermonde solve: the surviving weighted checksums give as many
 //! independent equations as there are lost member blocks.
@@ -161,7 +161,7 @@ pub fn recover(
     // bit-identical at any quiescent point, so restore the victims' blocks
     // from the surviving duplicates first; the copies then flow through the
     // catch-up like everyone else's and step 6 has nothing left to do.
-    // Under `Dual`/`Coded` the Area 1/2 solve never reads victim-column
+    // Under `Coded` the Area 1/2 solve never reads victim-column
     // copies and step 6 recomputes every affected group from the recovered
     // data, so the contamination window is already closed there.
     let chk_catch_up = variant == Variant::Delayed && !st.factors.is_empty();
@@ -193,7 +193,7 @@ pub fn recover(
     match enc.redundancy() {
         Redundancy::Single if pre_restored => {} // done before the catch-up
         Redundancy::Single => restore_checksum_duplicates(ctx, enc, victims),
-        Redundancy::Dual | Redundancy::Coded(_) => {
+        Redundancy::Coded(_) => {
             let mut affected: BTreeSet<usize> = BTreeSet::new();
             for &v in victims {
                 let (_, qv) = ctx.grid().coords_of(v);
@@ -297,7 +297,7 @@ fn restore_checksum_duplicates(ctx: &Ctx, enc: &mut Encoded, victims: &[usize]) 
 ///   on the first victim, which sends the other victims their blocks.
 ///
 /// The `m ≤ 2` solves use the historical closed forms (division, Cramer) so
-/// `Single`/`Dual` recoveries stay bit-identical across releases; `m ≥ 3`
+/// `Single`/`Coded(2)` recoveries stay bit-identical across releases; `m ≥ 3`
 /// goes through [`solve_block_system`].
 fn recover_areas_1_2(ctx: &Ctx, enc: &mut Encoded, rows: &HashMap<usize, Vec<usize>>, s: usize) {
     let mut row_list: Vec<(&usize, &Vec<usize>)> = rows.iter().collect();
@@ -415,13 +415,6 @@ fn recover_areas_1_2(ctx: &Ctx, enc: &mut Encoded, rows: &HashMap<usize, Vec<usi
 /// (adjacent member indices — Vandermonde nodes only `1/Q` apart) plain
 /// elimination leaves an error `~ε·κ(A)` that the refinement step removes,
 /// because `κ(A)·ε ≪ 1` always holds here (`m ≤ f`, nodes in `[1, 2)`).
-/// step of iterative refinement on top of [`ge_block_solve`]: the residual
-/// `R − A·X` is evaluated with compensated (`mul_add`-split) products and
-/// Neumaier accumulation, the correction re-solved through the same
-/// factorization path, and added back. For the worst-conditioned victim sets
-/// (adjacent member indices — Vandermonde nodes only `1/Q` apart) plain
-/// elimination leaves an error `~ε·κ(A)` that the refinement step removes,
-/// because `κ(A)·ε ≪ 1` always holds here (`m ≤ f`, nodes in `[1, 2)`).
 fn solve_block_system(a: Vec<Vec<f64>>, rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let m = a.len();
     debug_assert!(rhs.len() == m && a.iter().all(|row| row.len() == m));
@@ -517,12 +510,12 @@ mod tests {
     use super::*;
     use ft_runtime::{run_spmd, FaultScript};
 
-    /// `Dual` decodes 2 losses per row, but on a 1×2 grid only one backup
+    /// `Coded(2)` decodes 2 losses per row, but on a 1×2 grid only one backup
     /// holder exists — the effective budget is 1 and the verdict must blame
     /// the grid, not the encoding.
     #[test]
     fn tolerance_cap_names_the_backup_holder_limit() {
-        let verdicts = run_spmd(1, 2, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Dual, &[0, 1]));
+        let verdicts = run_spmd(1, 2, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Coded(2), &[0, 1]));
         for v in verdicts {
             let e = v.expect_err("two victims in one row exceed the 1-holder budget");
             assert_eq!(
@@ -539,12 +532,12 @@ mod tests {
     }
 
     /// On a grid wide enough for the holders, overflowing the budget is the
-    /// encoding's own fault: 3 same-row victims against `Dual`'s 2.
+    /// encoding's own fault: 3 same-row victims against `Coded(2)`'s 2.
     #[test]
     fn tolerance_cap_names_the_encoding_limit() {
-        let verdicts = run_spmd(1, 4, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Dual, &[0, 1, 2]));
+        let verdicts = run_spmd(1, 4, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Coded(2), &[0, 1, 2]));
         for v in verdicts {
-            let e = v.expect_err("three victims in one row exceed Dual's tolerance");
+            let e = v.expect_err("three victims in one row exceed Coded(2)'s tolerance");
             assert_eq!(
                 e,
                 ToleranceExceeded {

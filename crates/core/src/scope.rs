@@ -475,7 +475,7 @@ mod tests {
     fn dual_redundancy_has_two_holders() {
         use crate::encode::Redundancy;
         run_spmd(1, 4, FaultScript::none(), |ctx| {
-            let enc = Encoded::with_redundancy(&ctx, 8, 2, Redundancy::Dual, |i, j| (i + j) as f64);
+            let enc = Encoded::with_redundancy(&ctx, 8, 2, Redundancy::Coded(2), |i, j| (i + j) as f64);
             let st = ScopeState::begin(&ctx, &enc, 0);
             assert_eq!(st.holders, 2);
             assert_eq!(st.snapshot_backups.len(), 2);

@@ -4,8 +4,7 @@
 //! For a single corrupted member block `idx`, copy `c`'s residual is the
 //! *same* row vector scaled by the Vandermonde weight
 //! `w_c(idx) = node(idx)^c` with the nodes `node(idx) = 1 + idx/Q`
-//! ([`crate::Redundancy::Dual`] and [`crate::Redundancy::Coded`], which
-//! share the weight form). The max-abs ratios between copies are
+//! ([`crate::Redundancy::Coded`]). The max-abs ratios between copies are
 //! therefore exact — `viol_1 / viol_0 = node(idx)` — and the nearest node
 //! reveals `idx`; a consistency check across every copy rejects
 //! multi-block damage (the residuals then mix two differently-weighted
@@ -110,9 +109,9 @@ mod tests {
     fn dual_ratios_locate_each_member() {
         for idx in 0..4usize {
             let d = 3.0;
-            let node = Redundancy::Dual.node(idx, 4);
+            let node = Redundancy::Coded(2).node(idx, 4);
             let viol: Vec<f64> = (0..4).map(|c| d * node.powi(c)).collect();
-            assert_eq!(locate_member(Redundancy::Dual, &scan(viol), 4), Some(idx), "idx {idx}");
+            assert_eq!(locate_member(Redundancy::Coded(2), &scan(viol), 4), Some(idx), "idx {idx}");
         }
     }
 
@@ -121,13 +120,13 @@ mod tests {
         // A ratio far off every node's curve (e.g. checksum-vs-data damage
         // mixing two weight curves) must not localize.
         let viol = vec![2.0, 4.0, 10.0, 28.0];
-        assert_eq!(locate_member(Redundancy::Dual, &scan(viol), 4), None);
+        assert_eq!(locate_member(Redundancy::Coded(2), &scan(viol), 4), None);
         // Two corrupted members (idx 0 and 3) mix their node curves: the
         // copy-1 ratio lands near a middle node but the higher copies
         // diverge off its curve.
-        let (n0, n3) = (Redundancy::Dual.node(0, 4), Redundancy::Dual.node(3, 4));
+        let (n0, n3) = (Redundancy::Coded(2).node(0, 4), Redundancy::Coded(2).node(3, 4));
         let viol: Vec<f64> = (0..4).map(|c| 2.0 * n0.powi(c) + 3.0 * n3.powi(c)).collect();
-        assert_eq!(locate_member(Redundancy::Dual, &scan(viol), 4), None);
+        assert_eq!(locate_member(Redundancy::Coded(2), &scan(viol), 4), None);
     }
 
     #[test]
@@ -139,7 +138,7 @@ mod tests {
 
     #[test]
     fn non_finite_violations_reject() {
-        assert_eq!(locate_member(Redundancy::Dual, &scan(vec![f64::INFINITY; 4]), 4), None);
+        assert_eq!(locate_member(Redundancy::Coded(2), &scan(vec![f64::INFINITY; 4]), 4), None);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   copy. Cross-checking the copies separates *data* corruption (violates
 //!   every copy — all weights are ≥ 1) from *checksum* corruption (violates
 //!   a strict subset).
-//! * **Localize** ([`localize`]): with [`crate::Redundancy::Dual`] weights
-//!   the per-copy violation ratios `viol_c/viol_0 = (idx+1)^c` name the
+//! * **Localize** ([`localize`]): with [`crate::Redundancy::Coded`] weights
+//!   the per-copy violation ratios `viol_c/viol_0 = node(idx)^c` name the
 //!   corrupted member block; the row half of the (row, block-column)
 //!   intersection comes from the residual vector itself.
 //! * **Correct** ([`correct`]): a located member block is rewritten
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn clean_matrix_yields_no_findings() {
         run_spmd(1, 4, FaultScript::none(), |ctx| {
-            let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Dual, |i, j| uniform_entry(1, i, j));
+            let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Coded(2), |i, j| uniform_entry(1, i, j));
             enc.compute_initial_checksums(&ctx);
             let gs = 0..enc.groups();
             let f = scrub_groups(&ctx, &mut enc, gs, 1e-10);
@@ -387,7 +387,7 @@ mod tests {
         let nb = 2;
         for corrupt_col in [0usize, 3, 5, 6] {
             run_spmd(2, 4, FaultScript::none(), move |ctx| {
-                let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Dual, |i, j| uniform_entry(4, i, j));
+                let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(2), |i, j| uniform_entry(4, i, j));
                 enc.compute_initial_checksums(&ctx);
                 let before = enc.gather_logical(&ctx, 7300);
                 // Corrupt one element of group 0 at the chosen member column.
@@ -412,7 +412,7 @@ mod tests {
     fn dual_corrects_whole_block_corruption() {
         // A whole nb-column of garbage (e.g. a bad DIMM) in one block.
         run_spmd(2, 4, FaultScript::none(), |ctx| {
-            let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Dual, |i, j| uniform_entry(6, i, j));
+            let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Coded(2), |i, j| uniform_entry(6, i, j));
             enc.compute_initial_checksums(&ctx);
             let before = enc.gather_logical(&ctx, 7304);
             for r in 0..16 {

@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn diagnosis_separates_checksum_from_data_corruption() {
         run_spmd(1, 4, FaultScript::none(), |ctx| {
-            let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Dual, |i, j| uniform_entry(21, i, j));
+            let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Coded(2), |i, j| uniform_entry(21, i, j));
             enc.compute_initial_checksums(&ctx);
             let scan = scan_group(&ctx, &enc, 0, TAG_SCRUB);
             assert_eq!(diagnose(&enc, &scan, 4, 1e-9), Diagnosis::Clean);

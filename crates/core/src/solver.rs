@@ -13,13 +13,28 @@
 //! [`FtSolver`] captures exactly that contract. The driver in
 //! [`crate::algorithm`], recovery in [`crate::recovery`] and the scrub
 //! engine in [`crate::scrub`] are written once against `&dyn FtSolver`;
-//! [`Hessenberg`] and [`HouseholderQr`] are the two instantiations. A third
-//! solver (say FT-LU with partial pivoting disabled, or two-sided
-//! tridiagonalization) slots in by implementing the seven methods — see
-//! DESIGN.md §12 for the slot-in walkthrough.
+//! [`Hessenberg`] and [`HouseholderQr`] are the two instantiations. The
+//! trait also carries what every *caller* of a solver needs — the plain
+//! (non-FT) driver, the residual oracle, the flop coefficient — so the CLI,
+//! the serve worker and the tests hold a `&dyn FtSolver` and never `match`
+//! on which solver it is. A third solver (say FT-LU with partial pivoting
+//! disabled, or two-sided tridiagonalization) slots in by implementing the
+//! trait and adding itself to [`SOLVERS`] — see DESIGN.md §12.
 
-use ft_pblas::{pdlahrd, pdlaqrf, DistMatrix, PanelFactors};
+use ft_pblas::{
+    pd_hessenberg_residual, pd_orgqr, pd_orthogonality_residual, pd_qr_residual, pdgehrd, pdgeqrf, pdlahrd, pdlaqrf, DistMatrix,
+    PanelFactors,
+};
 use ft_runtime::Ctx;
+
+/// Every solver the framework knows: the registry behind
+/// [`solver_by_name`] (CLI `--solver`).
+pub static SOLVERS: [&dyn FtSolver; 2] = [&Hessenberg, &HouseholderQr];
+
+/// Look a solver up by its [`FtSolver::name`].
+pub fn solver_by_name(name: &str) -> Option<&'static dyn FtSolver> {
+    SOLVERS.iter().copied().find(|s| s.name() == name)
+}
 
 /// The per-solver knobs of the ABFT framework: panel geometry, update
 /// structure, and the distributed panel kernel. Everything else — encoding,
@@ -58,6 +73,39 @@ pub trait FtSolver: Sync {
 
     /// The distributed panel factorization kernel (SPMD, collective).
     fn factor_panel(&self, ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> PanelFactors;
+
+    /// The plain (non-fault-tolerant) distributed driver of the same
+    /// factorization — the baseline every overhead figure divides by. Its
+    /// output is element-wise what [`crate::ft_solve`] leaves in the logical
+    /// part of the encoded matrix.
+    fn plain(&self, ctx: &Ctx, a: &mut DistMatrix, tau: &mut [f64]);
+
+    /// The factorization residual on the paper's `r∞` scale (§7.3):
+    /// `a0` is the original matrix, `reduced`/`tau` the solver's output.
+    /// Collective; replicated result.
+    fn residual(&self, ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64;
+
+    /// The strictest eigen-free acceptance check the solver offers, on the
+    /// same scale — what `--verify` prints. Defaults to [`FtSolver::residual`];
+    /// a solver whose factorization residual alone cannot see a bad `Q`
+    /// reports the worse of the two.
+    fn verify_residual(&self, ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+        self.residual(ctx, a0, reduced, n, tau)
+    }
+
+    /// Leading flop coefficient `c` of the factorization's `c·N³` cost
+    /// (effective-GFLOP/s reporting).
+    fn flop_coef(&self) -> f64;
+
+    /// Panel iterations the solver runs on an `n×n` matrix at blocking `nb`.
+    fn panel_count(&self, n: usize, nb: usize) -> usize {
+        let (mut c, mut k) = (0, 0);
+        while self.panel_exists(k, n) {
+            k += self.panel_width(k, n, nb);
+            c += 1;
+        }
+        c
+    }
 }
 
 /// The paper's solver: blocked Hessenberg reduction (`PDLAHRD` panels,
@@ -92,6 +140,18 @@ impl FtSolver for Hessenberg {
 
     fn factor_panel(&self, ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> PanelFactors {
         pdlahrd(ctx, a, n, k, w)
+    }
+
+    fn plain(&self, ctx: &Ctx, a: &mut DistMatrix, tau: &mut [f64]) {
+        pdgehrd(ctx, a, tau)
+    }
+
+    fn residual(&self, ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+        pd_hessenberg_residual(ctx, a0, reduced, n, tau)
+    }
+
+    fn flop_coef(&self) -> f64 {
+        10.0 / 3.0
     }
 }
 
@@ -129,6 +189,26 @@ impl FtSolver for HouseholderQr {
 
     fn factor_panel(&self, ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> PanelFactors {
         pdlaqrf(ctx, a, n, k, w)
+    }
+
+    fn plain(&self, ctx: &Ctx, a: &mut DistMatrix, tau: &mut [f64]) {
+        pdgeqrf(ctx, a, tau)
+    }
+
+    fn residual(&self, ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+        pd_qr_residual(ctx, a0, reduced, n, tau)
+    }
+
+    /// QR has no spectrum to fall back on, so its acceptance check is the
+    /// worse of the factorization residual and the loss of orthogonality.
+    fn verify_residual(&self, ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+        let r = self.residual(ctx, a0, reduced, n, tau);
+        let qm = pd_orgqr(ctx, reduced, n, tau);
+        r.max(pd_orthogonality_residual(ctx, &qm, n))
+    }
+
+    fn flop_coef(&self) -> f64 {
+        4.0 / 3.0
     }
 }
 

@@ -6,7 +6,7 @@
 //! schedules are fixed so every run reproduces exactly.
 
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
-use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_hooked, Encoded, FtError, FtReport, Phase, Variant};
+use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, FtError, FtReport, Phase, ScrubPolicy, Variant};
 use ft_lapack::{extract_h, hessenberg_residual, orghr};
 use ft_runtime::{run_spmd, run_spmd_chaos, ChaosKill, ChaosPoint, ChaosScript, FaultScript, PlannedFailure};
 
@@ -150,14 +150,21 @@ fn delayed_recovery_preserves_future_checksums() {
     run_spmd(p, q, FaultScript::one(1, failpoint(1, Phase::BeforePanel)), move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(2013, i, j));
         let mut tau = vec![0.0; n - 1];
-        ft_pdgehrd_hooked(&ctx, &mut enc, Variant::Delayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            // Delayed defers checksum updates mid-scope, so the invariant
-            // is only owed at scope-opening boundaries.
-            if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
-                let s = panel / ctx.npcol();
-                assert_theorem1(ctx, enc, s, 1e-9, "hessenberg", &format!("scope {s} open (post-recovery)"));
-            }
-        })
+        ft_pdgehrd_full(
+            &ctx,
+            &mut enc,
+            Variant::Delayed,
+            &mut tau,
+            ScrubPolicy::disabled(),
+            &mut |ctx, enc, panel, phase| {
+                // Delayed defers checksum updates mid-scope, so the invariant
+                // is only owed at scope-opening boundaries.
+                if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
+                    let s = panel / ctx.npcol();
+                    assert_theorem1(ctx, enc, s, 1e-9, "hessenberg", &format!("scope {s} open (post-recovery)"));
+                }
+            },
+        )
         .expect("within the fault model");
     });
 }

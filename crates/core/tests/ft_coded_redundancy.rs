@@ -1,9 +1,10 @@
 //! Tests of `Redundancy::Coded(f)` — the configurable Reed–Solomon-style
-//! generalization of the duplicate/Dual schemes: each checksum group
+//! generalization of the paper's duplicated checksums: each checksum group
 //! carries `2f` independent Vandermonde-weighted rows, so any `f`
 //! simultaneous failures in the *same* process row are reconstructed by
-//! solving an f×f (or smaller) Vandermonde system per group. `Dual` is
-//! exactly `Coded(2)`; `Coded(1)` is a weighted single-failure code.
+//! solving an f×f (or smaller) Vandermonde system per group. `Coded(1)` is
+//! a weighted single-failure code; the `Coded(2)` battery lives in
+//! `ft_dual_redundancy.rs`.
 
 use ft_dense::gen::uniform_entry;
 use ft_dense::Matrix;
@@ -42,23 +43,6 @@ fn coded_fault_free_matches_single() {
         let (a_coded, _) = ft_result(n, nb, p, q, 70, Variant::NonDelayed, Redundancy::Coded(f), FaultScript::none());
         assert_eq!(a_single.max_abs_diff(&a_coded), 0.0, "f = {f}");
     }
-}
-
-#[test]
-fn coded2_is_dual() {
-    // Same copy count, same Vandermonde weights, same solve paths: Coded(2)
-    // and Dual must agree bitwise even through a two-failure recovery.
-    let (n, nb, p, q) = (16, 2, 2, 4);
-    let script = || {
-        FaultScript::new(vec![
-            PlannedFailure { victim: 5, point: failpoint(3, Phase::AfterPanel) },
-            PlannedFailure { victim: 7, point: failpoint(3, Phase::AfterPanel) },
-        ])
-    };
-    let (a_dual, rec_dual) = ft_result(n, nb, p, q, 71, Variant::NonDelayed, Redundancy::Dual, script());
-    let (a_coded, rec_coded) = ft_result(n, nb, p, q, 71, Variant::NonDelayed, Redundancy::Coded(2), script());
-    assert_eq!((rec_dual, rec_coded), (1, 1));
-    assert_eq!(a_dual.max_abs_diff(&a_coded), 0.0);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
 use ft_dense::Matrix;
-use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_hooked, Encoded, Phase, Variant};
+use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, Phase, ScrubPolicy, Variant};
 use ft_lapack::{extract_h, hessenberg_residual, is_hessenberg, orghr};
 use ft_pblas::{pdgehrd, Desc, DistMatrix};
 use ft_runtime::{run_spmd, FaultScript, PlannedFailure};
@@ -67,10 +67,17 @@ fn theorem1_invariant_all_phases() {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(7, i, j));
         let mut tau = vec![0.0; n - 1];
         let mut checked = 0usize;
-        ft_pdgehrd_hooked(&ctx, &mut enc, Variant::NonDelayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            let s = (panel * nb / nb) / ctx.npcol(); // scope of this panel
-            checked += assert_theorem1(ctx, enc, s, 1e-11, "hessenberg", &format!("panel {panel} {phase:?}"));
-        })
+        ft_pdgehrd_full(
+            &ctx,
+            &mut enc,
+            Variant::NonDelayed,
+            &mut tau,
+            ScrubPolicy::disabled(),
+            &mut |ctx, enc, panel, phase| {
+                let s = (panel * nb / nb) / ctx.npcol(); // scope of this panel
+                checked += assert_theorem1(ctx, enc, s, 1e-11, "hessenberg", &format!("panel {panel} {phase:?}"));
+            },
+        )
         .expect("within the fault model");
         // The sweep actually exercised trailing groups.
         assert!(checked > 20, "only {checked} invariant checks ran");
@@ -86,13 +93,20 @@ fn theorem1_invariant_delayed_at_scope_boundaries() {
     run_spmd(p, q, FaultScript::none(), move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(8, i, j));
         let mut tau = vec![0.0; n - 1];
-        ft_pdgehrd_hooked(&ctx, &mut enc, Variant::Delayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            let bc = panel; // w == nb here, so panel index == block column
-            if phase == Phase::BeforePanel && bc % ctx.npcol() == 0 {
-                let s = bc / ctx.npcol();
-                assert_theorem1(ctx, enc, s, 1e-11, "hessenberg", &format!("scope boundary at panel {panel}"));
-            }
-        })
+        ft_pdgehrd_full(
+            &ctx,
+            &mut enc,
+            Variant::Delayed,
+            &mut tau,
+            ScrubPolicy::disabled(),
+            &mut |ctx, enc, panel, phase| {
+                let bc = panel; // w == nb here, so panel index == block column
+                if phase == Phase::BeforePanel && bc % ctx.npcol() == 0 {
+                    let s = bc / ctx.npcol();
+                    assert_theorem1(ctx, enc, s, 1e-11, "hessenberg", &format!("scope boundary at panel {panel}"));
+                }
+            },
+        )
         .expect("within the fault model");
     });
 }

@@ -1,8 +1,8 @@
-//! Tests of the `Redundancy::Dual` extension — the paper's §8 future work
-//! ("tolerate multiple simultaneous failures"): Vandermonde-weighted
-//! checksums (4 per group, any 2 surviving rows reconstruct 2 lost member
-//! blocks) plus dual-holder diskless checkpoints, tolerating **two**
-//! simultaneous failures in the *same* process row.
+//! Tests of `Redundancy::Coded(2)` ("dual" on the CLI) — the first level of
+//! the paper's §8 future work ("tolerate multiple simultaneous failures"):
+//! Vandermonde-weighted checksums (4 per group, any 2 surviving rows
+//! reconstruct 2 lost member blocks) plus dual-holder diskless checkpoints,
+//! tolerating **two** simultaneous failures in the *same* process row.
 
 use ft_dense::gen::uniform_entry;
 use ft_dense::Matrix;
@@ -37,17 +37,17 @@ fn dual_fault_free_matches_single() {
     // computation: bitwise identical results across redundancy levels.
     let (n, nb, p, q) = (16, 2, 2, 4);
     let (a_single, _) = ft_result(n, nb, p, q, 50, Variant::NonDelayed, Redundancy::Single, FaultScript::none());
-    let (a_dual, _) = ft_result(n, nb, p, q, 50, Variant::NonDelayed, Redundancy::Dual, FaultScript::none());
+    let (a_dual, _) = ft_result(n, nb, p, q, 50, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::none());
     assert_eq!(a_single.max_abs_diff(&a_dual), 0.0);
 }
 
 #[test]
 fn dual_survives_single_failures_like_single() {
     let (n, nb, p, q) = (16, 2, 2, 4);
-    let (reference, _) = ft_result(n, nb, p, q, 51, Variant::NonDelayed, Redundancy::Dual, FaultScript::none());
+    let (reference, _) = ft_result(n, nb, p, q, 51, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::none());
     for phase in Phase::ALL {
         let (got, rec) =
-            ft_result(n, nb, p, q, 51, Variant::NonDelayed, Redundancy::Dual, FaultScript::one(5, failpoint(2, phase)));
+            ft_result(n, nb, p, q, 51, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::one(5, failpoint(2, phase)));
         assert_eq!(rec, 1);
         let d = got.max_abs_diff(&reference);
         assert!(d < 1e-9, "{phase:?}: diff {d}");
@@ -55,11 +55,11 @@ fn dual_survives_single_failures_like_single() {
 }
 
 /// The headline capability: two victims in the SAME process row at the same
-/// instant — impossible under the paper's scheme, recovered under Dual.
+/// instant — impossible under the paper's scheme, recovered under `Coded(2)`.
 #[test]
 fn dual_survives_two_failures_same_row() {
     let (n, nb, p, q) = (16, 2, 2, 4);
-    let (reference, _) = ft_result(n, nb, p, q, 52, Variant::NonDelayed, Redundancy::Dual, FaultScript::none());
+    let (reference, _) = ft_result(n, nb, p, q, 52, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::none());
     // Ranks 4..8 are process row 1 on a 2×4 grid; pick columns 1 and 3.
     for (va, vb) in [(5usize, 7usize), (4, 5), (6, 7), (4, 7)] {
         for phase in Phase::ALL {
@@ -67,7 +67,7 @@ fn dual_survives_two_failures_same_row() {
                 PlannedFailure { victim: va, point: failpoint(3, phase) },
                 PlannedFailure { victim: vb, point: failpoint(3, phase) },
             ]);
-            let (got, rec) = ft_result(n, nb, p, q, 52, Variant::NonDelayed, Redundancy::Dual, script);
+            let (got, rec) = ft_result(n, nb, p, q, 52, Variant::NonDelayed, Redundancy::Coded(2), script);
             assert_eq!(rec, 1);
             let d = got.max_abs_diff(&reference);
             assert!(d < 1e-8, "victims ({va},{vb}) {phase:?}: diff {d}");
@@ -80,12 +80,12 @@ fn dual_survives_two_failures_adjacent_columns() {
     // Adjacent victim columns stress the holder chains the hardest (one of
     // each victim's two holders is the other victim).
     let (n, nb, p, q) = (24, 2, 2, 4);
-    let (reference, _) = ft_result(n, nb, p, q, 53, Variant::Delayed, Redundancy::Dual, FaultScript::none());
+    let (reference, _) = ft_result(n, nb, p, q, 53, Variant::Delayed, Redundancy::Coded(2), FaultScript::none());
     let script = FaultScript::new(vec![
         PlannedFailure { victim: 4, point: failpoint(5, Phase::AfterRightUpdate) },
         PlannedFailure { victim: 5, point: failpoint(5, Phase::AfterRightUpdate) },
     ]);
-    let (got, rec) = ft_result(n, nb, p, q, 53, Variant::Delayed, Redundancy::Dual, script);
+    let (got, rec) = ft_result(n, nb, p, q, 53, Variant::Delayed, Redundancy::Coded(2), script);
     assert_eq!(rec, 1);
     let d = got.max_abs_diff(&reference);
     assert!(d < 1e-8, "diff {d}");
@@ -95,14 +95,14 @@ fn dual_survives_two_failures_adjacent_columns() {
 fn dual_survives_four_victims_two_rows() {
     // Two victims in each of two rows simultaneously.
     let (n, nb, p, q) = (16, 2, 2, 4);
-    let (reference, _) = ft_result(n, nb, p, q, 54, Variant::NonDelayed, Redundancy::Dual, FaultScript::none());
+    let (reference, _) = ft_result(n, nb, p, q, 54, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::none());
     let script = FaultScript::new(vec![
         PlannedFailure { victim: 0, point: failpoint(4, Phase::AfterLeftUpdate) },
         PlannedFailure { victim: 2, point: failpoint(4, Phase::AfterLeftUpdate) },
         PlannedFailure { victim: 5, point: failpoint(4, Phase::AfterLeftUpdate) },
         PlannedFailure { victim: 7, point: failpoint(4, Phase::AfterLeftUpdate) },
     ]);
-    let (got, rec) = ft_result(n, nb, p, q, 54, Variant::NonDelayed, Redundancy::Dual, script);
+    let (got, rec) = ft_result(n, nb, p, q, 54, Variant::NonDelayed, Redundancy::Coded(2), script);
     assert_eq!(rec, 1);
     let d = got.max_abs_diff(&reference);
     assert!(d < 1e-8, "diff {d}");
@@ -111,7 +111,7 @@ fn dual_survives_four_victims_two_rows() {
 #[test]
 fn dual_sweep_over_panels_and_phases() {
     let (n, nb, p, q) = (16, 2, 2, 4);
-    let (reference, _) = ft_result(n, nb, p, q, 55, Variant::NonDelayed, Redundancy::Dual, FaultScript::none());
+    let (reference, _) = ft_result(n, nb, p, q, 55, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::none());
     let panels = 7; // (16-2)/2
     for panel in 0..panels {
         for phase in [Phase::AfterPanel, Phase::AfterLeftUpdate] {
@@ -119,7 +119,7 @@ fn dual_sweep_over_panels_and_phases() {
                 PlannedFailure { victim: 1, point: failpoint(panel, phase) },
                 PlannedFailure { victim: 2, point: failpoint(panel, phase) },
             ]);
-            let (got, rec) = ft_result(n, nb, p, q, 55, Variant::NonDelayed, Redundancy::Dual, script);
+            let (got, rec) = ft_result(n, nb, p, q, 55, Variant::NonDelayed, Redundancy::Coded(2), script);
             assert_eq!(rec, 1);
             let d = got.max_abs_diff(&reference);
             assert!(d < 1e-8, "panel {panel} {phase:?}: diff {d}");
@@ -129,14 +129,14 @@ fn dual_sweep_over_panels_and_phases() {
 
 #[test]
 fn three_failures_same_row_rejected_even_dual() {
-    // Beyond even the Dual tolerance: a typed error on every rank, no panic.
+    // Beyond even the `Coded(2)` tolerance: a typed error on every rank, no panic.
     let script = FaultScript::new(vec![
         PlannedFailure { victim: 4, point: failpoint(1, Phase::AfterPanel) },
         PlannedFailure { victim: 5, point: failpoint(1, Phase::AfterPanel) },
         PlannedFailure { victim: 6, point: failpoint(1, Phase::AfterPanel) },
     ]);
     let errs = run_spmd(2, 4, script, |ctx| {
-        let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Dual, |i, j| uniform_entry(56, i, j));
+        let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Coded(2), |i, j| uniform_entry(56, i, j));
         let mut tau = vec![0.0; 15];
         ft_pdgehrd(&ctx, &mut enc, Variant::NonDelayed, &mut tau).unwrap_err()
     });
@@ -154,7 +154,7 @@ fn three_failures_same_row_rejected_even_dual() {
 fn dual_requires_q_at_least_4() {
     let result = std::panic::catch_unwind(|| {
         run_spmd(2, 3, FaultScript::none(), |ctx| {
-            let _ = Encoded::with_redundancy(&ctx, 12, 2, Redundancy::Dual, |_, _| 0.0);
+            let _ = Encoded::with_redundancy(&ctx, 12, 2, Redundancy::Coded(2), |_, _| 0.0);
         })
     });
     assert!(result.is_err());
@@ -165,7 +165,7 @@ fn weighted_checksums_detect_corruption() {
     // The Vandermonde weights keep per-copy violation proportional to the
     // weight of the corrupted member — the locate signal.
     run_spmd(1, 4, FaultScript::none(), |ctx| {
-        let mut enc = Encoded::with_redundancy(&ctx, 8, 2, Redundancy::Dual, |i, j| (i * 8 + j) as f64);
+        let mut enc = Encoded::with_redundancy(&ctx, 8, 2, Redundancy::Coded(2), |i, j| (i * 8 + j) as f64);
         enc.compute_initial_checksums(&ctx);
         // Corrupt one entry in member index 2 of group 0 (column 4).
         if enc.a.owns_row(3) && enc.a.owns_col(4) {

@@ -12,8 +12,7 @@
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
 use ft_dense::Matrix;
 use ft_hess::{
-    assert_theorem1, failpoint, ft_pdgeqrf, ft_pdgeqrf_full, ft_pdgeqrf_hooked, Encoded, FtReport, Phase, Redundancy,
-    ScrubPolicy, Variant,
+    assert_theorem1, failpoint, ft_pdgeqrf, ft_pdgeqrf_full, Encoded, FtReport, Phase, Redundancy, ScrubPolicy, Variant,
 };
 use ft_lapack::{extract_r, orgqr, orthogonality_residual, qr_residual, RESIDUAL_THRESHOLD};
 use ft_runtime::{run_spmd, run_spmd_chaos, ChaosScript, Ctx, FaultScript, PlannedFailure};
@@ -86,10 +85,17 @@ fn qr_nondelayed_theorem1_every_phase() {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(41, i, j));
         let mut tau = vec![0.0; n];
         let mut checked = 0usize;
-        ft_pdgeqrf_hooked(&ctx, &mut enc, Variant::NonDelayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            let s = panel / ctx.npcol(); // w == nb here, so panel index == block column
-            checked += assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr panel {panel} {phase:?}"));
-        })
+        ft_pdgeqrf_full(
+            &ctx,
+            &mut enc,
+            Variant::NonDelayed,
+            &mut tau,
+            ScrubPolicy::disabled(),
+            &mut |ctx, enc, panel, phase| {
+                let s = panel / ctx.npcol(); // w == nb here, so panel index == block column
+                checked += assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr panel {panel} {phase:?}"));
+            },
+        )
         .expect("fault-free run");
         assert!(checked > 20, "only {checked} invariant checks ran");
     });
@@ -103,12 +109,19 @@ fn qr_delayed_theorem1_at_scope_boundaries() {
     run_spmd(p, q, FaultScript::none(), move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(43, i, j));
         let mut tau = vec![0.0; n];
-        ft_pdgeqrf_hooked(&ctx, &mut enc, Variant::Delayed, &mut tau, &mut |ctx, enc, panel, phase| {
-            if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
-                let s = panel / ctx.npcol();
-                assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr scope boundary at panel {panel}"));
-            }
-        })
+        ft_pdgeqrf_full(
+            &ctx,
+            &mut enc,
+            Variant::Delayed,
+            &mut tau,
+            ScrubPolicy::disabled(),
+            &mut |ctx, enc, panel, phase| {
+                if phase == Phase::BeforePanel && panel % ctx.npcol() == 0 {
+                    let s = panel / ctx.npcol();
+                    assert_theorem1(ctx, enc, s, 1e-11, "qr", &format!("qr scope boundary at panel {panel}"));
+                }
+            },
+        )
         .expect("fault-free run");
     });
 }
@@ -250,15 +263,15 @@ fn qr_sdc_flip_on_2x2_escalates_to_rollback_and_heals() {
     }
 }
 
-/// With `Dual` redundancy (needs Q ≥ 4 process columns) the same flip is
+/// With `Coded(2)` redundancy (needs Q ≥ 4 process columns) the same flip is
 /// localized to its member block and corrected in place — no rollback.
 #[test]
 fn qr_sdc_flip_corrected_in_place_dual() {
     let (n, nb, p, q) = (32usize, 2usize, 2usize, 4usize);
     let seed = 63;
-    let reference = clean_run(n, nb, p, q, seed, Variant::NonDelayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, seed, Variant::NonDelayed, Redundancy::Coded(2));
     let (panel, flip_col) = (2usize, 16usize); // trailing group for scope 0
-    let results = qr_flip_run(n, nb, p, q, seed, Redundancy::Dual, panel, (n - 1, flip_col, 0.37));
+    let results = qr_flip_run(n, nb, p, q, seed, Redundancy::Coded(2), panel, (n - 1, flip_col, 0.37));
     for (ag, tau, scrub) in results {
         assert!(scrub.detections >= 1, "no detection");
         assert!(scrub.corrections >= 1, "no in-place correction");

@@ -67,13 +67,13 @@ fn bump(enc: &mut Encoded, i: usize, j: usize, delta: f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Area 1 (trailing): in-place correction under Dual redundancy.
+// Area 1 (trailing): in-place correction under `Coded(2)` redundancy.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn trailing_flip_corrected_in_place_nondelayed() {
     let (n, nb, p, q) = (32, 2, 2, 4);
-    let reference = clean_run(n, nb, p, q, 70, Variant::NonDelayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, 70, Variant::NonDelayed, Redundancy::Coded(2));
     // Only phases after the (column-mixing) right update keep a single
     // corrupted member block; earlier injections spread across the row and
     // are covered by the escalation tests below.
@@ -88,7 +88,7 @@ fn trailing_flip_corrected_in_place_nondelayed() {
                 q,
                 70,
                 Variant::NonDelayed,
-                Redundancy::Dual,
+                Redundancy::Coded(2),
                 ScrubPolicy::every_panels(1),
                 panel,
                 phase,
@@ -114,7 +114,7 @@ fn trailing_flip_corrected_in_place_nondelayed() {
 #[test]
 fn finished_flip_corrected_in_place_delayed() {
     let (n, nb, p, q) = (40, 2, 2, 4);
-    let reference = clean_run(n, nb, p, q, 71, Variant::Delayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, 71, Variant::Delayed, Redundancy::Coded(2));
     for phase in [Phase::AfterPanel, Phase::AfterLeftUpdate] {
         // Panel 5 sits in scope 1: group 0 is finished, its columns (and
         // checksums) are frozen — a flip there stays a single-member hit.
@@ -125,7 +125,7 @@ fn finished_flip_corrected_in_place_delayed() {
             q,
             71,
             Variant::Delayed,
-            Redundancy::Dual,
+            Redundancy::Coded(2),
             ScrubPolicy::every_panels(1),
             5,
             phase,
@@ -150,7 +150,7 @@ fn finished_flip_corrected_in_place_delayed() {
 fn checksum_copy_flip_repaired_both_variants() {
     let (n, nb, p, q) = (32, 2, 2, 4);
     for (variant, panel, group, copy) in [(Variant::NonDelayed, 1usize, 1usize, 1usize), (Variant::Delayed, 5, 0, 0)] {
-        let reference = clean_run(n, nb, p, q, 72, variant, Redundancy::Dual);
+        let reference = clean_run(n, nb, p, q, 72, variant, Redundancy::Coded(2));
         let results = corrupted_run(
             n,
             nb,
@@ -158,7 +158,7 @@ fn checksum_copy_flip_repaired_both_variants() {
             q,
             72,
             variant,
-            Redundancy::Dual,
+            Redundancy::Coded(2),
             ScrubPolicy::every_panels(1),
             panel,
             Phase::AfterRightUpdate,
@@ -215,10 +215,10 @@ fn single_redundancy_flip_escalates_to_rollback_and_heals() {
 #[test]
 fn multi_block_corruption_escalates_and_rolls_back_dual() {
     let (n, nb, p, q) = (32, 2, 2, 4);
-    let reference = clean_run(n, nb, p, q, 74, Variant::NonDelayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, 74, Variant::NonDelayed, Redundancy::Coded(2));
     // Two member blocks of the same trailing group corrupted at once (a bad
     // DIMM spanning blocks): the per-copy violation ratios match no single
-    // member, so in-place repair is impossible even under Dual.
+    // member, so in-place repair is impossible even under `Coded(2)`.
     let results = corrupted_run(
         n,
         nb,
@@ -226,7 +226,7 @@ fn multi_block_corruption_escalates_and_rolls_back_dual() {
         q,
         74,
         Variant::NonDelayed,
-        Redundancy::Dual,
+        Redundancy::Coded(2),
         ScrubPolicy::every_panels(1),
         2,
         Phase::AfterLeftUpdate,
@@ -252,7 +252,7 @@ fn delayed_trailing_flip_is_rollback_only() {
     // a single member, but an in-place rewrite would keep the consistent
     // spread. The engine must refuse the shortcut and take the rollback.
     let (n, nb, p, q) = (40, 2, 2, 4);
-    let reference = clean_run(n, nb, p, q, 81, Variant::Delayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, 81, Variant::Delayed, Redundancy::Coded(2));
     let results = corrupted_run(
         n,
         nb,
@@ -260,7 +260,7 @@ fn delayed_trailing_flip_is_rollback_only() {
         q,
         81,
         Variant::Delayed,
-        Redundancy::Dual,
+        Redundancy::Coded(2),
         ScrubPolicy::every_panels(1),
         5, // mid-scope in scope 1 (panels 4..7)
         Phase::AfterLeftUpdate,
@@ -314,7 +314,7 @@ fn ragged_n_and_narrow_last_scope_scrub() {
     // (three real columns) and alone in its group — the final scope is
     // narrower than Q.
     let (n, nb, p, q) = (19, 4, 1, 4);
-    let reference = clean_run(n, nb, p, q, 76, Variant::NonDelayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, 76, Variant::NonDelayed, Redundancy::Coded(2));
     let results = corrupted_run(
         n,
         nb,
@@ -322,7 +322,7 @@ fn ragged_n_and_narrow_last_scope_scrub() {
         q,
         76,
         Variant::NonDelayed,
-        Redundancy::Dual,
+        Redundancy::Coded(2),
         ScrubPolicy::every_panels(1),
         0,
         Phase::AfterLeftUpdate,
@@ -373,7 +373,7 @@ fn one_by_one_grid_scrub_corrects() {
 #[test]
 fn eigenvalues_match_flip_free() {
     let (n, nb, p, q) = (32, 2, 2, 4);
-    let reference = clean_run(n, nb, p, q, 78, Variant::NonDelayed, Redundancy::Dual);
+    let reference = clean_run(n, nb, p, q, 78, Variant::NonDelayed, Redundancy::Coded(2));
     let results = corrupted_run(
         n,
         nb,
@@ -381,7 +381,7 @@ fn eigenvalues_match_flip_free() {
         q,
         78,
         Variant::NonDelayed,
-        Redundancy::Dual,
+        Redundancy::Coded(2),
         ScrubPolicy::every_panels(1),
         1,
         Phase::AfterRightUpdate,
@@ -412,12 +412,12 @@ fn seeded_storm_heals_both_variants() {
     let panels = 15u64;
     let op_hi = (panels * (4 * nb as u64 + 20)).max(200);
     for variant in [Variant::NonDelayed, Variant::Delayed] {
-        let reference = clean_run(n, nb, p, q, 79, variant, Redundancy::Dual);
+        let reference = clean_run(n, nb, p, q, 79, variant, Redundancy::Coded(2));
         for sdc_seed in [1u64, 2, 3, 4] {
             for flips in [1usize, 2] {
                 let sdc = SdcScript::seeded(sdc_seed, p * q, flips, 50, op_hi);
                 let results = run_spmd_full(p, q, FaultScript::none(), ChaosScript::none(), sdc, move |ctx| {
-                    let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Dual, |i, j| uniform_entry(79, i, j));
+                    let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(2), |i, j| uniform_entry(79, i, j));
                     let mut tau = vec![0.0; n - 1];
                     let rep =
                         ft_pdgehrd_full(&ctx, &mut enc, variant, &mut tau, ScrubPolicy::every_panels(1), &mut |_, _, _, _| {})

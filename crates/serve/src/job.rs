@@ -7,39 +7,52 @@
 //! packed eight bytes per word through the IEEE bit pattern, which the
 //! frame codec round-trips bit-exactly.
 
-use ft_hess::{Redundancy, Variant};
+use ft_hess::{FtSolver, Hessenberg, HouseholderQr, Redundancy, Variant};
 
-/// Which factorization a job runs.
+/// Which factorization a job runs: the wire name of an [`FtSolver`]. The
+/// discriminant is the wire code; [`SolverId::ft`] is the one place a
+/// `SolverId` becomes a solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverId {
     /// Fault-tolerant Hessenberg reduction ([`ft_hess::ft_pdgehrd`]).
-    Hessenberg,
+    Hessenberg = 0,
     /// Fault-tolerant Householder QR ([`ft_hess::ft_pdgeqrf`]).
-    Qr,
+    Qr = 1,
 }
 
 impl SolverId {
-    fn code(self) -> f64 {
+    /// Every id, in wire-code order.
+    pub const ALL: [SolverId; 2] = [SolverId::Hessenberg, SolverId::Qr];
+
+    /// The solver this id names — everything else (tau length, driver,
+    /// residual oracle, report name) is asked of the returned object.
+    pub fn ft(self) -> &'static dyn FtSolver {
         match self {
-            SolverId::Hessenberg => 0.0,
-            SolverId::Qr => 1.0,
+            SolverId::Hessenberg => &Hessenberg,
+            SolverId::Qr => &HouseholderQr,
         }
     }
 
+    fn code(self) -> f64 {
+        self as usize as f64
+    }
+
     fn from_code(c: f64) -> Result<Self, String> {
-        match c as i64 {
-            0 => Ok(SolverId::Hessenberg),
-            1 => Ok(SolverId::Qr),
-            k => Err(format!("unknown solver code {k}")),
-        }
+        let k = c as i64;
+        Self::ALL
+            .into_iter()
+            .find(|id| *id as i64 == k)
+            .ok_or_else(|| format!("unknown solver code {k}"))
+    }
+
+    /// The id of the solver called `name` (`--solver`), if there is one.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|id| id.name() == name)
     }
 
     /// CLI/report name.
     pub fn name(self) -> &'static str {
-        match self {
-            SolverId::Hessenberg => "hessenberg",
-            SolverId::Qr => "qr",
-        }
+        self.ft().name()
     }
 }
 
@@ -69,47 +82,36 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
-    /// Stable wire code.
+    /// Every reason with its log/CLI name, in wire-code order.
+    const ALL: [(RejectReason, &'static str); 8] = [
+        (RejectReason::QueueFull, "queue-full"),
+        (RejectReason::QuotaExceeded, "quota-exceeded"),
+        (RejectReason::BadRequest, "bad-request"),
+        (RejectReason::PoolTooSmall, "pool-too-small"),
+        (RejectReason::ShuttingDown, "shutting-down"),
+        (RejectReason::WorkerLost, "worker-lost"),
+        (RejectReason::CodeDistance, "code-distance-exceeded"),
+        (RejectReason::Unrecoverable, "scrub-unrecoverable"),
+    ];
+
+    /// Stable wire code (the declaration index).
     pub fn code(self) -> f64 {
-        match self {
-            RejectReason::QueueFull => 0.0,
-            RejectReason::QuotaExceeded => 1.0,
-            RejectReason::BadRequest => 2.0,
-            RejectReason::PoolTooSmall => 3.0,
-            RejectReason::ShuttingDown => 4.0,
-            RejectReason::WorkerLost => 5.0,
-            RejectReason::CodeDistance => 6.0,
-            RejectReason::Unrecoverable => 7.0,
-        }
+        self as usize as f64
     }
 
     /// Inverse of [`RejectReason::code`].
     pub fn from_code(c: f64) -> Result<Self, String> {
-        match c as i64 {
-            0 => Ok(RejectReason::QueueFull),
-            1 => Ok(RejectReason::QuotaExceeded),
-            2 => Ok(RejectReason::BadRequest),
-            3 => Ok(RejectReason::PoolTooSmall),
-            4 => Ok(RejectReason::ShuttingDown),
-            5 => Ok(RejectReason::WorkerLost),
-            6 => Ok(RejectReason::CodeDistance),
-            7 => Ok(RejectReason::Unrecoverable),
-            k => Err(format!("unknown reject reason code {k}")),
-        }
+        let k = c as i64;
+        usize::try_from(k)
+            .ok()
+            .and_then(|i| Self::ALL.get(i))
+            .map(|&(r, _)| r)
+            .ok_or_else(|| format!("unknown reject reason code {k}"))
     }
 
     /// Human-readable name for logs and CLI output.
     pub fn name(self) -> &'static str {
-        match self {
-            RejectReason::QueueFull => "queue-full",
-            RejectReason::QuotaExceeded => "quota-exceeded",
-            RejectReason::BadRequest => "bad-request",
-            RejectReason::PoolTooSmall => "pool-too-small",
-            RejectReason::ShuttingDown => "shutting-down",
-            RejectReason::WorkerLost => "worker-lost",
-            RejectReason::CodeDistance => "code-distance-exceeded",
-            RejectReason::Unrecoverable => "scrub-unrecoverable",
-        }
+        Self::ALL[self as usize].1
     }
 }
 
@@ -155,7 +157,6 @@ impl JobSpec {
     fn redundancy_code(r: Redundancy) -> (f64, f64) {
         match r {
             Redundancy::Single => (0.0, 0.0),
-            Redundancy::Dual => (1.0, 0.0),
             Redundancy::Coded(f) => (2.0, f as f64),
         }
     }
@@ -193,7 +194,9 @@ impl JobSpec {
         };
         let redundancy = match (w[2] as i64, w[3] as i64) {
             (0, _) => Redundancy::Single,
-            (1, _) => Redundancy::Dual,
+            // Retired `Dual` code: never emitted, still decoded so specs
+            // persisted under --state-dir by older daemons resume.
+            (1, _) => Redundancy::Coded(2),
             (2, f) if f >= 1 => Redundancy::Coded(f as usize),
             (k, f) => return Err(format!("unknown redundancy code {k}/{f}")),
         };
@@ -207,6 +210,11 @@ impl JobSpec {
         }
         if q == 1 && p * q != 1 {
             return Err(format!("Q = 1 is only supported on a 1x1 grid (got {p}x{q})"));
+        }
+        if q < redundancy.min_q() {
+            // The encoder asserts this; an admitted job would panic every
+            // worker of its fabric.
+            return Err(format!("{redundancy:?} needs Q >= {} process columns (got {p}x{q})", redundancy.min_q()));
         }
         let matrix = &w[9..];
         if matrix.len() != n * n {
@@ -388,35 +396,35 @@ pub fn unpack_bytes(words: &[f64], len: usize) -> Vec<u8> {
 mod tests {
     use super::*;
 
+    /// A well-formed 4×4 Hessenberg/alg2 spec on a `1×q` grid.
+    fn spec_on(redundancy: Redundancy, q: usize) -> JobSpec {
+        JobSpec {
+            solver: SolverId::Hessenberg,
+            variant: Variant::NonDelayed,
+            redundancy,
+            n: 4,
+            nb: 2,
+            p: 1,
+            q,
+            ckpt: false,
+            matrix: (0..16).map(|i| i as f64 * 0.5).collect(),
+        }
+    }
+
     #[test]
     fn spec_words_round_trip() {
         let spec = JobSpec {
             solver: SolverId::Qr,
             variant: Variant::Delayed,
-            redundancy: Redundancy::Coded(2),
-            n: 4,
-            nb: 2,
-            p: 1,
-            q: 4,
             ckpt: true,
-            matrix: (0..16).map(|i| i as f64 * 0.5).collect(),
+            ..spec_on(Redundancy::Coded(2), 4)
         };
         assert_eq!(JobSpec::from_words(&spec.to_words()).unwrap(), spec);
     }
 
     #[test]
     fn spec_validation_rejects_malformed_requests() {
-        let good = JobSpec {
-            solver: SolverId::Hessenberg,
-            variant: Variant::NonDelayed,
-            redundancy: Redundancy::Single,
-            n: 4,
-            nb: 2,
-            p: 1,
-            q: 2,
-            ckpt: false,
-            matrix: vec![0.0; 16],
-        };
+        let good = spec_on(Redundancy::Single, 2);
         let mut w = good.to_words();
         w.truncate(5);
         assert!(JobSpec::from_words(&w).is_err(), "truncated header");
@@ -430,6 +438,36 @@ mod tests {
         w[6] = 2.0; // 2x2 wants 4 ranks but matrix checks still pass;
         w[7] = 1.0; // Q = 1 on a multi-rank grid is rejected
         assert!(JobSpec::from_words(&w).is_err(), "Q=1 multi-rank grid");
+        // Under-width redundancy: Coded(f) needs Q >= 2f (the encoder would
+        // assert inside every worker of the job's fabric).
+        for (f, q, ok) in [(1, 2, true), (2, 2, false), (2, 3, false), (2, 4, true), (3, 4, false)] {
+            let words = spec_on(Redundancy::Coded(f), q).to_words();
+            assert_eq!(JobSpec::from_words(&words).is_ok(), ok, "Coded({f}) on 1x{q}");
+        }
+        // 1x1 Single stays admissible (scrub-only grid).
+        assert!(JobSpec::from_words(&spec_on(Redundancy::Single, 1).to_words()).is_ok(), "1x1 single");
+    }
+
+    /// Wire code 1 (the retired `Dual`) still decodes — to `Coded(2)` — but
+    /// is never emitted.
+    #[test]
+    fn retired_dual_code_decodes_to_coded2() {
+        let spec = spec_on(Redundancy::Coded(2), 4);
+        let mut w = spec.to_words();
+        assert_eq!((w[2], w[3]), (2.0, 2.0), "Coded(2) is emitted as the generic code");
+        (w[2], w[3]) = (1.0, 0.0);
+        assert_eq!(JobSpec::from_words(&w).unwrap(), spec);
+    }
+
+    #[test]
+    fn solver_ids_are_the_registry() {
+        for id in SolverId::ALL {
+            assert_eq!(SolverId::from_code(id.code()).unwrap(), id);
+            assert_eq!(SolverId::from_name(id.name()), Some(id));
+            assert_eq!(ft_hess::solver_by_name(id.name()).unwrap().name(), id.ft().name());
+        }
+        assert_eq!(SolverId::ALL.len(), ft_hess::SOLVERS.len(), "a registered solver has no wire id");
+        assert!(SolverId::from_name("lu").is_none());
     }
 
     #[test]
@@ -449,17 +487,7 @@ mod tests {
 
     #[test]
     fn assignment_words_round_trip_with_resume_blob() {
-        let spec = JobSpec {
-            solver: SolverId::Hessenberg,
-            variant: Variant::NonDelayed,
-            redundancy: Redundancy::Single,
-            n: 2,
-            nb: 1,
-            p: 1,
-            q: 2,
-            ckpt: true,
-            matrix: vec![1.0, 2.0, 3.0, 4.0],
-        };
+        let spec = spec_on(Redundancy::Single, 2);
         for blob_len in [0usize, 1, 7, 8, 9, 23] {
             let a = Assignment {
                 spec: spec.clone(),
@@ -497,6 +525,7 @@ mod tests {
             RejectReason::Unrecoverable,
         ] {
             assert_eq!(RejectReason::from_code(r.code()).unwrap(), r);
+            assert_eq!(RejectReason::ALL[r as usize].0, r, "ALL must list the reasons in wire-code order");
         }
         assert!(RejectReason::from_code(99.0).is_err());
     }

@@ -16,12 +16,9 @@
 //! daemon respawns the slot and hands the fresh process a `replacement`
 //! assignment so it rejoins the same fabric with a bumped incarnation.
 
-use crate::job::{Assignment, JobResult, RejectReason, SolverId, ASSIGN_STOP};
-use ft_hess::{
-    ft_pdgehrd_ctl, ft_pdgeqrf_ctl, DriverControl, Encoded, FtCheckpoint, FtError, FtSolver, Hessenberg, HouseholderQr,
-    ScrubPolicy,
-};
-use ft_pblas::{pd_gather_traffic, pd_hessenberg_residual, pd_qr_residual, Desc, DistMatrix};
+use crate::job::{Assignment, JobResult, RejectReason, ASSIGN_STOP};
+use ft_hess::{ft_solve, DriverControl, Encoded, FtCheckpoint, FtError};
+use ft_pblas::{pd_gather_traffic, Desc, DistMatrix};
 use ft_runtime::{jobs, run_distributed, ChaosScript, Ctx, JobFrame, MpscTransport, Tag, TcpConfig, TcpTransport, Transport};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -33,6 +30,18 @@ fn send(writer: &Arc<Mutex<TcpStream>>, frame: &JobFrame) {
     if let Ok(mut s) = writer.lock() {
         let _ = jobs::write_job_frame(&mut s, frame);
     }
+}
+
+/// Report a typed rejection of `job` (from rank/slot `seq`) to the daemon.
+fn reject(writer: &Arc<Mutex<TcpStream>>, tenant: u32, job: u64, seq: usize, reason: RejectReason) {
+    let frame = JobFrame {
+        kind: jobs::KIND_REJECT,
+        tenant,
+        job,
+        seq: seq as u64,
+        payload: vec![reason.code()],
+    };
+    send(writer, &frame);
 }
 
 /// Run one rank of one job and report the outcome to the daemon.
@@ -52,16 +61,7 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
             Ok(t) => Box::new(t),
             Err(e) => {
                 eprintln!("worker: job {job} rank {} fabric connect failed: {e}", a.job_rank);
-                send(
-                    writer,
-                    &JobFrame {
-                        kind: jobs::KIND_REJECT,
-                        tenant,
-                        job,
-                        seq: a.job_rank as u64,
-                        payload: vec![RejectReason::WorkerLost.code()],
-                    },
-                );
+                reject(writer, tenant, job, a.job_rank, RejectReason::WorkerLost);
                 return;
             }
         }
@@ -72,12 +72,9 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
     let matrix = spec.matrix.clone();
     let run = run_distributed(spec.p, spec.q, ChaosScript::none(), transport, move |ctx: Ctx| {
         let t0 = Instant::now();
+        let solver = spec.solver.ft();
         let mut enc = Encoded::with_redundancy(&ctx, n, nb, spec.redundancy, |i, j| matrix[i * n + j]);
-        let tau_len = match spec.solver {
-            SolverId::Hessenberg => Hessenberg.tau_len(n),
-            SolverId::Qr => HouseholderQr.tau_len(n),
-        };
-        let mut tau = vec![0.0; tau_len.max(1)];
+        let mut tau = vec![0.0; solver.tau_len(n).max(1)];
         let mut start_panel = 0;
         if !resume.is_empty() {
             let ck = FtCheckpoint::from_bytes(&resume).expect("daemon shipped a corrupt resume checkpoint");
@@ -105,21 +102,16 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
                 },
             );
         };
-        let mut ctl = DriverControl { start_panel, replacement, scope_sink: None };
+        let mut ctl = DriverControl { start_panel, replacement, ..DriverControl::default() };
         if spec.ckpt {
             ctl.scope_sink = Some(&mut sink);
         }
-        let run = match spec.solver {
-            SolverId::Hessenberg => ft_pdgehrd_ctl(&ctx, &mut enc, spec.variant, &mut tau, ScrubPolicy::disabled(), ctl),
-            SolverId::Qr => ft_pdgeqrf_ctl(&ctx, &mut enc, spec.variant, &mut tau, ScrubPolicy::disabled(), ctl),
-        };
-        match run {
+        match ft_solve(&ctx, solver, &mut enc, spec.variant, &mut tau, ctl) {
             Ok(report) => {
                 let a0 = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| matrix[i * n + j]);
-                let residual = match spec.solver {
-                    SolverId::Hessenberg => pd_hessenberg_residual(&ctx, &a0, &enc.a, n, &tau),
-                    SolverId::Qr => pd_qr_residual(&ctx, &a0, &enc.a, n, &tau),
-                };
+                // The factorization residual only — the CLI's stricter
+                // `verify_residual` would add an orgqr per QR job.
+                let residual = solver.residual(&ctx, &a0, &enc.a, n, &tau);
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let factor = enc.gather_logical_root(&ctx, Tag::job(job, 0));
                 let bytes = pd_gather_traffic(&ctx, Tag::job(job, 1)).total_bytes();
@@ -162,16 +154,7 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
                     FtError::ExceededCodeDistance { .. } => RejectReason::CodeDistance,
                     FtError::ScrubUnrecoverable { .. } => RejectReason::Unrecoverable,
                 };
-                send(
-                    &wtr,
-                    &JobFrame {
-                        kind: jobs::KIND_REJECT,
-                        tenant,
-                        job,
-                        seq: job_rank as u64,
-                        payload: vec![reason.code()],
-                    },
-                );
+                reject(&wtr, tenant, job, job_rank, reason);
             }
         }
     });
@@ -180,16 +163,7 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
         // rank as lost so the daemon fails the job instead of waiting out
         // its own watchdog. Other ranks of the job agree on the same error.
         eprintln!("worker: job {job} rank {job_rank}: fabric error: {err}");
-        send(
-            writer,
-            &JobFrame {
-                kind: jobs::KIND_REJECT,
-                tenant,
-                job,
-                seq: job_rank as u64,
-                payload: vec![RejectReason::WorkerLost.code()],
-            },
-        );
+        reject(writer, tenant, job, job_rank, RejectReason::WorkerLost);
     }
 }
 
@@ -239,16 +213,7 @@ pub fn worker_main(port: u16, slot: usize) -> i32 {
             Ok(a) => run_assignment(frame.job, frame.tenant, a, &writer),
             Err(e) => {
                 eprintln!("worker: malformed assignment for job {}: {e}", frame.job);
-                send(
-                    &writer,
-                    &JobFrame {
-                        kind: jobs::KIND_REJECT,
-                        tenant: frame.tenant,
-                        job: frame.job,
-                        seq: 0,
-                        payload: vec![RejectReason::BadRequest.code()],
-                    },
-                );
+                reject(&writer, frame.tenant, frame.job, 0, RejectReason::BadRequest);
             }
         }
     }

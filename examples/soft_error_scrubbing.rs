@@ -19,10 +19,10 @@ fn main() {
     let n = 128;
     let nb = 8;
     let (p, q) = (2usize, 4usize);
-    println!("soft-error scrubbing demo: {n}x{n}, grid {p}x{q}, Dual (weighted) checksums\n");
+    println!("soft-error scrubbing demo: {n}x{n}, grid {p}x{q}, Coded(2) (weighted) checksums\n");
 
     run_spmd(p, q, FaultScript::none(), move |ctx| {
-        let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Dual, |i, j| uniform_entry(99, i, j));
+        let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(2), |i, j| uniform_entry(99, i, j));
         enc.compute_initial_checksums(&ctx);
         let pristine = enc.gather_logical(&ctx, 1);
 

@@ -61,12 +61,39 @@ cargo test --release -q --manifest-path benchsuite/Cargo.toml
 cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
     --workload hess_dense --smoke >/dev/null
 
+# Every soak below is a loop of legs through the release CLI, and every leg
+# has the same skeleton: run, keep the exit code, fail the gate unless the
+# code is one the leg allows. soak_leg <want-codes> <cmd...> is that
+# skeleton: <want-codes> is a |-separated list ("0", "3", "0|3"); stdout and
+# stderr land in $out, the exit code in $rc; any other code (a panic, a
+# silent verification failure, a hang's watchdog) prints the command and
+# the tail of its output and fails CI. The per-solver run counters after
+# each family make a silently skipped battery a hard fail.
+soak_leg() {
+    local want=$1
+    shift
+    set +e
+    out=$("$@" 2>&1)
+    rc=$?
+    set -e
+    case "|$want|" in
+        *"|$rc|"*) ;;
+        *)
+            echo "  FAILED (exit $rc, want $want): $*"
+            echo "$out" | tail -5
+            exit 1
+            ;;
+    esac
+}
+# The 0|3 contract's two good outcomes, worded per family.
+verdict() { if [ "$rc" -eq 0 ]; then echo "  $1: $2"; else echo "  $1: $3"; fi; }
+count_leg() { eval "$1_${solver}_runs=\$(($1_${solver}_runs + 1))"; }
+BIN=./target/release/abft-hessenberg
+
 # Deterministic chaos soak: seeded kills at arbitrary message-op boundaries
-# through the release CLI, for BOTH solvers on the shared framework. A run
-# must either recover and pass verification (exit 0) or reject a
-# beyond-tolerance victim set with the typed error (exit 3) — any panic or
-# other exit code fails the gate. Same seeds, same outcomes, every run.
-# The per-solver run counters make a silently skipped battery a hard fail.
+# for BOTH solvers on the shared framework. A run must either recover and
+# pass verification (exit 0) or reject a beyond-tolerance victim set with
+# the typed error (exit 3). Same seeds, same outcomes, every run.
 echo "== chaos soak (release, both solvers)"
 cargo build --release -q
 CHAOS_SEEDS=${CHAOS_SEEDS:-"1 2 3 5 8 13 21 34"}
@@ -75,18 +102,10 @@ chaos_qr_runs=0
 for solver in hessenberg qr; do
     for seed in $CHAOS_SEEDS; do
         for variant in alg2 alg3; do
-            set +e
-            ./target/release/abft-hessenberg \
-                --n 96 --nb 8 --grid 2x3 --solver "$solver" --variant "$variant" \
-                --chaos "$seed:3" --verify >/dev/null
-            rc=$?
-            set -e
-            case $rc in
-                0) echo "  $solver seed $seed $variant: recovered, verified" ;;
-                3) echo "  $solver seed $seed $variant: beyond tolerance, typed rejection" ;;
-                *) echo "  $solver seed $seed $variant: FAILED (exit $rc)"; exit 1 ;;
-            esac
-            eval "chaos_${solver}_runs=\$((chaos_${solver}_runs + 1))"
+            soak_leg "0|3" $BIN --n 96 --nb 8 --grid 2x3 --solver "$solver" --variant "$variant" \
+                --chaos "$seed:3" --verify
+            verdict "$solver seed $seed $variant" "recovered, verified" "beyond tolerance, typed rejection"
+            count_leg chaos
         done
     done
 done
@@ -103,17 +122,9 @@ fi
 echo "== threaded chaos soak (FT_GEMM_THREADS=4, one seed, both solvers)"
 for solver in hessenberg qr; do
     for variant in alg2 alg3; do
-        set +e
-        FT_GEMM_THREADS=4 ./target/release/abft-hessenberg \
-            --n 96 --nb 8 --grid 2x3 --solver "$solver" --variant "$variant" \
-            --chaos "1:3" --verify >/dev/null
-        rc=$?
-        set -e
-        case $rc in
-            0) echo "  $solver $variant threads=4: recovered, verified" ;;
-            3) echo "  $solver $variant threads=4: beyond tolerance, typed rejection" ;;
-            *) echo "  $solver $variant threads=4: FAILED (exit $rc)"; exit 1 ;;
-        esac
+        soak_leg "0|3" env FT_GEMM_THREADS=4 $BIN --n 96 --nb 8 --grid 2x3 --solver "$solver" \
+            --variant "$variant" --chaos "1:3" --verify
+        verdict "$solver $variant threads=4" "recovered, verified" "beyond tolerance, typed rejection"
     done
 done
 
@@ -121,8 +132,7 @@ done
 # with the scrub engine at cadence 1, again for BOTH solvers. A run must
 # either correct (or roll back) every detectable flip and pass verification
 # (exit 0) or reject uncorrectable corruption with the typed error (exit 3)
-# — any panic, silent verification failure (exit 1), or other exit code
-# fails the gate; an empty solver battery fails it too.
+# — a silent verification failure (exit 1) fails the gate like a panic.
 echo "== sdc soak (release, both solvers)"
 SDC_SEEDS=${SDC_SEEDS:-"1 2 3 5 8 13 21 34"}
 sdc_hessenberg_runs=0
@@ -131,18 +141,10 @@ for solver in hessenberg qr; do
     for seed in $SDC_SEEDS; do
         for variant in alg2 alg3; do
             for flips in 1 2; do
-                set +e
-                ./target/release/abft-hessenberg \
-                    --n 96 --nb 8 --grid 2x4 --solver "$solver" --variant "$variant" \
-                    --redundancy dual --sdc "$seed:$flips" --verify >/dev/null
-                rc=$?
-                set -e
-                case $rc in
-                    0) echo "  $solver seed $seed $variant x$flips: scrubbed, verified" ;;
-                    3) echo "  $solver seed $seed $variant x$flips: uncorrectable, typed rejection" ;;
-                    *) echo "  $solver seed $seed $variant x$flips: FAILED (exit $rc)"; exit 1 ;;
-                esac
-                eval "sdc_${solver}_runs=\$((sdc_${solver}_runs + 1))"
+                soak_leg "0|3" $BIN --n 96 --nb 8 --grid 2x4 --solver "$solver" --variant "$variant" \
+                    --redundancy dual --sdc "$seed:$flips" --verify
+                verdict "$solver seed $seed $variant x$flips" "scrubbed, verified" "uncorrectable, typed rejection"
+                count_leg sdc
             done
         done
     done
@@ -180,49 +182,26 @@ for solver in hessenberg qr; do
                 fails="$fails --fail 2:1:$(((2 * i) % 5))"
             done
             if [ "$k" -le "$f" ]; then want=0; label="recovered, verified"; else want=3; label="beyond distance, typed rejection"; fi
-            set +e
             # shellcheck disable=SC2086
-            ./target/release/abft-hessenberg \
-                --n 96 --nb 8 --grid 1x6 --solver "$solver" --redundancy "$f" \
-                $fails --verify >/dev/null 2>&1
-            rc=$?
-            set -e
-            if [ "$rc" -ne "$want" ]; then
-                echo "  $solver f=$f k=$k: FAILED (exit $rc, want $want)"; exit 1
-            fi
+            soak_leg "$want" $BIN --n 96 --nb 8 --grid 1x6 --solver "$solver" --redundancy "$f" $fails --verify
             echo "  $solver f=$f k=$k: $label"
-            eval "mk_${solver}_runs=\$((mk_${solver}_runs + 1))"
+            count_leg mk
         done
     done
     # Worst-conditioned leg: three ADJACENT victims must still recover and
     # complete (exit 0) through the CLI; the 1e-10 parity bound for this
     # set is asserted by the in-process test named above, because the
     # r-inf gate is stricter than the code's intrinsic accuracy here.
-    set +e
-    ./target/release/abft-hessenberg \
-        --n 96 --nb 8 --grid 1x6 --solver "$solver" --redundancy 3 \
-        --fail 2:1:0 --fail 2:1:1 --fail 2:1:2 >/dev/null 2>&1
-    rc=$?
-    set -e
-    if [ "$rc" -ne 0 ]; then
-        echo "  $solver adjacent k=3: FAILED (exit $rc)"; exit 1
-    fi
+    soak_leg 0 $BIN --n 96 --nb 8 --grid 1x6 --solver "$solver" --redundancy 3 \
+        --fail 2:1:0 --fail 2:1:1 --fail 2:1:2
     echo "  $solver adjacent k=3: recovered (parity gated in-process)"
-    eval "mk_${solver}_runs=\$((mk_${solver}_runs + 1))"
+    count_leg mk
     # One two-row leg: f failures in EACH of two process rows of a 2x6
     # grid recover independently (per-row distance, not global).
-    set +e
-    ./target/release/abft-hessenberg \
-        --n 96 --nb 8 --grid 2x6 --solver "$solver" --redundancy 3 \
-        --fail 2:1:0 --fail 2:1:2 --fail 2:1:4 --fail 2:1:7 --fail 2:1:9 --fail 2:1:11 \
-        --verify >/dev/null 2>&1
-    rc=$?
-    set -e
-    if [ "$rc" -ne 0 ]; then
-        echo "  $solver 2x6 3+3 two-row: FAILED (exit $rc)"; exit 1
-    fi
+    soak_leg 0 $BIN --n 96 --nb 8 --grid 2x6 --solver "$solver" --redundancy 3 \
+        --fail 2:1:0 --fail 2:1:2 --fail 2:1:4 --fail 2:1:7 --fail 2:1:9 --fail 2:1:11 --verify
     echo "  $solver 2x6 3+3 two-row: recovered, verified"
-    eval "mk_${solver}_runs=\$((mk_${solver}_runs + 1))"
+    count_leg mk
 done
 if [ "$mk_hessenberg_runs" -ne 11 ] || [ "$mk_qr_runs" -ne 11 ]; then
     echo "multi-kill soak: legs skipped (hessenberg=$mk_hessenberg_runs qr=$mk_qr_runs, want 11 each)"
@@ -235,11 +214,10 @@ fi
 # receive timeout turns any protocol wedge into a typed abort instead of a
 # CI hang (the launcher's own 600 s watchdog is the backstop).
 echo "== distributed smoke (localhost TCP, 2x2, both solvers)"
+DIST="env FT_RECV_TIMEOUT_MS=60000 $BIN --distributed --grid 2x2 --n 64 --nb 8"
 for solver in hessenberg qr; do
     for variant in alg2 alg3; do
-        FT_RECV_TIMEOUT_MS=60000 ./target/release/abft-hessenberg \
-            --distributed --grid 2x2 --n 64 --nb 8 --solver "$solver" \
-            --variant "$variant" --verify >/dev/null
+        soak_leg 0 $DIST --solver "$solver" --variant "$variant" --verify
         echo "  $solver $variant: fault-free, verified"
     done
 done
@@ -253,17 +231,8 @@ echo "== distributed kill-soak (real SIGKILL, release)"
 KILL_SEEDS=${KILL_SEEDS:-"1 2 3 5"}
 for seed in $KILL_SEEDS; do
     for variant in alg2 alg3; do
-        set +e
-        FT_RECV_TIMEOUT_MS=60000 ./target/release/abft-hessenberg \
-            --distributed --grid 2x2 --n 64 --nb 8 --variant "$variant" \
-            --chaos "$seed:1" --verify >/dev/null
-        rc=$?
-        set -e
-        case $rc in
-            0) echo "  seed $seed $variant: killed, re-spawned, verified" ;;
-            3) echo "  seed $seed $variant: beyond tolerance, typed rejection" ;;
-            *) echo "  seed $seed $variant: FAILED (exit $rc)"; exit 1 ;;
-        esac
+        soak_leg "0|3" $DIST --variant "$variant" --chaos "$seed:1" --verify
+        verdict "seed $seed $variant" "killed, re-spawned, verified" "beyond tolerance, typed rejection"
     done
 done
 
@@ -290,37 +259,21 @@ for solver in hessenberg qr; do
                 corrupt) chaosspec="$seed:corrupt=0.03" ;;
                 part)    chaosspec="$seed:part=1-2@150+500,part=2-1@150+500" ;;
             esac
-            set +e
-            out=$(FT_RECV_TIMEOUT_MS=60000 ./target/release/abft-hessenberg \
-                --distributed --grid 2x2 --n 64 --nb 8 --solver "$solver" \
-                --net-chaos "$chaosspec" --verify 2>&1)
-            rc=$?
-            set -e
-            if [ "$rc" -ne 0 ]; then
-                echo "  $solver seed $seed $class: FAILED (exit $rc)"; echo "$out" | tail -5; exit 1
-            fi
+            soak_leg 0 $DIST --solver "$solver" --net-chaos "$chaosspec" --verify
             if ! echo "$out" | grep -q "recoveries: 0"; then
                 echo "  $solver seed $seed $class: FAILED (chaos triggered a spurious recovery)"; exit 1
             fi
             echo "  $solver seed $seed $class: survived, verified, zero recoveries"
-            eval "nc_${solver}_runs=\$((nc_${solver}_runs + 1))"
+            count_leg nc
         done
     done
     # Permanent partition: rank 3 fully cut from the fabric. Agreement must
     # time out as the typed Partitioned error — exit 3 — on a short receive
     # timeout, never a hang (the launcher watchdog is the backstop).
-    set +e
-    FT_RECV_TIMEOUT_MS=6000 ./target/release/abft-hessenberg \
-        --distributed --grid 2x2 --n 32 --nb 8 --solver "$solver" \
-        --net-chaos "7:part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0" \
-        >/dev/null 2>&1
-    rc=$?
-    set -e
-    if [ "$rc" -ne 3 ]; then
-        echo "  $solver permanent partition: FAILED (exit $rc, want typed 3)"; exit 1
-    fi
+    soak_leg 3 env FT_RECV_TIMEOUT_MS=6000 $BIN --distributed --grid 2x2 --n 32 --nb 8 --solver "$solver" \
+        --net-chaos "7:part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0"
     echo "  $solver permanent partition: typed rejection on every survivor"
-    eval "nc_${solver}_runs=\$((nc_${solver}_runs + 1))"
+    count_leg nc
 done
 if [ "$nc_hessenberg_runs" -ne 25 ] || [ "$nc_qr_runs" -ne 25 ]; then
     echo "network-chaos soak: legs skipped (hessenberg=$nc_hessenberg_runs qr=$nc_qr_runs, want 25 each)"
@@ -329,11 +282,10 @@ fi
 # Bitwise determinism spot-check: the hardened transport's reference
 # acceptance — a chaos run's eigenvalues must match the fault-free run's
 # bit for bit (the distributed test battery sweeps this wider).
-clean_eigs=$(FT_RECV_TIMEOUT_MS=60000 ./target/release/abft-hessenberg \
-    --distributed --grid 2x2 --n 64 --nb 8 --variant alg2 --print-eigs 2>/dev/null | grep '^eig ')
-chaos_eigs=$(FT_RECV_TIMEOUT_MS=60000 ./target/release/abft-hessenberg \
-    --distributed --grid 2x2 --n 64 --nb 8 --variant alg2 --print-eigs \
-    --net-chaos "9:drop=0.08,dup=0.1,reorder=0.1,corrupt=0.04" 2>/dev/null | grep '^eig ')
+soak_leg 0 $DIST --variant alg2 --print-eigs
+clean_eigs=$(echo "$out" | grep '^eig ')
+soak_leg 0 $DIST --variant alg2 --print-eigs --net-chaos "9:drop=0.08,dup=0.1,reorder=0.1,corrupt=0.04"
+chaos_eigs=$(echo "$out" | grep '^eig ')
 if [ -z "$clean_eigs" ] || [ "$clean_eigs" != "$chaos_eigs" ]; then
     echo "network-chaos soak: chaos run is not bitwise identical to the clean run"; exit 1
 fi
@@ -351,15 +303,7 @@ shrink_hessenberg_runs=0
 shrink_qr_runs=0
 for solver in hessenberg qr; do
     for victim in 3 0; do
-        set +e
-        out=$(FT_RECV_TIMEOUT_MS=60000 ./target/release/abft-hessenberg \
-            --distributed --shrink --grid 2x2 --n 64 --nb 8 --solver "$solver" \
-            --kill-at "$victim@100" --verify 2>&1)
-        rc=$?
-        set -e
-        if [ "$rc" -ne 0 ]; then
-            echo "  $solver kill rank $victim: FAILED (exit $rc)"; echo "$out" | tail -5; exit 1
-        fi
+        soak_leg 0 $DIST --shrink --solver "$solver" --kill-at "$victim@100" --verify
         if ! echo "$out" | grep -q "shrink (survivor-adopted ranks):"; then
             echo "  $solver kill rank $victim: FAILED (no shrink report in summary)"; exit 1
         fi
@@ -367,7 +311,7 @@ for solver in hessenberg qr; do
             echo "  $solver kill rank $victim: FAILED (rank $victim not in shrink report)"; exit 1
         fi
         echo "  $solver kill rank $victim: adopted, verified"
-        eval "shrink_${solver}_runs=\$((shrink_${solver}_runs + 1))"
+        count_leg shrink
     done
 done
 if [ "$shrink_hessenberg_runs" -ne 2 ] || [ "$shrink_qr_runs" -ne 2 ]; then
@@ -382,11 +326,11 @@ fi
 # from the daemon asserts the pool drained quiescent (no leaked jobs).
 echo "== daemon soak (serve/submit verbs, both solvers, drain)"
 SERVE_PORT=34567
-./target/release/abft-hessenberg serve --pool 4 --port "$SERVE_PORT" --job-ports 34600 &
+$BIN serve --pool 4 --port "$SERVE_PORT" --job-ports 34600 &
 SERVE_PID=$!
 ready=0
 for _ in $(seq 1 100); do
-    if ./target/release/abft-hessenberg submit --port "$SERVE_PORT" \
+    if $BIN submit --port "$SERVE_PORT" \
         --n 32 --nb 8 --grid 1x1 >/dev/null 2>&1; then
         ready=1; break
     fi
@@ -395,11 +339,11 @@ done
 if [ "$ready" -ne 1 ]; then
     echo "daemon soak: pool never came up"; kill -9 "$SERVE_PID" 2>/dev/null || true; exit 1
 fi
-./target/release/abft-hessenberg submit --port "$SERVE_PORT" \
+$BIN submit --port "$SERVE_PORT" \
     --n 64 --nb 8 --grid 1x2 --count 4 --tenant 1 >/dev/null
-./target/release/abft-hessenberg submit --port "$SERVE_PORT" \
+$BIN submit --port "$SERVE_PORT" \
     --solver qr --n 64 --nb 8 --grid 1x2 --count 2 --tenant 2 >/dev/null
-./target/release/abft-hessenberg submit --port "$SERVE_PORT" --shutdown >/dev/null
+$BIN submit --port "$SERVE_PORT" --shutdown >/dev/null
 if ! wait "$SERVE_PID"; then
     echo "daemon soak: daemon did not drain cleanly"; exit 1
 fi

@@ -11,9 +11,9 @@
 //!                        left-only second solver on the same framework
 //!                        (no --variant cr, no --print-eigs)
 //!   --variant <V>        plain | alg2 | alg3 | cr (default alg2)
-//!   --redundancy <R>     single | dual | <f> (default single; dual needs
-//!                        Q ≥ 4, numeric f tolerates f same-row failures
-//!                        and needs Q ≥ 2f)
+//!   --redundancy <R>     single | <f> (default single; numeric f keeps 2f
+//!                        weighted checksum copies, tolerates f same-row
+//!                        failures and needs Q ≥ 2f; `dual` spells 2)
 //!   --fail <P:PH:R>      scripted failure: panel : phase(0-3) : rank
 //!                        (repeatable)
 //!   --mtti <PANELS>      Poisson failures with this MTTI (in panels)
@@ -91,22 +91,24 @@
 //! ```
 
 use abft_hessenberg::dense::gen::uniform_entry;
+use abft_hessenberg::dense::Matrix;
 use abft_hessenberg::hess::{
-    cr_pdgehrd, failpoint, ft_pdgehrd_replacement, ft_pdgehrd_scrubbed, ft_pdgeqrf_replacement, ft_pdgeqrf_scrubbed, Encoded,
-    FtSolver, Hessenberg, HouseholderQr, Phase, Redundancy, ScrubPolicy, ScrubReport, Variant,
+    cr_pdgehrd, failpoint, ft_solve, solver_by_name, DriverControl, Encoded, FtError, FtSolver, Hessenberg, Phase, Redundancy,
+    ScrubPolicy, ScrubReport, Variant,
 };
 use abft_hessenberg::lapack::hessenberg_eigenvalues;
-use abft_hessenberg::pblas::{
-    pd_extract_h, pd_gather_traffic, pd_gather_transport, pd_hessenberg_residual, pd_orgqr, pd_orthogonality_residual,
-    pd_qr_residual, pdgehrd, pdgeqrf, Desc, DistMatrix,
-};
+use abft_hessenberg::pblas::{pd_extract_h, pd_gather_traffic, pd_gather_transport, Desc, DistMatrix};
 use abft_hessenberg::runtime::{
     poisson_failures, run_distributed, run_spmd_full, ChaosKill, ChaosPoint, ChaosScript, CommError, Ctx, FaultScript,
-    NetChaosScript, PeerCounters, PlannedFailure, SdcScript, TcpConfig, TcpTransport, TrafficPhase,
+    NetChaosScript, PeerCounters, PlannedFailure, SdcScript, TcpConfig, TcpTransport, TrafficLedger, TrafficPhase,
+    TransportStats,
 };
 use std::io::BufRead;
 use std::process::exit;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
+
+mod serve_cli;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -116,91 +118,13 @@ enum Mode {
     Cr,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SolverKind {
-    Hessenberg,
-    Qr,
-}
-
-impl SolverKind {
-    /// The framework-side geometry object for this choice.
-    fn ft(self) -> &'static dyn FtSolver {
+impl Mode {
+    /// The ABFT variant this mode runs, if it is one.
+    fn variant(self) -> Option<Variant> {
         match self {
-            SolverKind::Hessenberg => &Hessenberg,
-            SolverKind::Qr => &HouseholderQr,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            SolverKind::Hessenberg => "hessenberg",
-            SolverKind::Qr => "qr",
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Opts {
-    n: usize,
-    nb: usize,
-    p: usize,
-    q: usize,
-    solver: SolverKind,
-    mode: Mode,
-    redundancy: Redundancy,
-    failures: Vec<PlannedFailure>,
-    chaos: Option<(u64, usize)>,
-    sdc: Option<(u64, usize)>,
-    scrub_every: Option<usize>,
-    mtti: Option<f64>,
-    cr_interval: usize,
-    seed: u64,
-    verify: bool,
-    // Distributed (TCP multi-process) mode.
-    distributed: bool,
-    rank: Option<usize>,
-    port_base: Option<u16>,
-    hb_interval_ms: Option<u64>,
-    hb_miss_limit: Option<u32>,
-    conn_timeout_ms: Option<u64>,
-    net_chaos: Option<String>,
-    kill_at: Vec<ChaosKill>,
-    shrink: bool,
-    respawn: u32,
-    chaos_fired: Vec<usize>,
-    print_eigs: bool,
-}
-
-impl Default for Opts {
-    fn default() -> Self {
-        Self {
-            n: 512,
-            nb: 16,
-            p: 2,
-            q: 2,
-            solver: SolverKind::Hessenberg,
-            mode: Mode::Alg2,
-            redundancy: Redundancy::Single,
-            failures: Vec::new(),
-            chaos: None,
-            sdc: None,
-            scrub_every: None,
-            mtti: None,
-            cr_interval: 8,
-            seed: 2013,
-            verify: false,
-            distributed: false,
-            rank: None,
-            port_base: None,
-            hb_interval_ms: None,
-            hb_miss_limit: None,
-            conn_timeout_ms: None,
-            net_chaos: None,
-            kill_at: Vec::new(),
-            shrink: false,
-            respawn: 0,
-            chaos_fired: Vec::new(),
-            print_eigs: false,
+            Mode::Alg2 => Some(Variant::NonDelayed),
+            Mode::Alg3 => Some(Variant::Delayed),
+            Mode::Plain | Mode::Cr => None,
         }
     }
 }
@@ -219,30 +143,98 @@ fn fail(msg: &str) -> ! {
     exit(2)
 }
 
-fn parse_args() -> Opts {
-    let mut o = Opts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| args.next().unwrap_or_else(|| fail(&format!("{name} needs a value")));
-        match arg.as_str() {
-            "--help" | "-h" => usage(),
-            "--n" => o.n = val("--n").parse().unwrap_or_else(|_| fail("--n: bad integer")),
-            "--nb" => o.nb = val("--nb").parse().unwrap_or_else(|_| fail("--nb: bad integer")),
+fn parse<T: FromStr>(v: &str, what: &str) -> T {
+    v.parse().unwrap_or_else(|_| fail(&format!("{what}: bad value '{v}'")))
+}
+
+/// The command line as a cursor — every verb's flag loop pulls values from
+/// it, so "needs a value" / "bad value" are usage errors (exit 2) worded
+/// once.
+struct Args(std::vec::IntoIter<String>);
+
+impl Args {
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+
+    fn val(&mut self, flag: &str) -> String {
+        self.0.next().unwrap_or_else(|| fail(&format!("{flag} needs a value")))
+    }
+
+    fn num<T: FromStr>(&mut self, flag: &str) -> T {
+        parse(&self.val(flag), flag)
+    }
+
+    fn positive<T: FromStr + PartialOrd + Default>(&mut self, flag: &str) -> T {
+        let v: T = self.num(flag);
+        if v <= T::default() {
+            fail(&format!("{flag}: must be at least 1"));
+        }
+        v
+    }
+
+    /// `A<sep>B` with `B` optional (`--chaos SEED[:K]`).
+    fn seeded(&mut self, flag: &str, default_count: usize) -> (u64, usize) {
+        let v = self.val(flag);
+        match v.split_once(':') {
+            Some((s, k)) => (parse(s, flag), parse(k, flag)),
+            None => (parse(&v, flag), default_count),
+        }
+    }
+}
+
+/// The job-shape flags — `--n/--nb/--grid/--solver/--variant/--redundancy/
+/// --seed` — parsed in one place for the driver and for `submit` (only the
+/// defaults differ).
+#[derive(Clone, Copy)]
+struct Shape {
+    n: usize,
+    nb: usize,
+    p: usize,
+    q: usize,
+    solver: &'static dyn FtSolver,
+    mode: Mode,
+    redundancy: Redundancy,
+    seed: u64,
+}
+
+/// The driver's defaults.
+impl Default for Shape {
+    fn default() -> Self {
+        Shape {
+            n: 512,
+            nb: 16,
+            p: 2,
+            q: 2,
+            solver: &Hessenberg,
+            mode: Mode::Alg2,
+            redundancy: Redundancy::Single,
+            seed: 2013,
+        }
+    }
+}
+
+impl Shape {
+    /// Consume `flag` (and its value) if it is a shape flag.
+    fn parse_flag(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--n" => self.n = args.positive(flag),
+            "--nb" => self.nb = args.positive(flag),
             "--grid" => {
-                let v = val("--grid");
+                let v = args.val(flag);
                 let (ps, qs) = v.split_once(['x', 'X']).unwrap_or_else(|| fail("--grid: use PxQ"));
-                o.p = ps.parse().unwrap_or_else(|_| fail("--grid: bad P"));
-                o.q = qs.parse().unwrap_or_else(|_| fail("--grid: bad Q"));
-            }
-            "--solver" => {
-                o.solver = match val("--solver").as_str() {
-                    "hessenberg" => SolverKind::Hessenberg,
-                    "qr" => SolverKind::Qr,
-                    other => fail(&format!("--solver: unknown '{other}'")),
+                self.p = parse(ps, "--grid P");
+                self.q = parse(qs, "--grid Q");
+                if self.p == 0 || self.q == 0 {
+                    fail("--grid: P and Q must be at least 1");
                 }
             }
+            "--solver" => {
+                let v = args.val(flag);
+                self.solver = solver_by_name(&v).unwrap_or_else(|| fail(&format!("--solver: unknown '{v}'")));
+            }
             "--variant" => {
-                o.mode = match val("--variant").as_str() {
+                self.mode = match args.val(flag).as_str() {
                     "plain" => Mode::Plain,
                     "alg2" => Mode::Alg2,
                     "alg3" => Mode::Alg3,
@@ -251,137 +243,166 @@ fn parse_args() -> Opts {
                 }
             }
             "--redundancy" => {
-                o.redundancy = match val("--redundancy").as_str() {
+                self.redundancy = match args.val(flag).as_str() {
                     "single" => Redundancy::Single,
-                    "dual" => Redundancy::Dual,
+                    "dual" => Redundancy::Coded(2),
                     other => match other.parse::<usize>() {
                         Ok(f) if f >= 1 => Redundancy::Coded(f),
-                        _ => fail(&format!("--redundancy: unknown '{other}' (single | dual | f ≥ 1)")),
+                        _ => fail(&format!("--redundancy: unknown '{other}' (single | f ≥ 1)")),
                     },
                 }
             }
+            "--seed" => self.seed = args.num(flag),
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// The fabric-liveness flags shared by the driver and `serve`.
+#[derive(Clone, Copy, Default, PartialEq)]
+struct HbFlags {
+    interval_ms: Option<u64>,
+    miss_limit: Option<u32>,
+    conn_timeout_ms: Option<u64>,
+}
+
+impl HbFlags {
+    fn parse_flag(&mut self, flag: &str, args: &mut Args) -> bool {
+        match flag {
+            "--hb-interval-ms" => self.interval_ms = Some(args.positive(flag)),
+            "--hb-miss-limit" => self.miss_limit = Some(args.positive(flag)),
+            "--conn-timeout-ms" => self.conn_timeout_ms = Some(args.positive(flag)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The transport config a fabric actually runs with: built-in defaults,
+    /// overlaid with the `FT_HB_*` / `FT_NET_*` environment, overlaid with
+    /// these flags — and validated, so inconsistent liveness settings die as
+    /// a usage error (exit 2) before any socket work starts.
+    fn tcp_config(&self, rank: usize, world: usize) -> TcpConfig {
+        let mut cfg = TcpConfig::new(rank, world);
+        if let Err(e) = cfg.apply_env() {
+            fail(&format!("transport config: {e}"));
+        }
+        if let Some(ms) = self.interval_ms {
+            cfg.hb_interval = Duration::from_millis(ms);
+        }
+        if let Some(k) = self.miss_limit {
+            cfg.hb_miss_limit = k;
+        }
+        if let Some(ms) = self.conn_timeout_ms {
+            cfg.conn_timeout = Duration::from_millis(ms);
+        }
+        if let Err(e) = cfg.validate() {
+            fail(&format!("transport config: {e}"));
+        }
+        cfg
+    }
+}
+
+#[derive(Clone, Default)]
+struct Opts {
+    shape: Shape,
+    failures: Vec<PlannedFailure>,
+    chaos: Option<(u64, usize)>,
+    sdc: Option<(u64, usize)>,
+    scrub_every: Option<usize>,
+    mtti: Option<f64>,
+    cr_interval: Option<usize>,
+    verify: bool,
+    // Distributed (TCP multi-process) mode.
+    distributed: bool,
+    rank: Option<usize>,
+    port_base: Option<u16>,
+    hb: HbFlags,
+    net_chaos: Option<String>,
+    kill_at: Vec<ChaosKill>,
+    shrink: bool,
+    respawn: u32,
+    chaos_fired: Vec<usize>,
+    print_eigs: bool,
+}
+
+impl Opts {
+    fn world(&self) -> usize {
+        self.shape.p * self.shape.q
+    }
+}
+
+fn parse_args() -> Opts {
+    let mut o = Opts::default();
+    let mut args = Args(std::env::args().skip(1).collect::<Vec<_>>().into_iter());
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if o.shape.parse_flag(flag, &mut args) || o.hb.parse_flag(flag, &mut args) {
+            continue;
+        }
+        match flag {
+            "--help" | "-h" => usage(),
             "--fail" => {
-                let v = val("--fail");
+                let v = args.val(flag);
                 let parts: Vec<&str> = v.split(':').collect();
                 if parts.len() != 3 {
                     fail("--fail: use PANEL:PHASE:RANK");
                 }
-                let panel: usize = parts[0].parse().unwrap_or_else(|_| fail("--fail: bad panel"));
-                let ph: usize = parts[1].parse().unwrap_or_else(|_| fail("--fail: bad phase"));
-                let rank: usize = parts[2].parse().unwrap_or_else(|_| fail("--fail: bad rank"));
+                let ph: usize = parse(parts[1], "--fail phase");
                 if ph > 3 {
                     fail("--fail: phase is 0..=3");
                 }
-                o.failures
-                    .push(PlannedFailure { victim: rank, point: failpoint(panel, Phase::ALL[ph]) });
+                o.failures.push(PlannedFailure {
+                    victim: parse(parts[2], "--fail rank"),
+                    point: failpoint(parse(parts[0], "--fail panel"), Phase::ALL[ph]),
+                });
             }
-            "--chaos" => {
-                let v = val("--chaos");
-                let (seed_s, kills_s) = match v.split_once(':') {
-                    Some((s, k)) => (s, k),
-                    None => (v.as_str(), "2"),
-                };
-                let seed: u64 = seed_s.parse().unwrap_or_else(|_| fail("--chaos: bad seed"));
-                let kills: usize = kills_s.parse().unwrap_or_else(|_| fail("--chaos: bad kill count"));
-                o.chaos = Some((seed, kills));
-            }
-            "--sdc" => {
-                let v = val("--sdc");
-                let (seed_s, flips_s) = match v.split_once(':') {
-                    Some((s, k)) => (s, k),
-                    None => (v.as_str(), "1"),
-                };
-                let seed: u64 = seed_s.parse().unwrap_or_else(|_| fail("--sdc: bad seed"));
-                let flips: usize = flips_s.parse().unwrap_or_else(|_| fail("--sdc: bad flip count"));
-                o.sdc = Some((seed, flips));
-            }
-            "--scrub-every" => {
-                let k: usize = val("--scrub-every")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--scrub-every: bad integer"));
-                if k == 0 {
-                    fail("--scrub-every: must be at least 1");
-                }
-                o.scrub_every = Some(k);
-            }
-            "--mtti" => o.mtti = Some(val("--mtti").parse().unwrap_or_else(|_| fail("--mtti: bad number"))),
-            "--cr-interval" => {
-                o.cr_interval = val("--cr-interval")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--cr-interval: bad integer"))
-            }
-            "--seed" => o.seed = val("--seed").parse().unwrap_or_else(|_| fail("--seed: bad integer")),
+            "--chaos" => o.chaos = Some(args.seeded(flag, 2)),
+            "--sdc" => o.sdc = Some(args.seeded(flag, 1)),
+            "--scrub-every" => o.scrub_every = Some(args.positive(flag)),
+            "--mtti" => o.mtti = Some(args.num(flag)),
+            "--cr-interval" => o.cr_interval = Some(args.num(flag)),
             "--verify" => o.verify = true,
             "--print-eigs" => o.print_eigs = true,
             "--distributed" => o.distributed = true,
-            "--rank" => o.rank = Some(val("--rank").parse().unwrap_or_else(|_| fail("--rank: bad integer"))),
-            "--port-base" => o.port_base = Some(val("--port-base").parse().unwrap_or_else(|_| fail("--port-base: bad port"))),
-            "--hb-interval-ms" => {
-                let ms: u64 = val("--hb-interval-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--hb-interval-ms: bad integer"));
-                if ms == 0 {
-                    fail("--hb-interval-ms: must be at least 1");
-                }
-                o.hb_interval_ms = Some(ms);
-            }
-            "--hb-miss-limit" => {
-                let k: u32 = val("--hb-miss-limit")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--hb-miss-limit: bad integer"));
-                if k == 0 {
-                    fail("--hb-miss-limit: must be at least 1");
-                }
-                o.hb_miss_limit = Some(k);
-            }
-            "--conn-timeout-ms" => {
-                let ms: u64 = val("--conn-timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--conn-timeout-ms: bad integer"));
-                if ms == 0 {
-                    fail("--conn-timeout-ms: must be at least 1");
-                }
-                o.conn_timeout_ms = Some(ms);
-            }
+            "--rank" => o.rank = Some(args.num(flag)),
+            "--port-base" => o.port_base = Some(args.num(flag)),
             "--net-chaos" => {
-                let v = val("--net-chaos");
+                let v = args.val(flag);
                 // Parse eagerly so a malformed script is a usage error (exit
                 // 2) before any process is spawned, but keep the raw string:
-                // it is forwarded verbatim to every child rank.
+                // every rank re-parses it from its own argv.
                 if let Err(e) = NetChaosScript::parse(&v) {
                     fail(&format!("--net-chaos: {e}"));
                 }
                 o.net_chaos = Some(v);
             }
             "--kill-at" => {
-                let v = val("--kill-at");
+                let v = args.val(flag);
                 let (rank_s, at_s) = v
                     .split_once('@')
                     .unwrap_or_else(|| fail("--kill-at: use RANK@OP or RANK@rROUND:OP"));
-                let victim: usize = rank_s.parse().unwrap_or_else(|_| fail("--kill-at: bad rank"));
                 let at = match at_s.strip_prefix('r') {
                     Some(rest) => {
                         let (round_s, op_s) = rest
                             .split_once(':')
                             .unwrap_or_else(|| fail("--kill-at: recovery form is RANK@rROUND:OP"));
-                        let round: u32 = round_s.parse().unwrap_or_else(|_| fail("--kill-at: bad recovery round"));
-                        let op: u64 = op_s.parse().unwrap_or_else(|_| fail("--kill-at: bad op"));
+                        let round: u32 = parse(round_s, "--kill-at recovery round");
                         if round == 0 {
                             fail("--kill-at: recovery rounds are 1-based");
                         }
-                        ChaosPoint::RecoveryOp { round, op }
+                        ChaosPoint::RecoveryOp { round, op: parse(op_s, "--kill-at op") }
                     }
-                    None => ChaosPoint::Op(at_s.parse().unwrap_or_else(|_| fail("--kill-at: bad op"))),
+                    None => ChaosPoint::Op(parse(at_s, "--kill-at op")),
                 };
-                o.kill_at.push(ChaosKill { victim, at });
+                o.kill_at.push(ChaosKill { victim: parse(rank_s, "--kill-at rank"), at });
             }
             "--shrink" => o.shrink = true,
-            "--respawn" => o.respawn = val("--respawn").parse().unwrap_or_else(|_| fail("--respawn: bad integer")),
+            "--respawn" => o.respawn = args.num(flag),
             "--chaos-fired" => {
-                for part in val("--chaos-fired").split(',').filter(|s| !s.is_empty()) {
-                    o.chaos_fired
-                        .push(part.parse().unwrap_or_else(|_| fail("--chaos-fired: bad index")));
-                }
+                let v = args.val(flag);
+                o.chaos_fired
+                    .extend(v.split(',').filter(|s| !s.is_empty()).map(|s| parse::<usize>(s, flag)));
             }
             other => fail(&format!("unknown argument '{other}'")),
         }
@@ -402,111 +423,94 @@ fn print_scrub_summary(s: &ScrubReport) {
     println!("  {:<22} {:>10.3e}", "residual mass (frob2)", s.residual_mass);
 }
 
-/// Panel iterations this solver runs on an N×N matrix — straight from the
-/// framework's geometry contract, so the CLI never re-derives it.
-fn panel_count(solver: &dyn FtSolver, n: usize, nb: usize) -> usize {
-    let (mut c, mut k) = (0, 0);
-    while solver.panel_exists(k, n) {
-        k += solver.panel_width(k, n, nb);
-        c += 1;
-    }
-    c
-}
-
-fn print_transport_summary(stats: &abft_hessenberg::runtime::TransportStats) {
-    println!("transport (grid-wide, by peer):");
-    println!(
-        "  {:>4} {:>9} {:>12} {:>9} {:>12} {:>7} {:>10} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}",
-        "peer",
-        "frames_tx",
-        "bytes_tx",
-        "frames_rx",
-        "bytes_rx",
-        "retries",
-        "reconnects",
-        "hb_misses",
-        "rexmit",
-        "dupsup",
-        "resumes",
-        "crc_rej",
-        "frm_rej",
-        "rescinds"
-    );
-    let row = |label: &str, c: &PeerCounters| {
-        println!(
-            "  {:>4} {:>9} {:>12} {:>9} {:>12} {:>7} {:>10} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}",
-            label,
-            c.frames_tx,
-            c.bytes_tx,
-            c.frames_rx,
-            c.bytes_rx,
-            c.retries,
-            c.reconnects,
-            c.hb_misses,
-            c.retransmits,
-            c.dup_suppressed,
-            c.resumes,
-            c.crc_rejects,
-            c.frame_rejects,
-            c.rescinds
-        );
+fn print_transport_summary(stats: &TransportStats) {
+    type Col = (&'static str, usize, fn(&PeerCounters) -> u64);
+    const COLS: [Col; 13] = [
+        ("frames_tx", 9, |c| c.frames_tx),
+        ("bytes_tx", 12, |c| c.bytes_tx),
+        ("frames_rx", 9, |c| c.frames_rx),
+        ("bytes_rx", 12, |c| c.bytes_rx),
+        ("retries", 7, |c| c.retries),
+        ("reconnects", 10, |c| c.reconnects),
+        ("hb_misses", 9, |c| c.hb_misses),
+        ("rexmit", 7, |c| c.retransmits),
+        ("dupsup", 7, |c| c.dup_suppressed),
+        ("resumes", 7, |c| c.resumes),
+        ("crc_rej", 7, |c| c.crc_rejects),
+        ("frm_rej", 7, |c| c.frame_rejects),
+        ("rescinds", 8, |c| c.rescinds),
+    ];
+    let line = |label: &str, cell: &dyn Fn(&Col) -> String| {
+        let cells: String = COLS.iter().map(|col| format!(" {:>w$}", cell(col), w = col.1)).collect();
+        println!("  {label:>4}{cells}");
     };
+    println!("transport (grid-wide, by peer):");
+    line("peer", &|col| col.0.to_string());
     for (r, c) in stats.peers.iter().enumerate() {
-        row(&r.to_string(), c);
+        line(&r.to_string(), &|col| (col.2)(c).to_string());
     }
-    row("all", &stats.total());
+    let all = stats.total();
+    line("all", &|col| (col.2)(&all).to_string());
 }
 
-/// Flag combinations that make no sense for the chosen solver, rejected
-/// identically in both in-process and distributed modes.
-fn sanity_check_solver(o: &Opts) {
-    if o.solver == SolverKind::Qr {
-        if o.mode == Mode::Cr {
-            fail("--variant cr is the Hessenberg checkpoint/restart baseline; not available with --solver qr");
+/// Flag combinations that make no sense together, rejected identically in
+/// both in-process and distributed modes (exit 2).
+fn sanity_check(o: &Opts) {
+    let Shape { solver, mode, redundancy, q, .. } = o.shape;
+    // The encoder asserts this; say it as a usage error before anything runs.
+    if q < redundancy.min_q() {
+        let (f, min_q) = (redundancy.max_failures_per_row(), redundancy.min_q());
+        fail(&format!("--redundancy {f} needs Q >= {min_q} process columns for its checksums (got Q = {q})"));
+    }
+    // `cr` is the Hessenberg checkpoint/restart baseline and the spectrum
+    // needs the Hessenberg form: features of that one solver, not framework
+    // dispatch.
+    if solver.name() != Hessenberg.name() {
+        if mode == Mode::Cr {
+            fail(&format!(
+                "--variant cr is the Hessenberg checkpoint/restart baseline; not available with --solver {}",
+                solver.name()
+            ));
         }
         if o.print_eigs {
-            fail("--print-eigs needs the Hessenberg form (QR has no spectrum to extract); not available with --solver qr");
+            fail(&format!(
+                "--print-eigs needs the Hessenberg form (no spectrum to extract); not available with --solver {}",
+                solver.name()
+            ));
         }
     }
-}
-
-/// Reject redundancy/grid combinations up front with a usage error (exit 2)
-/// instead of letting the encoder's construction assert fire mid-run.
-fn sanity_check_redundancy(o: &Opts) {
-    match o.redundancy {
-        Redundancy::Single => {}
-        Redundancy::Dual => {
-            if o.q < 4 {
-                fail(&format!("--redundancy dual needs Q >= 4 process columns (got Q = {})", o.q));
-            }
-        }
-        Redundancy::Coded(f) => {
-            if o.q < 2 * f {
-                fail(&format!(
-                    "--redundancy {f} needs Q >= {} process columns for its checksums (got Q = {})",
-                    2 * f,
-                    o.q
-                ));
-            }
-        }
+    let abft = mode.variant().is_some();
+    if (o.chaos.is_some() || !o.kill_at.is_empty()) && !abft {
+        fail("--chaos / --kill-at need --variant alg2 or alg3 (the others never arm the injector)");
     }
-}
-
-fn sanity_check_distributed(o: &Opts) {
-    let world = o.p * o.q;
+    if (o.sdc.is_some() || o.scrub_every.is_some()) && !abft {
+        fail("--sdc / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
+    }
+    if !(o.distributed || o.rank.is_some()) {
+        if !o.kill_at.is_empty()
+            || o.shrink
+            || o.port_base.is_some()
+            || o.hb != HbFlags::default()
+            || o.net_chaos.is_some()
+            || o.print_eigs
+            || o.respawn > 0
+            || !o.chaos_fired.is_empty()
+        {
+            fail("--kill-at / --shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --net-chaos / --print-eigs need --distributed");
+        }
+        return;
+    }
+    let world = o.world();
     if !o.failures.is_empty() || o.mtti.is_some() {
         fail("--fail / --mtti assume the in-process world; use --chaos or --kill-at with --distributed");
     }
     if o.sdc.is_some() {
         fail("--sdc assumes the in-process flip injector; not available with --distributed");
     }
-    if o.mode == Mode::Cr {
+    if mode == Mode::Cr {
         fail("--variant cr is not available with --distributed");
     }
-    if (o.chaos.is_some() || !o.kill_at.is_empty()) && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--chaos / --kill-at need --variant alg2 or alg3");
-    }
-    if o.shrink && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
+    if o.shrink && !abft {
         fail("--shrink needs --variant alg2 or alg3 (an adopted rank re-enters through ABFT recovery)");
     }
     if let Some(k) = o.kill_at.iter().find(|k| k.victim >= world) {
@@ -527,90 +531,105 @@ fn sanity_check_distributed(o: &Opts) {
     }
 }
 
-/// The chaos schedule a distributed rank evaluates against its op clock:
-/// seeded kills (if `--chaos`) plus every explicit `--kill-at`.
-fn dist_chaos_script(o: &Opts) -> ChaosScript {
-    let op_hi = (panel_count(o.solver.ft(), o.n, o.nb) as u64 * (4 * o.nb as u64 + 20)).max(200);
+/// Upper end of the op range seeded kills/flips are drawn from. A rank
+/// performs roughly `4*nb + 20` message ops per panel iteration (measured
+/// via `Ctx::chaos_ops`, conservative at common grids), so this keeps seeded
+/// events inside the run; events scheduled past the end simply never fire.
+fn op_hi(s: &Shape) -> u64 {
+    (s.solver.panel_count(s.n, s.nb) as u64 * (4 * s.nb as u64 + 20)).max(200)
+}
+
+/// The chaos schedule every rank evaluates against its op clock: seeded
+/// kills (if `--chaos`) plus every explicit `--kill-at`.
+fn chaos_script(o: &Opts) -> ChaosScript {
     let mut kills: Vec<ChaosKill> = match o.chaos {
-        Some((cseed, n_kills)) => ChaosScript::seeded(cseed, o.p * o.q, n_kills, 50, op_hi).kills().to_vec(),
+        Some((seed, n_kills)) => ChaosScript::seeded(seed, o.world(), n_kills, 50, op_hi(&o.shape))
+            .kills()
+            .to_vec(),
         None => Vec::new(),
     };
     kills.extend(o.kill_at.iter().copied());
     ChaosScript::new(kills)
 }
 
-/// One rank's computation in distributed mode. Returns the process exit
-/// code (only rank 0's is meaningful to the launcher).
-fn dist_rank_body(ctx: &Ctx, o: &Opts) -> i32 {
-    let Opts { n, nb, seed, verify, redundancy, .. } = o.clone();
-    let variant = if o.mode == Mode::Alg3 { Variant::Delayed } else { Variant::NonDelayed };
-    let policy = match o.scrub_every {
-        Some(k) => ScrubPolicy::every_panels(k),
-        None => ScrubPolicy::disabled(),
+/// What one rank brings back from a run: the solve's own numbers plus the
+/// grid-wide gathers (replicated, or rank 0's). [`print_summary`] turns
+/// rank 0's into the report.
+struct RankOutcome {
+    /// Matrix build + solve on this rank.
+    secs: f64,
+    /// `(recoveries, chaos aborts)` of an ABFT run, `(rollbacks, lost panel
+    /// iterations)` of a C/R run.
+    events: (usize, usize),
+    residual: Option<f64>,
+    scrub: Option<ScrubReport>,
+    traffic: TrafficLedger,
+    /// Wire counters — real transports only.
+    wire: Option<TransportStats>,
+    /// `(adopted ranks, agreement stall seconds)` under `--shrink`.
+    shrink: Option<(Vec<usize>, f64)>,
+    /// The gathered Hessenberg form (`--print-eigs`, rank 0).
+    h: Option<Matrix>,
+}
+
+/// One rank's whole computation — build the matrix, run the chosen driver,
+/// verify, gather the grid-wide statistics — for every way a rank can come
+/// to exist: a thread of the in-process world, a launcher's child process,
+/// a re-spawned replacement, or a rank adopted by a survivor. `Err` is the
+/// typed beyond-tolerance verdict, identical on every rank.
+fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
+    let Shape { n, nb, solver, mode, redundancy, seed, .. } = o.shape;
+    let entry = |i, j| uniform_entry(seed, i, j);
+    let desc = Desc { m: n, n, nb };
+    // --sdc without an explicit cadence scans at every panel boundary.
+    let policy = match (o.scrub_every, o.sdc) {
+        (Some(k), _) => ScrubPolicy::every_panels(k),
+        (None, Some(_)) => ScrubPolicy::every_panels(1),
+        (None, None) => ScrubPolicy::disabled(),
     };
     let t = Instant::now();
-    let mut tau = vec![0.0; o.solver.ft().tau_len(n).max(1)];
-    let (mut plain, mut enc) = (None, None);
-    let rep = if o.mode == Mode::Plain {
-        let mut a = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-        match o.solver {
-            SolverKind::Hessenberg => pdgehrd(ctx, &mut a, &mut tau),
-            SolverKind::Qr => pdgeqrf(ctx, &mut a, &mut tau),
-        }
-        plain = Some(a);
-        None
-    } else {
-        let mut e = Encoded::with_redundancy(ctx, n, nb, redundancy, |i, j| uniform_entry(seed, i, j));
-        let res = match (o.solver, o.respawn > 0) {
-            // A re-spawned replacement joins an already-running
+    let mut tau = vec![0.0; solver.tau_len(n).max(1)];
+    let mut scrub = None;
+    let (a, events) = match mode.variant() {
+        Some(variant) => {
+            let mut enc = Encoded::with_redundancy(ctx, n, nb, redundancy, entry);
+            // A re-spawned (or adopted) rank joins an already-running
             // factorization: skip encoding, enter recovery first (§5.3).
-            (SolverKind::Hessenberg, true) => ft_pdgehrd_replacement(ctx, &mut e, variant, &mut tau, policy),
-            (SolverKind::Hessenberg, false) => ft_pdgehrd_scrubbed(ctx, &mut e, variant, &mut tau, policy),
-            (SolverKind::Qr, true) => ft_pdgeqrf_replacement(ctx, &mut e, variant, &mut tau, policy),
-            (SolverKind::Qr, false) => ft_pdgeqrf_scrubbed(ctx, &mut e, variant, &mut tau, policy),
-        };
-        match res {
-            Ok(rep) => {
-                enc = Some(e);
-                Some(rep)
-            }
-            Err(err) => {
-                eprintln!("rank {}: UNRECOVERABLE: {err}", ctx.rank());
-                return 3;
-            }
+            let ctl = DriverControl {
+                replacement: o.respawn > 0,
+                scrub: policy,
+                ..DriverControl::default()
+            };
+            let rep = ft_solve(ctx, solver, &mut enc, variant, &mut tau, ctl)?;
+            // Aggregate the per-rank scrub statistics (collective).
+            scrub = policy.active().then(|| rep.scrub.gathered(ctx, 622));
+            (enc.a, (rep.recoveries, rep.chaos_aborts))
         }
-    };
-    let a: &DistMatrix = match (&plain, &enc) {
-        (Some(a), _) => a,
-        (_, Some(e)) => &e.a,
-        _ => unreachable!(),
+        None => {
+            let mut a = DistMatrix::from_global_fn(ctx, desc, entry);
+            let events = if mode == Mode::Cr {
+                let rep = cr_pdgehrd(ctx, &mut a, o.cr_interval.unwrap_or(8), &mut tau);
+                (rep.rollbacks, rep.lost_panels)
+            } else {
+                solver.plain(ctx, &mut a, &mut tau);
+                (0, 0)
+            };
+            (a, events)
+        }
     };
     let secs = t.elapsed().as_secs_f64();
-    let residual = verify.then(|| {
-        let a0 = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-        match o.solver {
-            SolverKind::Hessenberg => pd_hessenberg_residual(ctx, &a0, a, n, &tau),
-            // QR's eigen-free oracle: factorization residual and loss of
-            // orthogonality, both on the paper's r∞ scale — report the worse.
-            SolverKind::Qr => {
-                let r = pd_qr_residual(ctx, &a0, a, n, &tau);
-                let qm = pd_orgqr(ctx, a, n, &tau);
-                r.max(pd_orthogonality_residual(ctx, &qm, n))
-            }
-        }
-    });
-    let scrub = match (&rep, policy.active()) {
-        (Some(rep), true) => Some(rep.scrub.gathered(ctx, 622)),
-        _ => None,
-    };
+    let residual = o
+        .verify
+        .then(|| solver.verify_residual(ctx, &DistMatrix::from_global_fn(ctx, desc, entry), &a, n, &tau));
+    // Grid-wide per-phase traffic (collective; identical on all ranks).
     let traffic = pd_gather_traffic(ctx, 620);
-    let wire = pd_gather_transport(ctx, 624);
+    let wire = ctx.distributed().then(|| pd_gather_transport(ctx, 624));
     // Shrink report (collective): every rank contributes its adopted-rank
     // flags and agreement-stall seconds; rank 0 aggregates. The adopted
     // threads participate like any rank, so the gather is world-complete
     // even after the process count shrank.
     let shrink = o.shrink.then(|| {
-        let world = o.p * o.q;
+        let world = o.world();
         let (flags, stall) = ctx.shrink_stats();
         if ctx.rank() == 0 {
             let mut ranks: Vec<usize> = (0..world).filter(|&r| flags[r]).collect();
@@ -629,51 +648,64 @@ fn dist_rank_body(ctx: &Ctx, o: &Opts) -> i32 {
             (Vec::new(), 0.0)
         }
     });
-    let eigs = o.print_eigs.then(|| pd_extract_h(ctx, a, n).gather_root(ctx, 626));
+    let h = o.print_eigs.then(|| pd_extract_h(ctx, &a, n).gather_root(ctx, 626)).flatten();
+    Ok(RankOutcome { secs, events, residual, scrub, traffic, wire, shrink, h })
+}
 
-    if ctx.rank() != 0 {
-        return 0;
+/// Rank 0's report. Returns the exit code: 0, 1 if `--verify` failed, 3 if
+/// the eigenvalue extraction did.
+fn print_summary(o: &Opts, out: &RankOutcome) -> i32 {
+    let Shape { n, solver, mode, .. } = o.shape;
+    let gf = solver.flop_coef() * (n as f64).powi(3) / out.secs / 1e9;
+    println!("time: {:.3} s  ({gf:.2} effective GFLOP/s)", out.secs);
+    let (events, lost) = out.events;
+    match mode {
+        Mode::Plain => {}
+        Mode::Cr => println!("rollbacks: {events}, lost panel iterations: {lost}"),
+        // Arbitrary-point aborts exist only where chaos is live: seeded
+        // kills in-process, or any run over a real transport.
+        _ if o.chaos.is_some() || o.distributed => println!("recoveries: {events}, chaos aborts: {lost}"),
+        _ => println!("recoveries: {events}"),
     }
-    let flop_coef = if o.solver == SolverKind::Qr { 4.0 / 3.0 } else { 10.0 / 3.0 };
-    let gf = flop_coef * (n as f64).powi(3) / secs / 1e9;
-    println!("time: {secs:.3} s  ({gf:.2} effective GFLOP/s)");
-    if let Some(rep) = &rep {
-        println!("recoveries: {}, chaos aborts: {}", rep.recoveries, rep.chaos_aborts);
-    }
-    if let Some(s) = &scrub {
+    if let Some(s) = &out.scrub {
         print_scrub_summary(s);
     }
     println!("traffic (grid-wide, by phase):");
     for ph in TrafficPhase::ALL {
-        let t = traffic.phase(ph);
+        let t = out.traffic.phase(ph);
         if t.msgs > 0 {
             println!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
         }
     }
-    println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", traffic.total_bytes(), traffic.total_msgs());
-    if let Some((ranks, stall)) = &shrink {
+    println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", out.traffic.total_bytes(), out.traffic.total_msgs());
+    if let Some((ranks, stall)) = &out.shrink {
         if ranks.is_empty() {
             println!("shrink: armed, no rank adopted");
         } else {
             println!("shrink (survivor-adopted ranks):");
             println!("  {:<22} {:?}", "adopted ranks", ranks);
-            println!("  {:<22} {:>10} bytes", "redistributed", traffic.phase(TrafficPhase::Recovery).bytes);
+            println!("  {:<22} {:>10} bytes", "redistributed", out.traffic.phase(TrafficPhase::Recovery).bytes);
             println!("  {:<22} {:>10.3} s", "agreement stall", stall);
         }
     }
-    print_transport_summary(&wire);
-    if let Some(Some(h)) = eigs {
-        let mut ev = hessenberg_eigenvalues(&h).unwrap_or_else(|e| {
-            eprintln!("eigenvalue extraction failed: {e:?}");
-            exit(3)
-        });
+    if let Some(wire) = &out.wire {
+        print_transport_summary(wire);
+    }
+    if let Some(h) = &out.h {
+        let mut ev = match hessenberg_eigenvalues(h) {
+            Ok(ev) => ev,
+            Err(e) => {
+                eprintln!("eigenvalue extraction failed: {e:?}");
+                return 3;
+            }
+        };
         ev.sort_by(|a, b| (a.re, a.im).partial_cmp(&(b.re, b.im)).unwrap());
         println!("eigenvalues ({}):", ev.len());
         for e in &ev {
             println!("eig {:+.15e} {:+.15e}", e.re, e.im);
         }
     }
-    if let Some(r) = residual {
+    if let Some(r) = out.residual {
         println!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
         if r >= 3.0 {
             eprintln!("VERIFICATION FAILED");
@@ -684,110 +716,52 @@ fn dist_rank_body(ctx: &Ctx, o: &Opts) -> i32 {
     0
 }
 
-/// The transport config a rank actually runs with: built-in defaults,
-/// overlaid with the `FT_HB_*` environment, overlaid with CLI flags — and
-/// validated, so inconsistent liveness settings die as a usage error (exit
-/// 2) before any socket work starts. The launcher dry-runs this too, to
-/// reject bad configs before spawning a single child.
-fn resolved_tcp_config(o: &Opts, rank: usize, world: usize) -> TcpConfig {
-    let mut cfg = TcpConfig::new(rank, world);
-    if let Err(e) = cfg.apply_env() {
-        fail(&format!("transport config: {e}"));
+/// Turn one rank's result into its exit code: the typed rejection is
+/// reported (exit 3), rank 0 prints the summary, everybody else is done.
+fn finish(o: &Opts, rank: usize, res: Result<RankOutcome, FtError>) -> i32 {
+    match res {
+        Err(err) => {
+            let who = if o.distributed { format!("rank {rank}: ") } else { String::new() };
+            eprintln!("{who}UNRECOVERABLE: {err}");
+            3
+        }
+        Ok(out) if rank == 0 => print_summary(o, &out),
+        Ok(_) => 0,
     }
-    if let Some(ms) = o.hb_interval_ms {
-        cfg.hb_interval = Duration::from_millis(ms);
-    }
-    if let Some(k) = o.hb_miss_limit {
-        cfg.hb_miss_limit = k;
-    }
-    if let Some(ms) = o.conn_timeout_ms {
-        cfg.conn_timeout = Duration::from_millis(ms);
-    }
+}
+
+/// The transport config rank `rank` runs with (see [`HbFlags::tcp_config`]),
+/// plus the `--net-chaos` script. The launcher dry-runs this too, to reject
+/// bad configs before spawning a single child.
+fn resolved_tcp_config(o: &Opts, rank: usize) -> TcpConfig {
+    let mut cfg = o.hb.tcp_config(rank, o.world());
     if let Some(spec) = &o.net_chaos {
         cfg.net_chaos = NetChaosScript::parse(spec).unwrap_or_else(|e| fail(&format!("--net-chaos: {e}")));
-    }
-    if let Err(e) = cfg.validate() {
-        fail(&format!("transport config: {e}"));
     }
     cfg
 }
 
-/// Host a dead peer's rank inside this process (elastic shrink): bind the
-/// victim's freed port under its next incarnation, join the fabric exactly
-/// like a launcher re-spawn would, and run the rank to completion through
-/// the §5.3 replacement entry. The adopted rank's exit code is published
-/// as an `FT_SHRINK_CODE` stdout marker so the launcher can honor rank 0's
-/// verdict even when rank 0's original process is gone.
-fn adopt_rank(o: Opts, victim: usize, incarnation: u32, port_base: u16) {
-    let world = o.p * o.q;
-    eprintln!("shrink: adopting rank {victim} (incarnation {incarnation})");
-    let mut cfg = resolved_tcp_config(&o, victim, world);
+/// Run `rank` of the TCP fabric inside this process and return its exit
+/// code. Partition agreement: every surviving rank lands in the `Err` arm
+/// with the same typed error and the same code — no hang, no split verdicts
+/// (DESIGN.md §16).
+fn run_tcp_rank(o: &Opts, rank: usize, incarnation: u32, chaos: ChaosScript, setup: impl FnOnce(&Ctx)) -> i32 {
+    let port_base = o.port_base.expect("checked in sanity_check");
+    let mut cfg = resolved_tcp_config(o, rank);
     cfg.incarnation = incarnation;
     let transport = match TcpTransport::connect(cfg, port_base) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("shrink: adopting rank {victim} failed: transport: {e}");
-            println!("FT_SHRINK_CODE rank={victim} code=3");
-            return;
-        }
-    };
-    let mut o2 = o;
-    // The replacement entry: skip encoding, enter recovery first. The
-    // incarnation doubles as the respawn counter, exactly as the launcher's
-    // `--respawn` flag would.
-    o2.respawn = incarnation.max(1);
-    let code = match run_distributed(o2.p, o2.q, ChaosScript::none(), Box::new(transport), |ctx| dist_rank_body(&ctx, &o2)) {
-        Ok(code) => code,
-        Err(err @ CommError::Partitioned { .. }) => {
-            eprintln!("shrink: adopted rank {victim}: UNRECOVERABLE: {err}");
-            3
-        }
-        Err(err) => {
-            eprintln!("shrink: adopted rank {victim}: transport: {err}");
-            3
-        }
-    };
-    println!("FT_SHRINK_CODE rank={victim} code={code}");
-}
-
-/// Child mode: run as rank `rank` of the TCP fabric and exit with the
-/// rank's code. The parent launcher spawns one of these per rank.
-fn child_main(o: Opts, rank: usize) -> ! {
-    let world = o.p * o.q;
-    let port_base = o.port_base.expect("checked in sanity_check_distributed");
-    let mut cfg = resolved_tcp_config(&o, rank, world);
-    cfg.incarnation = o.respawn;
-    let transport = match TcpTransport::connect(cfg, port_base) {
-        Ok(t) => t,
-        Err(e) => {
             eprintln!("rank {rank}: transport connect failed: {e}");
-            exit(3)
+            return 3;
         }
     };
-    let chaos = dist_chaos_script(&o);
-    // Threads hosting adopted ranks (shrink mode). The process must outlive
-    // them: their epilogue (collectives, the FT_SHRINK_CODE marker) runs
-    // after this rank's own body has already returned.
-    let adoptions: std::sync::Arc<std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>> = Default::default();
-    let code = match run_distributed(o.p, o.q, chaos, Box::new(transport), |ctx| {
-        // A replacement is told which kills already struck its predecessor
-        // so they do not re-fire against the fresh op clock.
-        ctx.mark_chaos_fired(&o.chaos_fired);
-        if o.shrink {
-            let o2 = o.clone();
-            let adoptions = std::sync::Arc::clone(&adoptions);
-            ctx.set_shrink_handler(move |victim, incarnation| {
-                let o3 = o2.clone();
-                let h = std::thread::spawn(move || adopt_rank(o3, victim, incarnation, port_base));
-                adoptions.lock().unwrap().push(h);
-            });
-        }
-        dist_rank_body(&ctx, &o)
-    }) {
+    let run = run_distributed(o.shape.p, o.shape.q, chaos, Box::new(transport), |ctx| {
+        setup(&ctx);
+        finish(o, rank, rank_body(&ctx, o))
+    });
+    match run {
         Ok(code) => code,
-        // Partition agreement: every surviving rank lands here with the
-        // same typed error and the same exit code — no hang, no split
-        // verdicts (see DESIGN.md §16).
         Err(err @ CommError::Partitioned { .. }) => {
             eprintln!("rank {rank}: UNRECOVERABLE: {err}");
             3
@@ -796,7 +770,44 @@ fn child_main(o: Opts, rank: usize) -> ! {
             eprintln!("rank {rank}: transport: {err}");
             3
         }
-    };
+    }
+}
+
+/// Host a dead peer's rank inside this process (elastic shrink): bind the
+/// victim's freed port under its next incarnation, join the fabric exactly
+/// like a launcher re-spawn would, and run the rank to completion through
+/// the §5.3 replacement entry. The adopted rank's exit code is published
+/// as an `FT_SHRINK_CODE` stdout marker so the launcher can honor rank 0's
+/// verdict even when rank 0's original process is gone.
+fn adopt_rank(mut o: Opts, victim: usize, incarnation: u32) {
+    eprintln!("shrink: adopting rank {victim} (incarnation {incarnation})");
+    // The incarnation doubles as the respawn counter, exactly as the
+    // launcher's `--respawn` flag would.
+    o.respawn = incarnation.max(1);
+    let code = run_tcp_rank(&o, victim, incarnation, ChaosScript::none(), |_| {});
+    println!("FT_SHRINK_CODE rank={victim} code={code}");
+}
+
+/// Child mode: run as rank `rank` of the TCP fabric and exit with the
+/// rank's code. The parent launcher spawns one of these per rank.
+fn child_main(o: Opts, rank: usize) -> ! {
+    // Threads hosting adopted ranks (shrink mode). The process must outlive
+    // them: their epilogue (collectives, the FT_SHRINK_CODE marker) runs
+    // after this rank's own body has already returned.
+    let adoptions: std::sync::Arc<std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>> = Default::default();
+    let code = run_tcp_rank(&o, rank, o.respawn, chaos_script(&o), |ctx| {
+        // A replacement is told which kills already struck its predecessor
+        // so they do not re-fire against the fresh op clock.
+        ctx.mark_chaos_fired(&o.chaos_fired);
+        if o.shrink {
+            let (o2, adoptions) = (o.clone(), std::sync::Arc::clone(&adoptions));
+            ctx.set_shrink_handler(move |victim, incarnation| {
+                let o3 = o2.clone();
+                let h = std::thread::spawn(move || adopt_rank(o3, victim, incarnation));
+                adoptions.lock().unwrap().push(h);
+            });
+        }
+    });
     for h in std::mem::take(&mut *adoptions.lock().unwrap()) {
         let _ = h.join();
     }
@@ -842,70 +853,22 @@ fn marker_field<T: std::str::FromStr>(rest: &str, key: &str) -> Option<T> {
     rest.split_whitespace().find_map(|tok| tok.strip_prefix(key)?.parse().ok())
 }
 
+/// Spawn rank `rank` as a child process: the launcher's own command line,
+/// verbatim, plus the internal child-mode flags — so a flag is declared in
+/// `parse_args` and nowhere else.
 fn spawn_rank(
     exe: &std::path::Path,
-    o: &Opts,
-    port_base: u16,
+    probed_port_base: Option<u16>,
     rank: usize,
     incarnation: u32,
     fired: &[usize],
     tx: &std::sync::mpsc::Sender<LauncherEvent>,
 ) -> std::io::Result<std::process::Child> {
     let mut cmd = std::process::Command::new(exe);
-    cmd.arg("--n").arg(o.n.to_string());
-    cmd.arg("--nb").arg(o.nb.to_string());
-    cmd.arg("--grid").arg(format!("{}x{}", o.p, o.q));
-    let variant = match o.mode {
-        Mode::Plain => "plain",
-        Mode::Alg2 => "alg2",
-        Mode::Alg3 => "alg3",
-        Mode::Cr => "cr",
-    };
-    cmd.arg("--variant").arg(variant);
-    cmd.arg("--solver").arg(o.solver.name());
-    let red = match o.redundancy {
-        Redundancy::Single => "single".to_string(),
-        Redundancy::Dual => "dual".to_string(),
-        Redundancy::Coded(f) => f.to_string(),
-    };
-    cmd.arg("--redundancy").arg(red);
-    cmd.arg("--seed").arg(o.seed.to_string());
-    cmd.arg("--distributed");
+    cmd.args(std::env::args_os().skip(1));
     cmd.arg("--rank").arg(rank.to_string());
-    cmd.arg("--port-base").arg(port_base.to_string());
-    if let Some((s, k)) = o.chaos {
-        cmd.arg("--chaos").arg(format!("{s}:{k}"));
-    }
-    for k in &o.kill_at {
-        let at = match k.at {
-            ChaosPoint::Op(op) => format!("{}@{op}", k.victim),
-            ChaosPoint::RecoveryOp { round, op } => format!("{}@r{round}:{op}", k.victim),
-        };
-        cmd.arg("--kill-at").arg(at);
-    }
-    if let Some(k) = o.scrub_every {
-        cmd.arg("--scrub-every").arg(k.to_string());
-    }
-    if let Some(ms) = o.hb_interval_ms {
-        cmd.arg("--hb-interval-ms").arg(ms.to_string());
-    }
-    if let Some(k) = o.hb_miss_limit {
-        cmd.arg("--hb-miss-limit").arg(k.to_string());
-    }
-    if let Some(ms) = o.conn_timeout_ms {
-        cmd.arg("--conn-timeout-ms").arg(ms.to_string());
-    }
-    if let Some(spec) = &o.net_chaos {
-        cmd.arg("--net-chaos").arg(spec);
-    }
-    if o.verify {
-        cmd.arg("--verify");
-    }
-    if o.shrink {
-        cmd.arg("--shrink");
-    }
-    if o.print_eigs {
-        cmd.arg("--print-eigs");
+    if let Some(base) = probed_port_base {
+        cmd.arg("--port-base").arg(base.to_string());
     }
     if incarnation > 0 {
         cmd.arg("--respawn").arg(incarnation.to_string());
@@ -945,34 +908,31 @@ fn spawn_rank(
 /// when they announce their scripted death, re-spawn them as replacements,
 /// and exit with rank 0's code.
 fn parent_main(o: Opts) -> ! {
-    let world = o.p * o.q;
+    let world = o.world();
     // Validate the liveness config once, up front — a bad FT_HB_* value or
     // CLI combination must not get as far as spawning children.
-    let _ = resolved_tcp_config(&o, 0, world);
-    let port_base = o.port_base.unwrap_or_else(|| probe_port_base(world));
+    let _ = resolved_tcp_config(&o, 0);
+    // A probed base is the one thing the children cannot read off the
+    // launcher's own command line.
+    let probed = o.port_base.is_none().then(|| probe_port_base(world));
+    let port_base = o.port_base.or(probed).expect("given or probed");
     let exe = std::env::current_exe().unwrap_or_else(|e| {
         eprintln!("cannot locate own binary: {e}");
         exit(3)
     });
     println!(
-        "abft-hessenberg (distributed): N={} nb={} grid={}x{} solver={} variant={:?} redundancy={:?} ports={}..{} kills={} seed={}",
-        o.n,
-        o.nb,
-        o.p,
-        o.q,
-        o.solver.name(),
-        o.mode,
-        o.redundancy,
+        "abft-hessenberg (distributed): {} ports={}..{} kills={} seed={}",
+        shape_line(&o.shape),
         port_base,
         port_base as usize + world - 1,
-        dist_chaos_script(&o).kills().len(),
-        o.seed
+        chaos_script(&o).kills().len(),
+        o.shape.seed
     );
 
     let (tx, rx) = std::sync::mpsc::channel();
     let mut children: Vec<Option<std::process::Child>> = Vec::with_capacity(world);
     for rank in 0..world {
-        match spawn_rank(&exe, &o, port_base, rank, 0, &[], &tx) {
+        match spawn_rank(&exe, probed, rank, 0, &[], &tx) {
             Ok(c) => {
                 // The pid marker lets external harnesses (stall soaks,
                 // SIGSTOP tests) target a specific rank's process.
@@ -1047,7 +1007,7 @@ fn parent_main(o: Opts) -> ! {
                 if pending_respawn[rank] {
                     pending_respawn[rank] = false;
                     incarnation[rank] += 1;
-                    match spawn_rank(&exe, &o, port_base, rank, incarnation[rank], &fired, &tx) {
+                    match spawn_rank(&exe, probed, rank, incarnation[rank], &fired, &tx) {
                         Ok(c) => {
                             println!("launcher: re-spawned rank {rank} (incarnation {})", incarnation[rank]);
                             println!("FT_RANK_SPAWN rank={rank} pid={} incarnation={}", c.id(), incarnation[rank]);
@@ -1072,7 +1032,12 @@ fn parent_main(o: Opts) -> ! {
     exit(code0)
 }
 
-mod serve_cli;
+/// `N=… nb=… grid=… solver=… variant=… redundancy=…` — the shape half of
+/// both modes' header line.
+fn shape_line(s: &Shape) -> String {
+    let Shape { n, nb, p, q, solver, mode, redundancy, .. } = *s;
+    format!("N={n} nb={nb} grid={p}x{q} solver={} variant={mode:?} redundancy={redundancy:?}", solver.name())
+}
 
 fn main() {
     // Serving-plane verbs (`serve` / `submit` / `serve-worker`) route
@@ -1082,33 +1047,18 @@ fn main() {
         exit(code);
     }
     let mut o = parse_args();
-    sanity_check_solver(&o);
-    sanity_check_redundancy(&o);
-    if o.distributed || o.rank.is_some() {
-        sanity_check_distributed(&o);
-        if let Some(rank) = o.rank {
-            child_main(o, rank);
-        }
-        parent_main(o);
+    sanity_check(&o);
+    if let Some(rank) = o.rank {
+        child_main(o, rank);
     }
-    if !o.kill_at.is_empty()
-        || o.shrink
-        || o.port_base.is_some()
-        || o.hb_interval_ms.is_some()
-        || o.hb_miss_limit.is_some()
-        || o.conn_timeout_ms.is_some()
-        || o.net_chaos.is_some()
-        || o.print_eigs
-        || o.respawn > 0
-        || !o.chaos_fired.is_empty()
-    {
-        fail("--kill-at / --shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --net-chaos / --print-eigs need --distributed");
+    if o.distributed {
+        parent_main(o);
     }
     // Ragged N is handled by the encoder (zero-padded to whole blocks, see
     // DESIGN.md §10) — no round-up needed.
-    let panels = panel_count(o.solver.ft(), o.n, o.nb);
+    let Shape { n, nb, p, q, solver, seed, .. } = o.shape;
     if let Some(mtti) = o.mtti {
-        let extra = poisson_failures(panels as u64, mtti, o.p * o.q, o.seed)
+        let extra = poisson_failures(solver.panel_count(n, nb) as u64, mtti, p * q, seed)
             .into_iter()
             .map(|f| PlannedFailure {
                 victim: f.victim,
@@ -1116,153 +1066,14 @@ fn main() {
             });
         o.failures.extend(extra);
     }
-    println!(
-        "abft-hessenberg: N={} nb={} grid={}x{} solver={} variant={:?} redundancy={:?} failures={} seed={}",
-        o.n,
-        o.nb,
-        o.p,
-        o.q,
-        o.solver.name(),
-        o.mode,
-        o.redundancy,
-        o.failures.len(),
-        o.seed
-    );
-
-    if o.chaos.is_some() && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--chaos needs --variant alg2 or alg3 (the others never arm the injector)");
-    }
-    if (o.sdc.is_some() || o.scrub_every.is_some()) && !matches!(o.mode, Mode::Alg2 | Mode::Alg3) {
-        fail("--sdc / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
-    }
-    let Opts {
-        n,
-        nb,
-        p,
-        q,
-        solver,
-        mode,
-        redundancy,
-        cr_interval,
-        seed,
-        verify,
-        ..
-    } = o.clone();
-    let script = FaultScript::new(o.failures.clone());
-    // A rank performs roughly `4*nb + 20` message ops per panel iteration
-    // (measured via `Ctx::chaos_ops`, conservative at common grids), so this
-    // range keeps seeded kills/flips inside the run; events scheduled past
-    // the end simply never fire.
-    let op_hi = (panels as u64 * (4 * o.nb as u64 + 20)).max(200);
-    let chaos = match o.chaos {
-        Some((cseed, kills)) => ChaosScript::seeded(cseed, p * q, kills, 50, op_hi),
-        None => ChaosScript::none(),
-    };
+    println!("abft-hessenberg: {} failures={} seed={seed}", shape_line(&o.shape), o.failures.len());
     let sdc = match o.sdc {
-        Some((sseed, flips)) => SdcScript::seeded(sseed, p * q, flips, 50, op_hi),
+        Some((sseed, flips)) => SdcScript::seeded(sseed, p * q, flips, 50, op_hi(&o.shape)),
         None => SdcScript::none(),
     };
-    // --sdc without an explicit cadence scans at every panel boundary.
-    let policy = match (o.scrub_every, o.sdc) {
-        (Some(k), _) => ScrubPolicy::every_panels(k),
-        (None, Some(_)) => ScrubPolicy::every_panels(1),
-        (None, None) => ScrubPolicy::disabled(),
-    };
-    // The residual printed under --verify: solver-specific oracle, both on
-    // the paper's r∞ scale (QR reports the worse of factorization residual
-    // and loss of orthogonality — there is no spectrum to fall back on).
-    let residual_of = move |ctx: &Ctx, a: &DistMatrix, tau: &[f64]| {
-        let a0 = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-        match solver {
-            SolverKind::Hessenberg => pd_hessenberg_residual(ctx, &a0, a, n, tau),
-            SolverKind::Qr => {
-                let r = pd_qr_residual(ctx, &a0, a, n, tau);
-                let qm = pd_orgqr(ctx, a, n, tau);
-                r.max(pd_orthogonality_residual(ctx, &qm, n))
-            }
-        }
-    };
-    let tau_len = o.solver.ft().tau_len(o.n).max(1);
-    let t = Instant::now();
-    let outcome = run_spmd_full(p, q, script, chaos, sdc, move |ctx| {
-        let (events, lost, r, err, scrub) = match mode {
-            Mode::Plain => {
-                let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-                let mut tau = vec![0.0; tau_len];
-                match solver {
-                    SolverKind::Hessenberg => pdgehrd(&ctx, &mut a, &mut tau),
-                    SolverKind::Qr => pdgeqrf(&ctx, &mut a, &mut tau),
-                }
-                let r = verify.then(|| residual_of(&ctx, &a, &tau));
-                (0usize, 0usize, r, None, None)
-            }
-            Mode::Alg2 | Mode::Alg3 => {
-                let variant = if mode == Mode::Alg2 { Variant::NonDelayed } else { Variant::Delayed };
-                let mut enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(seed, i, j));
-                let mut tau = vec![0.0; tau_len];
-                let res = match solver {
-                    SolverKind::Hessenberg => ft_pdgehrd_scrubbed(&ctx, &mut enc, variant, &mut tau, policy),
-                    SolverKind::Qr => ft_pdgeqrf_scrubbed(&ctx, &mut enc, variant, &mut tau, policy),
-                };
-                match res {
-                    Ok(rep) => {
-                        let r = verify.then(|| residual_of(&ctx, &enc.a, &tau));
-                        // Aggregate the per-rank scrub statistics while the
-                        // grid is still up (collective).
-                        let scrub = policy.active().then(|| rep.scrub.gathered(&ctx, 622));
-                        (rep.recoveries, rep.chaos_aborts, r, None, scrub)
-                    }
-                    Err(e) => (0usize, 0usize, None, Some(e), None),
-                }
-            }
-            Mode::Cr => {
-                let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-                let mut tau = vec![0.0; tau_len];
-                let rep = cr_pdgehrd(&ctx, &mut a, cr_interval, &mut tau);
-                let r = verify.then(|| residual_of(&ctx, &a, &tau));
-                (rep.rollbacks, rep.lost_panels, r, None, None)
-            }
-        };
-        // Grid-wide per-phase traffic (collective; identical on all ranks).
-        let traffic = pd_gather_traffic(&ctx, 620);
-        (events, lost, r, err, scrub, traffic)
-    })
-    .into_iter()
-    .next()
-    .unwrap();
-    let secs = t.elapsed().as_secs_f64();
-
-    let (events, lost, residual, err, scrub, traffic) = outcome;
-    if let Some(e) = err {
-        eprintln!("UNRECOVERABLE: {e}");
-        exit(3);
-    }
-    let flop_coef = if o.solver == SolverKind::Qr { 4.0 / 3.0 } else { 10.0 / 3.0 };
-    let gf = flop_coef * (o.n as f64).powi(3) / secs / 1e9;
-    println!("time: {secs:.3} s  ({gf:.2} effective GFLOP/s)");
-    match o.mode {
-        Mode::Plain => {}
-        Mode::Cr => println!("rollbacks: {events}, lost panel iterations: {lost}"),
-        _ if o.chaos.is_some() => println!("recoveries: {events}, chaos aborts: {lost}"),
-        _ => println!("recoveries: {events}"),
-    }
-    if let Some(s) = &scrub {
-        print_scrub_summary(s);
-    }
-    println!("traffic (grid-wide, by phase):");
-    for ph in TrafficPhase::ALL {
-        let t = traffic.phase(ph);
-        if t.msgs > 0 {
-            println!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
-        }
-    }
-    println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", traffic.total_bytes(), traffic.total_msgs());
-    if let Some(r) = residual {
-        println!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
-        if r >= 3.0 {
-            eprintln!("VERIFICATION FAILED");
-            exit(1);
-        }
-        println!("verification passed");
-    }
+    let rank0 = run_spmd_full(p, q, FaultScript::new(o.failures.clone()), chaos_script(&o), sdc, |ctx| rank_body(&ctx, &o))
+        .into_iter()
+        .next()
+        .unwrap();
+    exit(finish(&o, 0, rank0))
 }

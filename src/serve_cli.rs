@@ -39,96 +39,60 @@
 //! paper threshold, 2 usage/config, 3 typed rejection or I/O loss.
 //! ```
 
+use crate::{fail, Args, HbFlags, Shape};
 use abft_hessenberg::dense::gen::uniform_entry;
-use abft_hessenberg::hess::{Redundancy, Variant};
-use abft_hessenberg::runtime::TcpConfig;
 use abft_hessenberg::serve::{serve_main, worker_main, Client, Event, JobSpec, Limits, ServeConfig, SolverId};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::process::exit;
-use std::time::Duration;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("error: {msg}\nrun with --help for usage");
-    exit(2)
-}
 
 /// Route `serve` / `submit` / `serve-worker` verbs. Returns the process
 /// exit code if the first argument was a serving verb, `None` otherwise
 /// (the caller falls through to the classic flag parser).
 pub fn route() -> Option<i32> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => Some(serve_verb(&args[1..])),
-        Some("submit") => Some(submit_verb(&args[1..])),
-        Some("serve-worker") => Some(worker_verb(&args[1..])),
+    let mut argv = std::env::args().skip(1);
+    let verb = argv.next()?;
+    let args = Args(argv.collect::<Vec<_>>().into_iter());
+    match verb.as_str() {
+        "serve" => Some(serve_verb(args)),
+        "submit" => Some(submit_verb(args)),
+        "serve-worker" => Some(worker_verb(args)),
         _ => None,
     }
 }
 
-fn take_val<'a>(args: &'a [String], i: &mut usize, name: &str) -> &'a str {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .unwrap_or_else(|| fail(&format!("{name} needs a value")))
-}
-
-fn parse<T: std::str::FromStr>(v: &str, name: &str) -> T {
-    v.parse().unwrap_or_else(|_| fail(&format!("{name}: bad value '{v}'")))
-}
-
-fn serve_verb(args: &[String]) -> i32 {
+fn serve_verb(mut args: Args) -> i32 {
     let mut pool = 4usize;
     let mut port = 0u16;
     let mut limits = Limits::default();
     let mut job_ports = 23000u16;
     let mut state_dir: Option<PathBuf> = None;
-    let (mut hb_ms, mut hb_miss, mut conn_ms) = (None, None, None);
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--pool" => pool = parse(take_val(args, &mut i, "--pool"), "--pool"),
-            "--port" => port = parse(take_val(args, &mut i, "--port"), "--port"),
-            "--queue-depth" => limits.queue_depth = parse(take_val(args, &mut i, "--queue-depth"), "--queue-depth"),
-            "--tenant-quota" => limits.tenant_quota = parse(take_val(args, &mut i, "--tenant-quota"), "--tenant-quota"),
-            "--batch-max" => limits.batch_max = parse(take_val(args, &mut i, "--batch-max"), "--batch-max"),
-            "--job-ports" => job_ports = parse(take_val(args, &mut i, "--job-ports"), "--job-ports"),
-            "--state-dir" => state_dir = Some(PathBuf::from(take_val(args, &mut i, "--state-dir"))),
-            "--hb-interval-ms" => hb_ms = Some(parse(take_val(args, &mut i, "--hb-interval-ms"), "--hb-interval-ms")),
-            "--hb-miss-limit" => hb_miss = Some(parse(take_val(args, &mut i, "--hb-miss-limit"), "--hb-miss-limit")),
-            "--conn-timeout-ms" => conn_ms = Some(parse(take_val(args, &mut i, "--conn-timeout-ms"), "--conn-timeout-ms")),
+    let mut hb = HbFlags::default();
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if hb.parse_flag(flag, &mut args) {
+            continue;
+        }
+        match flag {
+            "--pool" => pool = args.positive(flag),
+            "--port" => port = args.num(flag),
+            "--queue-depth" => limits.queue_depth = args.num(flag),
+            "--tenant-quota" => limits.tenant_quota = args.num(flag),
+            "--batch-max" => limits.batch_max = args.num(flag),
+            "--job-ports" => job_ports = args.num(flag),
+            "--state-dir" => state_dir = Some(PathBuf::from(args.val(flag))),
             a => fail(&format!("serve: unknown flag {a}")),
         }
-        i += 1;
-    }
-    if pool == 0 {
-        fail("serve: --pool must be at least 1");
     }
     if let Some(dir) = &state_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             fail(&format!("serve: cannot create --state-dir {}: {e}", dir.display()));
         }
     }
-    // Per-POOL heartbeat resolution, reusing the transport's own env
-    // parser so set-but-invalid FT_HB_* values die as usage errors (exit
-    // 2) here at the daemon — and ONLY here: submit clients and workers
-    // never consult the environment.
-    let mut cfg = TcpConfig::new(0, pool.max(2));
-    if let Err(e) = cfg.apply_env() {
-        fail(&format!("serve: transport config: {e}"));
-    }
-    if let Some(ms) = hb_ms {
-        cfg.hb_interval = Duration::from_millis(ms);
-    }
-    if let Some(k) = hb_miss {
-        cfg.hb_miss_limit = k;
-    }
-    if let Some(ms) = conn_ms {
-        cfg.conn_timeout = Duration::from_millis(ms);
-    }
-    if let Err(e) = cfg.validate() {
-        fail(&format!("serve: transport config: {e}"));
-    }
+    // Per-POOL heartbeat resolution through the driver's own overlay
+    // (defaults ← FT_HB_* env ← flags), so set-but-invalid values die as
+    // usage errors (exit 2) here at the daemon — and ONLY here: submit
+    // clients and workers never consult the environment.
+    let cfg = hb.tcp_config(0, pool.max(2));
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(&format!("serve: current_exe: {e}")));
     serve_main(ServeConfig {
         pool,
@@ -143,60 +107,36 @@ fn serve_verb(args: &[String]) -> i32 {
     })
 }
 
-fn submit_verb(args: &[String]) -> i32 {
+fn submit_verb(mut args: Args) -> i32 {
     let mut port: Option<u16> = None;
-    let (mut n, mut nb) = (64usize, 8usize);
-    let (mut p, mut q) = (1usize, 2usize);
-    let mut solver = SolverId::Hessenberg;
-    let mut variant = Variant::NonDelayed;
-    let mut redundancy = Redundancy::Single;
-    let mut seed = 2013u64;
+    // The driver's shape flags with submit's (smaller) defaults.
+    let mut shape = Shape { n: 64, nb: 8, p: 1, q: 2, ..Shape::default() };
     let mut tenant = 0u32;
     let mut count = 1usize;
     let mut ckpt = false;
     let mut shutdown = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--port" => port = Some(parse(take_val(args, &mut i, "--port"), "--port")),
-            "--n" => n = parse(take_val(args, &mut i, "--n"), "--n"),
-            "--nb" => nb = parse(take_val(args, &mut i, "--nb"), "--nb"),
-            "--grid" => {
-                let v = take_val(args, &mut i, "--grid");
-                let (ps, qs) = v.split_once(['x', 'X']).unwrap_or_else(|| fail("--grid: use PxQ"));
-                p = parse(ps, "--grid P");
-                q = parse(qs, "--grid Q");
-            }
-            "--solver" => {
-                solver = match take_val(args, &mut i, "--solver") {
-                    "hessenberg" => SolverId::Hessenberg,
-                    "qr" => SolverId::Qr,
-                    s => fail(&format!("--solver: unknown solver {s}")),
-                }
-            }
-            "--variant" => {
-                variant = match take_val(args, &mut i, "--variant") {
-                    "alg2" => Variant::NonDelayed,
-                    "alg3" => Variant::Delayed,
-                    v => fail(&format!("--variant: submit supports alg2 | alg3, not {v}")),
-                }
-            }
-            "--redundancy" => {
-                redundancy = match take_val(args, &mut i, "--redundancy") {
-                    "single" => Redundancy::Single,
-                    "dual" => Redundancy::Dual,
-                    f => Redundancy::Coded(parse(f, "--redundancy")),
-                }
-            }
-            "--seed" => seed = parse(take_val(args, &mut i, "--seed"), "--seed"),
-            "--tenant" => tenant = parse(take_val(args, &mut i, "--tenant"), "--tenant"),
-            "--count" => count = parse(take_val(args, &mut i, "--count"), "--count"),
+    while let Some(arg) = args.next() {
+        let flag = arg.as_str();
+        if shape.parse_flag(flag, &mut args) {
+            continue;
+        }
+        match flag {
+            "--port" => port = Some(args.num(flag)),
+            "--tenant" => tenant = args.num(flag),
+            "--count" => count = args.num(flag),
             "--ckpt" => ckpt = true,
             "--shutdown" => shutdown = true,
             a => fail(&format!("submit: unknown flag {a}")),
         }
-        i += 1;
     }
+    // Per-flag strictness is the driver's; whether the grid is wide enough
+    // for the redundancy is admission control, and the daemon's answer
+    // (`bad-request`, exit 3) is the one every client gets.
+    let Some(variant) = shape.mode.variant() else {
+        fail("--variant: submit supports alg2 | alg3")
+    };
+    let Shape { n, nb, p, q, redundancy, seed, .. } = shape;
+    let solver = SolverId::from_name(shape.solver.name()).expect("every registered solver has a wire id");
     let Some(port) = port else {
         fail("submit: --port is required")
     };
@@ -283,17 +223,15 @@ fn submit_verb(args: &[String]) -> i32 {
     worst
 }
 
-fn worker_verb(args: &[String]) -> i32 {
+fn worker_verb(mut args: Args) -> i32 {
     let mut port: Option<u16> = None;
     let mut slot: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--connect-port" => port = Some(parse(take_val(args, &mut i, "--connect-port"), "--connect-port")),
-            "--slot" => slot = Some(parse(take_val(args, &mut i, "--slot"), "--slot")),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--connect-port" => port = Some(args.num("--connect-port")),
+            "--slot" => slot = Some(args.num("--slot")),
             a => fail(&format!("serve-worker: unknown flag {a}")),
         }
-        i += 1;
     }
     match (port, slot) {
         (Some(p), Some(s)) => worker_main(p, s),

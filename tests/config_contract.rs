@@ -130,3 +130,74 @@ fn bad_config_dies_in_the_launcher_before_spawning_ranks() {
         "no rank may be spawned under a rejected config — stdout:\n{stdout}"
     );
 }
+
+/// The shape flags (`--n/--nb/--grid/--solver/--variant/--redundancy/
+/// --seed`) go through one parser for the driver and for `submit`: the
+/// same malformed value is the same exit-2 usage error from either verb,
+/// decided locally — `submit` never ships a spec the daemon (or, worse,
+/// its workers) would have to refuse.
+#[test]
+fn submit_and_driver_reject_the_same_shape_flags() {
+    for (bad, needle, what) in [
+        (&["--redundancy", "0"][..], "--redundancy", "zero redundancy"),
+        (&["--redundancy", "lots"][..], "--redundancy", "non-numeric redundancy"),
+        (&["--grid", "4"][..], "--grid", "grid without x"),
+        (&["--grid", "0x2"][..], "--grid", "empty grid"),
+        (&["--solver", "lu"][..], "--solver", "unknown solver"),
+        (&["--variant", "alg9"][..], "--variant", "unknown variant"),
+        (&["--n", "many"][..], "--n", "non-numeric n"),
+        (&["--nb", "0"][..], "--nb", "zero nb"),
+        (&["--seed"][..], "--seed", "missing value"),
+    ] {
+        let driver = run(bad, &[]);
+        assert_usage_error(&driver, needle, &format!("driver: {what}"));
+        // No daemon listens on the port: a usage error must win before any
+        // connect is attempted (a connect failure would be exit 3).
+        let mut args = vec!["submit", "--port", "1"];
+        args.extend_from_slice(bad);
+        let submit = run(&args, &[]);
+        assert_usage_error(&submit, needle, &format!("submit: {what}"));
+        assert_eq!(driver.stderr, submit.stderr, "{what}: the two verbs word the error differently");
+    }
+}
+
+/// The driver refuses a grid too narrow for the redundancy before running
+/// anything (`Redundancy::min_q`); `dual` is a spelling of `2`. (`submit`
+/// leaves this cross-field check to the daemon's admission control —
+/// `bad-request`, see `tests/serve_storm.rs`.)
+#[test]
+fn under_width_redundancy_is_a_driver_usage_error() {
+    for red in ["2", "dual"] {
+        let o = run(&["--grid", "1x2", "--redundancy", red], &[]);
+        assert_usage_error(&o, "Q >= 4", &format!("--grid 1x2 --redundancy {red}"));
+    }
+    let o = run(&["--grid", "1x5", "--redundancy", "3"], &[]);
+    assert_usage_error(&o, "Q >= 6", "--grid 1x5 --redundancy 3");
+}
+
+/// `submit` runs ABFT jobs only: the driver's non-ABFT variants parse (one
+/// parser) but are a usage error for this verb.
+#[test]
+fn submit_rejects_non_abft_variants_as_usage_errors() {
+    for variant in ["plain", "cr"] {
+        let o = run(&["submit", "--port", "1", "--variant", variant], &[]);
+        assert_usage_error(&o, "--variant", &format!("submit --variant {variant}"));
+    }
+}
+
+/// `serve` resolves its pool's heartbeat knobs through the driver's own
+/// `--hb-*` overlay: the same flags, the same floor, the same exit code.
+#[test]
+fn serve_and_driver_share_the_heartbeat_flag_overlay() {
+    for flag in ["--hb-interval-ms", "--hb-miss-limit", "--conn-timeout-ms"] {
+        let mut args = DIST.to_vec();
+        args.extend_from_slice(&[flag, "0"]);
+        let driver = run(&args, &[]);
+        assert_usage_error(&driver, flag, &format!("driver {flag} 0"));
+        let serve = run(&["serve", "--pool", "1", flag, "0"], &[]);
+        assert_usage_error(&serve, flag, &format!("serve {flag} 0"));
+        assert_eq!(driver.stderr, serve.stderr, "{flag}: the two verbs word the error differently");
+    }
+    let serve = run(&["serve", "--pool", "1"], &[("FT_HB_BACKOFF_INIT_MS", "800"), ("FT_HB_BACKOFF_CAP_MS", "100")]);
+    assert_usage_error(&serve, "backoff", "serve: inverted backoff range from the environment");
+}

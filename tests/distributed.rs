@@ -176,6 +176,49 @@ fn fault_free_smoke_both_variants() {
     }
 }
 
+/// In-process and `--distributed` are the same program: one rank body, two
+/// transports. A fault-free `--verify` run must print the identical
+/// `residual r_inf = …` line either way, for both solvers — bitwise
+/// determinism across transports (DESIGN.md §14), observed through the one
+/// `print_summary` every mode shares.
+#[test]
+fn in_process_and_distributed_print_the_same_residual_line() {
+    let residual_line = |out: &RunOutput| {
+        out.stdout
+            .lines()
+            .find(|l| l.starts_with("residual r_inf = "))
+            .unwrap_or_else(|| panic!("no residual line:\n{}\n{}", out.stdout, out.stderr))
+            .to_owned()
+    };
+    for solver in ["hessenberg", "qr"] {
+        for variant in ["alg2", "plain"] {
+            let shape = [
+                "--grid",
+                "2x2",
+                "--n",
+                "48",
+                "--nb",
+                "4",
+                "--solver",
+                solver,
+                "--variant",
+                variant,
+                "--verify",
+            ];
+            let local = run(&shape, 60_000);
+            let mut args = vec!["--distributed"];
+            args.extend_from_slice(&shape);
+            let dist = run(&args, 60_000);
+            assert_eq!(local.status, 0, "{solver} {variant} in-process: {}", local.stderr);
+            assert_eq!(dist.status, 0, "{solver} {variant} distributed: {}", dist.stderr);
+            assert_eq!(residual_line(&local), residual_line(&dist), "{solver} {variant}: transports disagree");
+            for out in [&local, &dist] {
+                assert!(out.stdout.contains("verification passed"), "{solver} {variant}: {}", out.stdout);
+            }
+        }
+    }
+}
+
 /// The acceptance scenario: SIGKILL one rank mid-factorization, let the
 /// launcher re-spawn it, and require the recovered run's eigenvalues to
 /// match the fault-free run's to 1e-10 — both through the identical

@@ -191,6 +191,41 @@ fn quota_and_queue_backpressure_reject_typed() {
     d.shutdown();
 }
 
+/// An under-width redundancy request (`Coded(f)` on fewer than `2f` process
+/// columns) is refused at admission, typed — it used to be ACCEPTed and then
+/// panic the encoder's `Q >= 2f` assert inside every worker of the job's
+/// fabric (two respawns, `worker-lost`). Through the real `submit` verb: the
+/// reply is `bad-request`, exit 3, and the pool never loses a worker.
+#[test]
+fn under_width_redundancy_is_rejected_at_admission_not_in_the_workers() {
+    let d = Daemon::spawn(2, &["--job-ports", "27300"]);
+    let workers_before = d.dump().matches("FT_SERVE_WORKER ").count();
+    assert_eq!(workers_before, 2, "{}", d.dump());
+    let out = Command::new(BIN)
+        .args(["submit", "--port", &d.port.to_string(), "--n", "32", "--nb", "4"])
+        .args(["--grid", "1x2", "--redundancy", "2"])
+        .output()
+        .expect("run submit");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "typed rejection is exit 3: {stdout}");
+    let reject = stdout
+        .lines()
+        .find(|l| l.starts_with("FT_SUBMIT_REJECT "))
+        .unwrap_or_else(|| panic!("no reject line: {stdout}"));
+    assert_eq!(field(reject, "reason="), "bad-request", "{reject}");
+    assert!(!stdout.contains("FT_SUBMIT_ACCEPT"), "{stdout}");
+    // The same pool still serves a well-formed job on the same grid …
+    let ok = Command::new(BIN)
+        .args(["submit", "--port", &d.port.to_string(), "--n", "32", "--nb", "4"])
+        .args(["--grid", "1x2", "--redundancy", "1"])
+        .output()
+        .expect("run submit");
+    assert_eq!(ok.status.code(), Some(0), "{}", String::from_utf8_lossy(&ok.stdout));
+    // … with the workers it started with: nobody died, nobody was respawned.
+    assert_eq!(d.dump().matches("FT_SERVE_WORKER ").count(), workers_before, "{}", d.dump());
+    d.shutdown();
+}
+
 /// Heartbeat knobs are per-POOL: the daemon — sole owner of every job
 /// fabric's liveness config — validates `FT_HB_*` and dies with a usage
 /// error on garbage, while a submit client with the same garbage
