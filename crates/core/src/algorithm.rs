@@ -692,8 +692,8 @@ fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[u
 /// entries and reflectors are stored exactly like [`ft_pblas::pdgehrd`]'s
 /// output and `tau` is replicated. Failures scripted through the runtime's
 /// [`ft_runtime::FaultScript`] at [`failpoint`] ids are detected at phase
-/// boundaries and repaired transparently; chaos kills injected through
-/// [`ft_runtime::ChaosScript`] at arbitrary message-op boundaries are
+/// boundaries and repaired transparently; the same script's kills
+/// ([`ft_runtime::ChaosKill`]) at arbitrary message-op boundaries are
 /// detected by the runtime's agreement layer and rolled back to the last
 /// committed boundary. The returned [`FtReport`] counts both. A victim set
 /// beyond the redundancy level's tolerance yields

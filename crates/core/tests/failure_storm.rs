@@ -8,11 +8,17 @@
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
 use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, FtError, FtReport, Phase, ScrubPolicy, Variant};
 use ft_lapack::{extract_h, hessenberg_residual, orghr};
-use ft_runtime::{run_spmd, run_spmd_chaos, ChaosKill, ChaosPoint, ChaosScript, FaultScript, PlannedFailure};
+use ft_runtime::{run_spmd, FaultScript, PlannedFailure};
 
-/// Run the FT reduction under `script` + `chaos` and return
+/// The `--faults` grammar, for a `world`-rank grid; seeded kills draw their
+/// ops from [100, 350).
+fn faults(spec: &str, world: usize) -> FaultScript {
+    FaultScript::parse(spec, world, 100..350).expect(spec)
+}
+
+/// Run the FT reduction under `script` and return
 /// `(rank-0 gathered matrix, tau, report)`; the residual is checked by the
-/// caller. Panics in any rank propagate out of `run_spmd_chaos`, so a
+/// caller. Panics in any rank propagate out of `run_spmd`, so a
 /// passing test doubles as a zero-panic assertion over every survivor.
 #[allow(clippy::too_many_arguments)]
 fn storm_run(
@@ -23,9 +29,8 @@ fn storm_run(
     seed: u64,
     variant: Variant,
     script: FaultScript,
-    chaos: ChaosScript,
 ) -> (ft_dense::Matrix, Vec<f64>, FtReport) {
-    let results = run_spmd_chaos(p, q, script, chaos, move |ctx| {
+    let results = run_spmd(p, q, script, move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
         let mut tau = vec![0.0; n - 1];
         let report = ft_pdgehrd(&ctx, &mut enc, variant, &mut tau).expect("within the fault model");
@@ -81,7 +86,7 @@ fn scripted_storm_one_failure_per_scope() {
     let total_victims = failures.len();
     assert!(total_victims >= 12, "storm too small: {total_victims}");
 
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::new(failures), ChaosScript::none());
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::new(failures));
     assert_eq!(report.victims.len(), total_victims);
     let r = residual_of(n, seed, &ag, &tau);
     assert!(r < 3.0, "residual after the storm: {r}");
@@ -97,8 +102,7 @@ fn chaos_kill_at_unscripted_boundary_recovers() {
     // A fault-free rank performs ~410-430 message ops at this size (see
     // `Ctx::chaos_ops`); these land early, middle, and late in the run.
     for (victim, op) in [(2usize, 137u64), (1, 260), (3, 350)] {
-        let (ag, tau, report) =
-            storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::none(), ChaosScript::at_op(victim, op));
+        let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults(&format!("0:at={victim}@{op}"), p * q));
         assert!(report.chaos_aborts > 0, "kill at op {op} never fired");
         assert_eq!(report.recoveries, 1, "victim {victim} op {op}");
         assert_eq!(report.victims, vec![victim]);
@@ -113,7 +117,7 @@ fn chaos_kill_at_unscripted_boundary_recovers() {
 fn chaos_kill_delayed_variant() {
     let (n, nb, p, q) = (48usize, 4usize, 2usize, 2usize);
     let seed = 31;
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::Delayed, FaultScript::none(), ChaosScript::at_op(0, 333));
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::Delayed, faults("0:at=0@333", p * q));
     assert!(report.chaos_aborts > 0);
     let r = residual_of(n, seed, &ag, &tau);
     assert!(r < 3.0, "residual {r}");
@@ -129,11 +133,7 @@ fn chaos_kill_delayed_variant() {
 fn chaos_delayed_double_kill_across_scopes() {
     let (n, nb, p, q) = (96usize, 8usize, 2usize, 3usize);
     let seed = 2013;
-    let chaos = ChaosScript::new(vec![
-        ChaosKill { victim: 1, at: ChaosPoint::Op(63) },
-        ChaosKill { victim: 3, at: ChaosPoint::Op(304) },
-    ]);
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::Delayed, FaultScript::none(), chaos);
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::Delayed, faults("0:at=1@63,at=3@304", p * q));
     assert!(report.chaos_aborts >= 2, "both kills must fire: {} aborts", report.chaos_aborts);
     assert_eq!(report.recoveries, 2);
     let r = residual_of(n, seed, &ag, &tau);
@@ -179,11 +179,7 @@ fn chaos_failure_during_recovery_is_recovered() {
     // Rank 1 dies mid-run; rank 2 (different process row) dies at the 2nd
     // message op of the resulting recovery round — while rank 1's repair is
     // still in flight.
-    let chaos = ChaosScript::new(vec![
-        ChaosKill { victim: 1, at: ChaosPoint::Op(250) },
-        ChaosKill { victim: 2, at: ChaosPoint::RecoveryOp { round: 1, op: 1 } },
-    ]);
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::none(), chaos);
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("0:at=1@250,at=2@r1:1", p * q));
     assert!(report.chaos_aborts >= 2, "nested abort never happened: {} aborts", report.chaos_aborts);
     assert!(report.victims.contains(&1) && report.victims.contains(&2), "victims: {:?}", report.victims);
     let r = residual_of(n, seed, &ag, &tau);
@@ -198,8 +194,7 @@ fn chaos_seeded_storm_recovers() {
     // Seed 8 on a 6-rank world with ops in [100, 350): kills ranks 1 and 4
     // (distinct process rows) at ops 167 and 222 — a fixed, reproducible
     // schedule well inside the ~380-op run.
-    let chaos = ChaosScript::seeded(8, p * q, 2, 100, 350);
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::none(), chaos);
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("8:kill=2", p * q));
     assert!(report.chaos_aborts > 0, "no kill fired");
     assert!(!report.victims.is_empty());
     let r = residual_of(n, seed, &ag, &tau);
@@ -218,11 +213,7 @@ fn chaos_beyond_tolerance_identical_typed_error() {
     // rank 1, so both deaths land in the same agreement round — two kills
     // at independent op counts could otherwise resolve as two sequential
     // (recoverable) single failures depending on thread timing.
-    let chaos = ChaosScript::new(vec![
-        ChaosKill { victim: 1, at: ChaosPoint::Op(250) },
-        ChaosKill { victim: 0, at: ChaosPoint::RecoveryOp { round: 1, op: 0 } },
-    ]);
-    let errs = run_spmd_chaos(p, q, FaultScript::none(), chaos, move |ctx| {
+    let errs = run_spmd(p, q, faults("0:at=1@250,at=0@r1:0", p * q), move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
         let mut tau = vec![0.0; n - 1];
         ft_pdgehrd(&ctx, &mut enc, Variant::NonDelayed, &mut tau).unwrap_err()
@@ -243,9 +234,10 @@ fn chaos_beyond_tolerance_identical_typed_error() {
 fn chaos_and_scripted_failures_compose() {
     let (n, nb, p, q) = (48usize, 4usize, 2usize, 2usize);
     let seed = 47;
-    let script = FaultScript::one(3, failpoint(1, Phase::AfterPanel));
-    let chaos = ChaosScript::at_op(1, 300);
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, script, chaos);
+    // ONE script carrying both fault kinds.
+    let script =
+        faults("0:at=1@300", p * q).with_failures(vec![PlannedFailure { victim: 3, point: failpoint(1, Phase::AfterPanel) }]);
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, script);
     assert!(report.recoveries >= 2, "recoveries: {}", report.recoveries);
     assert!(report.chaos_aborts > 0);
     let r = residual_of(n, seed, &ag, &tau);
@@ -258,7 +250,7 @@ fn chaos_and_scripted_failures_compose() {
 fn chaos_runs_are_deterministic() {
     let (n, nb, p, q) = (48usize, 4usize, 2usize, 2usize);
     let seed = 53;
-    let run = || storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::none(), ChaosScript::at_op(2, 700));
+    let run = || storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("0:at=2@700", p * q));
     let (a1, t1, r1) = run();
     let (a2, t2, r2) = run();
     assert_eq!(a1.max_abs_diff(&a2), 0.0);

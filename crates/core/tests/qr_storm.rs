@@ -15,7 +15,7 @@ use ft_hess::{
     assert_theorem1, failpoint, ft_pdgeqrf, ft_pdgeqrf_full, Encoded, FtReport, Phase, Redundancy, ScrubPolicy, Variant,
 };
 use ft_lapack::{extract_r, orgqr, orthogonality_residual, qr_residual, RESIDUAL_THRESHOLD};
-use ft_runtime::{run_spmd, run_spmd_chaos, ChaosScript, Ctx, FaultScript, PlannedFailure};
+use ft_runtime::{run_spmd, Ctx, FaultScript, PlannedFailure};
 
 /// Fault-free reference factorization (gathered logical matrix + tau).
 fn clean_run(n: usize, nb: usize, p: usize, q: usize, seed: u64, variant: Variant, red: Redundancy) -> (Matrix, Vec<f64>) {
@@ -30,7 +30,7 @@ fn clean_run(n: usize, nb: usize, p: usize, q: usize, seed: u64, variant: Varian
     .unwrap()
 }
 
-/// Run QR under `script` + `chaos`; returns rank 0's gathered state.
+/// Run QR under `script`; returns rank 0's gathered state.
 #[allow(clippy::too_many_arguments)]
 fn storm_run(
     n: usize,
@@ -40,9 +40,8 @@ fn storm_run(
     seed: u64,
     variant: Variant,
     script: FaultScript,
-    chaos: ChaosScript,
 ) -> (Matrix, Vec<f64>, FtReport) {
-    let results = run_spmd_chaos(p, q, script, chaos, move |ctx| {
+    let results = run_spmd(p, q, script, move |ctx| {
         let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
         let mut tau = vec![0.0; n];
         let report = ft_pdgeqrf(&ctx, &mut enc, variant, &mut tau).expect("within the fault model");
@@ -152,7 +151,7 @@ fn qr_scripted_storm_recovers_exactly() {
     }
     assert!(failures.len() >= 3, "storm too small");
     let total = failures.len();
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::new(failures), ChaosScript::none());
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::new(failures));
     assert_eq!(report.victims.len(), total);
     assert_qr_residuals("qr scripted storm", n, seed, &ag, &tau);
     assert_parity("qr scripted storm", &(ag, tau), &reference);
@@ -168,16 +167,7 @@ fn qr_delayed_scripted_failures_each_phase() {
     let reference = clean_run(n, nb, p, q, seed, Variant::Delayed, Redundancy::Single);
     for phase in Phase::ALL {
         for victim in [0usize, 3] {
-            let (ag, tau, report) = storm_run(
-                n,
-                nb,
-                p,
-                q,
-                seed,
-                Variant::Delayed,
-                FaultScript::one(victim, failpoint(5, phase)),
-                ChaosScript::none(),
-            );
+            let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::Delayed, FaultScript::one(victim, failpoint(5, phase)));
             assert_eq!(report.recoveries, 1, "victim {victim} {phase:?}");
             assert_qr_residuals(&format!("qr delayed v{victim} {phase:?}"), n, seed, &ag, &tau);
             assert_parity(&format!("qr delayed v{victim} {phase:?}"), &(ag, tau), &reference);
@@ -198,8 +188,15 @@ fn qr_chaos_kill_mid_factorization_recovers() {
     // The whole run is ~204 message ops at this size (probed with a
     // never-firing script + `ctx.chaos_ops()`); strike early, mid, late.
     for (victim, op) in [(2usize, 40u64), (1, 110), (3, 180)] {
-        let (ag, tau, report) =
-            storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::none(), ChaosScript::at_op(victim, op));
+        let (ag, tau, report) = storm_run(
+            n,
+            nb,
+            p,
+            q,
+            seed,
+            Variant::NonDelayed,
+            FaultScript::parse(&format!("0:at={victim}@{op}"), p * q, 0..1).unwrap(),
+        );
         assert!(report.chaos_aborts > 0, "kill at op {op} never fired");
         assert_eq!(report.recoveries, 1, "victim {victim} op {op}");
         assert_eq!(report.victims, vec![victim]);
@@ -342,18 +339,7 @@ fn qr_coded2_beyond_distance_rejected() {
 fn qr_recovered_runs_are_deterministic() {
     let (n, nb, p, q) = (24usize, 2usize, 2usize, 2usize);
     let seed = 67;
-    let run = || {
-        storm_run(
-            n,
-            nb,
-            p,
-            q,
-            seed,
-            Variant::NonDelayed,
-            FaultScript::one(1, failpoint(3, Phase::AfterPanel)),
-            ChaosScript::none(),
-        )
-    };
+    let run = || storm_run(n, nb, p, q, seed, Variant::NonDelayed, FaultScript::one(1, failpoint(3, Phase::AfterPanel)));
     let (a1, t1, _) = run();
     let (a2, t2, _) = run();
     assert_eq!(a1.max_abs_diff(&a2), 0.0);

@@ -8,7 +8,7 @@ use ft_dense::gen::uniform_entry;
 use ft_dense::Matrix;
 use ft_hess::{failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, FtError, Phase, Redundancy, ScrubPolicy, ScrubReport, Variant};
 use ft_lapack::{extract_h, hessenberg_eigenvalues};
-use ft_runtime::{run_spmd, run_spmd_full, ChaosScript, Ctx, FaultScript, SdcScript};
+use ft_runtime::{run_spmd, Ctx, FaultScript};
 
 /// Flip-free reference reduction (scrub disabled).
 fn clean_run(n: usize, nb: usize, p: usize, q: usize, seed: u64, variant: Variant, red: Redundancy) -> Matrix {
@@ -402,7 +402,7 @@ fn eigenvalues_match_flip_free() {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized storm through the runtime injector (the CLI's --sdc path).
+// Randomized storm through the runtime injector (the CLI's --faults flip= path).
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -415,8 +415,8 @@ fn seeded_storm_heals_both_variants() {
         let reference = clean_run(n, nb, p, q, 79, variant, Redundancy::Coded(2));
         for sdc_seed in [1u64, 2, 3, 4] {
             for flips in [1usize, 2] {
-                let sdc = SdcScript::seeded(sdc_seed, p * q, flips, 50, op_hi);
-                let results = run_spmd_full(p, q, FaultScript::none(), ChaosScript::none(), sdc, move |ctx| {
+                let sdc = FaultScript::parse(&format!("{sdc_seed}:flip={flips}"), p * q, 50..op_hi).unwrap();
+                let results = run_spmd(p, q, sdc, move |ctx| {
                     let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(2), |i, j| uniform_entry(79, i, j));
                     let mut tau = vec![0.0; n - 1];
                     let rep =
@@ -460,5 +460,55 @@ fn post_recovery_scan_extra_pass() {
         assert_eq!(scrub.escalations, 0);
         let d = got.max_abs_diff(&reference);
         assert!(d < 1e-10, "diff {d}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Composition: one script, a memory fault and wire faults, over a real wire.
+// ---------------------------------------------------------------------------
+
+/// ONE [`FaultScript`] carrying a silent bit flip *and* frame loss +
+/// duplication, handed to both the loopback TCP fabric (which injects the
+/// wire items) and `run_spmd_with` (whose op clock queues the flip). Before
+/// the injectors shared a script no entry point could express this: the
+/// transport-taking one carried neither kills nor flips. The flip must be
+/// detected and corrected in place, the wire noise must be masked by
+/// retransmission alone — zero §5.3 recoveries — and the factor must pass
+/// the paper's `r_t = 3` residual gate.
+#[test]
+fn flip_and_wire_noise_compose_in_one_script_over_tcp() {
+    use ft_dense::gen::uniform_indexed_matrix;
+    use ft_lapack::{hessenberg_residual, orghr};
+    use ft_runtime::{run_spmd_with, TcpTransport, Transport};
+    use std::time::Duration;
+
+    let (n, nb, p, q) = (16usize, 2usize, 1usize, 4usize);
+    // Seed 3 lands its flip in a live trailing block.
+    let script = FaultScript::parse("3:flip=1,drop=0.05,dup=0.05", p * q, 30..130).unwrap();
+    let fabric = TcpTransport::fabric_localhost_with(p * q, |c| {
+        c.hb_interval = Duration::from_millis(40);
+        // Loss slows ranks down; nobody dies.
+        c.hb_miss_limit = 500;
+        c.faults = script.clone();
+    })
+    .expect("loopback fabric");
+    let endpoints = fabric.into_iter().map(|t| Box::new(t) as Box<dyn Transport>).collect();
+    let results = run_spmd_with(p, q, script, endpoints, move |ctx| {
+        let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(2), |i, j| uniform_entry(81, i, j));
+        let mut tau = vec![0.0; n - 1];
+        let rep =
+            ft_pdgehrd_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::every_panels(1), &mut |_, _, _, _| {})
+                .expect("one flip under Coded(2) is within the scrub model");
+        let retransmits = ctx.transport_stats().total().retransmits;
+        (enc.gather_logical(&ctx, 808), tau, rep.recoveries, rep.scrub, retransmits)
+    });
+    let retransmits: u64 = results.iter().map(|r| r.4).sum();
+    assert!(retransmits > 0, "5% loss on every link and nothing was retransmitted");
+    for (ag, tau, recoveries, scrub, _) in &results {
+        assert!(scrub.detections >= 1 && scrub.corrections >= 1, "flip not corrected in place: {scrub:?}");
+        assert_eq!((scrub.escalations, *recoveries), (0, 0), "wire noise or the flip leaked into recovery: {scrub:?}");
+        let a0 = uniform_indexed_matrix(n, n, 81);
+        let r = hessenberg_residual(&a0, &extract_h(ag), &orghr(ag, tau));
+        assert!(r < 3.0, "residual {r}");
     }
 }

