@@ -30,7 +30,7 @@
 //!           | 'at=' R '@r' ROUND ':' OP
 //!                                kill rank R at op OP of recovery round ROUND
 //!           | 'drop=' P          drop the frame's first transmission
-//!           | 'delay=' P '@' MS  stall the sender thread MS before writing
+//!           | 'delay=' P '@' MS  stall the link thread MS before writing
 //!           | 'dup=' P           write the frame twice back to back
 //!           | 'reorder=' P       swap the frame with the next queued one
 //!           | 'corrupt=' P       flip one wire bit after CRC stamping

@@ -2,7 +2,7 @@
 //! decisions for the TCP transport (grammar and the other fault kinds in
 //! [`crate::fault`]).
 //!
-//! The transport's sender threads consult the script once per **first
+//! The transport's link threads consult the script once per **first
 //! transmission** of each sequenced DATA frame. Retransmits and resume
 //! replays are never re-faulted, so every injected fault is recoverable by
 //! construction and a faulted run that completes is bitwise identical to

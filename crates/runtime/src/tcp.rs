@@ -33,8 +33,8 @@
 //! ## Reliability: go-back-N with session resume
 //!
 //! DATA frames carry a per-`(src → dst)` sequence number starting at 1.
-//! The sender keeps every unacknowledged frame in a bounded in-flight
-//! window (`NET_WINDOW` frames); the receiver delivers strictly in
+//! The sender keeps every unacknowledged frame in its window, at most
+//! `NET_WINDOW` of them in flight; the receiver delivers strictly in
 //! sequence, answers each delivery with a cumulative ACK, suppresses
 //! duplicates, and NAKs the first gap it observes. A NAK — or a window
 //! whose head has gone stale — rewinds the sender (go-back-N). When a
@@ -53,6 +53,24 @@
 //! always keeps draining DATA and the classic full-duplex TCP deadlock
 //! cannot arise.
 //!
+//! ## Threads: the sending rank writes its own frames
+//!
+//! There is no outbound queue. A link's sender state (`Link`) sits behind
+//! one mutex. [`Transport::send`] locks it on the caller's thread,
+//! sequences the message into the window, drains pending ACK/NAK bytes with
+//! a non-blocking read, and — when the link is clean — encodes the frame
+//! into the link's reused buffer (one pass: copy + slicing-by-8 CRC) and
+//! writes it itself; neither the frame nor its ACK wakes a thread on this
+//! side. A write the socket buffer cannot take whole finishes blocking
+//! under `WRITE_TIMEOUT`, the bound on how long `send` can hold the caller;
+//! past it the stream is dropped and the resume replays the frame.
+//! Everything that needs a clock or a retry — connecting, resuming,
+//! injected faults, rewinds, first transmissions `send` could not make,
+//! heartbeats, GOODBYE, the teardown drain — belongs to the per-peer *link
+//! thread*, which wakes on the beat timer or a kick from `send`. Inbound,
+//! one reader thread per connection checks each frame's CRCs in one pass
+//! and collects the payload straight into the `Arc<[f64]>` it delivers.
+//!
 //! ## Fault injection
 //!
 //! The wire faults of the run's [`FaultScript`] ([`TcpConfig::faults`], from
@@ -62,7 +80,7 @@
 //! stamped), and mid-stream reset, plus time-windowed asymmetric
 //! partitions that black-hole connects, heartbeats, and frames per
 //! direction. Retransmissions are never re-injected (the
-//! `injected_up_to` watermark), so every scripted fault is exercised
+//! `sent_up_to` watermark), so every scripted fault is exercised
 //! exactly once and recovery always converges.
 //!
 //! ## Failure detection: suspicion before verdict
@@ -71,7 +89,7 @@
 //! EOF/error and did not come back within [`TcpConfig::hb_grace_beats`]
 //! heartbeats, or whose last frame (heartbeats included) is older than
 //! `hb_miss_limit × hb_interval`. Between "slow" and "dead" sits a
-//! *suspicion* level: after 2 beats of silence the heartbeat thread marks
+//! *suspicion* level: after 2 beats of silence the liveness thread marks
 //! the peer suspected, and any later frame rescinds the suspicion (counted
 //! in the traffic ledger) — an injected sub-grace stall never escalates to
 //! a spurious recovery. A peer that keeps sending unparseable frames
@@ -86,11 +104,12 @@ use crate::fault::FaultScript;
 use crate::netchaos::NetFault;
 use crate::transport::{CommError, Msg, PeerCounters, Transport, TransportStats};
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 const KIND_HELLO: u8 = 0;
@@ -120,11 +139,14 @@ const HEADER_LEN: usize = 48;
 /// not turn into a multi-gigabyte allocation. Exceeding it is a typed
 /// frame rejection (an integrity strike), not an abrupt reader teardown.
 const MAX_PAYLOAD_WORDS: u32 = 1 << 28;
-/// Depth of each per-peer outbound queue.
-const SEND_QUEUE_DEPTH: usize = 1024;
-/// Frames each per-peer sender may hold in flight awaiting ACK (the
-/// go-back-N window).
-const NET_WINDOW: usize = SEND_QUEUE_DEPTH;
+/// Frames a link may hold in flight awaiting ACK (the go-back-N window).
+/// Frames sent beyond it wait, sequenced but unwritten, for ACKs to free
+/// space.
+const NET_WINDOW: usize = 1024;
+/// Longest one blocked socket write may wait for the peer to drain — the
+/// bound on how long `send` can hold the calling rank. A write that times
+/// out drops the stream; the frame stays in the window for the resume.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(250);
 /// First reconnect backoff pause (doubles per failed attempt) and the
 /// ceiling the exponential backoff saturates at.
 const BACKOFF_INIT: Duration = Duration::from_millis(10);
@@ -235,8 +257,11 @@ impl TcpConfig {
 
 // --- CRC32 (IEEE 802.3, the zlib/PNG polynomial) -----------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut t = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table, `T[k]`
+/// advances a byte that sits `k` positions before the end of an 8-byte
+/// block.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -245,21 +270,40 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        t[i] = c;
+        t[0][i] = c;
         i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
     }
     t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
+/// Advance the raw (un-inverted) CRC state over `data`, eight bytes per
+/// step.
 fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let t = &CRC_TABLES;
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let w = u64::from_le_bytes(b.try_into().expect("8 bytes")) ^ c as u64;
+        c = (0..8).fold(0, |x, k| x ^ t[7 - k][(w >> (8 * k)) as u8 as usize]);
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c
 }
 
+#[cfg(test)]
 fn crc32(data: &[u8]) -> u32 {
     !crc32_update(!0, data)
 }
@@ -342,7 +386,6 @@ struct Shared {
     faults: FaultScript,
     shutdown: AtomicBool,
     peers: Vec<PeerState>,
-    inbox_tx: Mutex<Sender<Msg>>,
 }
 
 impl Shared {
@@ -369,20 +412,19 @@ fn strike(st: &PeerState) {
     }
 }
 
-enum Outbound {
-    Frame(Msg),
-    Heartbeat,
-    Goodbye,
-}
-
 /// TCP endpoint: see the module docs for wire format and thread layout.
 pub struct TcpTransport {
     shared: Arc<Shared>,
     addrs: Vec<SocketAddr>,
     conn_timeout: Duration,
     inbox_rx: Receiver<Msg>,
-    senders: Vec<Option<SyncSender<Outbound>>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Self-delivery handle on the inbox; every reader thread owns a clone.
+    inbox_tx: Sender<Msg>,
+    /// Per peer: the link state `send` and that peer's link thread share,
+    /// and the handle that kicks the thread out of its timed park.
+    links: Vec<Option<(Arc<Mutex<Link>>, Thread)>>,
+    /// Accept, liveness and link threads, joined at teardown.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl TcpTransport {
@@ -468,34 +510,37 @@ impl TcpTransport {
                     counters: Counters::default(),
                 })
                 .collect(),
-            inbox_tx: Mutex::new(inbox_tx),
         });
         let mut threads = Vec::new();
 
         listener.set_nonblocking(true)?;
         {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || accept_loop(shared, listener)));
+            let (shared, inbox) = (Arc::clone(&shared), inbox_tx.clone());
+            threads.push(std::thread::spawn(move || accept_loop(shared, listener, inbox)));
         }
 
-        let mut senders: Vec<Option<SyncSender<Outbound>>> = Vec::with_capacity(cfg.world);
+        let mut links = Vec::with_capacity(cfg.world);
         for (dst, &addr) in addrs.iter().enumerate() {
             if dst == cfg.rank {
-                senders.push(None);
+                links.push(None);
                 continue;
             }
-            let (tx, rx) = std::sync::mpsc::sync_channel(SEND_QUEUE_DEPTH);
-            let shared = Arc::clone(&shared);
-            let conn_timeout = cfg.conn_timeout;
-            let jitter_seed = JITTER_SEED ^ cfg.rank as u64 ^ (dst as u64).wrapping_mul(0xbf58476d1ce4e5b9);
-            threads.push(std::thread::spawn(move || sender_loop(shared, dst, addr, conn_timeout, jitter_seed, rx)));
-            senders.push(Some(tx));
+            let link = Arc::new(Mutex::new(Link { dst, next_seq: 1, ..Link::default() }));
+            let (shared, cell) = (Arc::clone(&shared), Arc::clone(&link));
+            let dialer = Dialer {
+                addr,
+                conn_timeout: cfg.conn_timeout,
+                jitter: JITTER_SEED ^ cfg.rank as u64 ^ (dst as u64).wrapping_mul(0xbf58476d1ce4e5b9),
+                ever_connected: false,
+            };
+            let t = std::thread::spawn(move || link_loop(shared, cell, dialer));
+            links.push(Some((link, t.thread().clone())));
+            threads.push(t);
         }
 
         {
             let shared = Arc::clone(&shared);
-            let hb_senders: Vec<Option<SyncSender<Outbound>>> = senders.clone();
-            threads.push(std::thread::spawn(move || heartbeat_loop(shared, hb_senders)));
+            threads.push(std::thread::spawn(move || liveness_loop(shared)));
         }
 
         Ok(TcpTransport {
@@ -503,8 +548,9 @@ impl TcpTransport {
             addrs,
             conn_timeout: cfg.conn_timeout,
             inbox_rx,
-            senders,
-            threads: Mutex::new(threads),
+            inbox_tx,
+            links,
+            threads,
         })
     }
 
@@ -532,21 +578,21 @@ impl Transport for TcpTransport {
         self.shared.peers.len()
     }
 
+    /// Sequence `msg` onto the link and, if the link is clean, write it from
+    /// this thread ([`Link::send`]): blocks at most one [`WRITE_TIMEOUT`].
     fn send(&self, dst: usize, msg: Msg) {
         if self.shared.done() {
             return;
         }
         if dst == self.shared.rank {
             // Self-delivery short-circuits the wire, like the mpsc fabric.
-            let _ = self.shared.inbox_tx.lock().expect("inbox poisoned").send(msg);
+            let _ = self.inbox_tx.send(msg);
             return;
         }
-        if let Some(tx) = &self.senders[dst] {
-            match tx.try_send(Outbound::Frame(msg)) {
-                Ok(()) | Err(TrySendError::Disconnected(_)) => {}
-                // Queue full: the peer is not draining (dead or wedged).
-                // Fail-stop semantics — the frame vanishes.
-                Err(TrySendError::Full(_)) => {}
+        if let Some((link, thread)) = &self.links[dst] {
+            let written = link.lock().expect("link thread panicked").send(&self.shared, msg);
+            if !written {
+                thread.unpark();
             }
         }
     }
@@ -557,8 +603,8 @@ impl Transport for TcpTransport {
         }
         match self.inbox_rx.recv_timeout(timeout) {
             Ok(m) => Ok(m),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Err(CommError::Timeout),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Err(CommError::Closed),
+            Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(CommError::Closed),
         }
     }
 
@@ -610,22 +656,17 @@ impl Transport for TcpTransport {
 
 impl TcpTransport {
     fn teardown(&mut self, goodbye: bool) {
-        // Announce the clean shutdown before anything closes: sender
-        // threads drain their queues to already-established streams even
-        // during teardown, so peers learn this exit was deliberate and
-        // never mistake the ensuing EOF + silence for a death.
-        if goodbye {
-            for s in self.senders.iter().flatten() {
-                let _ = s.try_send(Outbound::Goodbye);
-            }
-        }
         self.shared.shutdown.store(true, Ordering::Release);
-        // Disconnect the outbound queues so sender threads wake from recv.
-        for s in self.senders.iter_mut() {
-            *s = None;
+        // Each link thread finishes what `send` left it, says GOODBYE (so
+        // peers never mistake the ensuing EOF + silence for a death) and
+        // drains its window — from the unpark on, not from the next beat.
+        for (link, _) in self.links.iter().flatten() {
+            link.lock().unwrap_or_else(PoisonError::into_inner).leaving = Some(goodbye);
         }
-        let threads = std::mem::take(&mut *self.threads.lock().expect("threads poisoned"));
-        for t in threads {
+        for t in &self.threads {
+            t.thread().unpark();
+        }
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
@@ -646,30 +687,39 @@ impl Drop for TcpTransport {
 
 // --- framing ----------------------------------------------------------------
 
-fn encode_frame(kind: u8, src: usize, incarnation: u32, wire: u64, epoch: u64, seq: u64, payload: &[f64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + 8 * payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.push(kind);
-    buf.extend_from_slice(&[0u8; 3]);
-    buf.extend_from_slice(&(src as u32).to_le_bytes());
-    buf.extend_from_slice(&incarnation.to_le_bytes());
-    buf.extend_from_slice(&wire.to_le_bytes());
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&[0u8; 8]); // frame CRC + header CRC (stamped below)
-                                      // Header CRC first (over bytes 0..40): the receiver verifies it
-                                      // *before* trusting the length prefix, so a flipped length bit is an
-                                      // immediate typed rejection instead of a desynchronized stream stuck
-                                      // mid-read on a phantom payload.
-    let hcrc = crc32(&buf[..40]);
-    buf[44..48].copy_from_slice(&hcrc.to_le_bytes());
-    for v in payload {
-        buf.extend_from_slice(&v.to_le_bytes());
+/// Encode one frame into `buf`, replacing its contents (the send paths
+/// reuse one buffer per link). Both CRCs come out of one forward pass: the
+/// header CRC is the running state after bytes 0..40, and the frame CRC
+/// carries that same state on over the rest.
+#[allow(clippy::too_many_arguments)] // the header's six fields, flat
+fn encode_into(buf: &mut Vec<u8>, kind: u8, src: usize, inc: u32, wire: u64, epoch: u64, seq: u64, payload: &[f64]) {
+    buf.clear();
+    buf.resize(HEADER_LEN + 8 * payload.len(), 0);
+    buf[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf[4] = kind;
+    buf[8..12].copy_from_slice(&(src as u32).to_le_bytes());
+    buf[12..16].copy_from_slice(&inc.to_le_bytes());
+    buf[16..24].copy_from_slice(&wire.to_le_bytes());
+    buf[24..32].copy_from_slice(&epoch.to_le_bytes());
+    buf[32..40].copy_from_slice(&seq.to_le_bytes());
+    // Header CRC (over bytes 0..40): the receiver verifies it *before*
+    // trusting the length prefix, so a flipped length bit is an immediate
+    // typed rejection instead of a desynchronized stream stuck mid-read on
+    // a phantom payload.
+    let head = crc32_update(!0, &buf[..40]);
+    buf[44..48].copy_from_slice(&(!head).to_le_bytes());
+    for (b, v) in buf[HEADER_LEN..].chunks_exact_mut(8).zip(payload) {
+        b.copy_from_slice(&v.to_le_bytes());
     }
     // Frame CRC over everything (header-CRC bytes included, its own field
-    // zeroed) — payload integrity on top of the header's self-check.
-    let crc = crc32(&buf);
+    // still zero) — payload integrity on top of the header's self-check.
+    let crc = !crc32_update(head, &buf[40..]);
     buf[40..44].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn encode_frame(kind: u8, src: usize, incarnation: u32, wire: u64, epoch: u64, seq: u64, payload: &[f64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_into(&mut buf, kind, src, incarnation, wire, epoch, seq, payload);
     buf
 }
 
@@ -683,6 +733,11 @@ struct Header {
     wire: u64,
     epoch: u64,
     seq: u64,
+    /// The frame CRC as stamped (bytes 40..44).
+    crc: u32,
+    /// Running CRC state over the 48 header bytes (frame-CRC field taken as
+    /// zero): [`Header::check_body`] carries it on over the payload.
+    state: u32,
 }
 
 fn le32(b: &[u8], at: usize) -> u32 {
@@ -700,7 +755,8 @@ impl Header {
     /// mid-frame on a phantom payload — then the length cap, then the
     /// fields.
     fn decode(raw: &[u8; HEADER_LEN]) -> Result<Header, FrameErr> {
-        if crc32(&raw[..40]) != le32(raw, 44) {
+        let head = crc32_update(!0, &raw[..40]);
+        if !head != le32(raw, 44) {
             return Err(FrameErr::Crc);
         }
         let words = le32(raw, 0);
@@ -715,24 +771,26 @@ impl Header {
             wire: le64(raw, 16),
             epoch: le64(raw, 24),
             seq: le64(raw, 32),
+            crc: le32(raw, 40),
+            state: crc32_update(crc32_update(head, &[0; 4]), &raw[44..48]),
         })
     }
-}
 
-/// The frame CRC (bytes 40..44): over the whole frame — header-CRC bytes
-/// included, its own field zeroed — so payload integrity on top of the
-/// header's self-check.
-fn check_frame_crc(raw: &[u8; HEADER_LEN], body: &[u8]) -> Result<(), FrameErr> {
-    let mut zeroed = *raw;
-    zeroed[40..44].fill(0);
-    if !crc32_update(crc32_update(!0, &zeroed), body) != le32(raw, 40) {
-        return Err(FrameErr::Crc);
+    /// The frame CRC: over the whole frame — header-CRC bytes included, its
+    /// own field zeroed — so payload integrity on top of the header's
+    /// self-check. One pass over `body`; the header is not walked again.
+    fn check_body(&self, body: &[u8]) -> Result<(), FrameErr> {
+        if !crc32_update(self.state, body) != self.crc {
+            return Err(FrameErr::Crc);
+        }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Payload bytes back to f64 words.
-fn decode_words(body: &[u8]) -> Vec<f64> {
+/// Payload bytes back to f64 words, collected straight into the container
+/// that is delivered (one allocation, one pass — the iterator's length is
+/// exact).
+fn decode_words<C: FromIterator<f64>>(body: &[u8]) -> C {
     body.chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect()
@@ -758,7 +816,7 @@ impl From<io::Error> for FrameErr {
 /// checks: a timeout mid-frame keeps filling the same buffer, so the
 /// stream never desynchronizes. Returns `Ok(false)` on a clean shutdown
 /// observed before any byte of the buffer arrived.
-fn read_full(shared: &Shared, stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<bool> {
+fn read_full(shared: &Shared, stream: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
@@ -782,25 +840,26 @@ struct Frame {
     payload: Arc<[f64]>,
 }
 
-fn read_frame(shared: &Shared, stream: &mut TcpStream) -> Result<Option<Frame>, FrameErr> {
+/// Read one frame; `body` is the connection's reused payload buffer.
+fn read_frame(shared: &Shared, stream: &mut impl Read, body: &mut Vec<u8>) -> Result<Option<Frame>, FrameErr> {
     let mut raw = [0u8; HEADER_LEN];
     if !read_full(shared, stream, &mut raw)? {
         return Ok(None);
     }
     let head = Header::decode(&raw)?;
-    let mut body = vec![0u8; 8 * head.words];
-    if !read_full(shared, stream, &mut body)? {
+    body.resize(8 * head.words, 0);
+    if !read_full(shared, stream, body)? {
         return Ok(None);
     }
-    check_frame_crc(&raw, &body)?;
-    Ok(Some(Frame { head, payload: decode_words(&body).into() }))
+    head.check_body(body)?;
+    let payload = decode_words(body);
+    Ok(Some(Frame { head, payload }))
 }
 
 /// Validate a 48-byte payloadless control frame (HELLO_ACK / ACK / NAK)
 /// and return its `(kind, seq)`. `None` = corrupt or not a control frame.
 fn parse_control(raw: &[u8; HEADER_LEN]) -> Option<(u8, u64)> {
-    let head = Header::decode(raw).ok().filter(|h| h.words == 0)?;
-    check_frame_crc(raw, &[]).ok()?;
+    let head = Header::decode(raw).ok().filter(|h| h.words == 0 && h.check_body(&[]).is_ok())?;
     Some((head.kind, head.seq))
 }
 
@@ -846,7 +905,7 @@ fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant
 /// connections — never on the rank fabric — so they need a plain blocking
 /// reader rather than the fabric's shutdown-polling [`read_full`].
 pub mod jobs {
-    use super::{check_frame_crc, decode_words, encode_frame, FrameErr, Header, HEADER_LEN};
+    use super::{decode_words, encode_frame, FrameErr, Header, HEADER_LEN};
     use std::io::{self, Read, Write};
     use std::net::TcpStream;
 
@@ -904,7 +963,7 @@ pub mod jobs {
         }
         let mut body = vec![0u8; 8 * head.words];
         stream.read_exact(&mut body)?;
-        check_frame_crc(&raw, &body).map_err(|_| invalid("job frame failed its CRC".into()))?;
+        head.check_body(&body).map_err(|_| invalid("job frame failed its CRC".into()))?;
         Ok(JobFrame {
             kind: head.kind,
             tenant: head.src,
@@ -994,19 +1053,18 @@ pub mod jobs {
 
 // --- threads ----------------------------------------------------------------
 
-fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
+fn accept_loop(shared: Arc<Shared>, listener: TcpListener, inbox: Sender<Msg>) {
     while !shared.done() {
         match listener.accept() {
             Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
+                let (shared, inbox) = (Arc::clone(&shared), inbox.clone());
                 // Handshake + reads happen off the accept thread so one
                 // slow peer cannot block admission of the others.
-                std::thread::spawn(move || reader_loop(shared, stream));
+                std::thread::spawn(move || reader_loop(shared, stream, inbox));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            // Nothing pending (or a transient accept error): poll again
+            // shortly; teardown's unpark ends the wait at once.
+            Err(_) => std::thread::park_timeout(Duration::from_millis(10)),
         }
     }
 }
@@ -1041,11 +1099,15 @@ fn pump_acks(stream: &mut TcpStream, pending: &mut Vec<u8>) -> bool {
     true
 }
 
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
+fn reader_loop(shared: Arc<Shared>, stream: TcpStream, inbox: Sender<Msg>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    // Buffered so a header and a small payload (or a burst of small frames)
+    // cost one `read`; large payloads bypass the buffer.
+    let mut stream = BufReader::with_capacity(16 << 10, stream);
+    let mut body = Vec::new();
     // The connection opens with the peer's HELLO.
-    let hello = match read_frame(&shared, &mut stream) {
+    let hello = match read_frame(&shared, &mut stream, &mut body) {
         Ok(Some(Frame { head, .. })) if head.kind == KIND_HELLO && (head.src as usize) < shared.peers.len() => head,
         _ => return,
     };
@@ -1077,7 +1139,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
     // write is blocking (the socket is fresh, the frame is 48 bytes).
     let delivered = st.recv_next.load(Ordering::Acquire).saturating_sub(1);
     let hello_ack = encode_frame(KIND_HELLO_ACK, shared.rank, shared.incarnation, 0, 0, delivered, &[]);
-    if stream.write_all(&hello_ack).is_err() {
+    if stream.get_mut().write_all(&hello_ack).is_err() {
         if st.conn_gen.load(Ordering::Acquire) == my_gen {
             st.inbound_alive.store(false, Ordering::Release);
         }
@@ -1086,12 +1148,12 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
     st.counters.frames_tx.fetch_add(1, Ordering::Relaxed);
     st.counters.bytes_tx.fetch_add(HEADER_LEN as u64, Ordering::Relaxed);
     // From here the reverse path must never block the forward one.
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(1)));
+    let _ = stream.get_ref().set_write_timeout(Some(Duration::from_millis(1)));
     let mut pending: Vec<u8> = Vec::new();
     let mut last_nak: Option<(u64, Instant)> = None;
 
     while !shared.done() {
-        match read_frame(&shared, &mut stream) {
+        match read_frame(&shared, &mut stream, &mut body) {
             Ok(Some(Frame { head: f, payload })) => {
                 shared.touch(src);
                 st.counters.frames_rx.fetch_add(1, Ordering::Relaxed);
@@ -1108,7 +1170,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
                         if f.seq == 0 {
                             // Unsequenced data (defensive): deliver as-is.
                             let msg = Msg { src, wire: f.wire, epoch: f.epoch, payload };
-                            if shared.inbox_tx.lock().expect("inbox poisoned").send(msg).is_err() {
+                            if inbox.send(msg).is_err() {
                                 break;
                             }
                         } else if f.seq < expected {
@@ -1128,7 +1190,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
                             }
                         } else {
                             let msg = Msg { src, wire: f.wire, epoch: f.epoch, payload };
-                            if shared.inbox_tx.lock().expect("inbox poisoned").send(msg).is_err() {
+                            if inbox.send(msg).is_err() {
                                 break;
                             }
                             st.recv_next.store(expected + 1, Ordering::Release);
@@ -1138,7 +1200,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream) {
                     KIND_GOODBYE => st.departed.store(true, Ordering::Release),
                     _ => {}
                 }
-                if !pump_acks(&mut stream, &mut pending) {
+                if !pump_acks(stream.get_mut(), &mut pending) {
                     break;
                 }
             }
@@ -1177,52 +1239,94 @@ fn jittered(base: Duration, state: &mut u64) -> Duration {
     base.mul_f64(0.5 + frac)
 }
 
-fn establish(
-    shared: &Shared,
-    dst: usize,
+/// What it takes to (re)connect a link; only the link thread dials.
+struct Dialer {
     addr: SocketAddr,
     conn_timeout: Duration,
-    jitter: &mut u64,
+    jitter: u64,
     ever_connected: bool,
-) -> Option<TcpStream> {
-    let deadline = Instant::now() + conn_timeout;
-    let mut backoff = BACKOFF_INIT;
-    let mut attempt = 0u64;
-    loop {
-        // During teardown the budget shrinks to two quick attempts: a frame
-        // queued before close still deserves its flush even to a peer this
-        // sender never connected to (its ARRIVE/GOODBYE may be the one
-        // frame that lets a waiter finish), but a gone peer — localhost
-        // refuses instantly — must not wedge the joining dropper.
-        if shared.done() && attempt >= 2 {
-            return None;
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return None;
-        }
-        attempt += 1;
-        if attempt > 1 {
-            shared.peers[dst].counters.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        let per_attempt = remaining.min(Duration::from_millis(250));
-        if let Ok(mut stream) = TcpStream::connect_timeout(&addr, per_attempt) {
-            let _ = stream.set_nodelay(true);
-            let hello = encode_frame(KIND_HELLO, shared.rank, shared.incarnation, 0, 0, 0, &[]);
-            if stream.write_all(&hello).is_ok() {
-                let c = &shared.peers[dst].counters;
-                c.frames_tx.fetch_add(1, Ordering::Relaxed);
-                c.bytes_tx.fetch_add(hello.len() as u64, Ordering::Relaxed);
-                if ever_connected {
-                    c.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(stream);
+}
+
+impl Dialer {
+    fn establish(&mut self, shared: &Shared, dst: usize) -> Option<TcpStream> {
+        let deadline = Instant::now() + self.conn_timeout;
+        let mut backoff = BACKOFF_INIT;
+        let mut attempt = 0u64;
+        loop {
+            // During teardown the budget shrinks to two quick attempts: a
+            // frame sent before close still deserves its flush even to a
+            // peer this link never connected to (its ARRIVE/GOODBYE may be
+            // the one frame that lets a waiter finish), but a gone peer —
+            // localhost refuses instantly — must not wedge the joining
+            // dropper.
+            if shared.done() && attempt >= 2 {
+                return None;
             }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return None;
+            }
+            attempt += 1;
+            let c = &shared.peers[dst].counters;
+            if attempt > 1 {
+                c.retries.fetch_add(1, Ordering::Relaxed);
+            }
+            let per_attempt = remaining.min(Duration::from_millis(250));
+            if let Ok(mut stream) = TcpStream::connect_timeout(&self.addr, per_attempt) {
+                let _ = stream.set_nodelay(true);
+                let hello = encode_frame(KIND_HELLO, shared.rank, shared.incarnation, 0, 0, 0, &[]);
+                if stream.write_all(&hello).is_ok() {
+                    c.frames_tx.fetch_add(1, Ordering::Relaxed);
+                    c.bytes_tx.fetch_add(hello.len() as u64, Ordering::Relaxed);
+                    if self.ever_connected {
+                        c.reconnects.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.ever_connected = true;
+                    return Some(stream);
+                }
+            }
+            let pause = jittered(backoff, &mut self.jitter).min(deadline.saturating_duration_since(Instant::now()));
+            std::thread::sleep(pause);
+            backoff = (backoff * 2).min(BACKOFF_CAP);
         }
-        let pause = jittered(backoff, jitter).min(deadline.saturating_duration_since(Instant::now()));
-        std::thread::sleep(pause);
-        backoff = (backoff * 2).min(BACKOFF_CAP);
     }
+
+    /// Open a session: connect, HELLO, and read back the HELLO_ACK's
+    /// delivered-sequence announcement. Runs with the link unlocked — it
+    /// can take the whole connect budget.
+    fn dial(&mut self, shared: &Shared, dst: usize) -> Option<(TcpStream, u64)> {
+        let mut stream = self.establish(shared, dst)?;
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+        let mut hdr = [0u8; HEADER_LEN];
+        if !read_exact_deadline(&mut stream, &mut hdr, Instant::now() + Duration::from_secs(2)) {
+            return None;
+        }
+        match parse_control(&hdr) {
+            Some((KIND_HELLO_ACK, delivered)) => Some((stream, delivered)),
+            _ => None,
+        }
+    }
+}
+
+/// Write all of `buf` on a non-blocking stream. The usual case is one
+/// `write` that takes everything; when the socket buffer is full the rest
+/// goes out blocking, each wait bounded by the stream's [`WRITE_TIMEOUT`].
+fn write_whole(stream: &mut TcpStream, mut buf: &[u8]) -> io::Result<()> {
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                stream.set_nonblocking(false)?;
+                let rest = stream.write_all(buf);
+                stream.set_nonblocking(true)?;
+                return rest;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// One frame of the sender's in-flight window: the decoded message parts
@@ -1236,23 +1340,28 @@ struct WinEntry {
     payload: Arc<[f64]>,
 }
 
-/// Per-`(src → dst)` sender state: the stream, the go-back-N window, the
-/// reverse-path parse buffer, and the injection watermark.
+/// Per-`(src → dst)` sender state, shared under one mutex by the sending
+/// rank ([`Link::send`]) and the peer's link thread ([`link_loop`]): the
+/// stream, the go-back-N window, and the reverse-path parse buffer.
+#[derive(Default)]
 struct Link {
     dst: usize,
-    addr: SocketAddr,
-    conn_timeout: Duration,
-    jitter: u64,
+    /// Non-blocking once the session is up (see [`write_whole`]).
     stream: Option<TcpStream>,
-    ever_connected: bool,
     /// Next sequence number to assign (starts at 1; 0 = unsequenced).
     next_seq: u64,
-    /// Highest sequence that already had its injection draw: faults fire
-    /// on first transmission only, never on retransmits.
-    injected_up_to: u64,
+    /// Highest sequence that has had its first transmission: written by the
+    /// rank, or run through the injection draw by the link thread (faults
+    /// fire on first transmission only, never on rewinds or resume
+    /// replays). Window entries above it are *unsent*; first transmissions
+    /// go strictly in sequence order.
+    sent_up_to: u64,
+    /// Every frame not yet ACKed, sent or not: consecutive sequences.
     window: VecDeque<WinEntry>,
     /// Unparsed bytes read back from the receiver (ACK/NAK stream).
     ackbuf: Vec<u8>,
+    /// Lowest NAKed sequence not yet rewound to (the link thread's job).
+    nak: Option<u64>,
     /// Sequences held back by an injected reorder, flushed after the next
     /// first transmission so they hit the wire out of order.
     held_back: Vec<u64>,
@@ -1261,6 +1370,10 @@ struct Link {
     /// (e.g. a corrupted length field), so after a few fruitless rounds
     /// the link escalates to a fresh connection and session resume.
     stale_rounds: u32,
+    /// Reused frame-encoding buffer.
+    txbuf: Vec<u8>,
+    /// Set by teardown: `Some(announce a GOODBYE?)`.
+    leaving: Option<bool>,
 }
 
 impl Link {
@@ -1269,162 +1382,163 @@ impl Link {
         self.ackbuf.clear();
     }
 
-    /// Establish (or re-establish) the connection and run the session
-    /// resume: read the receiver's HELLO_ACK, prune the window up to the
-    /// acknowledged sequence, renumber if the receiver's state is behind
-    /// the window (a respawned receiver lost it), and replay the rest.
-    fn connect_and_resume(&mut self, shared: &Shared) {
-        if shared.faults.blackholed(shared.rank, self.dst, shared.now_ms()) {
-            return; // partitioned: connects black-hole too
+    fn blackholed(&self, shared: &Shared) -> bool {
+        shared.faults.blackholed(shared.rank, self.dst, shared.now_ms())
+    }
+
+    /// The sequence whose first transmission may go out now, if any: the
+    /// stream is up, an entry is unsent, the in-flight window has room, and
+    /// the link is not partitioned.
+    fn next_unsent(&self, shared: &Shared) -> Option<u64> {
+        let seq = self.sent_up_to + 1;
+        let room = seq < self.window.front()?.seq + NET_WINDOW as u64;
+        (self.stream.is_some() && seq < self.next_seq && room && !self.blackholed(shared)).then_some(seq)
+    }
+
+    /// The calling rank's half of a send: sequence `m` into the window,
+    /// drain the reverse path, and — when the link is clean (this is the
+    /// next unsent sequence and may go out, nothing reorder-held, no rewind
+    /// owed, no fault scripted for it) — write the frame right here.
+    /// `false` = the frame waits for the link thread; kick it.
+    fn send(&mut self, shared: &Shared, m: Msg) -> bool {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.window.push_back(WinEntry {
+            seq,
+            sent_at: Instant::now(),
+            wire: m.wire,
+            epoch: m.epoch,
+            payload: m.payload,
+        });
+        self.drain_control();
+        let clean = self.next_unsent(shared) == Some(seq)
+            && self.held_back.is_empty()
+            && self.nak.is_none()
+            && shared.faults.decide(shared.rank, self.dst, seq).is_none();
+        if !clean {
+            return false;
         }
-        let was_connected = self.ever_connected;
-        let Some(mut stream) = establish(shared, self.dst, self.addr, self.conn_timeout, &mut self.jitter, was_connected) else {
-            return;
-        };
-        self.ever_connected = true;
+        self.sent_up_to = seq;
+        self.write_entry(shared, seq, None, false)
+    }
+
+    /// A fresh session is up (the receiver delivered everything through
+    /// `delivered`): prune the window up to it, renumber if the receiver's
+    /// state is behind the window (a respawned receiver lost it), and
+    /// replay what had been sent. Unsent entries keep waiting for their
+    /// first transmission (and its injection draw).
+    fn resume(&mut self, shared: &Shared, stream: TcpStream, delivered: u64, was_connected: bool) {
         self.ackbuf.clear();
         self.held_back.clear();
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut hdr = [0u8; HEADER_LEN];
-        if !read_exact_deadline(&mut stream, &mut hdr, Instant::now() + Duration::from_secs(2)) {
-            return;
-        }
-        let delivered = match parse_control(&hdr) {
-            Some((k, seq)) if k == KIND_HELLO_ACK => seq,
-            _ => return,
-        };
+        self.nak = None;
         while self.window.front().is_some_and(|e| e.seq <= delivered) {
             self.window.pop_front();
         }
-        if self.window.is_empty() {
+        let sent = self.window.iter().take_while(|e| e.seq <= self.sent_up_to).count() as u64;
+        match self.window.front().map(|e| e.seq) {
             // Everything in flight is delivered (or there was nothing):
             // continue exactly after the receiver's cursor. Handles a
             // respawned receiver (delivered = 0) without wedging.
-            self.next_seq = delivered + 1;
-        } else if self.window.front().expect("nonempty").seq > delivered + 1 {
+            None => self.next_seq = delivered + 1,
             // The receiver lost state beyond our window (fresh
             // incarnation): renumber the survivors consecutively so the
             // stream stays gap-free.
-            let mut s = delivered + 1;
-            for e in self.window.iter_mut() {
-                e.seq = s;
-                s += 1;
+            Some(first) if first > delivered + 1 => {
+                let mut s = delivered + 1;
+                for e in self.window.iter_mut() {
+                    e.seq = s;
+                    s += 1;
+                }
+                self.next_seq = s;
             }
-            self.next_seq = s;
+            Some(_) => {}
         }
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
+        self.sent_up_to = delivered + sent;
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
         self.stream = Some(stream);
         let c = &shared.peers[self.dst].counters;
         if was_connected {
             c.resumes.fetch_add(1, Ordering::Relaxed);
         }
-        // Replay the surviving window in order. On a first connect this
-        // IS the first transmission (frames admitted before the peer was
-        // reachable), so only true resumes count as retransmits.
-        let seqs: Vec<u64> = self.window.iter().map(|e| e.seq).collect();
-        for s in seqs {
-            if was_connected {
-                c.retransmits.fetch_add(1, Ordering::Relaxed);
-            }
+        c.retransmits.fetch_add(sent, Ordering::Relaxed);
+        for s in delivered + 1..=delivered + sent {
             if !self.write_entry(shared, s, None, false) {
                 return;
             }
         }
     }
 
+    /// Write the reused encode buffer (`times` copies) and count it;
+    /// `false` = the write failed or timed out and the stream is dropped —
+    /// a partial frame is never followed by another on the same stream.
+    fn write_txbuf(&mut self, shared: &Shared, times: usize) -> bool {
+        let c = &shared.peers[self.dst].counters;
+        for _ in 0..times {
+            let wrote = self.stream.as_mut().is_some_and(|s| write_whole(s, &self.txbuf).is_ok());
+            if !wrote {
+                self.drop_stream();
+                return false;
+            }
+            c.frames_tx.fetch_add(1, Ordering::Relaxed);
+            c.bytes_tx.fetch_add(self.txbuf.len() as u64, Ordering::Relaxed);
+        }
+        true
+    }
+
     /// Encode and write the window entry holding `seq`. `corrupt` flips
-    /// one bit of a copy *after* the CRC stamp (the window keeps the
-    /// clean frame); `dup` writes the clean frame twice. `true` = the
-    /// stream survived (or the entry was already pruned).
+    /// one bit *after* the CRC stamp (the window keeps the clean parts);
+    /// `dup` writes the frame twice. `true` = the stream survived (or the
+    /// entry was already pruned).
     fn write_entry(&mut self, shared: &Shared, seq: u64, corrupt: Option<u64>, dup: bool) -> bool {
-        let Some(e) = self.window.iter_mut().find(|e| e.seq == seq) else {
+        let first = self.window.front().map_or(u64::MAX, |e| e.seq);
+        let Some(e) = seq.checked_sub(first).and_then(|i| self.window.get_mut(i as usize)) else {
             return true; // ACKed while held back or rewinding: nothing to do
         };
         e.sent_at = Instant::now();
-        let buf = encode_frame(KIND_DATA, shared.rank, shared.incarnation, e.wire, e.epoch, seq, &e.payload);
-        let Some(s) = &mut self.stream else { return false };
-        let wrote = if let Some(bit) = corrupt {
-            let mut bad = buf.clone();
-            let i = (bit % (bad.len() as u64 * 8)) as usize;
-            bad[i / 8] ^= 1 << (i % 8);
-            s.write_all(&bad)
-        } else {
-            s.write_all(&buf)
-        };
-        let c = &shared.peers[self.dst].counters;
-        match wrote {
-            Ok(()) => {
-                c.frames_tx.fetch_add(1, Ordering::Relaxed);
-                c.bytes_tx.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                if dup && self.stream.as_mut().expect("stream live").write_all(&buf).is_ok() {
-                    c.frames_tx.fetch_add(1, Ordering::Relaxed);
-                    c.bytes_tx.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                }
-                true
-            }
-            Err(_) => {
-                self.drop_stream();
-                false
-            }
+        encode_into(&mut self.txbuf, KIND_DATA, shared.rank, shared.incarnation, e.wire, e.epoch, seq, &e.payload);
+        if let Some(bit) = corrupt {
+            let i = (bit % (self.txbuf.len() as u64 * 8)) as usize;
+            self.txbuf[i / 8] ^= 1 << (i % 8);
         }
+        self.write_txbuf(shared, if dup { 2 } else { 1 })
     }
 
-    /// First transmission of a freshly admitted sequence: run the
-    /// injection draw (exactly once per sequence), then write.
-    fn transmit_seq(&mut self, shared: &Shared, seq: u64) {
-        if shared.faults.blackholed(shared.rank, self.dst, shared.now_ms()) {
-            return; // stays in the window; heals when the partition does
-        }
-        if self.stream.is_none() {
-            // The resume replay covers this entry (without injection —
-            // a frame first sent through a reconnect is a retransmission
-            // for injection purposes).
-            self.injected_up_to = self.injected_up_to.max(seq);
-            self.connect_and_resume(shared);
-            return;
-        }
+    /// First transmission of `seq` with its injection draw `fault` (link
+    /// thread only; a `Delay` has already been slept, unlocked).
+    fn transmit_first(&mut self, shared: &Shared, seq: u64, fault: Option<NetFault>) {
+        self.sent_up_to = seq;
         let mut corrupt = None;
-        let mut dup = false;
-        if seq > self.injected_up_to {
-            self.injected_up_to = seq;
-            match shared.faults.decide(shared.rank, self.dst, seq) {
-                None => {}
-                Some(NetFault::Drop) => return, // the window will heal it
-                Some(NetFault::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms.min(10_000))),
-                Some(NetFault::Dup) => dup = true,
-                Some(NetFault::Corrupt) => corrupt = Some(shared.faults.corrupt_bit(shared.rank, self.dst, seq)),
-                Some(NetFault::Reset) => {
-                    self.drop_stream(); // mid-stream RST; resume replays
-                    return;
-                }
-                Some(NetFault::Reorder) => {
-                    self.held_back.push(seq);
-                    return; // hits the wire after the next frame
-                }
-            }
-        }
-        if self.write_entry(shared, seq, corrupt, dup) {
-            self.flush_held(shared, seq);
-        }
-    }
-
-    /// Write any reorder-held frames now that a later one has gone out.
-    fn flush_held(&mut self, shared: &Shared, just_sent: u64) {
-        if self.held_back.is_empty() {
-            return;
-        }
-        let held = std::mem::take(&mut self.held_back);
-        for h in held {
-            if h != just_sent && !self.write_entry(shared, h, None, false) {
+        match fault {
+            None | Some(NetFault::Delay(_) | NetFault::Dup) => {}
+            Some(NetFault::Drop) => return, // the window will heal it
+            Some(NetFault::Corrupt) => corrupt = Some(shared.faults.corrupt_bit(shared.rank, self.dst, seq)),
+            Some(NetFault::Reset) => {
+                self.drop_stream(); // mid-stream RST; resume replays
                 return;
             }
+            Some(NetFault::Reorder) => {
+                self.held_back.push(seq);
+                return; // hits the wire after the next frame
+            }
+        }
+        if self.write_entry(shared, seq, corrupt, fault == Some(NetFault::Dup)) {
+            // Reorder-held frames go out now that a later one has.
+            for h in std::mem::take(&mut self.held_back) {
+                if !self.write_entry(shared, h, None, false) {
+                    return;
+                }
+            }
         }
     }
 
-    /// Drain the reverse path: prune the window on cumulative ACKs and
-    /// rewind on the lowest NAK. Garbage on the control channel drops the
-    /// stream (resync by resume).
-    fn drain_control(&mut self, shared: &Shared) {
+    /// Drain the reverse path without blocking: prune the window on
+    /// cumulative ACKs and note the lowest NAK for the link thread's
+    /// rewind. Garbage on the control channel drops the stream (resync by
+    /// resume).
+    fn drain_control(&mut self) {
         {
             let Some(s) = &mut self.stream else { return };
             let mut buf = [0u8; HEADER_LEN * 32];
@@ -1440,7 +1554,7 @@ impl Link {
                             break;
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => break,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => {
                         self.drop_stream();
@@ -1450,44 +1564,35 @@ impl Link {
             }
         }
         let mut consumed = 0;
-        let mut min_nak: Option<u64> = None;
-        let mut garbage = false;
         while self.ackbuf.len() - consumed >= HEADER_LEN {
             let chunk: &[u8; HEADER_LEN] = self.ackbuf[consumed..consumed + HEADER_LEN].try_into().expect("sized");
             match parse_control(chunk) {
-                Some((k, seq)) if k == KIND_ACK => {
-                    while self.window.front().is_some_and(|e| e.seq <= seq) {
+                Some((KIND_ACK, seq)) => {
+                    // Only what was sent can have been delivered.
+                    while self.window.front().is_some_and(|e| e.seq <= seq.min(self.sent_up_to)) {
                         self.window.pop_front();
                         self.stale_rounds = 0;
                     }
                 }
-                Some((k, seq)) if k == KIND_NAK => {
-                    min_nak = Some(min_nak.map_or(seq, |m: u64| m.min(seq)));
-                }
+                Some((KIND_NAK, seq)) => self.nak = Some(self.nak.map_or(seq, |m| m.min(seq))),
                 _ => {
-                    garbage = true;
-                    break;
+                    self.drop_stream();
+                    return;
                 }
             }
             consumed += HEADER_LEN;
         }
         self.ackbuf.drain(..consumed);
-        if garbage {
-            self.drop_stream();
-            return;
-        }
-        if let Some(from) = min_nak {
-            self.go_back_n(shared, from);
-        }
     }
 
-    /// Retransmit every windowed frame at or after `from` (clamped into
-    /// the window — a NAK below it is stale and must not panic a rewind).
+    /// Retransmit every sent frame at or after `from` (clamped into the
+    /// window — a NAK below it is stale and must not panic a rewind).
     fn go_back_n(&mut self, shared: &Shared, from: u64) {
-        let from = self.window.front().map_or(from, |e| e.seq.max(from));
+        let Some(first) = self.window.front().map(|e| e.seq) else {
+            return;
+        };
         self.held_back.clear();
-        let seqs: Vec<u64> = self.window.iter().filter(|e| e.seq >= from).map(|e| e.seq).collect();
-        for s in seqs {
+        for s in from.max(first)..=self.sent_up_to {
             shared.peers[self.dst].counters.retransmits.fetch_add(1, Ordering::Relaxed);
             if !self.write_entry(shared, s, None, false) {
                 return;
@@ -1495,25 +1600,21 @@ impl Link {
         }
     }
 
-    /// Idle-tick maintenance: reconnect if the window is stranded without
-    /// a stream, rewind if its head has gone stale (a lost NAK or a
-    /// dropped frame with no later traffic to expose the gap), and let
-    /// the window go when the peer announced a clean departure.
+    /// Tick maintenance: let the window go when the peer announced a clean
+    /// departure, and rewind when its head has gone stale (a lost NAK or a
+    /// dropped frame with no later traffic to expose the gap).
     fn service(&mut self, shared: &Shared) {
         if shared.peers[self.dst].departed.load(Ordering::Acquire) {
             self.window.clear();
             self.held_back.clear();
+            self.sent_up_to = self.next_seq - 1;
             return;
         }
-        if self.window.is_empty() {
-            return;
-        }
-        if self.stream.is_none() {
-            self.connect_and_resume(shared);
-            return;
+        let Some(head) = self.window.front() else { return };
+        if self.stream.is_none() || head.seq > self.sent_up_to {
+            return; // the reconnect / the first transmission comes first
         }
         let stale = (shared.hb_interval * 2).max(Duration::from_millis(200));
-        let head = self.window.front().expect("nonempty");
         if head.sent_at.elapsed() > stale {
             self.stale_rounds += 1;
             if self.stale_rounds > 2 {
@@ -1524,7 +1625,6 @@ impl Link {
                 // stream the receiver can parse from byte zero.
                 self.stale_rounds = 0;
                 self.drop_stream();
-                self.connect_and_resume(shared);
             } else {
                 let from = head.seq;
                 self.go_back_n(shared, from);
@@ -1532,154 +1632,96 @@ impl Link {
         }
     }
 
-    /// Admit a message into the window (blocking briefly on a full window
-    /// for ACKs to free space) and run its first transmission. A window
-    /// still full after the wait drops the message *before* a sequence is
-    /// assigned — fail-stop, and the sequence space stays contiguous.
-    fn admit(&mut self, shared: &Shared, m: Msg) {
-        if self.window.len() >= NET_WINDOW {
-            let deadline = Instant::now() + (shared.hb_interval * 2).max(Duration::from_millis(100));
-            while self.window.len() >= NET_WINDOW && Instant::now() < deadline && !shared.done() {
-                if self.stream.is_none() {
-                    self.connect_and_resume(shared);
-                    if self.stream.is_none() {
-                        break;
-                    }
-                }
-                self.drain_control(shared);
-                if self.window.len() >= NET_WINDOW {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            if self.window.len() >= NET_WINDOW {
-                return;
+    /// Heartbeats and GOODBYEs travel outside the sequence space: best
+    /// effort on the stream that is up, dropped under partition.
+    fn send_unsequenced(&mut self, shared: &Shared, kind: u8) {
+        if self.stream.is_some() && !self.blackholed(shared) {
+            encode_into(&mut self.txbuf, kind, shared.rank, shared.incarnation, 0, 0, 0, &[]);
+            self.write_txbuf(shared, 1);
+        }
+    }
+}
+
+/// The per-peer link thread: everything about a link that needs a clock or
+/// a retry. It wakes on the beat timer or a kick from [`TcpTransport::send`]
+/// — never per frame or per ACK. After teardown it keeps passing until the
+/// window has drained: a rank leaves a barrier as soon as it has *heard*
+/// everyone, so its own final ARRIVE may still be unACKed, and abandoning
+/// it turns one injected drop into a permanent protocol hole (a clean
+/// GOODBYE exit is never declared dead and never retransmits). The drain
+/// is bounded — a dead peer must not wedge teardown.
+fn link_loop(shared: Arc<Shared>, cell: Arc<Mutex<Link>>, mut dialer: Dialer) {
+    let lock = || cell.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut link = lock();
+    let dst = link.dst;
+    let mut next_beat = Instant::now() + shared.hb_interval;
+    let mut drain_until: Option<Instant> = None;
+    loop {
+        link.drain_control();
+        let beat = Instant::now() >= next_beat;
+        if beat {
+            next_beat = Instant::now() + shared.hb_interval;
+        }
+        let beat = beat && !shared.done();
+        if link.stream.is_none() && (beat || !link.window.is_empty() || link.leaving == Some(true)) && !link.blackholed(&shared) {
+            let was_connected = dialer.ever_connected;
+            drop(link);
+            let session = dialer.dial(&shared, dst);
+            link = lock();
+            if let Some((stream, delivered)) = session {
+                link.resume(&shared, stream, delivered, was_connected);
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.window.push_back(WinEntry {
-            seq,
-            sent_at: Instant::now(),
-            wire: m.wire,
-            epoch: m.epoch,
-            payload: m.payload,
-        });
-        self.transmit_seq(shared, seq);
-    }
-
-    /// Heartbeats and GOODBYEs travel outside the sequence space: best
-    /// effort, two establishment cycles at most, dropped under partition.
-    fn send_unsequenced(&mut self, shared: &Shared, kind: u8) {
-        if shared.faults.blackholed(shared.rank, self.dst, shared.now_ms()) {
+        let had_stream = link.stream.is_some();
+        if let Some(from) = link.nak.take() {
+            link.go_back_n(&shared, from);
+        }
+        // The first transmissions `send` left behind, faults included.
+        while let Some(seq) = link.next_unsent(&shared) {
+            let fault = shared.faults.decide(shared.rank, dst, seq);
+            if let Some(NetFault::Delay(ms)) = fault {
+                // Head-of-line stall: the frames behind it stay unsent.
+                drop(link);
+                std::thread::sleep(Duration::from_millis(ms.min(10_000)));
+                link = lock();
+            }
+            link.transmit_first(&shared, seq, fault);
+        }
+        link.service(&shared);
+        if beat {
+            link.send_unsequenced(&shared, KIND_HEARTBEAT);
+        }
+        if let (Some(goodbye), None) = (link.leaving, drain_until) {
+            if goodbye {
+                link.send_unsequenced(&shared, KIND_GOODBYE);
+            }
+            drain_until = Some(Instant::now() + (shared.hb_interval * 20).max(Duration::from_secs(2)));
+        }
+        let departed = shared.peers[dst].departed.load(Ordering::Acquire);
+        if drain_until.is_some_and(|t| link.window.is_empty() || departed || Instant::now() >= t) {
             return;
         }
-        let buf = encode_frame(kind, shared.rank, shared.incarnation, 0, 0, 0, &[]);
-        for _ in 0..2 {
-            if self.stream.is_none() {
-                self.connect_and_resume(shared);
-            }
-            match &mut self.stream {
-                Some(s) => match s.write_all(&buf) {
-                    Ok(()) => {
-                        let c = &shared.peers[self.dst].counters;
-                        c.frames_tx.fetch_add(1, Ordering::Relaxed);
-                        c.bytes_tx.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                        return;
-                    }
-                    Err(_) => self.drop_stream(), // retry once on a fresh stream
-                },
-                None => return, // couldn't connect within budget: drop frame
-            }
+        if had_stream && link.stream.is_none() {
+            continue; // lost the stream this pass: redial now, not a beat later
         }
+        drop(link);
+        match drain_until {
+            Some(_) => std::thread::sleep(Duration::from_millis(1)),
+            None => std::thread::park_timeout(next_beat.saturating_duration_since(Instant::now())),
+        }
+        link = lock();
     }
 }
 
-fn sender_loop(
-    shared: Arc<Shared>,
-    dst: usize,
-    addr: SocketAddr,
-    conn_timeout: Duration,
-    jitter_seed: u64,
-    rx: Receiver<Outbound>,
-) {
-    let mut link = Link {
-        dst,
-        addr,
-        conn_timeout,
-        jitter: jitter_seed,
-        stream: None,
-        ever_connected: false,
-        next_seq: 1,
-        injected_up_to: 0,
-        window: VecDeque::new(),
-        ackbuf: Vec::new(),
-        held_back: Vec::new(),
-        stale_rounds: 0,
-    };
-    // Keeps draining after shutdown: frames queued before close() must
-    // still reach the wire (a rank leaves a barrier as soon as it has
-    // *heard* everyone — its own final ARRIVE may still sit in this
-    // queue, and dropping it would read as a death to the peers). The
-    // drain is bounded: `establish` refuses new connections once
-    // shutdown is set, and the queue stops growing because `send`
-    // rejects new frames.
-    loop {
-        match rx.recv_timeout(shared.hb_interval) {
-            Ok(Outbound::Frame(m)) => link.admit(&shared, m),
-            Ok(Outbound::Heartbeat) => {
-                if !shared.done() {
-                    link.send_unsequenced(&shared, KIND_HEARTBEAT);
-                }
-            }
-            Ok(Outbound::Goodbye) => link.send_unsequenced(&shared, KIND_GOODBYE),
-            Err(RecvTimeoutError::Timeout) => {} // idle tick
-            Err(RecvTimeoutError::Disconnected) => {
-                // Teardown closed the queue. Frames still unACKed in the
-                // window are someone's pending recv — the gather's final
-                // frame to rank 0, a barrier ARRIVE. Abandoning them turns
-                // one injected drop into a permanent protocol hole: this
-                // exit is a clean GOODBYE, so the receiver neither declares
-                // us dead nor ever sees a retransmission. Keep the go-back-N
-                // machinery running until the window empties, the peer
-                // departs, or a bounded deadline passes (a dead peer must
-                // not wedge teardown).
-                let deadline = Instant::now() + (shared.hb_interval * 20).max(Duration::from_secs(2));
-                while !link.window.is_empty() && Instant::now() < deadline && !shared.peers[dst].departed.load(Ordering::Acquire)
-                {
-                    link.drain_control(&shared);
-                    link.service(&shared);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                break;
-            }
-        }
-        if !link.window.is_empty() {
-            link.drain_control(&shared);
-            link.service(&shared);
-        } else if link.stream.is_some() {
-            // Idle-link EOF detection: a receiver that tore down the
-            // stream (CRC strike, desync resync) starts the peer's grace
-            // clock immediately — noticing only when the next admission
-            // happens to write would burn most of that budget. A
-            // non-blocking drain sees the EOF within one lap; the next
-            // heartbeat then re-establishes and resumes the session.
-            link.drain_control(&shared);
-        }
-    }
-}
-
-fn heartbeat_loop(shared: Arc<Shared>, senders: Vec<Option<SyncSender<Outbound>>>) {
+/// Liveness bookkeeping, once per beat: count missed beats and raise
+/// suspicion. (The beats themselves are sent by the link threads.)
+fn liveness_loop(shared: Arc<Shared>) {
     let hb_ms = shared.hb_interval.as_millis().max(1) as u64;
     while !shared.done() {
-        std::thread::sleep(shared.hb_interval);
-        for (peer, tx) in senders.iter().enumerate() {
-            let Some(tx) = tx else { continue };
-            // Best effort: a full queue means the sender is wedged on a
-            // dead peer; skipping the beat is fine.
-            let _ = tx.try_send(Outbound::Heartbeat);
-            let st = &shared.peers[peer];
+        std::thread::park_timeout(shared.hb_interval); // teardown unparks
+        for (peer, st) in shared.peers.iter().enumerate() {
             let last = st.last_seen_ms.load(Ordering::Relaxed);
-            if last == 0 {
+            if peer == shared.rank || last == 0 {
                 continue;
             }
             let silent = shared.now_ms().saturating_sub(last);
@@ -1708,6 +1750,67 @@ mod tests {
     fn crc32_matches_the_ieee_check_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The polynomial one bit at a time — shares nothing with the tables.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |c, &b| {
+            (0..8).fold(c ^ b as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
+        })
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bitwise_reference_at_every_length_and_offset() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let data: Vec<u8> = (0..(1 << 20) + 8).map(|_| next() as u8).collect();
+        // Every length around the 8-byte block size, at every alignment.
+        for len in 0..=64 {
+            for off in 0..8 {
+                assert_eq!(crc32(&data[off..off + len]), crc32_bitwise(&data[off..off + len]), "len {len} off {off}");
+            }
+        }
+        // Random slices up to 1 MiB, whole and as two chained updates split
+        // at a random byte (the header/body hand-over).
+        for _ in 0..8 {
+            let off = (next() % 8) as usize;
+            let len = (next() % (1 << 20)) as usize;
+            let s = &data[off..off + len];
+            let want = crc32_bitwise(s);
+            assert_eq!(crc32(s), want, "len {len} off {off}");
+            let cut = (next() % (len as u64 + 1)) as usize;
+            assert_eq!(!crc32_update(crc32_update(!0, &s[..cut]), &s[cut..]), want, "len {len} cut {cut}");
+        }
+    }
+
+    /// Bytes captured from the byte-at-a-time encoder this one replaced:
+    /// the wire format is asserted unchanged, not promised.
+    #[test]
+    fn encoded_frames_match_the_golden_bytes() {
+        let data = encode_frame(KIND_DATA, 3, 2, 0x0102_0304_0506_0708, 9, 77, &[1.5, -0.0, std::f64::consts::PI]);
+        #[rustfmt::skip]
+        let golden: [u8; 72] = [
+            3, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1,
+            9, 0, 0, 0, 0, 0, 0, 0, 77, 0, 0, 0, 0, 0, 0, 0, 39, 49, 104, 137, 176, 189, 248, 163,
+            0, 0, 0, 0, 0, 0, 248, 63, 0, 0, 0, 0, 0, 0, 0, 128, 24, 45, 68, 84, 251, 33, 9, 64,
+        ];
+        assert_eq!(data, golden);
+        let ack = encode_frame(KIND_ACK, 1, 0, 0, 0, 17, &[]);
+        #[rustfmt::skip]
+        let golden: [u8; 48] = [
+            0, 0, 0, 0, 10, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0, 126, 84, 197, 148, 235, 23, 23, 41,
+        ];
+        assert_eq!(ack, golden);
+        // A reused buffer holds exactly the new frame.
+        let mut buf = data;
+        encode_into(&mut buf, KIND_ACK, 1, 0, 0, 0, 17, &[]);
+        assert_eq!(buf, golden);
     }
 
     #[test]
@@ -1816,8 +1919,8 @@ mod tests {
         let a = eps.remove(0);
         a.send(1, msg(0, 1, &[1.0, 2.0, 3.0]));
         let _ = b.recv(Duration::from_secs(10)).unwrap();
-        // The sender thread bumps its counters just after the write hits
-        // the kernel, so the receiver can observe the frame first: poll.
+        // The writer bumps its counters just after the write hits the
+        // kernel, so the receiver can observe the frame first: poll.
         let t0 = Instant::now();
         loop {
             let s = a.stats();
@@ -1919,6 +2022,113 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(!t.is_peer_dead(1), "never-seen peer misreported as dead");
+        drop(t);
+
+        // A wedged peer: it completes HELLO/HELLO_ACK, then never reads
+        // again. `send` writes the frames itself now, so the write timeout
+        // is what keeps it from hanging once the socket buffers are full.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let wedged = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![listener.local_addr().unwrap(), wedged.local_addr().unwrap()];
+        let t = TcpTransport::with_listener(TcpConfig::new(0, 2), addrs.clone(), listener).unwrap();
+        let frame = |i: usize| {
+            let mut v = vec![i as f64; (1 << 20) / 8];
+            v[(1 << 17) - 1] = -(i as f64);
+            msg(0, 7, &v)
+        };
+        t.send(1, frame(0));
+        let (mut held, _) = wedged.accept().unwrap();
+        let mut hello = [0u8; HEADER_LEN];
+        held.read_exact(&mut hello).unwrap();
+        held.write_all(&encode_frame(KIND_HELLO_ACK, 1, 0, 0, 0, 0, &[])).unwrap();
+        let link = &t.links[1].as_ref().unwrap().0;
+        let t0 = Instant::now();
+        while link.lock().unwrap().stream.is_none() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "session never came up");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Far more than loopback socket buffers hold; stop at the first
+        // write that timed out (the stream is gone).
+        let mut n = 1;
+        while link.lock().unwrap().stream.is_some() {
+            assert!(n < 256, "256 MiB vanished into a peer that never reads");
+            let t0 = Instant::now();
+            t.send(1, frame(n));
+            n += 1;
+            assert!(
+                t0.elapsed() < WRITE_TIMEOUT + Duration::from_secs(2),
+                "send hung on a wedged peer for {:?}",
+                t0.elapsed()
+            );
+        }
+        // A partial frame is never followed by another on the same stream:
+        // later sends queue behind the dropped stream, and nothing was
+        // ACKed, so every frame is still in the window.
+        t.send(1, frame(n));
+        n += 1;
+        {
+            let l = link.lock().unwrap();
+            assert!(l.stream.is_none(), "a frame followed a partial one on the same stream");
+            assert_eq!(l.window.len(), n, "a frame left the window without an ACK");
+        }
+        // The peer comes back as a real endpoint: the session resume
+        // delivers every frame exactly once, in order.
+        drop(held);
+        let b = TcpTransport::with_listener(TcpConfig::new(1, 2), addrs, wedged).unwrap();
+        for i in 0..n {
+            let m = b.recv(Duration::from_secs(30)).expect("frame lost to the wedge");
+            assert_eq!((m.payload[0], m.payload[(1 << 17) - 1]), (i as f64, -(i as f64)), "out of order after the resume");
+        }
+        let rx = &b.stats().peers[0];
+        assert_eq!((rx.dup_suppressed, rx.crc_rejects), (0, 0), "resume was not exactly-once");
+    }
+
+    #[test]
+    fn sends_before_and_after_the_connect_arrive_in_sequence() {
+        // A burst goes out before the peer answers (all of it waits for the
+        // link thread), a second one races the connect (link thread and
+        // rank share the work), a third finds the link clean (the rank
+        // writes each frame itself): one sequence, nothing sent twice.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let late = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![listener.local_addr().unwrap(), late.local_addr().unwrap()];
+        let a = TcpTransport::with_listener(TcpConfig::new(0, 2), addrs.clone(), listener).unwrap();
+        let burst = |from: usize| (from..from + 40).for_each(|i| a.send(1, msg(0, 5, &[i as f64])));
+        let drain = |b: &TcpTransport, from: usize, to: usize| {
+            for i in from..to {
+                let m = b.recv(Duration::from_secs(30)).expect("frame lost");
+                assert_eq!(m.payload[0], i as f64, "stream reordered");
+            }
+        };
+        burst(0);
+        let b = TcpTransport::with_listener(TcpConfig::new(1, 2), addrs, late).unwrap();
+        burst(40);
+        drain(&b, 0, 80);
+        burst(80);
+        drain(&b, 80, 120);
+        let link = a.links[1].as_ref().unwrap().0.lock().unwrap();
+        assert_eq!((link.next_seq, link.sent_up_to), (121, 120), "sequence space has a hole");
+        assert_eq!(a.stats().peers[1].retransmits, 0, "a first transmission was counted as a retransmit");
+        assert_eq!(b.stats().peers[0].dup_suppressed, 0, "a frame went out twice");
+    }
+
+    #[test]
+    fn teardown_does_not_wait_out_a_heartbeat() {
+        let mut eps = TcpTransport::fabric_localhost(2).unwrap(); // 500 ms beats
+        let b = eps.remove(1);
+        let a = eps.remove(0);
+        a.send(1, msg(0, 1, &[1.0]));
+        b.send(0, msg(1, 1, &[2.0]));
+        let _ = a.recv(Duration::from_secs(10)).unwrap();
+        let _ = b.recv(Duration::from_secs(10)).unwrap();
+        let t0 = Instant::now();
+        drop(a);
+        drop(b);
+        assert!(
+            t0.elapsed() < Duration::from_millis(250),
+            "teardown took {:?}: it slept through a beat",
+            t0.elapsed()
+        );
     }
 
     #[test]

@@ -53,13 +53,17 @@ FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
 
 # The repo benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so nothing above builds or tests it. Its own tests (the traced
-# loops and the decorated transport are bitwise the library's) and one
-# smoke workload through the whole command — every check of every leg, the
-# result line, exit 0 — keep a crate change from breaking the measurement.
-echo "== benchsuite (tests, hess_dense smoke)"
+# loops and the decorated transport are bitwise the library's) and two
+# smoke workloads through the whole command — one on the mpsc fabric, one on
+# the real wire; every check of every leg (bitwise ft == plain, one
+# recovery, residuals), the result line, exit 0 — keep a crate change from
+# breaking the measurement.
+echo "== benchsuite (tests, hess_dense + hess_tcp smoke)"
 cargo test --release -q --manifest-path benchsuite/Cargo.toml
-cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
-    --workload hess_dense --smoke >/dev/null
+for w in hess_dense hess_tcp; do
+    cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
+        --workload "$w" --smoke >/dev/null
+done
 
 # Every soak below is a loop of legs through the release CLI, and every leg
 # has the same skeleton: run, keep the exit code, fail the gate unless the
