@@ -27,6 +27,15 @@ use ft_pblas::{Desc, DistMatrix};
 use ft_runtime::{Ctx, Tag};
 
 const TAG_ENCODE: Tag = Tag::Checksum(0);
+/// Most `f64`s one reduction of the initial encode carries (256 KiB). Long
+/// enough to take most round trips out of the encode of a small matrix,
+/// where they are the cost (Hessenberg 1×2 N=384 nb=16 over TCP: 24
+/// reductions become 6), and short enough that a large one keeps moving in
+/// cache-sized pieces that alternate direction copy by copy, so both ends of
+/// a process row stay busy: whole-copy batches (4 MiB a message) doubled the
+/// encode of N=1024 nb=32 on the in-process fabric, where one block already
+/// fills a batch and nothing changes.
+const ENCODE_BATCH_WORDS: usize = 1 << 15;
 
 /// Checksum redundancy level.
 ///
@@ -275,27 +284,77 @@ impl Encoded {
         (0..self.q).map(move |qq| (base + qq) * nb + off).filter(move |&c| c < n)
     }
 
-    /// Compute (or recompute) the right row checksums of group `g` from the
-    /// current contents of its member columns, writing **both** copies.
-    /// Collective: one deterministic row-reduction per copy, exactly the
-    /// cost the paper's §6 model charges (`T_Q · N/(nb·Q)` at encode time).
-    pub fn compute_group_checksum(&mut self, ctx: &Ctx, g: usize) {
+    /// My weighted partial of checksum copy `copy` over `groups`, one block
+    /// after the other — the shared loop in `areas`, so encode, recovery and
+    /// scrub accumulate in the identical order.
+    fn copy_partials(&self, groups: &[usize], copy: usize, lrn: usize) -> Vec<f64> {
+        let mut blocks = groups
+            .iter()
+            .map(|&g| crate::areas::weighted_partial_block(self, g, lrn, |_| true, |c| self.col_weight(copy, c)));
+        // A lone group (every scope end) is its block as computed, no copy.
+        let mut partials = blocks.next().unwrap_or_default();
+        partials.reserve_exact((groups.len() - 1) * lrn * self.nb);
+        blocks.for_each(|block| partials.extend(block));
+        partials
+    }
+
+    /// Sum the partials of `jobs` — `(copy, groups)`, each copy at most once,
+    /// the groups of a job all stored on one process column — across the
+    /// process row and write every block of sums on its owner. The copies'
+    /// reductions are in flight together ([`Ctx::post_reduce_sum_row`]): they
+    /// have different roots, so each process first sends the partials it
+    /// only contributes and then collects the ones it owns, instead of one
+    /// dependent round trip per copy.
+    fn reduce_copies(&mut self, ctx: &Ctx, jobs: Vec<(usize, Vec<usize>)>) {
         let lrn = self.a.local_rows_below(self.n);
-        for copy in 0..self.ncopies() {
-            // Weighted partial block: Σ w(copy, idx)·member columns I own —
-            // the shared loop in `areas`, so encode/recover/scrub accumulate
-            // in the identical order.
-            let mut partial = crate::areas::weighted_partial_block(self, g, lrn, |_| true, |c| self.col_weight(copy, c));
-            let owner_q = self.a.col_owner(self.chk_col(g, copy, 0));
-            ctx.reduce_sum_row(owner_q, &mut partial, TAG_ENCODE.offset(copy as u16));
-            self.write_chk_block(g, copy, &partial);
+        let posted: Vec<_> = jobs
+            .into_iter()
+            .map(|(copy, groups)| {
+                let partials = self.copy_partials(&groups, copy, lrn);
+                let owner_q = self.a.col_owner(self.chk_col(groups[0], copy, 0));
+                let pending = ctx.post_reduce_sum_row(owner_q, &partials, TAG_ENCODE.offset(copy as u16));
+                (copy, groups, partials, pending)
+            })
+            .collect();
+        for (copy, groups, mut sums, pending) in posted {
+            ctx.wait_reduce_sum_row(pending, &mut sums);
+            for (&g, block) in groups.iter().zip(sums.chunks_exact((lrn * self.nb).max(1))) {
+                self.write_chk_block(g, copy, block);
+            }
         }
     }
 
-    /// Algorithm 2/3, line 1: encode every group.
+    /// Compute (or recompute) the right row checksums of group `g` from the
+    /// current contents of its member columns, writing **every** copy.
+    /// Collective: one deterministic row-reduction per copy, exactly the
+    /// cost the paper's §6 model charges (`T_Q · N/(nb·Q)` at encode time).
+    pub fn compute_group_checksum(&mut self, ctx: &Ctx, g: usize) {
+        self.reduce_copies(ctx, (0..self.ncopies()).map(|copy| (copy, vec![g])).collect());
+    }
+
+    /// Algorithm 2/3, line 1: encode every group. Groups are taken a batch
+    /// at a time (as many as fit [`ENCODE_BATCH_WORDS`]); within a batch the
+    /// checksum blocks of one copy that live on the same process column
+    /// travel together: their partials are laid end to end and summed in
+    /// **one** row reduction instead of one dependent round trip per group.
+    /// A reduction adds element by element in a tree fixed by (row, root),
+    /// so every block is bitwise what [`Encoded::compute_group_checksum`]
+    /// computes — same bytes on the wire, fewer messages.
     pub fn compute_initial_checksums(&mut self, ctx: &Ctx) {
-        for g in 0..self.groups {
-            self.compute_group_checksum(ctx, g);
+        let block = (self.a.local_rows_below(self.n) * self.nb).max(1);
+        let (groups, per_batch) = (self.groups, (ENCODE_BATCH_WORDS / block).max(1));
+        for batch in (0..groups).step_by(per_batch).map(|g0| g0..(g0 + per_batch).min(groups)) {
+            // Copy `c`'s blocks of the batch, by owning column `(shift + c) % Q`:
+            // over the shifts every (copy, column) pair comes up once, and the
+            // copies of one shift are reduced together.
+            for shift in 0..self.q {
+                let on = |copy: usize, g: usize| self.a.col_owner(self.chk_col(g, copy, 0)) == (shift + copy) % self.q;
+                let jobs: Vec<(usize, Vec<usize>)> = (0..self.ncopies())
+                    .map(|copy| (copy, batch.clone().filter(|&g| on(copy, g)).collect::<Vec<_>>()))
+                    .filter(|(_, groups)| !groups.is_empty())
+                    .collect();
+                self.reduce_copies(ctx, jobs);
+            }
         }
     }
 
@@ -388,7 +447,7 @@ impl Encoded {
 mod tests {
     use super::*;
     use ft_dense::gen::uniform_entry;
-    use ft_runtime::{run_spmd, FaultScript};
+    use ft_runtime::{run_spmd, FaultScript, TrafficPhase};
 
     #[test]
     fn group_geometry() {
@@ -452,6 +511,72 @@ mod tests {
                 assert!(enc.checksum_violation(&ctx, g, 1, 957) < 1e-12);
             }
         });
+    }
+
+    /// The batched encode, and the per-group recompute with its copies in
+    /// flight together, against the loop both replaced — one blocking
+    /// reduction per (group, copy) — on every shape that changes who owns
+    /// which checksum block: each block bitwise equal, each rank's bytes per
+    /// phase equal, and only the batched encode sends fewer messages.
+    #[test]
+    fn batched_and_posted_checksums_are_bitwise_the_blocking_loop() {
+        let cases = [
+            (1, 2, 24, 2, Redundancy::Single),
+            (2, 2, 16, 2, Redundancy::Single),
+            (2, 3, 36, 3, Redundancy::Single),
+            (2, 3, 31, 3, Redundancy::Single), // ragged N
+            (2, 4, 48, 2, Redundancy::Coded(2)),
+            (1, 2, 512, 16, Redundancy::Single), // 16 groups in 4 batches
+        ];
+        for (p, q, n, nb, redundancy) in cases {
+            let sent = run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let fresh = || Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(29, i, j));
+                let (mut batched, mut posted, mut blocking) = (fresh(), fresh(), fresh());
+                let mut marks = vec![(ctx.traffic(), ctx.msgs_sent())];
+                batched.compute_initial_checksums(&ctx);
+                marks.push((ctx.traffic(), ctx.msgs_sent()));
+                for g in 0..posted.groups() {
+                    posted.compute_group_checksum(&ctx, g);
+                }
+                marks.push((ctx.traffic(), ctx.msgs_sent()));
+                let lrn = blocking.a.local_rows_below(n);
+                for g in 0..blocking.groups() {
+                    for copy in 0..blocking.ncopies() {
+                        let mut partial =
+                            crate::areas::weighted_partial_block(&blocking, g, lrn, |_| true, |c| blocking.col_weight(copy, c));
+                        let owner_q = blocking.a.col_owner(blocking.chk_col(g, copy, 0));
+                        ctx.reduce_sum_row(owner_q, &mut partial, TAG_ENCODE.offset(copy as u16));
+                        blocking.write_chk_block(g, copy, &partial);
+                    }
+                }
+                marks.push((ctx.traffic(), ctx.msgs_sent()));
+                assert!(batched.groups() > 1, "one group batches nothing");
+                for g in 0..batched.groups() {
+                    for copy in 0..batched.ncopies() {
+                        let bits = |e: &Encoded| {
+                            e.read_chk_block(g, copy)
+                                .map(|b| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                        };
+                        assert_eq!(bits(&batched), bits(&blocking), "{p}x{q} n={n} {redundancy:?}: batched block ({g}, {copy})");
+                        assert_eq!(bits(&posted), bits(&blocking), "{p}x{q} n={n} {redundancy:?}: posted block ({g}, {copy})");
+                    }
+                }
+                let spent: Vec<_> = marks
+                    .windows(2)
+                    .map(|w| (TrafficPhase::ALL.map(|ph| w[1].0.phase(ph).bytes - w[0].0.phase(ph).bytes), w[1].1 - w[0].1))
+                    .collect();
+                assert_eq!((spent[0].0, spent[1].0), (spent[2].0, spent[2].0), "{p}x{q} n={n}: bytes per phase moved");
+                [spent[0].1, spent[1].1, spent[2].1]
+            });
+            let total = |i: usize| sent.iter().map(|s| s[i]).sum::<u64>();
+            assert!(
+                total(0) < total(2),
+                "{p}x{q} n={n} {redundancy:?}: batched encode sent {} messages, the loop {}",
+                total(0),
+                total(2)
+            );
+            assert_eq!(total(1), total(2), "{p}x{q} n={n} {redundancy:?}: posting changed the message count");
+        }
     }
 
     #[test]

@@ -64,6 +64,28 @@ impl PendingBcast {
     }
 }
 
+/// A row sum-reduction that has been *posted* but not yet completed — the
+/// split-phase half of [`Ctx::post_reduce_sum_row`].
+///
+/// Posting sends the partial of every member that has no subtree to wait for
+/// (the leaves of the reduction tree) right away; everything else — absorbing
+/// children, forwarding, the root's sum — happens in
+/// [`Ctx::wait_reduce_sum_row`]. Several reductions with different roots can
+/// therefore be in flight at once: each member first hands over what it only
+/// has to send, then collects what it has to receive, instead of finishing one
+/// dependent round trip before starting the next. Same tree, same order of
+/// additions, same bits as [`Ctx::reduce_sum_row`].
+///
+/// Reductions in flight together need distinct tags, and every member must
+/// post them, and then complete them, in one common order.
+#[must_use = "a posted reduction must be completed with wait_reduce_sum_row"]
+pub struct PendingReduce {
+    root_q: usize,
+    tag: Tag,
+    /// This member was a leaf: its partial is already on its way.
+    sent: bool,
+}
+
 impl Ctx {
     /// Binomial-tree broadcast of `data` from `root` over `members`.
     /// Non-members return immediately; members' `data` is overwritten with
@@ -154,6 +176,33 @@ impl Ctx {
                 break;
             }
             mask <<= 1;
+        }
+    }
+
+    /// Post a sum-reduce of `data` within the grid row to column `root_q`: a
+    /// member with no children in the tree sends its partial now (sends never
+    /// block); the others do nothing yet. Complete with
+    /// [`Ctx::wait_reduce_sum_row`], passing the same `data`.
+    pub fn post_reduce_sum_row(&self, root_q: usize, data: &[f64], tag: impl Into<Tag>) -> PendingReduce {
+        let tag = tag.into();
+        let members = self.row_ranks();
+        let n = members.len();
+        let rel = (self.mycol() + n - root_q) % n;
+        // Leaf: no `rel | mask` below our lowest set bit names a member.
+        let lowest = rel & rel.wrapping_neg();
+        let leaf = rel != 0 && (0..lowest.trailing_zeros()).all(|b| rel | (1 << b) >= n);
+        if leaf {
+            let parent = members[((rel ^ lowest) + root_q) % n];
+            self.send_wire(parent, tag.wire(Leg::Reduce), tag.phase(), Arc::from(data));
+        }
+        PendingReduce { root_q, tag, sent: leaf }
+    }
+
+    /// Complete a reduction posted with [`Ctx::post_reduce_sum_row`]. Only the
+    /// root's `data` holds the sums afterwards.
+    pub fn wait_reduce_sum_row(&self, pending: PendingReduce, data: &mut [f64]) {
+        if !pending.sent {
+            self.reduce_sum_row(pending.root_q, data, pending.tag);
         }
     }
 
@@ -438,6 +487,55 @@ mod tests {
             let r = ctx.wait_bcast(p);
             assert_eq!(&r[..], &[ctx.mycol() as f64 * 2.0][..]);
         });
+    }
+
+    #[test]
+    fn posted_reductions_match_the_blocking_ones_bit_for_bit() {
+        // One reduction per root, all in flight at once, on grids whose row
+        // trees have leaves, interior members and (Q = 3, 5) members that
+        // are leaves only because their subtree falls off the end.
+        for (p, q) in [(1, 2), (2, 3), (1, 4), (1, 5), (2, 8)] {
+            run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let mine =
+                    |root: usize| -> Vec<f64> { (0..7).map(|i| 1.0 / (3.0 + (ctx.rank() * 7 + i + root) as f64)).collect() };
+                let posted: Vec<_> = (0..q)
+                    .map(|root| {
+                        let d = mine(root);
+                        let pending = ctx.post_reduce_sum_row(root, &d, 50 + root as u32);
+                        (root, d, pending)
+                    })
+                    .collect();
+                for (root, mut d, pending) in posted {
+                    ctx.wait_reduce_sum_row(pending, &mut d);
+                    let mut want = mine(root);
+                    ctx.reduce_sum_row(root, &mut want, 90);
+                    if ctx.mycol() == root {
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&d), bits(&want), "{p}x{q} root {root}");
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn posted_reductions_send_what_the_blocking_ones_send() {
+        let out = run_spmd(1, 5, FaultScript::none(), |ctx| {
+            let before = (ctx.msgs_sent(), ctx.bytes_sent());
+            let mut d = vec![1.0; 9];
+            let pending = ctx.post_reduce_sum_row(3, &d, 61);
+            let posted = ctx.msgs_sent() - before.0;
+            ctx.wait_reduce_sum_row(pending, &mut d);
+            (posted, ctx.msgs_sent() - before.0, ctx.bytes_sent() - before.1, d[0])
+        });
+        // Root at column 3 of 5: relative indices 1 and 3 are leaves (odd),
+        // so is 4 (its children would be indices 5 and 6); index 2 has to
+        // absorb 3 first, and 0 is the root.
+        let posted: Vec<u64> = out.iter().map(|o| o.0).collect();
+        assert_eq!(posted, vec![0, 1, 1, 0, 1], "who sends at post time");
+        assert_eq!(out.iter().map(|o| o.1).sum::<u64>(), 4, "a 5-member reduce is 4 messages");
+        assert_eq!(out.iter().map(|o| o.2).sum::<u64>(), 4 * 9 * 8);
+        assert_eq!(out[3].3, 5.0, "the root holds the sum");
     }
 
     #[test]

@@ -68,8 +68,11 @@
 //! injected faults, rewinds, first transmissions `send` could not make,
 //! heartbeats, GOODBYE, the teardown drain — belongs to the per-peer *link
 //! thread*, which wakes on the beat timer or a kick from `send`. Inbound,
-//! one reader thread per connection checks each frame's CRCs in one pass
-//! and collects the payload straight into the `Arc<[f64]>` it delivers.
+//! the accept thread blocks in `accept` (teardown wakes it with a connect
+//! to its own listener), one reader thread per
+//! connection checks each frame's CRCs in one pass and collects the payload
+//! straight into the `Arc<[f64]>` it delivers, and [`Transport::recv`] polls
+//! the inbox — yielding — for the fabric-wide poll budget before it parks.
 //!
 //! ## Fault injection
 //!
@@ -96,18 +99,19 @@
 //! (oversize length, repeated CRC failures across [`STRIKE_LIMIT`]
 //! consecutive connections) is marked *faulted* — a typed clean peer-fault
 //! the detector handles like a death, instead of an abrupt recv-thread
-//! teardown. Connection establishment retries with exponential backoff
-//! (`BACKOFF_INIT` doubling up to `BACKOFF_CAP`) and deterministic
-//! jitter until [`TcpConfig::conn_timeout`] is exhausted.
+//! teardown. Connection establishment retries — once after `RETRY_FIRST`,
+//! then with exponential backoff (`BACKOFF_INIT` doubling up to
+//! `BACKOFF_CAP`) and deterministic jitter — until
+//! [`TcpConfig::conn_timeout`] is exhausted.
 
 use crate::fault::FaultScript;
 use crate::netchaos::NetFault;
-use crate::transport::{CommError, Msg, PeerCounters, Transport, TransportStats};
+use crate::transport::{CommError, Msg, PeerCounters, Transport, TransportStats, POLL_BUDGET};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -147,10 +151,17 @@ const NET_WINDOW: usize = 1024;
 /// bound on how long `send` can hold the calling rank. A write that times
 /// out drops the stream; the frame stays in the window for the resume.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-/// First reconnect backoff pause (doubles per failed attempt) and the
-/// ceiling the exponential backoff saturates at.
+/// Pause before the *first* retry of a connect or bind: the usual miss is a
+/// peer that binds a moment after we dial, and it should not cost a whole
+/// backoff step.
+const RETRY_FIRST: Duration = Duration::from_millis(1);
+/// Backoff pause from the second retry on (doubles per failed attempt) and
+/// the ceiling the exponential backoff saturates at.
 const BACKOFF_INIT: Duration = Duration::from_millis(10);
 const BACKOFF_CAP: Duration = Duration::from_millis(400);
+/// Ceiling of the bind retry pause in [`TcpTransport::connect`] (a respawn
+/// winning its predecessor's port back from the kernel).
+const BIND_RETRY_CAP: Duration = Duration::from_millis(50);
 /// Seed of the backoff jitter, mixed with the link's two ranks so it stays
 /// deterministic per link.
 const JITTER_SEED: u64 = 0x9e3779b97f4a7c15;
@@ -288,19 +299,94 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// Advance the raw (un-inverted) CRC state over `data`, eight bytes per
-/// step.
-fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+/// One slicing-by-8 step: fold the eight bytes of `b` into the state `c`.
+#[inline(always)]
+fn crc32_step(c: u32, b: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    let w = u64::from_le_bytes(b.try_into().expect("8 bytes")) ^ c as u64;
+    (0..8).fold(0, |x, k| x ^ t[7 - k][(w >> (8 * k)) as u8 as usize])
+}
+
+/// Advance the raw (un-inverted) CRC state over `data` as one dependent
+/// chain, eight bytes per step.
+fn crc32_serial(mut c: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(8);
     for b in &mut blocks {
-        let w = u64::from_le_bytes(b.try_into().expect("8 bytes")) ^ c as u64;
-        c = (0..8).fold(0, |x, k| x ^ t[7 - k][(w >> (8 * k)) as u8 as usize]);
+        c = crc32_step(c, b);
     }
     for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c
+}
+
+/// `a·b mod P` over GF(2), both in the CRC's reflected bit order (bit 31 is
+/// `x⁰`).
+fn crc32_mulmod(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for k in (0..32).rev() {
+        if (a >> k) & 1 != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { 0xEDB8_8320 ^ (b >> 1) } else { b >> 1 };
+    }
+    p
+}
+
+/// `x^(8·n) mod P` by square-and-multiply from `x⁸`: what running a raw
+/// state on through `n` more bytes multiplies it by (the register is linear
+/// in its input).
+fn crc32_shift(n: usize) -> u32 {
+    let (mut shift, mut sq, mut n) = (1u32 << 31, 1u32 << 23, n);
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = crc32_mulmod(sq, shift);
+        }
+        sq = crc32_mulmod(sq, sq);
+        n >>= 1;
+    }
+    shift
+}
+
+/// The raw state after `a ‖ b` from the states of the two parts — `b`'s
+/// started from zero — and `shift = crc32_shift(b.len())`.
+fn crc32_combine(state_a: u32, state_b: u32, shift: u32) -> u32 {
+    crc32_mulmod(state_a, shift) ^ state_b
+}
+
+/// Independent streams [`crc32_update`] interleaves, and the shortest stream
+/// worth the combine (below it the serial chain is as fast).
+const CRC_STREAMS: usize = 4;
+const CRC_STREAM_MIN: usize = 256;
+
+/// Advance the raw (un-inverted) CRC state over `data`. One slicing-by-8
+/// chain is bound by the latency of its dependent table loads (1.5 GB/s
+/// here), not by their throughput, so anything long enough is cut into
+/// [`CRC_STREAMS`] equal streams whose chains advance side by side in one
+/// loop and are stitched together with [`crc32_combine`] — the same value
+/// bit for bit, at 3–4.5 GB/s.
+fn crc32_update(c: u32, data: &[u8]) -> u32 {
+    let len = (data.len() / CRC_STREAMS) & !7;
+    if len < CRC_STREAM_MIN {
+        return crc32_serial(c, data);
+    }
+    let (s0, rest) = data.split_at(len);
+    let (s1, rest) = rest.split_at(len);
+    let (s2, rest) = rest.split_at(len);
+    let (s3, tail) = rest.split_at(len);
+    let mut s = [c, 0, 0, 0];
+    let [b0, b1, b2, b3] = [s0, s1, s2, s3].map(|d| d.chunks_exact(8));
+    for (((b0, b1), b2), b3) in b0.zip(b1).zip(b2).zip(b3) {
+        s = [
+            crc32_step(s[0], b0),
+            crc32_step(s[1], b1),
+            crc32_step(s[2], b2),
+            crc32_step(s[3], b3),
+        ];
+    }
+    let shift = crc32_shift(len); // the same at every seam
+    let joined = s[1..].iter().fold(s[0], |acc, &next| crc32_combine(acc, next, shift));
+    crc32_serial(joined, tail)
 }
 
 #[cfg(test)]
@@ -423,8 +509,11 @@ pub struct TcpTransport {
     /// Per peer: the link state `send` and that peer's link thread share,
     /// and the handle that kicks the thread out of its timed park.
     links: Vec<Option<(Arc<Mutex<Link>>, Thread)>>,
-    /// Accept, liveness and link threads, joined at teardown.
+    /// Liveness and link threads, joined at teardown.
     threads: Vec<JoinHandle<()>>,
+    /// The accept thread and the listener's address: it blocks in `accept`,
+    /// and a connect to that address is what teardown wakes it with.
+    acceptor: Option<(JoinHandle<()>, SocketAddr)>,
 }
 
 impl TcpTransport {
@@ -437,12 +526,13 @@ impl TcpTransport {
             .map(|r| SocketAddr::from(([127, 0, 0, 1], port_base + r as u16)))
             .collect();
         let deadline = Instant::now() + cfg.conn_timeout;
+        let mut pause = RETRY_FIRST;
         let listener = loop {
             match TcpListener::bind(addrs[cfg.rank]) {
                 Ok(l) => break l,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(50));
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(pause);
+                    pause = (pause * 2).clamp(BACKOFF_INIT, BIND_RETRY_CAP);
                 }
                 Err(e) => return Err(e),
             }
@@ -513,11 +603,11 @@ impl TcpTransport {
         });
         let mut threads = Vec::new();
 
-        listener.set_nonblocking(true)?;
-        {
+        let acceptor = {
+            let listen_addr = listener.local_addr()?;
             let (shared, inbox) = (Arc::clone(&shared), inbox_tx.clone());
-            threads.push(std::thread::spawn(move || accept_loop(shared, listener, inbox)));
-        }
+            (std::thread::spawn(move || accept_loop(shared, listener, inbox)), listen_addr)
+        };
 
         let mut links = Vec::with_capacity(cfg.world);
         for (dst, &addr) in addrs.iter().enumerate() {
@@ -551,6 +641,7 @@ impl TcpTransport {
             inbox_tx,
             links,
             threads,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -590,17 +681,43 @@ impl Transport for TcpTransport {
             return;
         }
         if let Some((link, thread)) = &self.links[dst] {
-            let written = link.lock().expect("link thread panicked").send(&self.shared, msg);
+            // A link thread that panicked leaves a poisoned lock and a link
+            // without beats or retries — its peer will read that as a death.
+            // The state itself is sound (no update spans a panic site), so
+            // the rank keeps sending rather than panicking a second time.
+            let written = link.lock().unwrap_or_else(PoisonError::into_inner).send(&self.shared, msg);
             if !written {
                 thread.unpark();
             }
         }
     }
 
-    fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
+    /// Poll, then park (DESIGN.md §7): a frame's reader thread is already a
+    /// wake-up away, so a rank that parks at once pays a second one per
+    /// message. The poll *yields* — the reader it waits for, or another
+    /// process's rank, may need this core, and nothing here can count the
+    /// cores that are really free (`serve` runs four 2-rank workers on two)
+    /// — so it needs no ranks ≤ cores guard.
+    fn recv(&self, mut timeout: Duration) -> Result<Msg, CommError> {
         if self.shared.done() {
             return Err(CommError::Closed);
         }
+        let start = Instant::now();
+        let budget = POLL_BUDGET.min(timeout);
+        loop {
+            match self.inbox_rx.try_recv() {
+                Ok(m) => return Ok(m),
+                Err(TryRecvError::Disconnected) => return Err(CommError::Closed),
+                Err(TryRecvError::Empty) => {}
+            }
+            if start.elapsed() >= budget {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        // The poll ran for at least `budget`, so `Timeout` still fires no
+        // earlier than the caller asked.
+        timeout -= budget;
         match self.inbox_rx.recv_timeout(timeout) {
             Ok(m) => Ok(m),
             Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
@@ -665,6 +782,17 @@ impl TcpTransport {
         }
         for t in &self.threads {
             t.thread().unpark();
+        }
+        // The accept thread wakes on a connection: make one. If even that
+        // fails the thread is left behind rather than joined mid-`accept`.
+        // The connection outlives the join so that the accepting side closes
+        // first and the TIME_WAIT lands there, on the listener's port with
+        // the listener's SO_REUSEADDR — not on an ephemeral client port that
+        // a later fabric may be told to bind.
+        if let Some((t, listen_addr)) = self.acceptor.take() {
+            if let Ok(_kick) = TcpStream::connect_timeout(&listen_addr, WRITE_TIMEOUT) {
+                let _ = t.join();
+            }
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1053,18 +1181,24 @@ pub mod jobs {
 
 // --- threads ----------------------------------------------------------------
 
+/// Admit inbound connections, blocked in `accept`: a peer's connect is
+/// picked up when it lands, with no timer between it and its HELLO_ACK. The
+/// loop ends on the first connection after shutdown — the one teardown makes
+/// to this listener for that purpose.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener, inbox: Sender<Msg>) {
-    while !shared.done() {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for stream in listener.incoming() {
+        if shared.done() {
+            return;
+        }
+        match stream {
+            Ok(stream) => {
                 let (shared, inbox) = (Arc::clone(&shared), inbox.clone());
                 // Handshake + reads happen off the accept thread so one
                 // slow peer cannot block admission of the others.
                 std::thread::spawn(move || reader_loop(shared, stream, inbox));
             }
-            // Nothing pending (or a transient accept error): poll again
-            // shortly; teardown's unpark ends the wait at once.
-            Err(_) => std::thread::park_timeout(Duration::from_millis(10)),
+            // A failing `accept` (out of descriptors, say) must not spin.
+            Err(_) => std::thread::sleep(RETRY_FIRST),
         }
     }
 }
@@ -1285,9 +1419,16 @@ impl Dialer {
                     return Some(stream);
                 }
             }
-            let pause = jittered(backoff, &mut self.jitter).min(deadline.saturating_duration_since(Instant::now()));
-            std::thread::sleep(pause);
-            backoff = (backoff * 2).min(BACKOFF_CAP);
+            // The first retry comes almost at once; from the second on, the
+            // jittered doubling.
+            let pause = if attempt == 1 {
+                RETRY_FIRST
+            } else {
+                let p = jittered(backoff, &mut self.jitter);
+                backoff = (backoff * 2).min(BACKOFF_CAP);
+                p
+            };
+            std::thread::sleep(pause.min(deadline.saturating_duration_since(Instant::now())));
         }
     }
 
@@ -1769,22 +1910,29 @@ mod tests {
             x
         };
         let data: Vec<u8> = (0..(1 << 20) + 8).map(|_| next() as u8).collect();
-        // Every length around the 8-byte block size, at every alignment.
-        for len in 0..=64 {
+        // Every length from nothing, through the 8-byte block size and the
+        // switch from one chain to interleaved streams, to streams with a
+        // ragged tail — at every alignment.
+        for len in 0..=CRC_STREAMS * CRC_STREAM_MIN + 64 {
             for off in 0..8 {
                 assert_eq!(crc32(&data[off..off + len]), crc32_bitwise(&data[off..off + len]), "len {len} off {off}");
             }
         }
-        // Random slices up to 1 MiB, whole and as two chained updates split
-        // at a random byte (the header/body hand-over).
-        for _ in 0..8 {
+        // Random slices up to 1 MiB: whole, as two chained updates split at
+        // a random byte (the header/body hand-over), and as two separate
+        // CRCs stitched by `crc32_combine`.
+        for _ in 0..16 {
             let off = (next() % 8) as usize;
             let len = (next() % (1 << 20)) as usize;
             let s = &data[off..off + len];
             let want = crc32_bitwise(s);
             assert_eq!(crc32(s), want, "len {len} off {off}");
             let cut = (next() % (len as u64 + 1)) as usize;
-            assert_eq!(!crc32_update(crc32_update(!0, &s[..cut]), &s[cut..]), want, "len {len} cut {cut}");
+            let (head, tail) = (crc32_update(!0, &s[..cut]), crc32_update(0, &s[cut..]));
+            assert_eq!(!crc32_update(head, &s[cut..]), want, "len {len} cut {cut}");
+            assert_eq!(!crc32_combine(head, tail, crc32_shift(len - cut)), want, "len {len} cut {cut}");
+            // The one-chain loop is the streams' own reference too.
+            assert_eq!(!crc32_serial(!0, s), want, "len {len} off {off}");
         }
     }
 
@@ -2129,6 +2277,99 @@ mod tests {
             "teardown took {:?}: it slept through a beat",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn first_frame_on_a_fresh_link_waits_on_no_timer() {
+        // Send on a link nothing has used -> `recv` returns, over 20 fresh
+        // fabrics: ten send the moment the fabric exists, ten a few
+        // milliseconds in (once every helper thread has reached its first
+        // wait). With the listener polled every 10 ms the second kind read
+        // 7 ms and the first kind 0.5 or 10 as the race fell; a blocked
+        // `accept` leaves no timer between the dial and the HELLO_ACK.
+        let mut addrs = Vec::new();
+        for settle in [Duration::ZERO, Duration::from_millis(3)] {
+            let mut took = Vec::new();
+            for _ in 0..10 {
+                let mut eps = TcpTransport::fabric_localhost(2).unwrap();
+                let b = eps.remove(1);
+                let a = eps.remove(0);
+                std::thread::sleep(settle);
+                let t0 = Instant::now();
+                a.send(1, msg(0, 1, &[1.0]));
+                assert_eq!(b.recv(Duration::from_secs(10)).unwrap().payload[0], 1.0);
+                took.push(t0.elapsed());
+                addrs.extend(a.addrs().iter().copied());
+            }
+            took.sort();
+            assert!(took[5] < Duration::from_millis(2), "sent {settle:?} in, first frames took {took:?}");
+        }
+        // Every endpoint is dropped: its accept thread was woken, has left
+        // `accept` and closed the listener — nobody answers there any more.
+        for addr in addrs {
+            assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts after Drop");
+        }
+    }
+
+    /// The `Transport::recv` contract, as `transport.rs` checks it on the
+    /// mpsc fabric, on the wire's poll-then-park.
+    #[test]
+    fn recv_contract_holds_across_the_poll_window() {
+        let mut eps = TcpTransport::fabric_localhost(2).unwrap();
+        let b = eps.remove(1);
+        let a = eps.remove(0);
+        // Queued before the call (self-delivery lands in the inbox
+        // synchronously): even a zero timeout returns it.
+        b.send(1, msg(1, 3, &[1.0]));
+        assert_eq!(b.recv(Duration::ZERO).unwrap().payload[0], 1.0);
+        // Sent once the receiver is on its way into `recv` (lands in the
+        // poll window or just after it), and long after it has parked.
+        let (go_tx, go_rx) = channel::<(Duration, f64)>();
+        let sender = std::thread::spawn(move || {
+            for (delay, val) in go_rx {
+                std::thread::sleep(delay);
+                a.send(1, msg(0, 3, &[val]));
+            }
+        });
+        for (delay, val) in [(Duration::ZERO, 2.0), (200 * POLL_BUDGET, 3.0)] {
+            go_tx.send((delay, val)).unwrap();
+            assert_eq!(b.recv(Duration::from_secs(30)).unwrap().payload[0], val);
+        }
+        drop(go_tx);
+        sender.join().unwrap();
+        // `Timeout` fires no earlier than asked: longer than the poll
+        // budget, shorter than it, zero.
+        for timeout in [Duration::from_millis(20), POLL_BUDGET / 4, Duration::ZERO] {
+            let start = Instant::now();
+            assert_eq!(b.recv(timeout).err(), Some(CommError::Timeout));
+            assert!(start.elapsed() >= timeout, "timed out after {:?} < {timeout:?}", start.elapsed());
+        }
+        // A closed endpoint says so, whatever is queued.
+        b.send(1, msg(1, 3, &[4.0]));
+        b.close();
+        assert_eq!(b.recv(Duration::from_secs(5)).err(), Some(CommError::Closed));
+    }
+
+    #[test]
+    fn ring_on_more_ranks_than_cores_finishes_inside_a_fuse() {
+        // Every rank waits on its left neighbour while the machine has fewer
+        // cores than ranks (let alone their reader threads): the poll has
+        // to give its core away, not hold it.
+        let n = std::thread::available_parallelism().map_or(1, |c| c.get()) + 2;
+        let eps = TcpTransport::fabric_localhost(n).unwrap();
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            for t in eps {
+                s.spawn(move || {
+                    for round in 0..200 {
+                        t.send((t.rank() + 1) % n, msg(t.rank(), 1, &[round as f64]));
+                        let m = t.recv(Duration::from_secs(30)).expect("ring stalled");
+                        assert_eq!((m.src, m.payload[0]), ((t.rank() + n - 1) % n, round as f64));
+                    }
+                });
+            }
+        });
+        assert!(t0.elapsed() < Duration::from_secs(20), "200 ring rounds on {n} ranks took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -279,14 +279,15 @@ pub trait Transport: Send {
     }
 }
 
-/// How long [`MpscTransport::recv`] polls its inbox before it parks. Waking
+/// How long a receive polls its inbox before it parks — [`MpscTransport::recv`]
+/// spinning, [`crate::tcp::TcpTransport`]'s yielding. Waking
 /// a parked receiver across cores costs tens of microseconds, picking up a
 /// message while polling well under one; the budget is a few wake-ups long,
 /// enough to outlast the serial section of a panel column on the owning
 /// rank (the wait it is there to absorb), and bounds what a receive that
 /// really has to wait — a peer deep in a GEMM — burns before it sleeps.
 /// DESIGN.md §7, "Receive: poll, then park".
-const POLL_BUDGET: Duration = Duration::from_micros(100);
+pub(crate) const POLL_BUDGET: Duration = Duration::from_micros(100);
 
 /// The default in-process fabric: one unbounded `std::sync::mpsc` channel
 /// per endpoint, senders shared by everyone, plus a shared dead-endpoint

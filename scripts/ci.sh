@@ -58,11 +58,23 @@ FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
 # the real wire; every check of every leg (bitwise ft == plain, one
 # recovery, residuals), the result line, exit 0 — keep a crate change from
 # breaking the measurement.
-echo "== benchsuite (tests, hess_dense + hess_tcp smoke)"
+echo "== benchsuite (tests, hess_dense + hess_tcp smoke, hess_tcp traced)"
 cargo test --release -q --manifest-path benchsuite/Cargo.toml
 for w in hess_dense hess_tcp; do
     cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
         --workload "$w" --smoke >/dev/null
+done
+# The wire once more, traced: a receive-poll or accept change that quietly
+# provokes go-back-N rewinds or starves the beats can still look fine on
+# wall time, so a clean loopback run must count none of either.
+traced=$(cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
+    --workload hess_tcp --smoke --trace 1)
+for counter in runtime.retransmits runtime.hb_misses; do
+    if ! grep -Eq "^$counter +0(\.0+)? " <<<"$traced"; then
+        echo "hess_tcp traced smoke: $counter is not 0 on a clean wire"
+        grep "^$counter" <<<"$traced" || echo "  ($counter was not reported)"
+        exit 1
+    fi
 done
 
 # Every soak below is a loop of legs through the release CLI, and every leg
