@@ -247,19 +247,24 @@ pub fn ve_row_index(enc: &Encoded, g: usize, copy: usize, off: usize) -> usize {
 /// process (computed from the replicated `V`).
 pub fn ve_rows(enc: &Encoded, f: &PanelFactors) -> Matrix {
     let nb = enc.nb();
-    let ncopies = enc.ncopies();
     let r0 = f.v_row0();
-    let mut ve = Matrix::zeros(ncopies * enc.groups() * nb, f.w);
-    for copy in 0..ncopies {
+    let n = f.n.min(enc.n());
+    let mut ve = Matrix::zeros(enc.ncopies() * enc.groups() * nb, f.w);
+    for copy in 0..enc.ncopies() {
         for g in 0..enc.groups() {
-            for off in 0..nb {
-                let r = ve_row_index(enc, g, copy, off);
-                for c in enc.member_cols(g, off) {
-                    if c >= r0 && c < f.n {
-                        let w = enc.col_weight(copy, c);
-                        for l in 0..f.w {
-                            ve[(r, l)] += w * f.vfull[(c - r0, l)];
-                        }
+            let r = ve_row_index(enc, g, copy, 0);
+            // Member blocks in member order — the order every row's sum
+            // takes them in — each cut to the rows `V` has, `[r0, n)`.
+            for (base, wgt) in enc.weighted_members(g, copy) {
+                let (lo, hi) = (base.max(r0), (base + nb).min(n));
+                if lo >= hi {
+                    continue;
+                }
+                for l in 0..f.w {
+                    let v = &f.vfull.col(l)[lo - r0..hi - r0];
+                    let sums = &mut ve.col_mut(l)[r + lo - base..r + hi - base];
+                    for (s, x) in sums.iter_mut().zip(v) {
+                        *s += wgt * x;
                     }
                 }
             }
@@ -270,21 +275,24 @@ pub fn ve_rows(enc: &Encoded, f: &PanelFactors) -> Matrix {
 
 /// Store `Ve` into the bottom pseudo-checksum rows (both copies) under the
 /// panel columns — the extra storage allocated at encoding time (§4).
-/// Purely local writes on the owners.
+/// Purely local writes on the owners: the `nb` rows of one `(g, copy)` are
+/// one block of the layout, so they sit with one process row, contiguous in
+/// each of its local columns.
 pub fn store_ve(enc: &mut Encoded, f: &PanelFactors, ve: &Matrix) {
     if !enc.a.owns_col(f.k) {
         return;
     }
     let nb = enc.nb();
+    let lc0 = enc.a.g2l_col(f.k);
     for copy in 0..enc.ncopies() {
         for g in 0..enc.groups() {
-            for off in 0..nb {
-                let r = enc.chk_row(g, copy, off);
-                if enc.a.owns_row(r) {
-                    let vr = ve_row_index(enc, g, copy, off);
-                    for l in 0..f.w {
-                        enc.a.set(r, f.k + l, ve[(vr, l)]);
-                    }
+            let r = enc.chk_row(g, copy, 0);
+            debug_assert_eq!(r % nb, 0, "checksum rows start on a block boundary");
+            if enc.a.owns_row(r) {
+                let lr = enc.a.g2l_row(r);
+                let vr = ve_row_index(enc, g, copy, 0);
+                for l in 0..f.w {
+                    enc.a.local_mut().col_mut(lc0 + l)[lr..lr + nb].copy_from_slice(&ve.col(l)[vr..vr + nb]);
                 }
             }
         }
@@ -1361,6 +1369,111 @@ fn handle_failpoint(
                 }
             }
             Ok(())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode::Redundancy;
+    use crate::scope::{copy_local_cols, panel_message};
+    use ft_dense::gen::uniform_entry;
+    use ft_pblas::{pdlahrd, pdlaqrf};
+    use ft_runtime::{run_spmd, FaultScript};
+    use std::sync::Arc;
+
+    /// [`ve_rows`] as it was before it walked column slices: one element of
+    /// `V` and one weight at a time.
+    fn ve_rows_by_element(enc: &Encoded, f: &PanelFactors) -> Matrix {
+        let r0 = f.v_row0();
+        let mut ve = Matrix::zeros(enc.ncopies() * enc.groups() * enc.nb(), f.w);
+        for copy in 0..enc.ncopies() {
+            for g in 0..enc.groups() {
+                for off in 0..enc.nb() {
+                    let r = ve_row_index(enc, g, copy, off);
+                    for c in enc.member_cols(g, off) {
+                        if c >= r0 && c < f.n {
+                            let w = enc.col_weight(copy, c);
+                            for l in 0..f.w {
+                                ve[(r, l)] += w * f.vfull[(c - r0, l)];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        ve
+    }
+
+    /// [`store_ve`] as it was: one global-index write per element.
+    fn store_ve_by_element(enc: &mut Encoded, f: &PanelFactors, ve: &Matrix) {
+        if !enc.a.owns_col(f.k) {
+            return;
+        }
+        for copy in 0..enc.ncopies() {
+            for g in 0..enc.groups() {
+                for off in 0..enc.nb() {
+                    let r = enc.chk_row(g, copy, off);
+                    if enc.a.owns_row(r) {
+                        for l in 0..f.w {
+                            enc.a.set(r, f.k + l, ve[(ve_row_index(enc, g, copy, off), l)]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The FT panel boundary moves blocks where it moved elements; nothing
+    /// it computes or sends may change by a bit — both solvers' panels,
+    /// first, interior and ragged last, flat and weighted checksums.
+    #[test]
+    fn ft_panel_boundary_is_bitwise_the_element_loops() {
+        let cases = [
+            (1usize, 2usize, 24usize, 4usize, Redundancy::Single),
+            (2, 2, 24, 4, Redundancy::Single),
+            (2, 3, 30, 3, Redundancy::Single),
+            (2, 2, 23, 4, Redundancy::Single),
+            (2, 4, 34, 4, Redundancy::Coded(2)),
+        ];
+        for (p, q, n, nb, redundancy) in cases {
+            run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let last = (n - 3) / nb * nb;
+                for k in [0, nb, last] {
+                    for hess in [true, false] {
+                        let mut enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(91, i, j));
+                        let f = if hess {
+                            pdlahrd(&ctx, &mut enc.a, n, k, nb.min(n - 2 - k))
+                        } else {
+                            pdlaqrf(&ctx, &mut enc.a, n, k, nb.min(n - k))
+                        };
+                        let at = format!("{p}x{q} n={n} nb={nb} {redundancy:?} k={k} hess={hess} rank {}", ctx.rank());
+
+                        let ve = ve_rows(&enc, &f);
+                        assert_eq!(bits(ve.as_slice()), bits(ve_rows_by_element(&enc, &f).as_slice()), "ve_rows, {at}");
+                        assert!(ve.as_slice().iter().any(|&x| x != 0.0), "empty Ve proves nothing, {at}");
+
+                        let mut want = enc.clone();
+                        store_ve_by_element(&mut want, &f, &ve);
+                        let before = bits(enc.a.local().as_slice());
+                        store_ve(&mut enc, &f, &ve);
+                        assert_eq!(bits(enc.a.local().as_slice()), bits(want.a.local().as_slice()), "store_ve, {at}");
+                        let mine = |i: usize| enc.a.owns_row(enc.chk_row(i / enc.ncopies(), i % enc.ncopies(), 0));
+                        let writes = enc.a.owns_col(f.k) && (0..enc.groups() * enc.ncopies()).any(mine);
+                        assert_eq!(bits(enc.a.local().as_slice()) != before, writes, "who store_ve writes on, {at}");
+
+                        let lcs: Vec<usize> = (enc.a.local_cols_below(f.k)..enc.a.local_cols_below(f.k + f.w)).collect();
+                        let piece = copy_local_cols(&enc, &lcs);
+                        let old: Arc<[f64]> = piece.iter().chain(f.y_loc.as_slice()).chain(f.t.as_slice()).copied().collect();
+                        assert_eq!(bits(&panel_message(&piece, &f)), bits(&old), "bookkeeping message, {at}");
+                    }
+                }
+            });
         }
     }
 }

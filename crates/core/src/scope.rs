@@ -84,7 +84,7 @@ pub struct ScopeState {
     pub chk: ChkProgress,
 }
 
-fn copy_local_cols(enc: &Encoded, cols: &[usize]) -> Vec<f64> {
+pub(crate) fn copy_local_cols(enc: &Encoded, cols: &[usize]) -> Vec<f64> {
     let lrn = enc.a.local_rows_below(enc.n());
     let ldl = enc.a.local().ld().max(1);
     let mut out = Vec::with_capacity(lrn * cols.len());
@@ -92,6 +92,17 @@ fn copy_local_cols(enc: &Encoded, cols: &[usize]) -> Vec<f64> {
         out.extend_from_slice(&enc.a.local().as_slice()[lc * ldl..lc * ldl + lrn]);
     }
     out
+}
+
+/// The bookkeeping message of one panel: the owner's panel columns, then its
+/// `Y` rows, then `T`.
+pub(crate) fn panel_message(panel_piece: &[f64], f: &PanelFactors) -> Arc<[f64]> {
+    let (y, t) = (f.y_loc.as_slice(), f.t.as_slice());
+    let mut msg = Vec::with_capacity(panel_piece.len() + y.len() + t.len());
+    msg.extend_from_slice(panel_piece);
+    msg.extend_from_slice(y);
+    msg.extend_from_slice(t);
+    msg.into()
 }
 
 fn write_local_cols(enc: &mut Encoded, cols: &[usize], data: &[f64]) {
@@ -184,12 +195,7 @@ impl ScopeState {
             // process column(s). One message per holder keeps the
             // communication accounting faithful; the payload is built once
             // and shared.
-            let msg: Arc<[f64]> = panel_piece
-                .iter()
-                .chain(f.y_loc.as_slice())
-                .chain(f.t.as_slice())
-                .copied()
-                .collect();
+            let msg = panel_message(&panel_piece, &f);
             for d in 1..=self.holders {
                 let dst = ctx.grid().rank_of(ctx.myrow(), (q_pan + d) % q);
                 ctx.send_arc(dst, TAG_BOOK.offset(d as u16), Arc::clone(&msg));

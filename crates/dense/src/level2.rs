@@ -54,16 +54,38 @@ pub fn gemv(trans: Trans, m: usize, n: usize, alpha: f64, a: &[f64], lda: usize,
         }
         Trans::Yes => {
             // Dot per column: y[j] += alpha * A(:,j)·x — unit-stride reads.
-            for j in 0..n {
-                let col = &a[j * lda..j * lda + m];
-                let mut s = 0.0;
-                for i in 0..m {
-                    s += col[i] * x[i];
-                }
-                y[j] += alpha * s;
-            }
+            // Each dot is one chain of dependent adds in row order, so a
+            // lone column runs at the add latency, not at the bandwidth:
+            // four columns share a sweep over x, then two, then the last.
+            let j = dot_sweeps::<4>(0, n, alpha, a, lda, x, y);
+            let j = dot_sweeps::<2>(j, n, alpha, a, lda, x, y);
+            dot_sweeps::<1>(j, n, alpha, a, lda, x, y);
         }
     }
+}
+
+/// `y[j] += alpha * A(:,j)·x` for columns `j0, j0+1, …`, `B` at a time while
+/// `B` more fit below `n`; returns the first column left over. Every dot is
+/// summed from zero in row order, one accumulator per column, so the bits
+/// do not depend on `B`.
+#[inline]
+fn dot_sweeps<const B: usize>(j0: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x: &[f64], y: &mut [f64]) -> usize {
+    let m = x.len();
+    let mut j = j0;
+    while j + B <= n {
+        let cols: [&[f64]; B] = std::array::from_fn(|c| &a[(j + c) * lda..(j + c) * lda + m]);
+        let mut s = [0.0f64; B];
+        for (i, &xi) in x.iter().enumerate() {
+            for c in 0..B {
+                s[c] += cols[c][i] * xi;
+            }
+        }
+        for c in 0..B {
+            y[j + c] += alpha * s[c];
+        }
+        j += B;
+    }
+    j
 }
 
 /// Rank-1 update: `A ← α·x·yᵀ + A` with `A` being `m×n`.
@@ -198,6 +220,80 @@ mod tests {
         let mut y = vec![f64::NAN; 2];
         gemv(Trans::No, 2, 2, 1.0, a.as_slice(), 2, &[1.0, 2.0], 0.0, &mut y);
         assert_eq!(y, vec![1.0, 2.0]);
+    }
+
+    /// `gemv(Trans::Yes)` as it was before it carried several columns per
+    /// sweep: one column, one running sum at a time. Kept as the oracle the
+    /// blocked kernel is held to, bit for bit.
+    fn gemv_t_by_column(m: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x: &[f64], beta: f64, y: &mut [f64]) {
+        if beta == 0.0 {
+            y.fill(0.0);
+        } else if beta != 1.0 {
+            y.iter_mut().for_each(|yi| *yi *= beta);
+        }
+        if alpha == 0.0 || m == 0 {
+            return;
+        }
+        for j in 0..n {
+            let col = &a[j * lda..j * lda + m];
+            let mut s = 0.0;
+            for i in 0..m {
+                s += col[i] * x[i];
+            }
+            y[j] += alpha * s;
+        }
+    }
+
+    /// Blocked against by-column on one shape, every α and β of the sweep,
+    /// `y` starting finite, NaN (which only β = 0 may overwrite) and −0.0.
+    fn assert_gemv_t_bitwise(m: usize, n: usize, lda: usize, rng: &mut crate::rng::Xoshiro256) {
+        let mut a = vec![f64::NAN; if n == 0 { 0 } else { lda * (n - 1) + m }];
+        for j in 0..n {
+            for i in 0..m {
+                // Mixed magnitudes make the row order of each sum visible;
+                // signed zeros must survive it.
+                a[i + j * lda] = match rng.next_below(8) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => rng.range_f64(-1e12, 1e12),
+                    _ => rng.range_f64(-1.0, 1.0),
+                };
+            }
+        }
+        let x: Vec<f64> = (0..m)
+            .map(|i| if i % 5 == 3 { -0.0 } else { rng.range_f64(-2.0, 2.0) })
+            .collect();
+        for alpha in [0.0, 1.0, -2.5] {
+            for beta in [0.0, 1.0, 0.5] {
+                for y0 in [0.75, f64::NAN, -0.0] {
+                    let mut got = vec![y0; n];
+                    let mut want = got.clone();
+                    gemv(Trans::Yes, m, n, alpha, &a, lda, &x, beta, &mut got);
+                    gemv_t_by_column(m, n, alpha, &a, lda, &x, beta, &mut want);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "m={m} n={n} lda={lda} α={alpha} β={beta} y0={y0}");
+                    if beta == 0.0 {
+                        assert!(got.iter().all(|v| !v.is_nan()), "β = 0 read y: m={m} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemv_t_blocked_is_bitwise_one_column_at_a_time() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(0x6E3F);
+        for m in 0..=9 {
+            for n in 0..=9 {
+                assert_gemv_t_bitwise(m, n, m.max(1), &mut rng);
+                assert_gemv_t_bitwise(m, n, m + 3, &mut rng);
+            }
+        }
+        // The panel's shapes: tall, a ragged handful of columns.
+        for (m, n) in [(513, 31), (1000, 7), (257, 13), (64, 33), (1, 40), (300, 2)] {
+            assert_gemv_t_bitwise(m, n, m, &mut rng);
+            assert_gemv_t_bitwise(m, n, m + 5, &mut rng);
+        }
     }
 
     #[test]

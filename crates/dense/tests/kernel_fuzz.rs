@@ -30,6 +30,7 @@
 //! Deterministic: the seed is fixed (override with `FT_FUZZ_SEED` to
 //! explore a different corner of the space; CI pins it).
 
+use ft_dense::level2::gemv;
 use ft_dense::level3::{
     blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, set_threads_override, PackedA, MR, NR,
 };
@@ -332,5 +333,38 @@ fn prepacked_bitwise_equals_packed_any_isa() {
                 assert_eq!(x.to_bits(), y.to_bits(), "m={m} n={n} k={k} isa={}", isa.name());
             }
         }
+    }
+}
+
+/// `gemv(Trans::Yes)` carries several columns per sweep, one accumulator
+/// each: over seeded shapes, strides and coefficients the result must be
+/// bitwise what the same kernel gives one column per call — the width-1
+/// sweep, which is the loop the kernel was before it was blocked.
+#[test]
+fn gemv_t_blocked_is_bitwise_column_by_column() {
+    let mut rng = Xoshiro256::seed_from_u64(fuzz_seed() ^ 0x6E3F);
+    let rounds: usize = std::env::var("FT_FUZZ_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(400);
+    for round in 0..rounds {
+        let m = rng.range_usize(0, 70);
+        let n = rng.range_usize(0, 40);
+        let lda = m.max(1) + (rng.next_below(2) as usize) * rng.range_usize(1, 6);
+        let a = strided_with_nan_gaps(&mut rng, m, n, lda);
+        let x: Vec<f64> = (0..m).map(|_| rng.range_f64(-1e3, 1e3)).collect();
+        let alpha = COEFFS[rng.range_usize(0, COEFFS.len())];
+        let beta = COEFFS[rng.range_usize(0, COEFFS.len())];
+        let y0: Vec<f64> = (0..n)
+            .map(|_| if beta == 0.0 { f64::NAN } else { rng.range_f64(-1.0, 1.0) })
+            .collect();
+
+        let mut got = y0.clone();
+        gemv(Trans::Yes, m, n, alpha, &a, lda, &x, beta, &mut got);
+        let mut want = y0;
+        for (j, yj) in want.iter_mut().enumerate() {
+            gemv(Trans::Yes, m, 1, alpha, &a[j * lda..], lda, &x, beta, std::slice::from_mut(yj));
+        }
+        for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "round {round}: m={m} n={n} lda={lda} α={alpha} β={beta} column {j}");
+        }
+        assert!(got.iter().all(|v| v.is_finite()), "round {round}: read a stride gap or y under β = 0");
     }
 }

@@ -94,28 +94,32 @@ impl PanelFactors {
 
     /// Build the `len(cols)×w` matrix whose row `i` is the `V` row of global
     /// index `cols[i]` (used as the right operand of the right update
-    /// `A ← A − Y·Vᵀ` for those global columns).
+    /// `A ← A − Y·Vᵀ` for those global columns). Local indices map to runs
+    /// of consecutive global ones, a block at a time; each run is one slice
+    /// copy per reflector.
     pub fn vrows_for(&self, cols: &[usize]) -> Matrix {
-        let m = self.vfull.rows();
         let r0 = self.v_row0();
-        Matrix::from_fn(cols.len(), self.w, |i, l| {
+        let mut out = Matrix::zeros(cols.len(), self.w);
+        let mut i = 0;
+        while i < cols.len() {
+            let run = 1 + (i + 1..cols.len()).take_while(|&e| cols[e] == cols[e - 1] + 1).count();
             let g = cols[i];
-            debug_assert!(g >= r0 && g < self.n);
-            self.vfull.as_slice()[(g - r0) + l * m]
-        })
+            debug_assert!(g >= r0 && g + run <= self.n);
+            for l in 0..self.w {
+                out.col_mut(l)[i..i + run].copy_from_slice(&self.vfull.col(l)[g - r0..g - r0 + run]);
+            }
+            i += run;
+        }
+        out
     }
 
     /// `V` restricted to the caller's local rows in `[k+v_row_offset, n)`,
     /// given the distributed matrix it belongs to.
     pub fn v_for_local_rows(&self, a: &DistMatrix) -> Matrix {
-        let r0 = self.v_row0();
-        let lr0 = a.local_rows_below(r0);
-        let lrn = a.local_rows_below(self.n);
-        let m = self.vfull.rows();
-        Matrix::from_fn(lrn - lr0, self.w, |i, l| {
-            let g = a.l2g_row(lr0 + i);
-            self.vfull.as_slice()[(g - r0) + l * m]
-        })
+        let rows: Vec<usize> = (a.local_rows_below(self.v_row0())..a.local_rows_below(self.n))
+            .map(|lr| a.l2g_row(lr))
+            .collect();
+        self.vrows_for(&rows)
     }
 }
 
@@ -460,6 +464,11 @@ pub fn pdlaqrf(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
     let lr_n = a.local_rows_below(n);
     let mut tau = vec![0.0f64; w];
 
+    // Per-column scratch, allocated once per panel.
+    let mut al = vec![0.0f64];
+    let mut vj: Vec<f64> = Vec::with_capacity(lr_n - a.local_rows_below(k));
+    let mut wv: Vec<f64> = Vec::with_capacity(w);
+
     for (j, t) in tau.iter_mut().enumerate() {
         let c = k + j;
         let u = c; // unit on the diagonal
@@ -477,10 +486,7 @@ pub fn pdlaqrf(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         }
         ctx.allreduce_sum_col(&mut ss, TAG_NRM);
         let p_u = a.row_owner(u);
-        let mut al = vec![0.0f64];
-        if ctx.myrow() == p_u {
-            al[0] = a.get(u, c);
-        }
+        al[0] = if ctx.myrow() == p_u { a.get(u, c) } else { 0.0 };
         ctx.bcast_col(p_u, &mut al, TAG_ALPHA);
         let alpha = al[0];
         let xnorm = ss[0].sqrt();
@@ -506,18 +512,16 @@ pub fn pdlaqrf(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         if rem > 0 && tau_j != 0.0 {
             let lr_u = a.local_rows_below(u);
             let mt = lr_n - lr_u;
-            let vj: Vec<f64> = (lr_u..lr_n)
-                .map(|lr| {
-                    let g = a.l2g_row(lr);
-                    if g == u {
-                        1.0
-                    } else {
-                        a.local()[(lr, lc)]
-                    }
-                })
-                .collect();
+            // v_j = my rows of [1; A(u+1..n, c)]: the stored column, with
+            // the unit in place of β where row u is mine (my first row ≥ u).
+            vj.clear();
+            vj.extend_from_slice(&a.local().as_slice()[lc * ldl + lr_u..lc * ldl + lr_n]);
+            if ctx.myrow() == p_u {
+                vj[0] = 1.0;
+            }
             let lcc = a.g2l_col(c + 1);
-            let mut wv = vec![0.0f64; rem];
+            wv.clear();
+            wv.resize(rem, 0.0);
             if mt > 0 {
                 let cbuf = &a.local().as_slice()[lcc * ldl + lr_u..];
                 gemv(Trans::Yes, mt, rem, 1.0, cbuf, ldl, &vj, 0.0, &mut wv);
@@ -685,6 +689,24 @@ mod tests {
     }
 
     #[test]
+    fn v_for_local_rows_is_my_rows_of_vfull() {
+        let (n, nb, k) = (17, 3, 3);
+        run_spmd(3, 2, FaultScript::none(), move |ctx| {
+            let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(8, i, j));
+            let f = pdlahrd(&ctx, &mut a, n, k, nb);
+            let v = f.v_for_local_rows(&a);
+            let lr0 = a.local_rows_below(f.v_row0());
+            assert_eq!(v.rows(), a.local_rows_below(n) - lr0);
+            for i in 0..v.rows() {
+                let g = a.l2g_row(lr0 + i);
+                for l in 0..nb {
+                    assert_eq!(v[(i, l)].to_bits(), f.vfull[(g - f.v_row0(), l)].to_bits(), "row {g} reflector {l}");
+                }
+            }
+        });
+    }
+
+    #[test]
     fn vrows_helper_units_and_zeros() {
         let n = 10;
         run_spmd(1, 1, FaultScript::none(), move |ctx| {
@@ -700,6 +722,15 @@ mod tests {
             assert_eq!(vr[(1, 2)], 0.0);
             // row 5 all stored
             assert_eq!(vr[(2, 0)], f.vfull[(4, 0)]);
+            // Runs of any length, in any order, gather the rows they name.
+            let cols = [5, 6, 7, 2, 9, 3, 4];
+            let vr = f.vrows_for(&cols);
+            for (i, &g) in cols.iter().enumerate() {
+                for l in 0..3 {
+                    assert_eq!(vr[(i, l)].to_bits(), f.vfull[(g - 1, l)].to_bits(), "row {g} reflector {l}");
+                }
+            }
+            assert_eq!(f.vrows_for(&[]).rows(), 0);
         });
     }
 }

@@ -7,10 +7,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Counts every message crossing the wire, fabric-wide.
+/// Counts every message crossing the wire, fabric-wide, and every message
+/// this endpoint's rank took delivery of.
 struct CountingTransport {
     inner: MpscTransport,
     sends: Arc<AtomicU64>,
+    delivered: Arc<AtomicU64>,
+}
+
+fn counting_fabric(world: usize, sends: &Arc<AtomicU64>) -> (Vec<Box<dyn Transport>>, Vec<Arc<AtomicU64>>) {
+    let delivered: Vec<Arc<AtomicU64>> = (0..world).map(|_| Arc::default()).collect();
+    let transports = MpscTransport::fabric(world)
+        .into_iter()
+        .zip(&delivered)
+        .map(|(inner, d)| {
+            Box::new(CountingTransport { inner, sends: Arc::clone(sends), delivered: Arc::clone(d) }) as Box<dyn Transport>
+        })
+        .collect();
+    (transports, delivered)
 }
 
 impl Transport for CountingTransport {
@@ -25,7 +39,9 @@ impl Transport for CountingTransport {
         self.inner.send(dst, msg);
     }
     fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
-        self.inner.recv(timeout)
+        let msg = self.inner.recv(timeout)?;
+        self.delivered.fetch_add(1, Ordering::Relaxed);
+        Ok(msg)
     }
     fn close(&self) {
         self.inner.close()
@@ -42,10 +58,7 @@ impl Transport for CountingTransport {
 fn spmd_runs_unchanged_over_a_custom_transport() {
     let (p, q) = (2usize, 3usize);
     let sends = Arc::new(AtomicU64::new(0));
-    let transports: Vec<Box<dyn Transport>> = MpscTransport::fabric(p * q)
-        .into_iter()
-        .map(|inner| Box::new(CountingTransport { inner, sends: Arc::clone(&sends) }) as Box<dyn Transport>)
-        .collect();
+    let (transports, _) = counting_fabric(p * q, &sends);
 
     let out = run_spmd_with(p, q, FaultScript::none(), transports, |ctx| {
         let mut v = vec![ctx.rank() as f64];
@@ -60,7 +73,52 @@ fn spmd_runs_unchanged_over_a_custom_transport() {
     });
     assert_eq!(out, vec![15.0; 6]);
 
-    // The wrapper saw every message: 5 reduce partials + 5 broadcast
-    // forwards + 1 p2p.
-    assert_eq!(sends.load(Ordering::Relaxed), 11);
+    // The wrapper saw every message: the 16 of a six-member all-reduce
+    // (rounds of 6, 4 and 6) + 1 p2p.
+    assert_eq!(sends.load(Ordering::Relaxed), allreduce_msgs(6) + 1);
+    assert_eq!(allreduce_msgs(6), 16);
+}
+
+/// Messages of one all-reduce over `n` members, as the module docs of
+/// `collectives.rs` state it: each round delivers one message to every
+/// member whose block of `2·mask` has both its halves.
+fn allreduce_msgs(n: usize) -> u64 {
+    let mut total = 0;
+    let mut mask = 1;
+    while mask < n {
+        let t = n % (2 * mask);
+        total += n - if 0 < t && t <= mask { t } else { 0 };
+        mask *= 2;
+    }
+    total as u64
+}
+
+#[test]
+fn allreduce_is_one_receive_per_round_and_sends_what_the_docs_say() {
+    for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16] {
+        let sends = Arc::new(AtomicU64::new(0));
+        let (transports, delivered) = counting_fabric(n, &sends);
+        let rounds = n.next_power_of_two().trailing_zeros() as u64;
+        let received = run_spmd_with(1, n, FaultScript::none(), transports, move |ctx| {
+            // Barriers are not messages; between them only the all-reduce
+            // touches this rank's endpoint.
+            ctx.barrier();
+            let before = delivered[ctx.rank()].load(Ordering::Relaxed);
+            let mut v = vec![1.0; 5];
+            ctx.allreduce_sum_row(&mut v, 3);
+            assert_eq!(v, vec![n as f64; 5]);
+            let mine = delivered[ctx.rank()].load(Ordering::Relaxed) - before;
+            ctx.barrier();
+            mine
+        });
+        assert!(
+            received.iter().all(|&r| r <= rounds),
+            "n = {n}: a member received {received:?} times in {rounds} rounds"
+        );
+        assert_eq!(received.iter().sum::<u64>(), allreduce_msgs(n), "n = {n}: deliveries");
+        assert_eq!(sends.load(Ordering::Relaxed), allreduce_msgs(n), "n = {n}: sends");
+    }
+    // Reduce-then-broadcast sent 2(n − 1): the same at two members, fewer
+    // beyond — the price of half the hops.
+    assert_eq!([2, 3, 4, 8, 16].map(allreduce_msgs), [2, 5, 8, 24, 64]);
 }

@@ -4,7 +4,7 @@
 //! correct (and deterministic) results — the tree's interior forwarding
 //! must not smear messages across the fail-point boundary.
 
-use ft_runtime::{run_spmd, FailCheck, FaultScript, PlannedFailure};
+use ft_runtime::{catch_interrupt, run_spmd, ChaosKill, ChaosPoint, FailCheck, FaultScript, InterruptReason, PlannedFailure};
 
 #[test]
 fn victim_at_tree_collective_boundary_is_seen_consistently() {
@@ -65,4 +65,37 @@ fn simultaneous_victims_between_collectives_are_seen_identically() {
     for v in &out {
         assert_eq!(v, &vec![1, 6], "victim lists diverged across survivors");
     }
+}
+
+#[test]
+fn victim_between_two_rounds_of_a_world_allreduce_interrupts_everyone() {
+    // Eight members, three rounds, a send and a receive per round: op 2 is
+    // the victim's round-2 send. Its round-1 sum is already with rank 4, so
+    // half the world (0, 2, 4, 6) can finish this all-reduce while the other
+    // half waits on the victim or on someone who does; the next collective
+    // must stop the finishers too.
+    let victim = 5usize;
+    let script = FaultScript::none().with_kills(vec![ChaosKill { victim, at: ChaosPoint::Op(2) }]);
+    let out = run_spmd(2, 4, script, move |ctx| {
+        ctx.arm_chaos();
+        let interrupt = catch_interrupt(|| {
+            let mut v = vec![ctx.rank() as f64; 3];
+            ctx.allreduce_sum_world(&mut v, 600);
+            ctx.allreduce_sum_world(&mut v, 602);
+        })
+        .expect_err("nobody gets through two all-reduces a member died in");
+        let expect = if ctx.rank() == victim {
+            InterruptReason::Died
+        } else {
+            InterruptReason::Revoked
+        };
+        assert_eq!(interrupt.reason, expect, "rank {}", ctx.rank());
+        let agreed = ctx.agree_on_failures();
+        // The replacement is back: the same collective completes.
+        let mut v = vec![ctx.rank() as f64; 3];
+        ctx.allreduce_sum_world(&mut v, 604);
+        assert_eq!(v, vec![28.0; 3]);
+        agreed.victims
+    });
+    assert_eq!(out, vec![vec![victim]; 8]);
 }
