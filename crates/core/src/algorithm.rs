@@ -1377,11 +1377,10 @@ fn handle_failpoint(
 mod tests {
     use super::*;
     use crate::encode::Redundancy;
-    use crate::scope::{copy_local_cols, panel_message};
+    use crate::scope::panel_message;
     use ft_dense::gen::uniform_entry;
     use ft_pblas::{pdlahrd, pdlaqrf};
     use ft_runtime::{run_spmd, FaultScript};
-    use std::sync::Arc;
 
     /// [`ve_rows`] as it was before it walked column slices: one element of
     /// `V` and one weight at a time.
@@ -1467,10 +1466,35 @@ mod tests {
                         let writes = enc.a.owns_col(f.k) && (0..enc.groups() * enc.ncopies()).any(mine);
                         assert_eq!(bits(enc.a.local().as_slice()) != before, writes, "who store_ve writes on, {at}");
 
-                        let lcs: Vec<usize> = (enc.a.local_cols_below(f.k)..enc.a.local_cols_below(f.k + f.w)).collect();
-                        let piece = copy_local_cols(&enc, &lcs);
-                        let old: Arc<[f64]> = piece.iter().chain(f.y_loc.as_slice()).chain(f.t.as_slice()).copied().collect();
-                        assert_eq!(bits(&panel_message(&piece, &f)), bits(&old), "bookkeeping message, {at}");
+                        // The bookkeeping message is the owner's rows < n
+                        // of the panel's columns, element for element, and
+                        // ends there: a holder keeps the message it received
+                        // whole, so `lrn·w` words are all it can ever read.
+                        let lrn = enc.a.local_rows_below(n);
+                        let owner = enc.a.owns_col(f.k);
+                        let mut piece = Vec::new();
+                        for c in (f.k..f.k + f.w).filter(|_| owner) {
+                            let lc = enc.a.g2l_col(c);
+                            piece.extend((0..lrn).map(|lr| enc.a.local()[(lr, lc)]));
+                        }
+                        assert_eq!(piece.len(), if owner { lrn * f.w } else { 0 }, "piece, {at}");
+                        assert_eq!(bits(&panel_message(&enc, &f)), bits(&piece), "bookkeeping message, {at}");
+
+                        let q_pan = enc.a.col_owner(f.k);
+                        let mut st = ScopeState::begin(&ctx, &enc, f.k / nb / q);
+                        st.bookkeep_panel(&ctx, &enc, f.clone());
+                        ctx.bcast_row(q_pan, &mut piece, 77);
+                        let held: Vec<_> = st
+                            .my_panel_pieces
+                            .iter()
+                            .map(|(_, m)| m)
+                            .chain(st.panel_backups.iter().map(|(_, _, m)| m))
+                            .collect();
+                        let holder = (1..=st.holders).any(|d| ctx.mycol() == (q_pan + d) % q);
+                        assert_eq!(held.len(), usize::from(owner) + usize::from(holder && !owner), "who holds the panel, {at}");
+                        for m in held {
+                            assert_eq!(bits(m), bits(&piece), "held panel piece, {at}");
+                        }
                     }
                 }
             });

@@ -10,10 +10,13 @@
 //!   serves the Area-4 replay on survivors; the remote copies serve the
 //!   victims.
 //! * **Panel bookkeeping** (lines 8–9): after each panel factorization the
-//!   owning process column sends its local panel columns plus its `Y` and
-//!   `T` pieces to the next `h` process columns. The panel copy is the
-//!   Area-3 recovery source; `Y`/`T` (and the replicated `V`) drive the
-//!   Area-4 replay.
+//!   owning process column sends its local panel columns to the next `h`
+//!   process columns. The panel copy is the Area-3 recovery source. The
+//!   paper's lines 8–9 ship `Y` and `T` with it, for the Area-4 replay;
+//!   here they cost no bytes: the panel kernel leaves `Y` (by process row),
+//!   `T`, `τ` and `V` replicated across the whole process row, so every
+//!   holder — like every other process — already has them in its
+//!   [`PanelFactors`].
 //!
 //! The holder count `h` equals the redundancy level's failure tolerance
 //! ([`crate::encode::Redundancy::max_failures_per_row`]): with at most `h`
@@ -75,16 +78,17 @@ pub struct ScopeState {
     /// `V`/`T`/`tau`, row-local `Y`).
     pub factors: Vec<PanelFactors>,
     /// Panel-column copies received from left neighbors:
-    /// `(distance, panel_index_in_scope, data)`.
-    pub panel_backups: Vec<(usize, usize, Vec<f64>)>,
+    /// `(distance, panel_index_in_scope, data)` — the received message
+    /// itself, shared with the sender.
+    pub panel_backups: Vec<(usize, usize, Arc<[f64]>)>,
     /// My own sent panel pieces (kept so the backup chain can be rebuilt
     /// for a replacement process): `(panel_index_in_scope, data)`.
-    pub my_panel_pieces: Vec<(usize, Vec<f64>)>,
+    pub my_panel_pieces: Vec<(usize, Arc<[f64]>)>,
     /// Algorithm 3 checksum lag tracking.
     pub chk: ChkProgress,
 }
 
-pub(crate) fn copy_local_cols(enc: &Encoded, cols: &[usize]) -> Vec<f64> {
+fn copy_local_cols(enc: &Encoded, cols: &[usize]) -> Vec<f64> {
     let lrn = enc.a.local_rows_below(enc.n());
     let ldl = enc.a.local().ld().max(1);
     let mut out = Vec::with_capacity(lrn * cols.len());
@@ -94,15 +98,11 @@ pub(crate) fn copy_local_cols(enc: &Encoded, cols: &[usize]) -> Vec<f64> {
     out
 }
 
-/// The bookkeeping message of one panel: the owner's panel columns, then its
-/// `Y` rows, then `T`.
-pub(crate) fn panel_message(panel_piece: &[f64], f: &PanelFactors) -> Arc<[f64]> {
-    let (y, t) = (f.y_loc.as_slice(), f.t.as_slice());
-    let mut msg = Vec::with_capacity(panel_piece.len() + y.len() + t.len());
-    msg.extend_from_slice(panel_piece);
-    msg.extend_from_slice(y);
-    msg.extend_from_slice(t);
-    msg.into()
+/// The bookkeeping message of one panel: the owner's local rows `< n` of
+/// the panel's columns and nothing else (module docs).
+pub(crate) fn panel_message(enc: &Encoded, f: &PanelFactors) -> Arc<[f64]> {
+    let lcs: Vec<usize> = (enc.a.local_cols_below(f.k)..enc.a.local_cols_below(f.k + f.w)).collect();
+    copy_local_cols(enc, &lcs).into()
 }
 
 fn write_local_cols(enc: &mut Encoded, cols: &[usize], data: &[f64]) {
@@ -176,39 +176,29 @@ impl ScopeState {
     }
 
     /// Panel bookkeeping (Algorithm 2 lines 8–9): the panel-owning process
-    /// column sends its finished panel columns, `Y` and `T` to the next `h`
-    /// process columns; receivers store the panel piece. Everyone records
-    /// the factors. Call right after `pdlahrd`.
+    /// column sends its finished panel columns to the next `h` process
+    /// columns; receivers keep the message. Everyone records the factors.
+    /// Call right after `pdlahrd`.
     pub fn bookkeep_panel(&mut self, ctx: &Ctx, enc: &Encoded, f: PanelFactors) {
         let q = ctx.npcol();
         let q_pan = enc.a.col_owner(f.k);
         let scope_panel_idx = (f.k / enc.nb()) % q;
 
         if ctx.mycol() == q_pan && self.holders > 0 {
-            let lcs: Vec<usize> = {
-                let lc0 = enc.a.local_cols_below(f.k);
-                let lc1 = enc.a.local_cols_below(f.k + f.w);
-                (lc0..lc1).collect()
-            };
-            let panel_piece = copy_local_cols(enc, &lcs);
-            // Paper line 8/9: the panel itself, Y and T travel to the next
-            // process column(s). One message per holder keeps the
-            // communication accounting faithful; the payload is built once
-            // and shared.
-            let msg = panel_message(&panel_piece, &f);
+            // One message per holder keeps the communication accounting
+            // faithful; the payload is built once and shared.
+            let msg = panel_message(enc, &f);
             for d in 1..=self.holders {
                 let dst = ctx.grid().rank_of(ctx.myrow(), (q_pan + d) % q);
                 ctx.send_arc(dst, TAG_BOOK.offset(d as u16), Arc::clone(&msg));
             }
-            self.my_panel_pieces.push((scope_panel_idx, panel_piece));
+            self.my_panel_pieces.push((scope_panel_idx, msg));
         } else {
             for d in 1..=self.holders {
                 if ctx.mycol() == (q_pan + d) % q {
                     let src = ctx.grid().rank_of(ctx.myrow(), q_pan);
                     let msg = ctx.recv_arc(src, TAG_BOOK.offset(d as u16));
-                    let lrn = enc.a.local_rows_below(enc.n());
-                    let panel_piece = msg[..lrn * f.w].to_vec();
-                    self.panel_backups.push((d, scope_panel_idx, panel_piece));
+                    self.panel_backups.push((d, scope_panel_idx, msg));
                 }
             }
         }
@@ -288,7 +278,7 @@ impl ScopeState {
             // (1b) Area-3 panel pieces: backups (at the matching distance)
             //      of panels the victim owned.
             if ctx.rank() == helper {
-                let mine: Vec<&(usize, usize, Vec<f64>)> = self.panel_backups.iter().filter(|(d, _, _)| *d == dist).collect();
+                let mine: Vec<&(usize, usize, Arc<[f64]>)> = self.panel_backups.iter().filter(|(d, _, _)| *d == dist).collect();
                 let mut header = vec![mine.len() as f64];
                 for (_, idx, piece) in &mine {
                     header.push(*idx as f64);
@@ -296,7 +286,7 @@ impl ScopeState {
                 }
                 ctx.send(v, TAG_RESTORE_PANEL, &header);
                 for (_, _, piece) in &mine {
-                    ctx.send(v, TAG_RESTORE_PANEL, piece);
+                    ctx.send_arc(v, TAG_RESTORE_PANEL, Arc::clone(piece));
                 }
             }
             if ctx.rank() == v {
@@ -306,7 +296,7 @@ impl ScopeState {
                 let lrn = enc.a.local_rows_below(enc.n());
                 for e in 0..cnt {
                     let idx = header[1 + 2 * e] as usize;
-                    let piece = ctx.recv(helper, TAG_RESTORE_PANEL);
+                    let piece = ctx.recv_arc(helper, TAG_RESTORE_PANEL);
                     // The panel may be narrower than nb (ragged last panel);
                     // derive its width from the piece itself.
                     let k = self.start_col + idx * enc.nb();
@@ -339,7 +329,7 @@ impl ScopeState {
                     }
                     ctx.send(v, TAG_REBUILD_BACKUPS, &header);
                     for (_, piece) in &self.my_panel_pieces {
-                        ctx.send(v, TAG_REBUILD_BACKUPS, piece);
+                        ctx.send_arc(v, TAG_REBUILD_BACKUPS, Arc::clone(piece));
                     }
                 }
                 if ctx.rank() == v {
@@ -348,7 +338,7 @@ impl ScopeState {
                     let cnt = header[0] as usize;
                     for e in 0..cnt {
                         let idx = header[1 + 2 * e] as usize;
-                        let piece = ctx.recv(left, TAG_REBUILD_BACKUPS);
+                        let piece = ctx.recv_arc(left, TAG_REBUILD_BACKUPS);
                         self.panel_backups.push((d, idx, piece));
                     }
                 }

@@ -99,8 +99,8 @@ fn scripted_storm_one_failure_per_scope() {
 fn chaos_kill_at_unscripted_boundary_recovers() {
     let (n, nb, p, q) = (48usize, 4usize, 2usize, 2usize);
     let seed = 29;
-    // A fault-free rank performs ~410-430 message ops at this size (see
-    // `Ctx::chaos_ops`); these land early, middle, and late in the run.
+    // A fault-free rank performs 612 message ops at this size (see
+    // `Ctx::chaos_ops`); these land early, before the middle and past it.
     for (victim, op) in [(2usize, 137u64), (1, 260), (3, 350)] {
         let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults(&format!("0:at={victim}@{op}"), p * q));
         assert!(report.chaos_aborts > 0, "kill at op {op} never fired");
@@ -178,8 +178,14 @@ fn chaos_failure_during_recovery_is_recovered() {
     let seed = 37;
     // Rank 1 dies mid-run; rank 2 (different process row) dies at the 2nd
     // message op of the resulting recovery round — while rank 1's repair is
-    // still in flight.
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("0:at=1@250,at=2@r1:1", p * q));
+    // still in flight. Rank 2 has a second op in that round only when a
+    // scope is open at the rollback boundary, so rank 1 must die inside the
+    // *second* panel of a scope: of its 612 ops (`Ctx::chaos_ops`, fault
+    // free), 266..=312 are panel 5's factorization, and 290 sits in their
+    // middle. (Op 250 was such a place before the Hessenberg panel block
+    // was replicated; every process column exchanges the column collectives
+    // since, and 250 is inside panel 4, which opens its scope.)
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("0:at=1@290,at=2@r1:1", p * q));
     assert!(report.chaos_aborts >= 2, "nested abort never happened: {} aborts", report.chaos_aborts);
     assert!(report.victims.contains(&1) && report.victims.contains(&2), "victims: {:?}", report.victims);
     let r = residual_of(n, seed, &ag, &tau);
@@ -193,7 +199,7 @@ fn chaos_seeded_storm_recovers() {
     let seed = 41;
     // Seed 8 on a 6-rank world with ops in [100, 350): kills ranks 1 and 4
     // (distinct process rows) at ops 167 and 222 — a fixed, reproducible
-    // schedule well inside the ~380-op run.
+    // schedule well inside the ~680-op run.
     let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("8:kill=2", p * q));
     assert!(report.chaos_aborts > 0, "no kill fired");
     assert!(!report.victims.is_empty());

@@ -2,13 +2,52 @@
 //!
 //! Reduces `w` consecutive columns `k..k+w` of the distributed matrix,
 //! producing the blocked WY factors needed for the trailing-matrix updates.
-//! The panel is owned by a single process column (the blocking factor equals
-//! the panel width, as in `PDGEHRD`), but — unlike one-sided factorizations —
-//! **every** process participates in every column step: computing the
-//! running `Y = Â·V·T` column requires a matrix-vector product with the
-//! whole trailing matrix (`A(k+1..n, c+1..n)·v`), the data dependency the
-//! paper highlights in §3.4 as the reason panel results must be protected
-//! immediately.
+//! The panel is stored on a single process column (the blocking factor
+//! equals the panel width, as in `PDGEHRD`), but — unlike one-sided
+//! factorizations — **every** process participates in every column step:
+//! computing the running `Y = Â·V·T` column requires a matrix-vector product
+//! with the whole trailing matrix (`A(k+1..n, c+1..n)·v`), the data
+//! dependency the paper highlights in §3.4 as the reason panel results must
+//! be protected immediately.
+//!
+//! ### The panel block is replicated across the process row
+//!
+//! At panel entry the owning process column broadcasts its local rows
+//! `[k+1, n)` of the panel's `w` columns along its process row, once
+//! (`mlen×w`). Every process column then runs the column steps on its
+//! replica — the lazy right and left update of column `c`, the distributed
+//! `larfg`, the V buffer, `tcol`, the assembly of `Y(:,j)` and `T(:,j)` —
+//! with the column collectives running side by side, one set per process
+//! column. Each process therefore forms `v` itself and multiplies its own
+//! trailing columns straight away, and the **one** row collective of a
+//! column is the all-reduce of those products. When the columns are done
+//! everyone already holds `V`, `Y`, `T` and `τ`; the owners write the
+//! replica back over the panel block and fix its top rows.
+//!
+//! * **What it replaces.** The owner-column kernel (kept under
+//!   `#[cfg(test)]` as the oracle): `v` broadcast from the owning column,
+//!   the products reduced back to it, then a serial section there while
+//!   the other `Q−1` process columns waited — two dependent row trips a
+//!   column, `2⌈log₂Q⌉` hops — and five closing row collectives a panel
+//!   (`V`, `Y`, `T`, `τ` broadcasts, the `Y_top` reduce).
+//! * **What it costs.** A column's row path is `⌈log₂Q⌉` hops (1 at Q = 2,
+//!   2 at Q = 4, 7 at the paper's Q = 96); a panel's is `w·⌈log₂Q⌉` plus
+//!   `2⌈log₂Q⌉` (the entry broadcast and `Y_top`). What is repeated is the
+//!   Level-2 work on `mlen×j` operands and the `O(w²)` assembly, `Q` times
+//!   over instead of once (+2 % flops at Q = 2, +6 % at Q = 4 on the
+//!   repo's workloads), and the column collectives, which now run in every
+//!   process column at once. Row messages per column: `msgs(Q)` of
+//!   `collectives.rs` where it was `2(Q−1)` — equal at Q = 2, 8 vs 6 at
+//!   Q = 4, all sent in parallel.
+//! * **Why not one bit moves.** Every replica starts as the owner's bytes
+//!   and every process column applies the same operations to it in the
+//!   same order with the same kernels, so the replicas stay identical; the
+//!   row sums are [`Ctx::allreduce_sum_row_from`] rooted at the panel's
+//!   column, whose association is the reduce-to-the-owner tree's.
+//!
+//! [`pdlaqrf`] stays owner-column: a QR panel has no trailing product, so
+//! its column steps involve no row collective to remove — replicating it
+//! would add a broadcast and save nothing.
 //!
 //! ### Reflector storage
 //!
@@ -19,17 +58,15 @@
 //!
 //! ### The panel's V buffer
 //!
-//! `pdlahrd` keeps one such extracted copy per panel: on the panel-owning
-//! process column, an `m×w` buffer (`m` = this process's local rows in
-//! `[k+1, n)`) to which reflector `j` is appended — zeros above its unit, 1
-//! at the unit, the stored entries below — right after it is generated.
-//! Column `j`'s left update reads the buffer's first `j` columns and the
-//! closing [`replicate_reflector_block`] step replicates the whole of it, so
-//! nothing is re-extracted from `A` inside the column loop, where every
-//! other process is waiting on this one. A stored reflector never changes
-//! after its column step (later steps write only their own column, the
-//! top-row fix only rows `≤ k`), so the buffer equals a fresh extraction at
-//! every step, bit for bit.
+//! `pdlahrd` keeps one such extracted copy per panel: an `m×w` buffer (`m`
+//! = this process's local rows in `[k+1, n)`) to which reflector `j` is
+//! appended — zeros above its unit, 1 at the unit, the stored entries below
+//! — right after it is generated. Column `j`'s left update reads the
+//! buffer's first `j` columns and the closing assembly of the replicated
+//! `V` sums the whole of it over the process column, so nothing is
+//! re-extracted inside the column loop. A stored reflector never changes
+//! after its column step (later steps write only their own column), so the
+//! buffer equals a fresh extraction at every step, bit for bit.
 
 use crate::dist::DistMatrix;
 use ft_dense::level1::scal;
@@ -43,14 +80,12 @@ const TAG_LEFTW: Tag = Tag::Panel(1);
 const TAG_NRM: Tag = Tag::Panel(2);
 const TAG_ALPHA: Tag = Tag::Panel(3);
 const TAG_VCOL: Tag = Tag::Panel(4);
-const TAG_VCAST: Tag = Tag::Panel(5);
+const TAG_PANB: Tag = Tag::Panel(5);
 const TAG_YRED: Tag = Tag::Panel(6);
 const TAG_TCOL: Tag = Tag::Panel(7);
 const TAG_VFULL: Tag = Tag::Panel(8);
 const TAG_VFULLB: Tag = Tag::Panel(9);
 const TAG_PTOP: Tag = Tag::Panel(10);
-const TAG_YB: Tag = Tag::Panel(11);
-const TAG_TB: Tag = Tag::Panel(12);
 const TAG_TAUB: Tag = Tag::Panel(13);
 
 /// The replicated/row-distributed outputs of one panel factorization —
@@ -155,38 +190,34 @@ fn extract_v_local(a: &DistMatrix, k: usize, j: usize, from_g: usize, n: usize, 
 /// unit/zero structure, read from the reflectors stored in `a`. Collective.
 /// Used by [`pdlaqrf`] and by [`crate::verify::pd_orghr`] /
 /// [`crate::verify::pd_orgqr`] to rebuild `Q` after the fact; [`pdlahrd`]
-/// replicates the V buffer it already holds.
+/// assembles its own from the V buffer every process column holds.
 pub fn replicate_reflector_block(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, w: usize, off: usize) -> Matrix {
-    let vmine = if ctx.mycol() == a.col_owner(k) {
-        extract_v_local(a, k, w, k + off, n, off)
-    } else {
-        Matrix::zeros(0, w)
-    };
-    replicate_v(ctx, a, n, k, w, off, vmine.as_slice())
-}
-
-/// The collective half of [`replicate_reflector_block`]: `vmine` is this
-/// process's rows of `V` (local rows in `[k+off, n)` × `w`, column-major,
-/// explicit unit/zero structure) on the panel-owning process column and
-/// unread elsewhere.
-fn replicate_v(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, w: usize, off: usize, vmine: &[f64]) -> Matrix {
     let q_pan = a.col_owner(k);
     let vm = n - k - off;
     let mut vfull_buf = vec![0.0f64; vm * w];
     if ctx.mycol() == q_pan {
-        let lr0 = a.local_rows_below(k + off);
-        let m = a.local_rows_below(n) - lr0;
-        // Row of `V` behind each of my local rows, worked out once.
-        let vrow_of: Vec<usize> = (lr0..lr0 + m).map(|lr| a.l2g_row(lr) - k - off).collect();
-        for l in 0..w {
-            for (i, &r) in vrow_of.iter().enumerate() {
-                vfull_buf[r + l * vm] = vmine[i + l * m];
-            }
-        }
+        let vmine = extract_v_local(a, k, w, k + off, n, off);
+        scatter_v_rows(a, k + off, n, vmine.as_slice(), &mut vfull_buf);
         ctx.allreduce_sum_col(&mut vfull_buf, TAG_VFULL);
     }
     ctx.bcast_row(q_pan, &mut vfull_buf, TAG_VFULLB);
     Matrix::from_vec(vm, w, vfull_buf)
+}
+
+/// Write my rows of `V` (`vmine`: local rows in `[r0, n)` × `w`,
+/// column-major) to their global rows of `vfull` (`(n−r0)×w`); summed over
+/// the process column, the scattered pieces are the whole of `V`.
+fn scatter_v_rows(a: &DistMatrix, r0: usize, n: usize, vmine: &[f64], vfull: &mut [f64]) {
+    let lr0 = a.local_rows_below(r0);
+    let m = a.local_rows_below(n) - lr0;
+    let vm = n - r0;
+    // Row of `V` behind each of my local rows, worked out once.
+    let vrow_of: Vec<usize> = (lr0..lr0 + m).map(|lr| a.l2g_row(lr) - r0).collect();
+    for (src, dst) in vmine.chunks_exact(m.max(1)).zip(vfull.chunks_exact_mut(vm)) {
+        for (&x, &r) in src.iter().zip(&vrow_of) {
+            dst[r] = x;
+        }
+    }
 }
 
 /// Distributed panel factorization. SPMD: call on every process.
@@ -194,14 +225,6 @@ fn replicate_v(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, w: usize, off: usi
 /// Requires the panel `[k, k+w)` to lie within one block column
 /// (`w ≤ nb` and `k % nb == 0`) and `k + w ≤ n − 2`.
 pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> PanelFactors {
-    pdlahrd_impl(ctx, a, n, k, w, false)
-}
-
-/// [`pdlahrd`]. With `rebuild_v` the reflector block is re-extracted from
-/// `a` at every use ([`extract_v_local`]) instead of read from the V buffer
-/// — the kernel as it was before the buffer existed, kept as the oracle the
-/// buffer is tested against, bit for bit.
-fn pdlahrd_impl(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize, rebuild_v: bool) -> PanelFactors {
     assert!(w >= 1 && k + w < n, "pdlahrd: bad panel (k={k}, w={w}, n={n})");
     assert_eq!(k % a.desc().nb, 0, "pdlahrd: panel must start on a block boundary");
     assert!(w <= a.desc().nb, "pdlahrd: panel wider than the blocking factor");
@@ -215,13 +238,25 @@ fn pdlahrd_impl(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize, reb
     let mlen = lr_n - lr0;
     let lcn = a.local_cols_below(n);
 
+    // ---- replicate the panel block across the process row (module docs):
+    // my process row's rows in [k+1, n) of columns k..k+w, column l at
+    // pan[l·mlen..]. The owners write it back when the panel is done.
+    let mut pan = vec![0.0f64; mlen * w];
+    if on_panel {
+        let lck = a.g2l_col(k);
+        for (l, col) in pan.chunks_exact_mut(mlen.max(1)).enumerate() {
+            col.copy_from_slice(&a.local().as_slice()[(lck + l) * ldl + lr0..(lck + l) * ldl + lr_n]);
+        }
+    }
+    ctx.bcast_row(q_pan, &mut pan, TAG_PANB);
+
     let mut t = Matrix::zeros(w, w);
     let mut tau = vec![0.0f64; w];
     let mut y_loc = Matrix::zeros(lr_n, w);
     let ldy = lr_n.max(1);
     // The panel's V buffer (module docs): my local rows in [k+1, n) of the
     // reflectors generated so far, column l = reflector l.
-    let mut vbuf = vec![0.0f64; if on_panel { mlen * w } else { 0 }];
+    let mut vbuf = vec![0.0f64; mlen * w];
 
     // Per-column scratch, allocated once per panel.
     let mut vrow: Vec<f64> = Vec::with_capacity(w);
@@ -238,96 +273,84 @@ fn pdlahrd_impl(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize, reb
         let u = c + 1;
         v.clear();
         v.resize(n - u, 0.0);
+        // Rows u.. and u+1.. of the replica.
+        let iu = a.local_rows_below(u) - lr0;
+        let iu1 = a.local_rows_below(u + 1) - lr0;
+        let (vstored, rest) = pan.split_at_mut(j * mlen);
+        let bcol = &mut rest[..mlen];
 
-        if on_panel {
-            let lc = a.g2l_col(c);
-            if j > 0 {
-                // ---- right update of column c: b(k+1..n) −= Y(:,0..j)·vrowᵀ
-                // vrow = row k+j of V columns 0..j (unit of reflector j−1 = 1).
-                let p_r = a.row_owner(k + j);
-                vrow.clear();
-                vrow.resize(j, 0.0);
-                if ctx.myrow() == p_r {
-                    let lrr = a.g2l_row(k + j);
-                    for (l, vr) in vrow.iter_mut().enumerate() {
-                        *vr = if l == j - 1 { 1.0 } else { a.local()[(lrr, a.g2l_col(k + l))] };
-                    }
-                }
-                ctx.bcast_col(p_r, &mut vrow, TAG_VROW);
-                if mlen > 0 {
-                    let bcol = &mut a.local_mut().as_mut_slice()[lc * ldl + lr0..lc * ldl + lr_n];
-                    gemv(Trans::No, mlen, j, -1.0, &y_loc.as_slice()[lr0..], ldy, &vrow, 1.0, bcol);
-                }
-
-                // ---- left update of column c: b −= V·Tᵀ·Vᵀ·b over rows k+1..n
-                let rebuilt;
-                let vfix: &[f64] = if rebuild_v {
-                    rebuilt = extract_v_local(a, k, j, k + 1, n, 1);
-                    rebuilt.as_slice()
-                } else {
-                    &vbuf[..mlen * j]
-                };
-                wv.clear();
-                wv.resize(j, 0.0);
-                if mlen > 0 {
-                    let bcol = &a.local().as_slice()[lc * ldl + lr0..lc * ldl + lr_n];
-                    gemv(Trans::Yes, mlen, j, 1.0, vfix, mlen.max(1), bcol, 0.0, &mut wv);
-                }
-                ctx.allreduce_sum_col(&mut wv, TAG_LEFTW);
-                trmv(UpLo::Upper, Trans::Yes, Diag::NonUnit, j, t.as_slice(), w, &mut wv);
-                if mlen > 0 {
-                    let bcol = &mut a.local_mut().as_mut_slice()[lc * ldl + lr0..lc * ldl + lr_n];
-                    gemv(Trans::No, mlen, j, -1.0, vfix, mlen.max(1), &wv, 1.0, bcol);
+        if j > 0 {
+            // ---- right update of column c: b(k+1..n) −= Y(:,0..j)·vrowᵀ
+            // vrow = row k+j of V columns 0..j (unit of reflector j−1 = 1).
+            let p_r = a.row_owner(k + j);
+            vrow.clear();
+            vrow.resize(j, 0.0);
+            if ctx.myrow() == p_r {
+                let ir = a.g2l_row(k + j) - lr0;
+                for (l, vr) in vrow.iter_mut().enumerate() {
+                    *vr = if l == j - 1 { 1.0 } else { vstored[ir + l * mlen] };
                 }
             }
-
-            // ---- generate the reflector for column c (distributed larfg) --
-            let lr_u = a.local_rows_below(u);
-            let lr_u1 = a.local_rows_below(u + 1);
-            let mut ss = [0.0f64];
-            for lr in lr_u1..lr_n {
-                let x = a.local()[(lr, lc)];
-                ss[0] += x * x;
+            ctx.bcast_col(p_r, &mut vrow, TAG_VROW);
+            if mlen > 0 {
+                gemv(Trans::No, mlen, j, -1.0, &y_loc.as_slice()[lr0..], ldy, &vrow, 1.0, bcol);
             }
-            ctx.allreduce_sum_col(&mut ss, TAG_NRM);
-            let p_u = a.row_owner(u);
-            al[0] = if ctx.myrow() == p_u { a.get(u, c) } else { 0.0 };
-            ctx.bcast_col(p_u, &mut al, TAG_ALPHA);
-            let alpha = al[0];
-            let xnorm = ss[0].sqrt();
-            let tau_j = if xnorm == 0.0 {
-                0.0
-            } else {
-                let beta = -f64::hypot(alpha, xnorm) * alpha.signum();
-                let s = 1.0 / (alpha - beta);
-                for lr in lr_u1..lr_n {
-                    let v = &mut a.local_mut()[(lr, lc)];
-                    *v *= s;
-                }
-                if ctx.myrow() == p_u {
-                    a.set(u, c, beta);
-                }
-                (beta - alpha) / beta
-            };
-            tau[j] = tau_j;
 
-            // ---- append reflector j to the V buffer: rows above the unit
-            // stay 0, the unit row (when it is mine) reads 1, the rest is
-            // the column just scaled.
-            let vcol = &mut vbuf[j * mlen..(j + 1) * mlen];
-            vcol[lr_u - lr0..lr_u1 - lr0].fill(1.0);
-            vcol[lr_u1 - lr0..].copy_from_slice(&a.local().as_slice()[lc * ldl + lr_u1..lc * ldl + lr_n]);
-
-            // ---- v = [1; A(u+1..n, c)], my rows; summed over the column ----
-            for (lr, &x) in (lr_u..lr_n).zip(&vcol[lr_u - lr0..]) {
-                v[a.l2g_row(lr) - u] = x;
+            // ---- left update of column c: b −= V·Tᵀ·Vᵀ·b over rows k+1..n
+            let vfix = &vbuf[..mlen * j];
+            wv.clear();
+            wv.resize(j, 0.0);
+            if mlen > 0 {
+                gemv(Trans::Yes, mlen, j, 1.0, vfix, mlen, bcol, 0.0, &mut wv);
             }
-            ctx.allreduce_sum_col(&mut v, TAG_VCOL);
+            ctx.allreduce_sum_col(&mut wv, TAG_LEFTW);
+            trmv(UpLo::Upper, Trans::Yes, Diag::NonUnit, j, t.as_slice(), w, &mut wv);
+            if mlen > 0 {
+                gemv(Trans::No, mlen, j, -1.0, vfix, mlen, &wv, 1.0, bcol);
+            }
         }
-        // ---- replicate v on every process -------------------------------
-        ctx.bcast_row(q_pan, &mut v, TAG_VCAST);
 
-        // ---- y(k+1..n) = A(k+1..n, c+1..n)·v : everyone contributes -------
+        // ---- generate the reflector for column c (distributed larfg) ------
+        let mut ss = [0.0f64];
+        for x in &bcol[iu1..] {
+            ss[0] += x * x;
+        }
+        ctx.allreduce_sum_col(&mut ss, TAG_NRM);
+        let p_u = a.row_owner(u);
+        al[0] = if ctx.myrow() == p_u { bcol[iu] } else { 0.0 };
+        ctx.bcast_col(p_u, &mut al, TAG_ALPHA);
+        let alpha = al[0];
+        let xnorm = ss[0].sqrt();
+        let tau_j = if xnorm == 0.0 {
+            0.0
+        } else {
+            let beta = -f64::hypot(alpha, xnorm) * alpha.signum();
+            let s = 1.0 / (alpha - beta);
+            for x in &mut bcol[iu1..] {
+                *x *= s;
+            }
+            if ctx.myrow() == p_u {
+                bcol[iu] = beta;
+            }
+            (beta - alpha) / beta
+        };
+        tau[j] = tau_j;
+
+        // ---- append reflector j to the V buffer: rows above the unit stay
+        // 0, the unit row (when it is mine) reads 1, the rest is the column
+        // just scaled.
+        let vcol = &mut vbuf[j * mlen..(j + 1) * mlen];
+        vcol[iu..iu1].fill(1.0);
+        vcol[iu1..].copy_from_slice(&bcol[iu1..]);
+
+        // ---- v = [1; A(u+1..n, c)], my rows; summed over the column ------
+        for (lr, &x) in (lr0 + iu..lr_n).zip(&vcol[iu..]) {
+            v[a.l2g_row(lr) - u] = x;
+        }
+        ctx.allreduce_sum_col(&mut v, TAG_VCOL);
+
+        // ---- y(k+1..n) = A(k+1..n, c+1..n)·v: my trailing columns, summed
+        // over the process row as the tree rooted at the panel's column.
         let lc0 = a.local_cols_below(c + 1);
         let ncl = lcn - lc0;
         if mlen > 0 && ncl > 0 {
@@ -338,51 +361,44 @@ fn pdlahrd_impl(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize, reb
         } else {
             ypart.fill(0.0);
         }
-        ctx.reduce_sum_row(q_pan, &mut ypart, TAG_YRED);
+        ctx.allreduce_sum_row_from(q_pan, &mut ypart, TAG_YRED);
 
-        if on_panel {
-            // ---- tcol = V(u..n, 0..j)ᵀ·v (rows ≥ u are plain stored data) --
-            let lr_u = a.local_rows_below(u);
-            let mmt = lr_n - lr_u;
-            tcol.clear();
-            tcol.resize(j, 0.0);
-            if j > 0 {
-                if mmt > 0 {
-                    let lck = a.g2l_col(k);
-                    vloc.clear();
-                    vloc.extend((lr_u..lr_n).map(|lr| v[a.l2g_row(lr) - u]));
-                    let abuf = &a.local().as_slice()[lck * ldl + lr_u..];
-                    gemv(Trans::Yes, mmt, j, 1.0, abuf, ldl, &vloc, 0.0, &mut tcol);
-                }
-                ctx.allreduce_sum_col(&mut tcol, TAG_TCOL);
+        // ---- tcol = V(u..n, 0..j)ᵀ·v (rows ≥ u are plain stored data) ----
+        tcol.clear();
+        tcol.resize(j, 0.0);
+        if j > 0 {
+            if iu < mlen {
+                vloc.clear();
+                vloc.extend((lr0 + iu..lr_n).map(|lr| v[a.l2g_row(lr) - u]));
+                gemv(Trans::Yes, mlen - iu, j, 1.0, &vstored[iu..], mlen, &vloc, 0.0, &mut tcol);
             }
-
-            // ---- assemble Y(:, j) and T(:, j) ------------------------------
-            let tau_j = tau[j];
-            {
-                let (ydone, ycur) = y_loc.as_mut_slice().split_at_mut(j * ldy);
-                let ycol = &mut ycur[lr0..lr_n];
-                ycol.copy_from_slice(&ypart);
-                if j > 0 && mlen > 0 {
-                    gemv(Trans::No, mlen, j, -1.0, &ydone[lr0..], ldy, &tcol, 1.0, ycol);
-                }
-                scal(tau_j, ycol);
-            }
-            scal(-tau_j, &mut tcol);
-            trmv(UpLo::Upper, Trans::No, Diag::NonUnit, j, t.as_slice(), w, &mut tcol);
-            for (l, tv) in tcol.iter().enumerate() {
-                t[(l, j)] = *tv;
-            }
-            t[(j, j)] = tau[j];
+            ctx.allreduce_sum_col(&mut tcol, TAG_TCOL);
         }
+
+        // ---- assemble Y(:, j) and T(:, j) --------------------------------
+        {
+            let (ydone, ycur) = y_loc.as_mut_slice().split_at_mut(j * ldy);
+            let ycol = &mut ycur[lr0..lr_n];
+            ycol.copy_from_slice(&ypart);
+            if j > 0 && mlen > 0 {
+                gemv(Trans::No, mlen, j, -1.0, &ydone[lr0..], ldy, &tcol, 1.0, ycol);
+            }
+            scal(tau_j, ycol);
+        }
+        scal(-tau_j, &mut tcol);
+        trmv(UpLo::Upper, Trans::No, Diag::NonUnit, j, t.as_slice(), w, &mut tcol);
+        for (l, tv) in tcol.iter().enumerate() {
+            t[(l, j)] = *tv;
+        }
+        t[(j, j)] = tau_j;
     }
 
-    // ---- replicate V (rows k+1..n, explicit structure) everywhere ---------
-    let vfull = if rebuild_v {
-        replicate_reflector_block(ctx, a, n, k, w, 1)
-    } else {
-        replicate_v(ctx, a, n, k, w, 1, &vbuf)
-    };
+    // ---- V (rows k+1..n, explicit structure): every process column sums
+    // the pieces of its own V buffer.
+    let mut vfull_buf = vec![0.0f64; (n - k - 1) * w];
+    scatter_v_rows(a, k + 1, n, &vbuf, &mut vfull_buf);
+    ctx.allreduce_sum_col(&mut vfull_buf, TAG_VFULL);
+    let vfull = Matrix::from_vec(n - k - 1, w, vfull_buf);
 
     // ---- Y top rows (0..=k): Y_top = A(0..=k, k+1..n)·V·T ------------------
     let lrtop = lr0;
@@ -398,40 +414,38 @@ fn pdlahrd_impl(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize, reb
         let abuf = &a.local().as_slice()[lc0 * ldl..];
         gemm(Trans::No, Trans::No, lrtop, w, ncl, 1.0, abuf, ldl, vsel.as_slice(), ncl, 0.0, &mut ptop, lrtop);
     }
-    ctx.reduce_sum_row(q_pan, &mut ptop, TAG_PTOP);
-    if on_panel && lrtop > 0 {
+    ctx.allreduce_sum_row_from(q_pan, &mut ptop, TAG_PTOP);
+    if lrtop > 0 {
         trmm(Side::Right, UpLo::Upper, Trans::No, Diag::NonUnit, lrtop, w, 1.0, t.as_slice(), w, &mut ptop, lrtop);
         for l in 0..w {
-            for i in 0..lrtop {
-                y_loc[(i, l)] = ptop[i + l * lrtop];
+            y_loc.col_mut(l)[..lrtop].copy_from_slice(&ptop[l * lrtop..(l + 1) * lrtop]);
+        }
+    }
+
+    if on_panel {
+        // ---- the replica is the finished panel block: write it back -------
+        let lck = a.g2l_col(k);
+        for (l, col) in pan.chunks_exact(mlen.max(1)).enumerate() {
+            a.local_mut().as_mut_slice()[(lck + l) * ldl + lr0..(lck + l) * ldl + lr_n].copy_from_slice(col);
+        }
+
+        // ---- top-row fix of the within-panel columns -----------------------
+        // A(0..=k, k+1..k+w) −= Y(0..=k, :)·V(row c, :)ᵀ finalizes the panel
+        // block column completely, so the diskless checkpoint taken right
+        // after this routine captures the panel's final state (ABFT Area-3
+        // recovery relies on that). This commutes with the trailing updates
+        // (disjoint columns).
+        if lrtop > 0 {
+            let lcp0 = a.local_cols_below(k + 1);
+            let lcp1 = a.local_cols_below(k + w);
+            for lc in lcp0..lcp1 {
+                let gc = a.l2g_col(lc);
+                let vr: Vec<f64> = (0..w).map(|l| vfull[(gc - k - 1, l)]).collect();
+                let cbuf = &mut a.local_mut().as_mut_slice()[lc * ldl..lc * ldl + lrtop];
+                gemv(Trans::No, lrtop, w, -1.0, y_loc.as_slice(), ldy, &vr, 1.0, cbuf);
             }
         }
     }
-
-    // ---- top-row fix of the within-panel columns ---------------------------
-    // A(0..=k, k+1..k+w) −= Y(0..=k, :)·V(row c, :)ᵀ finalizes the panel block
-    // column completely, so the diskless checkpoint taken right after this
-    // routine captures the panel's final state (ABFT Area-3 recovery relies
-    // on that). This commutes with the trailing updates (disjoint columns).
-    if on_panel && lrtop > 0 {
-        let lcp0 = a.local_cols_below(k + 1);
-        let lcp1 = a.local_cols_below(k + w);
-        for lc in lcp0..lcp1 {
-            let gc = a.l2g_col(lc);
-            let vr: Vec<f64> = (0..w).map(|l| vfull[(gc - k - 1, l)]).collect();
-            let cbuf = &mut a.local_mut().as_mut_slice()[lc * ldl..lc * ldl + lrtop];
-            gemv(Trans::No, lrtop, w, -1.0, y_loc.as_slice(), ldy, &vr, 1.0, cbuf);
-        }
-    }
-
-    // ---- replicate Y (by row), T and tau across process rows ---------------
-    let mut ybuf = y_loc.as_slice().to_vec();
-    ctx.bcast_row(q_pan, &mut ybuf, TAG_YB);
-    let y_loc = Matrix::from_vec(lr_n, w, ybuf);
-    let mut tbuf = t.as_slice().to_vec();
-    ctx.bcast_row(q_pan, &mut tbuf, TAG_TB);
-    let t = Matrix::from_vec(w, w, tbuf);
-    ctx.bcast_row(q_pan, &mut tau, TAG_TAUB);
 
     PanelFactors { k, w, n, v_row_offset: 1, tau, t, vfull, y_loc }
 }
@@ -663,27 +677,224 @@ mod tests {
         });
     }
 
-    /// The V buffer changes what is recomputed, never a floating-point
-    /// operation: every output equals the re-extracting kernel's bit for
-    /// bit, on every rank, first and interior panels, full and ragged width.
+    /// [`pdlahrd`] as it was before the panel block was replicated: only
+    /// the owning process column runs the column steps; `v` is broadcast
+    /// from it, the trailing products are reduced back to it, and `V`, `Y`,
+    /// `T` and `τ` are broadcast when the panel is done. Kept as the oracle
+    /// the replicated kernel is held to, bit for bit.
+    fn pdlahrd_owner_column(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> PanelFactors {
+        const TAG_VCAST: Tag = Tag::Panel(20);
+        const TAG_YB: Tag = Tag::Panel(21);
+        const TAG_TB: Tag = Tag::Panel(22);
+        let q_pan = a.col_owner(k);
+        let on_panel = ctx.mycol() == q_pan;
+        let ldl = a.local().ld().max(1);
+        let lr_n = a.local_rows_below(n);
+        let lr0 = a.local_rows_below(k + 1);
+        let mlen = lr_n - lr0;
+        let lcn = a.local_cols_below(n);
+
+        let mut t = Matrix::zeros(w, w);
+        let mut tau = vec![0.0f64; w];
+        let mut y_loc = Matrix::zeros(lr_n, w);
+        let ldy = lr_n.max(1);
+        let mut vbuf = vec![0.0f64; if on_panel { mlen * w } else { 0 }];
+        let mut ypart = vec![0.0f64; mlen];
+
+        for j in 0..w {
+            let c = k + j;
+            let u = c + 1;
+            let mut v = vec![0.0f64; n - u];
+
+            if on_panel {
+                let lc = a.g2l_col(c);
+                if j > 0 {
+                    let p_r = a.row_owner(k + j);
+                    let mut vrow = vec![0.0f64; j];
+                    if ctx.myrow() == p_r {
+                        let lrr = a.g2l_row(k + j);
+                        for (l, vr) in vrow.iter_mut().enumerate() {
+                            *vr = if l == j - 1 { 1.0 } else { a.local()[(lrr, a.g2l_col(k + l))] };
+                        }
+                    }
+                    ctx.bcast_col(p_r, &mut vrow, TAG_VROW);
+                    if mlen > 0 {
+                        let bcol = &mut a.local_mut().as_mut_slice()[lc * ldl + lr0..lc * ldl + lr_n];
+                        gemv(Trans::No, mlen, j, -1.0, &y_loc.as_slice()[lr0..], ldy, &vrow, 1.0, bcol);
+                    }
+
+                    let vfix = &vbuf[..mlen * j];
+                    let mut wv = vec![0.0f64; j];
+                    if mlen > 0 {
+                        let bcol = &a.local().as_slice()[lc * ldl + lr0..lc * ldl + lr_n];
+                        gemv(Trans::Yes, mlen, j, 1.0, vfix, mlen.max(1), bcol, 0.0, &mut wv);
+                    }
+                    ctx.allreduce_sum_col(&mut wv, TAG_LEFTW);
+                    trmv(UpLo::Upper, Trans::Yes, Diag::NonUnit, j, t.as_slice(), w, &mut wv);
+                    if mlen > 0 {
+                        let bcol = &mut a.local_mut().as_mut_slice()[lc * ldl + lr0..lc * ldl + lr_n];
+                        gemv(Trans::No, mlen, j, -1.0, vfix, mlen.max(1), &wv, 1.0, bcol);
+                    }
+                }
+
+                let lr_u = a.local_rows_below(u);
+                let lr_u1 = a.local_rows_below(u + 1);
+                let mut ss = [0.0f64];
+                for lr in lr_u1..lr_n {
+                    let x = a.local()[(lr, lc)];
+                    ss[0] += x * x;
+                }
+                ctx.allreduce_sum_col(&mut ss, TAG_NRM);
+                let p_u = a.row_owner(u);
+                let mut al = vec![if ctx.myrow() == p_u { a.get(u, c) } else { 0.0 }];
+                ctx.bcast_col(p_u, &mut al, TAG_ALPHA);
+                let alpha = al[0];
+                let xnorm = ss[0].sqrt();
+                tau[j] = if xnorm == 0.0 {
+                    0.0
+                } else {
+                    let beta = -f64::hypot(alpha, xnorm) * alpha.signum();
+                    let s = 1.0 / (alpha - beta);
+                    for lr in lr_u1..lr_n {
+                        a.local_mut()[(lr, lc)] *= s;
+                    }
+                    if ctx.myrow() == p_u {
+                        a.set(u, c, beta);
+                    }
+                    (beta - alpha) / beta
+                };
+
+                let vcol = &mut vbuf[j * mlen..(j + 1) * mlen];
+                vcol[lr_u - lr0..lr_u1 - lr0].fill(1.0);
+                vcol[lr_u1 - lr0..].copy_from_slice(&a.local().as_slice()[lc * ldl + lr_u1..lc * ldl + lr_n]);
+                for (lr, &x) in (lr_u..lr_n).zip(&vcol[lr_u - lr0..]) {
+                    v[a.l2g_row(lr) - u] = x;
+                }
+                ctx.allreduce_sum_col(&mut v, TAG_VCOL);
+            }
+            ctx.bcast_row(q_pan, &mut v, TAG_VCAST);
+
+            let lc0 = a.local_cols_below(c + 1);
+            let ncl = lcn - lc0;
+            if mlen > 0 && ncl > 0 {
+                let xloc: Vec<f64> = (lc0..lcn).map(|lcx| v[a.l2g_col(lcx) - u]).collect();
+                let abuf = &a.local().as_slice()[lc0 * ldl + lr0..];
+                gemv(Trans::No, mlen, ncl, 1.0, abuf, ldl, &xloc, 0.0, &mut ypart);
+            } else {
+                ypart.fill(0.0);
+            }
+            ctx.reduce_sum_row(q_pan, &mut ypart, TAG_YRED);
+
+            if on_panel {
+                let lr_u = a.local_rows_below(u);
+                let mmt = lr_n - lr_u;
+                let mut tcol = vec![0.0f64; j];
+                if j > 0 {
+                    if mmt > 0 {
+                        let vloc: Vec<f64> = (lr_u..lr_n).map(|lr| v[a.l2g_row(lr) - u]).collect();
+                        let abuf = &a.local().as_slice()[a.g2l_col(k) * ldl + lr_u..];
+                        gemv(Trans::Yes, mmt, j, 1.0, abuf, ldl, &vloc, 0.0, &mut tcol);
+                    }
+                    ctx.allreduce_sum_col(&mut tcol, TAG_TCOL);
+                }
+
+                let tau_j = tau[j];
+                {
+                    let (ydone, ycur) = y_loc.as_mut_slice().split_at_mut(j * ldy);
+                    let ycol = &mut ycur[lr0..lr_n];
+                    ycol.copy_from_slice(&ypart);
+                    if j > 0 && mlen > 0 {
+                        gemv(Trans::No, mlen, j, -1.0, &ydone[lr0..], ldy, &tcol, 1.0, ycol);
+                    }
+                    scal(tau_j, ycol);
+                }
+                scal(-tau_j, &mut tcol);
+                trmv(UpLo::Upper, Trans::No, Diag::NonUnit, j, t.as_slice(), w, &mut tcol);
+                for (l, tv) in tcol.iter().enumerate() {
+                    t[(l, j)] = *tv;
+                }
+                t[(j, j)] = tau_j;
+            }
+        }
+
+        let vfull = replicate_reflector_block(ctx, a, n, k, w, 1);
+
+        let lrtop = lr0;
+        let lc0 = a.local_cols_below(k + 1);
+        let ncl = lcn - lc0;
+        let mut ptop = vec![0.0f64; lrtop * w];
+        if lrtop > 0 && ncl > 0 {
+            let vsel = Matrix::from_fn(ncl, w, |i, l| vfull[(a.l2g_col(lc0 + i) - k - 1, l)]);
+            let abuf = &a.local().as_slice()[lc0 * ldl..];
+            gemm(Trans::No, Trans::No, lrtop, w, ncl, 1.0, abuf, ldl, vsel.as_slice(), ncl, 0.0, &mut ptop, lrtop);
+        }
+        ctx.reduce_sum_row(q_pan, &mut ptop, TAG_PTOP);
+        if on_panel && lrtop > 0 {
+            trmm(Side::Right, UpLo::Upper, Trans::No, Diag::NonUnit, lrtop, w, 1.0, t.as_slice(), w, &mut ptop, lrtop);
+            for l in 0..w {
+                for i in 0..lrtop {
+                    y_loc[(i, l)] = ptop[i + l * lrtop];
+                }
+            }
+            for lc in a.local_cols_below(k + 1)..a.local_cols_below(k + w) {
+                let gc = a.l2g_col(lc);
+                let vr: Vec<f64> = (0..w).map(|l| vfull[(gc - k - 1, l)]).collect();
+                let cbuf = &mut a.local_mut().as_mut_slice()[lc * ldl..lc * ldl + lrtop];
+                gemv(Trans::No, lrtop, w, -1.0, y_loc.as_slice(), ldy, &vr, 1.0, cbuf);
+            }
+        }
+
+        let mut ybuf = y_loc.as_slice().to_vec();
+        ctx.bcast_row(q_pan, &mut ybuf, TAG_YB);
+        let y_loc = Matrix::from_vec(lr_n, w, ybuf);
+        let mut tbuf = t.as_slice().to_vec();
+        ctx.bcast_row(q_pan, &mut tbuf, TAG_TB);
+        let t = Matrix::from_vec(w, w, tbuf);
+        ctx.bcast_row(q_pan, &mut tau, TAG_TAUB);
+        PanelFactors { k, w, n, v_row_offset: 1, tau, t, vfull, y_loc }
+    }
+
+    /// Replicating the panel block changes who computes what, never a
+    /// floating-point operation of the result: every output — and the whole
+    /// local matrix — equals the owner-column kernel's bit for bit, on every
+    /// rank; rows of one to five process columns (every rotation of the
+    /// rooted row sums), one to three process rows, two sizes, first,
+    /// interior and ragged last panels.
     #[test]
-    fn pdlahrd_v_buffer_is_bitwise_the_reextracting_kernel() {
-        let (n, nb, seed) = (37, 5, 913);
+    fn pdlahrd_is_bitwise_the_owner_column_kernel() {
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-        for (p, q) in [(1usize, 1usize), (1, 2), (2, 2), (2, 3)] {
-            for (k, w) in [(0usize, nb), (10, nb), (30, 4)] {
-                run_spmd(p, q, FaultScript::none(), move |ctx| {
-                    let fresh = || DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
-                    let (mut a, mut a_ref) = (fresh(), fresh());
-                    let f = pdlahrd_impl(&ctx, &mut a, n, k, w, false);
-                    let f_ref = pdlahrd_impl(&ctx, &mut a_ref, n, k, w, true);
-                    let at = format!("{p}x{q} k={k} w={w} rank {}", ctx.rank());
-                    assert_eq!(bits(&f.tau), bits(&f_ref.tau), "tau, {at}");
-                    assert_eq!(bits(f.t.as_slice()), bits(f_ref.t.as_slice()), "T, {at}");
-                    assert_eq!(bits(f.vfull.as_slice()), bits(f_ref.vfull.as_slice()), "vfull, {at}");
-                    assert_eq!(bits(f.y_loc.as_slice()), bits(f_ref.y_loc.as_slice()), "y_loc, {at}");
-                    assert_eq!(bits(a.local().as_slice()), bits(a_ref.local().as_slice()), "panel columns, {at}");
-                });
+        let grids = [
+            (1usize, 1usize),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (1, 5),
+            (2, 2),
+            (2, 3),
+            (3, 2),
+            (3, 3),
+            (2, 4),
+        ];
+        for (n, nb, seed) in [(37usize, 5usize, 913u64), (50, 4, 17)] {
+            let last = (n - 3) / nb * nb;
+            for (p, q) in grids {
+                // Every process column owns one of these panels when q ≤ 5.
+                let interior: Vec<usize> = (1..=q.min(4)).map(|b| b * nb).collect();
+                for k in [0].into_iter().chain(interior).chain([last]) {
+                    let w = nb.min(n - 2 - k);
+                    run_spmd(p, q, FaultScript::none(), move |ctx| {
+                        let fresh = || DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
+                        let (mut a, mut a_ref) = (fresh(), fresh());
+                        let f = pdlahrd(&ctx, &mut a, n, k, w);
+                        let f_ref = pdlahrd_owner_column(&ctx, &mut a_ref, n, k, w);
+                        let at = format!("{p}x{q} n={n} k={k} w={w} rank {}", ctx.rank());
+                        assert_eq!(bits(&f.tau), bits(&f_ref.tau), "tau, {at}");
+                        assert_eq!(bits(f.t.as_slice()), bits(f_ref.t.as_slice()), "T, {at}");
+                        assert_eq!(bits(f.vfull.as_slice()), bits(f_ref.vfull.as_slice()), "vfull, {at}");
+                        assert_eq!(bits(f.y_loc.as_slice()), bits(f_ref.y_loc.as_slice()), "y_loc, {at}");
+                        assert_eq!(bits(a.local().as_slice()), bits(a_ref.local().as_slice()), "local matrix, {at}");
+                    });
+                }
             }
         }
     }

@@ -24,6 +24,13 @@
 //! `⌈log₂ n⌉` receives — half the `2⌈log₂ n⌉` dependent hops of reducing to
 //! `members[0]` and broadcasting back.
 //!
+//! A *rooted* all-reduce ([`Ctx::allreduce_sum_row_from`]) is the same
+//! rounds over the member list rotated to start at the root — the rotation
+//! a rooted reduce applies to its relative indices — so every member ends
+//! with the bits a reduce to that root would leave there. The Hessenberg
+//! panel's row sums are rooted at the panel's process column this way:
+//! they were a reduce to it followed by a broadcast from it.
+//!
 //! When `n` is not a power of two, some block's upper half holds only
 //! `h < mask` members. Its lower half is full, so `mask − h` lower members
 //! have no partner: upper member `hi0 + j` also hands its sum to the lower
@@ -247,11 +254,17 @@ impl Ctx {
     /// rides the tag's reduce leg; a member receives from any one peer at
     /// most once per call, so back-to-back all-reduces on one tag cannot
     /// cross-talk.
-    fn allreduce_sum_group(&self, members: &[usize], data: &mut [f64], tag: Tag) {
+    ///
+    /// `root_idx` rotates the member list so that `members[root_idx]` sits
+    /// at relative index 0: the bits are then those of a reduction rooted
+    /// there.
+    fn allreduce_sum_group(&self, members: &[usize], root_idx: usize, data: &mut [f64], tag: Tag) {
         let n = members.len();
-        let Some(rel) = member_index(members, self.rank()) else {
+        let Some(me) = member_index(members, self.rank()) else {
             return;
         };
+        let rel = (me + n - root_idx) % n;
+        let member = |r: usize| members[(r + root_idx) % n];
         let wire = tag.wire(Leg::Reduce);
         let mut mask = 1usize;
         while mask < n {
@@ -267,15 +280,15 @@ impl Ctx {
                     // lower member whose own partner does not exist.
                     let mine: Arc<[f64]> = Arc::from(&data[..]);
                     for dst in (rel - mask..hi0).step_by(hi_count) {
-                        self.send_wire(members[dst], wire, tag.phase(), Arc::clone(&mine));
+                        self.send_wire(member(dst), wire, tag.phase(), Arc::clone(&mine));
                     }
-                    members[rel - mask]
+                    member(rel - mask)
                 } else {
                     let src = hi0 + (rel - base) % hi_count;
                     if src == rel + mask {
-                        self.send_wire(members[src], wire, tag.phase(), Arc::from(&data[..]));
+                        self.send_wire(member(src), wire, tag.phase(), Arc::from(&data[..]));
                     }
-                    members[src]
+                    member(src)
                 };
                 let part = self.recv_wire(other, wire);
                 assert_eq!(part.len(), data.len(), "allreduce: length mismatch from rank {other}");
@@ -384,18 +397,25 @@ impl Ctx {
 
     /// All-reduce (sum) within the grid row.
     pub fn allreduce_sum_row(&self, data: &mut [f64], tag: impl Into<Tag>) {
-        self.allreduce_sum_group(self.row_ranks(), data, tag.into());
+        self.allreduce_sum_group(self.row_ranks(), 0, data, tag.into());
+    }
+
+    /// All-reduce (sum) within the grid row, associated as the tree rooted
+    /// at column `root_q`: every member ends with the bits
+    /// [`Ctx::reduce_sum_row`]`(root_q)` leaves on the root.
+    pub fn allreduce_sum_row_from(&self, root_q: usize, data: &mut [f64], tag: impl Into<Tag>) {
+        self.allreduce_sum_group(self.row_ranks(), root_q, data, tag.into());
     }
 
     /// All-reduce (sum) within the grid column.
     pub fn allreduce_sum_col(&self, data: &mut [f64], tag: impl Into<Tag>) {
-        self.allreduce_sum_group(self.col_ranks(), data, tag.into());
+        self.allreduce_sum_group(self.col_ranks(), 0, data, tag.into());
     }
 
     /// All-reduce (sum) over the whole grid.
     pub fn allreduce_sum_world(&self, data: &mut [f64], tag: impl Into<Tag>) {
         let members: Vec<usize> = (0..self.grid().size()).collect();
-        self.allreduce_sum_group(&members, data, tag.into());
+        self.allreduce_sum_group(&members, 0, data, tag.into());
     }
 
     /// Element-wise minimum all-reduce over the whole grid: linear gather
@@ -634,15 +654,17 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `allreduce_sum_group` against the definition it replaced — reduce to
-    /// `members[0]`, broadcast back — twice in a row on one tag.
-    fn assert_allreduce_is_the_tree(ctx: &Ctx, members: &[usize], tag: u32, what: &str) {
+    /// `allreduce_sum_group` rooted at `members[root_idx]` against the
+    /// definition it replaced — reduce to that member, broadcast back —
+    /// twice in a row on one tag.
+    fn assert_allreduce_is_the_tree(ctx: &Ctx, members: &[usize], root_idx: usize, tag: u32, what: &str) {
+        let root = members[root_idx];
         for salt in 0..2 {
-            let mut got = touchy(ctx.rank(), salt);
-            ctx.allreduce_sum_group(members, &mut got, Tag::User(tag));
-            let mut want = touchy(ctx.rank(), salt);
-            ctx.reduce_sum_group(members, members[0], &mut want, Tag::User(tag + 1));
-            ctx.bcast_group(members, members[0], &mut want, Tag::User(tag + 1));
+            let mut got = touchy(ctx.rank(), salt + root_idx);
+            ctx.allreduce_sum_group(members, root_idx, &mut got, Tag::User(tag));
+            let mut want = touchy(ctx.rank(), salt + root_idx);
+            ctx.reduce_sum_group(members, root, &mut want, Tag::User(tag + 1));
+            ctx.bcast_group(members, root, &mut want, Tag::User(tag + 1));
             assert_eq!(bits(&got), bits(&want), "{what}, call {salt}, rank {}", ctx.rank());
         }
     }
@@ -654,10 +676,30 @@ mod tests {
         for (p, q) in rows.into_iter().chain(grids).chain([(2, 8), (3, 5), (6, 6)]) {
             run_spmd(p, q, FaultScript::none(), move |ctx| {
                 let world: Vec<usize> = (0..p * q).collect();
-                assert_allreduce_is_the_tree(&ctx, ctx.row_ranks(), 10, &format!("{p}x{q} row"));
-                assert_allreduce_is_the_tree(&ctx, ctx.col_ranks(), 20, &format!("{p}x{q} column"));
-                assert_allreduce_is_the_tree(&ctx, &world, 30, &format!("{p}x{q} world"));
+                // Rows take every root (`allreduce_sum_row_from`, the
+                // Hessenberg panel's row sums); columns and the world are
+                // only ever rooted at their first member.
+                for root in 0..q {
+                    assert_allreduce_is_the_tree(&ctx, ctx.row_ranks(), root, 10, &format!("{p}x{q} row rooted at {root}"));
+                }
+                assert_allreduce_is_the_tree(&ctx, ctx.col_ranks(), 0, 20, &format!("{p}x{q} column"));
+                assert_allreduce_is_the_tree(&ctx, &world, 0, 30, &format!("{p}x{q} world"));
             });
+        }
+    }
+
+    #[test]
+    fn a_rooted_allreduce_is_not_the_unrooted_one() {
+        // From three members up the root changes the association: if these
+        // agreed, the rooted rows above could not tell a missing rotation.
+        for q in [3usize, 4, 5, 8] {
+            let out = run_spmd(1, q, FaultScript::none(), |ctx| {
+                let (mut at0, mut at1) = (touchy(ctx.rank(), 0), touchy(ctx.rank(), 0));
+                ctx.allreduce_sum_row_from(0, &mut at0, 12);
+                ctx.allreduce_sum_row_from(1, &mut at1, 13);
+                (at0, at1)
+            });
+            assert_ne!(bits(&out[0].0), bits(&out[0].1), "q = {q}");
         }
     }
 

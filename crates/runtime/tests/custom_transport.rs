@@ -2,6 +2,7 @@
 //! [`Transport`] implementation (here, an instrumented wrapper around the
 //! default mpsc fabric) and check that collectives behave identically.
 
+use ft_pblas::{pdlahrd, Desc, DistMatrix};
 use ft_runtime::{run_spmd_with, CommError, FaultScript, MpscTransport, Msg, Transport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -121,4 +122,48 @@ fn allreduce_is_one_receive_per_round_and_sends_what_the_docs_say() {
     // Reduce-then-broadcast sent 2(n − 1): the same at two members, fewer
     // beyond — the price of half the hops.
     assert_eq!([2, 3, 4, 8, 16].map(allreduce_msgs), [2, 5, 8, 24, 64]);
+}
+
+#[test]
+fn a_pdlahrd_column_is_log2_q_row_receives_per_rank() {
+    // 1×4: process columns of one member exchange nothing, so every message
+    // is a row collective's. A panel is one entry broadcast (one receive on
+    // each non-owner, Q − 1 messages), then one rooted all-reduce per column
+    // and one for Y_top: ⌈log₂ 4⌉ = 2 receives per rank each, `msgs(4)` = 8
+    // messages — where a column was a broadcast of v and a reduce of the
+    // products, 2(Q − 1) = 6 messages over 2⌈log₂ 4⌉ = 4 dependent hops.
+    let (q, n, nb) = (4usize, 40usize, 4usize);
+    let panel = |k: usize, w: usize| {
+        let sends = Arc::new(AtomicU64::new(0));
+        let (transports, delivered) = counting_fabric(q, &sends);
+        let received = run_spmd_with(1, q, FaultScript::none(), transports, move |ctx| {
+            let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
+            ctx.barrier();
+            let before = delivered[ctx.rank()].load(Ordering::Relaxed);
+            pdlahrd(&ctx, &mut a, n, k, w);
+            let mine = delivered[ctx.rank()].load(Ordering::Relaxed) - before;
+            ctx.barrier();
+            mine
+        });
+        (received, sends.load(Ordering::Relaxed))
+    };
+    for owner in 0..q {
+        let k = owner * nb;
+        let (full, full_sends) = panel(k, nb);
+        let (short, short_sends) = panel(k, nb - 1);
+        for rank in 0..q {
+            assert_eq!(full[rank] - short[rank], 2, "owner {owner}: row receives of one column on rank {rank}");
+            assert_eq!(
+                full[rank],
+                2 * (nb as u64 + 1) + u64::from(rank != owner),
+                "owner {owner}: a panel's receives on rank {rank}"
+            );
+        }
+        assert_eq!(full_sends - short_sends, allreduce_msgs(q), "owner {owner}: messages of one column");
+        assert_eq!(
+            full_sends,
+            (nb as u64 + 1) * allreduce_msgs(q) + (q as u64 - 1),
+            "owner {owner}: messages of a panel"
+        );
+    }
 }

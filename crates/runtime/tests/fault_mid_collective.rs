@@ -4,6 +4,7 @@
 //! correct (and deterministic) results — the tree's interior forwarding
 //! must not smear messages across the fail-point boundary.
 
+use ft_pblas::{pdlahrd, Desc, DistMatrix};
 use ft_runtime::{catch_interrupt, run_spmd, ChaosKill, ChaosPoint, FailCheck, FaultScript, InterruptReason, PlannedFailure};
 
 #[test]
@@ -98,4 +99,44 @@ fn victim_between_two_rounds_of_a_world_allreduce_interrupts_everyone() {
         agreed.victims
     });
     assert_eq!(out, vec![vec![victim]; 8]);
+}
+
+#[test]
+fn victim_between_the_two_rounds_of_a_panels_row_allreduce_interrupts_everyone() {
+    // A 1×4 Hessenberg panel owned by column 0. Rank 2's clock: op 0 takes
+    // the panel block from rank 0, op 1 forwards it to rank 3; column 0's
+    // row all-reduce is ops 2 (send) and 3 (receive) with rank 3, then op 4,
+    // the round-2 send to rank 0 — where it dies. Rank 3 already holds the
+    // victim's round-1 sum; ranks 0 and 1 wait on the victim or on rank 3.
+    // A panel is all-reduce after all-reduce, so nobody gets to its end.
+    let (q, n, nb) = (4usize, 24usize, 4usize);
+    let victim = 2usize;
+    let script = FaultScript::none().with_kills(vec![ChaosKill { victim, at: ChaosPoint::Op(4) }]);
+    let out = run_spmd(1, q, script, move |ctx| {
+        let fresh = || DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| ((i * 31 + j * 17) % 13) as f64 - 6.0);
+        ctx.arm_chaos();
+        let mut a = fresh();
+        let interrupt = catch_interrupt(|| {
+            pdlahrd(&ctx, &mut a, n, 0, nb);
+        })
+        .expect_err("nobody finishes a panel a member died in");
+        let expect = if ctx.rank() == victim {
+            InterruptReason::Died
+        } else {
+            InterruptReason::Revoked
+        };
+        assert_eq!(interrupt.reason, expect, "rank {}", ctx.rank());
+        if ctx.rank() == victim {
+            assert_eq!(ctx.chaos_ops(), 5, "the victim stopped at op 4");
+        }
+        let agreed = ctx.agree_on_failures();
+        // The replacement is back: the same panel completes, replicated.
+        let mut a = fresh();
+        let f = pdlahrd(&ctx, &mut a, n, 0, nb);
+        (agreed.victims, f.tau.iter().map(|t| t.to_bits()).collect::<Vec<_>>())
+    });
+    for (victims, tau) in &out {
+        assert_eq!(victims, &vec![victim]);
+        assert_eq!(tau, &out[0].1);
+    }
 }

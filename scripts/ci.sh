@@ -53,16 +53,19 @@ FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
 
 # The repo benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so nothing above builds or tests it. Its own tests (the traced
-# loops and the decorated transport are bitwise the library's) and three
+# loops and the decorated transport are bitwise the library's) and four
 # smoke workloads through the whole command — one on the mpsc fabric, one on
-# the real wire, and qr_grid, the only workload whose process columns have
-# two members, so the only one where a column all-reduce sends anything;
-# every check of every leg (bitwise ft == plain, one recovery, residuals),
-# the result line, exit 0 — keep a crate change from breaking the
-# measurement.
-echo "== benchsuite (tests, hess_dense + hess_tcp + qr_grid smoke, hess_tcp traced)"
+# the real wire, qr_grid, the only workload whose process columns have two
+# members, so the only one where a column all-reduce sends anything, and
+# hess_grid, the only one whose process row has more than two, so the only
+# one where the Hessenberg panel's rooted row all-reduce rotates its member
+# list and its association differs from the unrooted one (and the only one
+# under Coded(2)); every check of every leg (bitwise ft == plain, one
+# recovery, residuals), the result line, exit 0 — keep a crate change from
+# breaking the measurement.
+echo "== benchsuite (tests, hess_dense + hess_tcp + qr_grid + hess_grid smoke, hess_tcp traced)"
 cargo test --release -q --manifest-path benchsuite/Cargo.toml
-for w in hess_dense hess_tcp qr_grid; do
+for w in hess_dense hess_tcp qr_grid hess_grid; do
     cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
         --workload "$w" --smoke >/dev/null
 done
