@@ -37,7 +37,7 @@ fn main() {
         .int("reps", r as u64)
         .raw("rows", &json::array(&rows))
         .finish();
-    if let Ok(p) = json::write_artifact("BENCH_fig6a.json", &report) {
+    if let Ok(p) = json::write_artifact("BENCH_fig6a.json", &report, false) {
         println!("# wrote {}", p.display());
     }
 }

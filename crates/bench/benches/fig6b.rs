@@ -40,7 +40,7 @@ fn main() {
         .int("reps", r as u64)
         .raw("rows", &json::array(&rows))
         .finish();
-    if let Ok(p) = json::write_artifact("BENCH_fig6b.json", &report) {
+    if let Ok(p) = json::write_artifact("BENCH_fig6b.json", &report, false) {
         println!("# wrote {}", p.display());
     }
 }

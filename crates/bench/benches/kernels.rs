@@ -336,7 +336,7 @@ fn main() {
         report_obj = report_obj.num("speedup_vector_vs_scalar_512", ratio);
     }
     let report = report_obj.raw("rows", &json::array(&rows)).finish();
-    match json::write_artifact("BENCH_kernels.json", &report) {
+    match json::write_artifact("BENCH_kernels.json", &report, smoke) {
         Ok(p) => println!("# wrote {}", p.display()),
         Err(e) => {
             eprintln!("FAIL: could not write BENCH_kernels.json: {e}");

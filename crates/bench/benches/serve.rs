@@ -298,7 +298,7 @@ fn main() {
         .raw("one_kill", &phase_json(&one_kill))
         .raw("lossy", &phase_json(&lossy))
         .finish();
-    if let Ok(p) = json::write_artifact("BENCH_serve.json", &report) {
+    if let Ok(p) = json::write_artifact("BENCH_serve.json", &report, smoke) {
         println!("# wrote {}", p.display());
     }
 }

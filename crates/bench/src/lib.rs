@@ -283,9 +283,18 @@ pub mod json {
     }
 
     /// Write `content` (one serialized JSON value) to the repo-root
-    /// artifact `file`, with a trailing newline.
-    pub fn write_artifact(file: &str, content: &str) -> std::io::Result<PathBuf> {
-        let path = artifact_path(file);
+    /// artifact `file`, with a trailing newline. A bench's trimmed `smoke`
+    /// run is not the committed measurement: its JSON lands in the cargo
+    /// target directory instead.
+    pub fn write_artifact(file: &str, content: &str, smoke: bool) -> std::io::Result<PathBuf> {
+        let path = if smoke {
+            let target = std::env::var_os("CARGO_TARGET_DIR").unwrap_or_else(|| "target".into());
+            let dir = artifact_path("").join(target);
+            std::fs::create_dir_all(&dir)?;
+            dir.join(file)
+        } else {
+            artifact_path(file)
+        };
         let mut f = std::fs::File::create(&path)?;
         writeln!(f, "{content}")?;
         Ok(path)

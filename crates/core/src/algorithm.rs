@@ -333,6 +333,28 @@ fn local_chk_cols_after(enc: &Encoded, s: usize) -> (Vec<usize>, Vec<(usize, usi
     (idx.iter().map(|&i| locals[i]).collect(), idx.iter().map(|&i| meta[i]).collect())
 }
 
+/// The right update's `V`-row operand: `top` (the original columns' rows of
+/// `V`) over the `Ve` rows of the checksum columns `meta`, one column-slice
+/// copy per run of consecutive `Ve` rows — a checksum block's `nb` columns
+/// sit with one process column, so a run is a whole block.
+fn stack_ve_rows(enc: &Encoded, top: &Matrix, ve: &Matrix, meta: &[(usize, usize, usize)]) -> Matrix {
+    let (nt, w) = (top.rows(), ve.cols());
+    let rows: Vec<usize> = meta.iter().map(|&(g, copy, off)| ve_row_index(enc, g, copy, off)).collect();
+    let mut out = Matrix::zeros(nt + rows.len(), w);
+    for l in 0..w {
+        out.col_mut(l)[..nt].copy_from_slice(top.col(l));
+    }
+    let mut i = 0;
+    while i < rows.len() {
+        let run = 1 + (i + 1..rows.len()).take_while(|&e| rows[e] == rows[e - 1] + 1).count();
+        for l in 0..w {
+            out.col_mut(l)[nt + i..nt + i + run].copy_from_slice(&ve.col(l)[rows[i]..rows[i] + run]);
+        }
+        i += run;
+    }
+    out
+}
+
 /// Right update of panel `f` on the original columns `[from, to)` and —
 /// when `include_chk` — the checksum columns of groups after scope `s`.
 pub(crate) fn ft_right(enc: &mut Encoded, f: &PanelFactors, ve: &Matrix, from: usize, to: usize, include_chk: bool, s: usize) {
@@ -341,20 +363,8 @@ pub(crate) fn ft_right(enc: &mut Encoded, f: &PanelFactors, ve: &Matrix, from: u
     if include_chk {
         let (chk_locals, meta) = local_chk_cols_after(enc, s);
         if !chk_locals.is_empty() {
-            let mut combined = Matrix::zeros(vrows.rows() + chk_locals.len(), f.w);
-            for i in 0..vrows.rows() {
-                for l in 0..f.w {
-                    combined[(i, l)] = vrows[(i, l)];
-                }
-            }
-            for (i, &(g, copy, off)) in meta.iter().enumerate() {
-                let vr = ve_row_index(enc, g, copy, off);
-                for l in 0..f.w {
-                    combined[(vrows.rows() + i, l)] = ve[(vr, l)];
-                }
-            }
+            vrows = stack_ve_rows(enc, &vrows, ve, &meta);
             locals.extend_from_slice(&chk_locals);
-            vrows = combined;
         }
     }
     let n = enc.n();
@@ -364,10 +374,7 @@ pub(crate) fn ft_right(enc: &mut Encoded, f: &PanelFactors, ve: &Matrix, from: u
 /// Right update applied to the checksum columns only (Algorithm 3 catch-up).
 pub(crate) fn ft_right_chk_only(enc: &mut Encoded, f: &PanelFactors, ve: &Matrix, s: usize) {
     let (locals, meta) = local_chk_cols_after(enc, s);
-    let vrows = Matrix::from_fn(locals.len(), f.w, |i, l| {
-        let (g, copy, off) = meta[i];
-        ve[(ve_row_index(enc, g, copy, off), l)]
-    });
+    let vrows = stack_ve_rows(enc, &Matrix::zeros(0, f.w), ve, &meta);
     let n = enc.n();
     right_update(&mut enc.a, n, &locals, &vrows, &f.y_loc);
 }
@@ -1381,6 +1388,8 @@ mod tests {
     use ft_dense::gen::uniform_entry;
     use ft_pblas::{pdlahrd, pdlaqrf};
     use ft_runtime::{run_spmd, FaultScript};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// [`ve_rows`] as it was before it walked column slices: one element of
     /// `V` and one weight at a time.
@@ -1424,6 +1433,15 @@ mod tests {
         }
     }
 
+    /// [`stack_ve_rows`] as `ft_right` / `ft_right_chk_only` built it: one
+    /// `Matrix` index per element.
+    fn stack_ve_rows_by_element(enc: &Encoded, top: &Matrix, ve: &Matrix, meta: &[(usize, usize, usize)]) -> Matrix {
+        Matrix::from_fn(top.rows() + meta.len(), ve.cols(), |i, l| match i.checked_sub(top.rows()) {
+            None => top[(i, l)],
+            Some(c) => ve[(ve_row_index(enc, meta[c].0, meta[c].1, meta[c].2), l)],
+        })
+    }
+
     fn bits(x: &[f64]) -> Vec<u64> {
         x.iter().map(|v| v.to_bits()).collect()
     }
@@ -1441,6 +1459,8 @@ mod tests {
             (2, 4, 34, 4, Redundancy::Coded(2)),
         ];
         for (p, q, n, nb, redundancy) in cases {
+            let stacked = Arc::new(AtomicUsize::new(0));
+            let counted = stacked.clone();
             run_spmd(p, q, FaultScript::none(), move |ctx| {
                 let last = (n - 3) / nb * nb;
                 for k in [0, nb, last] {
@@ -1456,6 +1476,22 @@ mod tests {
                         let ve = ve_rows(&enc, &f);
                         assert_eq!(bits(ve.as_slice()), bits(ve_rows_by_element(&enc, &f).as_slice()), "ve_rows, {at}");
                         assert!(ve.as_slice().iter().any(|&x| x != 0.0), "empty Ve proves nothing, {at}");
+
+                        // The right update's operand, with and without
+                        // original columns on top (`ft_right` from the
+                        // panel's end, `ft_right_chk_only`), after scope 0
+                        // and after the panel's own.
+                        let (_, orig_g) = local_orig_cols(&enc, f.k + f.w, n);
+                        for top in [f.vrows_for(&orig_g), Matrix::zeros(0, f.w)] {
+                            for s in [0, f.k / nb / q] {
+                                let (_, meta) = local_chk_cols_after(&enc, s);
+                                let got = stack_ve_rows(&enc, &top, &ve, &meta);
+                                let want = stack_ve_rows_by_element(&enc, &top, &ve, &meta);
+                                assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "operand shape, {at}");
+                                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "right-update operand, {at}");
+                                counted.fetch_add(meta.len(), Ordering::Relaxed);
+                            }
+                        }
 
                         let mut want = enc.clone();
                         store_ve_by_element(&mut want, &f, &ve);
@@ -1498,6 +1534,7 @@ mod tests {
                     }
                 }
             });
+            assert!(stacked.load(Ordering::Relaxed) > 0, "{p}x{q} n={n}: no checksum row was ever stacked");
         }
     }
 }

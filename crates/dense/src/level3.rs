@@ -2,16 +2,22 @@
 //!
 //! [`gemm`] is the workhorse of the whole workspace — both the shared-memory
 //! blocked Hessenberg reduction and the distributed trailing-matrix updates
-//! funnel into it. It uses the classic packed three-level blocking scheme
+//! funnel into it. It uses the classic three-level blocking scheme
 //! (Goto-style: NC/KC/MC cache blocks around an [`MR`]×[`NR`] register
-//! micro-kernel) written in safe Rust and shaped so LLVM auto-vectorizes the
-//! micro-kernel. Three properties matter to the layers above:
+//! micro-kernel): one `jc/pc/ic` loop serves [`gemm`] and [`gemm_packed_a`].
+//! What is packed when: `op(A)` always (on the fly, or once as a
+//! [`PackedA`]); `op(B)` only when the copy is repaid — when it is stored
+//! transposed, or `op(A)` has more than `B_IN_PLACE_MAX_M` rows to re-read
+//! it. Otherwise the register tile reads the caller's column-major `B`
+//! where it lies. B's addressing never changes a per-element op sequence
+//! (same values, same `l` order, same `kc` blocks), so the rule is invisible
+//! in results. Three properties matter to the layers above:
 //!
 //! * **Runtime-probed cache blocks.** `KC`/`MC`/`NC` are not hard-coded:
 //!   [`blocking`] probes the data-cache hierarchy once (sysfs on Linux,
 //!   `FT_GEMM_{KC,MC,NC}` env overrides, conservative fallbacks) and sizes
-//!   the packed panels so the A micro-panel + B micro-panel live in L1, the
-//!   packed A block in L2 and the packed B block in L3.
+//!   the panels so the A micro-panel + B micro-panel live in L1, the
+//!   packed A block in L2 and the B block in L3.
 //! * **Fused β.** The β scaling of `C` is folded into the first `KC`-block's
 //!   micro-kernel store (β = 0 never reads `C`, so NaN/garbage in the output
 //!   buffer cannot leak through) instead of a separate full sweep over `C`
@@ -219,73 +225,20 @@ pub fn gemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    // --- dimension checks ------------------------------------------------
-    let (a_rows, a_cols) = match transa {
-        Trans::No => (m, k),
-        Trans::Yes => (k, m),
+    check_operand("A", transa, m, k, a, lda);
+    gemm_blocked(ASource::Raw { trans: transa, a, lda }, transb, m, n, k, alpha, b, ldb, beta, c, ldc);
+}
+
+/// `op(X)` is `rows×cols`: its storage must hold it at leading dimension `ld`.
+fn check_operand(name: &str, trans: Trans, rows: usize, cols: usize, x: &[f64], ld: usize) {
+    let (rows, cols) = match trans {
+        Trans::No => (rows, cols),
+        Trans::Yes => (cols, rows),
     };
-    let (b_rows, b_cols) = match transb {
-        Trans::No => (k, n),
-        Trans::Yes => (n, k),
-    };
-    assert!(lda >= a_rows.max(1), "gemm: lda too small");
-    assert!(ldb >= b_rows.max(1), "gemm: ldb too small");
-    assert!(ldc >= m.max(1), "gemm: ldc too small");
-    if a_rows > 0 && a_cols > 0 {
-        assert!(a.len() >= lda * (a_cols - 1) + a_rows, "gemm: A buffer too small");
+    assert!(ld >= rows.max(1), "gemm: leading dimension of {name} too small");
+    if rows > 0 && cols > 0 {
+        assert!(x.len() >= ld * (cols - 1) + rows, "gemm: {name} buffer too small");
     }
-    if b_rows > 0 && b_cols > 0 {
-        assert!(b.len() >= ldb * (b_cols - 1) + b_rows, "gemm: B buffer too small");
-    }
-    if m > 0 && n > 0 {
-        assert!(c.len() >= ldc * (n - 1) + m, "gemm: C buffer too small");
-    }
-
-    if m == 0 || n == 0 {
-        return;
-    }
-    if alpha == 0.0 || k == 0 {
-        scale_c(m, n, beta, c, ldc);
-        return;
-    }
-    add_flops(2 * m as u64 * n as u64 * k as u64);
-    add_gemm_call();
-
-    // --- packed blocked multiply, β fused into the first k-block ----------
-    // The ISA is sampled once per call so a mid-call override flip (tests)
-    // can never mix tile flavors within one multiply.
-    let isa = simd::active_isa();
-    let bl = blocking();
-    let kc_cap = bl.kc.min(k);
-    let mc_cap = bl.mc.min(m.div_ceil(MR) * MR);
-    let nc_cap = bl.nc.min(n.div_ceil(NR) * NR);
-    PACK_SCRATCH.with_borrow_mut(|(apack, bpack)| {
-        grow(apack, mc_cap * kc_cap);
-        grow(bpack, kc_cap * nc_cap);
-        let (apack, bpack) = (&mut apack[..mc_cap * kc_cap], &mut bpack[..kc_cap * nc_cap]);
-
-        let mut jc = 0;
-        while jc < n {
-            let nc = bl.nc.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc = bl.kc.min(k - pc);
-                // β is applied exactly once per C element: by the k-block that
-                // sees it first.
-                let beta_eff = if pc == 0 { beta } else { 1.0 };
-                pack_b(transb, b, ldb, pc, jc, kc, nc, bpack);
-                let mut ic = 0;
-                while ic < m {
-                    let mc = bl.mc.min(m - ic);
-                    pack_a(transa, a, lda, ic, pc, mc, kc, apack);
-                    macro_kernel(mc, nc, kc, alpha, apack, bpack, beta_eff, &mut c[ic + jc * ldc..], ldc, isa);
-                    ic += bl.mc;
-                }
-                pc += bl.kc;
-            }
-            jc += bl.nc;
-        }
-    });
 }
 
 /// `op(A)` packed once into the micro-kernel's panel layout, for repeated
@@ -300,7 +253,6 @@ pub fn gemm(
 pub struct PackedA {
     m: usize,
     k: usize,
-    kc: usize,
     /// `m` rounded up to a multiple of [`MR`] (panel padding).
     m_pad: usize,
     data: Vec<f64>,
@@ -310,26 +262,20 @@ impl PackedA {
     /// Pack `op(A)` (`m×k` logical) from column-major storage `a` with
     /// leading dimension `lda`.
     pub fn pack(trans: Trans, m: usize, k: usize, a: &[f64], lda: usize) -> PackedA {
-        let (a_rows, a_cols) = match trans {
-            Trans::No => (m, k),
-            Trans::Yes => (k, m),
-        };
-        assert!(lda >= a_rows.max(1), "PackedA: lda too small");
-        if a_rows > 0 && a_cols > 0 {
-            assert!(a.len() >= lda * (a_cols - 1) + a_rows, "PackedA: A buffer too small");
-        }
-        let kc = blocking().kc.min(k.max(1));
+        check_operand("A", trans, m, k, a, lda);
+        let kc = blocking().kc;
         let m_pad = m.div_ceil(MR) * MR;
         let mut data = vec![0.0f64; m_pad * k];
         let mut pc = 0;
         while pc < k {
             let kcb = kc.min(k - pc);
-            // Blocks are laid out back to back; block `pc` starts at
-            // `m_pad·pc` because the blocks before it hold `pc` k-columns.
+            // One block per `pc` step of the block loop, laid out back to
+            // back; block `pc` starts at `m_pad·pc` because the blocks
+            // before it hold `pc` k-columns.
             pack_a(trans, a, lda, 0, pc, m, kcb, &mut data[m_pad * pc..m_pad * (pc + kcb)]);
             pc += kc;
         }
-        PackedA { m, k, kc, m_pad, data }
+        PackedA { m, k, m_pad, data }
     }
 
     /// Logical rows `m` of `op(A)`.
@@ -358,19 +304,45 @@ pub fn gemm_packed_a(
     c: &mut [f64],
     ldc: usize,
 ) {
-    let (m, k) = (pa.m, pa.k);
-    let (b_rows, b_cols) = match transb {
-        Trans::No => (k, n),
-        Trans::Yes => (n, k),
-    };
-    assert!(ldb >= b_rows.max(1), "gemm_packed_a: ldb too small");
-    assert!(ldc >= m.max(1), "gemm_packed_a: ldc too small");
-    if b_rows > 0 && b_cols > 0 {
-        assert!(b.len() >= ldb * (b_cols - 1) + b_rows, "gemm_packed_a: B buffer too small");
-    }
-    if m > 0 && n > 0 {
-        assert!(c.len() >= ldc * (n - 1) + m, "gemm_packed_a: C buffer too small");
-    }
+    gemm_blocked(ASource::Packed(pa), transb, pa.m, n, pa.k, alpha, b, ldb, beta, c, ldc);
+}
+
+/// Where the block loop finds `op(A)`: still in the caller's storage (packed
+/// block by block into the thread's scratch), or already a [`PackedA`].
+enum ASource<'a> {
+    Raw { trans: Trans, a: &'a [f64], lda: usize },
+    Packed(&'a PackedA),
+}
+
+/// `op(B)` is read where it lies — not packed — when it is column-major as
+/// given and `op(A)` has at most this many rows. Every packed element of B
+/// is used once per row of `op(A)`, so below this height the copy costs more
+/// than the contiguous panels save (the m-sweep is in EXPERIMENTS.md,
+/// "Update-GEMM profile"). A multiple of 2·[`MR`], and no smaller than the
+/// largest panel width in use (64): `W = Vᵀ·C` (m = nb) reads the trailing
+/// matrix in place, the `C −= Y·Vᵀ` / `C −= V·W` updates (m = local rows)
+/// pack. Never changes a bit: see [`simd::b_columns`]. The kernel fuzzer
+/// mirrors the value (`RULE_M`) to test both sides of it, and reads this
+/// declaration from the source to fail when the two drift apart.
+const B_IN_PLACE_MAX_M: usize = 128;
+
+/// The one `jc/pc/ic` block loop behind [`gemm`] and [`gemm_packed_a`].
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked(
+    asrc: ASource,
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    b: &[f64],
+    ldb: usize,
+    beta: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    check_operand("B", transb, k, n, b, ldb);
+    check_operand("C", Trans::No, m, n, c, ldc);
     if m == 0 || n == 0 {
         return;
     }
@@ -381,34 +353,56 @@ pub fn gemm_packed_a(
     add_flops(2 * m as u64 * n as u64 * k as u64);
     add_gemm_call();
 
+    // The ISA is sampled once per call so a mid-call override flip (tests)
+    // can never mix tile flavors within one multiply.
     let isa = simd::active_isa();
+    let in_place = transb == Trans::No && m <= B_IN_PLACE_MAX_M && isa != Isa::Neon;
     let bl = blocking();
-    let nc_cap = bl.nc.min(n.div_ceil(NR) * NR);
-    // MC must stay MR-aligned so the packed panels slice cleanly (the probed
-    // default is 2·MR-aligned so super-tile pairing sees full units).
-    let mc_step = (bl.mc / MR * MR).max(MR);
-    PACK_SCRATCH.with_borrow_mut(|(_, bpack)| {
-        grow(bpack, pa.kc.min(k) * nc_cap);
-        let bpack = &mut bpack[..pa.kc.min(k) * nc_cap];
+    let kc_cap = bl.kc.min(k);
+    let acap = if matches!(asrc, ASource::Raw { .. }) {
+        bl.mc.min(m.div_ceil(MR) * MR) * kc_cap
+    } else {
+        0
+    };
+    let bcap = if in_place { 0 } else { kc_cap * bl.nc.min(n.div_ceil(NR) * NR) };
+    PACK_SCRATCH.with_borrow_mut(|(apack, bpack)| {
+        grow(apack, acap);
+        grow(bpack, bcap);
+        let (apack, bpack) = (&mut apack[..acap], &mut bpack[..bcap]);
 
         let mut jc = 0;
         while jc < n {
             let nc = bl.nc.min(n - jc);
             let mut pc = 0;
             while pc < k {
-                let kc = pa.kc.min(k - pc);
+                let kc = bl.kc.min(k - pc);
+                // β is applied exactly once per C element: by the k-block that
+                // sees it first.
                 let beta_eff = if pc == 0 { beta } else { 1.0 };
-                pack_b(transb, b, ldb, pc, jc, kc, nc, bpack);
-                let block = &pa.data[pa.m_pad * pc..pa.m_pad * (pc + kc)];
+                // In place, the block is the caller's B from (pc, jc) to the
+                // last element the call may read — the tiles check against it.
+                let (bblock, bld) = if in_place {
+                    (&b[pc + jc * ldb..ldb * (n - 1) + k], Some(ldb))
+                } else {
+                    pack_b(transb, b, ldb, pc, jc, kc, nc, bpack);
+                    (&*bpack, None)
+                };
                 let mut ic = 0;
                 while ic < m {
-                    let mc = mc_step.min(m - ic);
-                    // Panels ic/MR.. of this k-block are contiguous: MR·kc each.
-                    let ap = &block[(ic / MR) * MR * kc..];
-                    macro_kernel(mc, nc, kc, alpha, ap, bpack, beta_eff, &mut c[ic + jc * ldc..], ldc, isa);
-                    ic += mc_step;
+                    let mc = bl.mc.min(m - ic);
+                    let ablock = match asrc {
+                        ASource::Raw { trans, a, lda } => {
+                            pack_a(trans, a, lda, ic, pc, mc, kc, apack);
+                            &*apack
+                        }
+                        // k-block `pc` of a `PackedA` starts at `m_pad·pc`;
+                        // its panels from row `ic` on are `MR·kc` each.
+                        ASource::Packed(pa) => &pa.data[pa.m_pad * pc + ic * kc..pa.m_pad * (pc + kc)],
+                    };
+                    macro_kernel(mc, nc, kc, alpha, ablock, bblock, bld, beta_eff, &mut c[ic + jc * ldc..], ldc, isa);
+                    ic += bl.mc;
                 }
-                pc += pa.kc;
+                pc += bl.kc;
             }
             jc += bl.nc;
         }
@@ -511,10 +505,12 @@ impl SendPtr {
     }
 }
 
-/// Multiply the packed `mc×kc` A block by the packed `kc×nc` B block into the
-/// `mc×nc` C window at `c` (leading dimension `ldc`):
+/// Multiply the packed `mc×kc` A block by the `kc×nc` block of `op(B)` into
+/// the `mc×nc` C window at `c` (leading dimension `ldc`):
 /// `C ← α·A·B + β_eff·C` tile by tile, on the active ISA, optionally
-/// partitioned over the in-rank worker pool.
+/// partitioned over the in-rank worker pool. `b` holds packed panels
+/// (`ldb = None`) or the caller's column-major B from the block's first
+/// element on (`ldb = Some(ld)`).
 ///
 /// The unit of work distribution is a *pair* of packed A panels (a 16-row
 /// band of C) — the AVX-512 super-tile's granularity — so every lane runs
@@ -527,7 +523,8 @@ fn macro_kernel(
     kc: usize,
     alpha: f64,
     apack: &[f64],
-    bpack: &[f64],
+    b: &[f64],
+    ldb: Option<usize>,
     beta: f64,
     c: &mut [f64],
     ldc: usize,
@@ -535,21 +532,26 @@ fn macro_kernel(
 ) {
     let units = mc.div_ceil(2 * MR);
     let lanes = pool::plan_threads(units, 2 * mc as u64 * nc as u64 * kc as u64);
+    let cp = SendPtr(c.as_mut_ptr());
+    let run_units = |u0: usize, u1: usize| match ldb {
+        Some(ld) => macro_kernel_units::<true>(u0, u1, mc, nc, kc, alpha, apack, b, ld, beta, cp.get(), ldc, isa),
+        None => macro_kernel_units::<false>(u0, u1, mc, nc, kc, alpha, apack, b, 0, beta, cp.get(), ldc, isa),
+    };
     if lanes <= 1 {
-        macro_kernel_units(0, units, mc, nc, kc, alpha, apack, bpack, beta, c.as_mut_ptr(), ldc, isa);
+        run_units(0, units);
         return;
     }
-    let cp = SendPtr(c.as_mut_ptr());
     pool::run(lanes, &|lane| {
         let (u0, u1) = pool::split_units(units, lanes, lane);
-        macro_kernel_units(u0, u1, mc, nc, kc, alpha, apack, bpack, beta, cp.get(), ldc, isa);
+        run_units(u0, u1);
     });
 }
 
 /// Run panel-pair units `[u0, u1)` of one macro-kernel block (unit `u` owns
-/// C rows `[16u, 16u+16) ∩ [0, mc)`).
+/// C rows `[16u, 16u+16) ∩ [0, mc)`), B addressed as [`simd::b_columns`]
+/// describes.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel_units(
+fn macro_kernel_units<const IN_PLACE: bool>(
     u0: usize,
     u1: usize,
     mc: usize,
@@ -557,7 +559,8 @@ fn macro_kernel_units(
     kc: usize,
     alpha: f64,
     apack: &[f64],
-    bpack: &[f64],
+    b: &[f64],
+    ldb: usize,
     beta: f64,
     c: *mut f64,
     ldc: usize,
@@ -566,6 +569,8 @@ fn macro_kernel_units(
     let mpan = mc.div_ceil(MR);
     let npan = nc.div_ceil(NR);
     let (p0, p1) = ((u0 * 2).min(mpan), (u1 * 2).min(mpan));
+    // B panel `q` starts `q` panel strides into `b`.
+    let qs = if IN_PLACE { NR * ldb } else { NR * kc };
 
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx512 {
@@ -577,19 +582,20 @@ fn macro_kernel_units(
             let q = q2 * 2;
             let bq = 2.min(npan - q);
             let cols = [NR.min(nc - q * NR), if bq == 2 { NR.min(nc - (q + 1) * NR) } else { 0 }];
-            let bp = bpack[q * NR * kc..].as_ptr();
+            let bp = &b[q * qs..];
             let mut p = p0;
             while p < p1 {
                 let ap_cnt = 2.min(p1 - p);
                 let rows = [MR.min(mc - p * MR), if ap_cnt == 2 { MR.min(mc - (p + 1) * MR) } else { 0 }];
                 let ap = apack[p * MR * kc..].as_ptr();
                 let ct = unsafe { c.add(p * MR + q * NR * ldc) };
+                use simd::x86::super_tile_avx512 as tile;
                 unsafe {
                     match (ap_cnt, bq) {
-                        (2, 2) => simd::x86::super_tile_avx512::<2, 2>(kc, alpha, ap, bp, beta, rows, cols, ct, ldc),
-                        (2, 1) => simd::x86::super_tile_avx512::<2, 1>(kc, alpha, ap, bp, beta, rows, cols, ct, ldc),
-                        (1, 2) => simd::x86::super_tile_avx512::<1, 2>(kc, alpha, ap, bp, beta, rows, cols, ct, ldc),
-                        _ => simd::x86::super_tile_avx512::<1, 1>(kc, alpha, ap, bp, beta, rows, cols, ct, ldc),
+                        (2, 2) => tile::<2, 2, IN_PLACE>(kc, alpha, ap, bp, ldb, beta, rows, cols, ct, ldc),
+                        (2, 1) => tile::<2, 1, IN_PLACE>(kc, alpha, ap, bp, ldb, beta, rows, cols, ct, ldc),
+                        (1, 2) => tile::<1, 2, IN_PLACE>(kc, alpha, ap, bp, ldb, beta, rows, cols, ct, ldc),
+                        _ => tile::<1, 1, IN_PLACE>(kc, alpha, ap, bp, ldb, beta, rows, cols, ct, ldc),
                     }
                 }
                 p += 2;
@@ -601,7 +607,7 @@ fn macro_kernel_units(
     for q in 0..npan {
         let c0 = q * NR;
         let ncols = NR.min(nc - c0);
-        let bp = &bpack[q * NR * kc..];
+        let bp = &b[q * qs..];
         for p in p0..p1 {
             let r0 = p * MR;
             let nrows = MR.min(mc - r0);
@@ -610,45 +616,50 @@ fn macro_kernel_units(
             match isa {
                 #[cfg(target_arch = "x86_64")]
                 Isa::Avx2 => unsafe {
-                    simd::x86::micro_8x6_avx2(kc, alpha, ap.as_ptr(), bp.as_ptr(), beta, nrows, ncols, ct, ldc)
+                    simd::x86::micro_8x6_avx2::<IN_PLACE>(kc, alpha, ap.as_ptr(), bp, ldb, beta, nrows, ncols, ct, ldc)
                 },
+                // NEON only knows packed panels; `gemm_blocked` never reads B
+                // in place under it.
                 #[cfg(target_arch = "aarch64")]
                 Isa::Neon => unsafe {
                     simd::arm::micro_8x6_neon(kc, alpha, ap.as_ptr(), bp.as_ptr(), beta, nrows, ncols, ct, ldc)
                 },
-                _ => unsafe { micro_kernel(kc, alpha, ap, bp, beta, nrows, ncols, ct, ldc) },
+                _ => unsafe { micro_kernel::<IN_PLACE>(kc, alpha, ap, bp, ldb, beta, nrows, ncols, ct, ldc) },
             }
         }
     }
 }
 
-/// The portable MR×NR register kernel: `acc += ap(:,l) ⊗ bp(:,l)` over `l`,
+/// The portable MR×NR register kernel: `acc += ap(:,l) ⊗ b(l,:)` over `l`,
 /// then `C[0..nrows, 0..ncols] ← α·acc + β·C` (β = 0 never reads `C`).
 /// This is the scalar contraction class: multiply and add round separately.
 ///
 /// # Safety
-/// `c` must point at a writable `nrows×ncols` window with leading dimension
-/// `ldc` (rows beyond `nrows` within a column are never touched).
+/// `b` must satisfy [`simd::b_columns`] for `ncols` columns, and `c` must
+/// point at a writable `nrows×ncols` window with leading dimension `ldc`
+/// (rows beyond `nrows` within a column are never touched).
 #[inline]
-unsafe fn micro_kernel(
+#[allow(clippy::too_many_arguments)]
+unsafe fn micro_kernel<const IN_PLACE: bool>(
     kc: usize,
     alpha: f64,
     ap: &[f64],
-    bp: &[f64],
+    b: &[f64],
+    ldb: usize,
     beta: f64,
     nrows: usize,
     ncols: usize,
     c: *mut f64,
     ldc: usize,
 ) {
+    let ([bcol], ks) = unsafe { simd::b_columns::<IN_PLACE, 1>(b, kc, ldb, ncols) };
     let mut acc = [[0.0f64; MR]; NR];
     // Fixed-size chunk views let LLVM keep the whole accumulator in
     // registers and vectorize the rank-1 update without bounds checks.
-    for (av, bv) in ap[..kc * MR].chunks_exact(MR).zip(bp[..kc * NR].chunks_exact(NR)) {
+    for (l, av) in ap[..kc * MR].chunks_exact(MR).enumerate() {
         let av: &[f64; MR] = av.try_into().unwrap();
-        let bv: &[f64; NR] = bv.try_into().unwrap();
-        for (j, accj) in acc.iter_mut().enumerate() {
-            let bj = bv[j];
+        for (accj, bj) in acc.iter_mut().zip(bcol) {
+            let bj = unsafe { *bj.add(l * ks) };
             for (i, a) in accj.iter_mut().enumerate() {
                 *a += av[i] * bj;
             }
@@ -855,6 +866,11 @@ mod tests {
         assert!(bl.kc >= 8 && bl.kc.is_multiple_of(8), "{bl:?}");
         assert!(bl.mc >= MR && bl.mc.is_multiple_of(MR), "{bl:?}");
         assert!(bl.nc >= NR && bl.nc.is_multiple_of(NR), "{bl:?}");
+    }
+
+    #[test]
+    fn in_place_rule_constant_is_tile_aligned_and_covers_every_panel_width() {
+        assert!(B_IN_PLACE_MAX_M.is_multiple_of(2 * MR) && B_IN_PLACE_MAX_M >= 64);
     }
 
     #[test]

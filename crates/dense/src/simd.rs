@@ -3,8 +3,14 @@
 //!
 //! ## Dispatch model
 //!
-//! The packed GEMM always runs the same Goto-style blocking and packing; only
-//! the innermost register tile differs per ISA. [`active_isa`] picks the tile:
+//! The blocked GEMM always runs the same Goto-style `jc/pc/ic` blocking with
+//! `op(A)` packed; only the innermost register tile differs per ISA, and the
+//! tile takes `op(B)` through one of two addressings (`b_columns`): packed
+//! `NR`-wide panels, or — when `level3`'s pack-or-read rule says the copy
+//! would not be repaid — the caller's column-major `B` where it lies (scalar,
+//! AVX2 and AVX-512; NEON always packs). The addressing only changes where
+//! `b(l, j)` is loaded from, never which value it is or when it enters the
+//! recurrence. [`active_isa`] picks the tile:
 //!
 //! * [`Isa::Scalar`] — the portable Rust micro-kernel (separate multiply and
 //!   add per element; LLVM may still auto-vectorize it, but the *rounding* is
@@ -35,8 +41,16 @@
 //!   every tile pairing, MC/NC partitioning, and thread count;
 //! * the scalar and fused classes differ per element by at most the
 //!   accumulated rounding-term difference, `≤ 2·k·ε·(|α|·Σ|a||b| + |β·c|)`;
-//! * β = 0 never reads C on any path (fringe stores go through a private
-//!   stack tile; only the `nrows×ncols` window is ever read or written).
+//! * β = 0 never reads C on any path, and only the `nrows×ncols` window is
+//!   ever read or written: the x86 vector tiles store a partial column
+//!   through a lane mask (a masked-off lane is not accessed), the scalar
+//!   tile through a slice of `nrows`, NEON through a private stack tile;
+//! * the x86 vector tiles walk their accumulators with loops whose bounds
+//!   are constants — `rows`/`cols` gate a store, they never index — so full
+//!   and fringe tiles alike store straight from registers: `α·acc`
+//!   multiplied, then added to `c`, never fused;
+//! * reading `B` in place runs the identical per-element op sequence as
+//!   reading its packed copy: same values, same `l` order, same `kc` blocks.
 
 use crate::level3::{MR, NR};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -176,189 +190,209 @@ pub fn active_isa() -> Isa {
     isa_from_code(ISA_OVERRIDE.load(Ordering::SeqCst)).unwrap_or_else(default_isa)
 }
 
+/// Column pointers and k-stride of the `BQ` B panels one register tile
+/// contracts with: `b(l, j)` of panel `q` is `*cols[q][j].add(l·ks)`.
+///
+/// * packed (`IN_PLACE = false`): `b` holds zero-padded `NR×kc` panels back
+///   to back, so column `j` of panel `q` starts at `q·NR·kc + j` and `ks = NR`;
+/// * in place (`IN_PLACE = true`): `b` is column-major `op(B) = B` with
+///   leading dimension `ldb`, starting at the tile's first column, so column
+///   `q·NR + j` starts at `(q·NR + j)·ldb` and `ks = 1`. Only `ncols` columns
+///   exist: the fringe ones alias the last valid column (their accumulators
+///   are never stored), so nothing outside `b[..ldb·(ncols−1) + kc]` is read.
+///
+/// # Safety
+/// `b` must hold the `kc` words of every column addressed: `BQ` whole
+/// panels when packed, `ldb·(ncols−1) + kc` words with `ncols ≥ 1` in place
+/// (`gemm_blocked`'s operand check and block slicing establish both). The
+/// pointers are valid for `l < kc` only; the `debug_assert!` re-derives the
+/// bound from the offsets actually formed, against `b`'s own length.
+#[inline(always)]
+pub(crate) unsafe fn b_columns<const IN_PLACE: bool, const BQ: usize>(
+    b: &[f64],
+    kc: usize,
+    ldb: usize,
+    ncols: usize,
+) -> ([[*const f64; NR]; BQ], usize) {
+    let ks = if IN_PLACE { 1 } else { NR };
+    let mut cols = [[b.as_ptr(); NR]; BQ];
+    for (q, colq) in cols.iter_mut().enumerate() {
+        for (j, col) in colq.iter_mut().enumerate() {
+            let off = if IN_PLACE { (q * NR + j).min(ncols - 1) * ldb } else { q * NR * kc + j };
+            debug_assert!(off + (kc - 1) * ks < b.len(), "register tile would read past its B operand");
+            *col = b.as_ptr().add(off);
+        }
+    }
+    (cols, ks)
+}
+
 // ---------------------------------------------------------------------------
 // x86_64 kernels
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
-    use super::{MR, NR};
+    use super::{b_columns, MR, NR};
     use core::arch::x86_64::*;
 
     /// AVX2 8×6 register tile over one packed A panel (`MR·kc`, unit-stride
-    /// columns of 8) and one packed B panel (`NR·kc` rows of 6).
+    /// columns of 8) and one B panel addressed through [`b_columns`].
     ///
     /// # Safety
-    /// Caller guarantees AVX2+FMA are available, `ap`/`bp` point at fully
-    /// packed (zero-padded) panels of depth `kc`, and
-    /// `c[0..nrows, 0..ncols]` with leading dimension `ldc` is writable.
+    /// Caller guarantees AVX2+FMA are available, `ap` points at a fully
+    /// packed (zero-padded) panel of depth `kc`, `b` satisfies
+    /// [`b_columns`] for `ncols` columns, and `c[0..nrows, 0..ncols]` with
+    /// leading dimension `ldc` is writable.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn micro_8x6_avx2(
+    pub unsafe fn micro_8x6_avx2<const IN_PLACE: bool>(
         kc: usize,
         alpha: f64,
         ap: *const f64,
-        bp: *const f64,
+        b: &[f64],
+        ldb: usize,
         beta: f64,
         nrows: usize,
         ncols: usize,
         c: *mut f64,
         ldc: usize,
     ) {
+        let ([bcol], ks) = b_columns::<IN_PLACE, 1>(b, kc, ldb, ncols);
         let mut acc = [[_mm256_setzero_pd(); 2]; NR];
-        let mut a = ap;
-        let mut b = bp;
-        for _ in 0..kc {
-            let a0 = _mm256_loadu_pd(a);
-            let a1 = _mm256_loadu_pd(a.add(4));
+        for l in 0..kc {
+            let a0 = _mm256_loadu_pd(ap.add(l * MR));
+            let a1 = _mm256_loadu_pd(ap.add(l * MR + 4));
             // One accumulator per C element, updated once per k step, in k
             // order: the fused-class contraction recurrence.
             for (j, accj) in acc.iter_mut().enumerate() {
-                let bj = _mm256_set1_pd(*b.add(j));
+                let bj = _mm256_set1_pd(*bcol[j].add(l * ks));
                 accj[0] = _mm256_fmadd_pd(a0, bj, accj[0]);
                 accj[1] = _mm256_fmadd_pd(a1, bj, accj[1]);
             }
-            a = a.add(MR);
-            b = b.add(NR);
         }
         let va = _mm256_set1_pd(alpha);
         let vb = _mm256_set1_pd(beta);
-        for (j, accj) in acc.iter().enumerate().take(ncols) {
-            store_col_avx2(c.add(j * ldc), accj[0], accj[1], va, vb, beta, nrows);
+        // Constant loop bound, `j < ncols` inside: indexing `acc` by the
+        // runtime `ncols` would put all of it in memory.
+        for (j, accj) in acc.iter().enumerate() {
+            if j < ncols {
+                store_col_avx2(c.add(j * ldc), accj[0], accj[1], va, vb, beta, nrows);
+            }
         }
     }
 
-    /// Store one tile column: `c ← α·acc (+ β·c)` with plain (non-fused)
-    /// mul/add so every vector ISA rounds stores identically. Partial
-    /// columns go through a stack tile so only `rows` elements of `c` are
-    /// ever read or written; β = 0 reads nothing.
+    /// Store one tile column, `rows ≤ MR` of it: `c ← α·acc (+ β·c)` with
+    /// plain (non-fused) mul/add so every vector ISA rounds stores
+    /// identically. A partial column goes through lane masks — a masked-off
+    /// lane is neither read nor written — so only `rows` elements of `c` are
+    /// ever touched; β = 0 reads nothing. Full columns keep plain moves
+    /// (`vmaskmovpd` stores are slow on some AVX2-only cores).
     #[target_feature(enable = "avx2,fma")]
     unsafe fn store_col_avx2(cj: *mut f64, lo: __m256d, hi: __m256d, va: __m256d, vb: __m256d, beta: f64, rows: usize) {
+        let (olo, ohi) = (_mm256_mul_pd(va, lo), _mm256_mul_pd(va, hi));
         if rows == MR {
             if beta == 0.0 {
-                _mm256_storeu_pd(cj, _mm256_mul_pd(va, lo));
-                _mm256_storeu_pd(cj.add(4), _mm256_mul_pd(va, hi));
+                _mm256_storeu_pd(cj, olo);
+                _mm256_storeu_pd(cj.add(4), ohi);
             } else if beta == 1.0 {
-                _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), _mm256_mul_pd(va, lo)));
-                _mm256_storeu_pd(cj.add(4), _mm256_add_pd(_mm256_loadu_pd(cj.add(4)), _mm256_mul_pd(va, hi)));
+                _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_loadu_pd(cj), olo));
+                _mm256_storeu_pd(cj.add(4), _mm256_add_pd(_mm256_loadu_pd(cj.add(4)), ohi));
             } else {
-                _mm256_storeu_pd(cj, _mm256_add_pd(_mm256_mul_pd(va, lo), _mm256_mul_pd(vb, _mm256_loadu_pd(cj))));
-                _mm256_storeu_pd(cj.add(4), _mm256_add_pd(_mm256_mul_pd(va, hi), _mm256_mul_pd(vb, _mm256_loadu_pd(cj.add(4)))));
+                _mm256_storeu_pd(cj, _mm256_add_pd(olo, _mm256_mul_pd(vb, _mm256_loadu_pd(cj))));
+                _mm256_storeu_pd(cj.add(4), _mm256_add_pd(ohi, _mm256_mul_pd(vb, _mm256_loadu_pd(cj.add(4)))));
             }
             return;
         }
-        let mut tmp = [0.0f64; MR];
-        if beta != 0.0 {
-            for (r, t) in tmp.iter_mut().enumerate().take(rows) {
-                *t = *cj.add(r);
-            }
-        }
-        let t = tmp.as_mut_ptr();
-        let (tlo, thi) = (_mm256_loadu_pd(t), _mm256_loadu_pd(t.add(4)));
+        let nr = _mm256_set1_epi64x(rows as i64);
+        let mlo = _mm256_cmpgt_epi64(nr, _mm256_setr_epi64x(0, 1, 2, 3));
+        let mhi = _mm256_cmpgt_epi64(nr, _mm256_setr_epi64x(4, 5, 6, 7));
         let (olo, ohi) = if beta == 0.0 {
-            (_mm256_mul_pd(va, lo), _mm256_mul_pd(va, hi))
-        } else if beta == 1.0 {
-            (_mm256_add_pd(tlo, _mm256_mul_pd(va, lo)), _mm256_add_pd(thi, _mm256_mul_pd(va, hi)))
+            (olo, ohi)
         } else {
-            (
-                _mm256_add_pd(_mm256_mul_pd(va, lo), _mm256_mul_pd(vb, tlo)),
-                _mm256_add_pd(_mm256_mul_pd(va, hi), _mm256_mul_pd(vb, thi)),
-            )
+            let (tlo, thi) = (_mm256_maskload_pd(cj, mlo), _mm256_maskload_pd(cj.add(4), mhi));
+            if beta == 1.0 {
+                (_mm256_add_pd(tlo, olo), _mm256_add_pd(thi, ohi))
+            } else {
+                (_mm256_add_pd(olo, _mm256_mul_pd(vb, tlo)), _mm256_add_pd(ohi, _mm256_mul_pd(vb, thi)))
+            }
         };
-        _mm256_storeu_pd(t, olo);
-        _mm256_storeu_pd(t.add(4), ohi);
-        for (r, t) in tmp.iter().enumerate().take(rows) {
-            *cj.add(r) = *t;
-        }
+        _mm256_maskstore_pd(cj, mlo, olo);
+        _mm256_maskstore_pd(cj.add(4), mhi, ohi);
     }
 
     /// AVX-512 super-tile over `AP ∈ {1,2}` packed A panels and
-    /// `BQ ∈ {1,2}` packed B panels: up to 16×12 C elements in 24 zmm
-    /// accumulators. Per k step: `AP` vector loads + `BQ·NR` broadcasts
-    /// feeding `AP·BQ·NR` FMAs. `rows[v]`/`cols[q]` restrict the stores of
-    /// panel `v` / B panel `q` for fringe units.
+    /// `BQ ∈ {1,2}` B panels addressed through [`b_columns`]: up to 16×12 C
+    /// elements in 24 zmm accumulators. Per k step: `AP` vector loads +
+    /// `BQ·NR` broadcasts feeding `AP·BQ·NR` FMAs. `rows[v]`/`cols[q]`
+    /// restrict the stores of panel `v` / B panel `q` for fringe units.
     ///
     /// # Safety
-    /// Caller guarantees AVX-512F+FMA, packed zero-padded panels of depth
-    /// `kc` at `ap` (stride `MR·kc`) and `bp` (stride `NR·kc`), and a
-    /// writable C window covering `rows[v]` rows at row offset `v·MR` and
-    /// `cols[q]` columns at column offset `q·NR`.
+    /// Caller guarantees AVX-512F+FMA, packed zero-padded A panels of depth
+    /// `kc` at `ap` (stride `MR·kc`), `b` satisfying [`b_columns`] for
+    /// `cols[0] + cols[1]` columns, and a writable C window covering
+    /// `rows[v]` rows at row offset `v·MR` and `cols[q]` columns at column
+    /// offset `q·NR`.
     #[target_feature(enable = "avx512f,fma")]
-    pub unsafe fn super_tile_avx512<const AP: usize, const BQ: usize>(
+    pub unsafe fn super_tile_avx512<const AP: usize, const BQ: usize, const IN_PLACE: bool>(
         kc: usize,
         alpha: f64,
         ap: *const f64,
-        bp: *const f64,
+        b: &[f64],
+        ldb: usize,
         beta: f64,
         rows: [usize; 2],
         cols: [usize; 2],
         c: *mut f64,
         ldc: usize,
     ) {
+        let (bcol, ks) = b_columns::<IN_PLACE, BQ>(b, kc, ldb, cols[0] + cols[1]);
         let mut acc = [[[_mm512_setzero_pd(); AP]; NR]; BQ];
-        let mut a = ap;
-        let mut b = bp;
         let a_stride = MR * kc;
-        let b_stride = NR * kc;
-        for _ in 0..kc {
+        for l in 0..kc {
             let mut av = [_mm512_setzero_pd(); AP];
             for (v, avv) in av.iter_mut().enumerate() {
-                *avv = _mm512_loadu_pd(a.add(v * a_stride));
+                *avv = _mm512_loadu_pd(ap.add(v * a_stride + l * MR));
             }
-            for (q, accq) in acc.iter_mut().enumerate() {
-                for (j, accj) in accq.iter_mut().enumerate() {
-                    let bj = _mm512_set1_pd(*b.add(q * b_stride + j));
-                    for (v, accv) in accj.iter_mut().enumerate() {
-                        *accv = _mm512_fmadd_pd(av[v], bj, *accv);
+            for (accq, bq) in acc.iter_mut().zip(&bcol) {
+                for (accj, bj) in accq.iter_mut().zip(bq) {
+                    let bj = _mm512_set1_pd(*bj.add(l * ks));
+                    for (accv, &avv) in accj.iter_mut().zip(&av) {
+                        *accv = _mm512_fmadd_pd(avv, bj, *accv);
                     }
                 }
             }
-            a = a.add(MR);
-            b = b.add(NR);
         }
         let va = _mm512_set1_pd(alpha);
         let vb = _mm512_set1_pd(beta);
+        // Every loop bound is a const generic and the fringe is a lane mask,
+        // so full and fringe tiles alike store from registers: indexing `acc`
+        // by the runtime `rows`/`cols` would put all of it in memory.
         for (q, accq) in acc.iter().enumerate() {
-            for (j, accj) in accq.iter().enumerate().take(cols[q]) {
-                let cj = c.add((q * NR + j) * ldc);
-                for (v, &accv) in accj.iter().enumerate() {
-                    store_col_avx512(cj.add(v * MR), accv, va, vb, beta, rows[v]);
+            for (j, accj) in accq.iter().enumerate() {
+                if j < cols[q] {
+                    let cj = c.add((q * NR + j) * ldc);
+                    for (v, &accv) in accj.iter().enumerate() {
+                        store_col_avx512(cj.add(v * MR), accv, va, vb, beta, rows[v]);
+                    }
                 }
             }
         }
     }
 
-    /// AVX-512 column store with the same (non-fused) rounding and
-    /// window discipline as [`store_col_avx2`].
+    /// AVX-512 column store, `rows ≤ MR` of them: `c ← α·acc (+ β·c)` with
+    /// the same (non-fused) rounding as [`store_col_avx2`]. The lane mask
+    /// is the window discipline — a masked-off lane is neither read nor
+    /// written — and β = 0 reads nothing.
     #[target_feature(enable = "avx512f,fma")]
     unsafe fn store_col_avx512(cj: *mut f64, acc: __m512d, va: __m512d, vb: __m512d, beta: f64, rows: usize) {
-        if rows == MR {
-            if beta == 0.0 {
-                _mm512_storeu_pd(cj, _mm512_mul_pd(va, acc));
-            } else if beta == 1.0 {
-                _mm512_storeu_pd(cj, _mm512_add_pd(_mm512_loadu_pd(cj), _mm512_mul_pd(va, acc)));
-            } else {
-                _mm512_storeu_pd(cj, _mm512_add_pd(_mm512_mul_pd(va, acc), _mm512_mul_pd(vb, _mm512_loadu_pd(cj))));
-            }
-            return;
-        }
-        let mut tmp = [0.0f64; MR];
-        if beta != 0.0 {
-            for (r, t) in tmp.iter_mut().enumerate().take(rows) {
-                *t = *cj.add(r);
-            }
-        }
-        let tv = _mm512_loadu_pd(tmp.as_ptr());
+        let mask = ((1u32 << rows) - 1) as __mmask8;
         let out = if beta == 0.0 {
             _mm512_mul_pd(va, acc)
         } else if beta == 1.0 {
-            _mm512_add_pd(tv, _mm512_mul_pd(va, acc))
+            _mm512_add_pd(_mm512_maskz_loadu_pd(mask, cj), _mm512_mul_pd(va, acc))
         } else {
-            _mm512_add_pd(_mm512_mul_pd(va, acc), _mm512_mul_pd(vb, tv))
+            _mm512_add_pd(_mm512_mul_pd(va, acc), _mm512_mul_pd(vb, _mm512_maskz_loadu_pd(mask, cj)))
         };
-        _mm512_storeu_pd(tmp.as_mut_ptr(), out);
-        for (r, t) in tmp.iter().enumerate().take(rows) {
-            *cj.add(r) = *t;
-        }
+        _mm512_mask_storeu_pd(cj, mask, out);
     }
 }
 

@@ -15,7 +15,11 @@
 //!   `2·(k+2)·ε·(|α|·Σ|a||b| + |β·c|)` of the scalar reference per element
 //!   (≤ 2 ulp · K) — and must be **bitwise identical to each other** and
 //!   across thread counts;
-//! * `gemm` and `gemm_packed_a` must agree to 0 ulp in every configuration.
+//! * `gemm` and `gemm_packed_a` must agree to 0 ulp in every configuration;
+//! * reading `B` in place and reading its packed copy must agree to 0 ulp:
+//!   the rows of a product do not depend on how many rows the call has, so
+//!   a short call (in place) is held against the top rows of a tall one
+//!   (packed) — an oracle that needs no switch in the library.
 //!
 //! The battery counts every (ISA × threads) configuration it actually ran;
 //! a host that silently exercised only the scalar path fails the assertion,
@@ -77,10 +81,21 @@ fn interesting_extents() -> Vec<usize> {
     let mut v: Vec<usize> = (1..=17).collect();
     v.extend_from_slice(&[MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 2 * MR + 3, 3 * NR + 1]);
     v.extend_from_slice(&[kc - 1, kc, kc + 1]);
+    v.extend_from_slice(&RULE_EXTENTS);
     v.sort_unstable();
     v.dedup();
     v
 }
+
+/// `level3`'s private pack-or-read constant (`B_IN_PLACE_MAX_M`): a
+/// column-major B is read in place when `op(A)` has at most this many rows.
+/// Mirrored here because the rule is invisible in results by design and the
+/// constant is not part of the crate's interface;
+/// `rule_m_is_the_constant_level3_declares` fails when the two drift apart.
+const RULE_M: usize = 128;
+
+/// Row counts on both sides of the rule.
+const RULE_EXTENTS: [usize; 4] = [RULE_M - 1, RULE_M, RULE_M + 1, RULE_M + 2 * MR + 3];
 
 const COEFFS: [f64; 4] = [0.0, 1.0, -1.0, 0.5];
 
@@ -285,7 +300,7 @@ fn beta_zero_never_reads_c_any_shape_any_isa() {
     let mut rng = Xoshiro256::seed_from_u64(fuzz_seed() ^ 0x5EED);
     for &isa in detected_isas() {
         set_isa_override(Some(isa));
-        for &m in &[1usize, MR - 1, MR, MR + 1, 13, 2 * MR + 1] {
+        for &m in [1usize, MR - 1, MR, MR + 1, 13, 2 * MR + 1].iter().chain(&RULE_EXTENTS) {
             for &n in &[1usize, NR - 1, NR, NR + 1, 11, 2 * NR + 1] {
                 let k = 1 + (rng.next_below(16) as usize);
                 let a = Matrix::from_fn(m, k, |_, _| rng.range_f64(-1.0, 1.0));
@@ -302,6 +317,107 @@ fn beta_zero_never_reads_c_any_shape_any_isa() {
     }
 }
 
+/// With a stale mirror the oracle below would compare packed against packed
+/// (or in place against in place) and still pass.
+#[test]
+fn rule_m_is_the_constant_level3_declares() {
+    let declared = include_str!("../src/level3.rs")
+        .lines()
+        .find_map(|l| l.strip_prefix("const B_IN_PLACE_MAX_M: usize = ")?.strip_suffix(';'))
+        .expect("level3.rs no longer declares `const B_IN_PLACE_MAX_M: usize = <literal>;`");
+    assert_eq!(declared.parse(), Ok(RULE_M), "RULE_M must mirror level3's B_IN_PLACE_MAX_M");
+}
+
+/// In place ≡ packed, without a switch: row `i` of `α·op(A)·op(B) + β·C`
+/// is the same recurrence whatever the call's height, so an `m`-row call
+/// (`m` at most the rule's constant: a column-major B is read where it
+/// lies) must be bitwise the top `m` rows of a taller call over the same
+/// operands (B packed) — on every ISA and thread count, both `transb`, with
+/// k across the `kc` boundary, B a strided view with NaN in its gaps and
+/// sized to the last word the call may read (the in-place tile
+/// `debug_assert!`s its reads against that length: a fringe column that
+/// strays fails this profile instead of reading a neighbour's memory), and
+/// a canary row under the short call's C window that no store may touch —
+/// the register epilogue of a full tile included (`m`, `n` multiples of
+/// the 16×12 super-tile).
+#[test]
+fn in_place_b_is_bitwise_the_packed_rows_any_isa() {
+    let _guard = OverrideGuard::take();
+    let mut rng = Xoshiro256::seed_from_u64(fuzz_seed() ^ 0x1A9E);
+    let kc = blocking().kc;
+    let canary = f64::from_bits(0x7FF8_0000_0000_CA4A);
+    let shapes: [(usize, usize, usize); 8] = [
+        (2 * MR, 2 * NR, 2 * MR),
+        (4 * MR, 4 * NR, kc + 5),
+        (RULE_M, 2 * NR, 2 * MR + 1),
+        (RULE_M - 1, 2 * NR + 1, kc),
+        (1, 1, 1),
+        (MR + 3, NR + 1, kc + 1),
+        (2 * MR + 3, 3 * NR + 5, 7),
+        (5, 4 * NR - 1, 2 * kc + 3),
+    ];
+    for (m, n, k) in shapes {
+        let tall = RULE_M + 1 + rng.range_usize(0, 2 * MR + 3);
+        for transa in [Trans::No, Trans::Yes] {
+            for transb in [Trans::No, Trans::Yes] {
+                for beta in [0.0, 1.0, 0.5] {
+                    let alpha = [1.0, -1.0, 0.5][rng.range_usize(0, 3)];
+                    // op(A) tall: `tall×k`; the short call sees its top m rows.
+                    let (ar, ac) = if transa.is_trans() { (k, tall) } else { (tall, k) };
+                    let (br, bc) = if transb.is_trans() { (n, k) } else { (k, n) };
+                    let lda = ar + rng.range_usize(0, 4);
+                    let ldb = br + rng.range_usize(1, 6);
+                    let (ldc_s, ldc_t) = (m + 1, tall + rng.range_usize(0, 3));
+                    let a = strided_with_nan_gaps(&mut rng, ar, ac, lda);
+                    let b = strided_with_nan_gaps(&mut rng, br, bc, ldb);
+                    assert_eq!(b.len(), ldb * (bc - 1) + br, "B is exactly the words the call may read");
+                    let c_tall0 = strided_with_nan_gaps(&mut rng, tall, n, ldc_t);
+                    // The short C: the tall one's top rows (NaN under β = 0),
+                    // then one canary row, then nothing.
+                    let mut c_short0 = vec![canary; ldc_s * (n - 1) + m + 1];
+                    for j in 0..n {
+                        for i in 0..m {
+                            c_short0[i + j * ldc_s] = if beta == 0.0 { f64::NAN } else { c_tall0[i + j * ldc_t] };
+                        }
+                    }
+                    for &isa in detected_isas() {
+                        for &t in &THREAD_SWEEP {
+                            set_isa_override(Some(isa));
+                            set_threads_override(Some(t));
+                            let at = format!(
+                                "m={m} n={n} k={k} tall={tall} {transa:?}{transb:?} α={alpha} β={beta} ldb={ldb} isa={} threads={t}",
+                                isa.name()
+                            );
+                            let mut c_tall = c_tall0.clone();
+                            gemm(transa, transb, tall, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_tall, ldc_t);
+                            // The short calls see their C up to its last
+                            // window word: the final canary lies past it.
+                            let win = ldc_s * (n - 1) + m;
+                            let mut c_short = c_short0.clone();
+                            gemm(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_short[..win], ldc_s);
+                            let pa = PackedA::pack(transa, m, k, &a, lda);
+                            let mut c_pre = c_short0.clone();
+                            gemm_packed_a(&pa, transb, n, alpha, &b, ldb, beta, &mut c_pre[..win], ldc_s);
+                            for j in 0..n {
+                                for i in 0..m {
+                                    let want = c_tall[i + j * ldc_t];
+                                    assert!(want.is_finite(), "tall call read a gap at ({i},{j}): {at}");
+                                    let (s, p) = (c_short[i + j * ldc_s], c_pre[i + j * ldc_s]);
+                                    assert_eq!(s.to_bits(), want.to_bits(), "short vs tall at ({i},{j}): {at}");
+                                    assert_eq!(p.to_bits(), want.to_bits(), "prepacked short vs tall at ({i},{j}): {at}");
+                                }
+                                for c in [&c_short, &c_pre] {
+                                    assert_eq!(c[m + j * ldc_s].to_bits(), canary.to_bits(), "canary under column {j}: {at}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A pre-packed A must give *bitwise* the same answer as the pack-on-the-fly
 /// path on every ISA: both run the identical register tile over identical
 /// packed bytes, and the recovery replay upstairs relies on kernel
@@ -313,13 +429,17 @@ fn prepacked_bitwise_equals_packed_any_isa() {
     let kc = blocking().kc;
     for &isa in detected_isas() {
         set_isa_override(Some(isa));
-        for &(m, k) in &[
+        let rule = RULE_EXTENTS.map(|m| (m, 2 * MR + 1));
+        for &(m, k) in [
             (5usize, 3usize),
             (MR + 1, NR + 1),
             (40, 17),
             (9, kc + 2),
             (2 * MR + 5, 2 * MR),
-        ] {
+        ]
+        .iter()
+        .chain(&rule)
+        {
             let n = 1 + (rng.next_below(12) as usize);
             let a = Matrix::from_fn(m, k, |_, _| rng.range_f64(-1.0, 1.0));
             let b = Matrix::from_fn(k, n, |_, _| rng.range_f64(-1.0, 1.0));

@@ -12,7 +12,10 @@
 //! pack-on-the-fly `gemm` under every microkernel ISA and every
 //! `FT_GEMM_THREADS` setting, so routing data and checksum columns through
 //! the same prepacked panel keeps Theorem 1's "same linear update" literal
-//! regardless of how the host dispatches or partitions the kernel.
+//! regardless of how the host dispatches or partitions the kernel — and
+//! regardless of whether the kernel copies its right-hand operand first:
+//! `W = Vᵀ·C` (m = `w`) reads the trailing and checksum columns of `C` where
+//! they lie, which changes no element's op sequence.
 
 use crate::dist::DistMatrix;
 use crate::panel::PanelFactors;
@@ -198,6 +201,7 @@ pub fn apply_qr_panel_updates(ctx: &Ctx, a: &mut DistMatrix, f: &PanelFactors, c
 mod tests {
     use super::*;
     use crate::dist::Desc;
+    use ft_dense::gen::uniform_entry;
     use ft_runtime::{run_spmd, FaultScript};
 
     #[test]
@@ -286,6 +290,49 @@ mod tests {
                 let ag = a.gather_all(&ctx, 991);
                 let d = ag.max_abs_diff(&aref);
                 assert!(d < 1e-10, "grid {}x{}: diff {d}", ctx.nprow(), ctx.npcol());
+            });
+        }
+    }
+
+    /// Theorem 1's "same linear update", literally: one call over a
+    /// `[trailing | gap | checksum-like]` column list — two contiguous runs,
+    /// the last one ragged — leaves every column with the bits the same
+    /// update gives it alone. `W = Vᵀ·C` reads `C` in place whatever the run
+    /// (m = w); `C −= V·W` and `C −= Y·Vᵀ` pack their small operand when
+    /// the local rows exceed the kernel's in-place bound (P = 1) and read it
+    /// in place below it (P = 2). Local rows are never a multiple of 16.
+    #[test]
+    fn updates_over_column_runs_equal_one_column_at_a_time_bitwise() {
+        let (rows, cols, nb, w, seed) = (150usize, 24usize, 4usize, 6usize, 77u64);
+        let list: Vec<usize> = (3..14).chain(17..22).collect();
+        let (row0, row_limit) = (5usize, rows - 3);
+        for p in [1usize, 2] {
+            let list = list.clone();
+            run_spmd(p, 1, FaultScript::none(), move |ctx| {
+                let fresh = || DistMatrix::from_global_fn(&ctx, Desc { m: rows, n: cols, nb }, |i, j| uniform_entry(seed, i, j));
+                let bits = |a: &DistMatrix| a.local().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+                let a0 = fresh();
+                let (lr0, lrn) = (a0.local_rows_below(row0), a0.local_rows_below(row_limit));
+                assert!(!(lrn - lr0).is_multiple_of(16) && !lrn.is_multiple_of(16), "local rows {lr0}..{lrn}");
+                let v_myrows = Matrix::from_fn(lrn - lr0, w, |i, l| uniform_entry(seed + 1, a0.l2g_row(lr0 + i), l));
+                let t = Matrix::from_fn(w, w, |i, j| if i <= j { uniform_entry(seed + 2, i, j) } else { 0.0 });
+                let y_loc = Matrix::from_fn(lrn, w, |i, l| uniform_entry(seed + 3, a0.l2g_row(i), l));
+                let vrows = Matrix::from_fn(list.len(), w, |i, l| uniform_entry(seed + 4, list[i], l));
+
+                let (mut whole, mut single) = (fresh(), fresh());
+                left_update(&ctx, &mut whole, row0, row_limit, &list, &v_myrows, &t);
+                for &lc in &list {
+                    left_update(&ctx, &mut single, row0, row_limit, &[lc], &v_myrows, &t);
+                }
+                assert_eq!(bits(&whole), bits(&single), "left update, P={p} rank {}", ctx.rank());
+                assert_ne!(bits(&whole), bits(&a0), "left update changed nothing");
+
+                right_update(&mut whole, row_limit, &list, &vrows, &y_loc);
+                for (i, &lc) in list.iter().enumerate() {
+                    let vrow = Matrix::from_fn(1, w, |_, l| vrows[(i, l)]);
+                    right_update(&mut single, row_limit, &[lc], &vrow, &y_loc);
+                }
+                assert_eq!(bits(&whole), bits(&single), "right update, P={p} rank {}", ctx.rank());
             });
         }
     }

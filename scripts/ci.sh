@@ -45,9 +45,10 @@ FT_REQUIRE_ISAS=$require_isas FT_FUZZ_SEED=20130926 FT_FUZZ_ROUNDS=600 \
 echo "== cargo bench --no-run (compile gate)"
 cargo bench --no-run -q
 
-# Perf smoke: regenerates BENCH_kernels.json and fails if the packed kernel
-# is slower than the naive triple loop at 256×256 or below 3× naive at
-# 512×512 (the gates live inside the bench binary).
+# Perf smoke: fails if the packed kernel is slower than the naive triple loop
+# at 256×256 or below 3× naive at 512×512 (the gates live inside the bench
+# binary). Smoke runs write their JSON under target/, never over the
+# committed BENCH_kernels.json / BENCH_serve.json.
 echo "== kernels perf smoke"
 FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
 
@@ -71,16 +72,41 @@ for w in hess_dense hess_tcp qr_grid hess_grid; do
 done
 # The wire once more, traced: a receive-poll or accept change that quietly
 # provokes go-back-N rewinds or starves the beats can still look fine on
-# wall time, so a clean loopback run must count none of either.
-traced=$(cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
-    --workload hess_tcp --smoke --trace 1)
-for counter in runtime.retransmits runtime.hb_misses; do
-    if ! grep -Eq "^$counter +0(\.0+)? " <<<"$traced"; then
-        echo "hess_tcp traced smoke: $counter is not 0 on a clean wire"
-        grep "^$counter" <<<"$traced" || echo "  ($counter was not reported)"
-        exit 1
+# wall time, so a clean loopback run must count none of either. The same
+# run replays the update GEMMs at the workload's shapes (k = nb = 16): each
+# must reach $gemm_floor of the 512³ rate measured beside it — a ratio, so it
+# means the same on any host. The floor sits between what a tile that spills
+# its accumulators or a packed `W = Vᵀ·C` reads (0.51-0.55) and the slowest
+# shape without either (right, 0.62-0.74; NN 0.69+, TN 0.89+). Best of three:
+# a replay is a few milliseconds on a shared machine.
+gemm_floor=0.58
+gemm_floor_ok=0
+for try in 1 2 3; do
+    traced=$(cargo run --release -q --manifest-path benchsuite/Cargo.toml --bin suite -- \
+        --workload hess_tcp --smoke --trace 1)
+    for counter in runtime.retransmits runtime.hb_misses; do
+        if ! grep -Eq "^$counter +0(\.0+)? " <<<"$traced"; then
+            echo "hess_tcp traced smoke: $counter is not 0 on a clean wire"
+            grep "^$counter" <<<"$traced" || echo "  ($counter was not reported)"
+            exit 1
+        fi
+    done
+    if awk -v floor="$gemm_floor" '
+        $1 == "dense.gemm_peak_gflops" { peak = $2 }
+        $1 ~ /^dense\.gemm_(right|left_nn|left_tn)_gflops$/ { rate[$1] = $2 }
+        END {
+            if (peak <= 0 || length(rate) != 3) { print "  (update-GEMM rates were not reported)"; exit 1 }
+            for (r in rate) if (rate[r] < floor * peak) { printf "  try: %s %.1f < %s x %.1f\n", r, rate[r], floor, peak; bad = 1 }
+            exit bad
+        }' <<<"$traced"; then
+        gemm_floor_ok=1
+        break
     fi
 done
+if [ "$gemm_floor_ok" -ne 1 ]; then
+    echo "hess_tcp traced smoke: an update GEMM ran below $gemm_floor of the kernel peak in all three tries"
+    exit 1
+fi
 
 # Every soak below is a loop of legs through the release CLI, and every leg
 # has the same skeleton: run, keep the exit code, fail the gate unless the
@@ -322,15 +348,17 @@ if ! wait "$SERVE_PID"; then
 fi
 echo "  pool of 4: 7 jobs across 2 tenants + both solvers, drained clean"
 
-# Serve throughput smoke: regenerates BENCH_serve.json in smoke mode. The
-# hard gates (every job completes, jobs/sec > 0, finite p50/p99, >= 1
+# Serve throughput smoke: the bench in smoke mode, its JSON under target/.
+# The hard gates (every job completes, jobs/sec > 0, finite p50/p99, >= 1
 # recovery in the kill phase, 0 in the baseline) live inside the bench
 # binary; here we additionally pin the artifact schema.
 echo "== serve throughput smoke (open-loop, SIGKILL mid-phase)"
+serve_json=${CARGO_TARGET_DIR:-target}/BENCH_serve.json
+rm -f "$serve_json"
 FT_SERVE_SMOKE=1 cargo bench -q --bench serve
 for key in jobs_per_sec p50_ms p99_ms recoveries baseline one_kill lossy frames_dropped; do
-    if ! grep -q "\"$key\"" BENCH_serve.json; then
-        echo "BENCH_serve.json missing key: $key"; exit 1
+    if ! grep -q "\"$key\"" "$serve_json"; then
+        echo "$serve_json missing key: $key"; exit 1
     fi
 done
 

@@ -92,21 +92,25 @@ fn large_gemm_bitwise_stable_and_actually_threaded() {
     let n = 512usize;
     let a = uniform(n, n, 31);
     let b = uniform(n, n, 32);
-    let run = |t: usize| {
-        set_threads_override(Some(t));
-        let mut c = Matrix::zeros(n, n);
-        gemm(Trans::No, Trans::No, n, n, n, 1.0, a.as_slice(), n, b.as_slice(), n, 0.0, c.as_mut_slice(), n);
-        set_threads_override(None);
-        c
-    };
-    let c1 = run(1);
-    let before = jobs_dispatched();
-    let c4 = run(4);
-    assert!(
-        jobs_dispatched() > before,
-        "threads=4 on a 512^3 GEMM dispatched no pool jobs — threading silently disabled"
-    );
-    for (x, y) in c1.as_slice().iter().zip(c4.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "thread count changed GEMM bits");
+    // 512 rows: B is packed. 64 rows (four 16-row units, `W = Vᵀ·C` at the
+    // widest panel): B is read in place, behind the same lane partition.
+    for m in [n, 64] {
+        let run = |t: usize| {
+            set_threads_override(Some(t));
+            let mut c = Matrix::zeros(m, n);
+            gemm(Trans::No, Trans::No, m, n, n, 1.0, a.as_slice(), n, b.as_slice(), n, 0.0, c.as_mut_slice(), m);
+            set_threads_override(None);
+            c
+        };
+        let c1 = run(1);
+        let before = jobs_dispatched();
+        let c4 = run(4);
+        assert!(
+            jobs_dispatched() > before,
+            "threads=4 on a {m}x512x512 GEMM dispatched no pool jobs — threading silently disabled"
+        );
+        for (x, y) in c1.as_slice().iter().zip(c4.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "thread count changed GEMM bits at m={m}");
+        }
     }
 }
