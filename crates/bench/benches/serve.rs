@@ -53,7 +53,7 @@ impl Daemon {
     fn spawn(bin: &str, pool: usize) -> Daemon {
         let mut child = Command::new(bin)
             .args(["serve", "--pool", &pool.to_string(), "--port", "0"])
-            .args(["--job-ports", "33000", "--tenant-quota", "32", "--queue-depth", "64"])
+            .args(["--job-ports", "30000", "--tenant-quota", "32", "--queue-depth", "64"])
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()

@@ -3,8 +3,8 @@
 //! [`crate::fault`]).
 //!
 //! The transport's link threads consult the script once per **first
-//! transmission** of each sequenced DATA frame. Retransmits and resume
-//! replays are never re-faulted, so every injected fault is recoverable by
+//! transmission** of each sequenced DATA frame. A session resume's replay
+//! is never re-faulted, so every injected fault is recoverable by
 //! construction and a faulted run that completes is bitwise identical to
 //! the fault-free run (the hardening layer delivers exactly-once, in-order
 //! per link).
@@ -20,7 +20,7 @@ use crate::fault::{splitmix64, FaultScript};
 /// corrupt > reset > drop > dup > reorder > delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFault {
-    /// Skip the write; the frame stays in the retransmit window.
+    /// Skip the write; the frame stays in the window for the resume.
     Drop,
     /// Sleep this many milliseconds before the write (head-of-line stall).
     Delay(u64),

@@ -10,13 +10,14 @@
 //! offset  size  field
 //! 0       4     payload length in f64 words (u32 LE)
 //! 4       1     kind: 0 HELLO, 1 HEARTBEAT, 2 DATA, 3 GOODBYE,
-//!               9 HELLO_ACK, 10 ACK, 11 NAK (4..=8: job frames)
+//!               9 HELLO_ACK, 10 ACK (4..=8: job frames; 11 retired)
 //! 5       3     reserved (zero)
 //! 8       4     source rank (u32 LE)
 //! 12      4     source incarnation (u32 LE)
 //! 16      8     wire key — the encoded (Tag, Leg) mailbox (u64 LE)
 //! 24      8     sender communication epoch (u64 LE)
-//! 32      8     per-link sequence number (u64 LE; 0 = unsequenced)
+//! 32      8     per-link sequence number (u64 LE; 0 = unsequenced:
+//!               control frames only, never DATA)
 //! 40      4     CRC32 (IEEE) of the whole frame with this field zeroed
 //! 44      4     CRC32 (IEEE) of header bytes 0..40 (checked before the
 //!               length prefix is trusted)
@@ -30,24 +31,29 @@
 //! how a respawned replacement rank is told apart from its dead
 //! predecessor.
 //!
-//! ## Reliability: go-back-N with session resume
+//! ## Reliability: a window, cumulative ACKs, and one repair
 //!
 //! DATA frames carry a per-`(src → dst)` sequence number starting at 1.
 //! The sender keeps every unacknowledged frame in its window, at most
 //! `NET_WINDOW` of them in flight; the receiver delivers strictly in
-//! sequence, answers each delivery with a cumulative ACK, suppresses
-//! duplicates, and NAKs the first gap it observes. A NAK — or a window
-//! whose head has gone stale — rewinds the sender (go-back-N). When a
-//! connection dies mid-stream, the sender reconnects and the HELLO /
-//! HELLO_ACK handshake resumes the session: the receiver announces the
-//! highest sequence it delivered and the sender replays everything after
-//! it, so a mid-stream RST loses nothing. A frame that fails its CRC is
-//! never delivered: the receiver counts the rejection, drops the
-//! connection (the only safe resync once framing is suspect), and lets
-//! the replay repair the stream. Because delivery is in-sequence-order
-//! exactly once, every hardening path preserves bitwise determinism.
+//! sequence, answers each delivery with a cumulative ACK and suppresses
+//! duplicates. Between two live endpoints a TCP stream neither loses nor
+//! reorders bytes, so anything else means the stream can no longer be
+//! trusted, and every such case takes the same repair — *reconnect and
+//! resume*: the sender dials a fresh connection and the HELLO / HELLO_ACK
+//! handshake resumes the session — the receiver announces the highest
+//! sequence it delivered, the sender prunes its window to it and replays
+//! everything after it. Three things trigger it: the connection dies
+//! (RST, EOF, a write past `WRITE_TIMEOUT`); the receiver closes it — on a
+//! frame that fails its CRC (counted, never delivered) or on a sequence
+//! gap (an injected drop or reorder; the frame beyond the gap is discarded,
+//! never buffered); or the sender drops it because the window's head has
+//! gone unACKed past `max(2·hb, 200 ms)` (a lost final frame with no later
+//! traffic to expose the gap, or a receiver stuck mid-frame). Because
+//! delivery is in-sequence-order exactly once, the repair preserves bitwise
+//! determinism.
 //!
-//! Control frames (ACK/NAK/HELLO_ACK) travel *backwards* on the inbound
+//! Control frames (ACK/HELLO_ACK) travel *backwards* on the inbound
 //! connection. The receiver writes them with a 1 ms write timeout and a
 //! bounded pending buffer — it never blocks on the reverse path, so it
 //! always keeps draining DATA and the classic full-duplex TCP deadlock
@@ -57,7 +63,7 @@
 //!
 //! There is no outbound queue. A link's sender state (`Link`) sits behind
 //! one mutex. [`Transport::send`] locks it on the caller's thread,
-//! sequences the message into the window, drains pending ACK/NAK bytes with
+//! sequences the message into the window, drains pending ACK bytes with
 //! a non-blocking read, and — when the link is clean — encodes the frame
 //! into the link's reused buffer (one pass: copy + slicing-by-8 CRC) and
 //! writes it itself; neither the frame nor its ACK wakes a thread on this
@@ -65,7 +71,7 @@
 //! under `WRITE_TIMEOUT`, the bound on how long `send` can hold the caller;
 //! past it the stream is dropped and the resume replays the frame.
 //! Everything that needs a clock or a retry — connecting, resuming,
-//! injected faults, rewinds, first transmissions `send` could not make,
+//! injected faults, first transmissions `send` could not make,
 //! heartbeats, GOODBYE, the teardown drain — belongs to the per-peer *link
 //! thread*, which wakes on the beat timer or a kick from `send`. Inbound,
 //! the accept thread blocks in `accept` (teardown wakes it with a connect
@@ -82,9 +88,11 @@
 //! (hold back behind the next frame), corrupt (bit flip after the CRC is
 //! stamped), and mid-stream reset, plus time-windowed asymmetric
 //! partitions that black-hole connects, heartbeats, and frames per
-//! direction. Retransmissions are never re-injected (the
+//! direction. A resume's replay is never re-injected (the
 //! `sent_up_to` watermark), so every scripted fault is exercised
-//! exactly once and recovery always converges.
+//! exactly once and recovery always converges. The receiver never held an
+//! out-of-order frame, so `reorder=` exercises the path `drop=` does: the
+//! early frame is a gap, the late one arrives on a closed connection.
 //!
 //! ## Failure detection: suspicion before verdict
 //!
@@ -134,16 +142,15 @@ const KIND_HELLO_ACK: u8 = 9;
 /// Cumulative acknowledgement: every DATA frame up to and including `seq`
 /// was delivered.
 const KIND_ACK: u8 = 10;
-/// Gap report: the receiver is still waiting for `seq` — rewind and
-/// retransmit from there (go-back-N).
-const KIND_NAK: u8 = 11;
+// Kind 11 is retired, not free: nothing emits it, and on a reverse path it
+// is garbage like any other unknown kind.
 
 const HEADER_LEN: usize = 48;
 /// Sanity cap on a frame's payload (words): a corrupt length prefix must
 /// not turn into a multi-gigabyte allocation. Exceeding it is a typed
 /// frame rejection (an integrity strike), not an abrupt reader teardown.
 const MAX_PAYLOAD_WORDS: u32 = 1 << 28;
-/// Frames a link may hold in flight awaiting ACK (the go-back-N window).
+/// Frames a link may hold in flight awaiting ACK (the window).
 /// Frames sent beyond it wait, sequenced but unwritten, for ACKs to free
 /// space.
 const NET_WINDOW: usize = 1024;
@@ -450,8 +457,12 @@ struct PeerState {
     departed: AtomicBool,
     /// Next DATA sequence number expected from this peer (delivery
     /// cursor); survives reconnects of the same incarnation so the
-    /// HELLO_ACK resume handshake can announce `recv_next - 1`.
-    recv_next: AtomicU64,
+    /// HELLO_ACK resume handshake can announce `recv_next - 1`. A lock, held
+    /// across compare, deliver and advance: a sender that drops a stream
+    /// redials at once, so the old connection's reader can still be working
+    /// through what it had buffered when the new one starts on the replay
+    /// of the same sequences.
+    recv_next: Mutex<u64>,
     /// Silent past 2 beats but not yet past the grace/miss thresholds:
     /// slow-or-dead is undecided. Any frame rescinds the suspicion.
     suspected: AtomicBool,
@@ -593,7 +604,7 @@ impl TcpTransport {
                     conn_gen: AtomicU64::new(0),
                     incarnation: AtomicU32::new(0),
                     departed: AtomicBool::new(false),
-                    recv_next: AtomicU64::new(1),
+                    recv_next: Mutex::new(1),
                     suspected: AtomicBool::new(false),
                     faulted: AtomicBool::new(false),
                     strikes: AtomicU32::new(0),
@@ -984,7 +995,7 @@ fn read_frame(shared: &Shared, stream: &mut impl Read, body: &mut Vec<u8>) -> Re
     Ok(Some(Frame { head, payload }))
 }
 
-/// Validate a 48-byte payloadless control frame (HELLO_ACK / ACK / NAK)
+/// Validate a 48-byte payloadless control frame (HELLO_ACK / ACK)
 /// and return its `(kind, seq)`. `None` = corrupt or not a control frame.
 fn parse_control(raw: &[u8; HEADER_LEN]) -> Option<(u8, u64)> {
     let head = Header::decode(raw).ok().filter(|h| h.words == 0 && h.check_body(&[]).is_ok())?;
@@ -1078,7 +1089,7 @@ pub mod jobs {
     /// Blocking read of one job frame. Errors on EOF, a malformed header,
     /// a CRC mismatch, or a kind outside the job range (a fabric frame
     /// straying onto a job connection is a protocol violation, not data).
-    pub fn read_job_frame(stream: &mut TcpStream) -> io::Result<JobFrame> {
+    pub fn read_job_frame(stream: &mut impl Read) -> io::Result<JobFrame> {
         let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         let mut raw = [0u8; HEADER_LEN];
         stream.read_exact(&mut raw)?;
@@ -1205,7 +1216,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, inbox: Sender<Msg>) {
 
 /// Queue a 48-byte control frame on the receiver's reverse path. Bounded:
 /// when the pending buffer is full the frame is skipped — ACKs are
-/// cumulative and NAK loss is covered by the sender's stale-window timer.
+/// cumulative, so a later one covers it.
 fn push_ctl(shared: &Shared, st: &PeerState, pending: &mut Vec<u8>, kind: u8, seq: u64) {
     if pending.len() + HEADER_LEN > ACK_PUMP_CAP {
         return;
@@ -1259,7 +1270,7 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream, inbox: Sender<Msg>) {
         st.faulted.store(false, Ordering::Release);
         st.strikes.store(0, Ordering::Release);
         st.suspected.store(false, Ordering::Release);
-        st.recv_next.store(1, Ordering::Release);
+        *st.recv_next.lock().unwrap_or_else(PoisonError::into_inner) = 1;
     }
     st.incarnation.store(hello.incarnation, Ordering::Release);
     let my_gen = st.conn_gen.fetch_add(1, Ordering::AcqRel) + 1;
@@ -1271,7 +1282,7 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream, inbox: Sender<Msg>) {
     // Session resume: announce the highest sequence delivered so far so
     // the sender can prune its window and replay only what was lost. The
     // write is blocking (the socket is fresh, the frame is 48 bytes).
-    let delivered = st.recv_next.load(Ordering::Acquire).saturating_sub(1);
+    let delivered = *st.recv_next.lock().unwrap_or_else(PoisonError::into_inner) - 1;
     let hello_ack = encode_frame(KIND_HELLO_ACK, shared.rank, shared.incarnation, 0, 0, delivered, &[]);
     if stream.get_mut().write_all(&hello_ack).is_err() {
         if st.conn_gen.load(Ordering::Acquire) == my_gen {
@@ -1284,10 +1295,18 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream, inbox: Sender<Msg>) {
     // From here the reverse path must never block the forward one.
     let _ = stream.get_ref().set_write_timeout(Some(Duration::from_millis(1)));
     let mut pending: Vec<u8> = Vec::new();
-    let mut last_nak: Option<(u64, Instant)> = None;
 
     while !shared.done() {
         match read_frame(&shared, &mut stream, &mut body) {
+            // Typed frame rejection: an oversize length prefix, or DATA
+            // outside the sequence space (no sender emits it; delivered, it
+            // would bypass dedup and ordering). Repeated offenses escalate
+            // to a clean peer-fault.
+            Ok(Some(Frame { head: Header { kind: KIND_DATA, seq: 0, .. }, .. })) | Err(FrameErr::Oversize) => {
+                st.counters.frame_rejects.fetch_add(1, Ordering::Relaxed);
+                strike(st);
+                break;
+            }
             Ok(Some(Frame { head: f, payload })) => {
                 shared.touch(src);
                 st.counters.frames_rx.fetch_add(1, Ordering::Relaxed);
@@ -1300,35 +1319,23 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream, inbox: Sender<Msg>) {
                 }
                 match f.kind {
                     KIND_DATA => {
-                        let expected = st.recv_next.load(Ordering::Acquire);
-                        if f.seq == 0 {
-                            // Unsequenced data (defensive): deliver as-is.
-                            let msg = Msg { src, wire: f.wire, epoch: f.epoch, payload };
-                            if inbox.send(msg).is_err() {
-                                break;
-                            }
-                        } else if f.seq < expected {
+                        let mut expected = st.recv_next.lock().unwrap_or_else(PoisonError::into_inner);
+                        if f.seq < *expected {
                             // Replay overlap or injected duplicate.
                             st.counters.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-                            push_ctl(&shared, st, &mut pending, KIND_ACK, expected - 1);
-                        } else if f.seq > expected {
-                            // Gap: ask for a rewind, rate-limited so a
-                            // burst of in-flight frames yields one NAK.
-                            let renak = match last_nak {
-                                Some((s, t)) => s != expected || t.elapsed() > Duration::from_millis(50),
-                                None => true,
-                            };
-                            if renak {
-                                push_ctl(&shared, st, &mut pending, KIND_NAK, expected);
-                                last_nak = Some((expected, Instant::now()));
-                            }
+                            push_ctl(&shared, st, &mut pending, KIND_ACK, *expected - 1);
+                        } else if f.seq > *expected {
+                            // Gap: a frame was lost on the way, which is no
+                            // protocol violation (no strike). Close; the
+                            // sender's resume replays from `expected`.
+                            break;
                         } else {
                             let msg = Msg { src, wire: f.wire, epoch: f.epoch, payload };
                             if inbox.send(msg).is_err() {
                                 break;
                             }
-                            st.recv_next.store(expected + 1, Ordering::Release);
-                            push_ctl(&shared, st, &mut pending, KIND_ACK, expected);
+                            *expected += 1;
+                            push_ctl(&shared, st, &mut pending, KIND_ACK, f.seq);
                         }
                     }
                     KIND_GOODBYE => st.departed.store(true, Ordering::Release),
@@ -1345,13 +1352,6 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream, inbox: Sender<Msg>) {
                 // only safe resync is a fresh stream, whose session
                 // resume replays everything lost.
                 st.counters.crc_rejects.fetch_add(1, Ordering::Relaxed);
-                strike(st);
-                break;
-            }
-            Err(FrameErr::Oversize) => {
-                // Typed frame rejection (satellite: no abrupt teardown) —
-                // repeated offenses escalate to a clean peer-fault.
-                st.counters.frame_rejects.fetch_add(1, Ordering::Relaxed);
                 strike(st);
                 break;
             }
@@ -1483,7 +1483,7 @@ struct WinEntry {
 
 /// Per-`(src → dst)` sender state, shared under one mutex by the sending
 /// rank ([`Link::send`]) and the peer's link thread ([`link_loop`]): the
-/// stream, the go-back-N window, and the reverse-path parse buffer.
+/// stream, the window of unACKed frames, and the reverse-path parse buffer.
 #[derive(Default)]
 struct Link {
     dst: usize,
@@ -1493,24 +1493,17 @@ struct Link {
     next_seq: u64,
     /// Highest sequence that has had its first transmission: written by the
     /// rank, or run through the injection draw by the link thread (faults
-    /// fire on first transmission only, never on rewinds or resume
-    /// replays). Window entries above it are *unsent*; first transmissions
+    /// fire on first transmission only, never on a resume's replay).
+    /// Window entries above it are *unsent*; first transmissions
     /// go strictly in sequence order.
     sent_up_to: u64,
     /// Every frame not yet ACKed, sent or not: consecutive sequences.
     window: VecDeque<WinEntry>,
-    /// Unparsed bytes read back from the receiver (ACK/NAK stream).
+    /// Unparsed bytes read back from the receiver (the ACK stream).
     ackbuf: Vec<u8>,
-    /// Lowest NAKed sequence not yet rewound to (the link thread's job).
-    nak: Option<u64>,
     /// Sequences held back by an injected reorder, flushed after the next
     /// first transmission so they hit the wire out of order.
     held_back: Vec<u64>,
-    /// Consecutive stale-head rewinds with no ACK progress. In-place
-    /// retransmission cannot resynchronize a receiver stuck mid-frame
-    /// (e.g. a corrupted length field), so after a few fruitless rounds
-    /// the link escalates to a fresh connection and session resume.
-    stale_rounds: u32,
     /// Reused frame-encoding buffer.
     txbuf: Vec<u8>,
     /// Set by teardown: `Some(announce a GOODBYE?)`.
@@ -1538,8 +1531,8 @@ impl Link {
 
     /// The calling rank's half of a send: sequence `m` into the window,
     /// drain the reverse path, and — when the link is clean (this is the
-    /// next unsent sequence and may go out, nothing reorder-held, no rewind
-    /// owed, no fault scripted for it) — write the frame right here.
+    /// next unsent sequence and may go out, nothing reorder-held, no fault
+    /// scripted for it) — write the frame right here.
     /// `false` = the frame waits for the link thread; kick it.
     fn send(&mut self, shared: &Shared, m: Msg) -> bool {
         let seq = self.next_seq;
@@ -1554,7 +1547,6 @@ impl Link {
         self.drain_control();
         let clean = self.next_unsent(shared) == Some(seq)
             && self.held_back.is_empty()
-            && self.nak.is_none()
             && shared.faults.decide(shared.rank, self.dst, seq).is_none();
         if !clean {
             return false;
@@ -1571,7 +1563,6 @@ impl Link {
     fn resume(&mut self, shared: &Shared, stream: TcpStream, delivered: u64, was_connected: bool) {
         self.ackbuf.clear();
         self.held_back.clear();
-        self.nak = None;
         while self.window.front().is_some_and(|e| e.seq <= delivered) {
             self.window.pop_front();
         }
@@ -1636,7 +1627,7 @@ impl Link {
     fn write_entry(&mut self, shared: &Shared, seq: u64, corrupt: Option<u64>, dup: bool) -> bool {
         let first = self.window.front().map_or(u64::MAX, |e| e.seq);
         let Some(e) = seq.checked_sub(first).and_then(|i| self.window.get_mut(i as usize)) else {
-            return true; // ACKed while held back or rewinding: nothing to do
+            return true; // ACKed while held back: nothing to do
         };
         e.sent_at = Instant::now();
         encode_into(&mut self.txbuf, KIND_DATA, shared.rank, shared.incarnation, e.wire, e.epoch, seq, &e.payload);
@@ -1676,9 +1667,8 @@ impl Link {
     }
 
     /// Drain the reverse path without blocking: prune the window on
-    /// cumulative ACKs and note the lowest NAK for the link thread's
-    /// rewind. Garbage on the control channel drops the stream (resync by
-    /// resume).
+    /// cumulative ACKs. Anything else on the control channel is garbage and
+    /// drops the stream (resync by resume).
     fn drain_control(&mut self) {
         {
             let Some(s) = &mut self.stream else { return };
@@ -1712,10 +1702,8 @@ impl Link {
                     // Only what was sent can have been delivered.
                     while self.window.front().is_some_and(|e| e.seq <= seq.min(self.sent_up_to)) {
                         self.window.pop_front();
-                        self.stale_rounds = 0;
                     }
                 }
-                Some((KIND_NAK, seq)) => self.nak = Some(self.nak.map_or(seq, |m| m.min(seq))),
                 _ => {
                     self.drop_stream();
                     return;
@@ -1726,24 +1714,11 @@ impl Link {
         self.ackbuf.drain(..consumed);
     }
 
-    /// Retransmit every sent frame at or after `from` (clamped into the
-    /// window — a NAK below it is stale and must not panic a rewind).
-    fn go_back_n(&mut self, shared: &Shared, from: u64) {
-        let Some(first) = self.window.front().map(|e| e.seq) else {
-            return;
-        };
-        self.held_back.clear();
-        for s in from.max(first)..=self.sent_up_to {
-            shared.peers[self.dst].counters.retransmits.fetch_add(1, Ordering::Relaxed);
-            if !self.write_entry(shared, s, None, false) {
-                return;
-            }
-        }
-    }
-
     /// Tick maintenance: let the window go when the peer announced a clean
-    /// departure, and rewind when its head has gone stale (a lost NAK or a
-    /// dropped frame with no later traffic to expose the gap).
+    /// departure, and drop the stream when its head has gone stale — a
+    /// dropped frame with no later traffic to expose the gap, or a receiver
+    /// stuck mid-frame; the caller redials and the resume replays the window
+    /// on a stream the receiver parses from byte zero.
     fn service(&mut self, shared: &Shared) {
         if shared.peers[self.dst].departed.load(Ordering::Acquire) {
             self.window.clear();
@@ -1757,19 +1732,7 @@ impl Link {
         }
         let stale = (shared.hb_interval * 2).max(Duration::from_millis(200));
         if head.sent_at.elapsed() > stale {
-            self.stale_rounds += 1;
-            if self.stale_rounds > 2 {
-                // Repeated in-place rewinds bought no ACK progress: the
-                // stream is desynchronized (the receiver may be blocked
-                // mid-frame on a mangled length). Force a fresh session;
-                // the resume handshake replays the window on a clean
-                // stream the receiver can parse from byte zero.
-                self.stale_rounds = 0;
-                self.drop_stream();
-            } else {
-                let from = head.seq;
-                self.go_back_n(shared, from);
-            }
+            self.drop_stream();
         }
     }
 
@@ -1814,9 +1777,6 @@ fn link_loop(shared: Arc<Shared>, cell: Arc<Mutex<Link>>, mut dialer: Dialer) {
             }
         }
         let had_stream = link.stream.is_some();
-        if let Some(from) = link.nak.take() {
-            link.go_back_n(&shared, from);
-        }
         // The first transmissions `send` left behind, faults included.
         while let Some(seq) = link.next_unsent(&shared) {
             let fault = shared.faults.decide(shared.rank, dst, seq);
@@ -2437,6 +2397,99 @@ mod tests {
     }
 
     #[test]
+    fn unsequenced_data_is_a_typed_rejection_and_never_delivered() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let my_addr = listener.local_addr().unwrap();
+        let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![my_addr, peer_listener.local_addr().unwrap()];
+        let t = TcpTransport::with_listener(TcpConfig::new(0, 2), addrs, listener).unwrap();
+        // A well-formed DATA frame — both CRCs hold — whose sequence is 0:
+        // it sits outside dedup and ordering, and no sender emits one. Every
+        // connection that opens with it is struck, like an oversize length.
+        for _ in 0..STRIKE_LIMIT {
+            let mut s = raw_hello(my_addr, 1, 0);
+            s.write_all(&encode_frame(KIND_DATA, 1, 0, 7, 0, 0, &[42.0])).unwrap();
+            // The reader rejects and closes: the stream ends, no ACK comes.
+            let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
+            let closed = match s.read(&mut [0u8; 1]) {
+                Ok(n) => n == 0,
+                Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
+            };
+            assert!(closed, "connection survived an unsequenced DATA frame");
+        }
+        assert_eq!(t.stats().peers[1].frame_rejects, u64::from(STRIKE_LIMIT), "frame rejections not counted");
+        assert!(t.is_peer_dead(1), "a streak of unsequenced DATA never became a peer fault");
+        assert!(matches!(t.recv(Duration::from_millis(100)), Err(CommError::Timeout)), "the payload reached recv");
+    }
+
+    #[test]
+    fn a_retired_kind_on_the_reverse_path_drops_the_stream_and_loses_nothing() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![listener.local_addr().unwrap(), peer.local_addr().unwrap()];
+        let a = TcpTransport::with_listener(TcpConfig::new(0, 2), addrs.clone(), listener).unwrap();
+        a.send(1, msg(0, 7, &[0.0]));
+        // A fake receiver opens the session, then writes what used to be a
+        // gap report (kind 11) where only ACKs belong.
+        let (mut held, _) = peer.accept().unwrap();
+        held.read_exact(&mut [0u8; HEADER_LEN]).unwrap();
+        held.write_all(&encode_frame(KIND_HELLO_ACK, 1, 0, 0, 0, 0, &[])).unwrap();
+        held.write_all(&encode_frame(11, 1, 0, 0, 0, 1, &[])).unwrap();
+        // `held` stays open, so the redial that lands on the listener can
+        // only come from the sender calling the frame garbage.
+        a.send(1, msg(0, 7, &[1.0]));
+        let (redial, _) = peer.accept().unwrap();
+        drop((held, redial));
+        // Nothing was ACKed: a real endpoint on the same address gets both
+        // frames from the resume, once, in order.
+        let b = TcpTransport::with_listener(TcpConfig::new(1, 2), addrs, peer).unwrap();
+        for want in [0.0, 1.0] {
+            assert_eq!(b.recv(Duration::from_secs(30)).expect("frame lost").payload[0], want);
+        }
+        assert_eq!(b.stats().peers[0].dup_suppressed, 0, "a frame was delivered to the inbox path twice");
+        assert!(a.stats().peers[1].reconnects >= 1, "the stream was never re-established");
+    }
+
+    #[test]
+    fn two_live_connections_from_one_peer_deliver_each_sequence_once_in_order() {
+        // A sender that drops a stream (a reset, a write timeout, a stale
+        // window head) redials at once, while the old connection's reader
+        // may still be working through what it had buffered: for a while two
+        // readers hold the same sequence range. Here both do for the whole
+        // stream.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let my_addr = listener.local_addr().unwrap();
+        let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![my_addr, peer_listener.local_addr().unwrap()];
+        let t = TcpTransport::with_listener(TcpConfig::new(0, 2), addrs, listener).unwrap();
+        let n = 20_000u64;
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut s = raw_hello(my_addr, 1, 0);
+                std::thread::spawn(move || {
+                    for seq in 1..=n {
+                        s.write_all(&encode_frame(KIND_DATA, 1, 0, 7, 0, seq, &[seq as f64])).unwrap();
+                    }
+                    s // open until the count below is in
+                })
+            })
+            .collect();
+        for seq in 1..=n {
+            let m = t.recv(Duration::from_secs(30)).expect("the stream stopped short");
+            assert_eq!(m.payload[0], seq as f64, "a sequence was delivered twice or out of order");
+        }
+        let streams: Vec<_> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+        let dups = || t.stats().peers[1].dup_suppressed;
+        let t0 = Instant::now();
+        while dups() < n && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(dups(), n, "each sequence arrived twice, so each was suppressed once");
+        assert!(matches!(t.recv(Duration::ZERO), Err(CommError::Timeout)), "a sequence was delivered twice");
+        drop(streams);
+    }
+
+    #[test]
     fn corrupt_frames_are_counted_and_never_delivered() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let my_addr = listener.local_addr().unwrap();
@@ -2511,5 +2564,132 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(10), "no session resume recorded");
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// Seeded decoder fuzz: golden frames of every kind, mutated, through
+    /// every decoder over an in-memory reader. A decoder may reject anything;
+    /// what it accepts must be a whole frame whose two CRCs hold under the
+    /// bitwise reference, taken from exactly the bytes it consumed — and
+    /// nothing may panic or wait for bytes that are not there. `FT_FUZZ_SEED`
+    /// / `FT_FUZZ_ROUNDS` explore further, as for the kernel fuzz.
+    #[test]
+    fn mutated_frames_are_rejected_or_decode_to_exactly_what_the_crcs_cover() {
+        let env = |name: &str, default: u64| std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+        let mut x = env("FT_FUZZ_SEED", 0xC0FFEE) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let shared = Shared {
+            rank: 0,
+            incarnation: 0,
+            start: Instant::now(),
+            hb_interval: Duration::from_millis(100),
+            hb_miss_limit: 30,
+            grace_beats: 4,
+            faults: FaultScript::none(),
+            shutdown: AtomicBool::new(false),
+            peers: Vec::new(),
+        };
+        // Both CRCs of `m`'s leading frame, by the reference that shares
+        // nothing with the tables; `None` = `m` does not hold a whole frame.
+        let crcs_hold = |m: &[u8]| -> Option<usize> {
+            let words = le32(m.get(..HEADER_LEN)?, 0);
+            let end = HEADER_LEN + 8 * usize::try_from(words).ok().filter(|_| words <= MAX_PAYLOAD_WORDS)?;
+            let mut frame = m.get(..end)?.to_vec();
+            let stamped = le32(&frame, 40);
+            frame[40..44].fill(0);
+            (crc32_bitwise(&frame[..40]) == le32(&frame, 44) && crc32_bitwise(&frame) == stamped).then_some(end)
+        };
+        let restamp = |m: &mut [u8]| {
+            let head = crc32_bitwise(&m[..40]);
+            m[44..48].copy_from_slice(&head.to_le_bytes());
+            m[40..44].fill(0);
+            let crc = crc32_bitwise(m);
+            m[40..44].copy_from_slice(&crc.to_le_bytes());
+        };
+        // 600 words: long enough for the CRC to run its interleaved streams.
+        let payloads: [Vec<f64>; 4] = [
+            vec![],
+            vec![1.5],
+            vec![-0.0, f64::MAX, 3.25],
+            (0..600).map(f64::from).collect(),
+        ];
+        let kinds = [KIND_HELLO, KIND_HEARTBEAT, KIND_DATA, KIND_GOODBYE, KIND_HELLO_ACK, KIND_ACK];
+        let kinds = kinds.into_iter().chain(jobs::KIND_SUBMIT..=jobs::KIND_CKPT);
+        let goldens: Vec<Vec<u8>> = kinds
+            .flat_map(|k| payloads.iter().map(move |p| encode_frame(k, 3, 1, 0x0102_0304, 9, 77, p)))
+            .collect();
+        for g in &goldens {
+            assert_eq!(crcs_hold(g), Some(g.len()), "the reference rejects a golden frame");
+        }
+        let (mut accepted, mut body) = (0, Vec::new());
+        for round in 0..env("FT_FUZZ_ROUNDS", 400) * goldens.len() as u64 {
+            let mut m = goldens[(round % goldens.len() as u64) as usize].clone();
+            let stamp = next() % 2 == 0;
+            match next() % 5 {
+                0 => (0..1 + next() % 3).for_each(|_| {
+                    let bit = (next() % (m.len() as u64 * 8)) as usize;
+                    m[bit / 8] ^= 1 << (bit % 8);
+                }),
+                1 => m.truncate((next() % m.len() as u64) as usize),
+                2 => {
+                    // A length that lies by a word, is empty, or sits on the cap.
+                    let words = le32(&m, 0);
+                    let lie = [
+                        0,
+                        words.wrapping_sub(1),
+                        words + 1,
+                        MAX_PAYLOAD_WORDS - 1,
+                        MAX_PAYLOAD_WORDS + 1,
+                        u32::MAX,
+                    ];
+                    m[0..4].copy_from_slice(&lie[(next() % 6) as usize].to_le_bytes());
+                    if stamp {
+                        restamp(&mut m);
+                    }
+                }
+                3 => {
+                    m[4] = next() as u8; // any kind, in range or not
+                    if stamp {
+                        restamp(&mut m);
+                    }
+                }
+                _ => m.extend((0..next() % 100).map(|_| next() as u8)), // trailing junk
+            }
+            let holds = crcs_hold(&m);
+            let head = m.first_chunk::<HEADER_LEN>().and_then(|raw| Header::decode(raw).ok());
+            if let Some(h) = &head {
+                assert_eq!(crc32_bitwise(&m[..40]), le32(&m, 44), "round {round}: header accepted on a bad CRC");
+                assert!(h.words <= MAX_PAYLOAD_WORDS as usize, "round {round}: oversize length accepted");
+                if let Some(b) = m.get(HEADER_LEN..HEADER_LEN + 8 * h.words) {
+                    assert_eq!(h.check_body(b).is_ok(), holds.is_some(), "round {round}: check_body against the reference");
+                }
+            }
+            // A well-stamped length near the cap has the readers allocate it
+            // before they find the bytes missing; the cap is the bound on
+            // that, and `Header::decode` has just been held to it.
+            if head.is_some_and(|h| 8 * h.words > m.len() + 4096) {
+                continue;
+            }
+            let mut rest = &m[..];
+            if let Ok(got) = read_frame(&shared, &mut rest, &mut body) {
+                let f = got.expect("no shutdown was signalled");
+                let end = holds.unwrap_or_else(|| panic!("round {round}: read_frame accepted a frame whose CRCs do not hold"));
+                assert_eq!(m.len() - rest.len(), end, "round {round}: read_frame consumed other than the frame");
+                assert_eq!((f.head.kind, f.head.words), (m[4], (end - HEADER_LEN) / 8));
+                let bits = |w: &f64| w.to_bits().to_le_bytes();
+                assert!(f.payload.iter().flat_map(bits).eq(m[HEADER_LEN..end].iter().copied()), "round {round}: payload");
+                accepted += 1;
+            }
+            let mut rest = &m[..];
+            if let Ok(f) = jobs::read_job_frame(&mut rest) {
+                assert_eq!(Some(m.len() - rest.len()), holds, "round {round}: read_job_frame accepted or consumed wrongly");
+                assert!((jobs::KIND_SUBMIT..=jobs::KIND_CKPT).contains(&f.kind), "round {round}: fabric kind {}", f.kind);
+            }
+        }
+        assert!(accepted > 0, "no mutation left a valid frame: the accept path went untested");
     }
 }

@@ -103,8 +103,8 @@ pub struct PeerCounters {
     pub reconnects: u64,
     /// Heartbeat intervals that elapsed with no traffic from the peer.
     pub hb_misses: u64,
-    /// Sequenced frames written more than once (NAK rewinds, stale-window
-    /// timer resends, resume replays).
+    /// Sequenced frames written more than once: what session resumes
+    /// replayed (nothing else retransmits).
     pub retransmits: u64,
     /// Inbound frames discarded as already-delivered duplicates.
     pub dup_suppressed: u64,

@@ -234,6 +234,62 @@ fn resets_force_session_resume_with_replay() {
     assert!(c.retransmits >= 1, "a resumed session must replay its unacknowledged window");
 }
 
+/// An injected drop with traffic behind it: the next frame shows the
+/// receiver a sequence gap, the receiver closes the connection, and the
+/// session resume replays from the gap — the same repair a reset takes,
+/// every payload once, in order, bitwise (checked by `storm`).
+#[test]
+fn a_gap_closes_the_connection_and_the_resume_replays_it() {
+    let eps = storm("drop-counted", 2, 32, |r| (r == 0).then(|| "1:drop=0.3".into()));
+    let c = &eps[0].stats().peers[1];
+    assert!(c.resumes >= 1, "drop=0.3 over 32 frames never resumed a session");
+    assert!(c.retransmits >= 1, "a resumed session must replay the dropped frame");
+}
+
+/// A dropped *final* frame has nothing behind it to expose the gap: the
+/// sender's stale bound — `max(2·hb, 200 ms)` on the unACKed window head —
+/// drops the stream, and one reconnect replays that one frame. One bound
+/// plus a handshake, not a ladder of rounds.
+#[test]
+fn a_dropped_final_frame_is_healed_by_one_stale_bound_and_one_resume() {
+    let (spec, hb) = ("3:drop=0.2", Duration::from_millis(200));
+    let script = FaultScript::parse(spec, 2, 0..1).unwrap();
+    // Send up to and including the first sequence the script drops.
+    let last = (1..).find(|&s| script.decide(0, 1, s) == Some(NetFault::Drop)).unwrap();
+    assert!((2..64).contains(&last), "seed 3 at p=0.2 should first drop a frame after the first");
+    let mut eps = TcpTransport::fabric_localhost_with(2, |c| {
+        c.hb_interval = hb;
+        if c.rank == 0 {
+            c.faults = script.clone();
+        }
+    })
+    .unwrap();
+    let b = eps.remove(1);
+    let a = eps.remove(0);
+    let t0 = Instant::now();
+    for i in 0..last as usize {
+        a.send(1, msg(0, 5, &body(0, i)));
+    }
+    for i in 0..last as usize {
+        let m = b
+            .recv(Duration::from_secs(60))
+            .expect("the dropped final frame was lost for good");
+        let same = m
+            .payload
+            .iter()
+            .zip(&body(0, i))
+            .all(|(got, exp)| got.to_bits() == exp.to_bits());
+        assert!(same, "stream delivered wrong bits at index {i}");
+    }
+    let healed = t0.elapsed();
+    // The bound is 2·hb here and a parked link thread looks once a beat.
+    assert!(healed >= 2 * hb, "healed in {healed:?}: the final frame was never dropped");
+    assert!(healed < 6 * hb, "healed in {healed:?}: more than one stale bound");
+    let (tx, rx) = (&a.stats().peers[1], &b.stats().peers[0]);
+    assert_eq!((tx.resumes, tx.retransmits), (1, 1), "one resume replays the one unACKed frame");
+    assert_eq!((rx.dup_suppressed, rx.crc_rejects), (0, 0), "the repair was not exactly-once");
+}
+
 /// A partition that heals inside the liveness budget is a slow network,
 /// not a death: delivery completes (checked by the battery case) and no
 /// rank is marked dead afterwards — here we additionally require the

@@ -46,7 +46,9 @@ echo "== cargo bench --no-run (compile gate)"
 cargo bench --no-run -q
 
 # Perf smoke: fails if the packed kernel is slower than the naive triple loop
-# at 256×256 or below 3× naive at 512×512 (the gates live inside the bench
+# at 256×256 or below 3× naive at 512×512, or if any detected vector ISA's
+# packed kernel is below 42× naive at 512×512 — a floor the forced-scalar
+# tile does not reach, both readings printed (the gates live inside the bench
 # binary). Smoke runs write their JSON under target/, never over the
 # committed BENCH_kernels.json / BENCH_serve.json.
 echo "== kernels perf smoke"
@@ -71,7 +73,7 @@ for w in hess_dense hess_tcp qr_grid hess_grid; do
         --workload "$w" --smoke >/dev/null
 done
 # The wire once more, traced: a receive-poll or accept change that quietly
-# provokes go-back-N rewinds or starves the beats can still look fine on
+# provokes session resumes or starves the beats can still look fine on
 # wall time, so a clean loopback run must count none of either. The same
 # run replays the update GEMMs at the workload's shapes (k = nb = 16): each
 # must reach $gemm_floor of the 512³ rate measured beside it — a ratio, so it
@@ -233,9 +235,11 @@ done
 #   nc      wire noise (DESIGN.md §16) — loss + duplication + reordering,
 #           bit flips, a transient one-link partition: must complete CLEAN,
 #           exit 0 with zero §5.3 recoveries (wire noise is never a rank
-#           death); the permanent partition of rank 3 must be the typed
-#           Partitioned verdict on every survivor — exit 3 inside a short
-#           receive timeout, never a hang
+#           death). The partition opens at 0 ms and the leg must outlast
+#           it (`time:` >= the heal time), so a faster solve cannot finish
+#           before the fault exists. The permanent partition of rank 3
+#           must be the typed Partitioned verdict on every survivor — exit
+#           3 inside a short receive timeout, never a hang
 #   combo   a SIGKILL *and* wire noise from one script (ROADMAP 4b, first
 #           step): recovery itself runs over the lossy links; 0 or 3
 echo "== fault soaks (one --faults table: chaos, threads, sdc, kill, nc, combo)"
@@ -255,7 +259,7 @@ sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip
 kill;hessenberg;$KILL_SEEDS;alg2 alg3;0|3;$DIST --verify;{s}:kill=1
 nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:drop=0.05,dup=0.05,reorder=0.05
 nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:corrupt=0.03
-nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:part=1-2@150+500,part=2-1@150+500
+nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:part=1-2@0+500,part=2-1@0+500
 nc;$BOTH;7;alg2;3;env FT_RECV_TIMEOUT_MS=6000 $BIN --distributed --grid 2x2 --n 32 --nb 8;{s}:$CUT3
 combo;$BOTH;$KILL_SEEDS;alg2;0|3;$DIST --verify;{s}:kill=1,drop=0.05,dup=0.05,reorder=0.05
 EOF
@@ -270,6 +274,13 @@ while IFS=';' read -r family solvers seeds variants want cmd spec; do
                 if [ "$want" = 0 ] && ! grep -q "recoveries: 0" <<<"$out"; then
                     echo "  $family $solver $variant $faults: FAILED (wire noise triggered a spurious recovery)"
                     exit 1
+                fi
+                if [[ $faults =~ part=[0-9]+-[0-9]+@([0-9]+)\+([0-9]+) ]]; then
+                    heal_ms=$((BASH_REMATCH[1] + BASH_REMATCH[2]))
+                    if ! awk -v ms="$heal_ms" '$1 == "time:" { ran = 1; if ($2 * 1000 < ms) exit 1 } END { if (!ran) exit 1 }' <<<"$out"; then
+                        echo "  $family $solver $variant $faults: FAILED (the run ended before the partition healed at $heal_ms ms: it tested nothing)"
+                        exit 1
+                    fi
                 fi
                 if [ "$rc" -eq 0 ]; then verdict="survived, verified"; else verdict="typed rejection"; fi
                 echo "  $family $solver $variant $faults: $verdict"
@@ -324,8 +335,8 @@ need_runs shrink "hessenberg qr" 2
 # submit asserts every job's residual passed the paper threshold; exit 0
 # from the daemon asserts the pool drained quiescent (no leaked jobs).
 echo "== daemon soak (serve/submit verbs, both solvers, drain)"
-SERVE_PORT=34567
-$BIN serve --pool 4 --port "$SERVE_PORT" --job-ports 34600 &
+SERVE_PORT=24567
+$BIN serve --pool 4 --port "$SERVE_PORT" --job-ports 24600 &
 SERVE_PID=$!
 ready=0
 for _ in $(seq 1 100); do

@@ -35,7 +35,7 @@
 //!                                   links (--distributed only); part= cuts
 //!                                   the link A->B from S ms, healing after
 //!                                   D ms. The hardened transport (CRC
-//!                                   frames, go-back-N retransmit, session
+//!                                   frames, sequenced window, session
 //!                                   resume) must mask all of it
 //!                        kill/at/flip need --variant alg2 or alg3; every
 //!                        rank an item names must lie in the grid;
@@ -769,14 +769,15 @@ fn child_main(o: Opts, rank: usize) -> ! {
     exit(code)
 }
 
-/// Bind-probe a run of `world` consecutive free localhost ports.
+/// Bind-probe a run of `world` consecutive free localhost ports in
+/// [20000, 32768): below the kernel's ephemeral range, where some client
+/// socket's `TIME_WAIT` can hold a port against `bind` for a minute whatever
+/// `SO_REUSEADDR` says.
 fn probe_port_base(world: usize) -> u16 {
     let pid = std::process::id();
+    let span = (32768 - 20000u32).saturating_sub(world as u32).max(1);
     for attempt in 0..512u32 {
-        let base = 20000 + ((pid.wrapping_mul(131).wrapping_add(attempt.wrapping_mul(977))) % 40000) as u16;
-        if usize::from(u16::MAX - base) < world {
-            continue;
-        }
+        let base = 20000 + ((pid.wrapping_mul(131).wrapping_add(attempt.wrapping_mul(977))) % span) as u16;
         let held: Vec<_> = (0..world)
             .map(|r| std::net::TcpListener::bind(("127.0.0.1", base + r as u16)))
             .collect();

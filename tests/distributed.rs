@@ -493,7 +493,7 @@ fn missing_peers_produce_typed_timeout_not_a_hang() {
             "--variant",
             "alg2",
             "--port-base",
-            "46733",
+            "26733",
         ],
         2_000,
     );

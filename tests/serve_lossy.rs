@@ -18,7 +18,7 @@ use std::time::Duration;
 /// divergence means the daemon ran a duplicate or mangled a spec.
 #[test]
 fn heavy_submit_loss_completes_every_job_exactly_once() {
-    let d = Daemon::spawn(2, &["--job-ports", "32000"]);
+    let d = Daemon::spawn(2, &["--job-ports", "20000"]);
     let port = d.port;
 
     let h = std::thread::spawn(move || {
@@ -53,7 +53,7 @@ fn heavy_submit_loss_completes_every_job_exactly_once() {
 /// and still exactly one terminal result on the replaying connection.
 #[test]
 fn replayed_running_submission_is_deduped_not_rerun() {
-    let d = Daemon::spawn(2, &["--job-ports", "33000"]);
+    let d = Daemon::spawn(2, &["--job-ports", "22100"]);
     let port = d.port;
 
     let h = std::thread::spawn(move || {

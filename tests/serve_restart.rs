@@ -63,7 +63,7 @@ fn pool_restart_resumes_bitwise_identical() {
     // Restart over the same state dir: the job is re-admitted under its
     // original id with no client attached, resumes from the persisted
     // panel, and the orphan result lands on disk.
-    let d2 = Daemon::spawn(2, &["--job-ports", "31000", "--state-dir", &state_str]);
+    let d2 = Daemon::spawn(2, &["--job-ports", "28000", "--state-dir", &state_str]);
     let resume = d2.wait_marker("FT_SERVE_RESUME job=1 ");
     let panel: usize = field(&resume, "panel=").parse().expect("resume panel");
     assert!(panel >= 1, "resume must start from a real checkpoint, got panel {panel}");
