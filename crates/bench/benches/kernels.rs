@@ -3,7 +3,7 @@
 //! triple loop, plus the pre-packed-A reuse path, GEMV, and the Householder
 //! panel kernel.
 //!
-//! Writes `BENCH_kernels.json` at the repo root and **enforces** three
+//! Writes `BENCH_kernels.json` at the repo root and **enforces** four
 //! performance floors (exits non-zero on regression):
 //!
 //! * packed GEMM must not be slower than the naive triple loop at 256×256
@@ -14,7 +14,13 @@
 //! * every detected vector ISA's packed GEMM must reach ≥ 42× the naive
 //!   GFLOP/s at 512×512, a floor the forced-scalar tile does not reach
 //!   (both readings are printed; the vector/scalar ratio is reported in the
-//!   artifact, not gated).
+//!   artifact, not gated);
+//! * the wire's CRC32 (`ft_runtime::crc`) over 1 MiB must reach ≥ 3× the
+//!   byte-at-a-time table loop of the same run on any host, and ≥ 20× where
+//!   the carry-less-multiply fold is dispatched (62× here). Built with the
+//!   repo's own flags, this is the gate that catches a CRC the vectoriser
+//!   has turned into gathers: the four-stream table walk it replaced read
+//!   1.0× under `target-cpu=native`.
 //!
 //! `FT_KERNELS_SMOKE=1` trims repetitions and drops the non-GEMM extras for
 //! the CI smoke run. `FT_BENCH_REPS` controls repetitions (default 3 here).
@@ -29,6 +35,7 @@ use ft_dense::simd::Isa;
 use ft_dense::{Matrix, Trans};
 use ft_hess::{ft_solve, DriverControl, Encoded, Hessenberg, ScrubPolicy, Variant};
 use ft_lapack::lahr2;
+use ft_runtime::crc::{crc32, crc32_bytewise, folds};
 use ft_runtime::{run_spmd, FaultScript};
 use std::hint::black_box;
 use std::time::Instant;
@@ -249,6 +256,32 @@ fn main() {
         );
     }
 
+    // The wire's CRC: 16 passes over 1 MiB a sample, dispatched path against
+    // the byte-at-a-time loop.
+    let wire: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 + 7) as u8).collect();
+    let crc_gbs = |crc: fn(&[u8]) -> u32| {
+        let secs = best_of(r, || (0..16).for_each(|_| _ = black_box(crc(black_box(&wire)))));
+        (16 * wire.len()) as f64 / secs / 1e9
+    };
+    let (crc_gbs, bytewise_gbs) = (crc_gbs(crc32), crc_gbs(crc32_bytewise));
+    assert_eq!(crc32(&wire), crc32_bytewise(&wire), "the two CRC paths disagree");
+    let (crc_path, crc_floor) = if folds() {
+        ("pclmulqdq fold-by-4", 20.0)
+    } else {
+        ("slicing-by-8 table chain", 3.0)
+    };
+    let crc_ratio = crc_gbs / bytewise_gbs;
+    println!("# wire CRC over 1 MiB: {crc_path} {crc_gbs:.2} GB/s, bytewise {bytewise_gbs:.2} GB/s: {crc_ratio:.1}x (floor {crc_floor}x)");
+    for (kernel, v) in [("crc32", crc_gbs), ("crc32_bytewise", bytewise_gbs)] {
+        rows.push(
+            json::Obj::new()
+                .str("kernel", kernel)
+                .int("n", wire.len() as u64)
+                .num("gbs", v)
+                .finish(),
+        );
+    }
+
     let ratio_256 = packed_gf[&256] / naive_gf[&256];
     let ratio_512 = packed_gf[&512] / naive_gf[&512];
     println!("# packed/naive speedup: {ratio_256:.2}x at 256, {ratio_512:.2}x at 512");
@@ -340,7 +373,9 @@ fn main() {
         .int("threads", active_threads() as u64)
         .num("speedup_packed_vs_naive_256", ratio_256)
         .num("speedup_packed_vs_naive_512", ratio_512)
-        .num("scrub_overhead", scrub_overhead);
+        .num("scrub_overhead", scrub_overhead)
+        .str("crc_path", crc_path)
+        .num("speedup_crc_vs_bytewise", crc_ratio);
     for (isa, gf) in &isa_gf_512 {
         report_obj = report_obj.num(&format!("gflops_packed_512_{}", isa.name()), *gf);
     }
@@ -371,5 +406,9 @@ fn main() {
             eprintln!("FAIL: packed_{} below {VECTOR_VS_NAIVE_FLOOR}x naive at 512x512 ({ratio:.1}x)", isa.name());
             std::process::exit(1);
         }
+    }
+    if crc_ratio < crc_floor {
+        eprintln!("FAIL: wire CRC ({crc_path}) below {crc_floor}x the bytewise loop over 1 MiB ({crc_ratio:.1}x)");
+        std::process::exit(1);
     }
 }

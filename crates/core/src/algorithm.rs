@@ -35,6 +35,7 @@ use crate::solver::{FtSolver, Hessenberg, HouseholderQr};
 use ft_dense::Matrix;
 use ft_pblas::{left_update, right_update, PanelFactors};
 use ft_runtime::{catch_interrupt, Ctx, FailCheck, Tag};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Driver-milestone trace for multi-process debugging, enabled by setting
@@ -43,10 +44,16 @@ use std::time::Instant;
 /// rank got.
 macro_rules! dtrace {
     ($ctx:expr, $($arg:tt)*) => {
-        if std::env::var_os("FT_DIST_TRACE").is_some() {
+        if dist_trace() {
             eprintln!("[ft rank {}] {}", $ctx.rank(), format!($($arg)*));
         }
     };
+}
+
+/// The `FT_DIST_TRACE` switch, read from the environment once a process.
+fn dist_trace() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("FT_DIST_TRACE").is_some())
 }
 
 /// Control image shipped to a respawned replacement process (distributed

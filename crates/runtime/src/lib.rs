@@ -41,6 +41,7 @@
 
 pub mod collectives;
 pub mod comm;
+pub mod crc;
 pub mod detect;
 pub mod dist;
 pub mod fault;

@@ -65,9 +65,9 @@
 //! one mutex. [`Transport::send`] locks it on the caller's thread,
 //! sequences the message into the window, drains pending ACK bytes with
 //! a non-blocking read, and — when the link is clean — encodes the frame
-//! into the link's reused buffer (one pass: copy + slicing-by-8 CRC) and
-//! writes it itself; neither the frame nor its ACK wakes a thread on this
-//! side. A write the socket buffer cannot take whole finishes blocking
+//! into the link's reused buffer (one pass: copy + CRC, see [`crate::crc`])
+//! and writes it itself; neither the frame nor its ACK wakes a thread on
+//! this side. A write the socket buffer cannot take whole finishes blocking
 //! under `WRITE_TIMEOUT`, the bound on how long `send` can hold the caller;
 //! past it the stream is dropped and the resume replays the frame.
 //! Everything that needs a clock or a retry — connecting, resuming,
@@ -112,6 +112,7 @@
 //! `BACKOFF_CAP`) and deterministic jitter — until
 //! [`TcpConfig::conn_timeout`] is exhausted.
 
+use crate::crc::crc32_update;
 use crate::fault::FaultScript;
 use crate::netchaos::NetFault;
 use crate::transport::{CommError, Msg, PeerCounters, Transport, TransportStats, POLL_BUDGET};
@@ -271,134 +272,6 @@ impl TcpConfig {
         }
         Ok(())
     }
-}
-
-// --- CRC32 (IEEE 802.3, the zlib/PNG polynomial) -----------------------------
-
-/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table, `T[k]`
-/// advances a byte that sits `k` positions before the end of an 8-byte
-/// block.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// One slicing-by-8 step: fold the eight bytes of `b` into the state `c`.
-#[inline(always)]
-fn crc32_step(c: u32, b: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let w = u64::from_le_bytes(b.try_into().expect("8 bytes")) ^ c as u64;
-    (0..8).fold(0, |x, k| x ^ t[7 - k][(w >> (8 * k)) as u8 as usize])
-}
-
-/// Advance the raw (un-inverted) CRC state over `data` as one dependent
-/// chain, eight bytes per step.
-fn crc32_serial(mut c: u32, data: &[u8]) -> u32 {
-    let mut blocks = data.chunks_exact(8);
-    for b in &mut blocks {
-        c = crc32_step(c, b);
-    }
-    for &b in blocks.remainder() {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// `a·b mod P` over GF(2), both in the CRC's reflected bit order (bit 31 is
-/// `x⁰`).
-fn crc32_mulmod(a: u32, mut b: u32) -> u32 {
-    let mut p = 0;
-    for k in (0..32).rev() {
-        if (a >> k) & 1 != 0 {
-            p ^= b;
-        }
-        b = if b & 1 != 0 { 0xEDB8_8320 ^ (b >> 1) } else { b >> 1 };
-    }
-    p
-}
-
-/// `x^(8·n) mod P` by square-and-multiply from `x⁸`: what running a raw
-/// state on through `n` more bytes multiplies it by (the register is linear
-/// in its input).
-fn crc32_shift(n: usize) -> u32 {
-    let (mut shift, mut sq, mut n) = (1u32 << 31, 1u32 << 23, n);
-    while n != 0 {
-        if n & 1 != 0 {
-            shift = crc32_mulmod(sq, shift);
-        }
-        sq = crc32_mulmod(sq, sq);
-        n >>= 1;
-    }
-    shift
-}
-
-/// The raw state after `a ‖ b` from the states of the two parts — `b`'s
-/// started from zero — and `shift = crc32_shift(b.len())`.
-fn crc32_combine(state_a: u32, state_b: u32, shift: u32) -> u32 {
-    crc32_mulmod(state_a, shift) ^ state_b
-}
-
-/// Independent streams [`crc32_update`] interleaves, and the shortest stream
-/// worth the combine (below it the serial chain is as fast).
-const CRC_STREAMS: usize = 4;
-const CRC_STREAM_MIN: usize = 256;
-
-/// Advance the raw (un-inverted) CRC state over `data`. One slicing-by-8
-/// chain is bound by the latency of its dependent table loads (1.5 GB/s
-/// here), not by their throughput, so anything long enough is cut into
-/// [`CRC_STREAMS`] equal streams whose chains advance side by side in one
-/// loop and are stitched together with [`crc32_combine`] — the same value
-/// bit for bit, at 3–4.5 GB/s.
-fn crc32_update(c: u32, data: &[u8]) -> u32 {
-    let len = (data.len() / CRC_STREAMS) & !7;
-    if len < CRC_STREAM_MIN {
-        return crc32_serial(c, data);
-    }
-    let (s0, rest) = data.split_at(len);
-    let (s1, rest) = rest.split_at(len);
-    let (s2, rest) = rest.split_at(len);
-    let (s3, tail) = rest.split_at(len);
-    let mut s = [c, 0, 0, 0];
-    let [b0, b1, b2, b3] = [s0, s1, s2, s3].map(|d| d.chunks_exact(8));
-    for (((b0, b1), b2), b3) in b0.zip(b1).zip(b2).zip(b3) {
-        s = [
-            crc32_step(s[0], b0),
-            crc32_step(s[1], b1),
-            crc32_step(s[2], b2),
-            crc32_step(s[3], b3),
-        ];
-    }
-    let shift = crc32_shift(len); // the same at every seam
-    let joined = s[1..].iter().fold(s[0], |acc, &next| crc32_combine(acc, next, shift));
-    crc32_serial(joined, tail)
-}
-
-#[cfg(test)]
-fn crc32(data: &[u8]) -> u32 {
-    !crc32_update(!0, data)
 }
 
 // --- counters / peer state ---------------------------------------------------
@@ -643,6 +516,14 @@ impl TcpTransport {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || liveness_loop(shared)));
         }
+        // Each thread spawned above needs a few microseconds to reach its
+        // first blocking call, and the ones queued behind this thread have
+        // not had them yet. Let them run now: a caller that goes straight on
+        // to spawn its rank threads otherwise has the scheduler count them
+        // against this CPU and stack two ranks on another (EXPERIMENTS.md,
+        // "The CRC under `target-cpu=native`": 33–53 % of fresh fabrics on a
+        // 2-core host, 0.7 ms each; 18–33 % with the yield).
+        std::thread::yield_now();
 
         Ok(TcpTransport {
             shared,
@@ -832,8 +713,11 @@ impl Drop for TcpTransport {
 /// carries that same state on over the rest.
 #[allow(clippy::too_many_arguments)] // the header's six fields, flat
 fn encode_into(buf: &mut Vec<u8>, kind: u8, src: usize, inc: u32, wire: u64, epoch: u64, seq: u64, payload: &[f64]) {
-    buf.clear();
+    // Not cleared first: a reused buffer keeps the bytes it has, and every
+    // one of them is overwritten below — the header's zeros here, the
+    // payload by the copy.
     buf.resize(HEADER_LEN + 8 * payload.len(), 0);
+    buf[..HEADER_LEN].fill(0);
     buf[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     buf[4] = kind;
     buf[8..12].copy_from_slice(&(src as u32).to_le_bytes());
@@ -979,6 +863,30 @@ struct Frame {
     payload: Arc<[f64]>,
 }
 
+/// Furthest a reader grows its payload buffer ahead of the bytes that have
+/// arrived: a well-stamped header may promise 2 GiB, and memory must track
+/// what the wire delivers, not what a header claims.
+const BODY_STEP: usize = 1 << 20;
+
+/// Receive a `need`-byte payload into the front of `body` through `fill`,
+/// whose `Ok(false)` — shut down before a byte came — is passed on. `body`
+/// only ever grows (a shorter payload uses its front), so a reused buffer
+/// has no byte zero-filled twice.
+fn read_body(body: &mut Vec<u8>, need: usize, mut fill: impl FnMut(&mut [u8]) -> io::Result<bool>) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < need {
+        let upto = need.min(filled + BODY_STEP);
+        if body.len() < upto {
+            body.resize(upto, 0);
+        }
+        if !fill(&mut body[filled..upto])? {
+            return Ok(false);
+        }
+        filled = upto;
+    }
+    Ok(true)
+}
+
 /// Read one frame; `body` is the connection's reused payload buffer.
 fn read_frame(shared: &Shared, stream: &mut impl Read, body: &mut Vec<u8>) -> Result<Option<Frame>, FrameErr> {
     let mut raw = [0u8; HEADER_LEN];
@@ -986,10 +894,10 @@ fn read_frame(shared: &Shared, stream: &mut impl Read, body: &mut Vec<u8>) -> Re
         return Ok(None);
     }
     let head = Header::decode(&raw)?;
-    body.resize(8 * head.words, 0);
-    if !read_full(shared, stream, body)? {
+    if !read_body(body, 8 * head.words, |b| read_full(shared, stream, b))? {
         return Ok(None);
     }
+    let body = &body[..8 * head.words];
     head.check_body(body)?;
     let payload = decode_words(body);
     Ok(Some(Frame { head, payload }))
@@ -1044,7 +952,7 @@ fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant
 /// connections — never on the rank fabric — so they need a plain blocking
 /// reader rather than the fabric's shutdown-polling [`read_full`].
 pub mod jobs {
-    use super::{decode_words, encode_frame, FrameErr, Header, HEADER_LEN};
+    use super::{decode_words, encode_frame, read_body, FrameErr, Header, HEADER_LEN};
     use std::io::{self, Read, Write};
     use std::net::TcpStream;
 
@@ -1100,8 +1008,8 @@ pub mod jobs {
         if !(KIND_SUBMIT..=KIND_CKPT).contains(&head.kind) {
             return Err(invalid(format!("frame kind {} is not a job frame", head.kind)));
         }
-        let mut body = vec![0u8; 8 * head.words];
-        stream.read_exact(&mut body)?;
+        let mut body = Vec::new();
+        read_body(&mut body, 8 * head.words, |b| stream.read_exact(b).map(|()| true))?;
         head.check_body(&body).map_err(|_| invalid("job frame failed its CRC".into()))?;
         Ok(JobFrame {
             kind: head.kind,
@@ -1499,8 +1407,10 @@ struct Link {
     sent_up_to: u64,
     /// Every frame not yet ACKed, sent or not: consecutive sequences.
     window: VecDeque<WinEntry>,
-    /// Unparsed bytes read back from the receiver (the ACK stream).
+    /// Landing buffer of the reverse path (the ACK stream), sized once; its
+    /// first `ack_len` bytes are received and not yet parsed.
     ackbuf: Vec<u8>,
+    ack_len: usize,
     /// Sequences held back by an injected reorder, flushed after the next
     /// first transmission so they hit the wire out of order.
     held_back: Vec<u64>,
@@ -1513,7 +1423,7 @@ struct Link {
 impl Link {
     fn drop_stream(&mut self) {
         self.stream = None;
-        self.ackbuf.clear();
+        self.ack_len = 0;
     }
 
     fn blackholed(&self, shared: &Shared) -> bool {
@@ -1561,7 +1471,7 @@ impl Link {
     /// replay what had been sent. Unsent entries keep waiting for their
     /// first transmission (and its injection draw).
     fn resume(&mut self, shared: &Shared, stream: TcpStream, delivered: u64, was_connected: bool) {
-        self.ackbuf.clear();
+        self.ack_len = 0;
         self.held_back.clear();
         while self.window.front().is_some_and(|e| e.seq <= delivered) {
             self.window.pop_front();
@@ -1670,48 +1580,34 @@ impl Link {
     /// cumulative ACKs. Anything else on the control channel is garbage and
     /// drops the stream (resync by resume).
     fn drain_control(&mut self) {
-        {
+        self.ackbuf.resize(HEADER_LEN * 32, 0); // sized at the first call, a no-op after
+        loop {
             let Some(s) = &mut self.stream else { return };
-            let mut buf = [0u8; HEADER_LEN * 32];
-            loop {
-                match s.read(&mut buf) {
-                    Ok(0) => {
-                        self.drop_stream();
-                        return;
-                    }
-                    Ok(n) => {
-                        self.ackbuf.extend_from_slice(&buf[..n]);
-                        if n < buf.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.drop_stream();
-                        return;
-                    }
+            // Whole frames leave the buffer below, so there is always room.
+            let room = self.ackbuf.len() - self.ack_len;
+            let n = match s.read(&mut self.ackbuf[self.ack_len..]) {
+                Ok(n) if n > 0 => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                _ => return self.drop_stream(),
+            };
+            self.ack_len += n;
+            let whole = self.ack_len - self.ack_len % HEADER_LEN;
+            for chunk in self.ackbuf[..whole].chunks_exact(HEADER_LEN) {
+                let Some((KIND_ACK, seq)) = parse_control(chunk.try_into().expect("sized")) else {
+                    return self.drop_stream();
+                };
+                // Only what was sent can have been delivered.
+                while self.window.front().is_some_and(|e| e.seq <= seq.min(self.sent_up_to)) {
+                    self.window.pop_front();
                 }
             }
-        }
-        let mut consumed = 0;
-        while self.ackbuf.len() - consumed >= HEADER_LEN {
-            let chunk: &[u8; HEADER_LEN] = self.ackbuf[consumed..consumed + HEADER_LEN].try_into().expect("sized");
-            match parse_control(chunk) {
-                Some((KIND_ACK, seq)) => {
-                    // Only what was sent can have been delivered.
-                    while self.window.front().is_some_and(|e| e.seq <= seq.min(self.sent_up_to)) {
-                        self.window.pop_front();
-                    }
-                }
-                _ => {
-                    self.drop_stream();
-                    return;
-                }
+            self.ackbuf.copy_within(whole..self.ack_len, 0);
+            self.ack_len -= whole;
+            if n < room {
+                return;
             }
-            consumed += HEADER_LEN;
         }
-        self.ackbuf.drain(..consumed);
     }
 
     /// Tick maintenance: let the window go when the peer announced a clean
@@ -1842,58 +1738,31 @@ fn liveness_loop(shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc::{crc32, crc32_bitwise};
 
     fn msg(src: usize, wire: u64, vals: &[f64]) -> Msg {
         Msg { src, wire, epoch: 0, payload: Arc::from(vals) }
+    }
+
+    /// A `Shared` without peers: all the frame readers need over a byte slice.
+    fn lone_shared() -> Shared {
+        Shared {
+            rank: 0,
+            incarnation: 0,
+            start: Instant::now(),
+            hb_interval: Duration::from_millis(100),
+            hb_miss_limit: 30,
+            grace_beats: 4,
+            faults: FaultScript::none(),
+            shutdown: AtomicBool::new(false),
+            peers: Vec::new(),
+        }
     }
 
     #[test]
     fn crc32_matches_the_ieee_check_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    /// The polynomial one bit at a time — shares nothing with the tables.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        !data.iter().fold(!0u32, |c, &b| {
-            (0..8).fold(c ^ b as u32, |c, _| if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 })
-        })
-    }
-
-    #[test]
-    fn sliced_crc_equals_the_bitwise_reference_at_every_length_and_offset() {
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let data: Vec<u8> = (0..(1 << 20) + 8).map(|_| next() as u8).collect();
-        // Every length from nothing, through the 8-byte block size and the
-        // switch from one chain to interleaved streams, to streams with a
-        // ragged tail — at every alignment.
-        for len in 0..=CRC_STREAMS * CRC_STREAM_MIN + 64 {
-            for off in 0..8 {
-                assert_eq!(crc32(&data[off..off + len]), crc32_bitwise(&data[off..off + len]), "len {len} off {off}");
-            }
-        }
-        // Random slices up to 1 MiB: whole, as two chained updates split at
-        // a random byte (the header/body hand-over), and as two separate
-        // CRCs stitched by `crc32_combine`.
-        for _ in 0..16 {
-            let off = (next() % 8) as usize;
-            let len = (next() % (1 << 20)) as usize;
-            let s = &data[off..off + len];
-            let want = crc32_bitwise(s);
-            assert_eq!(crc32(s), want, "len {len} off {off}");
-            let cut = (next() % (len as u64 + 1)) as usize;
-            let (head, tail) = (crc32_update(!0, &s[..cut]), crc32_update(0, &s[cut..]));
-            assert_eq!(!crc32_update(head, &s[cut..]), want, "len {len} cut {cut}");
-            assert_eq!(!crc32_combine(head, tail, crc32_shift(len - cut)), want, "len {len} cut {cut}");
-            // The one-chain loop is the streams' own reference too.
-            assert_eq!(!crc32_serial(!0, s), want, "len {len} off {off}");
-        }
     }
 
     /// Bytes captured from the byte-at-a-time encoder this one replaced:
@@ -2007,6 +1876,44 @@ mod tests {
         for (x, y) in m.payload.iter().zip(vals.iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "payload not bitwise-identical");
         }
+        // Every bit pattern, at sizes on both sides of the CRC's 64-byte
+        // switch from the table chain to the fold (the encoder's pass covers
+        // 8 + 8·words bytes, the receiver's 8·words) and at the size of a
+        // solve's largest frames.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for words in [0, 1, 2, 7, 8, 9, 6144] {
+            let sent: Vec<f64> = (0..words)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    f64::from_bits(x)
+                })
+                .collect();
+            a.send(1, msg(0, words as u64, &sent));
+            let m = b.recv(Duration::from_secs(10)).unwrap();
+            assert_eq!(m.wire, words as u64);
+            assert!(m.payload.iter().map(|v| v.to_bits()).eq(sent.iter().map(|v| v.to_bits())), "{words} words");
+        }
+    }
+
+    #[test]
+    fn a_header_promising_the_cap_allocates_only_what_arrives() {
+        // A header whose CRC holds and whose length sits on the 2 GiB cap,
+        // a few payload bytes, then the end of the stream.
+        let mut m = encode_frame(KIND_DATA, 1, 0, 7, 0, 1, &[]);
+        m[0..4].copy_from_slice(&MAX_PAYLOAD_WORDS.to_le_bytes());
+        let head = crc32(&m[..40]);
+        m[44..48].copy_from_slice(&head.to_le_bytes());
+        m.extend([0xAB; 100]);
+        let mut body = Vec::new();
+        assert!(matches!(read_frame(&lone_shared(), &mut &m[..], &mut body), Err(FrameErr::Io)));
+        assert!(body.capacity() <= BODY_STEP, "{} bytes allocated for 100 received", body.capacity());
+        // The job reader takes the same steps (its buffer is its own).
+        m[4] = jobs::KIND_SUBMIT;
+        let head = crc32(&m[..40]);
+        m[44..48].copy_from_slice(&head.to_le_bytes());
+        assert_eq!(jobs::read_job_frame(&mut &m[..]).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -2582,17 +2489,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let shared = Shared {
-            rank: 0,
-            incarnation: 0,
-            start: Instant::now(),
-            hb_interval: Duration::from_millis(100),
-            hb_miss_limit: 30,
-            grace_beats: 4,
-            faults: FaultScript::none(),
-            shutdown: AtomicBool::new(false),
-            peers: Vec::new(),
-        };
+        let shared = lone_shared();
         // Both CRCs of `m`'s leading frame, by the reference that shares
         // nothing with the tables; `None` = `m` does not hold a whole frame.
         let crcs_hold = |m: &[u8]| -> Option<usize> {
@@ -2610,7 +2507,7 @@ mod tests {
             let crc = crc32_bitwise(m);
             m[40..44].copy_from_slice(&crc.to_le_bytes());
         };
-        // 600 words: long enough for the CRC to run its interleaved streams.
+        // 600 words: long enough for the CRC to take its folding path.
         let payloads: [Vec<f64>; 4] = [
             vec![],
             vec![1.5],
@@ -2667,12 +2564,6 @@ mod tests {
                 if let Some(b) = m.get(HEADER_LEN..HEADER_LEN + 8 * h.words) {
                     assert_eq!(h.check_body(b).is_ok(), holds.is_some(), "round {round}: check_body against the reference");
                 }
-            }
-            // A well-stamped length near the cap has the readers allocate it
-            // before they find the bytes missing; the cap is the bound on
-            // that, and `Header::decode` has just been held to it.
-            if head.is_some_and(|h| 8 * h.words > m.len() + 4096) {
-                continue;
             }
             let mut rest = &m[..];
             if let Ok(got) = read_frame(&shared, &mut rest, &mut body) {

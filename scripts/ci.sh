@@ -48,9 +48,13 @@ cargo bench --no-run -q
 # Perf smoke: fails if the packed kernel is slower than the naive triple loop
 # at 256×256 or below 3× naive at 512×512, or if any detected vector ISA's
 # packed kernel is below 42× naive at 512×512 — a floor the forced-scalar
-# tile does not reach, both readings printed (the gates live inside the bench
-# binary). Smoke runs write their JSON under target/, never over the
-# committed BENCH_kernels.json / BENCH_serve.json.
+# tile does not reach, both readings printed — or if the wire's CRC32 over
+# 1 MiB is below 3× the byte-at-a-time loop of the same run (20× where the
+# pclmulqdq fold is dispatched): built with the repo's own flags, that is the
+# gate a CRC compiled to gathers fails. The gates live inside the bench
+# binary; its `# wire CRC` line names the path this host took. Smoke runs
+# write their JSON under target/, never over the committed
+# BENCH_kernels.json / BENCH_serve.json.
 echo "== kernels perf smoke"
 FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
 
