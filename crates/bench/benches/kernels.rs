@@ -3,7 +3,7 @@
 //! triple loop, plus the pre-packed-A reuse path, GEMV, and the Householder
 //! panel kernel.
 //!
-//! Writes `BENCH_kernels.json` at the repo root and **enforces** four
+//! Writes `BENCH_kernels.json` at the repo root and **enforces** five
 //! performance floors (exits non-zero on regression):
 //!
 //! * packed GEMM must not be slower than the naive triple loop at 256×256
@@ -20,14 +20,18 @@
 //!   the carry-less-multiply fold is dispatched (62× here). Built with the
 //!   repo's own flags, this is the gate that catches a CRC the vectoriser
 //!   has turned into gathers: the four-stream table walk it replaced read
-//!   1.0× under `target-cpu=native`.
+//!   1.0× under `target-cpu=native`;
+//! * `gemv(Trans::No)` at `hess_grid`'s L2-resident trailing shape
+//!   (640×160) must reach ≥ 1.25× the one-column-per-pass loop it replaced
+//!   (`gemv_n_by_column`), timed in the same run: a sweep that falls back
+//!   to loading and storing `y` per column reads 1.0×.
 //!
 //! `FT_KERNELS_SMOKE=1` trims repetitions and drops the non-GEMM extras for
 //! the CI smoke run. `FT_BENCH_REPS` controls repetitions (default 3 here).
 
 use ft_bench::json;
 use ft_dense::gen::{uniform, uniform_entry};
-use ft_dense::level2::gemv;
+use ft_dense::level2::{gemv, gemv_n_by_column};
 use ft_dense::level3::{
     active_isa, active_threads, blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, PackedA, MR, NR,
 };
@@ -282,6 +286,45 @@ fn main() {
         );
     }
 
+    // The panel's trailing product at `hess_grid`'s shape (640×160 a rank,
+    // 0.8 MB, L2-resident): the sweep against the one-column-per-pass loop
+    // it replaced. Samples of 64 products alternate between the two, so a
+    // slow phase of the host hits both; best of at least five each.
+    let (gm, gn) = (640usize, 160usize);
+    let ga = uniform(gm, gn, 6);
+    let gx = uniform(gn, 1, 7).as_slice().to_vec();
+    let (mut y_sweep, mut y_column) = (vec![0.0; gm], vec![0.0; gm]);
+    let (mut t_sweep, mut t_column) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..r.max(5) {
+        t_sweep = t_sweep.min(best_of(1, || {
+            (0..64).for_each(|_| gemv(Trans::No, gm, gn, 1.0, black_box(ga.as_slice()), gm, &gx, 0.0, &mut y_sweep))
+        }));
+        t_column = t_column.min(best_of(1, || {
+            (0..64).for_each(|_| gemv_n_by_column(gm, gn, 1.0, black_box(ga.as_slice()), gm, &gx, 0.0, &mut y_column))
+        }));
+    }
+    assert!(
+        y_sweep.iter().zip(&y_column).all(|(s, c)| s.to_bits() == c.to_bits()),
+        "the gemv sweep is not bitwise the column loop"
+    );
+    let gemv_gbs = |secs: f64| (64 * 8 * gm * gn) as f64 / secs / 1e9;
+    let (sweep_gbs, column_gbs) = (gemv_gbs(t_sweep), gemv_gbs(t_column));
+    let gemv_ratio = sweep_gbs / column_gbs;
+    const GEMV_SWEEP_FLOOR: f64 = 1.25;
+    println!(
+        "# panel gemv {gm}x{gn}: sweep {sweep_gbs:.1} GB/s, column at a time {column_gbs:.1} GB/s: {gemv_ratio:.2}x (floor {GEMV_SWEEP_FLOOR}x)"
+    );
+    for (kernel, v) in [("gemv_n_sweep", sweep_gbs), ("gemv_n_by_column", column_gbs)] {
+        rows.push(
+            json::Obj::new()
+                .str("kernel", kernel)
+                .int("m", gm as u64)
+                .int("n", gn as u64)
+                .num("gbs", v)
+                .finish(),
+        );
+    }
+
     let ratio_256 = packed_gf[&256] / naive_gf[&256];
     let ratio_512 = packed_gf[&512] / naive_gf[&512];
     println!("# packed/naive speedup: {ratio_256:.2}x at 256, {ratio_512:.2}x at 512");
@@ -375,7 +418,8 @@ fn main() {
         .num("speedup_packed_vs_naive_512", ratio_512)
         .num("scrub_overhead", scrub_overhead)
         .str("crc_path", crc_path)
-        .num("speedup_crc_vs_bytewise", crc_ratio);
+        .num("speedup_crc_vs_bytewise", crc_ratio)
+        .num("speedup_gemv_sweep_vs_column", gemv_ratio);
     for (isa, gf) in &isa_gf_512 {
         report_obj = report_obj.num(&format!("gflops_packed_512_{}", isa.name()), *gf);
     }
@@ -409,6 +453,10 @@ fn main() {
     }
     if crc_ratio < crc_floor {
         eprintln!("FAIL: wire CRC ({crc_path}) below {crc_floor}x the bytewise loop over 1 MiB ({crc_ratio:.1}x)");
+        std::process::exit(1);
+    }
+    if gemv_ratio < GEMV_SWEEP_FLOOR {
+        eprintln!("FAIL: gemv sweep below {GEMV_SWEEP_FLOOR}x the column loop at {gm}x{gn} ({gemv_ratio:.2}x)");
         std::process::exit(1);
     }
 }

@@ -40,16 +40,39 @@ pub fn gemv(trans: Trans, m: usize, n: usize, alpha: f64, a: &[f64], lda: usize,
 
     match trans {
         Trans::No => {
-            // Column sweep: y += alpha * x[j] * A(:,j)  — unit-stride reads.
-            for j in 0..n {
-                let t = alpha * x[j];
-                if t == 0.0 {
+            // y += Σ_j (α·x[j])·A(:,j) in column order, unit-stride reads.
+            // One column at a time loads and stores all of y per column,
+            // which bounds the sweep wherever A sits in L2: the columns whose
+            // α·x[j] is nonzero (a zero one is skipped, as BLAS does) are
+            // gathered eight at a time and share one pass over y, then the
+            // last four, two, one. Each element still takes its products in
+            // column order, so no bit depends on the grouping.
+            let mut t = [0.0f64; 8];
+            let mut cols = [0usize; 8];
+            let mut nz = 0;
+            for (j, &xj) in x.iter().enumerate() {
+                let tj = alpha * xj;
+                if tj == 0.0 {
                     continue;
                 }
-                let col = &a[j * lda..j * lda + m];
-                for i in 0..m {
-                    y[i] += t * col[i];
+                (t[nz], cols[nz]) = (tj, j);
+                nz += 1;
+                if nz == 8 {
+                    axpy_sweep::<8>(&t, &cols, a, lda, y);
+                    nz = 0;
                 }
+            }
+            let mut c = 0;
+            if nz & 4 != 0 {
+                axpy_sweep::<4>(&t[c..], &cols[c..], a, lda, y);
+                c += 4;
+            }
+            if nz & 2 != 0 {
+                axpy_sweep::<2>(&t[c..], &cols[c..], a, lda, y);
+                c += 2;
+            }
+            if nz & 1 != 0 {
+                axpy_sweep::<1>(&t[c..], &cols[c..], a, lda, y);
             }
         }
         Trans::Yes => {
@@ -60,6 +83,49 @@ pub fn gemv(trans: Trans, m: usize, n: usize, alpha: f64, a: &[f64], lda: usize,
             let j = dot_sweeps::<4>(0, n, alpha, a, lda, x, y);
             let j = dot_sweeps::<2>(j, n, alpha, a, lda, x, y);
             dot_sweeps::<1>(j, n, alpha, a, lda, x, y);
+        }
+    }
+}
+
+/// `y += Σ_c t[c]·A(:, cols[c])` over the first `B` entries of `t` and
+/// `cols`, in one pass over `y`: each element is loaded once, takes its `B`
+/// products in order — a multiply, then an add, as one column per pass
+/// would — and is stored once.
+#[inline]
+fn axpy_sweep<const B: usize>(t: &[f64], cols: &[usize], a: &[f64], lda: usize, y: &mut [f64]) {
+    let m = y.len();
+    let t: [f64; B] = std::array::from_fn(|c| t[c]);
+    let a: [&[f64]; B] = std::array::from_fn(|c| &a[cols[c] * lda..cols[c] * lda + m]);
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut s = *yi;
+        for c in 0..B {
+            s += t[c] * a[c][i];
+        }
+        *yi = s;
+    }
+}
+
+/// `gemv(Trans::No)` one column per pass over `y`, as it was before the
+/// sweep: the oracle the sweep is held to bit for bit, and the yardstick
+/// `benches/kernels.rs` times it against. Counts no flops.
+#[doc(hidden)]
+pub fn gemv_n_by_column(m: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x: &[f64], beta: f64, y: &mut [f64]) {
+    if beta == 0.0 {
+        y.fill(0.0);
+    } else if beta != 1.0 {
+        y.iter_mut().for_each(|yi| *yi *= beta);
+    }
+    if alpha == 0.0 || m == 0 {
+        return;
+    }
+    for j in 0..n {
+        let t = alpha * x[j];
+        if t == 0.0 {
+            continue;
+        }
+        let col = &a[j * lda..j * lda + m];
+        for i in 0..m {
+            y[i] += t * col[i];
         }
     }
 }
@@ -246,7 +312,7 @@ mod tests {
 
     /// Blocked against by-column on one shape, every α and β of the sweep,
     /// `y` starting finite, NaN (which only β = 0 may overwrite) and −0.0.
-    fn assert_gemv_t_bitwise(m: usize, n: usize, lda: usize, rng: &mut crate::rng::Xoshiro256) {
+    fn assert_gemv_bitwise(trans: Trans, m: usize, n: usize, lda: usize, rng: &mut crate::rng::Xoshiro256) {
         let mut a = vec![f64::NAN; if n == 0 { 0 } else { lda * (n - 1) + m }];
         for j in 0..n {
             for i in 0..m {
@@ -260,18 +326,33 @@ mod tests {
                 };
             }
         }
-        let x: Vec<f64> = (0..m)
-            .map(|i| if i % 5 == 3 { -0.0 } else { rng.range_f64(-2.0, 2.0) })
+        let (xlen, ylen) = match trans {
+            Trans::No => (n, m),
+            Trans::Yes => (m, n),
+        };
+        // A zero and a −0.0 in every run of four: inside every 8/4/2/1
+        // group of the `Trans::No` sweep, which must skip those columns —
+        // adding a zero product turns a −0.0 in `y` into +0.0.
+        let salt = rng.next_below(4) as usize;
+        let x: Vec<f64> = (0..xlen)
+            .map(|i| match (i + salt) % 4 {
+                1 => -0.0,
+                2 => 0.0,
+                _ => rng.range_f64(-2.0, 2.0),
+            })
             .collect();
         for alpha in [0.0, 1.0, -2.5] {
             for beta in [0.0, 1.0, 0.5] {
                 for y0 in [0.75, f64::NAN, -0.0] {
-                    let mut got = vec![y0; n];
+                    let mut got = vec![y0; ylen];
                     let mut want = got.clone();
-                    gemv(Trans::Yes, m, n, alpha, &a, lda, &x, beta, &mut got);
-                    gemv_t_by_column(m, n, alpha, &a, lda, &x, beta, &mut want);
+                    gemv(trans, m, n, alpha, &a, lda, &x, beta, &mut got);
+                    match trans {
+                        Trans::No => gemv_n_by_column(m, n, alpha, &a, lda, &x, beta, &mut want),
+                        Trans::Yes => gemv_t_by_column(m, n, alpha, &a, lda, &x, beta, &mut want),
+                    }
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&got), bits(&want), "m={m} n={n} lda={lda} α={alpha} β={beta} y0={y0}");
+                    assert_eq!(bits(&got), bits(&want), "{trans:?} m={m} n={n} lda={lda} α={alpha} β={beta} y0={y0}");
                     if beta == 0.0 {
                         assert!(got.iter().all(|v| !v.is_nan()), "β = 0 read y: m={m} n={n}");
                     }
@@ -285,14 +366,33 @@ mod tests {
         let mut rng = crate::rng::Xoshiro256::seed_from_u64(0x6E3F);
         for m in 0..=9 {
             for n in 0..=9 {
-                assert_gemv_t_bitwise(m, n, m.max(1), &mut rng);
-                assert_gemv_t_bitwise(m, n, m + 3, &mut rng);
+                assert_gemv_bitwise(Trans::Yes, m, n, m.max(1), &mut rng);
+                assert_gemv_bitwise(Trans::Yes, m, n, m + 3, &mut rng);
             }
         }
         // The panel's shapes: tall, a ragged handful of columns.
         for (m, n) in [(513, 31), (1000, 7), (257, 13), (64, 33), (1, 40), (300, 2)] {
-            assert_gemv_t_bitwise(m, n, m, &mut rng);
-            assert_gemv_t_bitwise(m, n, m + 5, &mut rng);
+            assert_gemv_bitwise(Trans::Yes, m, n, m, &mut rng);
+            assert_gemv_bitwise(Trans::Yes, m, n, m + 5, &mut rng);
+        }
+    }
+
+    /// `gemv(Trans::No)` sweeps up to eight columns per pass over `y`; up to
+    /// seventeen columns hit every 8/4/2/1 tail, and the panel's trailing
+    /// shapes (`hess_dense`'s first, `hess_grid`'s, `hess_tcp`'s and a late
+    /// `hess_dense` one) the full groups at size.
+    #[test]
+    fn gemv_n_sweep_is_bitwise_one_column_at_a_time() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(0x5EE9);
+        for m in 0..=9 {
+            for n in 0..=17 {
+                assert_gemv_bitwise(Trans::No, m, n, m.max(1), &mut rng);
+                assert_gemv_bitwise(Trans::No, m, n, m + 3, &mut rng);
+            }
+        }
+        for (m, n) in [(1023, 496), (639, 159), (383, 191), (191, 96)] {
+            assert_gemv_bitwise(Trans::No, m, n, m, &mut rng);
+            assert_gemv_bitwise(Trans::No, m, n, m + 5, &mut rng);
         }
     }
 

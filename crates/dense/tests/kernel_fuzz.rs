@@ -488,3 +488,48 @@ fn gemv_t_blocked_is_bitwise_column_by_column() {
         assert!(got.iter().all(|v| v.is_finite()), "round {round}: read a stride gap or y under β = 0");
     }
 }
+
+/// `gemv(Trans::No)` sweeps up to eight nonzero columns per pass over `y`:
+/// over seeded shapes, strides, coefficients and signed zeros in `x` the
+/// result must be bitwise what the same kernel gives one column per call —
+/// `β` applied by a call with no columns, then each column with `β = 1` —
+/// which is the loop the kernel was before it swept.
+#[test]
+fn gemv_n_sweep_is_bitwise_column_by_column() {
+    let mut rng = Xoshiro256::seed_from_u64(fuzz_seed() ^ 0x5EE9);
+    let rounds: usize = std::env::var("FT_FUZZ_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(400);
+    for round in 0..rounds {
+        let m = rng.range_usize(0, 70);
+        let n = rng.range_usize(0, 40);
+        let lda = m.max(1) + (rng.next_below(2) as usize) * rng.range_usize(1, 6);
+        let a = strided_with_nan_gaps(&mut rng, m, n, lda);
+        let x: Vec<f64> = (0..n)
+            .map(|_| match rng.next_below(6) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.range_f64(-1e3, 1e3),
+            })
+            .collect();
+        let alpha = COEFFS[rng.range_usize(0, COEFFS.len())];
+        let beta = COEFFS[rng.range_usize(0, COEFFS.len())];
+        let y0: Vec<f64> = (0..m)
+            .map(|_| match (beta == 0.0, rng.next_below(4)) {
+                (true, _) => f64::NAN,
+                (false, 0) => -0.0,
+                _ => rng.range_f64(-1.0, 1.0),
+            })
+            .collect();
+
+        let mut got = y0.clone();
+        gemv(Trans::No, m, n, alpha, &a, lda, &x, beta, &mut got);
+        let mut want = y0;
+        gemv(Trans::No, m, 0, alpha, &a, lda, &[], beta, &mut want);
+        for j in 0..n {
+            gemv(Trans::No, m, 1, alpha, &a[j * lda..], lda, &x[j..j + 1], 1.0, &mut want);
+        }
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "round {round}: m={m} n={n} lda={lda} α={alpha} β={beta} row {i}");
+        }
+        assert!(got.iter().all(|v| v.is_finite()), "round {round}: read a stride gap or y under β = 0");
+    }
+}

@@ -158,6 +158,23 @@ impl PanelFactors {
     }
 }
 
+/// My local columns `lc0..lc1` as runs of consecutive global columns:
+/// `(i, g, len)` says local columns `lc0 + i ..` are global columns `g ..`,
+/// `len` of them. A run ends at a block boundary, so a gather indexed by
+/// global column is one `l2g_col` and one slice copy per block.
+fn col_runs(a: &DistMatrix, lc0: usize, lc1: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let nb = a.desc().nb;
+    let mut lc = lc0;
+    std::iter::from_fn(move || {
+        (lc < lc1).then(|| {
+            let len = (nb - lc % nb).min(lc1 - lc);
+            let run = (lc - lc0, a.l2g_col(lc), len);
+            lc += len;
+            run
+        })
+    })
+}
+
 /// Extract this process's local rows in `[from_g, n)` of reflector columns
 /// `0..j` of panel `k`, with explicit unit/zero structure. Reflector `l`'s
 /// unit sits at global row `k + l + off` (`off` = the solver's
@@ -355,7 +372,9 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         let ncl = lcn - lc0;
         if mlen > 0 && ncl > 0 {
             xloc.clear();
-            xloc.extend((lc0..lcn).map(|lcx| v[a.l2g_col(lcx) - u]));
+            for (_, g, len) in col_runs(a, lc0, lcn) {
+                xloc.extend_from_slice(&v[g - u..g - u + len]);
+            }
             let abuf = &a.local().as_slice()[lc0 * ldl + lr0..];
             gemv(Trans::No, mlen, ncl, 1.0, abuf, ldl, &xloc, 0.0, &mut ypart);
         } else {
@@ -407,10 +426,12 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
     let mut ptop = vec![0.0f64; lrtop * w];
     if lrtop > 0 && ncl > 0 {
         // vsel: V rows matching my local columns.
-        let vsel = Matrix::from_fn(ncl, w, |i, l| {
-            let g = a.l2g_col(lc0 + i);
-            vfull[(g - k - 1, l)]
-        });
+        let mut vsel = Matrix::zeros(ncl, w);
+        for (i, g, len) in col_runs(a, lc0, lcn) {
+            for l in 0..w {
+                vsel.col_mut(l)[i..i + len].copy_from_slice(&vfull.col(l)[g - k - 1..g - k - 1 + len]);
+            }
+        }
         let abuf = &a.local().as_slice()[lc0 * ldl..];
         gemm(Trans::No, Trans::No, lrtop, w, ncl, 1.0, abuf, ldl, vsel.as_slice(), ncl, 0.0, &mut ptop, lrtop);
     }
@@ -896,6 +917,34 @@ mod tests {
                     });
                 }
             }
+        }
+    }
+
+    /// The run-copy gather of `pdlahrd`'s `xloc` and `vsel` is the
+    /// per-element map it replaced: on ragged 1×4 and 2×3 grids (`n` not a
+    /// multiple of `nb`, the matrix wider than `n` as under the checksum
+    /// encoding), every range of my local columns — block-aligned or not —
+    /// gathers what one `l2g_col` per column names.
+    #[test]
+    fn col_runs_gather_is_the_per_element_map() {
+        for (p, q) in [(1usize, 4usize), (2, 3)] {
+            run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let (n, nb) = (23, 3);
+                let a = DistMatrix::zeros(&ctx, Desc { m: n, n: n + 2 * nb, nb });
+                let src: Vec<f64> = (0..n + 2 * nb).map(|g| g as f64 * 0.5 - 3.0).collect();
+                let lcn = a.local().cols();
+                for lc0 in 0..=lcn {
+                    for lc1 in lc0..=lcn {
+                        let mut got = Vec::new();
+                        for (i, g, len) in col_runs(&a, lc0, lc1) {
+                            assert_eq!(i, got.len(), "{p}x{q} rank {}: run offset", ctx.rank());
+                            got.extend_from_slice(&src[g..g + len]);
+                        }
+                        let want: Vec<f64> = (lc0..lc1).map(|lc| src[a.l2g_col(lc)]).collect();
+                        assert_eq!(got, want, "{p}x{q} rank {}: local columns {lc0}..{lc1}", ctx.rank());
+                    }
+                }
+            });
         }
     }
 

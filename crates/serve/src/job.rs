@@ -38,11 +38,7 @@ impl SolverId {
     }
 
     fn from_code(c: f64) -> Result<Self, String> {
-        let k = c as i64;
-        Self::ALL
-            .into_iter()
-            .find(|id| *id as i64 == k)
-            .ok_or_else(|| format!("unknown solver code {k}"))
+        Ok(Self::ALL[int_word(c, "solver code", Self::ALL.len() - 1)?])
     }
 
     /// The id of the solver called `name` (`--solver`), if there is one.
@@ -115,6 +111,24 @@ impl RejectReason {
     }
 }
 
+/// Largest `n` a SUBMIT may name: its `n·n` matrix words must fit one
+/// frame (`MAX_PAYLOAD_WORDS` = 2²⁸ in ft-runtime's `tcp.rs`).
+const MAX_N: usize = 1 << 14;
+/// Largest `P` or `Q` a SUBMIT may name: `P·Q` stays ≤ 2²⁰ ranks, and the
+/// `2f ≤ Q` copies of `Coded(f)` stay ≤ 2¹⁰.
+const MAX_GRID_SIDE: usize = 1 << 10;
+
+/// A spec word as an integer in `0..=cap`. `as usize` saturates — NaN and
+/// −1 to 0, 1e300 to `usize::MAX` — and truncates 4.5 to 4, so a word that
+/// is not finite, integral and in range rejects the spec instead.
+fn int_word(x: f64, what: &str, cap: usize) -> Result<usize, String> {
+    if x.is_finite() && x.fract() == 0.0 && (0.0..=cap as f64).contains(&x) {
+        Ok(x as usize)
+    } else {
+        Err(format!("{what} word {x} is not an integer in 0..={cap}"))
+    }
+}
+
 /// SUBMIT payload word 0: what the client asks for.
 pub const REQ_JOB: f64 = 0.0;
 /// SUBMIT payload word 0: drain the pool and exit cleanly.
@@ -142,7 +156,8 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Ranks this job occupies.
+    /// Ranks this job occupies (≤ 2²⁰ for any spec [`JobSpec::from_words`]
+    /// admits).
     pub fn ranks(&self) -> usize {
         self.p * self.q
     }
@@ -179,7 +194,9 @@ impl JobSpec {
         w
     }
 
-    /// Parse and validate SUBMIT payload words. Every failure is a
+    /// Parse and validate SUBMIT payload words. Every header word must be an
+    /// integer inside its cap (`MAX_N`, `MAX_GRID_SIDE`, the codes) and
+    /// every product is checked. Every failure is a
     /// [`RejectReason::BadRequest`] — the daemon echoes it typed, it never
     /// tears down the connection.
     pub fn from_words(w: &[f64]) -> Result<JobSpec, String> {
@@ -187,28 +204,31 @@ impl JobSpec {
             return Err(format!("spec header truncated: {} words", w.len()));
         }
         let solver = SolverId::from_code(w[0])?;
-        let variant = match w[1] as i64 {
+        let variant = match int_word(w[1], "variant code", 1)? {
             0 => Variant::NonDelayed,
-            1 => Variant::Delayed,
-            k => return Err(format!("unknown variant code {k}")),
+            _ => Variant::Delayed,
         };
-        let redundancy = match (w[2] as i64, w[3] as i64) {
+        let redundancy = match (int_word(w[2], "redundancy code", 2)?, int_word(w[3], "Coded(f)", MAX_GRID_SIDE / 2)?) {
             (0, _) => Redundancy::Single,
             // Retired `Dual` code: never emitted, still decoded so specs
             // persisted under --state-dir by older daemons resume.
             (1, _) => Redundancy::Coded(2),
-            (2, f) if f >= 1 => Redundancy::Coded(f as usize),
+            (2, f) if f >= 1 => Redundancy::Coded(f),
             (k, f) => return Err(format!("unknown redundancy code {k}/{f}")),
         };
-        let (n, nb, p, q) = (w[4] as usize, w[5] as usize, w[6] as usize, w[7] as usize);
-        let ckpt = w[8] != 0.0;
+        let n = int_word(w[4], "n", MAX_N)?;
+        let nb = int_word(w[5], "nb", MAX_N)?;
+        let p = int_word(w[6], "P", MAX_GRID_SIDE)?;
+        let q = int_word(w[7], "Q", MAX_GRID_SIDE)?;
+        let ckpt = int_word(w[8], "checkpoint flag", 1)? == 1;
         if n == 0 || nb == 0 || nb > n {
             return Err(format!("bad shape n={n} nb={nb}"));
         }
         if p == 0 || q == 0 {
             return Err(format!("bad grid {p}x{q}"));
         }
-        if q == 1 && p * q != 1 {
+        let ranks = p.checked_mul(q).ok_or_else(|| format!("grid {p}x{q} overflows"))?;
+        if q == 1 && ranks != 1 {
             return Err(format!("Q = 1 is only supported on a 1x1 grid (got {p}x{q})"));
         }
         if q < redundancy.min_q() {
@@ -217,8 +237,9 @@ impl JobSpec {
             return Err(format!("{redundancy:?} needs Q >= {} process columns (got {p}x{q})", redundancy.min_q()));
         }
         let matrix = &w[9..];
-        if matrix.len() != n * n {
-            return Err(format!("matrix payload is {} words, spec says n*n = {}", matrix.len(), n * n));
+        let words = n.checked_mul(n).ok_or_else(|| format!("n*n overflows at n={n}"))?;
+        if matrix.len() != words {
+            return Err(format!("matrix payload is {} words, spec says n*n = {words}", matrix.len()));
         }
         Ok(JobSpec {
             solver,
@@ -446,6 +467,76 @@ mod tests {
         }
         // 1x1 Single stays admissible (scrub-only grid).
         assert!(JobSpec::from_words(&spec_on(Redundancy::Single, 1).to_words()).is_ok(), "1x1 single");
+    }
+
+    /// Each of the nine header words of a good spec, replaced by `bad`, must
+    /// be rejected.
+    fn assert_every_header_word_rejects(bad: impl Fn(f64) -> f64, case: &str) {
+        let good = spec_on(Redundancy::Coded(1), 2).to_words();
+        for i in 0..9 {
+            let mut w = good.clone();
+            w[i] = bad(w[i]);
+            assert!(JobSpec::from_words(&w).is_err(), "{case} in header word {i} ({}) was admitted", w[i]);
+        }
+    }
+
+    #[test]
+    fn non_finite_spec_words_are_rejected() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_every_header_word_rejects(|_| x, "non-finite word");
+        }
+    }
+
+    #[test]
+    fn non_integral_spec_words_are_rejected() {
+        assert_every_header_word_rejects(|x| x + 0.5, "fractional word");
+    }
+
+    #[test]
+    fn negative_spec_words_are_rejected() {
+        assert_every_header_word_rejects(|x| -1.0 - x, "negative word");
+    }
+
+    /// The reported reproducer: `n = 2³²`, `nb = P = Q = 1`, no matrix —
+    /// `n·n` wrapped to 0 in release and matched the empty payload.
+    #[test]
+    fn n_past_the_cap_is_rejected_before_n_squared() {
+        let mut w = JobSpec {
+            n: 1,
+            nb: 1,
+            matrix: vec![0.5],
+            ..spec_on(Redundancy::Single, 1)
+        }
+        .to_words();
+        assert!(JobSpec::from_words(&w).is_ok(), "the 1x1 base spec");
+        w.pop();
+        w[4] = 2f64.powi(32);
+        assert!(JobSpec::from_words(&w).is_err(), "n = 2^32 with an empty matrix");
+        w[4] = (MAX_N + 1) as f64;
+        assert!(JobSpec::from_words(&w).is_err(), "n = MAX_N + 1");
+    }
+
+    #[test]
+    fn grid_sides_past_the_cap_are_rejected() {
+        let mut w = spec_on(Redundancy::Single, MAX_GRID_SIDE).to_words();
+        assert!(JobSpec::from_words(&w).is_ok(), "Q = MAX_GRID_SIDE");
+        w[7] = (MAX_GRID_SIDE + 1) as f64;
+        assert!(JobSpec::from_words(&w).is_err(), "Q = MAX_GRID_SIDE + 1");
+        // P·Q = 2⁶⁴ would wrap to 0 ranks.
+        (w[6], w[7]) = (2f64.powi(32), 2f64.powi(32));
+        assert!(JobSpec::from_words(&w).is_err(), "2^32 x 2^32 grid");
+    }
+
+    /// `Coded(f)` asks for `2f` checksum copies; a huge `f` wrapped `2f`.
+    #[test]
+    fn coded_f_past_the_cap_is_rejected() {
+        let mut w = spec_on(Redundancy::Coded(1), MAX_GRID_SIDE).to_words();
+        for f in [(MAX_GRID_SIDE / 2 + 1) as f64, 2f64.powi(63), i64::MAX as f64] {
+            w[3] = f;
+            assert!(JobSpec::from_words(&w).is_err(), "Coded({f})");
+        }
+        w[3] = (MAX_GRID_SIDE / 2) as f64;
+        assert_eq!(JobSpec::from_words(&w).unwrap().redundancy, Redundancy::Coded(MAX_GRID_SIDE / 2));
     }
 
     /// Wire code 1 (the retired `Dual`) still decodes — to `Coded(2)` — but

@@ -51,8 +51,11 @@ cargo bench --no-run -q
 # tile does not reach, both readings printed — or if the wire's CRC32 over
 # 1 MiB is below 3× the byte-at-a-time loop of the same run (20× where the
 # pclmulqdq fold is dispatched): built with the repo's own flags, that is the
-# gate a CRC compiled to gathers fails. The gates live inside the bench
-# binary; its `# wire CRC` line names the path this host took. Smoke runs
+# gate a CRC compiled to gathers fails — or if gemv(Trans::No) at hess_grid's
+# 640x160 panel shape is below 1.25x the one-column-per-pass loop of the
+# same run. The gates live inside the bench binary; its `# wire CRC` line
+# names the path this host took, its `# panel gemv` line prints both GEMV
+# readings. Smoke runs
 # write their JSON under target/, never over the committed
 # BENCH_kernels.json / BENCH_serve.json.
 echo "== kernels perf smoke"
