@@ -32,9 +32,7 @@
 use ft_bench::json;
 use ft_dense::gen::{uniform, uniform_entry};
 use ft_dense::level2::{gemv, gemv_n_by_column};
-use ft_dense::level3::{
-    active_isa, active_threads, blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, PackedA, MR, NR,
-};
+use ft_dense::level3::{active_isa, blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, PackedA, MR, NR};
 use ft_dense::simd::Isa;
 use ft_dense::{Matrix, Trans};
 use ft_hess::{ft_solve, DriverControl, Encoded, Hessenberg, ScrubPolicy, Variant};
@@ -413,7 +411,6 @@ fn main() {
         .int("nc", bl.nc as u64)
         .int("reps", r as u64)
         .str("isa_default", active_isa().name())
-        .int("threads", active_threads() as u64)
         .num("speedup_packed_vs_naive_256", ratio_256)
         .num("speedup_packed_vs_naive_512", ratio_512)
         .num("scrub_overhead", scrub_overhead)

@@ -15,9 +15,9 @@
 //!
 //! * **Runtime-probed cache blocks.** `KC`/`MC`/`NC` are not hard-coded:
 //!   [`blocking`] probes the data-cache hierarchy once (sysfs on Linux,
-//!   `FT_GEMM_{KC,MC,NC}` env overrides, conservative fallbacks) and sizes
-//!   the panels so the A micro-panel + B micro-panel live in L1, the
-//!   packed A block in L2 and the B block in L3.
+//!   conservative fallbacks) and sizes the panels so the A micro-panel +
+//!   B micro-panel live in L1, the packed A block in L2 and the B block in
+//!   L3.
 //! * **Fused β.** The β scaling of `C` is folded into the first `KC`-block's
 //!   micro-kernel store (β = 0 never reads `C`, so NaN/garbage in the output
 //!   buffer cannot leak through) instead of a separate full sweep over `C`
@@ -31,18 +31,13 @@
 //!   buffer, which is what makes the checksum update cost the paper's §6
 //!   model charges proportional to column count only.
 //!
-//! Two further knobs were added for the fig6a overhead work (DESIGN.md §14):
-//!
-//! * **Runtime ISA dispatch.** The register tile comes in a portable scalar
-//!   flavor plus explicit `std::arch` AVX2, AVX-512 and NEON flavors
-//!   ([`crate::simd`]); `FT_GEMM_ISA` / [`set_isa_override`] select one at
-//!   runtime. All vector flavors are bitwise-identical to each other; the
-//!   scalar flavor is its own contraction class (mul-then-add rounding).
-//! * **Opt-in in-rank threading.** `FT_GEMM_THREADS` /
-//!   [`set_threads_override`] partition the macro-kernel's panel loop over a
-//!   std-only worker pool ([`crate::pool`]); results are bitwise identical
-//!   for every thread count because the partition never changes per-element
-//!   arithmetic.
+//! One knob was added for the fig6a overhead work (DESIGN.md §14): **runtime
+//! ISA dispatch.** The register tile comes in a portable scalar flavor plus
+//! explicit `std::arch` AVX2, AVX-512 and NEON flavors ([`crate::simd`]);
+//! `FT_GEMM_ISA` / [`set_isa_override`] select one at runtime. All vector
+//! flavors are bitwise-identical to each other; the scalar flavor is its own
+//! contraction class (mul-then-add rounding). Every call runs on the calling
+//! thread: one thread per rank.
 //!
 //! [`gemm_naive`] is the deliberately simple triple-loop oracle used by the
 //! test suites (and the kernel-equivalence fuzzer) to validate every faster
@@ -50,10 +45,9 @@
 
 use crate::counters::{add_flops, add_gemm_call};
 use crate::simd::Isa;
-use crate::{pool, simd, Diag, Side, Trans, UpLo};
+use crate::{simd, Diag, Side, Trans, UpLo};
 use std::sync::OnceLock;
 
-pub use crate::pool::{active_threads, set_threads_override};
 pub use crate::simd::{active_isa, detected_isas, set_isa_override};
 
 /// Register block: rows of the micro-tile. One AVX-512 lane-group (8 f64),
@@ -79,10 +73,8 @@ pub struct Blocking {
 
 static BLOCKING: OnceLock<Blocking> = OnceLock::new();
 
-/// The process-wide cache-blocking parameters: probed from the CPU cache
-/// hierarchy on first use, overridable per dimension with the
-/// `FT_GEMM_KC` / `FT_GEMM_MC` / `FT_GEMM_NC` environment variables
-/// (read once — set them before the first GEMM call).
+/// The process-wide cache-blocking parameters, probed from the CPU cache
+/// hierarchy on first use.
 pub fn blocking() -> Blocking {
     *BLOCKING.get_or_init(probe_blocking)
 }
@@ -124,29 +116,16 @@ fn sysfs_cache_size(level: usize) -> Option<usize> {
     None
 }
 
-fn env_block(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0)
-}
-
 /// Conservative cache sizes assumed when the platform exposes nothing
 /// (sandboxed containers frequently mount no `/sys/devices/system/cpu`).
 const FALLBACK_L1: usize = 32 << 10;
 const FALLBACK_L2: usize = 256 << 10;
 const FALLBACK_L3: usize = 8 << 20;
 
-/// Pure blocking computation: cache sizes (`None` = use the conservative
-/// fallback for that level) plus per-dimension overrides (`FT_GEMM_KC/MC/NC`
-/// values; an override wins over any probed size). Split out from
-/// [`blocking`] so the no-sysfs path and the override precedence are unit
-/// testable without touching the process environment.
-pub fn compute_blocking(
-    l1: Option<usize>,
-    l2: Option<usize>,
-    l3: Option<usize>,
-    kc_ov: Option<usize>,
-    mc_ov: Option<usize>,
-    nc_ov: Option<usize>,
-) -> Blocking {
+/// Pure blocking computation from cache sizes (`None` = use the
+/// conservative fallback for that level). Split out from [`blocking`] so
+/// the no-sysfs path is unit testable on any host.
+pub fn compute_blocking(l1: Option<usize>, l2: Option<usize>, l3: Option<usize>) -> Blocking {
     let l1 = l1.unwrap_or(FALLBACK_L1);
     let l2 = l2.unwrap_or(FALLBACK_L2);
     let l3 = l3.unwrap_or(FALLBACK_L3).max(l2);
@@ -160,25 +139,20 @@ pub fn compute_blocking(
     let mc = (l2 / (2 * 8 * kc)).clamp(2 * MR, 2048) / (2 * MR) * (2 * MR);
     // NC: the packed KC×NC B block stays well inside L3.
     let nc = (l3 / (4 * 8 * kc)).clamp(2 * NR, 8160) / NR * NR;
-    Blocking {
-        kc: kc_ov.map(|v| (v.max(8)) & !7).unwrap_or(kc),
-        mc: mc_ov.map(|v| v.max(MR) / MR * MR).unwrap_or(mc),
-        nc: nc_ov.map(|v| v.max(NR) / NR * NR).unwrap_or(nc),
-    }
+    Blocking { kc, mc, nc }
 }
 
 fn probe_blocking() -> Blocking {
     let (l1, l2, l3) = (sysfs_cache_size(1), sysfs_cache_size(2), sysfs_cache_size(3));
-    let (kc_ov, mc_ov, nc_ov) = (env_block("FT_GEMM_KC"), env_block("FT_GEMM_MC"), env_block("FT_GEMM_NC"));
     // Containers often hide the cache hierarchy; say so once instead of
     // silently running with the clamp floors.
-    if (l1.is_none() || l2.is_none() || l3.is_none()) && (kc_ov.is_none() || mc_ov.is_none() || nc_ov.is_none()) {
+    if l1.is_none() || l2.is_none() || l3.is_none() {
         eprintln!(
             "ft-dense: cache sizes not fully exposed via sysfs (L1={l1:?} L2={l2:?} L3={l3:?}); \
-             using conservative fallback blocking — set FT_GEMM_KC/MC/NC to tune"
+             using conservative fallback blocking"
         );
     }
-    compute_blocking(l1, l2, l3, kc_ov, mc_ov, nc_ov)
+    compute_blocking(l1, l2, l3)
 }
 
 #[inline]
@@ -489,33 +463,11 @@ fn grow(buf: &mut Vec<f64>, len: usize) {
     }
 }
 
-/// `*mut f64` that may cross into pool worker closures. Safe because the
-/// macro-kernel partition hands each lane a disjoint row band of C.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw `*mut f64` field (RFC 2229 disjoint
-    /// captures would otherwise un-`Sync` the closure).
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
-
 /// Multiply the packed `mc×kc` A block by the `kc×nc` block of `op(B)` into
 /// the `mc×nc` C window at `c` (leading dimension `ldc`):
-/// `C ← α·A·B + β_eff·C` tile by tile, on the active ISA, optionally
-/// partitioned over the in-rank worker pool. `b` holds packed panels
-/// (`ldb = None`) or the caller's column-major B from the block's first
-/// element on (`ldb = Some(ld)`).
-///
-/// The unit of work distribution is a *pair* of packed A panels (a 16-row
-/// band of C) — the AVX-512 super-tile's granularity — so every lane runs
-/// whole tiles. Lanes write disjoint row bands; the per-element arithmetic
-/// is identical regardless of lane count, so threading never changes bits.
+/// `C ← α·A·B + β_eff·C` tile by tile, on the active ISA. `b` holds packed
+/// panels (`ldb = None`) or the caller's column-major B from the block's
+/// first element on (`ldb = Some(ld)`).
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     mc: usize,
@@ -530,30 +482,17 @@ fn macro_kernel(
     ldc: usize,
     isa: Isa,
 ) {
-    let units = mc.div_ceil(2 * MR);
-    let lanes = pool::plan_threads(units, 2 * mc as u64 * nc as u64 * kc as u64);
-    let cp = SendPtr(c.as_mut_ptr());
-    let run_units = |u0: usize, u1: usize| match ldb {
-        Some(ld) => macro_kernel_units::<true>(u0, u1, mc, nc, kc, alpha, apack, b, ld, beta, cp.get(), ldc, isa),
-        None => macro_kernel_units::<false>(u0, u1, mc, nc, kc, alpha, apack, b, 0, beta, cp.get(), ldc, isa),
-    };
-    if lanes <= 1 {
-        run_units(0, units);
-        return;
+    let c = c.as_mut_ptr();
+    match ldb {
+        Some(ld) => macro_kernel_tiles::<true>(mc, nc, kc, alpha, apack, b, ld, beta, c, ldc, isa),
+        None => macro_kernel_tiles::<false>(mc, nc, kc, alpha, apack, b, 0, beta, c, ldc, isa),
     }
-    pool::run(lanes, &|lane| {
-        let (u0, u1) = pool::split_units(units, lanes, lane);
-        run_units(u0, u1);
-    });
 }
 
-/// Run panel-pair units `[u0, u1)` of one macro-kernel block (unit `u` owns
-/// C rows `[16u, 16u+16) ∩ [0, mc)`), B addressed as [`simd::b_columns`]
-/// describes.
+/// Every tile of one macro-kernel block, B addressed as
+/// [`simd::b_columns`] describes.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel_units<const IN_PLACE: bool>(
-    u0: usize,
-    u1: usize,
+fn macro_kernel_tiles<const IN_PLACE: bool>(
     mc: usize,
     nc: usize,
     kc: usize,
@@ -568,7 +507,6 @@ fn macro_kernel_units<const IN_PLACE: bool>(
 ) {
     let mpan = mc.div_ceil(MR);
     let npan = nc.div_ceil(NR);
-    let (p0, p1) = ((u0 * 2).min(mpan), (u1 * 2).min(mpan));
     // B panel `q` starts `q` panel strides into `b`.
     let qs = if IN_PLACE { NR * ldb } else { NR * kc };
 
@@ -583,9 +521,9 @@ fn macro_kernel_units<const IN_PLACE: bool>(
             let bq = 2.min(npan - q);
             let cols = [NR.min(nc - q * NR), if bq == 2 { NR.min(nc - (q + 1) * NR) } else { 0 }];
             let bp = &b[q * qs..];
-            let mut p = p0;
-            while p < p1 {
-                let ap_cnt = 2.min(p1 - p);
+            let mut p = 0;
+            while p < mpan {
+                let ap_cnt = 2.min(mpan - p);
                 let rows = [MR.min(mc - p * MR), if ap_cnt == 2 { MR.min(mc - (p + 1) * MR) } else { 0 }];
                 let ap = apack[p * MR * kc..].as_ptr();
                 let ct = unsafe { c.add(p * MR + q * NR * ldc) };
@@ -608,7 +546,7 @@ fn macro_kernel_units<const IN_PLACE: bool>(
         let c0 = q * NR;
         let ncols = NR.min(nc - c0);
         let bp = &b[q * qs..];
-        for p in p0..p1 {
+        for p in 0..mpan {
             let r0 = p * MR;
             let nrows = MR.min(mc - r0);
             let ap = &apack[p * MR * kc..];
@@ -877,32 +815,14 @@ mod tests {
     fn compute_blocking_no_sysfs_fallback() {
         // The containerized path: no cache sizes at all. Must yield the
         // deterministic conservative blocking, not a degenerate clamp.
-        let bl = compute_blocking(None, None, None, None, None, None);
-        assert_eq!(bl, compute_blocking(Some(FALLBACK_L1), Some(FALLBACK_L2), Some(FALLBACK_L3), None, None, None));
+        let bl = compute_blocking(None, None, None);
+        assert_eq!(bl, compute_blocking(Some(FALLBACK_L1), Some(FALLBACK_L2), Some(FALLBACK_L3)));
         assert!(bl.kc >= 64 && bl.kc <= 512 && bl.kc.is_multiple_of(8), "{bl:?}");
         assert!(bl.mc >= 2 * MR && bl.mc.is_multiple_of(2 * MR), "{bl:?}");
         assert!(bl.nc >= 2 * NR && bl.nc.is_multiple_of(NR), "{bl:?}");
         // Partially-missing levels use the fallback for the missing level only.
-        let big = compute_blocking(Some(1 << 20), None, None, None, None, None);
+        let big = compute_blocking(Some(1 << 20), None, None);
         assert_eq!(big.kc, 512, "1 MiB L1 saturates the KC clamp: {big:?}");
-    }
-
-    #[test]
-    fn compute_blocking_override_precedence() {
-        // FT_GEMM_* overrides beat probed sizes, with alignment enforced.
-        let bl = compute_blocking(Some(48 << 10), Some(2 << 20), Some(32 << 20), Some(203), Some(100), Some(50));
-        assert_eq!(bl.kc, 200, "KC override rounds down to a multiple of 8");
-        assert_eq!(bl.mc, 96, "MC override rounds down to a multiple of MR");
-        assert_eq!(bl.nc, 48, "NC override rounds down to a multiple of NR");
-        // Overrides clamp up from degenerate values instead of panicking.
-        let tiny = compute_blocking(None, None, None, Some(1), Some(1), Some(1));
-        assert_eq!((tiny.kc, tiny.mc, tiny.nc), (8, MR, NR));
-        // Each override is independent: forcing KC leaves MC/NC at their
-        // probed values (the MC/NC formulas use the probed KC).
-        let only_kc = compute_blocking(None, None, None, Some(128), None, None);
-        let none = compute_blocking(None, None, None, None, None, None);
-        assert_eq!(only_kc.kc, 128);
-        assert_eq!((only_kc.mc, only_kc.nc), (none.mc, none.nc));
     }
 
     #[test]

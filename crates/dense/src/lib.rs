@@ -6,7 +6,8 @@
 //! bindings — the paper's evaluation platform used vendor BLAS, which we
 //! substitute per DESIGN.md §2). The GEMM register tile additionally has
 //! explicit `std::arch` AVX2/AVX-512/NEON flavors behind runtime dispatch
-//! ([`simd`]) and opt-in in-rank threading ([`pool`]); see DESIGN.md §14.
+//! ([`simd`]); every kernel runs on the calling thread, one thread per rank
+//! (DESIGN.md §14).
 //!
 //! ## Conventions
 //!
@@ -39,6 +40,7 @@ pub mod level2;
 pub mod level3;
 pub mod matrix;
 pub mod norms;
+#[doc(hidden)]
 pub mod pool;
 pub mod rng;
 pub mod simd;

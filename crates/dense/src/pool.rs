@@ -1,251 +1,19 @@
-//! A tiny std-only worker pool for in-rank GEMM threading.
-//!
-//! The distributed layer's cost model assumes one core per rank
-//! (DESIGN.md §14); threading is therefore **opt-in** via `FT_GEMM_THREADS`
-//! (default 1 — no pool is ever created, no threads are ever spawned).
-//! When enabled, [`crate::level3`] partitions the macro-kernel's packed-A
-//! panel-pair loop across [`run`]: disjoint 16-row bands of C per lane, the
-//! identical per-element arithmetic on every lane, hence bitwise-identical
-//! results for every thread count (the partition only decides *which lane*
-//! computes an element, never *how*).
-//!
-//! Workers are detached daemon threads blocked on a shared channel; a run
-//! hands each worker one closure and waits on a latch. A panicking lane
-//! poisons the run and the panic is re-raised on the caller after every
-//! lane has finished (the latch wait also runs on unwind, so the borrowed
-//! closure can never dangle).
+//! The layer runs one thread per rank: every kernel computes on the calling
+//! thread, as the paper's one process per core on single-threaded BLAS did
+//! (DESIGN.md §14.3). These three calls keep older callers building.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
-
-/// Total jobs ever handed to pool workers — lets determinism tests assert
-/// that a "threaded" configuration really did fan work out.
-static JOBS_DISPATCHED: AtomicU64 = AtomicU64::new(0);
-
-/// Monotone count of jobs dispatched to worker threads so far.
-pub fn jobs_dispatched() -> u64 {
-    JOBS_DISPATCHED.load(Ordering::SeqCst)
-}
-
-/// Hard cap on `FT_GEMM_THREADS` / [`set_threads_override`] — far above any
-/// sane per-rank core count; exists only to bound worker spawning.
-pub const MAX_THREADS: usize = 64;
-
-fn default_threads() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("FT_GEMM_THREADS").ok().as_deref() {
-        None | Some("") => 1,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .unwrap_or_else(|_| panic!("FT_GEMM_THREADS={v:?} is not a positive integer"));
-            assert!(n >= 1, "FT_GEMM_THREADS must be >= 1");
-            n.min(MAX_THREADS)
-        }
-    })
-}
-
-/// Process-global test override: 0 = none.
-static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Force the GEMM worker count for subsequent calls (`None` restores the
-/// `FT_GEMM_THREADS` default). Process-global, like
-/// [`crate::simd::set_isa_override`].
-pub fn set_threads_override(threads: Option<usize>) {
-    match threads {
-        Some(n) => {
-            assert!(n >= 1, "set_threads_override: thread count must be >= 1");
-            THREADS_OVERRIDE.store(n.min(MAX_THREADS), Ordering::SeqCst);
-        }
-        None => THREADS_OVERRIDE.store(0, Ordering::SeqCst),
-    }
-}
-
-/// The thread count the next GEMM call will plan with.
+/// Always 1: no kernel ever hands work to another thread.
 pub fn active_threads() -> usize {
-    match THREADS_OVERRIDE.load(Ordering::SeqCst) {
-        0 => default_threads(),
-        n => n,
-    }
+    1
 }
 
-/// Threading a macro-kernel block only pays above this many flops
-/// (~100 µs of scalar work); below it the latch handshake dominates.
-const MIN_FLOPS_PER_THREADED_BLOCK: u64 = 1 << 21;
-
-/// Deterministic thread plan for one macro-kernel block: the active thread
-/// count, capped by the number of independent work units, with tiny blocks
-/// kept sequential. Depends only on shapes — never on data — so a given
-/// (shape, `FT_GEMM_THREADS`) pair always partitions identically.
-pub fn plan_threads(units: usize, flops: u64) -> usize {
-    let t = active_threads();
-    if t <= 1 || units <= 1 || flops < MIN_FLOPS_PER_THREADED_BLOCK {
-        1
-    } else {
-        t.min(units)
-    }
+/// Always 0: there are no worker threads to hand jobs to.
+pub fn jobs_dispatched() -> u64 {
+    0
 }
 
-/// Contiguous slice `[lo, hi)` of `units` work units owned by `lane` of
-/// `lanes`: first `units % lanes` lanes take one extra unit.
-pub fn split_units(units: usize, lanes: usize, lane: usize) -> (usize, usize) {
-    let base = units / lanes;
-    let extra = units % lanes;
-    let lo = lane * base + lane.min(extra);
-    let hi = lo + base + usize::from(lane < extra);
-    (lo, hi)
-}
-
-type Job = Box<dyn FnOnce() + Send>;
-
-struct Pool {
-    tx: Mutex<mpsc::Sender<Job>>,
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    spawned: Mutex<usize>,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let (tx, rx) = mpsc::channel::<Job>();
-        Pool {
-            tx: Mutex::new(tx),
-            rx: Arc::new(Mutex::new(rx)),
-            spawned: Mutex::new(0),
-        }
-    })
-}
-
-impl Pool {
-    fn ensure_workers(&self, want: usize) {
-        let mut spawned = self.spawned.lock().unwrap();
-        while *spawned < want {
-            let rx = Arc::clone(&self.rx);
-            let id = *spawned;
-            std::thread::Builder::new()
-                .name(format!("ft-gemm-{id}"))
-                .spawn(move || loop {
-                    let job = match rx.lock().unwrap().recv() {
-                        Ok(job) => job,
-                        Err(_) => return,
-                    };
-                    job();
-                })
-                .expect("ft-dense: failed to spawn GEMM worker");
-            *spawned += 1;
-        }
-    }
-}
-
-/// Latch counted down by finished lanes; waiting happens in `Drop` so the
-/// caller's borrow of the job closure outlives every worker even if the
-/// caller's own lane unwinds.
-struct Latch {
-    left: Mutex<usize>,
-    done: Condvar,
-}
-
-struct LatchWait<'a>(&'a Latch);
-
-impl Drop for LatchWait<'_> {
-    fn drop(&mut self) {
-        let mut left = self.0.left.lock().unwrap();
-        while *left > 0 {
-            left = self.0.done.wait(left).unwrap();
-        }
-    }
-}
-
-/// Run `f(lane)` for `lane ∈ 0..lanes`: lane 0 on the calling thread, the
-/// rest on pool workers. Returns after every lane has finished; panics if
-/// any lane panicked. `lanes <= 1` calls `f(0)` inline with zero overhead.
-pub fn run(lanes: usize, f: &(dyn Fn(usize) + Sync)) {
-    if lanes <= 1 {
-        f(0);
-        return;
-    }
-    let p = pool();
-    p.ensure_workers(lanes - 1);
-    let latch = Arc::new(Latch { left: Mutex::new(lanes - 1), done: Condvar::new() });
-    let panicked = Arc::new(AtomicBool::new(false));
-    // Lifetime erasure: sound because the `LatchWait` guard below blocks —
-    // even on unwind — until every worker lane has dropped its copy.
-    let f_erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-    {
-        let _wait = LatchWait(&latch);
-        {
-            let tx = p.tx.lock().unwrap();
-            for lane in 1..lanes {
-                let latch = Arc::clone(&latch);
-                let panicked = Arc::clone(&panicked);
-                let job: Job = Box::new(move || {
-                    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f_erased(lane))).is_err() {
-                        panicked.store(true, Ordering::SeqCst);
-                    }
-                    *latch.left.lock().unwrap() -= 1;
-                    latch.done.notify_all();
-                });
-                tx.send(job).expect("ft-dense: GEMM worker pool channel closed");
-                JOBS_DISPATCHED.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        f(0);
-    }
-    assert!(!panicked.load(Ordering::SeqCst), "ft-dense: a GEMM worker lane panicked");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn split_units_covers_exactly() {
-        for units in 0..40 {
-            for lanes in 1..8 {
-                let mut covered = 0;
-                let mut next = 0;
-                for lane in 0..lanes {
-                    let (lo, hi) = split_units(units, lanes, lane);
-                    assert_eq!(lo, next, "units={units} lanes={lanes} lane={lane}");
-                    assert!(hi >= lo);
-                    covered += hi - lo;
-                    next = hi;
-                }
-                assert_eq!(covered, units);
-            }
-        }
-    }
-
-    #[test]
-    fn run_executes_every_lane_once() {
-        let hits = AtomicU64::new(0);
-        run(4, &|lane| {
-            hits.fetch_add(1 << (8 * lane), Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 0x01_01_01_01);
-    }
-
-    #[test]
-    fn run_propagates_worker_panic() {
-        let caught = std::panic::catch_unwind(|| {
-            run(3, &|lane| {
-                if lane == 2 {
-                    panic!("lane 2 exploded");
-                }
-            });
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn plan_threads_is_shape_driven() {
-        set_threads_override(Some(4));
-        assert_eq!(plan_threads(8, 1 << 30), 4);
-        assert_eq!(plan_threads(2, 1 << 30), 2);
-        assert_eq!(plan_threads(1, 1 << 30), 1);
-        assert_eq!(plan_threads(8, 1024), 1, "tiny blocks stay sequential");
-        set_threads_override(None);
-        assert_eq!(plan_threads(8, 1 << 30), active_threads().min(8));
-    }
+/// Accepts `None` and `Some(1)`, the only thread count there is; panics on
+/// any other.
+pub fn set_threads_override(threads: Option<usize>) {
+    assert!(matches!(threads, None | Some(1)), "one thread per rank, not {threads:?}");
 }

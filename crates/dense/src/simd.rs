@@ -38,7 +38,7 @@
 //!
 //! * results are **bitwise identical across all vector ISAs** (AVX2, AVX-512,
 //!   NEON execute the identical per-element IEEE op sequence), and across
-//!   every tile pairing, MC/NC partitioning, and thread count;
+//!   every tile pairing and MC/NC partitioning;
 //! * the scalar and fused classes differ per element by at most the
 //!   accumulated rounding-term difference, `≤ 2·k·ε·(|α|·Σ|a||b| + |β·c|)`;
 //! * β = 0 never reads C on any path, and only the `nrows×ncols` window is

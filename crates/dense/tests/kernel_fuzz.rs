@@ -1,6 +1,6 @@
 //! Cross-ISA kernel-equivalence battery: the packed register-tiled GEMM
-//! (and the pre-packed-A variant) under **every detected ISA and a sweep of
-//! thread counts** against two oracles over seeded *adversarial* shapes —
+//! (and the pre-packed-A variant) under **every detected ISA** against two
+//! oracles over seeded *adversarial* shapes —
 //! everything that exercises fringe/remainder tiles, the KC block boundary,
 //! zero-padding, and strided sub-matrix views.
 //!
@@ -8,20 +8,18 @@
 //!
 //! * the naive triple-loop [`gemm_naive`] anchors absolute correctness;
 //! * the forced-scalar packed kernel is the bitwise reference for its own
-//!   contraction class: scalar results must match it to **0 ulp** at every
-//!   thread count;
+//!   contraction class: scalar results must match it to **0 ulp**;
 //! * fused ISAs (AVX2/AVX-512/NEON) differ from scalar only by the fused
 //!   multiply-add rounding in the k-loop, so they must stay within
 //!   `2·(k+2)·ε·(|α|·Σ|a||b| + |β·c|)` of the scalar reference per element
-//!   (≤ 2 ulp · K) — and must be **bitwise identical to each other** and
-//!   across thread counts;
+//!   (≤ 2 ulp · K) — and must be **bitwise identical to each other**;
 //! * `gemm` and `gemm_packed_a` must agree to 0 ulp in every configuration;
 //! * reading `B` in place and reading its packed copy must agree to 0 ulp:
 //!   the rows of a product do not depend on how many rows the call has, so
 //!   a short call (in place) is held against the top rows of a tall one
 //!   (packed) — an oracle that needs no switch in the library.
 //!
-//! The battery counts every (ISA × threads) configuration it actually ran;
+//! The battery counts every (round × ISA) configuration it actually ran;
 //! a host that silently exercised only the scalar path fails the assertion,
 //! and CI pins the expected ISA set via `FT_REQUIRE_ISAS` (comma-separated
 //! names that must be both detected and exercised).
@@ -35,21 +33,19 @@
 //! explore a different corner of the space; CI pins it).
 
 use ft_dense::level2::gemv;
-use ft_dense::level3::{
-    blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, set_threads_override, PackedA, MR, NR,
-};
+use ft_dense::level3::{blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, PackedA, MR, NR};
 use ft_dense::rng::Xoshiro256;
 use ft_dense::simd::Isa;
 use ft_dense::{Matrix, Trans, EPS};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
-/// ISA/thread overrides are process-global; every test that flips them (or
-/// relies on them being stable across two calls) holds this lock.
+/// The ISA override is process-global; every test that flips it (or relies
+/// on it being stable across two calls) holds this lock.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Lock + RAII reset: overrides always return to the env defaults, even if
-/// the test panics mid-sweep.
+/// Lock + RAII reset: the override always returns to the env default, even
+/// if the test panics mid-sweep.
 struct OverrideGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
 
 impl OverrideGuard {
@@ -61,7 +57,6 @@ impl OverrideGuard {
 impl Drop for OverrideGuard {
     fn drop(&mut self) {
         set_isa_override(None);
-        set_threads_override(None);
     }
 }
 
@@ -98,9 +93,6 @@ const RULE_M: usize = 128;
 const RULE_EXTENTS: [usize; 4] = [RULE_M - 1, RULE_M, RULE_M + 1, RULE_M + 2 * MR + 3];
 
 const COEFFS: [f64; 4] = [0.0, 1.0, -1.0, 0.5];
-
-/// Thread counts every configuration sweeps (`FT_GEMM_THREADS ∈ {1,2,4}`).
-const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 
 /// Fill an `(rows × cols)` buffer with leading dimension `ld`, garbage in
 /// the stride gaps (NaN — so any kernel touching out-of-window memory is
@@ -196,86 +188,82 @@ fn cross_isa_differential_battery() {
         }
         let mag = abs_magnitude(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &c0, ldc);
 
-        // Bitwise reference per contraction class: forced-scalar, 1 thread.
+        // Bitwise reference per contraction class: forced-scalar.
         set_isa_override(Some(Isa::Scalar));
-        set_threads_override(Some(1));
         let mut c_scalar = c0.clone();
         gemm(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_scalar, ldc);
 
         let pa = PackedA::pack(transa, m, k, &a, lda);
         // First fused result seen this round — every other fused config
         // must match it to 0 ulp (cross-vector-ISA determinism).
-        let mut fused_ref: Option<(Vec<f64>, &'static str, usize)> = None;
+        let mut fused_ref: Option<(Vec<f64>, &'static str)> = None;
 
         for &isa in isas {
-            for &t in &THREAD_SWEEP {
-                set_isa_override(Some(isa));
-                set_threads_override(Some(t));
-                let clabel = format!("{label} [isa={} threads={t}]", isa.name());
+            set_isa_override(Some(isa));
+            let clabel = format!("{label} [isa={}]", isa.name());
 
-                let mut c1 = c0.clone();
-                gemm(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c1, ldc);
-                let mut c2 = c0.clone();
-                gemm_packed_a(&pa, transb, n, alpha, &b, ldb, beta, &mut c2, ldc);
+            let mut c1 = c0.clone();
+            gemm(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c1, ldc);
+            let mut c2 = c0.clone();
+            gemm_packed_a(&pa, transb, n, alpha, &b, ldb, beta, &mut c2, ldc);
 
-                // Pre-packed path is bitwise the pack-on-the-fly path.
-                for (x, y) in c1.iter().zip(&c2) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "gemm vs gemm_packed_a drift: {clabel}");
+            // Pre-packed path is bitwise the pack-on-the-fly path.
+            for (x, y) in c1.iter().zip(&c2) {
+                assert_eq!(x.to_bits(), y.to_bits(), "gemm vs gemm_packed_a drift: {clabel}");
+            }
+            // Outside the m×n window, C must be untouched (stride gaps
+            // keep their NaN poison; bytes compare equal via to_bits).
+            for (idx, (&new, &old)) in c1.iter().zip(c0.iter()).enumerate() {
+                let j = idx / ldc;
+                let i = idx % ldc;
+                if i >= m || j >= n {
+                    assert_eq!(new.to_bits(), old.to_bits(), "touched C outside the window at ({i},{j}): {clabel}");
                 }
-                // Outside the m×n window, C must be untouched (stride gaps
-                // keep their NaN poison; bytes compare equal via to_bits).
-                for (idx, (&new, &old)) in c1.iter().zip(c0.iter()).enumerate() {
-                    let j = idx / ldc;
-                    let i = idx % ldc;
-                    if i >= m || j >= n {
-                        assert_eq!(new.to_bits(), old.to_bits(), "touched C outside the window at ({i},{j}): {clabel}");
+            }
+            // Absolute correctness vs the naive oracle.
+            let got = Matrix::from_strided(m, n, &c1, ldc);
+            let d = got.max_abs_diff(&want);
+            assert!(d < 1e-12 * (k.max(1) as f64), "vs naive: diff {d} at {clabel}");
+
+            if isa.fused() {
+                // Fused class: per-element rounding bound vs scalar…
+                for j in 0..n {
+                    for i in 0..m {
+                        let diff = (c1[i + j * ldc] - c_scalar[i + j * ldc]).abs();
+                        let bound = 2.0 * (k as f64 + 2.0) * EPS * mag[(i, j)];
+                        assert!(
+                            diff <= bound,
+                            "fused-vs-scalar bound broken at ({i},{j}): diff {diff:e} > {bound:e} at {clabel}"
+                        );
                     }
                 }
-                // Absolute correctness vs the naive oracle.
-                let got = Matrix::from_strided(m, n, &c1, ldc);
-                let d = got.max_abs_diff(&want);
-                assert!(d < 1e-12 * (k.max(1) as f64), "vs naive: diff {d} at {clabel}");
-
-                if isa.fused() {
-                    // Fused class: per-element rounding bound vs scalar…
-                    for j in 0..n {
-                        for i in 0..m {
-                            let diff = (c1[i + j * ldc] - c_scalar[i + j * ldc]).abs();
-                            let bound = 2.0 * (k as f64 + 2.0) * EPS * mag[(i, j)];
-                            assert!(
-                                diff <= bound,
-                                "fused-vs-scalar bound broken at ({i},{j}): diff {diff:e} > {bound:e} at {clabel}"
+                // …and 0 ulp vs every other fused ISA.
+                match &fused_ref {
+                    None => fused_ref = Some((c1, isa.name())),
+                    Some((f, fisa)) => {
+                        for (x, y) in c1.iter().zip(f) {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "fused ISAs disagree bitwise ({} vs {fisa}): {label}",
+                                isa.name()
                             );
                         }
                     }
-                    // …and 0 ulp vs every other fused ISA and thread count.
-                    match &fused_ref {
-                        None => fused_ref = Some((c1, isa.name(), t)),
-                        Some((f, fisa, ft)) => {
-                            for (x, y) in c1.iter().zip(f) {
-                                assert_eq!(
-                                    x.to_bits(),
-                                    y.to_bits(),
-                                    "fused ISAs disagree bitwise ({} t={t} vs {fisa} t={ft}): {label}",
-                                    isa.name()
-                                );
-                            }
-                        }
-                    }
-                } else {
-                    // Scalar class: bitwise stable at every thread count.
-                    for (x, y) in c1.iter().zip(&c_scalar) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "scalar class not bitwise stable: {clabel}");
-                    }
                 }
-                exercised.insert(isa.name());
-                configs_run += 1;
+            } else {
+                // Scalar class: bitwise the reference call above.
+                for (x, y) in c1.iter().zip(&c_scalar) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "scalar class not bitwise stable: {clabel}");
+                }
             }
+            exercised.insert(isa.name());
+            configs_run += 1;
         }
     }
 
-    // Skip counter: every detected ISA ran every thread count, every round.
-    assert_eq!(configs_run, rounds * isas.len() * THREAD_SWEEP.len(), "battery silently skipped configurations");
+    // Skip counter: every detected ISA ran every round.
+    assert_eq!(configs_run, rounds * isas.len(), "battery silently skipped configurations");
     for isa in isas {
         assert!(exercised.contains(isa.name()), "detected ISA {} never exercised", isa.name());
     }
@@ -332,7 +320,7 @@ fn rule_m_is_the_constant_level3_declares() {
 /// is the same recurrence whatever the call's height, so an `m`-row call
 /// (`m` at most the rule's constant: a column-major B is read where it
 /// lies) must be bitwise the top `m` rows of a taller call over the same
-/// operands (B packed) — on every ISA and thread count, both `transb`, with
+/// operands (B packed) — on every ISA, both `transb`, with
 /// k across the `kc` boundary, B a strided view with NaN in its gaps and
 /// sized to the last word the call may read (the in-place tile
 /// `debug_assert!`s its reads against that length: a fringe column that
@@ -381,34 +369,31 @@ fn in_place_b_is_bitwise_the_packed_rows_any_isa() {
                         }
                     }
                     for &isa in detected_isas() {
-                        for &t in &THREAD_SWEEP {
-                            set_isa_override(Some(isa));
-                            set_threads_override(Some(t));
-                            let at = format!(
-                                "m={m} n={n} k={k} tall={tall} {transa:?}{transb:?} α={alpha} β={beta} ldb={ldb} isa={} threads={t}",
-                                isa.name()
-                            );
-                            let mut c_tall = c_tall0.clone();
-                            gemm(transa, transb, tall, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_tall, ldc_t);
-                            // The short calls see their C up to its last
-                            // window word: the final canary lies past it.
-                            let win = ldc_s * (n - 1) + m;
-                            let mut c_short = c_short0.clone();
-                            gemm(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_short[..win], ldc_s);
-                            let pa = PackedA::pack(transa, m, k, &a, lda);
-                            let mut c_pre = c_short0.clone();
-                            gemm_packed_a(&pa, transb, n, alpha, &b, ldb, beta, &mut c_pre[..win], ldc_s);
-                            for j in 0..n {
-                                for i in 0..m {
-                                    let want = c_tall[i + j * ldc_t];
-                                    assert!(want.is_finite(), "tall call read a gap at ({i},{j}): {at}");
-                                    let (s, p) = (c_short[i + j * ldc_s], c_pre[i + j * ldc_s]);
-                                    assert_eq!(s.to_bits(), want.to_bits(), "short vs tall at ({i},{j}): {at}");
-                                    assert_eq!(p.to_bits(), want.to_bits(), "prepacked short vs tall at ({i},{j}): {at}");
-                                }
-                                for c in [&c_short, &c_pre] {
-                                    assert_eq!(c[m + j * ldc_s].to_bits(), canary.to_bits(), "canary under column {j}: {at}");
-                                }
+                        set_isa_override(Some(isa));
+                        let at = format!(
+                            "m={m} n={n} k={k} tall={tall} {transa:?}{transb:?} α={alpha} β={beta} ldb={ldb} isa={}",
+                            isa.name()
+                        );
+                        let mut c_tall = c_tall0.clone();
+                        gemm(transa, transb, tall, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_tall, ldc_t);
+                        // The short calls see their C up to its last
+                        // window word: the final canary lies past it.
+                        let win = ldc_s * (n - 1) + m;
+                        let mut c_short = c_short0.clone();
+                        gemm(transa, transb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_short[..win], ldc_s);
+                        let pa = PackedA::pack(transa, m, k, &a, lda);
+                        let mut c_pre = c_short0.clone();
+                        gemm_packed_a(&pa, transb, n, alpha, &b, ldb, beta, &mut c_pre[..win], ldc_s);
+                        for j in 0..n {
+                            for i in 0..m {
+                                let want = c_tall[i + j * ldc_t];
+                                assert!(want.is_finite(), "tall call read a gap at ({i},{j}): {at}");
+                                let (s, p) = (c_short[i + j * ldc_s], c_pre[i + j * ldc_s]);
+                                assert_eq!(s.to_bits(), want.to_bits(), "short vs tall at ({i},{j}): {at}");
+                                assert_eq!(p.to_bits(), want.to_bits(), "prepacked short vs tall at ({i},{j}): {at}");
+                            }
+                            for c in [&c_short, &c_pre] {
+                                assert_eq!(c[m + j * ldc_s].to_bits(), canary.to_bits(), "canary under column {j}: {at}");
                             }
                         }
                     }

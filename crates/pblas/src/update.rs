@@ -9,11 +9,11 @@
 //!
 //! The [`PackedA`] prepacks below inherit the full DESIGN.md §14
 //! determinism contract: `gemm_packed_a` is bitwise identical to
-//! pack-on-the-fly `gemm` under every microkernel ISA and every
-//! `FT_GEMM_THREADS` setting, so routing data and checksum columns through
-//! the same prepacked panel keeps Theorem 1's "same linear update" literal
-//! regardless of how the host dispatches or partitions the kernel — and
-//! regardless of whether the kernel copies its right-hand operand first:
+//! pack-on-the-fly `gemm` under every microkernel ISA, so routing data and
+//! checksum columns through the same prepacked panel keeps Theorem 1's
+//! "same linear update" literal regardless of how the host dispatches the
+//! kernel — and regardless of whether the kernel copies its right-hand
+//! operand first:
 //! `W = Vᵀ·C` (m = `w`) reads the trailing and checksum columns of `C` where
 //! they lie, which changes no element's op sequence.
 

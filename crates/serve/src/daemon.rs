@@ -703,15 +703,10 @@ impl Daemon {
 
     fn on_ckpt(&mut self, frame: JobFrame) {
         let Some(js) = self.jobs.get_mut(&frame.job) else { return };
-        if frame.payload.len() < 3 {
-            return;
-        }
-        let (rank, panel, len) = (frame.payload[0] as usize, frame.payload[1] as usize, frame.payload[2] as usize);
         let world = js.spec.ranks();
-        if rank >= world {
+        let Ok((rank, panel, bytes)) = crate::job::ckpt_from_words(&frame.payload, world) else {
             return;
-        }
-        let bytes = crate::job::unpack_bytes(&frame.payload[3..], len);
+        };
         let entry = js.stage.entry(panel).or_default();
         entry.insert(rank, bytes);
         if entry.len() == world {

@@ -117,10 +117,12 @@ const MAX_N: usize = 1 << 14;
 /// Largest `P` or `Q` a SUBMIT may name: `P·Q` stays ≤ 2²⁰ ranks, and the
 /// `2f ≤ Q` copies of `Coded(f)` stay ≤ 2¹⁰.
 const MAX_GRID_SIDE: usize = 1 << 10;
+/// Largest count a word may carry: every integer up to 2⁵³ is exact in `f64`.
+const MAX_EXACT: usize = 1 << 53;
 
-/// A spec word as an integer in `0..=cap`. `as usize` saturates — NaN and
+/// A header word as an integer in `0..=cap`. `as usize` saturates — NaN and
 /// −1 to 0, 1e300 to `usize::MAX` — and truncates 4.5 to 4, so a word that
-/// is not finite, integral and in range rejects the spec instead.
+/// is not finite, integral and in range rejects the message instead.
 fn int_word(x: f64, what: &str, cap: usize) -> Result<usize, String> {
     if x.is_finite() && x.fract() == 0.0 && (0.0..=cap as f64).contains(&x) {
         Ok(x as usize)
@@ -291,16 +293,17 @@ impl JobResult {
         w
     }
 
-    /// Inverse of [`JobResult::to_words`].
+    /// Inverse of [`JobResult::to_words`]. `n` and the `tau` length are
+    /// capped at `MAX_N`, as every spec's `n` is, and the size is checked.
     pub fn from_words(w: &[f64]) -> Result<JobResult, String> {
         if w.len() < 6 {
             return Err(format!("result header truncated: {} words", w.len()));
         }
-        let n = w[4] as usize;
-        let tau_len = w[5] as usize;
-        let need = 6 + n * n + tau_len;
-        if w.len() != need {
-            return Err(format!("result payload is {} words, header says {need}", w.len()));
+        let n = int_word(w[4], "n", MAX_N)?;
+        let tau_len = int_word(w[5], "tau length", MAX_N)?;
+        let need = n.checked_mul(n).and_then(|nn| nn.checked_add(6 + tau_len));
+        if need != Some(w.len()) {
+            return Err(format!("result payload is {} words, header says n = {n}, tau length = {tau_len}", w.len()));
         }
         Ok(JobResult {
             residual: w[0],
@@ -362,29 +365,26 @@ impl Assignment {
         w
     }
 
-    /// Inverse of [`Assignment::to_words`].
+    /// Inverse of [`Assignment::to_words`]. Every header word is capped by
+    /// its type, the rank by the spec's grid, and the resume length by the
+    /// words that follow.
     pub fn from_words(w: &[f64]) -> Result<Assignment, String> {
         if w.len() < 8 {
             return Err(format!("assignment header truncated: {} words", w.len()));
         }
-        let resume_len = w[7] as usize;
+        let resume_len = int_word(w[7], "resume length", 8 * (w.len() - 8))?;
         let resume_words = resume_len.div_ceil(8);
-        if w.len() < 8 + resume_words {
-            return Err("assignment resume blob truncated".into());
-        }
-        let spec_words = &w[8..w.len() - resume_words];
-        let spec = JobSpec::from_words(spec_words)?;
-        let resume = unpack_bytes(&w[w.len() - resume_words..], resume_len);
+        let spec = JobSpec::from_words(&w[8..w.len() - resume_words])?;
         Ok(Assignment {
+            job_rank: int_word(w[0], "job rank", spec.ranks() - 1)?,
+            port_base: int_word(w[1], "port base", u16::MAX.into())? as u16,
+            incarnation: int_word(w[2], "incarnation", u32::MAX as usize)? as u32,
+            replacement: int_word(w[3], "replacement flag", 1)? == 1,
+            hb_interval_ms: int_word(w[4], "heartbeat interval", MAX_EXACT)? as u64,
+            hb_miss_limit: int_word(w[5], "heartbeat miss limit", u32::MAX as usize)? as u32,
+            conn_timeout_ms: int_word(w[6], "connect timeout", MAX_EXACT)? as u64,
+            resume: unpack_bytes(&w[w.len() - resume_words..], resume_len)?,
             spec,
-            job_rank: w[0] as usize,
-            port_base: w[1] as u16,
-            incarnation: w[2] as u32,
-            replacement: w[3] != 0.0,
-            hb_interval_ms: w[4] as u64,
-            hb_miss_limit: w[5] as u32,
-            conn_timeout_ms: w[6] as u64,
-            resume,
         })
     }
 }
@@ -403,14 +403,31 @@ pub fn pack_bytes(bytes: &[u8]) -> Vec<f64> {
         .collect()
 }
 
-/// Inverse of [`pack_bytes`]: recover exactly `len` bytes.
-pub fn unpack_bytes(words: &[f64], len: usize) -> Vec<u8> {
+/// Inverse of [`pack_bytes`]: recover exactly `len` bytes, which `words`
+/// must hold.
+pub fn unpack_bytes(words: &[f64], len: usize) -> Result<Vec<u8>, String> {
+    if len > 8 * words.len() {
+        return Err(format!("{len} bytes claimed, {} words hold {}", words.len(), 8 * words.len()));
+    }
     let mut out = Vec::with_capacity(len);
     for w in words {
         out.extend_from_slice(&w.to_bits().to_le_bytes());
     }
     out.truncate(len);
-    out
+    Ok(out)
+}
+
+/// Decode a worker's CKPT payload `[rank, panel, len, packed bytes…]` for a
+/// job of `world` ranks: `(rank, panel, bytes)`. The panel index is capped
+/// at `MAX_N` like every `n`, the length by the words that carry it.
+pub(crate) fn ckpt_from_words(w: &[f64], world: usize) -> Result<(usize, usize, Vec<u8>), String> {
+    if w.len() < 3 {
+        return Err(format!("checkpoint header truncated: {} words", w.len()));
+    }
+    let rank = int_word(w[0], "checkpoint rank", world - 1)?;
+    let panel = int_word(w[1], "checkpoint panel", MAX_N)?;
+    let len = int_word(w[2], "checkpoint length", 8 * (w.len() - 3))?;
+    Ok((rank, panel, unpack_bytes(&w[3..], len)?))
 }
 
 #[cfg(test)]
@@ -599,8 +616,80 @@ mod tests {
     fn byte_packing_is_exact_for_every_tail_length() {
         for len in 0..40usize {
             let bytes: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
-            assert_eq!(unpack_bytes(&pack_bytes(&bytes), len), bytes, "len={len}");
+            assert_eq!(unpack_bytes(&pack_bytes(&bytes), len).unwrap(), bytes, "len={len}");
         }
+    }
+
+    /// `n = 2³²`: `n·n` wrapped to 0 in release, so `6 + tau_len` words
+    /// decoded with an empty factor (and overflowed in debug).
+    #[test]
+    fn result_words_past_their_caps_are_rejected() {
+        let res = JobResult {
+            residual: 0.5,
+            recoveries: 0,
+            wall_ms: 1.0,
+            bytes: 0,
+            n: 2,
+            factor: vec![1.0; 4],
+            tau: vec![0.5],
+        };
+        let good = res.to_words();
+        assert!(JobResult::from_words(&good).is_ok());
+        let mut w: Vec<f64> = good[..6].iter().copied().chain([0.5]).collect();
+        w[4] = 2f64.powi(32);
+        assert!(JobResult::from_words(&w).is_err(), "n = 2^32 with an empty factor");
+        for (i, bad) in [(4, (MAX_N + 1) as f64), (5, 1e19), (5, f64::NAN), (4, -1.0)] {
+            let mut w = good.clone();
+            w[i] = bad;
+            assert!(JobResult::from_words(&w).is_err(), "word {i} = {bad}");
+        }
+    }
+
+    #[test]
+    fn assignment_words_past_their_caps_are_rejected() {
+        let a = Assignment {
+            spec: spec_on(Redundancy::Single, 2),
+            job_rank: 1,
+            port_base: 23000,
+            incarnation: 2,
+            replacement: false,
+            hb_interval_ms: 50,
+            hb_miss_limit: 40,
+            conn_timeout_ms: 9000,
+            resume: vec![7; 9],
+        };
+        let good = a.to_words();
+        assert_eq!(Assignment::from_words(&good).unwrap(), a);
+        for i in 0..8 {
+            for bad in [1e19, 2f64.powi(60), -1.0, f64::NAN, 0.5] {
+                let mut w = good.clone();
+                w[i] = bad;
+                assert!(Assignment::from_words(&w).is_err(), "header word {i} = {bad}");
+            }
+        }
+        let mut w = good.clone();
+        w[0] = 2.0;
+        assert!(Assignment::from_words(&w).is_err(), "job rank 2 of a 1x2 grid");
+        w = good.clone();
+        w[7] = (8 * (w.len() - 8) + 1) as f64;
+        assert!(Assignment::from_words(&w).is_err(), "resume longer than the frame");
+    }
+
+    /// A CKPT `len` of 1e19 panicked the daemon in `Vec::with_capacity`, and
+    /// 2⁵⁰ aborted it on allocation.
+    #[test]
+    fn ckpt_words_past_their_caps_are_rejected() {
+        let bytes: Vec<u8> = (0..13).collect();
+        let mut good = vec![1.0, 3.0, bytes.len() as f64];
+        good.extend(pack_bytes(&bytes));
+        assert_eq!(ckpt_from_words(&good, 2).unwrap(), (1, 3, bytes));
+        for (i, bad) in [(2, 1e19), (2, 2f64.powi(50)), (2, 17.0), (0, 2.0), (1, 1e19), (2, f64::NAN)] {
+            let mut w = good.clone();
+            w[i] = bad;
+            assert!(ckpt_from_words(&w, 2).is_err(), "word {i} = {bad}");
+        }
+        assert!(ckpt_from_words(&good[..2], 2).is_err(), "truncated header");
+        assert!(unpack_bytes(&[0.0], 9).is_err());
     }
 
     #[test]

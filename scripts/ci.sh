@@ -24,7 +24,7 @@ FT_GEMM_ISA=auto cargo test -q
 
 # Kernel-equivalence fuzz loop at a pinned seed: the packed/pre-packed GEMM
 # paths against the naive oracle over adversarial fringe shapes, under every
-# detected ISA and thread count. FT_REQUIRE_ISAS is computed from the host's
+# detected ISA. FT_REQUIRE_ISAS is computed from the host's
 # cpuinfo so a build/detection regression that silently exercises only the
 # scalar path is a hard failure, not a quiet skip. The seed is fixed so a CI
 # failure reproduces exactly; bump FT_FUZZ_ROUNDS locally to sweep wider.
@@ -55,9 +55,8 @@ cargo bench --no-run -q
 # 640x160 panel shape is below 1.25x the one-column-per-pass loop of the
 # same run. The gates live inside the bench binary; its `# wire CRC` line
 # names the path this host took, its `# panel gemv` line prints both GEMV
-# readings. Smoke runs
-# write their JSON under target/, never over the committed
-# BENCH_kernels.json / BENCH_serve.json.
+# readings. Smoke runs write their JSON under target/, never over the
+# committed BENCH_kernels.json.
 echo "== kernels perf smoke"
 FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
 
@@ -229,9 +228,6 @@ done
 #   chaos   seeded kills at arbitrary message-op boundaries, in process:
 #           recover and pass verification (exit 0) or reject a
 #           beyond-tolerance victim set with the typed error (exit 3)
-#   threads the same with the in-rank GEMM pool engaged (FT_GEMM_THREADS=4):
-#           recovery replays GEMMs, and the thread count can never change a
-#           bit (DESIGN.md §14), so the outcomes match the chaos row's
 #   sdc     seeded silent bit flips, scrub at cadence 1: correct or roll
 #           back every detectable flip (0) or reject uncorrectable
 #           corruption typed (3) — a silent verification failure (exit 1)
@@ -249,7 +245,7 @@ done
 #           3 inside a short receive timeout, never a hang
 #   combo   a SIGKILL *and* wire noise from one script (ROADMAP 4b, first
 #           step): recovery itself runs over the lossy links; 0 or 3
-echo "== fault soaks (one --faults table: chaos, threads, sdc, kill, nc, combo)"
+echo "== fault soaks (one --faults table: chaos, sdc, kill, nc, combo)"
 CHAOS_SEEDS=${CHAOS_SEEDS:-"1 2 3 5 8 13 21 34"}
 SDC_SEEDS=${SDC_SEEDS:-"1 2 3 5 8 13 21 34"}
 KILL_SEEDS=${KILL_SEEDS:-"1 2 3 5"}
@@ -260,7 +256,6 @@ CUT3="part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0"
 fault_soaks() {
     cat <<EOF
 chaos;$BOTH;$CHAOS_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x3;{s}:kill=3
-threads;$BOTH;1;alg2 alg3;0|3;env FT_GEMM_THREADS=4 $INPROC --grid 2x3;{s}:kill=3
 sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip=1
 sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip=2
 kill;hessenberg;$KILL_SEEDS;alg2 alg3;0|3;$DIST --verify;{s}:kill=1
@@ -298,7 +293,7 @@ while IFS=';' read -r family solvers seeds variants want cmd spec; do
         done
     done
 done < <(fault_soaks)
-for family in chaos threads sdc combo combo-recovered; do need_runs "$family" "$BOTH"; done
+for family in chaos sdc combo combo-recovered; do need_runs "$family" "$BOTH"; done
 need_runs kill hessenberg
 need_runs nc "$BOTH" 25
 # Bitwise determinism spot-check: the hardened transport's reference
@@ -365,19 +360,5 @@ if ! wait "$SERVE_PID"; then
     echo "daemon soak: daemon did not drain cleanly"; exit 1
 fi
 echo "  pool of 4: 7 jobs across 2 tenants + both solvers, drained clean"
-
-# Serve throughput smoke: the bench in smoke mode, its JSON under target/.
-# The hard gates (every job completes, jobs/sec > 0, finite p50/p99, >= 1
-# recovery in the kill phase, 0 in the baseline) live inside the bench
-# binary; here we additionally pin the artifact schema.
-echo "== serve throughput smoke (open-loop, SIGKILL mid-phase)"
-serve_json=${CARGO_TARGET_DIR:-target}/BENCH_serve.json
-rm -f "$serve_json"
-FT_SERVE_SMOKE=1 cargo bench -q --bench serve
-for key in jobs_per_sec p50_ms p99_ms recoveries baseline one_kill lossy frames_dropped; do
-    if ! grep -q "\"$key\"" "$serve_json"; then
-        echo "$serve_json missing key: $key"; exit 1
-    fi
-done
 
 echo "CI OK"

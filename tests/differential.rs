@@ -20,9 +20,10 @@
 //! solver (`ft_pdgeqrf` vs sequential `geqrf`) with an **eigen-free**
 //! oracle: scaled `‖A − QR‖` and `‖QᵀQ − I‖` residuals, plus entrywise
 //! agreement of `R` and `tau` with the sequential factorization to 1e-10.
-//! And the golden-hash test pins the Hessenberg output **bitwise** to the
+//! And the golden-hash tests pin the Hessenberg output **bitwise** to the
 //! values captured before the solver-agnostic refactor — the safety net
-//! that the `FtSolver` framework changed nothing about the paper's solver.
+//! that the `FtSolver` framework changed nothing about the paper's solver —
+//! and the QR output likewise, its only bitwise run-to-run check.
 
 use abft_hessenberg::dense::gen::{uniform_entry, uniform_indexed_matrix};
 use abft_hessenberg::dense::Matrix;
@@ -207,9 +208,51 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// FNV-1a hash of the gathered Hessenberg factorization (matrix bits then
-/// `tau` bits) for one (nb, grid, variant) leg under the currently active
-/// GEMM ISA.
+/// FNV-1a hash of a gathered factorization: matrix bits then `tau` bits.
+fn factor_hash(ag: &Matrix, tau: &[f64]) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for v in ag.as_slice() {
+        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+    }
+    for v in tau {
+        fnv1a(&mut h, &v.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// One golden row: `(nb, P, Q, hash)`.
+type Golden = (usize, usize, usize, u64);
+
+/// The ISA override is process-global: the two golden tables below take
+/// turns, so neither runs a leg under the other's forced ISA.
+static ISA_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Hash every (nb, grid) leg of a golden table in both variants under every
+/// detected ISA, and hold it to the table of the ISA's contraction class
+/// (`FT_GOLDEN_PRINT=1` prints the hashes instead, for re-capturing).
+fn assert_goldens(hash: fn(usize, usize, usize, Variant) -> u64, scalar: &[Golden; 4], fused: &[Golden; 4]) {
+    use abft_hessenberg::dense::level3::{detected_isas, set_isa_override};
+
+    let _turn = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let print = std::env::var("FT_GOLDEN_PRINT").is_ok_and(|v| v == "1");
+    for &isa in detected_isas() {
+        set_isa_override(Some(isa));
+        for (nb, p, q, want) in if isa.fused() { fused } else { scalar } {
+            for variant in [Variant::NonDelayed, Variant::Delayed] {
+                let h = hash(*nb, *p, *q, variant);
+                if print {
+                    println!("isa={} nb={nb} {p}x{q} {variant:?}: 0x{h:016x}", isa.name());
+                    continue;
+                }
+                assert_eq!(h, *want, "isa={} nb={nb} {p}x{q} {variant:?}: hash 0x{h:016x} != golden 0x{want:016x}", isa.name());
+            }
+        }
+    }
+    set_isa_override(None);
+}
+
+/// Hash of the gathered Hessenberg factorization for one (nb, grid,
+/// variant) leg under the currently active GEMM ISA.
 fn hessenberg_hash(nb: usize, p: usize, q: usize, variant: Variant) -> u64 {
     let seed = 4000 + nb as u64;
     let out = run_spmd(p, q, FaultScript::none(), move |ctx| {
@@ -219,14 +262,21 @@ fn hessenberg_hash(nb: usize, p: usize, q: usize, variant: Variant) -> u64 {
         (enc.gather_logical(&ctx, 622), tau)
     });
     let (ag, tau) = out.into_iter().next().unwrap();
-    let mut h = 0xcbf29ce484222325u64;
-    for v in ag.as_slice() {
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
-    }
-    for v in &tau {
-        fnv1a(&mut h, &v.to_bits().to_le_bytes());
-    }
-    h
+    factor_hash(&ag, &tau)
+}
+
+/// Hash of the gathered QR factorization for one (nb, grid, variant) leg
+/// under the currently active GEMM ISA.
+fn qr_hash(nb: usize, p: usize, q: usize, variant: Variant) -> u64 {
+    let seed = 4100 + nb as u64;
+    let out = run_spmd(p, q, FaultScript::none(), move |ctx| {
+        let mut enc = Encoded::from_global_fn(&ctx, N, nb, |i, j| uniform_entry(seed, i, j));
+        let mut tau = vec![0.0; N];
+        ft_pdgeqrf(&ctx, &mut enc, variant, &mut tau).expect("fault-free run");
+        (enc.gather_logical(&ctx, 632), tau)
+    });
+    let (ag, tau) = out.into_iter().next().unwrap();
+    factor_hash(&ag, &tau)
 }
 
 /// Bitwise regression pins for the Hessenberg solver, one golden table per
@@ -242,13 +292,10 @@ fn hessenberg_hash(nb: usize, p: usize, q: usize, variant: Variant) -> u64 {
 ///   are the re-pinned hashes the satellite task calls for).
 ///
 /// Both variants on each grid must agree (Delayed vs NonDelayed reorder
-/// *when* updates run, not the per-element arithmetic). Set
-/// `FT_GOLDEN_PRINT=1` to print computed hashes when re-capturing.
+/// *when* updates run, not the per-element arithmetic).
 #[test]
 fn hessenberg_bitwise_parity_per_contraction_class() {
-    use abft_hessenberg::dense::level3::{detected_isas, set_isa_override};
-
-    const SCALAR_GOLDEN: [(usize, usize, usize, u64); 4] = [
+    const SCALAR_GOLDEN: [Golden; 4] = [
         (4, 2, 2, 0x0a7fc7501c588c9c),
         (4, 2, 3, 0xa09e7209f64fc337),
         (8, 2, 2, 0x385be914b3bc5298),
@@ -257,27 +304,32 @@ fn hessenberg_bitwise_parity_per_contraction_class() {
     // Captured on the CI reference hardware (AVX2/AVX-512; KC=216). NEON
     // hosts must reproduce these same values — fused contraction is one
     // class across vector ISAs.
-    const FUSED_GOLDEN: [(usize, usize, usize, u64); 4] = [
+    const FUSED_GOLDEN: [Golden; 4] = [
         (4, 2, 2, 0x82fc8af679d8667b),
         (4, 2, 3, 0x94dda8c059f27eda),
         (8, 2, 2, 0x96e608dab5c1f43a),
         (8, 2, 3, 0x766585e4c73412b1),
     ];
+    assert_goldens(hessenberg_hash, &SCALAR_GOLDEN, &FUSED_GOLDEN);
+}
 
-    let print = std::env::var("FT_GOLDEN_PRINT").is_ok_and(|v| v == "1");
-    for &isa in detected_isas() {
-        set_isa_override(Some(isa));
-        let golden: &[(usize, usize, usize, u64); 4] = if isa.fused() { &FUSED_GOLDEN } else { &SCALAR_GOLDEN };
-        for (nb, p, q, want) in golden {
-            for variant in [Variant::NonDelayed, Variant::Delayed] {
-                let h = hessenberg_hash(*nb, *p, *q, variant);
-                if print {
-                    println!("isa={} nb={nb} {p}x{q} {variant:?}: 0x{h:016x}", isa.name());
-                    continue;
-                }
-                assert_eq!(h, *want, "isa={} nb={nb} {p}x{q} {variant:?}: hash 0x{h:016x} != golden 0x{want:016x}", isa.name());
-            }
-        }
-    }
-    set_isa_override(None);
+/// Bitwise regression pins for the QR solver: the Hessenberg table's legs
+/// and contraction classes. At N = 32 the factorization is the same on
+/// 2×2 and 2×3, bit for bit.
+#[test]
+fn qr_bitwise_parity_per_contraction_class() {
+    const SCALAR_GOLDEN: [Golden; 4] = [
+        (4, 2, 2, 0x1c5ebd5dabb3c187),
+        (4, 2, 3, 0x1c5ebd5dabb3c187),
+        (8, 2, 2, 0xe47689f062eecaec),
+        (8, 2, 3, 0xe47689f062eecaec),
+    ];
+    // Captured on AVX2/AVX-512 with KC=216, like the Hessenberg table.
+    const FUSED_GOLDEN: [Golden; 4] = [
+        (4, 2, 2, 0x8fce8ef9e8f51999),
+        (4, 2, 3, 0x8fce8ef9e8f51999),
+        (8, 2, 2, 0x2cbd7b2ef1a6b343),
+        (8, 2, 3, 0x2cbd7b2ef1a6b343),
+    ];
+    assert_goldens(qr_hash, &SCALAR_GOLDEN, &FUSED_GOLDEN);
 }
