@@ -27,7 +27,7 @@
 //! Fail points sit between the phases; on a failure every process runs the
 //! recovery procedure of §5.3 (see [`crate::recovery`]).
 
-use crate::encode::Encoded;
+use crate::encode::{Encoded, Redundancy};
 use crate::recovery;
 use crate::scope::{ChkProgress, ScopeState};
 use crate::scrub::{ScrubEngine, ScrubEscalation, ScrubPolicy, ScrubReport, TrailingScan};
@@ -35,6 +35,7 @@ use crate::solver::{FtSolver, Hessenberg, HouseholderQr};
 use ft_dense::Matrix;
 use ft_pblas::{left_update, right_update, PanelFactors};
 use ft_runtime::{catch_interrupt, Ctx, FailCheck, Tag};
+use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -232,6 +233,13 @@ pub struct FtReport {
     pub scope_end_secs: f64,
     /// Seconds spent in recovery.
     pub recovery_secs: f64,
+    /// Seconds in boundary commits: the commit barrier plus the boundary
+    /// image capture. Zero unless chaos is live in process or the run is
+    /// distributed — only those commit with an image.
+    pub commit_secs: f64,
+    /// `f64` words copied into boundary images (commits, the recapture after
+    /// a distributed recovery, the scrub engine's verified images).
+    pub image_words: usize,
     /// Total wall seconds of the reduction on this process.
     pub total_secs: f64,
     /// Scrub engine statistics (all zeros when the engine is disabled).
@@ -483,14 +491,24 @@ struct DriverState {
 }
 
 /// Bitwise image of one process's state at a committed fail-point boundary.
-/// Captured only when chaos injection is live ([`ft_runtime::Ctx::chaos_enabled`]
-/// — scripted-only and fault-free runs pay nothing); an arbitrary-point
-/// failure rolls every rank back to its image (all ranks always hold images
-/// of the *same* boundary, see `commit_boundary_image`) and re-enters
-/// through [`crate::recovery::recover`].
+/// Captured only when the fault-tolerance machinery is live ([`ft_live`]
+/// — scripted-only and fault-free in-process runs pay nothing); an
+/// arbitrary-point failure rolls every rank back to its image (all ranks
+/// always hold images of the *same* boundary, see `commit_boundary_image`)
+/// and re-enters through [`crate::recovery::recover`].
+///
+/// The matrix part is the local buffer's words inside `spans` — what can
+/// still be written before the image can no longer be restored
+/// ([`image_spans`]); a restore writes them back and leaves every other word
+/// as it is, which is the word the capture saw.
 struct BoundaryImage {
-    /// Full copy of the local (encoded) matrix buffer.
-    local: Vec<f64>,
+    /// The local buffer's words inside `spans`, span after span.
+    data: Vec<f64>,
+    /// Ranges of the local buffer the image holds, ascending and disjoint.
+    spans: Vec<Range<usize>>,
+    /// Debug builds only: the whole local buffer at capture — the oracle a
+    /// restore is checked against. Empty in release builds.
+    shadow: Vec<f64>,
     tau: Vec<f64>,
     scope: Option<ScopeState>,
     k: usize,
@@ -513,11 +531,17 @@ struct BoundaryImage {
 /// same boundary. Over a real network a SIGKILL mid-barrier can leave
 /// survivors **one** commit apart (the victim's final barrier frame may have
 /// reached some peers and not others), so distributed runs keep the previous
-/// boundary too and [`dist_align_boundary`] demotes the leaders.
+/// boundary too and [`dist_align_boundary`] demotes the leaders. A commit
+/// refills `cur` in place, or — distributed — `prev`'s buffer, which then
+/// becomes `cur`: no image is allocated after a rank's first two commits.
 #[derive(Default)]
 struct Images {
     cur: Option<BoundaryImage>,
     prev: Option<BoundaryImage>,
+    /// Every image holds the whole buffer: something besides the driver can
+    /// write anywhere in it (seeded flips, the scrub engine's corrections,
+    /// a phase hook), and a rollback must undo that too.
+    whole: bool,
 }
 
 /// Whether the fault-tolerance machinery (commit barriers, boundary images)
@@ -527,31 +551,117 @@ fn ft_live(ctx: &Ctx) -> bool {
     ctx.chaos_enabled() || ctx.distributed()
 }
 
-fn capture_image(enc: &Encoded, tau: &[f64], st: &DriverState, phase: Phase, s: usize, id: u64) -> BoundaryImage {
-    BoundaryImage {
-        local: enc.a.local().as_slice().to_vec(),
-        tau: tau.to_vec(),
-        scope: st.scope.clone(),
-        k: st.k,
-        panel_idx: st.panel_idx,
-        resume: st.resume,
-        phase,
-        s,
-        id,
+/// The local-buffer ranges a boundary image of scope `s` holds, into
+/// `spans`: everything the driver can still write before the image can no
+/// longer be restored — the next commit in process, the one after it in a
+/// distributed run ([`dist_align_boundary`]), and any recovery attempt that
+/// restores the image again (DESIGN.md §8). A right-looking reduction never
+/// writes a column left of its open scope again, so that is
+///
+/// * every row of my original columns from scope `s`'s first column on —
+///   the panels, both updates and `store_ve`'s pseudo-checksum rows;
+/// * rows `[0, N)` of my checksum columns of groups `≥ s`: every update and
+///   every recompute stops at `N`, and a finished group's checksum is
+///   recomputed once, when its scope closes. `Coded(f)` recovery recomputes
+///   every group a victim's column held a copy of, on every owner, finished
+///   groups included, so a `Coded` image holds every group's rows `[0, N)`.
+///
+/// `whole`, and the pre-loop boundary (`s = enc.groups()`, no scope open),
+/// hold the whole buffer.
+fn image_spans(enc: &Encoded, s: usize, whole: bool, spans: &mut Vec<Range<usize>>) {
+    let a = &enc.a;
+    spans.clear();
+    if whole || s >= enc.groups() {
+        spans.push(0..a.local().as_slice().len());
+        return;
+    }
+    let ld = a.local().ld();
+    let lrn = a.local_rows_below(enc.n());
+    let chk_from = if enc.redundancy() == Redundancy::Single { s } else { 0 };
+    let mut push = |r: Range<usize>| match spans.last_mut() {
+        _ if r.is_empty() => {}
+        Some(last) if last.end == r.start => last.end = r.end,
+        _ => spans.push(r),
+    };
+    push(a.local_cols_below(enc.group_cols(s).start) * ld..a.local_cols_below(enc.n_pad()) * ld);
+    for lc in a.local_cols_below(enc.chk_col(chk_from, 0, 0))..a.lcols() {
+        push(lc * ld..lc * ld + lrn);
     }
 }
 
-fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: &BoundaryImage) {
-    enc.a.local_mut().as_mut_slice().copy_from_slice(&img.local);
+/// Refill the image in `slot` — reusing its buffers, allocating only into an
+/// empty slot — with this rank's state at boundary `(phase, s, id)`. Returns
+/// the matrix words copied.
+#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
+fn capture_image(
+    slot: &mut Option<BoundaryImage>,
+    enc: &Encoded,
+    tau: &[f64],
+    st: &DriverState,
+    phase: Phase,
+    s: usize,
+    id: u64,
+    whole: bool,
+) -> usize {
+    let img = slot.get_or_insert_with(|| BoundaryImage {
+        data: Vec::new(),
+        spans: Vec::new(),
+        shadow: Vec::new(),
+        tau: Vec::new(),
+        scope: None,
+        k: 0,
+        panel_idx: 0,
+        resume: Step::Begin,
+        phase,
+        s,
+        id,
+    });
+    image_spans(enc, s, whole, &mut img.spans);
+    let buf = enc.a.local().as_slice();
+    img.data.clear();
+    for r in &img.spans {
+        img.data.extend_from_slice(&buf[r.clone()]);
+    }
+    if cfg!(debug_assertions) {
+        img.shadow.clear();
+        img.shadow.extend_from_slice(buf);
+    }
+    img.tau.clear();
+    img.tau.extend_from_slice(tau);
+    img.scope.clone_from(&st.scope);
+    (img.k, img.panel_idx, img.resume) = (st.k, st.panel_idx, st.resume);
+    (img.phase, img.s, img.id) = (phase, s, id);
+    img.data.len()
+}
+
+/// Roll this rank back to `img`. `intact`: no word outside the image's spans
+/// has been written since the capture — true on every rank but a victim,
+/// whose buffer recovery wipes and rebuilds right after. Debug builds check
+/// the restored buffer against the capture's full copy there.
+fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: &BoundaryImage, intact: bool) {
+    let buf = enc.a.local_mut().as_mut_slice();
+    let mut words = img.data.as_slice();
+    for r in &img.spans {
+        let (head, rest) = words.split_at(r.len());
+        buf[r.clone()].copy_from_slice(head);
+        words = rest;
+    }
+    debug_assert!(
+        !intact || buf.iter().zip(&img.shadow).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "boundary image {} (panel {}, {:?}): the restored buffer differs from the capture",
+        img.id,
+        img.panel_idx,
+        img.phase
+    );
     tau[..img.tau.len()].copy_from_slice(&img.tau);
-    st.scope = img.scope.clone();
+    st.scope.clone_from(&img.scope);
     st.k = img.k;
     st.panel_idx = img.panel_idx;
     st.resume = img.resume;
 }
 
-/// Commit the fail-point boundary `(panel_idx, phase)` and, when chaos is
-/// live, refresh this rank's boundary image.
+/// Commit the fail-point boundary `(panel_idx, phase)` and, when the
+/// fault-tolerance machinery is live, refresh this rank's boundary image.
 ///
 /// The barrier is what keeps every rank's image pinned to the same
 /// boundary: a revocable barrier is all-or-none, survivors only observe an
@@ -569,22 +679,24 @@ fn commit_boundary_image(
     next: Step,
     phase: Phase,
     s: usize,
+    report: &mut FtReport,
 ) {
-    if ft_live(ctx) {
-        ctx.barrier();
-    }
     st.resume = next;
     // Boundary ids are failpoint ids shifted by one; id 0 is the pre-loop
     // boundary right after the initial encoding.
     let id = failpoint(st.panel_idx, phase) + 1;
     if ft_live(ctx) {
+        let t = Instant::now();
+        ctx.barrier();
         if ctx.distributed() {
             // Keep the previous boundary too: a real SIGKILL mid-barrier can
             // leave survivors one commit apart, and the laggards' boundary
-            // is the one everybody can roll back to.
-            imgs.prev = imgs.cur.take();
+            // is the one everybody can roll back to. The image two commits
+            // back is out of reach now; its buffers take the new one.
+            std::mem::swap(&mut imgs.cur, &mut imgs.prev);
         }
-        imgs.cur = Some(capture_image(enc, tau, st, phase, s, id));
+        report.image_words += capture_image(&mut imgs.cur, enc, tau, st, phase, s, id, imgs.whole);
+        report.commit_secs += t.elapsed().as_secs_f64();
     }
     ctx.commit_boundary(id);
 }
@@ -616,49 +728,36 @@ fn serialize_ctl_image(img: &BoundaryImage) -> Vec<f64> {
 
 const CTL_HEADER: usize = 13;
 
-/// Rebuild a [`BoundaryImage`] on a replacement process from the control
-/// state a survivor shipped. The matrix part is this process's current
-/// (garbage) buffer — [`crate::recovery::recover`] overwrites every word of
-/// it — and the scope carries only the locally-computable layout fields;
-/// snapshots, factors and panel backups are restored from the live holders
-/// by [`ScopeState::repair_after_failure`].
-fn deserialize_ctl_image(enc: &Encoded, buf: &[f64]) -> BoundaryImage {
-    let scope = if buf[6] != 0.0 {
-        let start_col = buf[8] as usize;
-        let end_col = buf[9] as usize;
-        let holders = buf[10] as usize;
-        let lc0 = enc.a.local_cols_below(start_col);
-        let lc1 = enc.a.local_cols_below(end_col);
-        Some(ScopeState {
+/// Rebuild a [`BoundaryImage`] into `slot` on a replacement process from
+/// the control state a survivor shipped. The matrix part is this process's
+/// whole current (garbage) buffer — [`crate::recovery::recover`] overwrites
+/// every word of it — and the scope carries only the locally-computable
+/// layout fields; snapshots, factors and panel backups are restored from
+/// the live holders by [`ScopeState::repair_after_failure`].
+fn deserialize_ctl_image(ctx: &Ctx, enc: &Encoded, buf: &[f64], slot: &mut Option<BoundaryImage>) {
+    let scope = (buf[6] != 0.0).then(|| {
+        let (start_col, end_col) = (buf[8] as usize, buf[9] as usize);
+        ScopeState {
             scope: buf[7] as usize,
             start_col,
             end_col,
-            holders,
-            local_cols: (lc0..lc1).collect(),
-            snapshot_own: Vec::new(),
-            snapshot_backups: vec![Vec::new(); holders],
-            factors: Vec::new(),
-            panel_backups: Vec::new(),
-            my_panel_pieces: Vec::new(),
+            holders: buf[10] as usize,
+            local_cols: (enc.a.local_cols_below(start_col)..enc.a.local_cols_below(end_col)).collect(),
             chk: ChkProgress {
                 panels_done: buf[11] as usize,
                 right_done_for_next: buf[12] != 0.0,
             },
-        })
-    } else {
-        None
-    };
-    BoundaryImage {
-        local: enc.a.local().as_slice().to_vec(),
-        tau: buf[CTL_HEADER..].to_vec(),
+            ..ScopeState::empty(ctx, enc)
+        }
+    });
+    let st = DriverState {
         scope,
         k: buf[1] as usize,
         panel_idx: buf[2] as usize,
         resume: Step::from_index(buf[3] as u64),
-        phase: Phase::from_index(buf[4] as u64),
-        s: buf[5] as usize,
-        id: buf[0] as u64,
-    }
+    };
+    let (phase, s, id) = (Phase::from_index(buf[4] as u64), buf[5] as usize, buf[0] as u64);
+    capture_image(slot, enc, &buf[CTL_HEADER..], &st, phase, s, id, true);
 }
 
 /// Distributed recovery, step 0: get every rank onto the **same** boundary
@@ -700,7 +799,7 @@ fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[u
     }
     if me {
         let buf = ctx.recv(lead, TAG_CTL_IMAGE);
-        imgs.cur = Some(deserialize_ctl_image(enc, &buf));
+        deserialize_ctl_image(ctx, enc, &buf, &mut imgs.cur);
         dtrace!(ctx, "align: received control image from lead {lead}");
     }
     // Either way `prev` is now behind the agreed boundary (or synthesized
@@ -947,29 +1046,34 @@ pub fn ft_solve(
     // arms immediately: its peers are already deep inside the domain.
     ctx.arm_chaos();
 
+    let mut scrub = ScrubCtl {
+        engine: ScrubEngine::new(policy),
+        img: None,
+        last_rollback: None,
+    };
+    imgs.whole = ctx.sdc_enabled() || scrub.engine.active() || hook.is_some();
+
     if ft_live(ctx) && !replacement {
         // Pre-loop boundary: a kill before the first panel's fail point
         // rolls back to "everything encoded, nothing factorized", where the
         // whole matrix is reconstructible from the initial checksums. A
         // resumed run's pre-loop boundary is its restored checkpoint — the
         // same shape (no scope open, every group solvable from its stored
-        // checksum), just at a later panel.
+        // checksum), just at a later panel. No scope is open: the image is
+        // the whole buffer.
+        let t = Instant::now();
         ctx.barrier();
-        imgs.cur = Some(capture_image(enc, tau, &st, Phase::BeforePanel, enc.groups(), 0));
+        report.image_words += capture_image(&mut imgs.cur, enc, tau, &st, Phase::BeforePanel, enc.groups(), 0, true);
         ctx.commit_boundary(0);
+        report.commit_secs += t.elapsed().as_secs_f64();
     }
 
-    let mut scrub = ScrubCtl {
-        engine: ScrubEngine::new(policy),
-        img: None,
-        last_rollback: None,
-    };
     if scrub.engine.active() && scrub.engine.policy.rollback && !replacement {
         // The freshly encoded matrix is trusted by definition (the paper's
         // protection domain opens here): it is the first verified image.
         // A replacement's buffer is garbage; its first verified image comes
         // from its first clean boundary scan.
-        scrub.img = Some(capture_image(enc, tau, &st, Phase::BeforePanel, enc.groups(), 0));
+        report.image_words += capture_image(&mut scrub.img, enc, tau, &st, Phase::BeforePanel, enc.groups(), 0, true);
     }
 
     // A replacement enters the recovery protocol before running a single
@@ -1026,7 +1130,7 @@ pub fn ft_solve(
                     dist_align_boundary(ctx, enc, &mut imgs, &agreed.victims, me);
                 }
                 let image = imgs.cur.as_ref().expect("chaos abort before the pre-loop boundary image");
-                restore_image(enc, tau, &mut st, image);
+                restore_image(enc, tau, &mut st, image, !me);
                 let (phase, s, id) = (image.phase, image.s, image.id);
                 dtrace!(ctx, "driver: rolled back to boundary id={id} panel={} phase={phase:?}", st.panel_idx);
                 let sc = st.scope.get_or_insert_with(|| ScopeState::empty(ctx, enc));
@@ -1045,7 +1149,7 @@ pub fn ft_solve(
                         // on every rank: a victim's synthesized image holds
                         // a garbage matrix buffer and an empty scope, and
                         // must never be rolled back to again.
-                        imgs.cur = Some(capture_image(enc, tau, &st, phase, s, id));
+                        report.image_words += capture_image(&mut imgs.cur, enc, tau, &st, phase, s, id, imgs.whole);
                         imgs.prev = None;
                     }
                     continue 'run;
@@ -1098,7 +1202,7 @@ fn scrub_escalate(
         return Err(FtError::ScrubUnrecoverable { panel: panel_idx, group: esc.group, block_col: esc.block_col });
     }
     let image = scrub.img.as_ref().unwrap();
-    restore_image(enc, tau, st, image);
+    restore_image(enc, tau, st, image, true);
     scrub.last_rollback = Some(image.panel_idx);
     scrub.engine.report.rollbacks += 1;
     Ok(())
@@ -1154,7 +1258,7 @@ fn run_loop(
             }
             let sc = st.scope.as_mut().expect("scope always begins before panels");
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::BeforePanel, scrub, report)?;
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Panel, Phase::BeforePanel, s);
+            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Panel, Phase::BeforePanel, s, report);
             observe(hook, ctx, enc, st.panel_idx, Phase::BeforePanel);
         }
 
@@ -1184,7 +1288,7 @@ fn run_loop(
             if report.recoveries != recoveries {
                 ve_panel = None;
             }
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s);
+            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s, report);
             observe(hook, ctx, enc, st.panel_idx, Phase::AfterPanel);
         }
 
@@ -1202,7 +1306,7 @@ fn run_loop(
             }
             let sc = st.scope.as_mut().unwrap();
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterRightUpdate, scrub, report)?;
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Left, Phase::AfterRightUpdate, s);
+            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Left, Phase::AfterRightUpdate, s, report);
             observe(hook, ctx, enc, st.panel_idx, Phase::AfterRightUpdate);
         }
 
@@ -1211,7 +1315,7 @@ fn run_loop(
             ft_left(ctx, enc, f, st.k + w, n, include_chk, s);
             let sc = st.scope.as_mut().unwrap();
             handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterLeftUpdate, scrub, report)?;
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s);
+            commit_boundary_image(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s, report);
             observe(hook, ctx, enc, st.panel_idx, Phase::AfterLeftUpdate);
         }
 
@@ -1312,7 +1416,7 @@ fn run_loop(
             let s_next = if solver.panel_exists(st.k, n) { (st.k / nb) / q } else { enc.groups() };
             // Scrub images never enter the distributed boundary agreement
             // (they are rollback-only, per rank), so their id is unused.
-            scrub.img = Some(capture_image(enc, tau, st, Phase::BeforePanel, s_next, 0));
+            report.image_words += capture_image(&mut scrub.img, enc, tau, st, Phase::BeforePanel, s_next, 0, true);
         }
     }
 
@@ -1390,11 +1494,13 @@ fn handle_failpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::Redundancy;
     use crate::scope::panel_message;
+    use crate::solver::SOLVERS;
     use ft_dense::gen::uniform_entry;
     use ft_pblas::{pdlahrd, pdlaqrf};
-    use ft_runtime::{run_spmd, FaultScript};
+    use ft_runtime::{run_distributed, run_spmd, FaultScript, MpscTransport};
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1543,5 +1649,154 @@ mod tests {
             });
             assert!(stacked.load(Ordering::Relaxed) > 0, "{p}x{q} n={n}: no checksum row was ever stacked");
         }
+    }
+
+    /// A boundary the cover test still watches: where, the buffer, the spans.
+    type Held = (String, Vec<f64>, Vec<Range<usize>>);
+
+    /// Words of `now` outside `spans` that differ, bit for bit, from `then`.
+    fn changed_outside(then: &[f64], now: &[f64], spans: &[Range<usize>]) -> usize {
+        let mut inside = vec![false; then.len()];
+        for r in spans {
+            inside[r.clone()].fill(true);
+        }
+        (0..then.len())
+            .filter(|&i| !inside[i] && then[i].to_bits() != now[i].to_bits())
+            .count()
+    }
+
+    /// The cover rule behind span images: no word outside what a boundary's
+    /// image holds is written at that boundary's next two boundaries — the
+    /// longest a distributed image stays restorable — scope-end work and the
+    /// final scope's close (the solve's end) included. Both solvers, both
+    /// variants, `Single` and `Coded(2)`, ragged `N`, four grid shapes.
+    #[test]
+    fn image_spans_cover_the_next_two_boundaries() {
+        let cases = [
+            (1usize, 2usize, 48usize, 4usize, Redundancy::Single),
+            (2, 2, 48, 4, Redundancy::Single),
+            (2, 3, 50, 4, Redundancy::Single),
+            (1, 4, 46, 4, Redundancy::Coded(2)),
+            (2, 4, 48, 4, Redundancy::Coded(2)),
+        ];
+        for (p, q, n, nb, redundancy) in cases {
+            for solver in SOLVERS {
+                for variant in [Variant::NonDelayed, Variant::Delayed] {
+                    let at = format!("{p}x{q} n={n} nb={nb} {redundancy:?} {} {variant:?}", solver.name());
+                    let outside = run_spmd(p, q, FaultScript::none(), |ctx| {
+                        let mut enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(5, i, j));
+                        let mut tau = vec![0.0; solver.tau_len(n)];
+                        // The last two boundaries.
+                        let held: RefCell<VecDeque<Held>> = RefCell::default();
+                        let check = |now: &[f64], at_now: &str| {
+                            for (then_at, then, spans) in held.borrow().iter() {
+                                let changed = changed_outside(then, now, spans);
+                                assert_eq!(changed, 0, "{at}: {changed} words outside the {then_at} image written by {at_now}");
+                            }
+                        };
+                        let mut outside = 0;
+                        let mut hook = |_: &Ctx, enc: &mut Encoded, panel: usize, phase: Phase| {
+                            let buf = enc.a.local().as_slice();
+                            check(buf, &format!("panel {panel} {phase:?}"));
+                            let mut spans = Vec::new();
+                            image_spans(enc, panel / q, false, &mut spans);
+                            outside += buf.len() - spans.iter().map(|r| r.len()).sum::<usize>();
+                            let mut held = held.borrow_mut();
+                            held.push_back((format!("panel {panel} {phase:?}"), buf.to_vec(), spans));
+                            if held.len() > 2 {
+                                held.pop_front();
+                            }
+                        };
+                        let ctl = DriverControl { hook: Some(&mut hook), ..Default::default() };
+                        ft_solve(&ctx, solver, &mut enc, variant, &mut tau, ctl).expect("fault-free");
+                        check(enc.a.local().as_slice(), "the solve's end");
+                        outside
+                    });
+                    assert!(outside.iter().all(|&w| w > 0), "{at}: every image held the whole buffer, the rule tested nothing");
+                }
+            }
+        }
+    }
+
+    /// Run `f` as every rank of a `p×q` world of distributed contexts (the
+    /// message-protocol barriers and agreement a TCP fabric runs) wired over
+    /// the in-process fabric.
+    fn run_dist<R: Send>(p: usize, q: usize, f: impl Fn(Ctx) -> R + Sync) -> Vec<R> {
+        let f = &f;
+        std::thread::scope(|scope| {
+            let ranks: Vec<_> = MpscTransport::fabric(p * q)
+                .into_iter()
+                .map(|t| scope.spawn(move || run_distributed(p, q, FaultScript::none(), Box::new(t), f).expect("clean fabric")))
+                .collect();
+            ranks.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A distributed solve at the serve jobs' shape (1×2, N = 192, nb = 8)
+    /// copies at most 0.45× the words of one whole-buffer image per commit,
+    /// counts its commit time, and factors bitwise what the in-process
+    /// solve does.
+    #[test]
+    fn distributed_commits_copy_only_live_columns() {
+        let (p, q, n, nb) = (1, 2, 192, 8);
+        for solver in SOLVERS {
+            let solve = |ctx: Ctx| {
+                let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(9, i, j));
+                let mut tau = vec![0.0; solver.tau_len(n)];
+                let rep = ft_solve(&ctx, solver, &mut enc, Variant::NonDelayed, &mut tau, DriverControl::default())
+                    .expect("fault-free");
+                (bits(enc.a.local().as_slice()), bits(&tau), rep)
+            };
+            let local = run_spmd(p, q, FaultScript::none(), solve);
+            let dist = run_dist(p, q, solve);
+            let commits = 4 * solver.panel_count(n, nb) + 1;
+            for ((buf, tau, rep), (want_buf, want_tau, _)) in dist.iter().zip(&local) {
+                assert_eq!((buf, tau), (want_buf, want_tau), "{}: distributed factor differs", solver.name());
+                let whole = commits * buf.len();
+                assert!(
+                    rep.image_words * 100 <= whole * 45,
+                    "{}: {} image words, {:.3} of a whole buffer per commit",
+                    solver.name(),
+                    rep.image_words,
+                    rep.image_words as f64 / whole as f64
+                );
+                assert!(rep.commit_secs > 0.0, "{}: commit time not counted", solver.name());
+            }
+            for (_, _, rep) in &local {
+                assert_eq!(
+                    (rep.image_words, rep.commit_secs),
+                    (0, 0.0),
+                    "{}: fault-free in-process solve committed images",
+                    solver.name()
+                );
+            }
+        }
+    }
+
+    /// Distributed commits rotate two images through the same buffers: every
+    /// capture after the first two lands in memory one of them allocated.
+    #[test]
+    fn distributed_commits_reuse_two_image_buffers() {
+        let (n, nb) = (48, 4);
+        run_dist(1, 2, |ctx| {
+            let enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(3, i, j));
+            let tau = vec![0.0; n];
+            let mut st = DriverState { scope: None, k: 0, panel_idx: 0, resume: Step::Begin };
+            let (mut imgs, mut report) = (Images::default(), FtReport::default());
+            let (mut buffers, mut last_id) = (Vec::new(), None);
+            for panel in 0..n / nb {
+                st.panel_idx = panel;
+                for phase in Phase::ALL {
+                    commit_boundary_image(&ctx, &enc, &tau, &mut st, &mut imgs, Step::Begin, phase, panel / 2, &mut report);
+                    assert_eq!(imgs.prev.as_ref().map(|i| i.id), last_id, "panel {panel} {phase:?}: prev is not the last commit");
+                    let cur = imgs.cur.as_ref().expect("a live commit captures");
+                    if buffers.len() < 2 {
+                        buffers.push(cur.data.as_ptr());
+                    }
+                    assert!(buffers.contains(&cur.data.as_ptr()), "panel {panel} {phase:?}: a commit allocated a new image");
+                    last_id = Some(cur.id);
+                }
+            }
+        });
     }
 }

@@ -166,19 +166,37 @@ impl FtCheckpoint {
         Ok(Self { n, nb, panel, local, tau })
     }
 
+    /// Whether this snapshot restores into an `N = n`, `nb` encoding whose
+    /// local buffer holds `local_len` words, with a `tau_len`-long `tau`.
+    /// `Err` names the first mismatch — a stored checkpoint can come back
+    /// from disk for the wrong job or damaged.
+    pub fn fits(&self, n: usize, nb: usize, local_len: usize, tau_len: usize) -> Result<(), String> {
+        let mismatch = |what: &str, got: usize, want: usize| Err(format!("checkpoint {what} is {got}, the target's {want}"));
+        if self.n != n {
+            return mismatch("N", self.n, n);
+        }
+        if self.nb != nb {
+            return mismatch("nb", self.nb, nb);
+        }
+        if self.local.len() != local_len {
+            return mismatch("local length", self.local.len(), local_len);
+        }
+        if self.tau.len() > tau_len {
+            return mismatch("tau prefix", self.tau.len(), tau_len);
+        }
+        Ok(())
+    }
+
     /// Restore this snapshot into a freshly allocated encoding of the same
     /// shape: overwrite the rank's full extended local matrix and the
     /// completed-`tau` prefix (entries past the prefix are untouched).
-    /// Panics on a shape mismatch — restoring into the wrong geometry is a
-    /// deployment bug, not a runtime condition.
-    pub fn restore(&self, enc: &mut Encoded, tau: &mut [f64]) {
-        assert_eq!(self.n, enc.n(), "checkpoint N does not match the target encoding");
-        assert_eq!(self.nb, enc.nb(), "checkpoint nb does not match the target encoding");
-        let local = enc.a.local_mut().as_mut_slice();
-        assert_eq!(self.local.len(), local.len(), "checkpoint local size does not match the target rank's local matrix");
-        assert!(self.tau.len() <= tau.len(), "checkpoint tau prefix longer than the target tau buffer");
-        local.copy_from_slice(&self.local);
+    /// A shape mismatch ([`FtCheckpoint::fits`]) is an `Err` and writes
+    /// nothing.
+    pub fn restore(&self, enc: &mut Encoded, tau: &mut [f64]) -> Result<(), String> {
+        self.fits(enc.n(), enc.nb(), enc.a.local().as_slice().len(), tau.len())?;
+        enc.a.local_mut().as_mut_slice().copy_from_slice(&self.local);
         tau[..self.tau.len()].copy_from_slice(&self.tau);
+        Ok(())
     }
 }
 
@@ -489,12 +507,22 @@ mod tests {
             let back = FtCheckpoint::from_bytes(&ckpt.to_bytes()).expect("round-trip");
             let mut enc2 = Encoded::from_global_fn(&ctx, 12, 2, |_, _| 0.0);
             let mut tau2 = vec![0.0; 5];
-            back.restore(&mut enc2, &mut tau2);
+            back.restore(&mut enc2, &mut tau2).expect("same shape");
             for (a, b) in enc2.a.local().as_slice().iter().zip(enc.a.local().as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "restored local state must be bitwise identical");
             }
             assert_eq!(&tau2[..2], &tau[..]);
             assert!(tau2[2..].iter().all(|&x| x == 0.0), "entries past the prefix stay untouched");
+            // Every wrong shape is an error that writes nothing.
+            let mut other_nb = Encoded::from_global_fn(&ctx, 12, 3, |_, _| 7.0);
+            let e = back.restore(&mut other_nb, &mut tau2).expect_err("nb 2 into nb 3");
+            assert!(e.contains("nb"), "unexpected error: {e}");
+            assert!(other_nb.a.local().as_slice().iter().all(|&x| x == 7.0 || x == 0.0));
+            let mut other_n = Encoded::from_global_fn(&ctx, 14, 2, |_, _| 0.0);
+            assert!(back.restore(&mut other_n, &mut tau2).expect_err("N 12 into N 14").contains("N"));
+            let mut short = [0.0];
+            assert!(back.restore(&mut enc2, &mut short).expect_err("tau of 1").contains("tau"));
+            assert_eq!(short, [0.0]);
         });
     }
 
@@ -547,7 +575,7 @@ mod tests {
             assert_eq!(ckpt.panel(), CAPTURE_PANEL);
             let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(3), |_, _| 0.0);
             let mut tau = vec![0.0; tau_len];
-            ckpt.restore(&mut enc, &mut tau);
+            ckpt.restore(&mut enc, &mut tau).expect("same shape");
             // tau prefix: write-once per panel means the completed run's
             // prefix IS the capture-time prefix — bitwise.
             let written = (CAPTURE_PANEL + 1) * nb;
@@ -607,7 +635,7 @@ mod tests {
             let ck = ckpts.first().unwrap();
             let mut enc2 = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
             let mut tau2 = vec![0.0; n];
-            ck.restore(&mut enc2, &mut tau2);
+            ck.restore(&mut enc2, &mut tau2).expect("same shape");
             let ctl = DriverControl { start_panel: ck.panel() + 1, ..DriverControl::default() };
             ft_solve(&ctx, ft, &mut enc2, Variant::NonDelayed, &mut tau2, ctl).expect("resumed run");
             let resumed = enc2.gather_logical(&ctx, 652);

@@ -23,7 +23,7 @@
 //! all recovery algebra hold unchanged. Checksum storage starts at `n_pad`.
 
 use ft_dense::Matrix;
-use ft_pblas::{Desc, DistMatrix};
+use ft_pblas::{numroc, Desc, DistMatrix};
 use ft_runtime::{Ctx, Tag};
 
 const TAG_ENCODE: Tag = Tag::Checksum(0);
@@ -177,13 +177,26 @@ impl Encoded {
             "{redundancy:?} redundancy needs Q >= {} distinct process columns for its checksums (got Q = {q})",
             redundancy.min_q()
         );
-        let nblocks = n.div_ceil(nb);
-        let n_pad = nblocks * nb;
-        let groups = nblocks.div_ceil(q);
-        let ext = redundancy.ncopies() * groups * nb;
-        let desc = Desc { m: n_pad + ext, n: n_pad + ext, nb };
+        let (n_pad, groups, order) = Self::geometry(n, nb, q, redundancy);
+        let desc = Desc { m: order, n: order, nb };
         let a = DistMatrix::from_global_fn(ctx, desc, |i, j| if i < n && j < n { f(i, j) } else { 0.0 });
         Self { a, n, n_pad, nb, groups, q, redundancy }
+    }
+
+    /// `(n_pad, groups, order of the extended matrix)` of an `N = n`, `nb`
+    /// encoding over `q` process columns.
+    fn geometry(n: usize, nb: usize, q: usize, redundancy: Redundancy) -> (usize, usize, usize) {
+        let nblocks = n.div_ceil(nb);
+        let groups = nblocks.div_ceil(q);
+        (nblocks * nb, groups, nblocks * nb + redundancy.ncopies() * groups * nb)
+    }
+
+    /// Words in `rank`'s local buffer of an `N = n`, `nb` encoding on a
+    /// `p×q` grid — what a stored checkpoint of that rank must hold, known
+    /// without a fabric.
+    pub fn local_len(n: usize, nb: usize, redundancy: Redundancy, p: usize, q: usize, rank: usize) -> usize {
+        let (_, _, order) = Self::geometry(n, nb, q, redundancy);
+        numroc(order, nb, rank / q, p) * numroc(order, nb, rank % q, q)
     }
 
     /// The redundancy level of this encoding.
@@ -604,6 +617,8 @@ mod tests {
             assert_eq!(enc.groups(), 2);
             // Checksum storage starts at n_pad, not n.
             assert_eq!(enc.chk_col(0, 0, 0), 8);
+            let len = Encoded::local_len(7, 2, Redundancy::Single, 1, 2, ctx.rank());
+            assert_eq!(len, enc.a.local().as_slice().len(), "local_len without a fabric");
             // The last member block of group 1 is the ragged block (base 6):
             // present in the member list, zero-padded in storage.
             assert_eq!(enc.weighted_members(1, 0), vec![(4, 1.0), (6, 1.0)]);

@@ -36,6 +36,7 @@ use crate::scope::ScopeState;
 use crate::solver::FtSolver;
 use ft_runtime::{Ctx, Tag};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 // A12_RED/A12_CHK are offset by the recovered column index, so they get
 // disjoint channel ranges wide enough for any panel width.
@@ -140,7 +141,7 @@ pub fn recover(
     if me {
         enc.a.wipe_local();
         st.factors.clear();
-        st.snapshot_own.clear();
+        st.snapshot_own = Arc::from([]);
         st.snapshot_backups.clear();
         st.panel_backups.clear();
         st.my_panel_pieces.clear();

@@ -53,9 +53,10 @@ pub struct ChkProgress {
 
 /// Everything a process keeps while a panel scope is in flight.
 ///
-/// `Clone` exists for the chaos-mode boundary images: the driver snapshots
-/// the whole scope state at each committed fail-point boundary so an
-/// arbitrary-point failure can roll back to it.
+/// `Clone` exists for the boundary images: the driver keeps the scope state
+/// of each committed fail-point boundary so an arbitrary-point failure can
+/// roll back to it. What is immutable once built — the snapshots and each
+/// panel's factors — is shared, so that clone copies pointers, not data.
 #[derive(Clone)]
 pub struct ScopeState {
     /// Scope id = checksum group index.
@@ -70,13 +71,13 @@ pub struct ScopeState {
     pub local_cols: Vec<usize>,
     /// Snapshot of my local scope columns at scope entry
     /// (`lrn × local_cols.len()`, column-major).
-    pub snapshot_own: Vec<f64>,
+    pub snapshot_own: Arc<[f64]>,
     /// Left neighbors' snapshot pieces, index `d−1` ↔ the neighbor at
     /// distance `d` to my left (I am its backup holder).
-    pub snapshot_backups: Vec<Vec<f64>>,
+    pub snapshot_backups: Vec<Arc<[f64]>>,
     /// Factors of the panels factorized so far in this scope (replicated
     /// `V`/`T`/`tau`, row-local `Y`).
-    pub factors: Vec<PanelFactors>,
+    pub factors: Vec<Arc<PanelFactors>>,
     /// Panel-column copies received from left neighbors:
     /// `(distance, panel_index_in_scope, data)` — the received message
     /// itself, shared with the sender.
@@ -130,8 +131,8 @@ impl ScopeState {
             end_col: 0,
             holders,
             local_cols: Vec::new(),
-            snapshot_own: Vec::new(),
-            snapshot_backups: vec![Vec::new(); holders],
+            snapshot_own: Arc::from([]),
+            snapshot_backups: vec![Arc::from([]); holders],
             factors: Vec::new(),
             panel_backups: Vec::new(),
             my_panel_pieces: Vec::new(),
@@ -149,15 +150,15 @@ impl ScopeState {
         let lc0 = enc.a.local_cols_below(start_col);
         let lc1 = enc.a.local_cols_below(end_col);
         let local_cols: Vec<usize> = (lc0..lc1).collect();
-        let snapshot_own = copy_local_cols(enc, &local_cols);
+        let snapshot_own: Arc<[f64]> = copy_local_cols(enc, &local_cols).into();
 
         // Ring exchanges within the process row: send to +d, receive from −d.
         let mut snapshot_backups = Vec::with_capacity(holders);
         for d in 1..=holders {
             let right = ctx.grid().rank_of(ctx.myrow(), (ctx.mycol() + d) % q);
             let left = ctx.grid().rank_of(ctx.myrow(), (ctx.mycol() + q - d) % q);
-            ctx.send(right, TAG_SNAP.offset(d as u16), &snapshot_own);
-            snapshot_backups.push(ctx.recv(left, TAG_SNAP.offset(d as u16)));
+            ctx.send_arc(right, TAG_SNAP.offset(d as u16), Arc::clone(&snapshot_own));
+            snapshot_backups.push(ctx.recv_arc(left, TAG_SNAP.offset(d as u16)));
         }
 
         Self {
@@ -202,7 +203,7 @@ impl ScopeState {
                 }
             }
         }
-        self.factors.push(f);
+        self.factors.push(Arc::new(f));
     }
 
     /// Restore the scope columns in `[from_col, end_col)` from the local
@@ -262,7 +263,7 @@ impl ScopeState {
                 buf.push(self.chk.panels_done as f64);
                 buf.push(if self.chk.right_done_for_next { 1.0 } else { 0.0 });
                 ctx.send(v, TAG_RESTORE_FACTORS, &buf);
-                ctx.send(v, TAG_RESTORE_SNAP, &self.snapshot_backups[dist - 1]);
+                ctx.send_arc(v, TAG_RESTORE_SNAP, Arc::clone(&self.snapshot_backups[dist - 1]));
             }
             if ctx.rank() == v {
                 let buf = ctx.recv(helper, TAG_RESTORE_FACTORS);
@@ -271,8 +272,8 @@ impl ScopeState {
                     panels_done: buf[m - 2] as usize,
                     right_done_for_next: buf[m - 1] == 1.0,
                 };
-                self.factors = deserialize_factors(&buf[..m - 2]);
-                self.snapshot_own = ctx.recv(helper, TAG_RESTORE_SNAP);
+                self.factors = deserialize_factors(&buf[..m - 2]).into_iter().map(Arc::new).collect();
+                self.snapshot_own = ctx.recv_arc(helper, TAG_RESTORE_SNAP);
             }
 
             // (1b) Area-3 panel pieces: backups (at the matching distance)
@@ -321,7 +322,7 @@ impl ScopeState {
             for d in 1..=self.holders {
                 let left = ctx.grid().rank_of(pv, (qv + q - d) % q);
                 if ctx.rank() == left {
-                    ctx.send(v, TAG_REBUILD_BACKUPS, &self.snapshot_own);
+                    ctx.send_arc(v, TAG_REBUILD_BACKUPS, Arc::clone(&self.snapshot_own));
                     let mut header = vec![self.my_panel_pieces.len() as f64];
                     for (idx, piece) in &self.my_panel_pieces {
                         header.push(*idx as f64);
@@ -333,7 +334,7 @@ impl ScopeState {
                     }
                 }
                 if ctx.rank() == v {
-                    self.snapshot_backups.push(ctx.recv(left, TAG_REBUILD_BACKUPS));
+                    self.snapshot_backups.push(ctx.recv_arc(left, TAG_REBUILD_BACKUPS));
                     let header = ctx.recv(left, TAG_REBUILD_BACKUPS);
                     let cnt = header[0] as usize;
                     for e in 0..cnt {
@@ -351,7 +352,7 @@ impl ScopeState {
 /// Flatten a factor list into one `f64` buffer (victim restoration). Each
 /// factor carries a 5-word header `[k, w, n, y_rows, v_row_offset]` so the
 /// receiver can rebuild the solver-specific reflector geometry.
-pub fn serialize_factors(fs: &[PanelFactors]) -> Vec<f64> {
+pub fn serialize_factors(fs: &[Arc<PanelFactors>]) -> Vec<f64> {
     let mut out = vec![fs.len() as f64];
     for f in fs {
         out.push(f.k as f64);
@@ -425,7 +426,7 @@ mod tests {
             vfull: Matrix::from_fn(5, 2, |i, j| (20 * i + j) as f64),
             y_loc: Matrix::zeros(0, 2),
         };
-        let buf = serialize_factors(&[f.clone(), g.clone(), f.clone()]);
+        let buf = serialize_factors(&[f.clone(), g.clone(), f.clone()].map(Arc::new));
         let back = deserialize_factors(&buf);
         assert_eq!(back.len(), 3);
         assert_eq!(back[2].k, 4);

@@ -18,6 +18,7 @@
 
 use crate::job::{Assignment, JobResult, JobSpec, RejectReason, ASSIGN_RUN, ASSIGN_STOP, REQ_JOB, REQ_SHUTDOWN};
 use crate::scheduler::{Admission, Dispatch, Limits, Scheduler};
+use ft_hess::{Encoded, FtCheckpoint};
 use ft_runtime::{jobs, JobFrame};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write as _};
@@ -115,9 +116,12 @@ struct JobState {
     /// In-flight checkpoint assembly: panel → (rank → serialized state).
     stage: HashMap<usize, HashMap<usize, Vec<u8>>>,
     /// Newest complete panel set (the restart point).
-    latest: Option<(usize, Vec<Vec<u8>>)>,
+    latest: Option<CkptSet>,
     t_submit: Instant,
 }
+
+/// A complete checkpoint set: its panel and one serialized blob per rank.
+type CkptSet = (usize, Vec<Vec<u8>>);
 
 struct Daemon {
     cfg: ServeConfig,
@@ -754,7 +758,10 @@ impl Daemon {
                 eprintln!("serve: dropping unreadable persisted spec for job {job}");
                 continue;
             };
-            let resume = load_ckpt(&dir, job, spec.ranks());
+            let resume = load_ckpt(&dir, job, &spec).unwrap_or_else(|e| {
+                eprintln!("serve: job {job}: persisted checkpoint unusable ({e}); running it from the start");
+                None
+            });
             match self.sched.submit(tenant, spec.ranks(), Some(job)) {
                 Admission::Accept(id) => {
                     debug_assert_eq!(id, job);
@@ -876,23 +883,47 @@ fn load_spec(dir: &Path, job: u64) -> Option<(u32, JobSpec)> {
     JobSpec::from_words(&words).ok().map(|s| (tenant, s))
 }
 
-fn load_ckpt(dir: &Path, job: u64, world: usize) -> Option<(usize, Vec<Vec<u8>>)> {
-    let bytes = std::fs::read(dir.join(format!("job-{job}.ckpt"))).ok()?;
-    if bytes.len() < 16 {
-        return None;
-    }
-    let panel = u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize;
-    let nblobs = u64::from_le_bytes(bytes[8..16].try_into().ok()?) as usize;
+/// The persisted checkpoint set of `job`: `Ok(None)` when there is none,
+/// `Err` when the file is damaged or does not fit `spec` — every blob is
+/// decoded and checked against its rank's geometry and the file's panel
+/// here, so a worker is never handed one it cannot restore.
+fn load_ckpt(dir: &Path, job: u64, spec: &JobSpec) -> Result<Option<CkptSet>, String> {
+    let Ok(bytes) = std::fs::read(dir.join(format!("job-{job}.ckpt"))) else {
+        return Ok(None);
+    };
+    let word = |off: usize| -> Result<usize, String> {
+        let end = off
+            .checked_add(8)
+            .filter(|&e| e <= bytes.len())
+            .ok_or(format!("truncated at byte {off}"))?;
+        Ok(u64::from_le_bytes(bytes[off..end].try_into().expect("8 bytes")) as usize)
+    };
+    let (panel, nblobs, world) = (word(0)?, word(8)?, spec.ranks());
     if nblobs != world {
-        return None;
+        return Err(format!("{nblobs} blobs for {world} ranks"));
     }
+    let tau_len = spec.solver.ft().tau_len(spec.n).max(1);
     let mut off = 16;
-    let mut blobs = Vec::with_capacity(nblobs);
-    for _ in 0..nblobs {
-        let len = u64::from_le_bytes(bytes.get(off..off + 8)?.try_into().ok()?) as usize;
-        off += 8;
-        blobs.push(bytes.get(off..off + len)?.to_vec());
-        off += len;
+    let mut blobs = Vec::with_capacity(world);
+    for rank in 0..world {
+        let len = word(off)?;
+        let blob = off
+            .checked_add(8)
+            .and_then(|start| Some(start..start.checked_add(len)?))
+            .and_then(|r| bytes.get(r))
+            .ok_or(format!("rank {rank}'s blob of {len} bytes overruns the file"))?;
+        let ck = FtCheckpoint::from_bytes(blob).map_err(|e| format!("rank {rank}: {e}"))?;
+        let local = Encoded::local_len(spec.n, spec.nb, spec.redundancy, spec.p, spec.q, rank);
+        ck.fits(spec.n, spec.nb, local, tau_len)
+            .map_err(|e| format!("rank {rank}: {e}"))?;
+        if ck.panel() != panel {
+            return Err(format!("rank {rank}'s blob is at panel {}, the set at {panel}", ck.panel()));
+        }
+        blobs.push(blob.to_vec());
+        off += 8 + len;
     }
-    (off == bytes.len()).then_some((panel, blobs))
+    if off != bytes.len() {
+        return Err(format!("{} bytes past the last blob", bytes.len() - off));
+    }
+    Ok(Some((panel, blobs)))
 }

@@ -77,9 +77,15 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
         let mut tau = vec![0.0; solver.tau_len(n).max(1)];
         let mut start_panel = 0;
         if !resume.is_empty() {
-            let ck = FtCheckpoint::from_bytes(&resume).expect("daemon shipped a corrupt resume checkpoint");
-            ck.restore(&mut enc, &mut tau);
-            start_panel = ck.panel() + 1;
+            let restored = FtCheckpoint::from_bytes(&resume).and_then(|ck| ck.restore(&mut enc, &mut tau).map(|()| ck.panel()));
+            match restored {
+                Ok(panel) => start_panel = panel + 1,
+                Err(e) => {
+                    eprintln!("worker: job {job} rank {job_rank}: resume checkpoint unusable: {e}");
+                    reject(writer, tenant, job, job_rank, RejectReason::BadRequest);
+                    return;
+                }
+            }
         }
         // Scope-boundary checkpoint sink: every rank streams its local
         // snapshot to the daemon, which assembles complete per-panel sets

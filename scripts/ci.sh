@@ -253,12 +253,18 @@ NET_CHAOS_SEEDS=${NET_CHAOS_SEEDS:-"1 2 3 5 8 13 21 34"}
 BOTH="hessenberg qr"
 INPROC="$BIN --n 96 --nb 8 --verify"
 CUT3="part=3-0@0,part=3-1@0,part=3-2@0,part=0-3@0,part=1-3@0,part=2-3@0"
+# QR sends fewer messages than Hessenberg: a fault-free QR rank at the kill
+# row's shape counts 216 ops on the chaos clock (`Ctx::chaos_ops`; Hessenberg
+# 784), while seeded kills draw from the CLI's window [50, 416). Seeds 1 2 3
+# draw ops 259-336 and never fire; QR's row uses seeds 5 8 11 14, which draw
+# ops 114-197 (victims 0, 1, 1, 2).
 fault_soaks() {
     cat <<EOF
 chaos;$BOTH;$CHAOS_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x3;{s}:kill=3
 sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip=1
 sdc;$BOTH;$SDC_SEEDS;alg2 alg3;0|3;$INPROC --grid 2x4 --redundancy dual;{s}:flip=2
 kill;hessenberg;$KILL_SEEDS;alg2 alg3;0|3;$DIST --verify;{s}:kill=1
+kill;qr;5 8 11 14;alg2 alg3;0|3;$DIST --verify;{s}:kill=1
 nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:drop=0.05,dup=0.05,reorder=0.05
 nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:corrupt=0.03
 nc;$BOTH;$NET_CHAOS_SEEDS;alg2;0;$DIST --verify;{s}:part=1-2@0+500,part=2-1@0+500
@@ -293,8 +299,9 @@ while IFS=';' read -r family solvers seeds variants want cmd spec; do
         done
     done
 done < <(fault_soaks)
-for family in chaos sdc combo combo-recovered; do need_runs "$family" "$BOTH"; done
-need_runs kill hessenberg
+for family in chaos sdc kill combo combo-recovered; do need_runs "$family" "$BOTH"; done
+# Every kill leg's SIGKILL lands: each solver's distributed rollback runs.
+for s in $BOTH; do need_runs kill-recovered "$s" "${runs[kill.$s]}"; done
 need_runs nc "$BOTH" 25
 # Bitwise determinism spot-check: the hardened transport's reference
 # acceptance — a chaos run's eigenvalues must match the fault-free run's

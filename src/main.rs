@@ -520,6 +520,8 @@ struct RankOutcome {
     /// `(recoveries, chaos aborts)` of an ABFT run, `(rollbacks, lost panel
     /// iterations)` of a C/R run.
     events: (usize, usize),
+    /// `(commit seconds, image words)` of an ABFT run (`FtReport`).
+    commit: (f64, usize),
     residual: Option<f64>,
     scrub: Option<ScrubReport>,
     traffic: TrafficLedger,
@@ -550,6 +552,7 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
     let t = Instant::now();
     let mut tau = vec![0.0; solver.tau_len(n).max(1)];
     let mut scrub = None;
+    let mut commit = (0.0, 0);
     let (a, events) = match mode.variant() {
         Some(variant) => {
             let mut enc = Encoded::with_redundancy(ctx, n, nb, redundancy, entry);
@@ -563,6 +566,7 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
             let rep = ft_solve(ctx, solver, &mut enc, variant, &mut tau, ctl)?;
             // Aggregate the per-rank scrub statistics (collective).
             scrub = policy.active().then(|| rep.scrub.gathered(ctx, 622));
+            commit = (rep.commit_secs, rep.image_words);
             (enc.a, (rep.recoveries, rep.chaos_aborts))
         }
         None => {
@@ -609,7 +613,17 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
         }
     });
     let h = o.print_eigs.then(|| pd_extract_h(ctx, &a, n).gather_root(ctx, 626)).flatten();
-    Ok(RankOutcome { secs, events, residual, scrub, traffic, wire, shrink, h })
+    Ok(RankOutcome {
+        secs,
+        events,
+        commit,
+        residual,
+        scrub,
+        traffic,
+        wire,
+        shrink,
+        h,
+    })
 }
 
 /// Rank 0's report. Returns the exit code: 0, 1 if `--verify` failed, 3 if
@@ -626,6 +640,9 @@ fn print_summary(o: &Opts, out: &RankOutcome) -> i32 {
         // in-process, or any run over a real transport.
         _ if !o.faults.kills().is_empty() || o.distributed => println!("recoveries: {events}, chaos aborts: {lost}"),
         _ => println!("recoveries: {events}"),
+    }
+    if let (secs, words @ 1..) = out.commit {
+        println!("commit (rank 0): {secs:.4} s in barriers and image captures, {words} words copied into images");
     }
     if let Some(s) = &out.scrub {
         print_scrub_summary(s);

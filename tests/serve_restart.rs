@@ -108,3 +108,88 @@ fn pool_restart_resumes_bitwise_identical() {
 
     let _ = std::fs::remove_dir_all(&state);
 }
+
+/// A restarted daemon must not trust its state dir: a checkpoint set whose
+/// blob has one flipped header byte (it decodes, but as a different `N`),
+/// and one whose blob length word is `u64::MAX` (an overflow in the reader
+/// before the fix), are each dropped at load. Both jobs run again from the
+/// start, finish with a residual under the paper's threshold and with the
+/// same bits — and no process of the pool panics.
+#[test]
+fn damaged_checkpoint_sets_restart_from_scratch() {
+    use abft_hessenberg::hess::{Encoded, FtCheckpoint};
+    use abft_hessenberg::runtime::{run_spmd, FaultScript};
+
+    let job_spec = spec(SolverId::Hessenberg, 64, 8, 2, 79, true);
+    let state = std::env::temp_dir().join(format!("ft-serve-damaged-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    std::fs::create_dir_all(&state).expect("state dir");
+
+    // Well-formed per-rank blobs of this spec at a scope close (panel 1).
+    let blobs = run_spmd(1, 2, FaultScript::none(), |ctx| {
+        let mut enc = Encoded::from_global_fn(&ctx, 64, 8, |i, j| job_spec.matrix[i * 64 + j]);
+        enc.compute_initial_checksums(&ctx);
+        FtCheckpoint::capture(&enc, &[], 1).to_bytes()
+    });
+    let set = |blobs: &[Vec<u8>], lens: &[u64]| {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&(blobs.len() as u64).to_le_bytes());
+        for (b, len) in blobs.iter().zip(lens) {
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(b);
+        }
+        buf
+    };
+    let lens: Vec<u64> = blobs.iter().map(|b| b.len() as u64).collect();
+    let mut flipped = blobs.clone();
+    flipped[1][8] ^= 1; // the low byte of the `N` word: 64 reads as 65
+    let files = [set(&flipped, &lens), set(&blobs, &[u64::MAX, lens[1]])];
+    let words = job_spec.to_words();
+    for (job, ckpt) in [1u64, 2].into_iter().zip(files) {
+        let mut spec_file = Vec::new();
+        spec_file.extend_from_slice(&0u64.to_le_bytes());
+        spec_file.extend_from_slice(&(words.len() as u64).to_le_bytes());
+        for w in &words {
+            spec_file.extend_from_slice(&w.to_bits().to_le_bytes());
+        }
+        std::fs::write(state.join(format!("job-{job}.spec")), spec_file).expect("write spec");
+        std::fs::write(state.join(format!("job-{job}.ckpt")), ckpt).expect("write checkpoint");
+    }
+
+    let d = Daemon::spawn(
+        2,
+        &[
+            "--job-ports",
+            "27000",
+            "--state-dir",
+            state.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    let mut results = Vec::new();
+    for job in [1, 2] {
+        d.wait_marker(&format!("FT_SERVE_RESULT job={job} status=ok"));
+        let path = state.join(format!("result-{job}.bin"));
+        let deadline = Instant::now() + serve_util::WALL_LIMIT;
+        while !path.exists() {
+            assert!(Instant::now() < deadline, "job {job}: orphan result never persisted:\n{}", d.dump());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let r = load_result(&path).expect("parse persisted result");
+        assert!(r.residual < 3.0, "job {job}: residual {}", r.residual);
+        results.push(r);
+    }
+    assert!(!d.dump().contains("FT_SERVE_RESUME"), "a damaged set was resumed from:\n{}", d.dump());
+    let errs = d.stderr();
+    assert!(!errs.contains("panicked"), "a pool process panicked:\n{errs}");
+    for job in [1, 2] {
+        assert!(
+            errs.contains(&format!("job {job}: persisted checkpoint unusable")),
+            "job {job}'s set was not refused:\n{errs}"
+        );
+    }
+    d.shutdown();
+    let bits = |r: &abft_hessenberg::serve::JobResult| r.factor.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&results[0]), bits(&results[1]), "two fresh runs of one spec differ");
+    let _ = std::fs::remove_dir_all(&state);
+}

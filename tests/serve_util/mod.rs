@@ -19,11 +19,13 @@ pub const BIN: &str = env!("CARGO_BIN_EXE_abft-hessenberg");
 /// guards exist to prevent.
 pub const WALL_LIMIT: Duration = Duration::from_secs(120);
 
-/// A daemon subprocess with its stdout markers captured live.
+/// A daemon subprocess with its stdout markers captured live, and the pool's
+/// stderr (daemon and workers) captured and passed through.
 pub struct Daemon {
     child: Child,
     pub port: u16,
     lines: Arc<Mutex<Vec<String>>>,
+    errs: Arc<Mutex<Vec<String>>>,
 }
 
 impl Daemon {
@@ -35,7 +37,7 @@ impl Daemon {
             .args(["--pool", &pool.to_string(), "--port", "0"])
             .args(args)
             .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("spawn daemon");
         let stdout = child.stdout.take().expect("piped stdout");
@@ -46,7 +48,16 @@ impl Daemon {
                 sink.lock().expect("marker sink").push(line);
             }
         });
-        let mut d = Daemon { child, port: 0, lines };
+        let stderr = child.stderr.take().expect("piped stderr");
+        let errs = Arc::new(Mutex::new(Vec::new()));
+        let sink = errs.clone();
+        std::thread::spawn(move || {
+            for line in std::io::BufReader::new(stderr).lines().map_while(Result::ok) {
+                eprintln!("{line}");
+                sink.lock().expect("stderr sink").push(line);
+            }
+        });
+        let mut d = Daemon { child, port: 0, lines, errs };
         let listen = d.wait_marker("FT_SERVE_LISTEN ");
         d.port = field(&listen, "port=").parse().expect("listen port");
         for slot in 0..pool {
@@ -69,6 +80,11 @@ impl Daemon {
 
     pub fn dump(&self) -> String {
         self.lines.lock().expect("marker sink").join("\n")
+    }
+
+    /// Everything the pool wrote to stderr so far.
+    pub fn stderr(&self) -> String {
+        self.errs.lock().expect("stderr sink").join("\n")
     }
 
     /// Drain the pool and require a clean exit.
