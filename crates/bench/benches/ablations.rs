@@ -1,167 +1,153 @@
-//! Ablation benches beyond the paper's figures (DESIGN.md §4):
+//! Ablations beyond the paper's figures (DESIGN.md §4), every wall a series
+//! over solves: the repo benchmark's legs (`e2e::run`, `run_leg`) or the
+//! drivers' own timers (`FtReport`, `CrReport`).
 //!
-//! 1. blocking-factor (NB) sweep — the paper fixes NB = 80;
-//! 2. grid-shape sweep at constant process count — the §6 model says the
-//!    flop overhead scales with 1/Q (the *column* count), not 1/(PQ);
-//! 3. Algorithm 2 vs Algorithm 3 head-to-head;
-//! 4. recovery-cost breakdown by failure time and phase;
+//! 1. nb ∈ {16, 32, 48, 64} at `hess_dense`'s shape (1×2, N = 1024, mpsc;
+//!    nb = 48 leaves N ragged, which the encoder pads);
+//! 2. grid shape at 16 ranks: the §6 model puts the overhead at 1/Q;
+//! 3. Algorithm 2 vs 3 is `vs_alg2` in `BENCH_fig7.json` (the `paper` bench);
+//! 4. recovery cost by failure time and phase;
 //! 5. ABFT vs the §2 Checkpoint/Restart baseline under Poisson failures;
-//! 6. checksum redundancy levels (paper scheme vs the §8 future-work
-//!    weighted extension).
+//! 6. redundancy levels, fault-free: `Single` against `Coded(2)`;
+//! 7. blocked vs non-blocked reduction (§3.3/§3.4).
+//!
+//! Writes `BENCH_ablations.json` at the repo root; `FT_BENCH_SMOKE=1` runs
+//! two solves a cell and writes under `target/`.
 
-use ft_bench::*;
-use ft_dense::gen::uniform_entry;
-use ft_hess::{cr_pdgehrd, failpoint, ft_pdgehrd, Encoded, Phase, Redundancy, Variant};
+mod common;
+
+use common::{hess, section, series};
+use ft_benchsuite::e2e::RunCfg;
+use ft_benchsuite::json::Value;
+use ft_benchsuite::samples::Samples;
+use ft_benchsuite::spmd::{run_leg, Leg, LegOpts, Shape};
+use ft_dense::{counters, gen::uniform_entry};
+use ft_hess::{cr_pdgehrd, failpoint, ft_pdgehrd, Encoded, FtReport, Phase, Redundancy, Variant};
 use ft_pblas::{Desc, DistMatrix};
-use ft_runtime::{poisson_failures, run_spmd, FaultScript, PlannedFailure};
-use std::time::Instant;
+use ft_runtime::{poisson_failures, run_spmd, Ctx, FaultScript, PlannedFailure};
+
+const SEED: u64 = 1;
+/// Measuring seconds of each `e2e::run`, and solves per driver-timed cell.
+const SECONDS: f64 = 10.0;
+const REPS: usize = 5;
+/// Sections 4–6 run at this shape.
+const GRID16: Shape = hess(4, 4, 768, 16);
+
+/// `e2e::run` on `shape`: plain and ft solve seconds and the paired overhead.
+fn e2e_row(shape: Shape, cfg: &RunCfg) -> Value {
+    let report = common::e2e(shape, cfg);
+    report.print();
+    assert!(report.correct(), "{}x{} nb={}: {:?}", shape.p, shape.q, shape.nb, report.problems);
+    let metric = |name| report.metrics.iter().find(|m| m.name == name).and_then(|m| m.series.as_ref());
+    let legs = ["plain_solve_s", "ft_solve_s", "ft_overhead"].map(|name| (name, series(metric(name).expect("a timed leg"))));
+    let shape = Value::str(format!("{}x{} nb={}", shape.p, shape.q, shape.nb));
+    Value::obj([("shape", shape)].into_iter().chain(legs))
+}
+
+/// Rank 0's result of `reps` solves of `body` at `GRID16` under `script`,
+/// and the flops of the last.
+fn grid16<T: Send>(reps: usize, script: &FaultScript, body: impl Fn(&Ctx) -> T + Sync) -> (Vec<T>, u64) {
+    let solve = || {
+        counters::reset_flops();
+        run_spmd(GRID16.p, GRID16.q, script.clone(), |ctx| body(&ctx)).swap_remove(0)
+    };
+    ((0..reps).map(|_| solve()).collect(), counters::flops())
+}
+
+/// One Algorithm-2 solve at `GRID16` with `redundancy`.
+fn ft(redundancy: Redundancy) -> impl Fn(&Ctx) -> FtReport + Sync {
+    move |ctx| {
+        let n = GRID16.n;
+        let mut enc = Encoded::with_redundancy(ctx, n, GRID16.nb, redundancy, |i, j| uniform_entry(SEED, i, j));
+        ft_pdgehrd(ctx, &mut enc, Variant::NonDelayed, &mut vec![0.0; n - 1]).expect("within the fault model")
+    }
+}
+
+/// The series of one timer over a cell's solves.
+fn secs<T>(runs: &[T], timer: impl Fn(&T) -> f64) -> Value {
+    series(&Samples::new(runs.iter().map(timer).collect()))
+}
 
 fn main() {
-    let r = reps();
+    let smoke = common::smoke();
+    let reps = if smoke { 2 } else { REPS };
+    let cfg = RunCfg { seed: SEED, seconds: SECONDS, smoke, daemon: None };
+    let nb_sweep = [16, 32, 48, 64].map(|nb| e2e_row(hess(1, 2, 1024, nb), &cfg));
+    let grid_shape = [(8, 2), (4, 4), (2, 8)].map(|(p, q)| e2e_row(hess(p, q, 768, 16), &cfg));
 
-    println!("# Ablation 1: blocking factor sweep (fixed N, grid 4x4)");
-    println!("{:>4}  {:>9} {:>9} {:>9}", "nb", "plain s", "FT s", "penalty %");
-    for nb in [8usize, 16, 32] {
-        let n = 768usize.div_ceil(nb) * nb;
-        let cfg = Config { p: 4, q: 4, n, nb };
-        let tp = best_of(r, |i| time_plain(cfg, 10 + i as u64).0);
-        let tf = best_of(r, |i| time_ft(cfg, 10 + i as u64, Variant::NonDelayed, None).0);
-        println!("{:>4}  {:>9.3} {:>9.3} {:>9.2}", nb, tp, tf, (tf - tp) / tp * 100.0);
-    }
-
-    println!("\n# Ablation 2: grid shape at constant 16 processes (overhead ~ 1/Q)");
-    println!("{:>6}  {:>9} {:>9} {:>9}", "grid", "plain s", "FT s", "penalty %");
-    for (p, q) in [(8usize, 2usize), (4, 4), (2, 8)] {
-        let cfg = Config { p, q, n: 768, nb: 16 };
-        let tp = best_of(r, |i| time_plain(cfg, 20 + i as u64).0);
-        let tf = best_of(r, |i| time_ft(cfg, 20 + i as u64, Variant::NonDelayed, None).0);
-        println!("{:>6}  {:>9.3} {:>9.3} {:>9.2}", cfg.grid_label(), tp, tf, (tf - tp) / tp * 100.0);
-    }
-
-    println!("\n# Ablation 3: Algorithm 2 (fused) vs Algorithm 3 (delayed)");
-    println!("{:>6} {:>7}  {:>9} {:>9} {:>9}", "grid", "N", "Alg2 s", "Alg3 s", "A3/A2");
-    for cfg in paper_sweep() {
-        let t2 = best_of(r, |i| time_ft(cfg, 30 + i as u64, Variant::NonDelayed, None).0);
-        let t3 = best_of(r, |i| time_ft(cfg, 30 + i as u64, Variant::Delayed, None).0);
-        println!("{:>6} {:>7}  {:>9.3} {:>9.3} {:>9.3}", cfg.grid_label(), cfg.n, t2, t3, t3 / t2);
-    }
-
-    println!("\n# Ablation 7: blocked vs non-blocked reduction (paper §3.3/§3.4, grid 2x2)");
-    blocked_vs_unblocked();
-
-    println!("\n# Ablation 5: ABFT vs Checkpoint/Restart under Poisson failures (4x4, N=768)");
-    abft_vs_cr();
-
-    println!("\n# Ablation 6: redundancy levels, fault-free overhead (4x4, N=768)");
-    redundancy_levels();
-
-    println!("\n# Ablation 4: recovery cost vs failure time and phase (grid 4x4)");
-    let cfg = Config { p: 4, q: 4, n: 768, nb: 16 };
-    let panels = panel_count(cfg.n, cfg.nb);
-    println!("{:>8} {:>18}  {:>9} {:>12}", "panel", "phase", "total s", "recovery s");
-    for (label, panel) in [("early", 1), ("middle", panels / 2), ("late", panels - 2)] {
+    let (Shape { n, nb, .. }, panels) = (GRID16, GRID16.panels());
+    let mut recovery_cost = Vec::new();
+    for (when, panel) in [("early", 1), ("middle", panels / 2), ("late", panels - 2)] {
         for phase in [Phase::AfterPanel, Phase::AfterRightUpdate, Phase::AfterLeftUpdate] {
-            let (t, _, rep) = time_ft(cfg, 40, Variant::NonDelayed, Some((panel, phase, 5)));
-            assert_eq!(rep.recoveries, 1);
-            println!("{:>8} {:>18}  {:>9.3} {:>12.4}", label, format!("{phase:?}"), t, rep.recovery_secs);
+            let (runs, _) = grid16(reps, &FaultScript::one(5, failpoint(panel, phase)), ft(Redundancy::Single));
+            assert!(runs.iter().all(|r| r.recoveries == 1), "{when} {phase:?}");
+            recovery_cost.push(Value::obj([
+                ("when", Value::str(format!("{when}: panel {panel}, {phase:?}"))),
+                ("total_s", secs(&runs, |r| r.total_secs)),
+                ("recovery_s", secs(&runs, |r| r.recovery_secs)),
+            ]));
         }
     }
-}
 
-/// Ablation 5: the paper's §2 argument quantified. Same Poisson failure
-/// schedules drive the ABFT reduction and the diskless C/R baseline; the
-/// C/R run pays full-matrix checkpoints plus lost work per rollback.
-fn abft_vs_cr() {
-    let cfg = Config { p: 4, q: 4, n: 768, nb: 16 };
-    let panels = panel_count(cfg.n, cfg.nb);
-    let interval = 8; // C/R checkpoint every 8 panels
-    println!(
-        "{:>9}  {:>9} {:>9}  {:>9} {:>9} {:>10}",
-        "failures", "ABFT s", "recov", "C/R s", "rollbk", "lost panels"
-    );
-    for expected in [0usize, 1, 3, 6] {
-        let schedule: Vec<PlannedFailure> = if expected == 0 {
-            vec![]
-        } else {
-            poisson_failures(panels as u64, panels as f64 / expected as f64, cfg.procs(), 99 + expected as u64)
-                .into_iter()
-                .map(|f| PlannedFailure {
-                    victim: f.victim,
-                    point: failpoint(f.point as usize, Phase::AfterLeftUpdate),
-                })
-                .collect()
+    // The same Poisson schedules drive both; C/R checkpoints every 8 panels.
+    let abft_vs_cr = [0usize, 1, 3, 6].map(|expected| {
+        let mtti = panels as f64 / expected as f64;
+        let failures = (expected > 0).then(|| poisson_failures(panels as u64, mtti, GRID16.ranks(), 99 + expected as u64));
+        let at_left_update = |f: PlannedFailure| PlannedFailure {
+            point: failpoint(f.point as usize, Phase::AfterLeftUpdate),
+            ..f
         };
-        let nfail = schedule.len();
-
-        let (n, nb, p, q) = (cfg.n, cfg.nb, cfg.p, cfg.q);
-        let sched2 = schedule.clone();
-        let t = Instant::now();
-        let recov = run_spmd(p, q, FaultScript::new(schedule), move |ctx| {
-            let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(5, i, j));
-            let mut tau = vec![0.0; n - 1];
-            ft_pdgehrd(&ctx, &mut enc, Variant::NonDelayed, &mut tau)
-                .expect("within the fault model")
-                .recoveries
-        })[0];
-        let t_abft = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let (rollbacks, lost) = run_spmd(p, q, FaultScript::new(sched2), move |ctx| {
-            let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(5, i, j));
-            let mut tau = vec![0.0; n - 1];
-            let rep = cr_pdgehrd(&ctx, &mut a, interval, &mut tau);
-            (rep.rollbacks, rep.lost_panels)
-        })[0];
-        let t_cr = t.elapsed().as_secs_f64();
-
-        println!("{:>9}  {:>9.3} {:>9} {:>9.3} {:>9} {:>10}", nfail, t_abft, recov, t_cr, rollbacks, lost);
-    }
-}
-
-/// Ablation 6: fault-free cost of the redundancy levels. `Coded(2)` doubles the
-/// checksum columns (4 weighted vs 2 duplicated), roughly doubling the
-/// checksum-update flops, in exchange for tolerating two failures per
-/// process row.
-fn redundancy_levels() {
-    let cfg = Config { p: 4, q: 4, n: 768, nb: 16 };
-    let (n, nb, p, q) = (cfg.n, cfg.nb, cfg.p, cfg.q);
-    let (t_plain, f_plain) = time_plain(cfg, 6);
-    println!("{:>8}  {:>9} {:>11} {:>11}", "scheme", "time s", "wall pen %", "flop pen %");
-    println!("{:>8}  {:>9.3} {:>11} {:>11}", "none", t_plain, "-", "-");
-    for (label, red) in [("single", Redundancy::Single), ("coded2", Redundancy::Coded(2))] {
-        ft_dense::counters::reset_flops();
-        let t = Instant::now();
-        run_spmd(p, q, FaultScript::none(), move |ctx| {
-            let mut enc = Encoded::with_redundancy(&ctx, n, nb, red, |i, j| uniform_entry(6, i, j));
-            let mut tau = vec![0.0; n - 1];
-            ft_pdgehrd(&ctx, &mut enc, Variant::NonDelayed, &mut tau).expect("within the fault model");
+        let script = FaultScript::new(failures.unwrap_or_default().into_iter().map(at_left_update).collect());
+        let (abft, _) = grid16(reps, &script, ft(Redundancy::Single));
+        let (cr, _) = grid16(reps, &script, |ctx| {
+            let mut a = DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(SEED, i, j));
+            cr_pdgehrd(ctx, &mut a, 8, &mut vec![0.0; n - 1])
         });
-        let secs = t.elapsed().as_secs_f64();
-        let flops = ft_dense::counters::flops();
-        println!(
-            "{:>8}  {:>9.3} {:>11.2} {:>11.2}",
-            label,
-            secs,
-            (secs - t_plain) / t_plain * 100.0,
-            (flops as f64 - f_plain as f64) / f_plain as f64 * 100.0
-        );
-    }
-}
+        let count = |c: usize| Value::Num(c as f64);
+        Value::obj([
+            ("expected", count(expected)),
+            ("failures", count(script.failures().len())),
+            ("abft_total_s", secs(&abft, |r| r.total_secs)),
+            ("abft_recoveries", count(abft[0].recoveries)),
+            ("cr_total_s", secs(&cr, |r| r.total_secs)),
+            ("cr_rollbacks", count(cr[0].rollbacks)),
+            ("cr_lost_panels", count(cr[0].lost_panels)),
+        ])
+    });
 
-/// Ablation 7: the paper's §3.3 point — the non-blocked reduction is all
-/// Level-2 BLAS and per-column communication; blocking (§3.4) batches both.
-/// nb = 1 *is* the non-blocked algorithm under this code base (every panel
-/// is one column).
-fn blocked_vs_unblocked() {
-    let n = 256;
-    println!("{:>4}  {:>9} {:>11}", "nb", "plain s", "vs nb=16");
-    let base = {
-        let cfg = Config { p: 2, q: 2, n, nb: 16 };
-        time_plain(cfg, 8).0
-    };
-    for nb in [1usize, 4, 16, 32] {
-        let cfg = Config { p: 2, q: 2, n, nb };
-        let t = time_plain(cfg, 8).0;
-        println!("{:>4}  {:>9.3} {:>10.2}x", nb, t, t / base);
-    }
+    let plain_flops = run_leg(&GRID16, Leg::Plain, SEED, LegOpts::TIMED).flops as f64;
+    let redundancy = [("single", Redundancy::Single), ("coded2", Redundancy::Coded(2))].map(|(name, red)| {
+        let (runs, flops) = grid16(reps, &FaultScript::none(), ft(red));
+        let penalty = Value::Num((flops as f64 / plain_flops - 1.0) * 100.0);
+        Value::obj([
+            ("scheme", Value::str(name)),
+            ("total_s", secs(&runs, |r| r.total_secs)),
+            ("flop_penalty_pct", penalty),
+        ])
+    });
+
+    let blocked = [1, 4, 16, 32].map(|nb| {
+        let runs: Vec<_> = (0..reps)
+            .map(|_| run_leg(&hess(2, 2, 256, nb), Leg::Plain, SEED, LegOpts::TIMED))
+            .collect();
+        Value::obj([("nb", Value::Num(nb as f64)), ("plain_solve_s", secs(&runs, |r| r.solve_s))])
+    });
+
+    let doc = Value::obj([
+        ("bench", Value::str("ablations")),
+        ("machine", ft_benchsuite::layers::machine_json()),
+        ("seed", Value::Num(SEED as f64)),
+        ("e2e_seconds", Value::Num(SECONDS)),
+        ("solves_per_cell", Value::Num(reps as f64)),
+        ("smoke", Value::Bool(smoke)),
+        ("walls", Value::str("e2e rows corrected to the speed probe's reference speed; others as measured")),
+        ("nb_sweep", section("1: blocking factor, 1x2 N = 1024 (hess_dense)", nb_sweep.to_vec())),
+        ("grid_shape", section("2: grid shape at 16 ranks, N = 768", grid_shape.to_vec())),
+        ("alg2_vs_alg3", Value::str("vs_alg2 in BENCH_fig7.json")),
+        ("recovery_cost", section("4: recovery cost, 4x4 N = 768, victim rank 5", recovery_cost)),
+        ("abft_vs_cr", section("5: ABFT vs Checkpoint/Restart, 4x4 N = 768", abft_vs_cr.to_vec())),
+        ("redundancy", section("6: redundancy levels, fault-free, 4x4 N = 768", redundancy.to_vec())),
+        ("blocked", section("7: blocked vs non-blocked plain reduction, 2x2 N = 256", blocked.to_vec())),
+    ]);
+    common::write_artifact("BENCH_ablations.json", &doc, smoke);
 }

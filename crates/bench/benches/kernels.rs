@@ -26,10 +26,12 @@
 //!   (`gemv_n_by_column`), timed in the same run: a sweep that falls back
 //!   to loading and storing `y` per column reads 1.0×.
 //!
-//! `FT_KERNELS_SMOKE=1` trims repetitions and drops the non-GEMM extras for
-//! the CI smoke run. `FT_BENCH_REPS` controls repetitions (default 3 here).
+//! `FT_BENCH_SMOKE=1` trims repetitions to two and drops the non-GEMM extras
+//! for the CI smoke run; a full run takes the best of three.
 
-use ft_bench::json;
+mod common;
+
+use ft_benchsuite::json::Value;
 use ft_dense::gen::{uniform, uniform_entry};
 use ft_dense::level2::{gemv, gemv_n_by_column};
 use ft_dense::level3::{active_isa, blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, PackedA, MR, NR};
@@ -42,17 +44,8 @@ use ft_runtime::{run_spmd, FaultScript};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
-}
-
-fn reps() -> usize {
-    std::env::var("FT_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1)
-}
+/// Samples per cell of a full run (best of).
+const REPS: usize = 3;
 
 /// Minimum seconds over `r` runs of `f`.
 fn best_of(r: usize, mut f: impl FnMut()) -> f64 {
@@ -69,15 +62,21 @@ fn gflops(flops: f64, secs: f64) -> f64 {
     flops / secs / 1e9
 }
 
+/// One artifact row: the kernel's name, then its numbers.
+fn row(kernel: &str, fields: &[(&str, f64)]) -> Value {
+    let nums = fields.iter().map(|&(k, v)| (k.to_string(), Value::Num(v)));
+    Value::obj([("kernel".to_string(), Value::str(kernel))].into_iter().chain(nums))
+}
+
 fn main() {
-    let smoke = env_flag("FT_KERNELS_SMOKE");
-    let r = if smoke { 2 } else { reps() };
+    let smoke = common::smoke();
+    let r = if smoke { 2 } else { REPS };
     let sizes: &[usize] = if smoke { &[256, 512] } else { &[128, 256, 512] };
     let bl = blocking();
     println!("# kernels: MR={MR} NR={NR} KC={} MC={} NC={} reps={r}", bl.kc, bl.mc, bl.nc);
     println!("{:>14} {:>6} {:>12} {:>10}", "kernel", "n", "GFLOP/s", "seconds");
 
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<Value> = Vec::new();
     let mut naive_gf = std::collections::HashMap::new();
     let mut packed_gf = std::collections::HashMap::new();
 
@@ -133,14 +132,7 @@ fn main() {
 
         for (kernel, secs) in [("naive", t_naive), ("packed", t_packed), ("packed_reused", t_prepacked)] {
             println!("{:>14} {:>6} {:>12.2} {:>10.4}", kernel, n, gflops(fl, secs), secs);
-            rows.push(
-                json::Obj::new()
-                    .str("kernel", kernel)
-                    .int("n", n as u64)
-                    .num("gflops", gflops(fl, secs))
-                    .num("seconds", secs)
-                    .finish(),
-            );
+            rows.push(row(kernel, &[("n", n as f64), ("gflops", gflops(fl, secs)), ("seconds", secs)]));
         }
         naive_gf.insert(n, gflops(fl, t_naive));
         packed_gf.insert(n, gflops(fl, t_packed));
@@ -176,15 +168,13 @@ fn main() {
             });
             let kernel = format!("packed_{}", isa.name());
             println!("{:>14} {:>6} {:>12.2} {:>10.4}", kernel, n, gflops(fl, t), t);
-            rows.push(
-                json::Obj::new()
-                    .str("kernel", &kernel)
-                    .str("isa", isa.name())
-                    .int("n", n as u64)
-                    .num("gflops", gflops(fl, t))
-                    .num("seconds", t)
-                    .finish(),
-            );
+            rows.push(Value::obj([
+                ("kernel", Value::str(kernel)),
+                ("isa", Value::str(isa.name())),
+                ("n", Value::Num(n as f64)),
+                ("gflops", Value::Num(gflops(fl, t))),
+                ("seconds", Value::Num(t)),
+            ]));
             if n == 512 {
                 isa_gf_512.insert(isa, gflops(fl, t));
             }
@@ -200,14 +190,7 @@ fn main() {
         let mut y = vec![0.0; n];
         let t = best_of(r, || gemv(Trans::No, n, n, 1.0, black_box(a.as_slice()), n, &x, 0.0, &mut y));
         println!("{:>14} {:>6} {:>12.2} {:>10.4}", "gemv", n, gflops((2 * n * n) as f64, t), t);
-        rows.push(
-            json::Obj::new()
-                .str("kernel", "gemv")
-                .int("n", n as u64)
-                .num("gflops", gflops((2 * n * n) as f64, t))
-                .num("seconds", t)
-                .finish(),
-        );
+        rows.push(row("gemv", &[("n", n as f64), ("gflops", gflops((2 * n * n) as f64, t)), ("seconds", t)]));
 
         let (n, nb) = (512usize, 16usize);
         let a0 = uniform(n, n, 5);
@@ -220,13 +203,7 @@ fn main() {
             black_box(&a);
         });
         println!("{:>14} {:>6} {:>12} {:>10.4}", "lahr2_nb16", n, "-", t);
-        rows.push(
-            json::Obj::new()
-                .str("kernel", "lahr2_nb16")
-                .int("n", n as u64)
-                .num("seconds", t)
-                .finish(),
-        );
+        rows.push(row("lahr2_nb16", &[("n", n as f64), ("seconds", t)]));
     }
 
     // Online scrub overhead: the fault-tolerant reduction with a pass at
@@ -249,13 +226,7 @@ fn main() {
     println!("{:>14} {:>6} {:>12} {:>10.4}", "ft_scrub_ev1", sn, "-", t_scrubbed);
     println!("# scrub overhead (cadence 1, {sp}x{sq}, N={sn}): {:.1}%", scrub_overhead * 100.0);
     for (kernel, secs) in [("ft_no_scrub", t_plain_ft), ("ft_scrub_ev1", t_scrubbed)] {
-        rows.push(
-            json::Obj::new()
-                .str("kernel", kernel)
-                .int("n", sn as u64)
-                .num("seconds", secs)
-                .finish(),
-        );
+        rows.push(row(kernel, &[("n", sn as f64), ("seconds", secs)]));
     }
 
     // The wire's CRC: 16 passes over 1 MiB a sample, dispatched path against
@@ -275,13 +246,7 @@ fn main() {
     let crc_ratio = crc_gbs / bytewise_gbs;
     println!("# wire CRC over 1 MiB: {crc_path} {crc_gbs:.2} GB/s, bytewise {bytewise_gbs:.2} GB/s: {crc_ratio:.1}x (floor {crc_floor}x)");
     for (kernel, v) in [("crc32", crc_gbs), ("crc32_bytewise", bytewise_gbs)] {
-        rows.push(
-            json::Obj::new()
-                .str("kernel", kernel)
-                .int("n", wire.len() as u64)
-                .num("gbs", v)
-                .finish(),
-        );
+        rows.push(row(kernel, &[("n", wire.len() as f64), ("gbs", v)]));
     }
 
     // The panel's trailing product at `hess_grid`'s shape (640×160 a rank,
@@ -313,14 +278,7 @@ fn main() {
         "# panel gemv {gm}x{gn}: sweep {sweep_gbs:.1} GB/s, column at a time {column_gbs:.1} GB/s: {gemv_ratio:.2}x (floor {GEMV_SWEEP_FLOOR}x)"
     );
     for (kernel, v) in [("gemv_n_sweep", sweep_gbs), ("gemv_n_by_column", column_gbs)] {
-        rows.push(
-            json::Obj::new()
-                .str("kernel", kernel)
-                .int("m", gm as u64)
-                .int("n", gn as u64)
-                .num("gbs", v)
-                .finish(),
-        );
+        rows.push(row(kernel, &[("m", gm as f64), ("n", gn as f64), ("gbs", v)]));
     }
 
     let ratio_256 = packed_gf[&256] / naive_gf[&256];
@@ -402,35 +360,31 @@ fn main() {
         );
     }
 
-    let mut report_obj = json::Obj::new()
-        .str("bench", "kernels")
-        .int("mr", MR as u64)
-        .int("nr", NR as u64)
-        .int("kc", bl.kc as u64)
-        .int("mc", bl.mc as u64)
-        .int("nc", bl.nc as u64)
-        .int("reps", r as u64)
-        .str("isa_default", active_isa().name())
-        .num("speedup_packed_vs_naive_256", ratio_256)
-        .num("speedup_packed_vs_naive_512", ratio_512)
-        .num("scrub_overhead", scrub_overhead)
-        .str("crc_path", crc_path)
-        .num("speedup_crc_vs_bytewise", crc_ratio)
-        .num("speedup_gemv_sweep_vs_column", gemv_ratio);
+    let num = |v: usize| Value::Num(v as f64);
+    let mut report = vec![
+        ("bench".to_string(), Value::str("kernels")),
+        ("mr".into(), num(MR)),
+        ("nr".into(), num(NR)),
+        ("kc".into(), num(bl.kc)),
+        ("mc".into(), num(bl.mc)),
+        ("nc".into(), num(bl.nc)),
+        ("reps".into(), num(r)),
+        ("isa_default".into(), Value::str(active_isa().name())),
+        ("speedup_packed_vs_naive_256".into(), Value::Num(ratio_256)),
+        ("speedup_packed_vs_naive_512".into(), Value::Num(ratio_512)),
+        ("scrub_overhead".into(), Value::Num(scrub_overhead)),
+        ("crc_path".into(), Value::str(crc_path)),
+        ("speedup_crc_vs_bytewise".into(), Value::Num(crc_ratio)),
+        ("speedup_gemv_sweep_vs_column".into(), Value::Num(gemv_ratio)),
+    ];
     for (isa, gf) in &isa_gf_512 {
-        report_obj = report_obj.num(&format!("gflops_packed_512_{}", isa.name()), *gf);
+        report.push((format!("gflops_packed_512_{}", isa.name()), Value::Num(*gf)));
     }
     if let Some(ratio) = vector_ratio {
-        report_obj = report_obj.num("speedup_vector_vs_scalar_512", ratio);
+        report.push(("speedup_vector_vs_scalar_512".into(), Value::Num(ratio)));
     }
-    let report = report_obj.raw("rows", &json::array(&rows)).finish();
-    match json::write_artifact("BENCH_kernels.json", &report, smoke) {
-        Ok(p) => println!("# wrote {}", p.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write BENCH_kernels.json: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.push(("rows".into(), Value::Arr(rows)));
+    common::write_artifact("BENCH_kernels.json", &Value::Obj(report), smoke);
 
     // Perf gates.
     if ratio_256 < 1.0 {

@@ -30,7 +30,7 @@
 //!   [`Redundancy::max_failures_per_row`] victims per process row (1 for
 //!   the paper's `Single`, `f` for `Coded(f)`).
 //! * [`model`] — the §6 flop/storage cost model (validated against runtime
-//!   flop counters by the `model_validation` bench).
+//!   flop counters by the `paper` bench).
 //! * [`scrub`] — the online SDC scrub engine (DESIGN.md §10): checksum
 //!   residual scans at a configurable cadence, data-vs-checksum diagnosis,
 //!   single-block localization, in-place correction, and escalation to a

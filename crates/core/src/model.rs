@@ -11,7 +11,7 @@
 //! Note: the paper's Equation 2 prints the asymptote as `1/(5Q)`; its own
 //! leading terms (`2N³/Q` + `8N³/(3Q)` over `10N³/3`) evaluate to `7/(5Q)`
 //! as above. We implement the loop-exact sums, validate them against the
-//! runtime flop counters in the `model_validation` bench, and report the
+//! runtime flop counters in the `paper` bench, and report the
 //! discrepancy in EXPERIMENTS.md. Either way the structural claim that the
 //! figures test — *overhead ∝ 1/Q, vanishing relative cost at scale* — is
 //! unchanged.

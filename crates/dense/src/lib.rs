@@ -26,7 +26,7 @@
 //!
 //! Every level-2/3 kernel adds its floating point operation count to a global
 //! relaxed atomic counter ([`counters`]). The Section 6 overhead model of the
-//! paper is validated against these counters in the `model_validation` bench.
+//! paper is validated against these counters in the `paper` bench.
 
 // BLAS kernel signatures intentionally mirror the Fortran interfaces
 // (trans/m/n/k/alpha/a/lda/... argument lists), which exceed clippy's

@@ -20,16 +20,31 @@ use std::time::Duration;
 /// 600 s watchdog so the typed panic (with its known-dead diagnosis) is what
 /// reaches the user, not a SIGKILL. `FT_RECV_TIMEOUT_MS` overrides it so
 /// integration tests can assert that a wedged protocol fails *typed and
-/// bounded* instead of hanging.
+/// bounded* instead of hanging; [`recv_timeout_env`] reads it.
 pub(crate) fn recv_timeout() -> Duration {
+    match recv_timeout_env() {
+        Ok(timeout) => timeout,
+        Err(e) => panic!("{e}"),
+    }
+}
+
+/// The receive timeout `FT_RECV_TIMEOUT_MS` sets (120 s when unset), read
+/// once per process. A value that is not a positive integer of milliseconds
+/// is an error naming the knob: `0` would time out every receive on its
+/// first empty poll, and garbage used to fall back to the default silently.
+/// A binary calls this at startup so a bad value is a usage error, not a
+/// panic inside the first receive.
+pub fn recv_timeout_env() -> Result<Duration, String> {
     use std::sync::OnceLock;
-    static MS: OnceLock<u64> = OnceLock::new();
-    Duration::from_millis(*MS.get_or_init(|| {
-        std::env::var("FT_RECV_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120_000)
-    }))
+    static PARSED: OnceLock<Result<Duration, String>> = OnceLock::new();
+    let parsed = PARSED.get_or_init(|| match std::env::var("FT_RECV_TIMEOUT_MS") {
+        Err(_) => Ok(Duration::from_secs(120)),
+        Ok(v) => match v.parse::<u64>() {
+            Ok(ms) if ms > 0 => Ok(Duration::from_millis(ms)),
+            _ => Err(format!("FT_RECV_TIMEOUT_MS: '{v}' is not a positive integer (milliseconds)")),
+        },
+    });
+    parsed.clone()
 }
 
 /// Receive poll granularity: how often a blocked receive re-checks the

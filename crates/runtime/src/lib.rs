@@ -52,7 +52,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use collectives::PendingBcast;
-pub use comm::{Ctx, FailCheck};
+pub use comm::{recv_timeout_env, Ctx, FailCheck};
 pub use detect::{catch_interrupt, FailureAgreement, Interrupt, InterruptReason};
 pub use fault::{poisson_failures, ChaosKill, ChaosPoint, FaultScript, PlannedFailure, SdcFlip};
 pub use grid::Grid;

@@ -692,6 +692,98 @@ mod tests {
         assert!(unpack_bytes(&[0.0], 9).is_err());
     }
 
+    /// Seeded mutation fuzz of the four word decoders, the frame-decoder fuzz
+    /// of ft-runtime's `tcp.rs` one layer up: golden payloads get words
+    /// replaced by NaN, ±inf, huge, negative, fractional or small integer
+    /// values (header words more often), and are truncated or extended. A
+    /// decoder may reject anything; a value it accepts must re-encode to
+    /// words that decode to the same value, bit for bit — and nothing may
+    /// panic. `FT_FUZZ_SEED` / `FT_FUZZ_ROUNDS` explore further.
+    #[test]
+    fn mutated_words_are_rejected_or_round_trip() {
+        let env = |name: &str, default: u64| std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+        let mut x = env("FT_FUZZ_SEED", 0x5EED_1DEA) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let spec = JobSpec { ckpt: true, ..spec_on(Redundancy::Coded(1), 2) };
+        let result = JobResult {
+            residual: 0.25,
+            recoveries: 1,
+            wall_ms: 3.5,
+            bytes: 4096,
+            n: 2,
+            factor: vec![1.0, -2.0, 0.5, 4.0],
+            tau: vec![0.125],
+        };
+        let assignment = Assignment {
+            spec: spec.clone(),
+            job_rank: 1,
+            port_base: 23000,
+            incarnation: 1,
+            replacement: true,
+            hb_interval_ms: 100,
+            hb_miss_limit: 30,
+            conn_timeout_ms: 10_000,
+            resume: (0..13).collect(),
+        };
+        // Each decoder as words in, its value's own words out.
+        type Codec = fn(&[f64]) -> Result<Vec<f64>, String>;
+        let codecs: [(&str, Vec<f64>, Codec); 4] = [
+            ("spec", spec.to_words(), |w| JobSpec::from_words(w).map(|v| v.to_words())),
+            ("result", result.to_words(), |w| JobResult::from_words(w).map(|v| v.to_words())),
+            ("assignment", assignment.to_words(), |w| Assignment::from_words(w).map(|v| v.to_words())),
+            ("ckpt", [vec![1.0, 7.0, 13.0], pack_bytes(&[9; 13])].concat(), |w| {
+                ckpt_from_words(w, 2).map(|(rank, panel, bytes)| {
+                    let mut out = vec![rank as f64, panel as f64, bytes.len() as f64];
+                    out.extend(pack_bytes(&bytes));
+                    out
+                })
+            }),
+        ];
+        let odd = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            2f64.powi(53),
+            2f64.powi(64),
+            -1.0,
+            -0.0,
+            0.5,
+            2.5,
+        ];
+        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (mut accepted, mut rejected) = (0, 0);
+        for round in 0..env("FT_FUZZ_ROUNDS", 500) {
+            for (name, golden, decode) in &codecs {
+                let mut w = golden.clone();
+                for _ in 0..1 + next() % 3 {
+                    let span = if next() % 2 == 0 { w.len().min(12) } else { w.len() };
+                    let at = (next() % span.max(1) as u64) as usize;
+                    match next() % 4 {
+                        0 if at < w.len() => w[at] = odd[(next() % odd.len() as u64) as usize],
+                        1 if at < w.len() => w[at] = (next() % 40) as f64,
+                        2 => w.truncate((next() % (w.len() as u64 + 1)) as usize),
+                        _ => w.extend((0..1 + next() % 9).map(|_| odd[(next() % odd.len() as u64) as usize])),
+                    }
+                }
+                match decode(&w) {
+                    Ok(own) => {
+                        let again = decode(&own).unwrap_or_else(|e| panic!("{name}, round {round}: its own words rejected: {e}"));
+                        assert_eq!(bits(&again), bits(&own), "{name}, round {round}: the value does not round-trip");
+                        accepted += 1;
+                    }
+                    Err(_) => rejected += 1,
+                }
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "one arm never ran: {accepted} accepted, {rejected} rejected");
+    }
+
     #[test]
     fn reject_reasons_round_trip() {
         for r in [

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite, the kernel fuzz
-# loop, the bench compile gate, a perf smoke with hard floors, the repo
-# benchmark's tests and smoke, and the fault soaks. Runs entirely offline —
+# loop, the bench compile gate, a perf smoke with hard floors, the paper
+# sweep's smoke, the repo benchmark's tests and smoke, and the fault soaks. Runs entirely offline —
 # the workspace (benches included) has zero external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,7 +58,16 @@ cargo bench --no-run -q
 # readings. Smoke runs write their JSON under target/, never over the
 # committed BENCH_kernels.json.
 echo "== kernels perf smoke"
-FT_KERNELS_SMOKE=1 cargo bench -q --bench kernels
+FT_BENCH_SMOKE=1 cargo bench -q --bench kernels
+
+# The paper's shape on every change: the two smallest grids of the Figure
+# 6-7 sweep at their real N (384 on 2x2, 576 on 3x3) through the repo
+# benchmark's legs, two reps each. The bench exits 1 on a failed operation
+# or check (ft bitwise equal to plain, one recovery on the recover leg), a
+# residual >= 3, or an Algorithm-2 flop penalty that does not fall from 2x2
+# to 3x3 (deterministic: the counters, not the clock). JSON under target/.
+echo "== paper smoke (2x2 and 3x3 of the Figure 6-7 sweep)"
+FT_BENCH_SMOKE=1 cargo bench -q --bench paper
 
 # The repo benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so nothing above builds or tests it. Its own tests (the traced

@@ -72,8 +72,9 @@
 //!
 //!   Env knobs (CLI flags win): FT_HB_INTERVAL_MS, FT_HB_MISS_LIMIT,
 //!   FT_HB_GRACE_BEATS (beats of reconnect grace before a closed-socket
-//!   peer is declared dead, default 4), FT_RECV_TIMEOUT_MS. All validated
-//!   at startup; inconsistent values exit with code 2.
+//!   peer is declared dead, default 4), FT_RECV_TIMEOUT_MS (a positive
+//!   number of milliseconds, default 120000). All validated at startup;
+//!   inconsistent values exit with code 2.
 //!
 //!   --fail / --mtti / --faults flip= are not available with --distributed
 //!   (scripted fail points and flip injection assume the in-process
@@ -101,8 +102,8 @@ use abft_hessenberg::hess::{
 use abft_hessenberg::lapack::hessenberg_eigenvalues;
 use abft_hessenberg::pblas::{pd_extract_h, pd_gather_traffic, pd_gather_transport, Desc, DistMatrix};
 use abft_hessenberg::runtime::{
-    poisson_failures, run_distributed, run_spmd, CommError, Ctx, FaultScript, PeerCounters, PlannedFailure, TcpConfig,
-    TcpTransport, TrafficLedger, TrafficPhase, TransportStats,
+    poisson_failures, recv_timeout_env, run_distributed, run_spmd, CommError, Ctx, FaultScript, PeerCounters, PlannedFailure,
+    TcpConfig, TcpTransport, TrafficLedger, TrafficPhase, TransportStats,
 };
 use std::io::BufRead;
 use std::process::exit;
@@ -142,6 +143,14 @@ fn usage() -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}\nrun with --help for usage");
     exit(2)
+}
+
+/// `FT_RECV_TIMEOUT_MS` is read once per process; a bad value is a usage
+/// error here, at startup, not a panic in the first receive.
+fn check_recv_timeout() {
+    if let Err(e) = recv_timeout_env() {
+        fail(&e)
+    }
 }
 
 fn parse<T: FromStr>(v: &str, what: &str) -> T {
@@ -1021,6 +1030,8 @@ fn main() {
     }
     let o = parse_args();
     sanity_check(&o);
+    // Before the in-process run, and before the launcher spawns a rank.
+    check_recv_timeout();
     if let Some(rank) = o.rank {
         child_main(o, rank);
     }

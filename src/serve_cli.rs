@@ -39,7 +39,7 @@
 //! paper threshold, 2 usage/config, 3 typed rejection or I/O loss.
 //! ```
 
-use crate::{fail, Args, HbFlags, Shape};
+use crate::{check_recv_timeout, fail, Args, HbFlags, Shape};
 use abft_hessenberg::dense::gen::uniform_entry;
 use abft_hessenberg::serve::{serve_main, worker_main, Client, Event, JobSpec, Limits, ServeConfig, SolverId};
 use std::io::Write as _;
@@ -93,6 +93,7 @@ fn serve_verb(mut args: Args) -> i32 {
     // usage errors (exit 2) here at the daemon — and ONLY here: submit
     // clients and workers never consult the environment.
     let cfg = hb.tcp_config(0, pool.max(2));
+    check_recv_timeout();
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(&format!("serve: current_exe: {e}")));
     serve_main(ServeConfig {
         pool,

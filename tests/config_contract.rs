@@ -182,6 +182,33 @@ fn bad_config_dies_in_the_launcher_before_spawning_ranks() {
     );
 }
 
+/// `FT_RECV_TIMEOUT_MS` is a positive number of milliseconds. Garbage used
+/// to fall back to 120 s silently, and `0` timed out the first empty poll of
+/// a fault-free run ("SPMD protocol deadlock"). Now both are the same exit-2
+/// usage error from the in-process driver, the launcher (before any rank is
+/// spawned) and `serve`.
+#[test]
+fn bad_recv_timeout_env_is_a_usage_error_everywhere() {
+    for bad in ["abc", "0"] {
+        let env = [("FT_RECV_TIMEOUT_MS", bad)];
+        let driver = run(&["--grid", "1x2", "--n", "32", "--nb", "8"], &env);
+        assert_usage_error(&driver, "FT_RECV_TIMEOUT_MS", &format!("driver, {bad}"));
+        let launcher = run(DIST, &env);
+        assert_usage_error(&launcher, "FT_RECV_TIMEOUT_MS", &format!("launcher, {bad}"));
+        assert!(
+            !launcher.stdout.contains("FT_RANK_SPAWN"),
+            "{bad}: a rank was spawned — stdout:\n{}",
+            launcher.stdout
+        );
+        assert_eq!(driver.stderr, launcher.stderr, "{bad}: driver and launcher word the error differently");
+        let serve = run(&["serve", "--pool", "1"], &env);
+        assert_usage_error(&serve, "FT_RECV_TIMEOUT_MS", &format!("serve, {bad}"));
+    }
+    let ok = run(&["--grid", "1x2", "--n", "32", "--nb", "8", "--verify"], &[("FT_RECV_TIMEOUT_MS", "60000")]);
+    assert_eq!(ok.status, 0, "a valid value must run as before — stderr:\n{}", ok.stderr);
+    assert!(ok.stdout.contains("verification passed"), "{}", ok.stdout);
+}
+
 /// The shape flags (`--n/--nb/--grid/--solver/--variant/--redundancy/
 /// --seed`) go through one parser for the driver and for `submit`: the
 /// same malformed value is the same exit-2 usage error from either verb,
