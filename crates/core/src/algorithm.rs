@@ -34,7 +34,7 @@ use crate::scrub::{ScrubEngine, ScrubEscalation, ScrubPolicy, ScrubReport, Trail
 use crate::solver::{FtSolver, Hessenberg, HouseholderQr};
 use ft_dense::Matrix;
 use ft_pblas::{left_update, right_update, PanelFactors};
-use ft_runtime::{catch_interrupt, Ctx, FailCheck, Tag};
+use ft_runtime::{catch_interrupt, Ctx, Tag};
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -123,8 +123,7 @@ pub enum FtError {
     /// deterministic tolerance gate, before any recovery work, for every
     /// redundancy level (`Single`, `Coded(f)`).
     ExceededCodeDistance {
-        /// The agreed victim set (sorted for chaos failures, announcement
-        /// order for scripted ones).
+        /// The victim set, sorted.
         victims: Vec<usize>,
         /// Panel iteration of the last consistent boundary.
         panel: usize,
@@ -494,8 +493,9 @@ struct DriverState {
 /// Captured only when the fault-tolerance machinery is live ([`ft_live`]
 /// — scripted-only and fault-free in-process runs pay nothing); an
 /// arbitrary-point failure rolls every rank back to its image (all ranks
-/// always hold images of the *same* boundary, see `commit_boundary_image`)
-/// and re-enters through [`crate::recovery::recover`].
+/// always hold images of the *same* boundary, see [`pass_boundary`]) and
+/// re-enters through [`recover_from`]. A scripted failure needs no image:
+/// every rank stops on the boundary its fail point belongs to.
 ///
 /// The matrix part is the local buffer's words inside `spans` — what can
 /// still be written before the image can no longer be restored
@@ -515,14 +515,15 @@ struct BoundaryImage {
     panel_idx: usize,
     resume: Step,
     /// The boundary's phase — tells recovery how far the interrupted
-    /// iteration had progressed, exactly like the scripted path.
+    /// iteration had progressed.
     phase: Phase,
     /// Scope (= checksum group) index at the boundary; `enc.groups()` for
     /// the pre-loop boundary where no scope exists yet.
     s: usize,
-    /// Boundary id (`failpoint + 1`; 0 for the pre-loop boundary). In
-    /// distributed runs this is what the survivors min-reduce over to agree
-    /// on a common rollback point.
+    /// Boundary id (`failpoint + 1`; 0 for the pre-loop boundary) — also the
+    /// first fail point a rollback to this image re-arms. In distributed
+    /// runs this is what the survivors min-reduce over to agree on a common
+    /// rollback point.
     id: u64,
 }
 
@@ -660,17 +661,12 @@ fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: 
     st.resume = img.resume;
 }
 
-/// Commit the fail-point boundary `(panel_idx, phase)` and, when the
-/// fault-tolerance machinery is live, refresh this rank's boundary image.
-///
-/// The barrier is what keeps every rank's image pinned to the same
-/// boundary: a revocable barrier is all-or-none, survivors only observe an
-/// interrupt inside communication calls, and between the completed barrier
-/// and the (purely local) capture there are none. So either every rank
-/// refreshes its image or — if the barrier is revoked first — none does,
-/// and all roll back to the previous common boundary.
+/// Pass the fail-point boundary `(panel_idx, phase)`: read the script's
+/// failures at its fail point, and commit the boundary when there are none.
+/// `Some` stops the loop right here, uncommitted, for [`recover_from`],
+/// which commits the boundary once its failures are repaired.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
-fn commit_boundary_image(
+fn pass_boundary(
     ctx: &Ctx,
     enc: &Encoded,
     tau: &[f64],
@@ -680,8 +676,40 @@ fn commit_boundary_image(
     phase: Phase,
     s: usize,
     report: &mut FtReport,
-) {
+) -> Option<Halt> {
     st.resume = next;
+    let victims = ctx.check_failpoint(failpoint(st.panel_idx, phase));
+    if !victims.is_empty() {
+        return Some(Halt::Scripted { victims, phase, s });
+    }
+    commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, report);
+    None
+}
+
+/// Commit the fail-point boundary `(st.panel_idx, phase)` and, when the
+/// fault-tolerance machinery is live, refresh this rank's boundary image.
+///
+/// The barrier is what keeps every rank's image pinned to the same
+/// boundary: a revocable barrier is all-or-none, survivors only observe an
+/// interrupt inside communication calls, and between the completed barrier
+/// and the (purely local) capture there are none. So either every rank
+/// refreshes its image or — if the barrier is revoked first — none does,
+/// and all roll back to the previous common boundary. The boundary's fail
+/// point was read, and its failures repaired, before the commit: the commit
+/// clears them from the detector round, the image holds the repaired state,
+/// and a rollback to it re-arms exactly the points after it
+/// ([`Ctx::rewind_failpoints`]).
+#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
+fn commit_boundary_image(
+    ctx: &Ctx,
+    enc: &Encoded,
+    tau: &[f64],
+    st: &DriverState,
+    imgs: &mut Images,
+    phase: Phase,
+    s: usize,
+    report: &mut FtReport,
+) {
     // Boundary ids are failpoint ids shifted by one; id 0 is the pre-loop
     // boundary right after the initial encoding.
     let id = failpoint(st.panel_idx, phase) + 1;
@@ -812,11 +840,11 @@ fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[u
 /// Reduces the logical `N×N` part of `enc` in place; on exit the Hessenberg
 /// entries and reflectors are stored exactly like [`ft_pblas::pdgehrd`]'s
 /// output and `tau` is replicated. Failures scripted through the runtime's
-/// [`ft_runtime::FaultScript`] at [`failpoint`] ids are detected at phase
-/// boundaries and repaired transparently; the same script's kills
-/// ([`ft_runtime::ChaosKill`]) at arbitrary message-op boundaries are
-/// detected by the runtime's agreement layer and rolled back to the last
-/// committed boundary. The returned [`FtReport`] counts both. A victim set
+/// [`ft_runtime::FaultScript`] at [`failpoint`] ids strike at their phase
+/// boundary; the same script's kills ([`ft_runtime::ChaosKill`]) at
+/// arbitrary message-op boundaries are agreed on by the runtime and rolled
+/// back to the last committed boundary. One recovery path repairs both,
+/// transparently, and the returned [`FtReport`] counts both. A victim set
 /// beyond the redundancy level's tolerance yields
 /// [`FtError::ExceededCodeDistance`] — identically on every rank.
 ///
@@ -954,13 +982,14 @@ pub struct DriverControl<'a> {
     /// per-rank statistics come back in [`FtReport::scrub`].
     pub scrub: ScrubPolicy,
     /// Observation hook called (collectively, on every process) after each
-    /// phase boundary — used by the test suites to check the Theorem 1
-    /// checksum invariant at every step and to inject silent corruption
-    /// into the encoded matrix. The hook may run collectives and corrupt
-    /// matrix *data*, but must not mutate driver bookkeeping. Chaos-mode
-    /// rollbacks resume *after* a boundary, so under chaos injection a
-    /// boundary's hook invocation can be skipped on re-execution —
-    /// invariant-checking hooks belong to scripted runs.
+    /// phase boundary — after its scripted failures are repaired, if any —
+    /// used by the test suites to check the Theorem 1 checksum invariant at
+    /// every step and to inject silent corruption into the encoded matrix.
+    /// The hook may run collectives and corrupt matrix *data*, but must not
+    /// mutate driver bookkeeping. Chaos-mode rollbacks resume *after* a
+    /// boundary, so under chaos injection a boundary's hook invocation can
+    /// be skipped on re-execution — invariant-checking hooks belong to
+    /// scripted runs.
     pub hook: Option<&'a mut PhaseHook<'a>>,
 }
 
@@ -1078,11 +1107,11 @@ pub fn ft_solve(
 
     // A replacement enters the recovery protocol before running a single
     // step: the survivors' agreement is already waiting to name it a victim.
-    let mut need_recovery = replacement;
-
-    'run: loop {
-        if !need_recovery {
-            match catch_interrupt(|| {
+    let mut halt = replacement.then_some(Halt::Interrupted);
+    loop {
+        let stop = match halt.take() {
+            Some(stop) => stop,
+            None => match catch_interrupt(|| {
                 run_loop(
                     ctx,
                     solver,
@@ -1097,71 +1126,17 @@ pub fn ft_solve(
                     &mut report,
                 )
             }) {
-                Ok(done) => {
-                    done?;
-                    break 'run;
-                }
+                Ok(Ok(None)) => break,
+                Ok(Ok(Some(scripted))) => scripted,
+                Ok(Err(e)) => return Err(e),
                 Err(_interrupt) => {
-                    // An arbitrary-point failure (or the revocation it
-                    // caused) unwound this rank. Converge on the victim set,
-                    // roll back to the last committed boundary, recover,
-                    // re-execute.
                     report.chaos_aborts += 1;
                     dtrace!(ctx, "driver: interrupted, entering agreement");
+                    Halt::Interrupted
                 }
-            }
-        }
-        need_recovery = false;
-        loop {
-            let agreed = ctx.agree_on_failures();
-            let me = agreed.victims.contains(&ctx.rank());
-            dtrace!(ctx, "driver: agreed victims={:?} epoch={} me={me}", agreed.victims, agreed.epoch);
-            if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &agreed.victims) {
-                // Deterministic over the agreed set: every rank returns
-                // this same error, none panics. A replacement has no image
-                // yet — it reports the pre-loop boundary.
-                let (panel, phase) = imgs.cur.as_ref().map_or((0, Phase::BeforePanel), |i| (i.panel_idx, i.phase));
-                return Err(FtError::exceeded(agreed.victims, panel, phase, tol));
-            }
-            let t = Instant::now();
-            ctx.begin_recovery();
-            let outcome = catch_interrupt(|| {
-                if ctx.distributed() {
-                    dist_align_boundary(ctx, enc, &mut imgs, &agreed.victims, me);
-                }
-                let image = imgs.cur.as_ref().expect("chaos abort before the pre-loop boundary image");
-                restore_image(enc, tau, &mut st, image, !me);
-                let (phase, s, id) = (image.phase, image.s, image.id);
-                dtrace!(ctx, "driver: rolled back to boundary id={id} panel={} phase={phase:?}", st.panel_idx);
-                let sc = st.scope.get_or_insert_with(|| ScopeState::empty(ctx, enc));
-                recovery::recover(ctx, solver, enc, sc, &agreed.victims, me, variant, phase, s);
-                dtrace!(ctx, "driver: §5.3 recovery done");
-                (phase, s, id)
-            });
-            ctx.end_recovery();
-            report.recovery_secs += t.elapsed().as_secs_f64();
-            match outcome {
-                Ok((phase, s, id)) => {
-                    report.recoveries += 1;
-                    report.victims.extend_from_slice(&agreed.victims);
-                    if ctx.distributed() {
-                        // Recapture the boundary from the *recovered* state
-                        // on every rank: a victim's synthesized image holds
-                        // a garbage matrix buffer and an empty scope, and
-                        // must never be rolled back to again.
-                        report.image_words += capture_image(&mut imgs.cur, enc, tau, &st, phase, s, id, imgs.whole);
-                        imgs.prev = None;
-                    }
-                    continue 'run;
-                }
-                Err(_nested) => {
-                    // A failure struck during recovery itself. The detector
-                    // round is cumulative, so the next agreement returns the
-                    // union and recovery re-enters from the same image.
-                    report.chaos_aborts += 1;
-                }
-            }
-        }
+            },
+        };
+        halt = recover_from(stop, ctx, solver, enc, variant, tau, &mut hook, &mut st, &mut imgs, &mut scrub, &mut report)?;
     }
 
     report.total_secs = t_total.elapsed().as_secs_f64();
@@ -1223,9 +1198,11 @@ fn apply_sdc_flips(ctx: &Ctx, enc: &mut Encoded) {
     }
 }
 
-/// One pass of the driver loop from `st.resume` to completion. Unwinds with
-/// an [`ft_runtime::Interrupt`] on a chaos failure (caught by the caller);
-/// returns `Err` only for the typed beyond-tolerance verdict.
+/// One pass of the driver loop from `st.resume` to completion (`Ok(None)`)
+/// or to a fail point the script names victims at (`Ok(Some(..))`, the
+/// state left on that boundary, uncommitted). Unwinds with an
+/// [`ft_runtime::Interrupt`] on a kill (caught by the caller); returns `Err`
+/// only for the scrub engine's typed verdict.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn run_loop(
     ctx: &Ctx,
@@ -1239,7 +1216,7 @@ fn run_loop(
     imgs: &mut Images,
     scrub: &mut ScrubCtl,
     report: &mut FtReport,
-) -> Result<(), FtError> {
+) -> Result<Option<Halt>, FtError> {
     let n = enc.n();
     let nb = enc.nb();
     let q = ctx.npcol();
@@ -1256,16 +1233,16 @@ fn run_loop(
                 st.scope = Some(ScopeState::begin(ctx, enc, s));
                 report.snapshot_secs += t.elapsed().as_secs_f64();
             }
-            let sc = st.scope.as_mut().expect("scope always begins before panels");
-            handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::BeforePanel, scrub, report)?;
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Panel, Phase::BeforePanel, s, report);
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::Panel, Phase::BeforePanel, s, report) {
+                return Ok(Some(halt));
+            }
             observe(hook, ctx, enc, st.panel_idx, Phase::BeforePanel);
         }
 
         // `Ve` of this panel (NonDelayed): computed once for the pseudo-
         // checksum store and handed to the right update. A run that resumes
-        // at `Step::Right`, or recovered a failure in between, recomputes it
-        // from the (replicated, restored) factors — a replacement process
+        // at `Step::Right` — after a rollback or a recovery — recomputes it
+        // from the (replicated, restored) factors: a replacement process
         // keeps nothing across its death.
         let mut ve_panel: Option<Matrix> = None;
 
@@ -1282,13 +1259,9 @@ fn run_loop(
                 st.scope.as_mut().unwrap().bookkeep_panel(ctx, enc, f);
                 report.bookkeeping_secs += t.elapsed().as_secs_f64();
             }
-            let sc = st.scope.as_mut().unwrap();
-            let recoveries = report.recoveries;
-            handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterPanel, scrub, report)?;
-            if report.recoveries != recoveries {
-                ve_panel = None;
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s, report) {
+                return Ok(Some(halt));
             }
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s, report);
             observe(hook, ctx, enc, st.panel_idx, Phase::AfterPanel);
         }
 
@@ -1304,18 +1277,18 @@ fn run_loop(
                 let ve = ve_panel.take().unwrap_or_else(|| ve_rows(enc, f));
                 ft_right(enc, f, &ve, st.k + w, n, include_chk, s);
             }
-            let sc = st.scope.as_mut().unwrap();
-            handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterRightUpdate, scrub, report)?;
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::Left, Phase::AfterRightUpdate, s, report);
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::Left, Phase::AfterRightUpdate, s, report) {
+                return Ok(Some(halt));
+            }
             observe(hook, ctx, enc, st.panel_idx, Phase::AfterRightUpdate);
         }
 
         if st.resume == Step::Left {
             let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored");
             ft_left(ctx, enc, f, st.k + w, n, include_chk, s);
-            let sc = st.scope.as_mut().unwrap();
-            handle_failpoint(ctx, solver, enc, sc, variant, s, st.panel_idx, Phase::AfterLeftUpdate, scrub, report)?;
-            commit_boundary_image(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s, report);
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s, report) {
+                return Ok(Some(halt));
+            }
             observe(hook, ctx, enc, st.panel_idx, Phase::AfterLeftUpdate);
         }
 
@@ -1428,7 +1401,7 @@ fn run_loop(
         ctx.barrier();
         ctx.disarm_chaos();
     }
-    Ok(())
+    Ok(None)
 }
 
 #[inline]
@@ -1438,57 +1411,136 @@ fn observe(hook: &mut Option<&mut PhaseHook>, ctx: &Ctx, enc: &mut Encoded, pane
     }
 }
 
+/// Why the driver loop stopped short of the last panel.
+enum Halt {
+    /// The script names `victims` at the fail point of the boundary
+    /// `(phase, s)` the driver state sits on, not yet committed. Every rank
+    /// read the same victims there and stopped there: nothing to agree on,
+    /// nothing to roll back.
+    Scripted { victims: Vec<usize>, phase: Phase, s: usize },
+    /// A kill unwound this rank mid-step (its own death or the revocation
+    /// it caused), or the rank is a replacement joining the run: agree on
+    /// the victims, roll back to the last committed boundary image.
+    Interrupted,
+}
+
+/// The one recovery path (§5.3), for scripted failures and kills alike:
+/// settle the victims (read from the script, or agreed after a kill) and
+/// check them against the code's tolerance; roll back to the last committed
+/// boundary image unless the state already sits on the failed boundary;
+/// rebuild the lost data; run the scrub policy's post-recovery pass. A
+/// scripted failure's boundary is then committed — which re-arms
+/// protection before the next step — and shown to the hook; a rollback
+/// resumes after a boundary whose hook already ran.
+///
+/// Returns `Ok(None)` to resume the loop and `Ok(Some(Halt::Interrupted))`
+/// when a failure struck during the recovery itself, or before the repaired
+/// boundary committed — the detector round is cumulative (scripted victims
+/// included), so the next agreement returns the union and recovery
+/// re-enters from the last committed image. `Err` is a typed verdict,
+/// identical on every rank.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
-fn handle_failpoint(
+fn recover_from(
+    halt: Halt,
     ctx: &Ctx,
     solver: &dyn FtSolver,
     enc: &mut Encoded,
-    st: &mut ScopeState,
     variant: Variant,
-    s: usize,
-    panel_idx: usize,
-    phase: Phase,
+    tau: &mut [f64],
+    hook: &mut Option<&mut PhaseHook>,
+    st: &mut DriverState,
+    imgs: &mut Images,
     scrub: &mut ScrubCtl,
     report: &mut FtReport,
-) -> Result<(), FtError> {
-    match ctx.check_failpoint(failpoint(panel_idx, phase)) {
-        FailCheck::AllGood => Ok(()),
-        FailCheck::Failure { victims, me } => {
-            if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &victims) {
-                return Err(FtError::exceeded(victims, panel_idx, phase, tol));
-            }
-            let t = Instant::now();
-            // Scripted recovery runs inside a recovery round too, so the
-            // chaos injector can target it (ChaosPoint::RecoveryOp) and
-            // exercise re-entrant recovery.
-            ctx.begin_recovery();
-            recovery::recover(ctx, solver, enc, st, &victims, me, variant, phase, s);
-            ctx.end_recovery();
-            report.recoveries += 1;
-            report.victims.extend_from_slice(&victims);
-            report.recovery_secs += t.elapsed().as_secs_f64();
-            // Post-recovery scan: recovery rebuilt lost blocks *from* the
-            // checksums, so silent corruption that predated the failure is
-            // now woven into the recovered data — catch it before more
-            // updates spread it. The catch-up inside recovery left every
-            // live copy consistent with the data (both variants), but under
-            // the delayed variant it was computed through any pre-existing
-            // trailing corruption, so those verdicts are rollback-only.
-            // Escalation is terminal here — there is no verified image that
-            // also reflects the fail-stop repair.
-            if scrub.engine.active() && scrub.engine.policy.post_recovery {
-                let trailing = if variant == Variant::NonDelayed {
-                    TrailingScan::Live
-                } else {
-                    TrailingScan::Suspect
-                };
-                if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, st, s, phase, trailing) {
-                    return Err(FtError::ScrubUnrecoverable { panel: panel_idx, group: esc.group, block_col: esc.block_col });
-                }
-            }
-            Ok(())
+) -> Result<Option<Halt>, FtError> {
+    let (victims, at) = match halt {
+        Halt::Scripted { victims, phase, s } => (victims, Some((phase, s))),
+        Halt::Interrupted => {
+            let agreed = ctx.agree_on_failures();
+            dtrace!(ctx, "driver: agreed victims={:?} epoch={}", agreed.victims, agreed.epoch);
+            (agreed.victims, None)
         }
+    };
+    let me = victims.contains(&ctx.rank());
+    if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &victims) {
+        // Deterministic over the victim set: every rank returns this same
+        // error, none panics. It names the failed boundary — after a kill
+        // the last committed image's; a replacement has no image yet and
+        // reports the pre-loop boundary.
+        let (panel, phase) = match at {
+            Some((phase, _)) => (st.panel_idx, phase),
+            None => imgs.cur.as_ref().map_or((0, Phase::BeforePanel), |i| (i.panel_idx, i.phase)),
+        };
+        return Err(FtError::exceeded(victims, panel, phase, tol));
     }
+    let t = Instant::now();
+    ctx.begin_recovery();
+    let outcome = catch_interrupt(|| {
+        let (phase, s) = at.unwrap_or_else(|| {
+            if ctx.distributed() {
+                dist_align_boundary(ctx, enc, imgs, &victims, me);
+            }
+            let image = imgs.cur.as_ref().expect("chaos abort before the pre-loop boundary image");
+            restore_image(enc, tau, st, image, !me);
+            ctx.rewind_failpoints(image.id);
+            dtrace!(ctx, "driver: rolled back to boundary id={} panel={}", image.id, st.panel_idx);
+            (image.phase, image.s)
+        });
+        let sc = st.scope.get_or_insert_with(|| ScopeState::empty(ctx, enc));
+        recovery::recover(ctx, solver, enc, sc, &victims, me, variant, phase, s);
+        dtrace!(ctx, "driver: §5.3 recovery done");
+        // Post-recovery scan: recovery rebuilt lost blocks *from* the
+        // checksums, so silent corruption that predated the failure is now
+        // woven into the recovered data — catch it before more updates
+        // spread it. The catch-up inside recovery left every live copy
+        // consistent with the data (both variants), but under the delayed
+        // variant it was computed through any pre-existing trailing
+        // corruption, so those verdicts are rollback-only. Escalation is
+        // terminal here — there is no verified image that also reflects the
+        // fail-stop repair.
+        if scrub.engine.active() && scrub.engine.policy.post_recovery {
+            let trailing = if variant == Variant::NonDelayed {
+                TrailingScan::Live
+            } else {
+                TrailingScan::Suspect
+            };
+            if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, sc, s, phase, trailing) {
+                return Err(FtError::ScrubUnrecoverable {
+                    panel: st.panel_idx,
+                    group: esc.group,
+                    block_col: esc.block_col,
+                });
+            }
+        }
+        Ok((phase, s))
+    });
+    ctx.end_recovery();
+    report.recovery_secs += t.elapsed().as_secs_f64();
+    let Ok(recovered) = outcome else {
+        report.chaos_aborts += 1;
+        return Ok(Some(Halt::Interrupted));
+    };
+    let (phase, s) = recovered?;
+    report.recoveries += 1;
+    report.victims.extend_from_slice(&victims);
+    if at.is_some() {
+        let committed = catch_interrupt(|| {
+            commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, report);
+            observe(hook, ctx, enc, st.panel_idx, phase);
+        });
+        if committed.is_err() {
+            report.chaos_aborts += 1;
+            return Ok(Some(Halt::Interrupted));
+        }
+    } else if ctx.distributed() {
+        // Recapture the boundary from the *recovered* state on every rank: a
+        // re-spawned victim's synthesized image holds a garbage matrix
+        // buffer and an empty scope, and must never be rolled back to again.
+        let id = imgs.cur.as_ref().expect("a distributed run commits every boundary").id;
+        report.image_words += capture_image(&mut imgs.cur, enc, tau, st, phase, s, id, imgs.whole);
+        imgs.prev = None;
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -1787,7 +1839,8 @@ mod tests {
             for panel in 0..n / nb {
                 st.panel_idx = panel;
                 for phase in Phase::ALL {
-                    commit_boundary_image(&ctx, &enc, &tau, &mut st, &mut imgs, Step::Begin, phase, panel / 2, &mut report);
+                    let halt = pass_boundary(&ctx, &enc, &tau, &mut st, &mut imgs, Step::Begin, phase, panel / 2, &mut report);
+                    assert!(halt.is_none(), "an empty script halted the loop");
                     assert_eq!(imgs.prev.as_ref().map(|i| i.id), last_id, "panel {panel} {phase:?}: prev is not the last commit");
                     let cur = imgs.cur.as_ref().expect("a live commit captures");
                     if buffers.len() < 2 {

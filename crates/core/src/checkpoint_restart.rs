@@ -27,7 +27,7 @@
 
 use crate::encode::Encoded;
 use ft_pblas::{apply_panel_updates, pdlahrd, DistMatrix};
-use ft_runtime::{Ctx, FailCheck, Tag};
+use ft_runtime::{Ctx, Tag};
 use std::time::Instant;
 
 const TAG_CKPT: Tag = Tag::Checkpoint(0);
@@ -262,7 +262,8 @@ pub fn cr_pdgehrd(ctx: &Ctx, a: &mut DistMatrix, interval: usize, tau: &mut [f64
         }
 
         // ---- fail point before the panel ---------------------------------
-        if let FailCheck::Failure { victims, me } = ctx.check_failpoint(cr_failpoint(panel_idx, false)) {
+        let victims = ctx.check_failpoint(cr_failpoint(panel_idx, false));
+        if !victims.is_empty() {
             rollback(
                 ctx,
                 a,
@@ -270,7 +271,6 @@ pub fn cr_pdgehrd(ctx: &Ctx, a: &mut DistMatrix, interval: usize, tau: &mut [f64
                 ckpt.as_ref().expect("checkpoint exists"),
                 &mut ckpt_backup,
                 &victims,
-                me,
                 right,
                 left,
                 &mut report,
@@ -288,7 +288,8 @@ pub fn cr_pdgehrd(ctx: &Ctx, a: &mut DistMatrix, interval: usize, tau: &mut [f64
         tau[k..k + w].copy_from_slice(&f.tau);
 
         // ---- fail point after the iteration --------------------------------
-        if let FailCheck::Failure { victims, me } = ctx.check_failpoint(cr_failpoint(panel_idx, true)) {
+        let victims = ctx.check_failpoint(cr_failpoint(panel_idx, true));
+        if !victims.is_empty() {
             rollback(
                 ctx,
                 a,
@@ -296,7 +297,6 @@ pub fn cr_pdgehrd(ctx: &Ctx, a: &mut DistMatrix, interval: usize, tau: &mut [f64
                 ckpt.as_ref().expect("checkpoint exists"),
                 &mut ckpt_backup,
                 &victims,
-                me,
                 right,
                 left,
                 &mut report,
@@ -327,12 +327,12 @@ fn rollback(
     ckpt: &Checkpoint,
     ckpt_backup: &mut Vec<f64>,
     victims: &[usize],
-    me: bool,
     right: usize,
     left: usize,
     report: &mut CrReport,
 ) {
     let t = Instant::now();
+    let me = victims.contains(&ctx.rank());
     // One victim per process row, as in the ABFT scheme (the remote
     // checkpoint has a single holder).
     {

@@ -250,6 +250,29 @@ fn chaos_and_scripted_failures_compose() {
     assert!(r < 3.0, "residual {r}");
 }
 
+/// A scripted failure, then a kill of a rank in the same process row during
+/// the very next phase: two sequential single failures, not one double
+/// failure. Committing the repaired boundary clears the scripted victim
+/// from the detector round and captures the repaired state, so the kill's
+/// agreement names its own victim only and rolls back past the repair, not
+/// to before it.
+#[test]
+fn kill_right_after_a_scripted_recovery_is_a_second_failure() {
+    let (n, nb, p, q) = (48usize, 4usize, 2usize, 2usize);
+    let seed = 47;
+    // Ranks 2 and 3 share process row 1. With rank 3's failure repaired at
+    // panel 1's right-update boundary, rank 2 counts ops 125 and 126 in
+    // panel 1's left update (calibrated with the hook and `Ctx::chaos_ops`).
+    let script = faults("0:at=2@126", p * q)
+        .with_failures(vec![PlannedFailure { victim: 3, point: failpoint(1, Phase::AfterRightUpdate) }]);
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, script);
+    assert_eq!(report.chaos_aborts, 1, "the kill must fire once, after the scripted recovery");
+    assert_eq!(report.recoveries, 2);
+    assert_eq!(report.victims, vec![3, 2]);
+    let r = residual_of(n, seed, &ag, &tau);
+    assert!(r < 3.0, "residual {r}");
+}
+
 /// Determinism: the same chaos seed twice gives bitwise-identical results
 /// and identical reports — the property the CI soak relies on.
 #[test]

@@ -61,27 +61,41 @@ fn fault_free_matches_plain_bitwise() {
 #[test]
 fn theorem1_invariant_all_phases() {
     // After every phase, the checksums of every group strictly after the
-    // current panel scope must match the live data to rounding accuracy.
+    // current panel scope must match the live data to rounding accuracy —
+    // fault-free, and with a scripted failure at any phase of panel 3: the
+    // hook sees every boundary once, the failed one after its recovery.
     let (n, nb, p, q) = (24, 2, 2, 3);
-    run_spmd(p, q, FaultScript::none(), move |ctx| {
-        let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(7, i, j));
-        let mut tau = vec![0.0; n - 1];
-        let mut checked = 0usize;
-        ft_pdgehrd_full(
-            &ctx,
-            &mut enc,
-            Variant::NonDelayed,
-            &mut tau,
-            ScrubPolicy::disabled(),
-            &mut |ctx, enc, panel, phase| {
-                let s = (panel * nb / nb) / ctx.npcol(); // scope of this panel
-                checked += assert_theorem1(ctx, enc, s, 1e-11, "hessenberg", &format!("panel {panel} {phase:?}"));
-            },
-        )
-        .expect("within the fault model");
-        // The sweep actually exercised trailing groups.
-        assert!(checked > 20, "only {checked} invariant checks ran");
-    });
+    let boundaries = |script: FaultScript| {
+        let failed = !script.is_empty();
+        run_spmd(p, q, script, move |ctx| {
+            let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(7, i, j));
+            let mut tau = vec![0.0; n - 1];
+            let (mut checked, mut seen) = (0usize, Vec::new());
+            let tol = if failed { 1e-10 } else { 1e-11 };
+            let rep = ft_pdgehrd_full(
+                &ctx,
+                &mut enc,
+                Variant::NonDelayed,
+                &mut tau,
+                ScrubPolicy::disabled(),
+                &mut |ctx, enc, panel, phase| {
+                    let s = panel / ctx.npcol(); // scope of this panel
+                    checked += assert_theorem1(ctx, enc, s, tol, "hessenberg", &format!("panel {panel} {phase:?}"));
+                    seen.push((panel, phase));
+                },
+            )
+            .expect("within the fault model");
+            // The sweep actually exercised trailing groups.
+            assert!(checked > 20, "only {checked} invariant checks ran");
+            assert_eq!(rep.recoveries, usize::from(failed));
+            seen
+        })
+        .swap_remove(0)
+    };
+    let fault_free = boundaries(FaultScript::none());
+    for phase in Phase::ALL {
+        assert_eq!(boundaries(FaultScript::one(4, failpoint(3, phase))), fault_free, "failure at panel 3 {phase:?}");
+    }
 }
 
 #[test]

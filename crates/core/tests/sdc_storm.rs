@@ -463,6 +463,34 @@ fn post_recovery_scan_extra_pass() {
     }
 }
 
+/// A kill's recovery gets the post-recovery pass too: scripted failures and
+/// kills share one recovery path. The same kill with the pass switched off
+/// scans exactly once less, and both runs match the fault-free one.
+#[test]
+fn post_recovery_scan_runs_after_a_kill_too() {
+    let (n, nb, p, q) = (48, 4, 2, 2);
+    let reference = clean_run(n, nb, p, q, 82, Variant::NonDelayed, Redundancy::Single);
+    let run = |post_recovery: bool| {
+        let policy = ScrubPolicy { post_recovery, ..ScrubPolicy::every_panels(1) };
+        let script = FaultScript::parse("0:at=2@137", p * q, 0..1).unwrap();
+        run_spmd(p, q, script, move |ctx| {
+            let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Single, |i, j| uniform_entry(82, i, j));
+            let mut tau = vec![0.0; n - 1];
+            let rep = ft_pdgehrd_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, policy, &mut |_, _, _, _| {})
+                .expect("within the fault model");
+            assert!(rep.chaos_aborts > 0, "the kill never fired");
+            assert_eq!(rep.recoveries, 1);
+            (enc.gather_logical(&ctx, 810), rep.scrub)
+        })
+    };
+    for ((got, with), (_, without)) in run(true).into_iter().zip(run(false)) {
+        assert_eq!(with.scans, without.scans + 1, "post-recovery pass after the kill");
+        assert_eq!(with.escalations, 0);
+        let d = got.max_abs_diff(&reference);
+        assert!(d < 1e-10, "diff {d}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Composition: one script, a memory fault and wire faults, over a real wire.
 // ---------------------------------------------------------------------------

@@ -86,27 +86,10 @@ pub(crate) fn world_ctxs(grid: Grid, script: FaultScript, transports: Vec<Box<dy
 /// protocols (see [`crate::dist`]) instead of shared-memory rendezvous.
 pub(crate) fn distributed_ctx(grid: Grid, script: FaultScript, transport: Box<dyn Transport>) -> Ctx {
     assert_eq!(transport.world_size(), grid.size(), "transport world != grid size");
-    assert!(script.failures().is_empty(), "fail-point failures need the in-process notice board");
     let rank = transport.rank();
     let mut ctx = Ctx::build(rank, grid, transport, Arc::new(Detector::default()), Arc::new(script));
     ctx.dist = true;
     ctx
-}
-
-/// Result of a fail-point check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FailCheck {
-    /// Nothing failed; continue.
-    AllGood,
-    /// One or more processes failed at this point. Every process observes
-    /// the same victim list. `me` is `true` on the victims themselves, which
-    /// must now drop their local data and act as replacement processes.
-    Failure {
-        /// Ranks that failed, in announcement order.
-        victims: Vec<usize>,
-        /// Whether the observing process is itself a victim.
-        me: bool,
-    },
 }
 
 /// A process's handle to the simulated machine. Not `Sync`: it lives on its
@@ -132,11 +115,11 @@ pub struct Ctx {
     /// Flips whose op has passed but which the algorithm has not yet
     /// applied; drained by [`Ctx::take_sdc_flips`] at phase boundaries.
     sdc_pending: RefCell<Vec<SdcFlip>>,
-    board_cursor: Cell<usize>,
-    /// Script entries this process has already executed — a fail point is
-    /// fail-stop, so re-visiting the same point id (e.g. after a
-    /// checkpoint/restart rollback re-runs an iteration) must not re-kill.
-    fired_points: RefCell<HashSet<u64>>,
+    /// The lowest fail point whose scripted failures can still strike —
+    /// one past the last point this process passed. A fail point is
+    /// fail-stop: re-visiting it (a checkpoint/restart or scrub rollback
+    /// re-running an iteration) must not re-kill.
+    next_failpoint: Cell<u64>,
     /// Communication epoch: bumped by each failure agreement; messages
     /// stamped with an older epoch are stragglers from an aborted attempt.
     pub(crate) epoch: Cell<u64>,
@@ -195,8 +178,7 @@ impl Ctx {
             script,
             sdc_fired: RefCell::new(HashSet::new()),
             sdc_pending: RefCell::new(Vec::new()),
-            board_cursor: Cell::new(0),
-            fired_points: RefCell::new(HashSet::new()),
+            next_failpoint: Cell::new(0),
             epoch: Cell::new(0),
             dist: false,
             bar_gen: Cell::new(0),
@@ -576,53 +558,41 @@ impl Ctx {
 
     // --- fault handling ----------------------------------------------------
 
-    /// Fail-point check: must be called **collectively** (same sequence of
-    /// points on all ranks) at quiescent phase boundaries.
+    /// Fail-point check: the ranks that fail at `point`, sorted — empty when
+    /// nothing does. Must be called **collectively** (same sequence of
+    /// points on all ranks) at quiescent phase boundaries. A victim must
+    /// drop its local data and act as its own replacement process.
     ///
-    /// If the fault script kills this process here, it announces itself on
-    /// the detector's notice board; the two enclosing barriers make the
-    /// board read race-free, so every rank returns the same [`FailCheck`]
-    /// for the same point.
+    /// Every rank holds the same script, so every rank reads the same
+    /// victims for the same point straight from it: no message, no barrier,
+    /// fired or not. The victims also enter the detector's round, so a kill
+    /// striking during their recovery agrees on them too; they leave it when
+    /// the caller commits the repaired boundary ([`Ctx::commit_boundary`]),
+    /// so a later kill agrees on its own victims only. Kills and wire
+    /// deaths are not read here — they revoke the world and surface as
+    /// interrupts in the next communication call.
     ///
-    /// With **no fail point scripted** the check returns
-    /// [`FailCheck::AllGood`] at once, without a barrier: the script's
-    /// fail-point failures are the notice board's only writer, so there is
-    /// nothing to read, and every rank holds the same script and takes the
-    /// same branch. Kills and wire deaths do not use the board — they revoke
-    /// the world and surface as interrupts in the next communication call.
-    /// With fail points scripted the protocol is two barriers plus one
-    /// atomic load at every point, fired or not.
-    pub fn check_failpoint(&self, point: u64) -> FailCheck {
-        if self.script.failures().is_empty() {
-            return FailCheck::AllGood;
+    /// A point strikes once: a point this rank has already passed (a
+    /// checkpoint/restart or scrub rollback re-running an iteration) reads
+    /// empty, unless [`Ctx::rewind_failpoints`] re-armed it.
+    pub fn check_failpoint(&self, point: u64) -> Vec<usize> {
+        if point < self.next_failpoint.get() {
+            return Vec::new();
         }
-        if self.script.is_victim_at(point, self.rank) && self.fired_points.borrow_mut().insert(point) {
-            self.detector.announce(self.rank);
-        }
-        self.barrier();
-        let cursor = self.board_cursor.get();
-        let new = if self.detector.board_len() == cursor {
-            Vec::new()
-        } else {
-            self.detector.board_from(cursor)
-        };
-        self.barrier();
-        // Commit the cursor only after the second barrier: if that barrier
-        // is revoked, the unwind leaves the cursor untouched and the
-        // re-executed fail point re-reads the same entries (the read is
-        // transactional, so aborted attempts can't desynchronize ranks).
-        self.board_cursor.set(cursor + new.len());
-        if new.is_empty() {
-            FailCheck::AllGood
-        } else {
-            // Board order is announcement order — a thread-timing artifact.
-            // Sort so every consumer (tolerance checks, error reports) sees
-            // the same victim order on every run.
-            let mut victims = new;
-            victims.sort_unstable();
-            let me = victims.contains(&self.rank);
-            FailCheck::Failure { victims, me }
-        }
+        self.next_failpoint.set(point + 1);
+        let victims = self.script.victims_at(point);
+        self.detector.merge_round(&victims);
+        victims
+    }
+
+    /// Re-arm the fail points from `next` on: a rollback to a boundary
+    /// restores the state from just before fail point `next`, so the points
+    /// before it count as passed and every point from it on strikes again.
+    /// Every rank rolls back to the same boundary, so every rank reads the
+    /// same failures on the way forward — whichever points it had passed
+    /// before the rollback, and whether or not it is a fresh replacement.
+    pub fn rewind_failpoints(&self, next: u64) {
+        self.next_failpoint.set(next);
     }
 
     /// Arm kill and flip injection: the algorithm's protection domain starts
@@ -872,8 +842,8 @@ mod tests {
     #[test]
     fn failpoint_no_failure() {
         run_spmd(2, 2, FaultScript::none(), |ctx| {
-            assert_eq!(ctx.check_failpoint(1), FailCheck::AllGood);
-            assert_eq!(ctx.check_failpoint(2), FailCheck::AllGood);
+            assert!(ctx.check_failpoint(1).is_empty());
+            assert!(ctx.check_failpoint(2).is_empty());
         });
     }
 
@@ -886,7 +856,7 @@ mod tests {
                 ctx.recv(0, 7);
             }
             for point in 0..3 {
-                assert_eq!(ctx.check_failpoint(point), FailCheck::AllGood);
+                assert!(ctx.check_failpoint(point).is_empty());
             }
             if ctx.rank() == 0 {
                 ctx.send(1, 7, &[]);
@@ -896,34 +866,50 @@ mod tests {
     }
 
     #[test]
-    fn failpoint_with_a_script_keeps_the_two_barrier_protocol() {
+    fn failpoint_with_a_script_takes_no_barrier() {
         run_spmd(2, 2, FaultScript::one(2, 1), |ctx| {
-            // Two barriers a point, fired or not; my read of the generation
-            // is exact because no later barrier completes without me.
-            assert_eq!(ctx.check_failpoint(0), FailCheck::AllGood);
-            assert_eq!(ctx.detector.barrier_generation(), 2);
-            let hit = ctx.check_failpoint(1);
-            assert_eq!(hit, FailCheck::Failure { victims: vec![2], me: ctx.rank() == 2 }, "rank {}", ctx.rank());
-            assert_eq!(ctx.detector.barrier_generation(), 4);
-            assert_eq!(ctx.check_failpoint(2), FailCheck::AllGood);
-            assert_eq!(ctx.detector.barrier_generation(), 6);
+            // Rank 3 reaches the fail points only after everybody else has
+            // passed all of them: a check that synchronized would wedge.
+            if ctx.rank() == 3 {
+                for src in 0..3 {
+                    ctx.recv(src, 7);
+                }
+            }
+            assert!(ctx.check_failpoint(0).is_empty());
+            assert_eq!(ctx.check_failpoint(1), vec![2], "rank {}", ctx.rank());
+            assert!(ctx.check_failpoint(2).is_empty());
+            if ctx.rank() != 3 {
+                ctx.send(3, 7, &[]);
+            }
+            assert_eq!(ctx.detector.barrier_generation(), 0, "a fail point must not reach the barrier");
+            // The victim is in the round a kill's agreement would return.
+            assert_eq!(ctx.detector.current_victims(), vec![2]);
+        });
+    }
+
+    #[test]
+    fn failpoint_strikes_once_until_rewound() {
+        run_spmd(1, 2, FaultScript::one(1, 4), |ctx| {
+            assert_eq!(ctx.check_failpoint(4), vec![1]);
+            // A rollback that keeps the strike (back to just after point 4)
+            // re-runs point 5 only; one that undoes it re-runs point 4.
+            for p in 3..=5 {
+                assert!(ctx.check_failpoint(p).is_empty(), "point {p} re-struck");
+            }
+            ctx.rewind_failpoints(5);
+            assert!(ctx.check_failpoint(4).is_empty());
+            ctx.rewind_failpoints(4);
+            assert_eq!(ctx.check_failpoint(4), vec![1]);
         });
     }
 
     #[test]
     fn failpoint_single_victim_observed_by_all() {
         let out = run_spmd(2, 2, FaultScript::one(2, 50), |ctx| {
-            assert_eq!(ctx.check_failpoint(49), FailCheck::AllGood);
-            let res = ctx.check_failpoint(50);
-            match &res {
-                FailCheck::Failure { victims, me } => {
-                    assert_eq!(victims, &vec![2]);
-                    assert_eq!(*me, ctx.rank() == 2);
-                }
-                _ => panic!("rank {} missed the failure", ctx.rank()),
-            }
+            assert!(ctx.check_failpoint(49).is_empty());
+            assert_eq!(ctx.check_failpoint(50), vec![2], "rank {} missed the failure", ctx.rank());
             // Life goes on after recovery.
-            assert_eq!(ctx.check_failpoint(51), FailCheck::AllGood);
+            assert!(ctx.check_failpoint(51).is_empty());
             1
         });
         assert_eq!(out, vec![1; 4]);
@@ -932,15 +918,8 @@ mod tests {
     #[test]
     fn failpoint_two_simultaneous_victims() {
         use crate::PlannedFailure;
-        let script = FaultScript::new(vec![PlannedFailure { victim: 0, point: 5 }, PlannedFailure { victim: 3, point: 5 }]);
-        run_spmd(2, 2, script, |ctx| match ctx.check_failpoint(5) {
-            FailCheck::Failure { mut victims, me } => {
-                victims.sort_unstable();
-                assert_eq!(victims, vec![0, 3]);
-                assert_eq!(me, ctx.rank() == 0 || ctx.rank() == 3);
-            }
-            _ => panic!("missed failure"),
-        });
+        let script = FaultScript::new(vec![PlannedFailure { victim: 3, point: 5 }, PlannedFailure { victim: 0, point: 5 }]);
+        run_spmd(2, 2, script, |ctx| assert_eq!(ctx.check_failpoint(5), vec![0, 3]));
     }
 
     #[test]

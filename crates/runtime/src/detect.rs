@@ -2,24 +2,24 @@
 //! FT-MPI (§5) and that ULFM spells out as `revoke` + `agree`.
 //!
 //! One [`Detector`] is shared by every process of a world. It is the single
-//! source of truth about failures and plays three roles:
+//! source of truth about failures and plays two roles:
 //!
-//! 1. **Notice board** (quiescent failures): scripted victims announce
-//!    themselves at a fail point; survivors read the board between two
-//!    barriers, so everyone observes the same ordered prefix. This is the
-//!    cooperative path [`crate::Ctx::check_failpoint`] has always used —
-//!    the board just lives here now.
-//! 2. **Revocation** (asynchronous failures): a chaos victim *revokes* the
+//! 1. **Revocation** (asynchronous failures): a chaos victim *revokes* the
 //!    world as it dies. Every communication call and every barrier checks
 //!    the revocation flag; on observing it, the call raises an
 //!    [`Interrupt`] unwind instead of returning garbage. Blocked peers are
 //!    woken by control messages and by the revocable barrier's condvar.
-//! 3. **Agreement**: after unwinding, every process (victims' replacements
+//! 2. **Agreement**: after unwinding, every process (victims' replacements
 //!    included) calls `agree`, a full-world rendezvous that snapshots the
 //!    cumulative victim set of the current round, bumps the communication
 //!    epoch (so straggler messages from the aborted epoch are discarded),
 //!    and clears the revocation flag. All participants leave with an
 //!    identical, sorted victim set — the ULFM `MPI_Comm_agree` analogue.
+//!
+//! Scripted failures need neither: every rank reads their victims from the
+//! script at the fail point ([`crate::Ctx::check_failpoint`]). They only
+//! enter the round, so that a kill striking during their recovery agrees on
+//! both.
 //!
 //! Victims accumulate in a *round* that spans nested aborts: if a second
 //! failure strikes during recovery from a first, the next agreement returns
@@ -29,7 +29,7 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Why a communication call unwound. Carried inside [`Interrupt`].
@@ -104,8 +104,6 @@ pub struct FailureAgreement {
 
 #[derive(Debug, Default)]
 struct DetectorState {
-    /// Ordered announcement board (scripted, quiescent failures).
-    board: Vec<usize>,
     /// Cumulative victims of the current round (scripted + chaos).
     round: BTreeSet<usize>,
     /// Victims revoked since the last agreement. A boundary commit may race
@@ -132,8 +130,6 @@ struct DetectorState {
 pub(crate) struct Detector {
     state: Mutex<DetectorState>,
     cv: Condvar,
-    /// Lock-free mirror of `state.board.len()` for the empty-fast-path.
-    board_len: AtomicUsize,
     /// Lock-free mirror of `state.revoked`.
     revoked: AtomicBool,
     /// `true` while the current round has uncommitted victims — lets
@@ -144,27 +140,6 @@ pub(crate) struct Detector {
 impl Detector {
     fn lock(&self) -> std::sync::MutexGuard<'_, DetectorState> {
         self.state.lock().expect("detector poisoned")
-    }
-
-    /// Quiescent announcement: a scripted victim posts itself on the board
-    /// (and into the round) at a fail point.
-    pub(crate) fn announce(&self, victim: usize) {
-        let mut st = self.lock();
-        st.board.push(victim);
-        st.round.insert(victim);
-        self.board_len.store(st.board.len(), Ordering::Release);
-        self.dirty.store(true, Ordering::Release);
-    }
-
-    /// Board entries from `from` onward (callers keep their own cursor).
-    pub(crate) fn board_from(&self, from: usize) -> Vec<usize> {
-        let st = self.lock();
-        st.board[from.min(st.board.len())..].to_vec()
-    }
-
-    /// Current board length, without taking the lock.
-    pub(crate) fn board_len(&self) -> usize {
-        self.board_len.load(Ordering::Acquire)
     }
 
     /// Asynchronous death: revoke the world. Wakes barrier/agreement
@@ -281,9 +256,11 @@ impl Detector {
         self.lock().epoch
     }
 
-    /// Adopt victims learned from a peer's view during a distributed
-    /// agreement iteration into the current round (the message-protocol
-    /// analogue of hearing an `announce`/`revoke` through shared memory).
+    /// Add `victims` to the current round without revoking the world: the
+    /// scripted victims of a fail point every rank has just read, or the
+    /// victims a distributed agreement iteration learned from a peer's view
+    /// (the message-protocol analogue of hearing a `revoke` through shared
+    /// memory).
     pub(crate) fn merge_round(&self, victims: &[usize]) {
         if victims.is_empty() {
             return;
@@ -324,21 +301,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn board_cursor_reads() {
-        let d = Detector::default();
-        d.announce(2);
-        d.announce(7);
-        assert_eq!(d.board_from(0), vec![2, 7]);
-        assert_eq!(d.board_from(1), vec![7]);
-        assert_eq!(d.board_from(2), Vec::<usize>::new());
-        assert_eq!(d.board_len(), 2);
-    }
-
-    #[test]
     fn revoke_then_agree_converges_and_clears() {
         let d = Arc::new(Detector::default());
         d.revoke(3);
-        d.announce(1);
+        d.merge_round(&[1]);
         assert!(d.is_revoked());
         let world = 4;
         let results: Vec<FailureAgreement> = std::thread::scope(|s| {
@@ -367,10 +333,10 @@ mod tests {
     #[test]
     fn commit_is_idempotent_per_boundary() {
         let d = Detector::default();
-        d.announce(5);
+        d.merge_round(&[5]);
         d.commit(7); // first committer clears
         assert!(d.current_victims().is_empty());
-        d.announce(6); // a NEW failure after the first commit...
+        d.merge_round(&[6]); // a NEW failure after the first commit...
         d.commit(7); // ...survives late committers of the same boundary
         assert_eq!(d.current_victims(), vec![6]);
     }

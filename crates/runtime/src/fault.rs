@@ -5,14 +5,16 @@
 //!
 //! * **scripted failures** ([`PlannedFailure`]) — the paper's own model
 //!   (§5.3): a victim rank dies at an opaque *fail point* id the algorithm
-//!   announces through [`crate::Ctx::check_failpoint`] (ft-hess packs
-//!   `(iteration, phase)` into it). They strike at quiescent boundaries, so
-//!   recovery starts from a globally consistent state;
+//!   passes to [`crate::Ctx::check_failpoint`] (ft-hess packs
+//!   `(iteration, phase)` into it). Every rank holds the script, so every
+//!   rank reads the same victims at the same point without a message; they
+//!   strike at quiescent boundaries, so recovery starts from a globally
+//!   consistent state;
 //! * **kills** ([`ChaosKill`]) — deaths at arbitrary *message-operation*
 //!   boundaries (the Nth send/recv a rank performs: mid-collective,
 //!   mid-panel, or *inside an ongoing recovery*,
 //!   [`ChaosPoint::RecoveryOp`]), detected through the revoke/agree protocol
-//!   in [`crate::detect`] instead of the cooperative notice board;
+//!   in [`crate::detect`];
 //! * **flips** ([`SdcFlip`]) — silent single-bit corruption of a rank's
 //!   local storage, on the same op clock;
 //! * **wire faults** ([`crate::NetFault`], [`crate::NetPartition`]) — drop,
@@ -125,10 +127,9 @@ pub struct SdcFlip {
 /// and the grammar.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultScript {
-    /// Sorted by `point` (stable: intra-point script order is preserved,
-    /// which fixes the victim announcement order for simultaneous failures),
-    /// so the per-fail-point lookup on the hot path is a binary search over
-    /// a slice — no allocation, no lock.
+    /// Sorted by `point` (stable: intra-point script order is preserved), so
+    /// the per-fail-point lookup on the hot path is a binary search over a
+    /// slice — no lock, and no allocation where nobody dies.
     failures: Vec<PlannedFailure>,
     kills: Vec<ChaosKill>,
     flips: Vec<SdcFlip>,
@@ -291,14 +292,19 @@ impl FaultScript {
         self
     }
 
-    /// Whether `rank` is scripted to die at `point` (binary search over the
-    /// sorted failures — the per-fail-point check allocates nothing).
-    pub fn is_victim_at(&self, point: u64, rank: usize) -> bool {
+    /// The ranks scripted to die at `point`, sorted and deduplicated — the
+    /// same list on every rank that holds this script. A binary search over
+    /// the sorted failures; a point nobody dies at allocates nothing.
+    pub fn victims_at(&self, point: u64) -> Vec<usize> {
         let lo = self.failures.partition_point(|f| f.point < point);
-        self.failures[lo..]
+        let mut victims: Vec<usize> = self.failures[lo..]
             .iter()
             .take_while(|f| f.point == point)
-            .any(|f| f.victim == rank)
+            .map(|f| f.victim)
+            .collect();
+        victims.sort_unstable();
+        victims.dedup();
+        victims
     }
 
     /// `true` if nothing at all is scripted.
@@ -442,29 +448,27 @@ mod tests {
             PlannedFailure { victim: 3, point: 17 },
             PlannedFailure { victim: 5, point: 17 },
         ]);
-        let victims_at = |point| {
-            s.failures()
-                .iter()
-                .filter(|f| f.point == point)
-                .map(|f| f.victim)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(victims_at(17), vec![3, 5]);
-        assert_eq!(victims_at(99), vec![1]);
+        assert_eq!(s.victims_at(17), vec![3, 5]);
+        assert_eq!(s.victims_at(99), vec![1]);
+        assert!(s.victims_at(0).is_empty());
+        assert!(s.victims_at(18).is_empty());
         assert_eq!(s.failures().iter().map(|f| f.point).collect::<Vec<_>>(), vec![17, 17, 99]);
-        assert!(s.is_victim_at(17, 5));
-        assert!(!s.is_victim_at(17, 1));
-        assert!(!s.is_victim_at(0, 3));
         assert!(!s.is_empty());
         assert!(FaultScript::none().is_empty());
     }
 
     #[test]
     fn script_preserves_intra_point_order() {
-        // Two victims at the same point keep script order after sorting
-        // (announcement order is part of the observable protocol).
-        let s = FaultScript::new(vec![PlannedFailure { victim: 9, point: 5 }, PlannedFailure { victim: 2, point: 5 }]);
-        assert_eq!(s.failures().iter().map(|f| f.victim).collect::<Vec<_>>(), vec![9, 2]);
+        // Two victims at the same point keep script order after sorting by
+        // point; the fail point itself reports them sorted, and a victim
+        // scripted twice at one point dies once.
+        let s = FaultScript::new(vec![
+            PlannedFailure { victim: 9, point: 5 },
+            PlannedFailure { victim: 2, point: 5 },
+            PlannedFailure { victim: 9, point: 5 },
+        ]);
+        assert_eq!(s.failures().iter().map(|f| f.victim).collect::<Vec<_>>(), vec![9, 2, 9]);
+        assert_eq!(s.victims_at(5), vec![2, 9]);
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! ## Failure model
 //!
 //! *Scripted* failures strike at *fail points* — quiescent phase boundaries
-//! the algorithm announces via [`Ctx::check_failpoint`]. A victim's closure
-//! observes [`FailCheck::Failure`] with `me == true`, at which point it must
-//! act as the *replacement* process: drop all of its local data (that is the
-//! data loss) and rejoin the recovery protocol. Survivors observe the victim
-//! list and run the recovery side. Because fail points sit between
+//! the algorithm passes to [`Ctx::check_failpoint`], which returns the
+//! victims from the script every rank holds. A victim finding its own rank
+//! there must act as the *replacement* process: drop all of its local data
+//! (that is the data loss) and rejoin the recovery protocol. Survivors
+//! observe the same victim list and run the recovery side. Because fail points sit between
 //! communication phases, channels are quiescent and no in-flight messages
 //! are lost — matching the paper's recovery model, which repairs the grid
 //! before recovering data (§5.3 step 1).
@@ -52,7 +52,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use collectives::PendingBcast;
-pub use comm::{recv_timeout_env, Ctx, FailCheck};
+pub use comm::{recv_timeout_env, Ctx};
 pub use detect::{catch_interrupt, FailureAgreement, Interrupt, InterruptReason};
 pub use fault::{poisson_failures, ChaosKill, ChaosPoint, FaultScript, PlannedFailure, SdcFlip};
 pub use grid::Grid;
@@ -131,8 +131,9 @@ where
 /// a shared revocation flag. The script's kills are evaluated against this
 /// rank's op clock exactly as in-process, but a strike is a *real* process
 /// death: the victim emits a `FT_CHAOS_KILL` marker for the launcher to
-/// SIGKILL it (aborting itself if nobody does). Fail-point failures need
-/// the in-process notice board and are refused here.
+/// SIGKILL it (aborting itself if nobody does). Fail-point failures read
+/// the script exactly as in-process: their victims drop their data and
+/// recover without leaving the process.
 /// Terminal communication faults (an unhealable partition's agreement
 /// deadline, raised as a typed [`CommError::Partitioned`] unwind) are
 /// caught and surfaced as `Err` so every surviving rank process can exit

@@ -76,9 +76,10 @@
 //!   number of milliseconds, default 120000). All validated at startup;
 //!   inconsistent values exit with code 2.
 //!
-//!   --fail / --mtti / --faults flip= are not available with --distributed
-//!   (scripted fail points and flip injection assume the in-process
-//!   world); use --faults kill= / at= for real process death.
+//!   --faults flip= is not available with --distributed (flip injection
+//!   assumes the in-process world). --fail / --mtti victims drop their data
+//!   and recover without leaving their process, exactly as in-process; use
+//!   --faults kill= / at= for real process death.
 //! ```
 //!
 //! Examples:
@@ -485,9 +486,6 @@ fn sanity_check(o: &Opts) {
         return;
     }
     let world = o.world();
-    if !o.faults.failures().is_empty() || o.mtti.is_some() {
-        fail("--fail / --mtti assume the in-process world; use --faults kill= or at= with --distributed");
-    }
     if flips {
         fail("--faults flip= assumes the in-process flip injector; not available with --distributed");
     }

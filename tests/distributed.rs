@@ -177,10 +177,13 @@ fn fault_free_smoke_both_variants() {
 }
 
 /// In-process and `--distributed` are the same program: one rank body, two
-/// transports. A fault-free `--verify` run must print the identical
-/// `residual r_inf = …` line either way, for both solvers — bitwise
-/// determinism across transports (DESIGN.md §14), observed through the one
-/// `print_summary` every mode shares.
+/// transports. A `--verify` run must print the identical `residual r_inf =
+/// …` line either way, for both solvers — bitwise determinism across
+/// transports (DESIGN.md §14), observed through the one `print_summary`
+/// every mode shares. That holds with a scripted failure too: fail points
+/// read the script every rank holds, so under `--distributed` the victim
+/// drops its data and recovers inside its own process, through the data
+/// path of the in-process run.
 #[test]
 fn in_process_and_distributed_print_the_same_residual_line() {
     let residual_line = |out: &RunOutput| {
@@ -191,8 +194,8 @@ fn in_process_and_distributed_print_the_same_residual_line() {
             .to_owned()
     };
     for solver in ["hessenberg", "qr"] {
-        for variant in ["alg2", "plain"] {
-            let shape = [
+        for (variant, fail) in [("alg2", None), ("plain", None), ("alg2", Some("5:2:1"))] {
+            let mut shape = vec![
                 "--grid",
                 "2x2",
                 "--n",
@@ -205,6 +208,7 @@ fn in_process_and_distributed_print_the_same_residual_line() {
                 variant,
                 "--verify",
             ];
+            shape.extend(fail.iter().flat_map(|f| ["--fail", *f]));
             let local = run(&shape, 60_000);
             let mut args = vec!["--distributed"];
             args.extend_from_slice(&shape);
@@ -215,8 +219,42 @@ fn in_process_and_distributed_print_the_same_residual_line() {
             for out in [&local, &dist] {
                 assert!(out.stdout.contains("verification passed"), "{solver} {variant}: {}", out.stdout);
             }
+            if fail.is_some() {
+                assert!(local.stdout.contains("recoveries: 1"), "{solver}: {}", local.stdout);
+                assert!(dist.stdout.contains("recoveries: 1, chaos aborts: 0"), "{solver}: {}", dist.stdout);
+            }
         }
     }
+}
+
+/// A scripted failure and a real SIGKILL in one run over TCP: both go
+/// through the one recovery path, and the rollback after the kill re-arms
+/// exactly the fail points past the restored boundary on every rank —
+/// the re-spawned process included — so the scripted failure strikes once.
+#[test]
+fn scripted_failure_and_sigkill_compose_over_tcp() {
+    let out = run(
+        &[
+            "--distributed",
+            "--grid",
+            "2x2",
+            "--n",
+            "64",
+            "--nb",
+            "8",
+            "--variant",
+            "alg2",
+            "--fail",
+            "5:1:2",
+            "--faults",
+            "0:at=3@120",
+            "--verify",
+        ],
+        30_000,
+    );
+    assert_eq!(out.status, 0, "{}\n{}", out.stdout, out.stderr);
+    assert!(out.stdout.contains("recoveries: 2"), "{}", out.stdout);
+    assert!(out.stdout.contains("verification passed"), "{}", out.stdout);
 }
 
 /// The acceptance scenario: SIGKILL one rank mid-factorization, let the
