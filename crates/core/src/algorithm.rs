@@ -15,7 +15,7 @@
 //! 5. right update `trail(Aₑ) −= Y·(Vₑ)ᵀ` (line 10) — Algorithm 2 includes
 //!    the checksum columns of the groups after the scope, Algorithm 3 only
 //!    the original columns. A left-only solver (QR) has no right update:
-//!    the step still commits its boundary, so fail-point ids and the chaos
+//!    the step still passes its fail point, so fail-point ids and the chaos
 //!    rollback protocol are identical for every solver;
 //! 6. left update `trail(Aₑ) −= V·Tᵀ·Vᵀ·trail(Aₑ)` (line 11), same column
 //!    scope rule — row checksums are invariant under left updates for both
@@ -25,7 +25,9 @@
 //!    recomputed once — it protects the finished columns (Area 2) forever.
 //!
 //! Fail points sit between the phases; on a failure every process runs the
-//! recovery procedure of §5.3 (see [`crate::recovery`]).
+//! recovery procedure of §5.3 (see [`crate::recovery`]). When kills can
+//! strike, each panel's `BeforePanel` boundary is committed: a world barrier
+//! and a boundary image a kill rolls back to ([`pass_boundary`]).
 
 use crate::encode::{Encoded, Redundancy};
 use crate::recovery;
@@ -556,8 +558,10 @@ fn ft_live(ctx: &Ctx) -> bool {
 /// `spans`: everything the driver can still write before the image can no
 /// longer be restored — the next commit in process, the one after it in a
 /// distributed run ([`dist_align_boundary`]), and any recovery attempt that
-/// restores the image again (DESIGN.md §8). A right-looking reduction never
-/// writes a column left of its open scope again, so that is
+/// restores the image again (DESIGN.md §8). Commits sit at panel starts
+/// (and at a scripted recovery's repaired boundary), so those writes come
+/// from scope `s` and the scopes after it, and a right-looking reduction
+/// never writes a column left of its open scope again. So that is
 ///
 /// * every row of my original columns from scope `s`'s first column on —
 ///   the panels, both updates and `store_ve`'s pseudo-checksum rows;
@@ -662,9 +666,12 @@ fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: 
 }
 
 /// Pass the fail-point boundary `(panel_idx, phase)`: read the script's
-/// failures at its fail point, and commit the boundary when there are none.
-/// `Some` stops the loop right here, uncommitted, for [`recover_from`],
-/// which commits the boundary once its failures are repaired.
+/// failures at its fail point; when there are none, commit a panel's
+/// `BeforePanel` boundary and only end the detector round at the other
+/// three. `Some` stops the loop right here, uncommitted, for
+/// [`recover_from`], which commits the boundary once its failures are
+/// repaired. A kill therefore rolls back to the start of the panel it
+/// struck — distributed, possibly of the panel before (`prev`).
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn pass_boundary(
     ctx: &Ctx,
@@ -682,7 +689,11 @@ fn pass_boundary(
     if !victims.is_empty() {
         return Some(Halt::Scripted { victims, phase, s });
     }
-    commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, report);
+    if phase == Phase::BeforePanel {
+        commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, report);
+    } else {
+        ctx.commit_boundary(failpoint(st.panel_idx, phase) + 1);
+    }
     None
 }
 
@@ -1269,9 +1280,8 @@ fn run_loop(
             // On resume after a rollback the panel's factors come from the
             // scope bookkeeping (replicated and deterministic), not from a
             // re-run of the panel kernel. A left-only solver does no work
-            // here, but the step still runs its fail point and commits its
-            // boundary so fail-point ids and the rollback protocol are
-            // solver-independent.
+            // here, but the step still runs its fail point so fail-point
+            // ids and the rollback protocol are solver-independent.
             if solver.has_right_update() {
                 let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored");
                 let ve = ve_panel.take().unwrap_or_else(|| ve_rows(enc, f));
@@ -1536,7 +1546,7 @@ fn recover_from(
         // Recapture the boundary from the *recovered* state on every rank: a
         // re-spawned victim's synthesized image holds a garbage matrix
         // buffer and an empty scope, and must never be rolled back to again.
-        let id = imgs.cur.as_ref().expect("a distributed run commits every boundary").id;
+        let id = imgs.cur.as_ref().expect("a distributed run commits before its first panel").id;
         report.image_words += capture_image(&mut imgs.cur, enc, tau, st, phase, s, id, imgs.whole);
         imgs.prev = None;
     }
@@ -1550,11 +1560,13 @@ mod tests {
     use crate::solver::SOLVERS;
     use ft_dense::gen::uniform_entry;
     use ft_pblas::{pdlahrd, pdlaqrf};
-    use ft_runtime::{run_distributed, run_spmd, FaultScript, MpscTransport};
+    use ft_runtime::{run_distributed, run_spmd, CommError, FaultScript, MpscTransport, Msg, Transport};
     use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
 
     /// [`ve_rows`] as it was before it walked column slices: one element of
     /// `V` and one weight at a time.
@@ -1717,11 +1729,13 @@ mod tests {
             .count()
     }
 
-    /// The cover rule behind span images: no word outside what a boundary's
-    /// image holds is written at that boundary's next two boundaries — the
-    /// longest a distributed image stays restorable — scope-end work and the
-    /// final scope's close (the solve's end) included. Both solvers, both
-    /// variants, `Single` and `Coded(2)`, ragged `N`, four grid shapes.
+    /// The cover rule behind span images: no word outside what a commit's
+    /// image holds is written until the next two commits — the longest a
+    /// distributed image stays restorable — every boundary in between,
+    /// scope-end work and the final scope's close (the solve's end)
+    /// included. Commits are each panel's `BeforePanel` boundary. Both
+    /// solvers, both variants, `Single` and `Coded(2)`, ragged `N`, four
+    /// grid shapes.
     #[test]
     fn image_spans_cover_the_next_two_boundaries() {
         let cases = [
@@ -1738,7 +1752,7 @@ mod tests {
                     let outside = run_spmd(p, q, FaultScript::none(), |ctx| {
                         let mut enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(5, i, j));
                         let mut tau = vec![0.0; solver.tau_len(n)];
-                        // The last two boundaries.
+                        // The last two commits.
                         let held: RefCell<VecDeque<Held>> = RefCell::default();
                         let check = |now: &[f64], at_now: &str| {
                             for (then_at, then, spans) in held.borrow().iter() {
@@ -1750,6 +1764,9 @@ mod tests {
                         let mut hook = |_: &Ctx, enc: &mut Encoded, panel: usize, phase: Phase| {
                             let buf = enc.a.local().as_slice();
                             check(buf, &format!("panel {panel} {phase:?}"));
+                            if phase != Phase::BeforePanel {
+                                return;
+                            }
                             let mut spans = Vec::new();
                             image_spans(enc, panel / q, false, &mut spans);
                             outside += buf.len() - spans.iter().map(|r| r.len()).sum::<usize>();
@@ -1785,9 +1802,9 @@ mod tests {
     }
 
     /// A distributed solve at the serve jobs' shape (1×2, N = 192, nb = 8)
-    /// copies at most 0.45× the words of one whole-buffer image per commit,
-    /// counts its commit time, and factors bitwise what the in-process
-    /// solve does.
+    /// commits once a panel plus once before the loop, copies at most 0.45×
+    /// the words of one whole-buffer image per commit, counts its commit
+    /// time, and factors bitwise what the in-process solve does.
     #[test]
     fn distributed_commits_copy_only_live_columns() {
         let (p, q, n, nb) = (1, 2, 192, 8);
@@ -1801,7 +1818,7 @@ mod tests {
             };
             let local = run_spmd(p, q, FaultScript::none(), solve);
             let dist = run_dist(p, q, solve);
-            let commits = 4 * solver.panel_count(n, nb) + 1;
+            let commits = solver.panel_count(n, nb) + 1;
             for ((buf, tau, rep), (want_buf, want_tau, _)) in dist.iter().zip(&local) {
                 assert_eq!((buf, tau), (want_buf, want_tau), "{}: distributed factor differs", solver.name());
                 let whole = commits * buf.len();
@@ -1827,6 +1844,8 @@ mod tests {
 
     /// Distributed commits rotate two images through the same buffers: every
     /// capture after the first two lands in memory one of them allocated.
+    /// Only a panel's `BeforePanel` boundary commits; the other three leave
+    /// both images as they are.
     #[test]
     fn distributed_commits_reuse_two_image_buffers() {
         let (n, nb) = (48, 4);
@@ -1839,10 +1858,18 @@ mod tests {
             for panel in 0..n / nb {
                 st.panel_idx = panel;
                 for phase in Phase::ALL {
+                    let (cur_id, prev_id, words) =
+                        (imgs.cur.as_ref().map(|i| i.id), imgs.prev.as_ref().map(|i| i.id), report.image_words);
                     let halt = pass_boundary(&ctx, &enc, &tau, &mut st, &mut imgs, Step::Begin, phase, panel / 2, &mut report);
                     assert!(halt.is_none(), "an empty script halted the loop");
+                    if phase != Phase::BeforePanel {
+                        let now = (imgs.cur.as_ref().map(|i| i.id), imgs.prev.as_ref().map(|i| i.id), report.image_words);
+                        assert_eq!(now, (cur_id, prev_id, words), "panel {panel} {phase:?}: a mid-panel boundary committed");
+                        continue;
+                    }
                     assert_eq!(imgs.prev.as_ref().map(|i| i.id), last_id, "panel {panel} {phase:?}: prev is not the last commit");
                     let cur = imgs.cur.as_ref().expect("a live commit captures");
+                    assert_eq!(cur.id, failpoint(panel, phase) + 1, "panel {panel}: the commit is not the panel's start");
                     if buffers.len() < 2 {
                         buffers.push(cur.data.as_ptr());
                     }
@@ -1851,5 +1878,209 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The boundaries a hook saw, in order, each with the rank's op clock.
+    type Seen = Vec<(usize, Phase, u64)>;
+
+    /// Solve the rollback tests' problem (N = 48, nb = 4, non-delayed) on
+    /// `ctx`, recording every boundary with `clock`: the factor's and
+    /// `tau`'s bits, the report and what the hook saw.
+    fn solve_seen(
+        ctx: &Ctx,
+        solver: &dyn FtSolver,
+        replacement: bool,
+        clock: impl Fn(&Ctx) -> u64,
+    ) -> (Vec<u64>, Vec<u64>, FtReport, Seen) {
+        let n = 48;
+        let mut enc = Encoded::from_global_fn(ctx, n, 4, |i, j| uniform_entry(11, i, j));
+        let mut tau = vec![0.0; solver.tau_len(n)];
+        let mut seen = Vec::new();
+        let mut hook = |ctx: &Ctx, _: &mut Encoded, panel: usize, phase: Phase| seen.push((panel, phase, clock(ctx)));
+        let ctl = DriverControl { replacement, hook: Some(&mut hook), ..Default::default() };
+        let rep = ft_solve(ctx, solver, &mut enc, Variant::NonDelayed, &mut tau, ctl).expect("recovered");
+        (bits(enc.a.local().as_slice()), bits(&tau), rep, seen)
+    }
+
+    /// The op, on the clock `seen` recorded, halfway between `panel`'s
+    /// `AfterPanel` and `AfterLeftUpdate` boundaries.
+    fn mid_panel(seen: &Seen, panel: usize) -> u64 {
+        let at = |phase| {
+            seen.iter()
+                .find(|&&(p, ph, _)| (p, ph) == (panel, phase))
+                .expect("boundary seen")
+                .2
+        };
+        let (from, to) = (at(Phase::AfterPanel), at(Phase::AfterLeftUpdate));
+        assert!(from < to, "panel {panel}: no op between AfterPanel and AfterLeftUpdate");
+        (from + to) / 2
+    }
+
+    /// How often `seen` holds `(panel, phase)`.
+    fn times(seen: &Seen, panel: usize, phase: Phase) -> usize {
+        seen.iter().filter(|&&(p, ph, _)| (p, ph) == (panel, phase)).count()
+    }
+
+    /// The victim process died: the unwind a [`Mortal`] endpoint raises.
+    struct Died;
+
+    /// One endpoint of an mpsc fabric that outlives its process: the
+    /// `die_at`-th send closes it and unwinds the rank, and a replacement
+    /// takes it over under the next incarnation — what a SIGKILL and the
+    /// launcher's respawn do to a TCP endpoint.
+    struct Mortal {
+        ep: Arc<Mutex<MpscTransport>>,
+        rank: usize,
+        world: usize,
+        incarnations: Arc<Vec<AtomicU32>>,
+        sends: Arc<AtomicU64>,
+        die_at: Option<u64>,
+    }
+
+    impl Transport for Mortal {
+        fn rank(&self) -> usize {
+            self.rank
+        }
+        fn world_size(&self) -> usize {
+            self.world
+        }
+        fn send(&self, dst: usize, msg: Msg) {
+            if Some(self.sends.fetch_add(1, Ordering::Relaxed)) == self.die_at {
+                self.ep.lock().unwrap().close();
+                resume_unwind(Box::new(Died));
+            }
+            self.ep.lock().unwrap().send(dst, msg);
+        }
+        fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
+            self.ep.lock().unwrap().recv(timeout)
+        }
+        fn close(&self) {
+            self.ep.lock().unwrap().close();
+        }
+        fn reopen(&self) {
+            self.ep.lock().unwrap().reopen();
+        }
+        fn is_peer_dead(&self, peer: usize) -> bool {
+            self.ep.lock().unwrap().is_peer_dead(peer)
+        }
+        fn incarnation(&self) -> u32 {
+            self.incarnations[self.rank].load(Ordering::Acquire)
+        }
+        fn peer_incarnation(&self, peer: usize) -> u32 {
+            self.incarnations[peer].load(Ordering::Acquire)
+        }
+    }
+
+    /// [`run_dist`] in which `victim` dies at its `die_at`-th send and is
+    /// replaced: `f` gets the rank's context, whether it is the replacement,
+    /// and the incarnation's send counter. The victim's slot holds its
+    /// replacement's result.
+    fn run_dist_with_a_death<R: Send>(
+        p: usize,
+        q: usize,
+        victim: usize,
+        die_at: Option<u64>,
+        f: impl Fn(Ctx, bool, &AtomicU64) -> R + Sync,
+    ) -> Vec<R> {
+        let (f, world) = (&f, p * q);
+        let incarnations: Arc<Vec<AtomicU32>> = Arc::new((0..world).map(|_| AtomicU32::new(0)).collect());
+        std::thread::scope(|scope| {
+            let ranks: Vec<_> = MpscTransport::fabric(world)
+                .into_iter()
+                .enumerate()
+                .map(|(rank, ep)| {
+                    let incarnations = Arc::clone(&incarnations);
+                    scope.spawn(move || {
+                        let ep = Arc::new(Mutex::new(ep));
+                        let life = |die_at: Option<u64>| {
+                            let sends = Arc::new(AtomicU64::new(0));
+                            let t = Mortal {
+                                ep: Arc::clone(&ep),
+                                rank,
+                                world,
+                                incarnations: Arc::clone(&incarnations),
+                                sends: Arc::clone(&sends),
+                                die_at,
+                            };
+                            let replacement = incarnations[rank].load(Ordering::Acquire) > 0;
+                            run_distributed(p, q, FaultScript::none(), Box::new(t), |ctx| f(ctx, replacement, &sends))
+                                .expect("clean fabric")
+                        };
+                        match catch_unwind(AssertUnwindSafe(|| life(die_at.filter(|_| rank == victim)))) {
+                            Ok(r) => r,
+                            Err(death) if death.is::<Died>() => {
+                                incarnations[rank].store(1, Ordering::Release);
+                                ep.lock().unwrap().reopen();
+                                life(None)
+                            }
+                            Err(other) => resume_unwind(other),
+                        }
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// A kill between a mid-scope panel's `AfterPanel` and `AfterLeftUpdate`
+    /// boundaries rolls back to that panel's `BeforePanel` image — the
+    /// boundary the panel committed — and recovers there: one recovery, and
+    /// a factor and `tau` bitwise those of a scripted failure of the same
+    /// victim at that boundary. (The fault-free factor is no oracle: a
+    /// rebuild from checksums rounds.) In process (a chaos kill) and
+    /// distributed over mpsc (a process death and a replacement), both
+    /// solvers, 2×2, panel 3 (the second panel of scope 1).
+    #[test]
+    fn a_kill_mid_panel_rolls_back_to_the_panel_start() {
+        let (p, q, panel, victim) = (2, 2, 3, 1);
+        for solver in SOLVERS {
+            let name = solver.name();
+            let at_start = FaultScript::one(victim, failpoint(panel, Phase::BeforePanel));
+            let oracle = run_spmd(p, q, at_start, |ctx| solve_seen(&ctx, solver, false, |_| 0));
+            let check = |leg: &str, rank: usize, (buf, tau, rep, seen): &(Vec<u64>, Vec<u64>, FtReport, Seen)| {
+                let at = format!("{name} {leg} rank {rank}");
+                let want = &oracle[rank];
+                assert_eq!(
+                    (buf, tau),
+                    (&want.0, &want.1),
+                    "{at}: the factor differs from a failure scripted at panel {panel}'s start"
+                );
+                assert_eq!((rep.recoveries, rep.victims.as_slice()), (1, &[victim][..]), "{at}: recoveries");
+                // The victim had factored the panel when it died and factors
+                // it again; a survivor may have been short of that boundary.
+                // Nobody re-enters the panel's start: the rollback resumes
+                // right after it.
+                let (begun, factored) = (times(seen, panel, Phase::BeforePanel), times(seen, panel, Phase::AfterPanel));
+                match (rank == victim, leg) {
+                    (true, "distributed") => {
+                        let first = seen.first().map(|&(p, ph, _)| (p, ph));
+                        assert_eq!(first, Some((panel, Phase::AfterPanel)), "{at}: the replacement resumed elsewhere");
+                    }
+                    (true, _) => assert_eq!((begun, factored), (1, 2), "{at}: not re-executed from panel {panel}'s start"),
+                    (false, _) => assert_eq!(begun, 1, "{at}: rolled back past panel {panel}'s start"),
+                }
+            };
+
+            // In process: a chaos kill on the op clock.
+            let script = |op: u64| FaultScript::parse(&format!("0:at={victim}@{op}"), p * q, 0..1).unwrap();
+            let probe = run_spmd(p, q, script(u64::MAX), |ctx| solve_seen(&ctx, solver, false, Ctx::chaos_ops));
+            let op = mid_panel(&probe[victim].3, panel);
+            let runs = run_spmd(p, q, script(op), |ctx| solve_seen(&ctx, solver, false, Ctx::chaos_ops));
+            for (rank, run) in runs.iter().enumerate() {
+                check("in-process", rank, run);
+            }
+
+            // Distributed: the victim's process dies on a send and is replaced.
+            let clock = |sends: &AtomicU64| sends.load(Ordering::Relaxed);
+            let probe =
+                run_dist_with_a_death(p, q, victim, None, |ctx, rep, sends| solve_seen(&ctx, solver, rep, |_| clock(sends)));
+            let send = mid_panel(&probe[victim].3, panel);
+            let runs = run_dist_with_a_death(p, q, victim, Some(send), |ctx, rep, sends| {
+                solve_seen(&ctx, solver, rep, |_| clock(sends))
+            });
+            for (rank, run) in runs.iter().enumerate() {
+                check("distributed", rank, run);
+            }
+        }
     }
 }

@@ -12,9 +12,9 @@ use abft_hessenberg::hess::{ft_pdgehrd, ft_pdgeqrf, Encoded, FtSolver, Hessenber
 use abft_hessenberg::pblas::{pd_hessenberg_residual, pd_qr_residual, Desc, DistMatrix};
 use abft_hessenberg::runtime::{run_spmd, FaultScript};
 use abft_hessenberg::serve::{Client, Event, JobResult, JobSpec, RejectReason, SolverId};
-use serve_util::{field, join_within, spec, Daemon, BIN};
+use serve_util::{field, join_within, spec, Daemon, BIN, WALL_LIMIT};
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Fault-free in-process reference for a 1×2 job: the factor rank 0 would
 /// gather, the Householder scalars, and the verification residual — what
@@ -64,11 +64,22 @@ fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
 /// tenant's job completes matching its fault-free reference.
 #[test]
 fn four_tenants_two_solvers_survive_one_sigkill() {
-    let d = Daemon::spawn(8, &["--job-ports", "25000"]);
+    let state = std::env::temp_dir().join(format!("ft-serve-storm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let d = Daemon::spawn(
+        8,
+        &[
+            "--job-ports",
+            "25000",
+            "--state-dir",
+            state.to_str().expect("utf-8 temp path"),
+        ],
+    );
     let port = d.port;
-    // Tenant 0's job is the designated victim: big enough that a kill a
-    // few hundred ms in lands mid-driver.
-    let victim_spec = spec(SolverId::Hessenberg, 640, 16, 2, 41, false);
+    // Tenant 0's job is the designated victim. It checkpoints, so the kill
+    // can wait for its first scope to close: its first complete checkpoint
+    // set on disk puts the driver past panel 1 of 40, on any host speed.
+    let victim_spec = spec(SolverId::Hessenberg, 640, 16, 2, 41, true);
     let others: Vec<(u32, JobSpec)> = vec![
         (1, spec(SolverId::Qr, 160, 8, 2, 42, false)),
         (2, spec(SolverId::Hessenberg, 160, 8, 2, 43, false)),
@@ -94,7 +105,12 @@ fn four_tenants_two_solvers_survive_one_sigkill() {
             })
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(300));
+    let ckpt = state.join(format!("job-{}.ckpt", field(&assign, "job=")));
+    let deadline = Instant::now() + WALL_LIMIT;
+    while !ckpt.exists() {
+        assert!(Instant::now() < deadline, "the victim never checkpointed:\n{}", d.dump());
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let pid = field(&assign, "pids=").split(',').nth(1).expect("two pids").to_string();
     Command::new("kill").args(["-9", &pid]).status().expect("deliver SIGKILL");
 
@@ -122,6 +138,7 @@ fn four_tenants_two_solvers_survive_one_sigkill() {
         assert!(max_abs_diff(&got.tau, rtau) <= 1e-10, "tenant {tenant}: tau deviates");
     }
     d.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
 }
 
 /// Backpressure is typed and layered: a tenant at its quota gets
