@@ -13,10 +13,10 @@
 //! verified leg's counters include the residual's own GEMMs).
 //!
 //! Writes `BENCH_{fig6a,fig6b,fig7,table1}.json` at the repo root;
-//! `FT_BENCH_SMOKE=1` runs the two smallest grids at their real N for two
-//! reps each and writes under `target/`. Exits 1 on a failed check or
-//! operation, a residual ≥ 3, or an Algorithm-2 flop penalty that does not
-//! fall from one grid to the next.
+//! `FT_BENCH_SMOKE=1` runs the three smallest grids (up to 16 ranks) at
+//! their real N for two reps each and writes under `target/`. Exits 1 on a
+//! failed check or operation, a residual ≥ 3, or an Algorithm-2 flop
+//! penalty that does not fall from each grid to the next.
 
 mod common;
 
@@ -114,7 +114,7 @@ fn row(m: &Measured, leg: usize, extra: Vec<(&str, Value)>) -> Value {
 fn main() {
     let smoke = common::smoke();
     let cfg = RunCfg { seed: SEED, seconds: SECONDS_PER_GRID, smoke, daemon: None };
-    let grids = if smoke { &GRIDS[..2] } else { &GRIDS[..] };
+    let grids = if smoke { &GRIDS[..3] } else { &GRIDS[..] };
     let sweep: Vec<Measured> = grids.iter().map(|&g| measure(g, &cfg)).collect();
 
     let rows = |leg, extra: &dyn Fn(&Measured) -> Vec<(&'static str, Value)>| -> Vec<Value> {

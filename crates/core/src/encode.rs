@@ -381,7 +381,7 @@ impl Encoded {
     /// Gather the logical `N×N` matrix on rank 0 only (collective; `None`
     /// elsewhere) — linear total traffic, for result extraction at scale.
     pub fn gather_logical_root(&self, ctx: &Ctx, tag: impl Into<Tag>) -> Option<Matrix> {
-        self.a.gather_root(ctx, tag).map(|full| full.submatrix(0, 0, self.n, self.n))
+        self.a.gather_root_leading(ctx, tag, self.n, self.n)
     }
 
     /// The `(base column, weight)` of every member *block* of group `g` in
@@ -668,5 +668,37 @@ mod tests {
                 let _ = enc.a.gather_all(&ctx, 980);
             }
         });
+    }
+
+    #[test]
+    fn gather_logical_root_ships_only_the_logical_block() {
+        // 1×2 is the serve worker's shape; 2×3 with N = 50, nb = 4 is ragged.
+        for (p, q, n, nb) in [(1, 2, 192, 8), (2, 2, 64, 8), (2, 3, 50, 4)] {
+            let out = run_spmd(p, q, FaultScript::none(), |ctx| {
+                let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(5, i, j));
+                enc.compute_initial_checksums(&ctx);
+                // The reference assembles the whole extended buffer, then cuts.
+                let whole = enc.a.gather_all(&ctx, 990).submatrix(0, 0, n, n);
+                let before = ctx.bytes_sent();
+                let logical = enc.gather_logical_root(&ctx, 991);
+                let share = enc.a.local_rows_below(n) * enc.a.local_cols_below(n);
+                (whole, logical, ctx.bytes_sent() - before, share, enc.a.lrows() * enc.a.lcols())
+            });
+            for (rank, (whole, logical, sent, share, extended)) in out.into_iter().enumerate() {
+                if rank == 0 {
+                    let logical = logical.unwrap();
+                    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&logical), bits(&whole), "{p}x{q} N={n}: result differs from the whole-buffer gather");
+                    assert_eq!(sent, 0);
+                } else {
+                    assert!(logical.is_none());
+                    assert_eq!(sent, 8 * share as u64, "{p}x{q} N={n} rank {rank}: wire carries more than the logical share");
+                    if (p, q, n) == (1, 2, 192) {
+                        // 192 rows × 96 columns of a 384 × 192 extended share.
+                        assert_eq!((share, extended), (18_432, 73_728));
+                    }
+                }
+            }
+        }
     }
 }

@@ -212,34 +212,41 @@ impl DistMatrix {
     /// `None` elsewhere). Linear in total matrix size — prefer this over
     /// [`DistMatrix::gather_all`] when only one process needs the result.
     pub fn gather_root(&self, ctx: &Ctx, tag: impl Into<Tag>) -> Option<Matrix> {
+        self.gather_root_leading(ctx, tag, self.desc.m, self.desc.n)
+    }
+
+    /// Assemble the leading `m×n` block of the global matrix on rank 0 only
+    /// (collective; `None` elsewhere). Each process ships just its entries
+    /// inside the block — the local prefix `local_rows_below(m) ×
+    /// local_cols_below(n)`, no header: the root knows every share's shape.
+    pub fn gather_root_leading(&self, ctx: &Ctx, tag: impl Into<Tag>, m: usize, n: usize) -> Option<Matrix> {
+        assert!(m <= self.desc.m && n <= self.desc.n, "gather_root_leading: {m}x{n} exceeds the matrix");
         let tag = tag.into();
-        // Pack my local block with its index metadata and ship to rank 0.
+        let (lr, lc) = (self.local_rows_below(m), self.local_cols_below(n));
+        let mut mine = Vec::with_capacity(lr * lc);
+        for c in 0..lc {
+            mine.extend_from_slice(&self.local.col(c)[..lr]);
+        }
         if ctx.rank() != 0 {
-            let mut buf = Vec::with_capacity(self.local.as_slice().len() + 2);
-            buf.push(self.local.rows() as f64);
-            buf.push(self.local.cols() as f64);
-            buf.extend_from_slice(self.local.as_slice());
-            ctx.send(0, tag, &buf);
+            ctx.send(0, tag, &mine);
             return None;
         }
-        let mut g = Matrix::zeros(self.desc.m, self.desc.n);
-        // My own entries.
-        for lc in 0..self.local.cols() {
-            let gc = self.l2g_col(lc);
-            for lr in 0..self.local.rows() {
-                g[(self.l2g_row(lr), gc)] = self.local[(lr, lc)];
-            }
-        }
-        let grid = ctx.grid();
-        for src in 1..grid.size() {
-            let buf = ctx.recv(src, tag);
-            let (sr, sc) = (buf[0] as usize, buf[1] as usize);
+        let (nb, grid) = (self.desc.nb, ctx.grid());
+        let mut g = Matrix::zeros(m, n);
+        for src in 0..grid.size() {
+            let theirs;
+            let buf = if src == 0 {
+                &mine
+            } else {
+                theirs = ctx.recv(src, tag);
+                &theirs
+            };
             let (sp, sq) = grid.coords_of(src);
-            for lc in 0..sc {
-                let gc = crate::layout::l2g(lc, self.desc.nb, sq, grid.npcol());
-                for lr in 0..sr {
-                    let gr = crate::layout::l2g(lr, self.desc.nb, sp, grid.nprow());
-                    g[(gr, gc)] = buf[2 + lr + lc * sr];
+            let sr = numroc(m, nb, sp, grid.nprow());
+            for (c, col) in buf.chunks_exact(sr.max(1)).enumerate() {
+                let gc = l2g(c, nb, sq, grid.npcol());
+                for (r, &v) in col.iter().enumerate() {
+                    g[(l2g(r, nb, sp, grid.nprow()), gc)] = v;
                 }
             }
         }

@@ -77,8 +77,9 @@
 //! the accept thread blocks in `accept` (teardown wakes it with a connect
 //! to its own listener), one reader thread per
 //! connection checks each frame's CRCs in one pass and collects the payload
-//! straight into the `Arc<[f64]>` it delivers, and [`Transport::recv`] polls
-//! the inbox — yielding — for the fabric-wide poll budget before it parks.
+//! straight into the `Arc<[f64]>` it delivers, and [`Transport::recv`] waits
+//! on the inbox in the wait every transport shares: it yields for the poll
+//! budget, then parks.
 //!
 //! ## Fault injection
 //!
@@ -115,12 +116,12 @@
 use crate::crc::crc32_update;
 use crate::fault::FaultScript;
 use crate::netchaos::NetFault;
-use crate::transport::{CommError, Msg, PeerCounters, Transport, TransportStats, POLL_BUDGET};
+use crate::transport::{poll_then_park, CommError, Msg, PeerCounters, Transport, TransportStats};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -586,35 +587,12 @@ impl Transport for TcpTransport {
 
     /// Poll, then park (DESIGN.md §7): a frame's reader thread is already a
     /// wake-up away, so a rank that parks at once pays a second one per
-    /// message. The poll *yields* — the reader it waits for, or another
-    /// process's rank, may need this core, and nothing here can count the
-    /// cores that are really free (`serve` runs four 2-rank workers on two)
-    /// — so it needs no ranks ≤ cores guard.
-    fn recv(&self, mut timeout: Duration) -> Result<Msg, CommError> {
+    /// message.
+    fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
         if self.shared.done() {
             return Err(CommError::Closed);
         }
-        let start = Instant::now();
-        let budget = POLL_BUDGET.min(timeout);
-        loop {
-            match self.inbox_rx.try_recv() {
-                Ok(m) => return Ok(m),
-                Err(TryRecvError::Disconnected) => return Err(CommError::Closed),
-                Err(TryRecvError::Empty) => {}
-            }
-            if start.elapsed() >= budget {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // The poll ran for at least `budget`, so `Timeout` still fires no
-        // earlier than the caller asked.
-        timeout -= budget;
-        match self.inbox_rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(CommError::Closed),
-        }
+        poll_then_park(&self.inbox_rx, timeout)
     }
 
     fn close(&self) {
@@ -1739,6 +1717,7 @@ fn liveness_loop(shared: Arc<Shared>) {
 mod tests {
     use super::*;
     use crate::crc::{crc32, crc32_bitwise};
+    use crate::transport::POLL_BUDGET;
 
     fn msg(src: usize, wire: u64, vals: &[f64]) -> Msg {
         Msg { src, wire, epoch: 0, payload: Arc::from(vals) }
@@ -2179,7 +2158,8 @@ mod tests {
     }
 
     /// The `Transport::recv` contract, as `transport.rs` checks it on the
-    /// mpsc fabric, on the wire's poll-then-park.
+    /// mpsc fabric, through the same `poll_then_park` behind the wire's
+    /// inbox and its `shutdown` check.
     #[test]
     fn recv_contract_holds_across_the_poll_window() {
         let mut eps = TcpTransport::fabric_localhost(2).unwrap();

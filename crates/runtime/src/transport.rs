@@ -279,15 +279,45 @@ pub trait Transport: Send {
     }
 }
 
-/// How long a receive polls its inbox before it parks — [`MpscTransport::recv`]
-/// spinning, [`crate::tcp::TcpTransport`]'s yielding. Waking
-/// a parked receiver across cores costs tens of microseconds, picking up a
-/// message while polling well under one; the budget is a few wake-ups long,
-/// enough to outlast the serial section of a panel column on the owning
-/// rank (the wait it is there to absorb), and bounds what a receive that
-/// really has to wait — a peer deep in a GEMM — burns before it sleeps.
-/// DESIGN.md §7, "Receive: poll, then park".
+/// How long [`poll_then_park`] looks at an inbox, yielding between looks,
+/// before it parks. Waking a parked receiver costs tens of microseconds,
+/// picking up a message while polling well under one; the budget is a few
+/// wake-ups long, enough to outlast the serial section of a panel column on
+/// the owning rank (the wait it is there to absorb), and bounds what a
+/// receive that really has to wait — a peer deep in a GEMM — burns before it
+/// sleeps. DESIGN.md §7, "Receive: poll, then park".
 pub(crate) const POLL_BUDGET: Duration = Duration::from_micros(100);
+
+/// The one receive wait, under both transports' `recv`: look at `rx`,
+/// yielding the core between looks for [`POLL_BUDGET`], then park on it for
+/// the rest of `timeout`. A yield hands the core to whichever thread will
+/// produce the message — a rank on an oversubscribed fabric, a socket
+/// reader — and returns at once when nothing else is runnable, so the same
+/// wait serves every fabric. A queued message is returned whatever the
+/// timeout, `Timeout` fires no earlier than asked, and a hung-up sender
+/// reads as `Closed`.
+pub(crate) fn poll_then_park(rx: &Receiver<Msg>, timeout: Duration) -> Result<Msg, CommError> {
+    let start = Instant::now();
+    let budget = POLL_BUDGET.min(timeout);
+    loop {
+        match rx.try_recv() {
+            Ok(m) => return Ok(m),
+            Err(TryRecvError::Disconnected) => return Err(CommError::Closed),
+            Err(TryRecvError::Empty) => {}
+        }
+        if start.elapsed() >= budget {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    // The poll ran for at least `budget`, so `Timeout` still fires no
+    // earlier than the caller asked.
+    match rx.recv_timeout(timeout - budget) {
+        Ok(m) => Ok(m),
+        Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
+        Err(RecvTimeoutError::Disconnected) => Err(CommError::Closed),
+    }
+}
 
 /// The default in-process fabric: one unbounded `std::sync::mpsc` channel
 /// per endpoint, senders shared by everyone, plus a shared dead-endpoint
@@ -297,23 +327,11 @@ pub struct MpscTransport {
     txs: Arc<Vec<Sender<Msg>>>,
     rx: Receiver<Msg>,
     dead: Arc<Vec<AtomicBool>>,
-    /// Poll before parking: the fabric has no more ranks than the machine
-    /// has cores (sampled once, in [`MpscTransport::fabric`]). On an
-    /// oversubscribed fabric a spinning receiver holds the core its sender
-    /// needs, so there every receive parks at once.
-    poll: bool,
 }
 
 impl MpscTransport {
     /// Build a fully connected fabric of `n` endpoints.
     pub fn fabric(n: usize) -> Vec<MpscTransport> {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        Self::fabric_on(n, cores)
-    }
-
-    /// [`MpscTransport::fabric`] for a machine with `cores` cores.
-    fn fabric_on(n: usize, cores: usize) -> Vec<MpscTransport> {
-        let poll = n <= cores;
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
@@ -325,13 +343,7 @@ impl MpscTransport {
         let dead: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
         rxs.into_iter()
             .enumerate()
-            .map(|(rank, rx)| MpscTransport {
-                rank,
-                txs: Arc::clone(&txs),
-                rx,
-                dead: Arc::clone(&dead),
-                poll,
-            })
+            .map(|(rank, rx)| MpscTransport { rank, txs: Arc::clone(&txs), rx, dead: Arc::clone(&dead) })
             .collect()
     }
 }
@@ -354,30 +366,8 @@ impl Transport for MpscTransport {
         let _ = self.txs[dst].send(msg);
     }
 
-    fn recv(&self, mut timeout: Duration) -> Result<Msg, CommError> {
-        if self.poll {
-            let start = Instant::now();
-            let budget = POLL_BUDGET.min(timeout);
-            loop {
-                match self.rx.try_recv() {
-                    Ok(m) => return Ok(m),
-                    Err(TryRecvError::Disconnected) => return Err(CommError::Closed),
-                    Err(TryRecvError::Empty) => {}
-                }
-                if start.elapsed() >= budget {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            // Park for the rest. The poll ran for at least `budget`, so
-            // `Timeout` still fires no earlier than the caller asked.
-            timeout -= budget;
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(CommError::Closed),
-        }
+    fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
+        poll_then_park(&self.rx, timeout)
     }
 
     fn close(&self) {
@@ -438,77 +428,88 @@ mod tests {
         assert!(Arc::ptr_eq(&payload, &got), "transport deep-copied the payload");
     }
 
-    /// One endpoint pair per receive mode: `[polls, parks at once]`.
-    fn both_modes() -> [(MpscTransport, MpscTransport); 2] {
-        [2, 1].map(|cores| {
-            let mut eps = MpscTransport::fabric_on(2, cores);
-            let b = eps.remove(1);
-            (eps.remove(0), b)
-        })
+    fn pair() -> (MpscTransport, MpscTransport) {
+        let mut eps = MpscTransport::fabric(2);
+        let b = eps.remove(1);
+        (eps.remove(0), b)
     }
 
     #[test]
-    fn fabric_polls_only_when_every_rank_has_a_core() {
-        assert!(MpscTransport::fabric_on(2, 2).iter().all(|t| t.poll));
-        assert!(MpscTransport::fabric_on(4, 8).iter().all(|t| t.poll));
-        assert!(MpscTransport::fabric_on(3, 2).iter().all(|t| !t.poll), "more ranks than cores must park at once");
-        assert!(MpscTransport::fabric_on(2, 1).iter().all(|t| !t.poll));
-        // The public constructor samples the machine.
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert!(MpscTransport::fabric(cores).iter().all(|t| t.poll));
-        assert!(MpscTransport::fabric(cores + 1).iter().all(|t| !t.poll));
-    }
-
-    #[test]
-    fn timeout_fires_no_earlier_than_asked_in_both_modes() {
-        for (a, _b) in both_modes() {
-            // Longer than the poll budget, and shorter than it.
-            for timeout in [Duration::from_millis(20), POLL_BUDGET / 4, Duration::ZERO] {
-                let start = Instant::now();
-                assert_eq!(a.recv(timeout).err(), Some(CommError::Timeout), "poll={}", a.poll);
-                assert!(start.elapsed() >= timeout, "poll={}: timed out after {:?} < {timeout:?}", a.poll, start.elapsed());
-            }
+    fn timeout_fires_no_earlier_than_asked() {
+        let (a, _b) = pair();
+        // Longer than the poll budget, and shorter than it.
+        for timeout in [Duration::from_millis(20), POLL_BUDGET / 4, Duration::ZERO] {
+            let start = Instant::now();
+            assert_eq!(a.recv(timeout).err(), Some(CommError::Timeout));
+            assert!(start.elapsed() >= timeout, "timed out after {:?} < {timeout:?}", start.elapsed());
         }
     }
 
     #[test]
     fn message_is_returned_whether_it_is_queued_or_lands_mid_receive() {
-        for (a, b) in both_modes() {
-            // Already queued: even a zero timeout returns it.
-            a.send(1, msg(0, 3, 1.0));
-            assert_eq!(b.recv(Duration::ZERO).unwrap().payload[0], 1.0, "poll={}", b.poll);
-            // Sent once the receiver is known to be on its way into `recv`:
-            // it lands in the poll window or after the park, and is
-            // returned either way.
-            let (go_tx, go_rx) = channel::<()>();
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    go_rx.recv().unwrap();
-                    a.send(1, msg(0, 3, 2.0));
-                });
-                go_tx.send(()).unwrap();
-                assert_eq!(b.recv(Duration::from_secs(30)).unwrap().payload[0], 2.0, "poll={}", b.poll);
+        let (a, b) = pair();
+        // Already queued: even a zero timeout returns it.
+        a.send(1, msg(0, 3, 1.0));
+        assert_eq!(b.recv(Duration::ZERO).unwrap().payload[0], 1.0);
+        // Sent once the receiver is known to be on its way into `recv` (it
+        // lands in the poll window or just after it), and long after it has
+        // parked: returned either way.
+        let (go_tx, go_rx) = channel::<(Duration, f64)>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for (delay, val) in go_rx {
+                    std::thread::sleep(delay);
+                    a.send(1, msg(0, 3, val));
+                }
             });
-        }
+            for (delay, val) in [(Duration::ZERO, 2.0), (200 * POLL_BUDGET, 3.0)] {
+                go_tx.send((delay, val)).unwrap();
+                assert_eq!(b.recv(Duration::from_secs(30)).unwrap().payload[0], val);
+            }
+            drop(go_tx);
+        });
     }
 
     #[test]
-    fn disconnected_channel_reads_as_closed_in_both_modes() {
-        for poll in [true, false] {
-            let (tx, rx) = channel();
-            let t = MpscTransport {
-                rank: 0,
-                txs: Arc::new(Vec::new()),
-                rx,
-                dead: Arc::new(Vec::new()),
-                poll,
-            };
-            tx.send(msg(0, 1, 4.0)).unwrap();
-            drop(tx);
-            // What was sent before the hang-up is still delivered.
-            assert_eq!(t.recv(Duration::from_secs(5)).unwrap().payload[0], 4.0);
-            assert_eq!(t.recv(Duration::from_secs(5)).err(), Some(CommError::Closed), "poll={poll}");
-        }
+    fn disconnected_channel_reads_as_closed() {
+        let (tx, rx) = channel();
+        tx.send(msg(0, 1, 4.0)).unwrap();
+        drop(tx);
+        // What was sent before the hang-up is still delivered.
+        assert_eq!(poll_then_park(&rx, Duration::from_secs(5)).unwrap().payload[0], 4.0);
+        assert_eq!(poll_then_park(&rx, Duration::from_secs(5)).err(), Some(CommError::Closed));
+    }
+
+    #[test]
+    fn token_ring_on_four_ranks_per_core_delivers_every_message_once_in_order() {
+        // Every rank waits on its left neighbour while four ranks share each
+        // core: the wait has to give its core to the rank that will send.
+        const ROUNDS: usize = 200;
+        let n = 4 * std::thread::available_parallelism().map_or(1, |c| c.get());
+        let eps = MpscTransport::fabric(n);
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            for t in eps {
+                s.spawn(move || {
+                    // Every rank sends round k on, then waits for its left
+                    // neighbour's round k: n tokens circulate at once, and a
+                    // fast sender runs up to one round ahead of its reader.
+                    let left = (t.rank() + n - 1) % n;
+                    for round in 0..ROUNDS {
+                        t.send((t.rank() + 1) % n, msg(t.rank(), 1, round as f64));
+                        let m = t.recv(Duration::from_secs(30)).expect("ring stalled");
+                        assert_eq!((m.src, m.payload[0]), (left, round as f64), "rank {}: lost, doubled or reordered", t.rank());
+                    }
+                    assert_eq!(
+                        t.recv(Duration::from_millis(10)).err(),
+                        Some(CommError::Timeout),
+                        "rank {}: extra message",
+                        t.rank()
+                    );
+                });
+            }
+        });
+        assert!(t0.elapsed() < Duration::from_secs(20), "{ROUNDS} ring rounds on {n} ranks took {:?}", t0.elapsed());
     }
 
     #[test]

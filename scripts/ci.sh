@@ -60,13 +60,15 @@ cargo bench --no-run -q
 echo "== kernels perf smoke"
 FT_BENCH_SMOKE=1 cargo bench -q --bench kernels
 
-# The paper's shape on every change: the two smallest grids of the Figure
-# 6-7 sweep at their real N (384 on 2x2, 576 on 3x3) through the repo
-# benchmark's legs, two reps each. The bench exits 1 on a failed operation
-# or check (ft bitwise equal to plain, one recovery on the recover leg), a
-# residual >= 3, or an Algorithm-2 flop penalty that does not fall from 2x2
-# to 3x3 (deterministic: the counters, not the clock). JSON under target/.
-echo "== paper smoke (2x2 and 3x3 of the Figure 6-7 sweep)"
+# The paper's shape on every change: the three smallest grids of the
+# Figure 6-7 sweep at their real N (384 on 2x2, 576 on 3x3, 768 on 4x4)
+# through the repo benchmark's legs, two reps each; 4x4 drives 16 rank
+# threads through the receive wait on however few cores the host has. The
+# bench exits 1 on a failed operation or check (ft bitwise equal to plain,
+# one recovery on the recover leg), a residual >= 3, or an Algorithm-2 flop
+# penalty that does not fall 2x2 -> 3x3 -> 4x4 (deterministic: the counters,
+# not the clock). JSON under target/.
+echo "== paper smoke (2x2, 3x3 and 4x4 of the Figure 6-7 sweep)"
 FT_BENCH_SMOKE=1 cargo bench -q --bench paper
 
 # The repo benchmark (BENCHMARK.json) is a package of its own outside the
