@@ -160,7 +160,9 @@ pub struct Encoded {
 
 impl Encoded {
     /// Allocate the extended matrix and fill the logical part from `f`
-    /// (global-index generator; no communication). Checksums are **not**
+    /// (global-index generator; no communication). `f` is called only for
+    /// the logical `N×N` block; padding, checksum columns and pseudo-checksum
+    /// rows stay zero as allocated. Checksums are **not**
     /// computed yet — call [`Encoded::compute_initial_checksums`]
     /// (Algorithm 2, line 1) or let the FT driver do it.
     pub fn from_global_fn(ctx: &Ctx, n: usize, nb: usize, f: impl Fn(usize, usize) -> f64) -> Self {
@@ -179,7 +181,7 @@ impl Encoded {
         );
         let (n_pad, groups, order) = Self::geometry(n, nb, q, redundancy);
         let desc = Desc { m: order, n: order, nb };
-        let a = DistMatrix::from_global_fn(ctx, desc, |i, j| if i < n && j < n { f(i, j) } else { 0.0 });
+        let a = DistMatrix::from_leading_fn(ctx, desc, n, n, f);
         Self { a, n, n_pad, nb, groups, q, redundancy }
     }
 
@@ -589,6 +591,39 @@ mod tests {
                 total(2)
             );
             assert_eq!(total(1), total(2), "{p}x{q} n={n} {redundancy:?}: posting changed the message count");
+        }
+    }
+
+    /// The generator runs once per logical entry, `N²` times summed over
+    /// the grid, and every entry outside the logical block — padding,
+    /// checksum columns, pseudo-checksum rows — is `0.0` as allocated, on
+    /// ragged `N` and on a `Coded(2)` extension.
+    #[test]
+    fn with_redundancy_generates_only_the_logical_block() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for (p, q, n, nb, redundancy) in [
+            (1, 2, 7, 2, Redundancy::Single),
+            (2, 3, 50, 4, Redundancy::Single),
+            (3, 2, 17, 3, Redundancy::Single),
+            (2, 4, 30, 3, Redundancy::Coded(2)),
+        ] {
+            let calls = run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let calls = AtomicUsize::new(0);
+                let enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    uniform_entry(9, i, j)
+                });
+                let a = &enc.a;
+                for lc in 0..a.lcols() {
+                    for lr in 0..a.lrows() {
+                        let (gr, gc) = (a.l2g_row(lr), a.l2g_col(lc));
+                        let want = if gr < n && gc < n { uniform_entry(9, gr, gc) } else { 0.0 };
+                        assert_eq!(a.local()[(lr, lc)].to_bits(), want.to_bits(), "{p}x{q} N={n}: ({gr}, {gc})");
+                    }
+                }
+                calls.into_inner()
+            });
+            assert_eq!(calls.iter().sum::<usize>(), n * n, "{p}x{q} N={n} {redundancy:?}: generator calls");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The distributed matrix: per-process local storage of a 2D block-cyclic
 //! global matrix (Figure 1 of the paper).
 
-use crate::layout::{g2l, g2p, l2g, numroc};
+use crate::layout::{block_runs, g2l, g2p, l2g, numroc};
 use ft_dense::Matrix;
 use ft_runtime::{Ctx, Tag};
 
@@ -21,7 +21,9 @@ pub struct Desc {
 ///
 /// The local part is a dense column-major [`Matrix`] whose local indices map
 /// to global ones through [`Self::l2g_row`]/[`Self::l2g_col`]; local order
-/// is globally monotone in both dimensions.
+/// is globally monotone in both dimensions. Walks that copy between local
+/// and global order go a block at a time, through [`Self::row_runs`] /
+/// [`Self::col_runs`].
 ///
 /// ```
 /// use ft_pblas::{Desc, DistMatrix};
@@ -65,12 +67,25 @@ impl DistMatrix {
     /// Build this process's share from a function of the **global** index —
     /// no communication; every process evaluates only its own entries.
     pub fn from_global_fn(ctx: &Ctx, desc: Desc, f: impl Fn(usize, usize) -> f64) -> Self {
+        Self::from_leading_fn(ctx, desc, desc.m, desc.n, f)
+    }
+
+    /// Like [`Self::from_global_fn`] for a matrix that is zero outside its
+    /// leading `m×n` block: `f` is evaluated only at global `(i, j)` with
+    /// `i < m` and `j < n`, and everything else stays zero as allocated.
+    pub fn from_leading_fn(ctx: &Ctx, desc: Desc, m: usize, n: usize, f: impl Fn(usize, usize) -> f64) -> Self {
+        assert!(m <= desc.m && n <= desc.n, "from_leading_fn: {m}x{n} exceeds the matrix");
         let mut d = Self::zeros(ctx, desc);
-        for lc in 0..d.local.cols() {
-            let gc = d.l2g_col(lc);
-            for lr in 0..d.local.rows() {
-                let gr = d.l2g_row(lr);
-                d.local[(lr, lc)] = f(gr, gc);
+        let lr = d.local_rows_below(m);
+        for (c, gc0, clen) in d.col_runs(0, d.local_cols_below(n)) {
+            for (lc, gc) in (c..c + clen).zip(gc0..) {
+                let rows = d.row_runs(0, lr);
+                let col = d.local.col_mut(lc);
+                for (r, gr0, rlen) in rows {
+                    for (x, gr) in col[r..r + rlen].iter_mut().zip(gr0..) {
+                        *x = f(gr, gc);
+                    }
+                }
             }
         }
         d
@@ -104,6 +119,21 @@ impl DistMatrix {
     #[inline]
     pub fn local_mut(&mut self) -> &mut Matrix {
         &mut self.local
+    }
+
+    /// My local rows `lr0..lr1` as runs of consecutive global rows, a block
+    /// at a time ([`block_runs`]): `(i, g, len)` says local rows `lr0 + i ..`
+    /// are global rows `g ..`.
+    #[inline]
+    pub(crate) fn row_runs(&self, lr0: usize, lr1: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        block_runs(lr0, lr1, self.desc.nb, self.myrow, self.nprow)
+    }
+
+    /// My local columns `lc0..lc1` as runs of consecutive global columns
+    /// ([`Self::row_runs`] across the process row).
+    #[inline]
+    pub(crate) fn col_runs(&self, lc0: usize, lc1: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        block_runs(lc0, lc1, self.desc.nb, self.mycol, self.npcol)
     }
 
     /// Global row of local row `lr`.
@@ -197,13 +227,7 @@ impl DistMatrix {
         // then a world sum-reduce superimposes them (each entry has exactly
         // one owner, so the sum is exact placement).
         let mut g = vec![0.0f64; self.desc.m * self.desc.n];
-        for lc in 0..self.local.cols() {
-            let gc = self.l2g_col(lc);
-            for lr in 0..self.local.rows() {
-                let gr = self.l2g_row(lr);
-                g[gr + gc * self.desc.m] = self.local[(lr, lc)];
-            }
-        }
+        self.place_share(self.local.as_slice(), self.lrows(), (self.myrow, self.mycol), &mut g, self.desc.m);
         ctx.allreduce_sum_world(&mut g, tag);
         Matrix::from_vec(self.desc.m, self.desc.n, g)
     }
@@ -231,7 +255,7 @@ impl DistMatrix {
             ctx.send(0, tag, &mine);
             return None;
         }
-        let (nb, grid) = (self.desc.nb, ctx.grid());
+        let grid = ctx.grid();
         let mut g = Matrix::zeros(m, n);
         for src in 0..grid.size() {
             let theirs;
@@ -242,15 +266,28 @@ impl DistMatrix {
                 &theirs
             };
             let (sp, sq) = grid.coords_of(src);
-            let sr = numroc(m, nb, sp, grid.nprow());
-            for (c, col) in buf.chunks_exact(sr.max(1)).enumerate() {
-                let gc = l2g(c, nb, sq, grid.npcol());
-                for (r, &v) in col.iter().enumerate() {
-                    g[(l2g(r, nb, sp, grid.nprow()), gc)] = v;
+            self.place_share(buf, numroc(m, self.desc.nb, sp, self.nprow), (sp, sq), g.as_mut_slice(), m);
+        }
+        Some(g)
+    }
+
+    /// Copy process `(p, q)`'s share `src` (column-major, `lr` rows a
+    /// column, a prefix of its local block) to its global positions in `dst`
+    /// (column-major, leading dimension `ldg`): one slice copy per local
+    /// column and block row.
+    fn place_share(&self, src: &[f64], lr: usize, (p, q): (usize, usize), dst: &mut [f64], ldg: usize) {
+        if lr == 0 {
+            return;
+        }
+        let nb = self.desc.nb;
+        for (c, gc0, clen) in block_runs(0, src.len() / lr, nb, q, self.npcol) {
+            for (col, gc) in src[c * lr..(c + clen) * lr].chunks_exact(lr).zip(gc0..) {
+                let out = &mut dst[gc * ldg..(gc + 1) * ldg];
+                for (r, gr, rlen) in block_runs(0, lr, nb, p, self.nprow) {
+                    out[gr..gr + rlen].copy_from_slice(&col[r..r + rlen]);
                 }
             }
         }
-        Some(g)
     }
 
     /// Scatter a replicated global matrix: keep only this process's entries.
@@ -320,6 +357,74 @@ mod tests {
         assert_eq!(total, {
             // Σ_p Σ_q numroc_r(p)·numroc_c(q) = m·n
             11 * 7
+        });
+    }
+
+    /// The per-element fill [`DistMatrix::from_leading_fn`] replaced: one
+    /// `l2g_row` / `l2g_col` pair and one generator call per local entry.
+    fn fill_per_element(d: &mut DistMatrix, m: usize, n: usize, f: impl Fn(usize, usize) -> f64) {
+        for lc in 0..d.lcols() {
+            let gc = d.l2g_col(lc);
+            for lr in 0..d.lrows() {
+                let gr = d.l2g_row(lr);
+                d.local_mut()[(lr, lc)] = if gr < m && gc < n { f(gr, gc) } else { 0.0 };
+            }
+        }
+    }
+
+    /// The block-run fill is the per-element map, bit for bit, on 1×1, 1×3,
+    /// 2×3 and 3×2 grids with `nb ∤ N`, for the whole matrix and for leading
+    /// blocks of every shape. `N = 5, nb = 3` leaves process column 2 (and,
+    /// on 3×2, process row 2) with an empty local block.
+    #[test]
+    fn from_global_fn_is_the_per_element_map() {
+        let bits = |d: &DistMatrix| d.local().as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let f = |i: usize, j: usize| ft_dense::gen::uniform_entry(41, i, j);
+        for (p, q) in [(1usize, 1usize), (1, 3), (2, 3), (3, 2)] {
+            let empty = run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let mut empty = false;
+                for (m, n, nb) in [(5usize, 5usize, 3usize), (7, 5, 3), (10, 13, 4), (13, 10, 4)] {
+                    let desc = Desc { m, n, nb };
+                    let mut want = DistMatrix::zeros(&ctx, desc);
+                    fill_per_element(&mut want, m, n, f);
+                    assert_eq!(bits(&DistMatrix::from_global_fn(&ctx, desc, f)), bits(&want), "{p}x{q} {m}x{n} nb={nb}");
+                    for (lm, ln) in [(0, 0), (m, 0), (m - 1, n), (m / 2, n - 2), (1, 1)] {
+                        let mut want = DistMatrix::zeros(&ctx, desc);
+                        fill_per_element(&mut want, lm, ln, f);
+                        let got = DistMatrix::from_leading_fn(&ctx, desc, lm, ln, f);
+                        assert_eq!(bits(&got), bits(&want), "{p}x{q} {m}x{n} nb={nb}, leading {lm}x{ln}");
+                    }
+                    empty |= want.lrows() * want.lcols() == 0;
+                }
+                empty
+            });
+            assert_eq!(empty.iter().any(|&e| e), q == 3 || p == 3, "{p}x{q}: which ranks hold an empty block");
+        }
+    }
+
+    /// The root's block-run placement of every share is `gather_all`'s
+    /// leading block, bit for bit, on a ragged 2×3 grid — square, tall,
+    /// wide, whole and empty-row/column blocks.
+    #[test]
+    fn gather_root_leading_is_gather_alls_leading_block() {
+        let (m, n, nb) = (23, 19, 4);
+        run_spmd(2, 3, FaultScript::none(), move |ctx| {
+            let d = DistMatrix::from_global_fn(&ctx, Desc { m, n, nb }, |i, j| ft_dense::gen::uniform_entry(6, i, j));
+            let whole = d.gather_all(&ctx, 902);
+            for (i, (lm, ln)) in [(m, n), (19, 19), (23, 7), (5, 19), (9, 13), (0, 4), (4, 0)]
+                .into_iter()
+                .enumerate()
+            {
+                let got = d.gather_root_leading(&ctx, 903 + i as u32, lm, ln);
+                if ctx.rank() != 0 {
+                    assert!(got.is_none());
+                    continue;
+                }
+                let got = got.expect("rank 0 holds the gathered block");
+                let want = whole.submatrix(0, 0, lm, ln);
+                let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "leading {lm}x{ln}");
+            }
         });
     }
 

@@ -4,7 +4,8 @@
 //! machine in [`ft_runtime`]:
 //!
 //! * [`layout`] — block-cyclic index arithmetic (`numroc`, `g2p`, `g2l`,
-//!   `l2g`);
+//!   `l2g`) and the block-run walker every local↔global copy goes through
+//!   (`block_runs`);
 //! * [`dist`] — [`DistMatrix`], each process's local share of a global
 //!   matrix (Figure 1 of the paper);
 //! * [`panel`] — the distributed panel factorizations (`PDLAHRD` for

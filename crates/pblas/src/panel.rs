@@ -133,69 +133,63 @@ impl PanelFactors {
     /// of consecutive global ones, a block at a time; each run is one slice
     /// copy per reflector.
     pub fn vrows_for(&self, cols: &[usize]) -> Matrix {
-        let r0 = self.v_row0();
-        let mut out = Matrix::zeros(cols.len(), self.w);
         let mut i = 0;
-        while i < cols.len() {
-            let run = 1 + (i + 1..cols.len()).take_while(|&e| cols[e] == cols[e - 1] + 1).count();
-            let g = cols[i];
-            debug_assert!(g >= r0 && g + run <= self.n);
-            for l in 0..self.w {
-                out.col_mut(l)[i..i + run].copy_from_slice(&self.vfull.col(l)[g - r0..g - r0 + run]);
-            }
-            i += run;
-        }
-        out
+        let runs = std::iter::from_fn(|| {
+            (i < cols.len()).then(|| {
+                let len = 1 + (i + 1..cols.len()).take_while(|&e| cols[e] == cols[e - 1] + 1).count();
+                let run = (i, cols[i], len);
+                i += len;
+                run
+            })
+        });
+        select_rows(&self.vfull, self.v_row0(), cols.len(), runs)
     }
 
     /// `V` restricted to the caller's local rows in `[k+v_row_offset, n)`,
     /// given the distributed matrix it belongs to.
     pub fn v_for_local_rows(&self, a: &DistMatrix) -> Matrix {
-        let rows: Vec<usize> = (a.local_rows_below(self.v_row0())..a.local_rows_below(self.n))
-            .map(|lr| a.l2g_row(lr))
-            .collect();
-        self.vrows_for(&rows)
+        v_local_rows(&self.vfull, self.v_row0(), self.n, a)
     }
 }
 
-/// My local columns `lc0..lc1` as runs of consecutive global columns:
-/// `(i, g, len)` says local columns `lc0 + i ..` are global columns `g ..`,
-/// `len` of them. A run ends at a block boundary, so a gather indexed by
-/// global column is one `l2g_col` and one slice copy per block.
-fn col_runs(a: &DistMatrix, lc0: usize, lc1: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-    let nb = a.desc().nb;
-    let mut lc = lc0;
-    std::iter::from_fn(move || {
-        (lc < lc1).then(|| {
-            let len = (nb - lc % nb).min(lc1 - lc);
-            let run = (lc - lc0, a.l2g_col(lc), len);
-            lc += len;
-            run
-        })
-    })
+/// My local rows in `[r0, n)` of a replicated `V` whose row 0 is global row
+/// `r0`.
+pub(crate) fn v_local_rows(vfull: &Matrix, r0: usize, n: usize, a: &DistMatrix) -> Matrix {
+    let (lr0, lrn) = (a.local_rows_below(r0), a.local_rows_below(n));
+    select_rows(vfull, r0, lrn - lr0, a.row_runs(lr0, lrn))
+}
+
+/// The `m` rows of `vfull` (row 0 = global index `r0`) that the block runs
+/// `runs` name, in run order: one slice copy per run and column.
+fn select_rows(vfull: &Matrix, r0: usize, m: usize, runs: impl Iterator<Item = (usize, usize, usize)>) -> Matrix {
+    let mut out = Matrix::zeros(m, vfull.cols());
+    for (i, g, len) in runs {
+        for l in 0..vfull.cols() {
+            out.col_mut(l)[i..i + len].copy_from_slice(&vfull.col(l)[g - r0..g - r0 + len]);
+        }
+    }
+    out
 }
 
 /// Extract this process's local rows in `[from_g, n)` of reflector columns
 /// `0..j` of panel `k`, with explicit unit/zero structure. Reflector `l`'s
 /// unit sits at global row `k + l + off` (`off` = the solver's
-/// `v_row_offset`: 1 for Hessenberg, 0 for QR). Only meaningful on the
-/// panel-owning process column.
+/// `v_row_offset`: 1 for Hessenberg, 0 for QR). Local order is globally
+/// monotone, so the rows above the unit, the unit and the rows below it
+/// are three local ranges: zeros, a 1 where the unit row is mine, and one
+/// slice copy of the stored column. Only meaningful on the panel-owning
+/// process column.
 fn extract_v_local(a: &DistMatrix, k: usize, j: usize, from_g: usize, n: usize, off: usize) -> Matrix {
     let lr0 = a.local_rows_below(from_g);
     let lrn = a.local_rows_below(n);
-    let m = lrn - lr0;
-    let mut v = Matrix::zeros(m, j);
+    let mut v = Matrix::zeros(lrn - lr0, j);
     for l in 0..j {
         let unit = k + l + off;
+        let (lu, lu1) = (a.local_rows_below(unit), a.local_rows_below(unit + 1));
         let lc = a.g2l_col(k + l);
-        for i in 0..m {
-            let g = a.l2g_row(lr0 + i);
-            v[(i, l)] = match g.cmp(&unit) {
-                std::cmp::Ordering::Less => 0.0,
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Greater => a.local()[(lr0 + i, lc)],
-            };
-        }
+        let col = v.col_mut(l);
+        col[lu - lr0..lu1 - lr0].fill(1.0);
+        col[lu1 - lr0..].copy_from_slice(&a.local().col(lc)[lu1..lrn]);
     }
     v
 }
@@ -228,11 +222,9 @@ fn scatter_v_rows(a: &DistMatrix, r0: usize, n: usize, vmine: &[f64], vfull: &mu
     let lr0 = a.local_rows_below(r0);
     let m = a.local_rows_below(n) - lr0;
     let vm = n - r0;
-    // Row of `V` behind each of my local rows, worked out once.
-    let vrow_of: Vec<usize> = (lr0..lr0 + m).map(|lr| a.l2g_row(lr) - r0).collect();
     for (src, dst) in vmine.chunks_exact(m.max(1)).zip(vfull.chunks_exact_mut(vm)) {
-        for (&x, &r) in src.iter().zip(&vrow_of) {
-            dst[r] = x;
+        for (i, g, len) in a.row_runs(lr0, lr0 + m) {
+            dst[g - r0..g - r0 + len].copy_from_slice(&src[i..i + len]);
         }
     }
 }
@@ -361,8 +353,8 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         vcol[iu1..].copy_from_slice(&bcol[iu1..]);
 
         // ---- v = [1; A(u+1..n, c)], my rows; summed over the column ------
-        for (lr, &x) in (lr0 + iu..lr_n).zip(&vcol[iu..]) {
-            v[a.l2g_row(lr) - u] = x;
+        for (i, g, len) in a.row_runs(lr0 + iu, lr_n) {
+            v[g - u..g - u + len].copy_from_slice(&vcol[iu + i..iu + i + len]);
         }
         ctx.allreduce_sum_col(&mut v, TAG_VCOL);
 
@@ -372,7 +364,7 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         let ncl = lcn - lc0;
         if mlen > 0 && ncl > 0 {
             xloc.clear();
-            for (_, g, len) in col_runs(a, lc0, lcn) {
+            for (_, g, len) in a.col_runs(lc0, lcn) {
                 xloc.extend_from_slice(&v[g - u..g - u + len]);
             }
             let abuf = &a.local().as_slice()[lc0 * ldl + lr0..];
@@ -388,7 +380,9 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         if j > 0 {
             if iu < mlen {
                 vloc.clear();
-                vloc.extend((lr0 + iu..lr_n).map(|lr| v[a.l2g_row(lr) - u]));
+                for (_, g, len) in a.row_runs(lr0 + iu, lr_n) {
+                    vloc.extend_from_slice(&v[g - u..g - u + len]);
+                }
                 gemv(Trans::Yes, mlen - iu, j, 1.0, &vstored[iu..], mlen, &vloc, 0.0, &mut tcol);
             }
             ctx.allreduce_sum_col(&mut tcol, TAG_TCOL);
@@ -426,12 +420,7 @@ pub fn pdlahrd(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
     let mut ptop = vec![0.0f64; lrtop * w];
     if lrtop > 0 && ncl > 0 {
         // vsel: V rows matching my local columns.
-        let mut vsel = Matrix::zeros(ncl, w);
-        for (i, g, len) in col_runs(a, lc0, lcn) {
-            for l in 0..w {
-                vsel.col_mut(l)[i..i + len].copy_from_slice(&vfull.col(l)[g - k - 1..g - k - 1 + len]);
-            }
-        }
+        let vsel = select_rows(&vfull, k + 1, ncl, a.col_runs(lc0, lcn));
         let abuf = &a.local().as_slice()[lc0 * ldl..];
         gemm(Trans::No, Trans::No, lrtop, w, ncl, 1.0, abuf, ldl, vsel.as_slice(), ncl, 0.0, &mut ptop, lrtop);
     }
@@ -515,8 +504,7 @@ pub fn pdlaqrf(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         // ---- generate the reflector for column c (distributed larfg) ------
         let lr_u1 = a.local_rows_below(u + 1);
         let mut ss = [0.0f64];
-        for lr in lr_u1..lr_n {
-            let x = a.local()[(lr, lc)];
+        for x in &a.local().col(lc)[lr_u1..lr_n] {
             ss[0] += x * x;
         }
         ctx.allreduce_sum_col(&mut ss, TAG_NRM);
@@ -530,9 +518,8 @@ pub fn pdlaqrf(ctx: &Ctx, a: &mut DistMatrix, n: usize, k: usize, w: usize) -> P
         } else {
             let beta = -f64::hypot(alpha, xnorm) * alpha.signum();
             let s = 1.0 / (alpha - beta);
-            for lr in lr_u1..lr_n {
-                let v = &mut a.local_mut()[(lr, lc)];
-                *v *= s;
+            for x in &mut a.local_mut().col_mut(lc)[lr_u1..lr_n] {
+                *x *= s;
             }
             if ctx.myrow() == p_u {
                 a.set(u, c, beta);
@@ -936,12 +923,41 @@ mod tests {
                 for lc0 in 0..=lcn {
                     for lc1 in lc0..=lcn {
                         let mut got = Vec::new();
-                        for (i, g, len) in col_runs(&a, lc0, lc1) {
+                        for (i, g, len) in a.col_runs(lc0, lc1) {
                             assert_eq!(i, got.len(), "{p}x{q} rank {}: run offset", ctx.rank());
                             got.extend_from_slice(&src[g..g + len]);
                         }
                         let want: Vec<f64> = (lc0..lc1).map(|lc| src[a.l2g_col(lc)]).collect();
                         assert_eq!(got, want, "{p}x{q} rank {}: local columns {lc0}..{lc1}", ctx.rank());
+                    }
+                }
+            });
+        }
+    }
+
+    /// `pdlaqrf`'s replicated `V` is the per-element extraction from the
+    /// factored matrix — 0 above each unit, 1 at it, the stored entry below —
+    /// bit for bit, at P ∈ {1, 2, 3} with `N` not a multiple of `nb`, on
+    /// every panel including the ragged last one.
+    #[test]
+    fn pdlaqrf_v_replica_is_the_per_element_extraction() {
+        let (n, nb) = (23, 4);
+        for (p, q) in [(1usize, 1usize), (2, 1), (3, 1), (3, 2)] {
+            run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(21, i, j));
+                for k in (0..n).step_by(nb) {
+                    let w = nb.min(n - k);
+                    let f = pdlaqrf(&ctx, &mut a, n, k, w);
+                    let ag = a.gather_all(&ctx, 995);
+                    let want = Matrix::from_fn(n - k, w, |r, l| match (k + r).cmp(&(k + l)) {
+                        std::cmp::Ordering::Less => 0.0,
+                        std::cmp::Ordering::Equal => 1.0,
+                        std::cmp::Ordering::Greater => ag[(k + r, k + l)],
+                    });
+                    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&f.vfull), bits(&want), "{p}x{q} k={k} rank {}", ctx.rank());
+                    if a.owns_col(k) {
+                        assert_eq!(bits(&f.v_for_local_rows(&a)), bits(&extract_v_local(&a, k, w, k, n, 0)), "{p}x{q} k={k}");
                     }
                 }
             });

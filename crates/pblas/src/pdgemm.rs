@@ -166,24 +166,28 @@ pub fn pdgemm(ctx: &Ctx, transb: Trans, alpha: f64, a: &DistMatrix, b: &DistMatr
                 // owner column broadcasts its rows along rows, then the
                 // column all-reduce superimposes the row pieces.
                 let qb = b.col_owner(kb);
-                let mut full = vec![0.0f64; b.desc().m * w];
+                let bm = b.desc().m;
+                let mut full = vec![0.0f64; bm * w];
                 if ctx.mycol() == qb {
                     let lc0 = b.g2l_col(kb);
-                    let ldb = b.local().ld().max(1);
                     for l in 0..w {
-                        for lr in 0..b.lrows() {
-                            let g = b.l2g_row(lr);
-                            full[g + l * b.desc().m] = b.local().as_slice()[lr + (lc0 + l) * ldb];
+                        let (col, dst) = (b.local().col(lc0 + l), &mut full[l * bm..(l + 1) * bm]);
+                        for (i, g, len) in b.row_runs(0, b.lrows()) {
+                            dst[g..g + len].copy_from_slice(&col[i..i + len]);
                         }
                     }
                 }
                 ctx.bcast_row(qb, &mut full, TAG_BGATH);
                 ctx.allreduce_sum_col(&mut full, TAG_BRED);
                 // Select the rows matching my C columns, transposed into w×cols.
-                let bpan = Matrix::from_fn(w, my_ccols, |l, jj| {
-                    let g = c.l2g_col(jj);
-                    full[g + l * b.desc().m]
-                });
+                let mut bpan = Matrix::zeros(w, my_ccols);
+                for (j0, g0, len) in c.col_runs(0, my_ccols) {
+                    for (jj, g) in (j0..j0 + len).zip(g0..) {
+                        for (l, x) in bpan.col_mut(jj).iter_mut().enumerate() {
+                            *x = full[g + l * bm];
+                        }
+                    }
+                }
 
                 if my_crows > 0 && my_ccols > 0 {
                     gemm(

@@ -5,7 +5,7 @@
 //! computation.
 
 use crate::dist::DistMatrix;
-use crate::panel::replicate_reflector_block;
+use crate::panel::{replicate_reflector_block, v_local_rows};
 use crate::pdgemm::pdgemm;
 use crate::update::left_update_op;
 use ft_dense::Matrix;
@@ -59,12 +59,7 @@ pub fn pd_orghr(ctx: &Ctx, a: &DistMatrix, n: usize, tau: &[f64]) -> DistMatrix 
         let mut t = Matrix::zeros(w, w);
         larft(vfull.rows(), w, vfull.as_slice(), vfull.rows().max(1), &tau[k..k + w], t.as_mut_slice(), w);
         // V restricted to my local rows in [k+1, n).
-        let lr0 = qm.local_rows_below(k + 1);
-        let lrn = qm.local_rows_below(n);
-        let v_myrows = Matrix::from_fn(lrn - lr0, w, |i, l| {
-            let g = qm.l2g_row(lr0 + i);
-            vfull[(g - k - 1, l)]
-        });
+        let v_myrows = v_local_rows(&vfull, k + 1, n, &qm);
         // Columns ≤ k of Q stay identity under these reflectors only if we
         // skip them — but unlike the shared-memory code we apply to all
         // local columns: the reflectors have zero rows above k+1, so
@@ -94,12 +89,7 @@ pub fn pd_orgqr(ctx: &Ctx, a: &DistMatrix, n: usize, tau: &[f64]) -> DistMatrix 
         let mut t = Matrix::zeros(w, w);
         larft(vfull.rows(), w, vfull.as_slice(), vfull.rows().max(1), &tau[k..k + w], t.as_mut_slice(), w);
         // V restricted to my local rows in [k, n).
-        let lr0 = qm.local_rows_below(k);
-        let lrn = qm.local_rows_below(n);
-        let v_myrows = Matrix::from_fn(lrn - lr0, w, |i, l| {
-            let g = qm.l2g_row(lr0 + i);
-            vfull[(g - k, l)]
-        });
+        let v_myrows = v_local_rows(&vfull, k, n, &qm);
         // Going backwards, columns j < k are still e_j with zeros in the
         // reflector's row range [k, n) — a mathematical no-op we skip,
         // exactly like DORGQR. Column k itself IS in range (the unit sits
@@ -114,33 +104,29 @@ pub fn pd_orgqr(ctx: &Ctx, a: &DistMatrix, n: usize, tau: &[f64]) -> DistMatrix 
 /// `H` of a completed reduction: copy with the reflectors zeroed below the
 /// first subdiagonal (local; no communication).
 pub fn pd_extract_h(ctx: &Ctx, a: &DistMatrix, n: usize) -> DistMatrix {
-    let nb = a.desc().nb;
-    let mut h = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb });
-    for lc in 0..h.lcols() {
-        let gc = h.l2g_col(lc);
-        for lr in 0..h.lrows() {
-            let gr = h.l2g_row(lr);
-            let v = if gr > gc + 1 { 0.0 } else { a.local()[(lr, lc)] };
-            h.local_mut()[(lr, lc)] = v;
-        }
-    }
-    h
+    logical_copy(ctx, a, n, |gc| gc + 2)
 }
 
 /// `R` of a completed QR factorization: copy with the reflectors zeroed
 /// strictly below the diagonal (local; no communication).
 pub fn pd_extract_r(ctx: &Ctx, a: &DistMatrix, n: usize) -> DistMatrix {
-    let nb = a.desc().nb;
-    let mut r = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb });
-    for lc in 0..r.lcols() {
-        let gc = r.l2g_col(lc);
-        for lr in 0..r.lrows() {
-            let gr = r.l2g_row(lr);
-            let v = if gr > gc { 0.0 } else { a.local()[(lr, lc)] };
-            r.local_mut()[(lr, lc)] = v;
+    logical_copy(ctx, a, n, |gc| gc + 1)
+}
+
+/// The logical `n×n` block of `a` as a matrix of its own, global column
+/// `gc` keeping its rows `< keep(gc)` and zero below. `a` may be encoded:
+/// its logical block sits at the same local indices, and rows below a
+/// global cutoff are a local prefix, so each local column is one slice
+/// copy.
+fn logical_copy(ctx: &Ctx, a: &DistMatrix, n: usize, keep: impl Fn(usize) -> usize) -> DistMatrix {
+    let mut out = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb: a.desc().nb });
+    for (c, gc0, len) in out.col_runs(0, out.lcols()) {
+        for (lc, gc) in (c..c + len).zip(gc0..) {
+            let rows = out.local_rows_below(keep(gc).min(n));
+            out.local_mut().col_mut(lc)[..rows].copy_from_slice(&a.local().col(lc)[..rows]);
         }
     }
-    r
+    out
 }
 
 /// Distributed infinity norm of the logical `n×n` part (replicated result).
@@ -292,16 +278,8 @@ pub fn pd_hessenberg_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, 
     let nb = a0.desc().nb;
     let mut t1 = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb });
     pdgemm(ctx, Trans::No, 1.0, &qm, &h, 0.0, &mut t1);
-    let mut r = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb });
-    // r = a0 (logical part may differ in desc size when a0 is encoded —
-    // copy elementwise by global index).
-    for lc in 0..r.lcols() {
-        let gc = r.l2g_col(lc);
-        for lr in 0..r.lrows() {
-            let gr = r.l2g_row(lr);
-            r.local_mut()[(lr, lc)] = a0.local()[(a0.g2l_row(gr), a0.g2l_col(gc))];
-        }
-    }
+    // r = a0's logical part (a0 may be encoded).
+    let mut r = logical_copy(ctx, a0, n, |_| n);
     pdgemm(ctx, Trans::Yes, -1.0, &t1, &qm, 1.0, &mut r);
     let na = pd_inf_norm(ctx, a0, n, TAG_NORM);
     if na == 0.0 {
@@ -317,16 +295,8 @@ pub fn pd_hessenberg_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, 
 pub fn pd_qr_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
     let qm = pd_orgqr(ctx, reduced, n, tau);
     let rm = pd_extract_r(ctx, reduced, n);
-    let nb = a0.desc().nb;
-    let mut r = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb });
-    // r = a0 (copy elementwise by global index — a0 may be encoded).
-    for lc in 0..r.lcols() {
-        let gc = r.l2g_col(lc);
-        for lr in 0..r.lrows() {
-            let gr = r.l2g_row(lr);
-            r.local_mut()[(lr, lc)] = a0.local()[(a0.g2l_row(gr), a0.g2l_col(gc))];
-        }
-    }
+    // r = a0's logical part (a0 may be encoded).
+    let mut r = logical_copy(ctx, a0, n, |_| n);
     // r ← a0 − Q·R
     pdgemm(ctx, Trans::No, -1.0, &qm, &rm, 1.0, &mut r);
     let na = pd_inf_norm(ctx, a0, n, TAG_NORM.offset(8));
@@ -375,6 +345,37 @@ mod tests {
             if ctx.rank() == 0 {
                 let d = qg.max_abs_diff(&q_ref);
                 assert!(d < 1e-10, "Q mismatch: {d}");
+            }
+        });
+    }
+
+    /// `H`, `R` and the residual's copy of `A₀` keep a local prefix of each
+    /// column: bit for bit the per-element masks they replaced, read from a
+    /// matrix larger than the logical `n×n` block (as an encoded one is) on
+    /// a ragged 2×3 grid.
+    #[test]
+    fn logical_copies_are_the_per_element_masks() {
+        let (n, nb) = (23, 4);
+        run_spmd(2, 3, FaultScript::none(), move |ctx| {
+            let a = DistMatrix::from_global_fn(&ctx, Desc { m: n + 9, n: n + 5, nb }, |i, j| uniform_entry(36, i, j));
+            let bits = |d: &DistMatrix| d.local().as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let h: &dyn Fn(usize, usize) -> bool = &|gr, gc| gr <= gc + 1;
+            let r: &dyn Fn(usize, usize) -> bool = &|gr, gc| gr <= gc;
+            let all: &dyn Fn(usize, usize) -> bool = &|_, _| true;
+            for (what, got, keep) in [
+                ("H", pd_extract_h(&ctx, &a, n), h),
+                ("R", pd_extract_r(&ctx, &a, n), r),
+                ("A0", logical_copy(&ctx, &a, n, |_| n), all),
+            ] {
+                let mut want = DistMatrix::zeros(&ctx, Desc { m: n, n, nb });
+                for lc in 0..want.lcols() {
+                    let gc = want.l2g_col(lc);
+                    for lr in 0..want.lrows() {
+                        let gr = want.l2g_row(lr);
+                        want.local_mut()[(lr, lc)] = if keep(gr, gc) { a.local()[(lr, lc)] } else { 0.0 };
+                    }
+                }
+                assert_eq!(bits(&got), bits(&want), "{what}, rank {}", ctx.rank());
             }
         });
     }
