@@ -59,12 +59,12 @@ fn dist_trace() -> bool {
     *ON.get_or_init(|| std::env::var_os("FT_DIST_TRACE").is_some())
 }
 
-/// Control image shipped to a respawned replacement process (distributed
-/// recovery): the driver bookkeeping a fresh process cannot reconstruct
-/// locally. The matrix data itself is rebuilt by [`crate::recovery`].
+/// Control image shipped to a victim of a rollback: the driver bookkeeping a
+/// rank that rejoins with nothing cannot reconstruct locally. The matrix data
+/// itself is rebuilt by [`crate::recovery`].
 const TAG_CTL_IMAGE: Tag = Tag::Recovery(0x50);
-/// World-wide min-reduction of boundary-image ids — picks the common
-/// rollback boundary when survivors' images diverge by one commit.
+/// World-wide min-reduction of boundary-image commit numbers — picks the
+/// common rollback boundary when survivors' images diverge by one commit.
 const TAG_BOUNDARY_MIN: Tag = Tag::Recovery(0x51);
 
 /// Which ABFT variant to run.
@@ -80,9 +80,10 @@ pub enum Variant {
 }
 
 /// Phase boundaries within one panel iteration where failures can strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Phase {
     /// After the scope snapshot, before the panel factorization.
+    #[default]
     BeforePanel,
     /// After `PDLAHRD` + bookkeeping, before the right update.
     AfterPanel,
@@ -122,8 +123,9 @@ pub enum FtError {
     /// of the active redundancy level — the victim set erases more blocks
     /// per (row × group) than the surviving checksum copies can determine
     /// (see [`crate::recovery::check_tolerance`]). Raised at the
-    /// deterministic tolerance gate, before any recovery work, for every
-    /// redundancy level (`Single`, `Coded(f)`).
+    /// deterministic tolerance gate — once a rollback's ranks agree on its
+    /// boundary, before any §5.3 work — for every redundancy level
+    /// (`Single`, `Coded(f)`).
     ExceededCodeDistance {
         /// The victim set, sorted.
         victims: Vec<usize>,
@@ -238,8 +240,8 @@ pub struct FtReport {
     /// image capture. Zero unless chaos is live in process or the run is
     /// distributed — only those commit with an image.
     pub commit_secs: f64,
-    /// `f64` words copied into boundary images (commits, the recapture after
-    /// a distributed recovery, the scrub engine's verified images).
+    /// `f64` words copied into boundary images (commits, a recovery's
+    /// included, and the scrub engine's verified images).
     pub image_words: usize,
     /// Total wall seconds of the reduction on this process.
     pub total_secs: f64,
@@ -461,9 +463,10 @@ pub(crate) fn alg3_catch_up(
 /// after a chaos rollback to a committed boundary. The driver loop is a
 /// fall-through sequence of these steps; a fresh iteration starts at
 /// [`Step::Begin`], a restored one at whatever the boundary image says.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Step {
     /// Scope entry (snapshot) + the `BeforePanel` fail point.
+    #[default]
     Begin,
     /// `pdlahrd` + bookkeeping + the `AfterPanel` fail point.
     Panel,
@@ -494,15 +497,18 @@ struct DriverState {
 /// Bitwise image of one process's state at a committed fail-point boundary.
 /// Captured only when the fault-tolerance machinery is live ([`ft_live`]
 /// — scripted-only and fault-free in-process runs pay nothing); an
-/// arbitrary-point failure rolls every rank back to its image (all ranks
-/// always hold images of the *same* boundary, see [`pass_boundary`]) and
-/// re-enters through [`recover_from`]. A scripted failure needs no image:
-/// every rank stops on the boundary its fail point belongs to.
+/// arbitrary-point failure rolls every rank back to the agreed image
+/// ([`align_boundary`]) and re-enters through [`recover_from`]. A scripted
+/// failure needs no image: every rank stops on the boundary its fail point
+/// belongs to.
 ///
 /// The matrix part is the local buffer's words inside `spans` — what can
 /// still be written before the image can no longer be restored
 /// ([`image_spans`]); a restore writes them back and leaves every other word
-/// as it is, which is the word the capture saw.
+/// as it is, which is the word the capture saw. A victim's control image
+/// ([`deserialize_ctl_image`]) holds no words: recovery wipes and rebuilds
+/// that rank's buffer.
+#[derive(Default)]
 struct BoundaryImage {
     /// The local buffer's words inside `spans`, span after span.
     data: Vec<f64>,
@@ -523,20 +529,22 @@ struct BoundaryImage {
     /// the pre-loop boundary where no scope exists yet.
     s: usize,
     /// Boundary id (`failpoint + 1`; 0 for the pre-loop boundary) — also the
-    /// first fail point a rollback to this image re-arms. In distributed
-    /// runs this is what the survivors min-reduce over to agree on a common
-    /// rollback point.
+    /// first fail point a rollback to this image re-arms.
     id: u64,
+    /// Commit number: the images committed before this one, the same on
+    /// every rank. A rollback recovery commits the boundary it restored
+    /// again, same `id`, next `seq`: the alignment min-reduces over `seq`.
+    seq: u64,
 }
 
-/// The chaos/distributed rollback images. In-process chaos runs only ever
-/// use `cur` — the revocable commit barrier keeps every rank's image on the
-/// same boundary. Over a real network a SIGKILL mid-barrier can leave
-/// survivors **one** commit apart (the victim's final barrier frame may have
-/// reached some peers and not others), so distributed runs keep the previous
-/// boundary too and [`dist_align_boundary`] demotes the leaders. A commit
-/// refills `cur` in place, or — distributed — `prev`'s buffer, which then
-/// becomes `cur`: no image is allocated after a rank's first two commits.
+/// The rollback images: `cur`, and `prev`, the commit before it. A commit's
+/// barrier is revocable and all-or-none in process, but over a real network
+/// a SIGKILL mid-barrier can leave survivors **one** commit apart (the
+/// victim's final barrier frame may have reached some peers and not
+/// others); [`align_boundary`] then demotes the leaders to `prev`. Every
+/// fabric keeps both and runs that alignment. A commit refills `prev`'s
+/// buffer, which then becomes `cur`: no image is allocated after a rank's
+/// first two commits (after a victim's first two since it rejoined).
 #[derive(Default)]
 struct Images {
     cur: Option<BoundaryImage>,
@@ -556,10 +564,10 @@ fn ft_live(ctx: &Ctx) -> bool {
 
 /// The local-buffer ranges a boundary image of scope `s` holds, into
 /// `spans`: everything the driver can still write before the image can no
-/// longer be restored — the next commit in process, the one after it in a
-/// distributed run ([`dist_align_boundary`]), and any recovery attempt that
+/// longer be restored — up to the commit after the next one, since
+/// [`align_boundary`] can demote `prev`, and any recovery attempt that
 /// restores the image again (DESIGN.md §8). Commits sit at panel starts
-/// (and at a scripted recovery's repaired boundary), so those writes come
+/// (and at a recovery's repaired boundary), so those writes come
 /// from scope `s` and the scopes after it, and a right-looking reduction
 /// never writes a column left of its open scope again. So that is
 ///
@@ -595,8 +603,8 @@ fn image_spans(enc: &Encoded, s: usize, whole: bool, spans: &mut Vec<Range<usize
 }
 
 /// Refill the image in `slot` — reusing its buffers, allocating only into an
-/// empty slot — with this rank's state at boundary `(phase, s, id)`. Returns
-/// the matrix words copied.
+/// empty slot — with this rank's state at boundary `(phase, s, id)`, commit
+/// number `seq`. Returns the matrix words copied.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn capture_image(
     slot: &mut Option<BoundaryImage>,
@@ -605,22 +613,10 @@ fn capture_image(
     st: &DriverState,
     phase: Phase,
     s: usize,
-    id: u64,
+    (id, seq): (u64, u64),
     whole: bool,
 ) -> usize {
-    let img = slot.get_or_insert_with(|| BoundaryImage {
-        data: Vec::new(),
-        spans: Vec::new(),
-        shadow: Vec::new(),
-        tau: Vec::new(),
-        scope: None,
-        k: 0,
-        panel_idx: 0,
-        resume: Step::Begin,
-        phase,
-        s,
-        id,
-    });
+    let img = slot.get_or_insert_with(BoundaryImage::default);
     image_spans(enc, s, whole, &mut img.spans);
     let buf = enc.a.local().as_slice();
     img.data.clear();
@@ -635,15 +631,14 @@ fn capture_image(
     img.tau.extend_from_slice(tau);
     img.scope.clone_from(&st.scope);
     (img.k, img.panel_idx, img.resume) = (st.k, st.panel_idx, st.resume);
-    (img.phase, img.s, img.id) = (phase, s, id);
+    (img.phase, img.s, img.id, img.seq) = (phase, s, id, seq);
     img.data.len()
 }
 
-/// Roll this rank back to `img`. `intact`: no word outside the image's spans
-/// has been written since the capture — true on every rank but a victim,
-/// whose buffer recovery wipes and rebuilds right after. Debug builds check
-/// the restored buffer against the capture's full copy there.
-fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: &BoundaryImage, intact: bool) {
+/// Roll this rank back to `img`. Debug builds check the restored buffer
+/// against the capture's full copy; a control image has none (its rank's
+/// buffer is wiped and rebuilt by the recovery that follows).
+fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: &BoundaryImage) {
     let buf = enc.a.local_mut().as_mut_slice();
     let mut words = img.data.as_slice();
     for r in &img.spans {
@@ -652,7 +647,7 @@ fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: 
         words = rest;
     }
     debug_assert!(
-        !intact || buf.iter().zip(&img.shadow).all(|(a, b)| a.to_bits() == b.to_bits()),
+        buf.iter().zip(&img.shadow).all(|(a, b)| a.to_bits() == b.to_bits()),
         "boundary image {} (panel {}, {:?}): the restored buffer differs from the capture",
         img.id,
         img.panel_idx,
@@ -671,7 +666,7 @@ fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: 
 /// three. `Some` stops the loop right here, uncommitted, for
 /// [`recover_from`], which commits the boundary once its failures are
 /// repaired. A kill therefore rolls back to the start of the panel it
-/// struck — distributed, possibly of the panel before (`prev`).
+/// struck — or of the panel before, when [`align_boundary`] demotes `prev`.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn pass_boundary(
     ctx: &Ctx,
@@ -685,31 +680,34 @@ fn pass_boundary(
     report: &mut FtReport,
 ) -> Option<Halt> {
     st.resume = next;
-    let victims = ctx.check_failpoint(failpoint(st.panel_idx, phase));
+    let point = failpoint(st.panel_idx, phase);
+    let victims = ctx.check_failpoint(point);
     if !victims.is_empty() {
         return Some(Halt::Scripted { victims, phase, s });
     }
+    // Boundary ids are fail-point ids shifted by one; id 0 is the pre-loop
+    // boundary right after the initial encoding.
     if phase == Phase::BeforePanel {
-        commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, report);
+        commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, point + 1, report);
     } else {
-        ctx.commit_boundary(failpoint(st.panel_idx, phase) + 1);
+        ctx.commit_boundary(point + 1);
     }
     None
 }
 
-/// Commit the fail-point boundary `(st.panel_idx, phase)` and, when the
-/// fault-tolerance machinery is live, refresh this rank's boundary image.
+/// Commit boundary `id`, the state `st` sits on at `(phase, s)`, and, when
+/// the fault-tolerance machinery is live, push this rank's boundary image.
 ///
 /// The barrier is what keeps every rank's image pinned to the same
 /// boundary: a revocable barrier is all-or-none, survivors only observe an
 /// interrupt inside communication calls, and between the completed barrier
 /// and the (purely local) capture there are none. So either every rank
-/// refreshes its image or — if the barrier is revoked first — none does,
-/// and all roll back to the previous common boundary. The boundary's fail
-/// point was read, and its failures repaired, before the commit: the commit
-/// clears them from the detector round, the image holds the repaired state,
-/// and a rollback to it re-arms exactly the points after it
-/// ([`Ctx::rewind_failpoints`]).
+/// pushes its image or — if the barrier is revoked first — none does, and
+/// all roll back to the previous common boundary (over a real wire, up to
+/// one commit apart: [`align_boundary`]). The boundary's failures were
+/// repaired before the commit: the commit clears them from the detector
+/// round, the image holds the repaired state, and a rollback to it re-arms
+/// exactly the points after it ([`Ctx::rewind_failpoints`]).
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn commit_boundary_image(
     ctx: &Ctx,
@@ -719,31 +717,31 @@ fn commit_boundary_image(
     imgs: &mut Images,
     phase: Phase,
     s: usize,
+    id: u64,
     report: &mut FtReport,
 ) {
-    // Boundary ids are failpoint ids shifted by one; id 0 is the pre-loop
-    // boundary right after the initial encoding.
-    let id = failpoint(st.panel_idx, phase) + 1;
     if ft_live(ctx) {
         let t = Instant::now();
         ctx.barrier();
-        if ctx.distributed() {
-            // Keep the previous boundary too: a real SIGKILL mid-barrier can
-            // leave survivors one commit apart, and the laggards' boundary
-            // is the one everybody can roll back to. The image two commits
-            // back is out of reach now; its buffers take the new one.
-            std::mem::swap(&mut imgs.cur, &mut imgs.prev);
-        }
-        report.image_words += capture_image(&mut imgs.cur, enc, tau, st, phase, s, id, imgs.whole);
+        report.image_words += push_image(imgs, enc, tau, st, phase, s, id);
         report.commit_secs += t.elapsed().as_secs_f64();
     }
     ctx.commit_boundary(id);
 }
 
+/// A commit's capture: `cur` becomes `prev`, and the image two commits back,
+/// out of reach now, lends its buffers to the new `cur`, the next commit
+/// number. Returns the matrix words copied.
+fn push_image(imgs: &mut Images, enc: &Encoded, tau: &[f64], st: &DriverState, phase: Phase, s: usize, id: u64) -> usize {
+    let seq = imgs.cur.as_ref().map_or(0, |i| i.seq + 1);
+    std::mem::swap(&mut imgs.cur, &mut imgs.prev);
+    capture_image(&mut imgs.cur, enc, tau, st, phase, s, (id, seq), imgs.whole)
+}
+
 /// Flat encoding of a [`BoundaryImage`]'s control state (everything but the
 /// matrix buffer, which [`crate::recovery`] rebuilds from the checksums) for
-/// shipping to a respawned replacement process. Layout: a 13-word header
-/// followed by the full `tau` vector.
+/// shipping to a victim. Layout: a 14-word header followed by the full `tau`
+/// vector.
 fn serialize_ctl_image(img: &BoundaryImage) -> Vec<f64> {
     let mut buf = vec![0.0; CTL_HEADER + img.tau.len()];
     buf[0] = img.id as f64;
@@ -761,19 +759,19 @@ fn serialize_ctl_image(img: &BoundaryImage) -> Vec<f64> {
         buf[11] = sc.chk.panels_done as f64;
         buf[12] = if sc.chk.right_done_for_next { 1.0 } else { 0.0 };
     }
+    buf[13] = img.seq as f64;
     buf[CTL_HEADER..].copy_from_slice(&img.tau);
     buf
 }
 
-const CTL_HEADER: usize = 13;
+const CTL_HEADER: usize = 14;
 
-/// Rebuild a [`BoundaryImage`] into `slot` on a replacement process from
-/// the control state a survivor shipped. The matrix part is this process's
-/// whole current (garbage) buffer — [`crate::recovery::recover`] overwrites
-/// every word of it — and the scope carries only the locally-computable
-/// layout fields; snapshots, factors and panel backups are restored from
-/// the live holders by [`ScopeState::repair_after_failure`].
-fn deserialize_ctl_image(ctx: &Ctx, enc: &Encoded, buf: &[f64], slot: &mut Option<BoundaryImage>) {
+/// Rebuild a victim's [`BoundaryImage`] from the control state a survivor
+/// shipped. It holds no matrix words — [`crate::recovery::recover`] wipes
+/// and rebuilds the victim's buffer — and its scope carries only the
+/// locally-computable layout fields; snapshots, factors and panel backups
+/// are restored from the live holders by [`ScopeState::repair_after_failure`].
+fn deserialize_ctl_image(ctx: &Ctx, enc: &Encoded, buf: &[f64]) -> BoundaryImage {
     let scope = (buf[6] != 0.0).then(|| {
         let (start_col, end_col) = (buf[8] as usize, buf[9] as usize);
         ScopeState {
@@ -789,61 +787,63 @@ fn deserialize_ctl_image(ctx: &Ctx, enc: &Encoded, buf: &[f64], slot: &mut Optio
             ..ScopeState::empty(ctx, enc)
         }
     });
-    let st = DriverState {
+    BoundaryImage {
+        tau: buf[CTL_HEADER..].to_vec(),
         scope,
         k: buf[1] as usize,
         panel_idx: buf[2] as usize,
         resume: Step::from_index(buf[3] as u64),
-    };
-    let (phase, s, id) = (Phase::from_index(buf[4] as u64), buf[5] as usize, buf[0] as u64);
-    capture_image(slot, enc, &buf[CTL_HEADER..], &st, phase, s, id, true);
+        phase: Phase::from_index(buf[4] as u64),
+        s: buf[5] as usize,
+        id: buf[0] as u64,
+        seq: buf[13] as u64,
+        ..Default::default()
+    }
 }
 
-/// Distributed recovery, step 0: get every rank onto the **same** boundary
-/// image before the rollback.
+/// A rollback's step 0, on every fabric: get every rank onto the **same**
+/// boundary image. Returns it, or `None` when every rank is a victim.
 ///
-/// 1. World-wide min-reduction of boundary ids — victims (and any rank with
-///    no image) contribute `+∞`; survivors contribute `cur.id`. The minimum
-///    is the newest boundary *every* survivor holds: commits happen behind a
-///    revocable barrier, so survivor images diverge by at most one commit,
-///    and the laggards' boundary is held by the leaders as `prev`.
-/// 2. Survivors one commit ahead demote `prev` to `cur`.
-/// 3. The lowest-ranked survivor ships the control image to each victim,
-///    which synthesizes a local [`BoundaryImage`] from it.
-fn dist_align_boundary(ctx: &Ctx, enc: &Encoded, imgs: &mut Images, victims: &[usize], me: bool) {
-    let mut bid = [if me {
-        f64::INFINITY
-    } else {
-        imgs.cur.as_ref().map_or(f64::INFINITY, |i| i.id as f64)
-    }];
-    dtrace!(ctx, "align: entering boundary min-reduce (mine={})", bid[0]);
-    ctx.allreduce_min_world(&mut bid, TAG_BOUNDARY_MIN);
-    dtrace!(ctx, "align: agreed boundary id {}", bid[0]);
-    assert!(bid[0].is_finite(), "distributed recovery: no survivor holds a boundary image");
-    let common = bid[0] as u64;
-    if !me && imgs.cur.as_ref().map(|i| i.id) != Some(common) {
-        let prev = imgs.prev.take().expect("survivor lacks the agreed boundary image");
-        assert_eq!(prev.id, common, "survivor boundary images diverged by more than one commit");
-        imgs.cur = Some(prev);
+/// 1. The victims (`me`) drop their images: they rejoin with nothing, like
+///    a respawned process — the paper's replacement (§5).
+/// 2. World-wide min-reduction of commit numbers — victims contribute `+∞`.
+///    The minimum is the newest image *every* survivor holds: commits sit
+///    behind a revocable barrier, so survivors diverge by at most one
+///    commit, and the laggards' image is the leaders' `prev`.
+/// 3. Survivors one commit ahead demote `prev` to `cur`.
+/// 4. The lowest-ranked survivor ships the control image to each victim.
+fn align_boundary<'a>(ctx: &Ctx, enc: &Encoded, imgs: &'a mut Images, victims: &[usize], me: bool) -> Option<&'a BoundaryImage> {
+    if me {
+        (imgs.cur, imgs.prev) = (None, None);
+    }
+    let mut seq = [imgs.cur.as_ref().map_or(f64::INFINITY, |i| i.seq as f64)];
+    dtrace!(ctx, "align: entering boundary min-reduce (mine={})", seq[0]);
+    ctx.allreduce_min_world(&mut seq, TAG_BOUNDARY_MIN);
+    dtrace!(ctx, "align: agreed commit {}", seq[0]);
+    if !seq[0].is_finite() {
+        return None;
+    }
+    let common = seq[0] as u64;
+    if !me && imgs.cur.as_ref().map(|i| i.seq) != Some(common) {
+        std::mem::swap(&mut imgs.cur, &mut imgs.prev);
+        let seq = imgs.cur.as_ref().expect("survivor lacks the agreed boundary image").seq;
+        assert_eq!(seq, common, "survivor boundary images diverged by more than one commit");
     }
     let lead = (0..ctx.grid().size())
         .find(|r| !victims.contains(r))
-        .expect("no survivor in the world");
+        .expect("a survivor holds the agreed image");
     if ctx.rank() == lead {
         let buf = serialize_ctl_image(imgs.cur.as_ref().unwrap());
         for &v in victims {
-            dtrace!(ctx, "align: shipping control image to replacement {v}");
+            dtrace!(ctx, "align: shipping control image to victim {v}");
             ctx.send(v, TAG_CTL_IMAGE, &buf);
         }
     }
     if me {
-        let buf = ctx.recv(lead, TAG_CTL_IMAGE);
-        deserialize_ctl_image(ctx, enc, &buf, &mut imgs.cur);
+        imgs.cur = Some(deserialize_ctl_image(ctx, enc, &ctx.recv(lead, TAG_CTL_IMAGE)));
         dtrace!(ctx, "align: received control image from lead {lead}");
     }
-    // Either way `prev` is now behind the agreed boundary (or synthesized
-    // never existed); the first post-recovery commit re-seeds it.
-    imgs.prev = None;
+    imgs.cur.as_ref()
 }
 
 /// The fault-tolerant distributed Hessenberg reduction (SPMD).
@@ -1034,7 +1034,6 @@ pub fn ft_solve(
         scrub: policy,
         mut hook,
     } = ctl;
-    assert!(!replacement || ctx.distributed(), "a replacement only makes sense on a real transport");
     let n = enc.n();
     let nb = enc.nb();
     let q = ctx.npcol();
@@ -1093,7 +1092,7 @@ pub fn ft_solve(
     };
     imgs.whole = ctx.sdc_enabled() || scrub.engine.active() || hook.is_some();
 
-    if ft_live(ctx) && !replacement {
+    if !replacement {
         // Pre-loop boundary: a kill before the first panel's fail point
         // rolls back to "everything encoded, nothing factorized", where the
         // whole matrix is reconstructible from the initial checksums. A
@@ -1101,11 +1100,7 @@ pub fn ft_solve(
         // same shape (no scope open, every group solvable from its stored
         // checksum), just at a later panel. No scope is open: the image is
         // the whole buffer.
-        let t = Instant::now();
-        ctx.barrier();
-        report.image_words += capture_image(&mut imgs.cur, enc, tau, &st, Phase::BeforePanel, enc.groups(), 0, true);
-        ctx.commit_boundary(0);
-        report.commit_secs += t.elapsed().as_secs_f64();
+        commit_boundary_image(ctx, enc, tau, &st, &mut imgs, Phase::BeforePanel, enc.groups(), 0, &mut report);
     }
 
     if scrub.engine.active() && scrub.engine.policy.rollback && !replacement {
@@ -1113,7 +1108,7 @@ pub fn ft_solve(
         // protection domain opens here): it is the first verified image.
         // A replacement's buffer is garbage; its first verified image comes
         // from its first clean boundary scan.
-        report.image_words += capture_image(&mut scrub.img, enc, tau, &st, Phase::BeforePanel, enc.groups(), 0, true);
+        report.image_words += capture_image(&mut scrub.img, enc, tau, &st, Phase::BeforePanel, enc.groups(), (0, 0), true);
     }
 
     // A replacement enters the recovery protocol before running a single
@@ -1188,7 +1183,7 @@ fn scrub_escalate(
         return Err(FtError::ScrubUnrecoverable { panel: panel_idx, group: esc.group, block_col: esc.block_col });
     }
     let image = scrub.img.as_ref().unwrap();
-    restore_image(enc, tau, st, image, true);
+    restore_image(enc, tau, st, image);
     scrub.last_rollback = Some(image.panel_idx);
     scrub.engine.report.rollbacks += 1;
     Ok(())
@@ -1397,21 +1392,25 @@ fn run_loop(
         let full_coverage = scope_closing || variant == Variant::NonDelayed;
         if scan_due && full_coverage && scrub.engine.policy.rollback {
             let s_next = if solver.panel_exists(st.k, n) { (st.k / nb) / q } else { enc.groups() };
-            // Scrub images never enter the distributed boundary agreement
-            // (they are rollback-only, per rank), so their id is unused.
-            report.image_words += capture_image(&mut scrub.img, enc, tau, st, Phase::BeforePanel, s_next, 0, true);
+            // Scrub images never enter the boundary agreement (they are
+            // rollback-only, per rank), so their id and commit are unused.
+            report.image_words += capture_image(&mut scrub.img, enc, tau, st, Phase::BeforePanel, s_next, (0, 0), true);
         }
     }
 
+    leave_protection(ctx);
+    Ok(None)
+}
+
+/// Drain barrier: nobody leaves the protection domain while a peer can still
+/// die mid-protocol (agreement needs the full world). No message ops run
+/// between this barrier completing and the disarm, so once it passes no kill
+/// can fire on any rank.
+fn leave_protection(ctx: &Ctx) {
     if ft_live(ctx) {
-        // Drain barrier: nobody leaves the protection domain while a peer
-        // can still die mid-protocol (agreement needs the full world). No
-        // message ops run between this barrier completing and the disarm,
-        // so once it passes no kill can fire on any rank.
         ctx.barrier();
         ctx.disarm_chaos();
     }
-    Ok(None)
 }
 
 #[inline]
@@ -1435,13 +1434,13 @@ enum Halt {
 }
 
 /// The one recovery path (§5.3), for scripted failures and kills alike:
-/// settle the victims (read from the script, or agreed after a kill) and
-/// check them against the code's tolerance; roll back to the last committed
-/// boundary image unless the state already sits on the failed boundary;
-/// rebuild the lost data; run the scrub policy's post-recovery pass. A
-/// scripted failure's boundary is then committed — which re-arms
-/// protection before the next step — and shown to the hook; a rollback
-/// resumes after a boundary whose hook already ran.
+/// settle the victims (read from the script, or agreed after a kill); roll
+/// back to the agreed boundary image unless the state already sits on the
+/// failed boundary; check the victims against the code's tolerance; rebuild
+/// the lost data; run the scrub policy's post-recovery pass. Both then
+/// commit the repaired boundary — which re-arms protection before the next
+/// step — and a scripted failure's boundary is shown to the hook; a
+/// rollback resumes after a boundary whose hook already ran.
 ///
 /// Returns `Ok(None)` to resume the loop and `Ok(Some(Halt::Interrupted))`
 /// when a failure struck during the recovery itself, or before the repaired
@@ -1472,30 +1471,34 @@ fn recover_from(
         }
     };
     let me = victims.contains(&ctx.rank());
-    if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &victims) {
-        // Deterministic over the victim set: every rank returns this same
-        // error, none panics. It names the failed boundary — after a kill
-        // the last committed image's; a replacement has no image yet and
-        // reports the pre-loop boundary.
-        let (panel, phase) = match at {
-            Some((phase, _)) => (st.panel_idx, phase),
-            None => imgs.cur.as_ref().map_or((0, Phase::BeforePanel), |i| (i.panel_idx, i.phase)),
-        };
-        return Err(FtError::exceeded(victims, panel, phase, tol));
-    }
     let t = Instant::now();
     ctx.begin_recovery();
     let outcome = catch_interrupt(|| {
-        let (phase, s) = at.unwrap_or_else(|| {
-            if ctx.distributed() {
-                dist_align_boundary(ctx, enc, imgs, &victims, me);
-            }
-            let image = imgs.cur.as_ref().expect("chaos abort before the pre-loop boundary image");
-            restore_image(enc, tau, st, image, !me);
-            ctx.rewind_failpoints(image.id);
-            dtrace!(ctx, "driver: rolled back to boundary id={} panel={}", image.id, st.panel_idx);
-            (image.phase, image.s)
-        });
+        let (phase, s, id) = match at {
+            Some((phase, s)) => (phase, s, failpoint(st.panel_idx, phase) + 1),
+            None => match align_boundary(ctx, enc, imgs, &victims, me) {
+                Some(image) => {
+                    restore_image(enc, tau, st, image);
+                    ctx.rewind_failpoints(image.id);
+                    dtrace!(ctx, "driver: rolled back to boundary id={} panel={}", image.id, st.panel_idx);
+                    (image.phase, image.s, image.id)
+                }
+                // Every rank is a victim: no boundary survives to roll back
+                // to, and the gate below rejects a world without a survivor.
+                // Its verdict names panel 0's start.
+                None => {
+                    st.panel_idx = 0;
+                    (Phase::BeforePanel, enc.groups(), 0)
+                }
+            },
+        };
+        // Deterministic over the agreed victims and boundary: every rank
+        // returns this same error, none panics — and none returns while a
+        // peer can still die and wait for it in an agreement.
+        if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &victims) {
+            leave_protection(ctx);
+            return Err(FtError::exceeded(victims.clone(), st.panel_idx, phase, tol));
+        }
         let sc = st.scope.get_or_insert_with(|| ScopeState::empty(ctx, enc));
         recovery::recover(ctx, solver, enc, sc, &victims, me, variant, phase, s);
         dtrace!(ctx, "driver: §5.3 recovery done");
@@ -1515,6 +1518,7 @@ fn recover_from(
                 TrailingScan::Suspect
             };
             if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, sc, s, phase, trailing) {
+                leave_protection(ctx);
                 return Err(FtError::ScrubUnrecoverable {
                     panel: st.panel_idx,
                     group: esc.group,
@@ -1522,7 +1526,7 @@ fn recover_from(
                 });
             }
         }
-        Ok((phase, s))
+        Ok((phase, s, id))
     });
     ctx.end_recovery();
     report.recovery_secs += t.elapsed().as_secs_f64();
@@ -1530,25 +1534,18 @@ fn recover_from(
         report.chaos_aborts += 1;
         return Ok(Some(Halt::Interrupted));
     };
-    let (phase, s) = recovered?;
+    let (phase, s, id) = recovered?;
     report.recoveries += 1;
     report.victims.extend_from_slice(&victims);
-    if at.is_some() {
-        let committed = catch_interrupt(|| {
-            commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, report);
+    let committed = catch_interrupt(|| {
+        commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, id, report);
+        if at.is_some() {
             observe(hook, ctx, enc, st.panel_idx, phase);
-        });
-        if committed.is_err() {
-            report.chaos_aborts += 1;
-            return Ok(Some(Halt::Interrupted));
         }
-    } else if ctx.distributed() {
-        // Recapture the boundary from the *recovered* state on every rank: a
-        // re-spawned victim's synthesized image holds a garbage matrix
-        // buffer and an empty scope, and must never be rolled back to again.
-        let id = imgs.cur.as_ref().expect("a distributed run commits before its first panel").id;
-        report.image_words += capture_image(&mut imgs.cur, enc, tau, st, phase, s, id, imgs.whole);
-        imgs.prev = None;
+    });
+    if committed.is_err() {
+        report.chaos_aborts += 1;
+        return Ok(Some(Halt::Interrupted));
     }
     Ok(None)
 }
@@ -1565,7 +1562,7 @@ mod tests {
     use std::collections::VecDeque;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Barrier, Mutex};
     use std::time::Duration;
 
     /// [`ve_rows`] as it was before it walked column slices: one element of
@@ -1801,12 +1798,22 @@ mod tests {
         })
     }
 
-    /// A distributed solve at the serve jobs' shape (1×2, N = 192, nb = 8)
-    /// commits once a panel plus once before the loop, copies at most 0.45×
-    /// the words of one whole-buffer image per commit, counts its commit
-    /// time, and factors bitwise what the in-process solve does.
+    /// The fabrics a commit runs on, each as a `p×q` world running `f`: in
+    /// process with kills armed (one whose op never comes), and distributed
+    /// over mpsc.
+    fn on_both_fabrics<R: Send>(p: usize, q: usize, f: impl Fn(Ctx) -> R + Sync) -> [(&'static str, Vec<R>); 2] {
+        let armed = FaultScript::parse(&format!("0:at=0@{}", u64::MAX), p * q, 0..1).unwrap();
+        [("in-process", run_spmd(p, q, armed, &f)), ("distributed", run_dist(p, q, &f))]
+    }
+
+    /// A solve at the serve jobs' shape (1×2, N = 192, nb = 8) that commits
+    /// images — kills armed in process, or distributed — commits once a
+    /// panel plus once before the loop, copies at most 0.45× the words of
+    /// one whole-buffer image per commit, counts its commit time, and
+    /// factors bitwise what the fault-free in-process solve does, which
+    /// commits no image.
     #[test]
-    fn distributed_commits_copy_only_live_columns() {
+    fn commits_copy_only_live_columns() {
         let (p, q, n, nb) = (1, 2, 192, 8);
         for solver in SOLVERS {
             let solve = |ctx: Ctx| {
@@ -1817,20 +1824,6 @@ mod tests {
                 (bits(enc.a.local().as_slice()), bits(&tau), rep)
             };
             let local = run_spmd(p, q, FaultScript::none(), solve);
-            let dist = run_dist(p, q, solve);
-            let commits = solver.panel_count(n, nb) + 1;
-            for ((buf, tau, rep), (want_buf, want_tau, _)) in dist.iter().zip(&local) {
-                assert_eq!((buf, tau), (want_buf, want_tau), "{}: distributed factor differs", solver.name());
-                let whole = commits * buf.len();
-                assert!(
-                    rep.image_words * 100 <= whole * 45,
-                    "{}: {} image words, {:.3} of a whole buffer per commit",
-                    solver.name(),
-                    rep.image_words,
-                    rep.image_words as f64 / whole as f64
-                );
-                assert!(rep.commit_secs > 0.0, "{}: commit time not counted", solver.name());
-            }
             for (_, _, rep) in &local {
                 assert_eq!(
                     (rep.image_words, rep.commit_secs),
@@ -1839,17 +1832,35 @@ mod tests {
                     solver.name()
                 );
             }
+            let commits = solver.panel_count(n, nb) + 1;
+            for (fabric, runs) in on_both_fabrics(p, q, solve) {
+                let at = format!("{} {fabric}", solver.name());
+                for ((buf, tau, rep), (want_buf, want_tau, _)) in runs.iter().zip(&local) {
+                    assert_eq!((buf, tau), (want_buf, want_tau), "{at}: factor differs");
+                    let whole = commits * buf.len();
+                    assert!(
+                        rep.image_words * 100 <= whole * 45,
+                        "{at}: {} image words, {:.3} of a whole buffer per commit",
+                        rep.image_words,
+                        rep.image_words as f64 / whole as f64
+                    );
+                    assert!(rep.commit_secs > 0.0, "{at}: commit time not counted");
+                }
+            }
         }
     }
 
-    /// Distributed commits rotate two images through the same buffers: every
-    /// capture after the first two lands in memory one of them allocated.
-    /// Only a panel's `BeforePanel` boundary commits; the other three leave
-    /// both images as they are.
+    /// Commits rotate two images through the same buffers, on both fabrics:
+    /// every capture after the first two lands in memory one of them
+    /// allocated, and each takes the next commit number. Only a panel's
+    /// `BeforePanel` boundary commits; the other three leave both images as
+    /// they are.
     #[test]
-    fn distributed_commits_reuse_two_image_buffers() {
+    fn commits_reuse_two_image_buffers() {
         let (n, nb) = (48, 4);
-        run_dist(1, 2, |ctx| {
+        on_both_fabrics(1, 2, |ctx| {
+            // `ft_solve` arms kills once the checksums exist.
+            ctx.arm_chaos();
             let enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(3, i, j));
             let tau = vec![0.0; n];
             let mut st = DriverState { scope: None, k: 0, panel_idx: 0, resume: Step::Begin };
@@ -1870,6 +1881,7 @@ mod tests {
                     assert_eq!(imgs.prev.as_ref().map(|i| i.id), last_id, "panel {panel} {phase:?}: prev is not the last commit");
                     let cur = imgs.cur.as_ref().expect("a live commit captures");
                     assert_eq!(cur.id, failpoint(panel, phase) + 1, "panel {panel}: the commit is not the panel's start");
+                    assert_eq!(cur.seq, panel as u64, "panel {panel}: the commit number");
                     if buffers.len() < 2 {
                         buffers.push(cur.data.as_ptr());
                     }
@@ -1878,6 +1890,36 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The alignment when a rollback recovery's commit was cut short: every
+    /// rank holds panel 1's start, ranks 0 and 2 have also committed the
+    /// recovered state over it (the others never left the barrier), and
+    /// both commits carry the same fail-point id. Every rank, and rank 3,
+    /// a victim that rejoins with nothing, ends on the older image. Both
+    /// fabrics, driven the way [`pass_boundary`] is in
+    /// `commits_reuse_two_image_buffers`.
+    #[test]
+    fn alignment_puts_every_rank_on_the_older_of_two_commits_of_a_boundary() {
+        let (n, nb, victim) = (24, 4, 3);
+        let id = failpoint(1, Phase::BeforePanel) + 1;
+        for (fabric, ends) in on_both_fabrics(2, 2, |ctx| {
+            let enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(3, i, j));
+            let st = DriverState { scope: None, k: nb, panel_idx: 1, resume: Step::Panel };
+            let mut imgs = Images::default();
+            push_image(&mut imgs, &enc, &[1.0; 24], &st, Phase::BeforePanel, 0, id);
+            if ctx.rank() % 2 == 0 {
+                push_image(&mut imgs, &enc, &[2.0; 24], &st, Phase::BeforePanel, 0, id);
+            }
+            let me = ctx.rank() == victim;
+            let image = align_boundary(&ctx, &enc, &mut imgs, &[victim], me).expect("survivors hold images");
+            assert_eq!(image.data.is_empty(), me, "rank {}: only the victim's image holds no words", ctx.rank());
+            (image.id, image.seq, image.tau[0], image.panel_idx, image.resume)
+        }) {
+            for (rank, end) in ends.iter().enumerate() {
+                assert_eq!(end, &(id, 0, 1.0, 1, Step::Panel), "{fabric} rank {rank}: not the older image");
+            }
+        }
     }
 
     /// The boundaries a hook saw, in order, each with the rank's op clock.
@@ -1927,7 +1969,8 @@ mod tests {
     /// One endpoint of an mpsc fabric that outlives its process: the
     /// `die_at`-th send closes it and unwinds the rank, and a replacement
     /// takes it over under the next incarnation — what a SIGKILL and the
-    /// launcher's respawn do to a TCP endpoint.
+    /// launcher's respawn do to a TCP endpoint. The deaths of one run strike
+    /// together: each waits at `together` for the others.
     struct Mortal {
         ep: Arc<Mutex<MpscTransport>>,
         rank: usize,
@@ -1935,6 +1978,7 @@ mod tests {
         incarnations: Arc<Vec<AtomicU32>>,
         sends: Arc<AtomicU64>,
         die_at: Option<u64>,
+        together: Arc<Barrier>,
     }
 
     impl Transport for Mortal {
@@ -1946,6 +1990,7 @@ mod tests {
         }
         fn send(&self, dst: usize, msg: Msg) {
             if Some(self.sends.fetch_add(1, Ordering::Relaxed)) == self.die_at {
+                self.together.wait();
                 self.ep.lock().unwrap().close();
                 resume_unwind(Box::new(Died));
             }
@@ -1971,25 +2016,26 @@ mod tests {
         }
     }
 
-    /// [`run_dist`] in which `victim` dies at its `die_at`-th send and is
-    /// replaced: `f` gets the rank's context, whether it is the replacement,
-    /// and the incarnation's send counter. The victim's slot holds its
-    /// replacement's result.
-    fn run_dist_with_a_death<R: Send>(
+    /// [`run_dist`] in which each `(victim, die_at)` of `deaths` dies at its
+    /// `die_at`-th send, all of them together, and is replaced: `f` gets the
+    /// rank's context, whether it is the replacement, and the incarnation's
+    /// send counter. A victim's slot holds its replacement's result.
+    fn run_dist_with_deaths<R: Send>(
         p: usize,
         q: usize,
-        victim: usize,
-        die_at: Option<u64>,
+        deaths: &[(usize, u64)],
         f: impl Fn(Ctx, bool, &AtomicU64) -> R + Sync,
     ) -> Vec<R> {
         let (f, world) = (&f, p * q);
         let incarnations: Arc<Vec<AtomicU32>> = Arc::new((0..world).map(|_| AtomicU32::new(0)).collect());
+        let together = Arc::new(Barrier::new(deaths.len()));
         std::thread::scope(|scope| {
             let ranks: Vec<_> = MpscTransport::fabric(world)
                 .into_iter()
                 .enumerate()
                 .map(|(rank, ep)| {
-                    let incarnations = Arc::clone(&incarnations);
+                    let (incarnations, together) = (Arc::clone(&incarnations), Arc::clone(&together));
+                    let die_at = deaths.iter().find(|&&(v, _)| v == rank).map(|&(_, at)| at);
                     scope.spawn(move || {
                         let ep = Arc::new(Mutex::new(ep));
                         let life = |die_at: Option<u64>| {
@@ -2001,12 +2047,13 @@ mod tests {
                                 incarnations: Arc::clone(&incarnations),
                                 sends: Arc::clone(&sends),
                                 die_at,
+                                together: Arc::clone(&together),
                             };
                             let replacement = incarnations[rank].load(Ordering::Acquire) > 0;
                             run_distributed(p, q, FaultScript::none(), Box::new(t), |ctx| f(ctx, replacement, &sends))
                                 .expect("clean fabric")
                         };
-                        match catch_unwind(AssertUnwindSafe(|| life(die_at.filter(|_| rank == victim)))) {
+                        match catch_unwind(AssertUnwindSafe(|| life(die_at))) {
                             Ok(r) => r,
                             Err(death) if death.is::<Died>() => {
                                 incarnations[rank].store(1, Ordering::Release);
@@ -2072,15 +2119,56 @@ mod tests {
 
             // Distributed: the victim's process dies on a send and is replaced.
             let clock = |sends: &AtomicU64| sends.load(Ordering::Relaxed);
-            let probe =
-                run_dist_with_a_death(p, q, victim, None, |ctx, rep, sends| solve_seen(&ctx, solver, rep, |_| clock(sends)));
+            let probe = run_dist_with_deaths(p, q, &[], |ctx, rep, sends| solve_seen(&ctx, solver, rep, |_| clock(sends)));
             let send = mid_panel(&probe[victim].3, panel);
-            let runs = run_dist_with_a_death(p, q, victim, Some(send), |ctx, rep, sends| {
-                solve_seen(&ctx, solver, rep, |_| clock(sends))
-            });
+            let runs =
+                run_dist_with_deaths(p, q, &[(victim, send)], |ctx, rep, sends| solve_seen(&ctx, solver, rep, |_| clock(sends)));
             for (rank, run) in runs.iter().enumerate() {
                 check("distributed", rank, run);
             }
+        }
+    }
+
+    /// Two deaths in one process row of a 2×2 grid — past `Single`'s
+    /// tolerance — struck together at both victims' first send of panel 2's
+    /// commit barrier, distributed over mpsc. Every rank, both replacements
+    /// included, returns the same typed error, naming the boundary the
+    /// survivors hold: panel 1's start. Both solvers.
+    #[test]
+    fn two_deaths_in_one_row_are_one_typed_error_naming_the_agreed_boundary() {
+        let (p, q, victims) = (2, 2, [0, 1]);
+        for solver in SOLVERS {
+            let name = solver.name();
+            let solve = |ctx: Ctx, replacement: bool, sends: &AtomicU64| {
+                let n = 48;
+                let mut enc = Encoded::from_global_fn(&ctx, n, 4, |i, j| uniform_entry(11, i, j));
+                let mut tau = vec![0.0; solver.tau_len(n)];
+                let mut at_panel_2 = None;
+                let mut hook = |_: &Ctx, _: &mut Encoded, panel: usize, phase: Phase| {
+                    if (panel, phase) == (2, Phase::BeforePanel) {
+                        at_panel_2.get_or_insert(sends.load(Ordering::Relaxed));
+                    }
+                };
+                let ctl = DriverControl { replacement, hook: Some(&mut hook), ..Default::default() };
+                let out = ft_solve(&ctx, solver, &mut enc, Variant::NonDelayed, &mut tau, ctl);
+                (out.map(|_| ()), at_panel_2)
+            };
+            // The commit barrier's arrivals, one to each peer, are a rank's
+            // last sends before the hook sees the boundary it commits.
+            let probe = run_dist_with_deaths(p, q, &[], solve);
+            let deaths = victims.map(|v| (v, probe[v].1.expect("panel 2 committed") - (p * q - 1) as u64));
+            let errs: Vec<_> = run_dist_with_deaths(p, q, &deaths, solve)
+                .into_iter()
+                .map(|(out, _)| out.expect_err("two failures in one row"))
+                .collect();
+            for (rank, e) in errs.iter().enumerate() {
+                assert_eq!(e, &errs[0], "{name}: rank {rank} names another verdict");
+            }
+            let FtError::ExceededCodeDistance { victims: got, panel, phase, row, .. } = &errs[0] else {
+                panic!("{name}: expected ExceededCodeDistance, got {:?}", errs[0]);
+            };
+            assert_eq!((got.as_slice(), *row), (&victims[..], 0), "{name}: the victims");
+            assert_eq!((*panel, *phase), (1, Phase::BeforePanel), "{name}: not the survivors' boundary");
         }
     }
 }

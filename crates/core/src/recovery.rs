@@ -149,7 +149,7 @@ pub fn recover(
 
     // Step 2: restore the victims' scope state (factors, snapshot pieces,
     // Area-3 panel columns) and re-establish the backup chains.
-    st.repair_after_failure(ctx, enc, victims, me);
+    st.repair_after_failure(ctx, enc, victims);
 
     // Step 3 (Algorithm 3 only): bring the surviving checksum columns up to
     // date with the data before using them (Algorithm 3 lines 18–21).

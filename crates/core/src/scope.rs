@@ -245,7 +245,7 @@ impl ScopeState {
     ///    failure.
     ///
     /// Collective: all processes call with the same victim list.
-    pub fn repair_after_failure(&mut self, ctx: &Ctx, enc: &mut Encoded, victims: &[usize], i_am_victim: bool) {
+    pub fn repair_after_failure(&mut self, ctx: &Ctx, enc: &mut Encoded, victims: &[usize]) {
         let q = ctx.npcol();
         if victims.is_empty() {
             return;
@@ -345,7 +345,6 @@ impl ScopeState {
                 }
             }
         }
-        let _ = i_am_victim;
     }
 }
 

@@ -6,8 +6,11 @@
 //! schedules are fixed so every run reproduces exactly.
 
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
-use ft_hess::{assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, FtError, FtReport, Phase, ScrubPolicy, Variant};
-use ft_lapack::{extract_h, hessenberg_residual, orghr};
+use ft_hess::{
+    assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_full, ft_pdgeqrf, Encoded, FtError, FtReport, Phase, Redundancy,
+    ScrubPolicy, Variant,
+};
+use ft_lapack::{extract_h, extract_r, hessenberg_residual, orghr, orgqr, qr_residual};
 use ft_runtime::{run_spmd, FaultScript, PlannedFailure};
 
 /// The `--faults` grammar, for a `world`-rank grid; seeded kills draw their
@@ -177,33 +180,112 @@ fn chaos_failure_during_recovery_is_recovered() {
     let (n, nb, p, q) = (48usize, 4usize, 2usize, 2usize);
     let seed = 37;
     // Rank 1 dies mid-run; rank 2 (different process row) dies at the 2nd
-    // message op of the resulting recovery round — while rank 1's repair is
-    // still in flight. Rank 2 has a second op in that round only when a
+    // message op of its §5.3 repair in the resulting recovery round — while
+    // rank 1's repair is still in flight. The round opens with the rollback's
+    // boundary alignment, three ops on rank 2, so that is op 4 of the round
+    // (`Ctx::chaos_ops` at the round's start, after the alignment and after
+    // the repair: 295, 298, 300). Rank 2 has a second repair op only when a
     // scope is open at the rollback boundary, so rank 1 must die inside the
-    // *second* panel of a scope: of its 612 ops (`Ctx::chaos_ops`, fault
-    // free), 266..=312 are panel 5's factorization, and 290 sits in their
-    // middle. (Op 250 was such a place before the Hessenberg panel block
-    // was replicated; every process column exchanges the column collectives
-    // since, and 250 is inside panel 4, which opens its scope.)
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("0:at=1@290,at=2@r1:1", p * q));
+    // *second* panel of a scope: of its 612 ops (fault free), 266..=312 are
+    // panel 5's factorization, and 290 sits in their middle. (Op 250 was
+    // such a place before the Hessenberg panel block was replicated; every
+    // process column exchanges the column collectives since, and 250 is
+    // inside panel 4, which opens its scope.)
+    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("0:at=1@290,at=2@r1:4", p * q));
     assert!(report.chaos_aborts >= 2, "nested abort never happened: {} aborts", report.chaos_aborts);
     assert!(report.victims.contains(&1) && report.victims.contains(&2), "victims: {:?}", report.victims);
     let r = residual_of(n, seed, &ag, &tau);
     assert!(r < 3.0, "residual {r}");
 }
 
-/// A seeded multi-kill chaos schedule — the CI soak's in-process twin.
+/// One leg of the seeded chaos table at N = 48, nb = 4: rank 0's recovered
+/// residual, or the typed error — which must be identical on every rank.
+/// Panics in any rank propagate out of `run_spmd`.
+fn table_leg(p: usize, q: usize, red: Redundancy, qr: bool, variant: Variant, script: FaultScript) -> Result<f64, FtError> {
+    let (n, nb, seed) = (48, 4, 41);
+    let out = run_spmd(p, q, script, move |ctx| {
+        let mut enc = Encoded::with_redundancy(&ctx, n, nb, red, |i, j| uniform_entry(seed, i, j));
+        let mut tau = vec![0.0; n];
+        let solved = if qr {
+            ft_pdgeqrf(&ctx, &mut enc, variant, &mut tau)
+        } else {
+            ft_pdgehrd(&ctx, &mut enc, variant, &mut tau)
+        };
+        solved.map(|_| (enc.gather_logical(&ctx, 1), tau))
+    });
+    if let Some(Err(e)) = out.iter().find(|r| r.is_err()) {
+        for r in &out {
+            assert_eq!(r.as_ref().err(), Some(e), "ranks diverge on the verdict");
+        }
+        return Err(e.clone());
+    }
+    let (ag, tau) = out.into_iter().next().unwrap().unwrap();
+    let a0 = uniform_indexed_matrix(n, n, seed);
+    Ok(if qr {
+        qr_residual(&a0, &orgqr(&ag, &tau), &extract_r(&ag))
+    } else {
+        residual_of(n, seed, &ag, &tau[..n - 1])
+    })
+}
+
+/// The seeded multi-kill chaos table — the CI soak's in-process twin: both
+/// solvers, 2×2 `Single` and 1×4 `Coded(2)`, both variants, eight seeds,
+/// one to three kills. A case's kills draw their ops from its fault-free
+/// run's clock, past the first tenth (`Ctx::chaos_ops`: 612 ops a rank for
+/// Hessenberg at 2×2, 78 for QR at 1×4). Every leg recovers to a residual
+/// below 3 or returns one typed error, identical on every rank; nothing
+/// panics or hangs.
+///
+/// One more leg pins the places seed `11:kill=3` strikes for Hessenberg,
+/// Algorithm 3, 2×2 (drawn from the CLI's window [50, 416) as ops 197, 221
+/// and 315; the recovery rounds' alignment ops move them to 197, 227 and
+/// 321): rank 0 dies, and dies again three ops before the end of its
+/// recovery, after ranks 1 and 3 have finished theirs (they count that
+/// recovery, ranks 0 and 2 do not); rank 2 dies after the second recovery.
+/// The recovery that ranks 1 and 3 finished must not leave them on another
+/// image than 0 and 2. The leg takes 0.11 s in a debug build (the whole
+/// table 19 s, most of it agreement waits).
 #[test]
 fn chaos_seeded_storm_recovers() {
-    let (n, nb, p, q) = (48usize, 4usize, 2usize, 3usize);
-    let seed = 41;
-    // Seed 8 on a 6-rank world with ops in [100, 350): kills ranks 1 and 4
-    // (distinct process rows) at ops 167 and 222 — a fixed, reproducible
-    // schedule well inside the ~680-op run.
-    let (ag, tau, report) = storm_run(n, nb, p, q, seed, Variant::NonDelayed, faults("8:kill=2", p * q));
-    assert!(report.chaos_aborts > 0, "no kill fired");
-    assert!(!report.victims.is_empty());
-    let r = residual_of(n, seed, &ag, &tau);
+    let never = |world: usize| FaultScript::parse(&format!("0:at=0@{}", u64::MAX), world, 0..1).unwrap();
+    let mut recovered = 0;
+    for qr in [false, true] {
+        for (p, q, red) in [(2, 2, Redundancy::Single), (1, 4, Redundancy::Coded(2))] {
+            for variant in [Variant::NonDelayed, Variant::Delayed] {
+                let ops = run_spmd(p, q, never(p * q), move |ctx| {
+                    let mut enc = Encoded::with_redundancy(&ctx, 48, 4, red, |i, j| uniform_entry(41, i, j));
+                    let mut tau = vec![0.0; 48];
+                    let solved = if qr {
+                        ft_pdgeqrf(&ctx, &mut enc, variant, &mut tau)
+                    } else {
+                        ft_pdgehrd(&ctx, &mut enc, variant, &mut tau)
+                    };
+                    solved.expect("fault-free");
+                    ctx.chaos_ops()
+                });
+                let ops = ops.into_iter().max().unwrap();
+                for seed in [1, 2, 3, 5, 8, 13, 21, 34] {
+                    for kills in 1..=3 {
+                        let spec = format!("{seed}:kill={kills}");
+                        let at = format!("{} {p}x{q} {red:?} {variant:?} {spec}", if qr { "qr" } else { "hessenberg" });
+                        let script = FaultScript::parse(&spec, p * q, ops / 10..ops).expect(&spec);
+                        match table_leg(p, q, red, qr, variant, script) {
+                            Ok(r) => {
+                                assert!(r < 3.0, "{at}: residual {r}");
+                                recovered += 1;
+                            }
+                            Err(FtError::ExceededCodeDistance { .. }) => {}
+                            Err(e) => panic!("{at}: {e}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(recovered >= 150, "only {recovered} of 192 legs recovered (178 when written)");
+
+    let script = FaultScript::parse("0:at=0@197,at=0@227,at=2@321", 4, 0..1).unwrap();
+    let r = table_leg(2, 2, Redundancy::Single, false, Variant::Delayed, script).expect("recovers");
     assert!(r < 3.0, "residual {r}");
 }
 
@@ -270,6 +352,59 @@ fn kill_right_after_a_scripted_recovery_is_a_second_failure() {
     assert_eq!(report.recoveries, 2);
     assert_eq!(report.victims, vec![3, 2]);
     let r = residual_of(n, seed, &ag, &tau);
+    assert!(r < 3.0, "residual {r}");
+}
+
+/// A kill, then a kill of a rank in the same process row right after the
+/// first one's rollback recovery has committed: two sequential single
+/// failures, not one double failure — as after a scripted recovery. The
+/// rollback rewinds the detector round's commit mark to the boundary it
+/// restores, so the recovery's commit of that boundary ends the round that
+/// held the first victim, and the second kill's agreement names its own.
+#[test]
+fn kill_right_after_a_rollback_recovery_is_a_second_failure() {
+    let (n, nb, p, q, seed) = (48usize, 4usize, 2usize, 2usize, 47u64);
+    // Ranks 2 and 3 share process row 1; every boundary each rank passes,
+    // with its op clock.
+    let run = |spec: &str| {
+        run_spmd(p, q, faults(spec, p * q), move |ctx| {
+            let mut enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(seed, i, j));
+            let mut tau = vec![0.0; n - 1];
+            let mut seen = Vec::new();
+            let mut hook =
+                |ctx: &ft_runtime::Ctx, _: &mut Encoded, panel: usize, phase: Phase| seen.push((panel, phase, ctx.chaos_ops()));
+            let out = ft_pdgehrd_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::disabled(), &mut hook);
+            let ag = enc.gather_logical(&ctx, 1);
+            (out, ag, tau, seen)
+        })
+    };
+    let op_at = |seen: &[(usize, Phase, u64)], panel: usize, phase: Phase| {
+        seen.iter()
+            .find(|&&(pn, ph, _)| (pn, ph) == (panel, phase))
+            .expect("boundary seen")
+            .2
+    };
+    // Rank 3 dies halfway through panel 5's factorization; the rollback
+    // recovers it at panel 5's start and factors the panel again. Rank 2
+    // dies at its first op of that re-run, right after the recovery
+    // committed and before any rank passes another boundary.
+    let clean = run(&format!("0:at=3@{}", u64::MAX));
+    let panel_ops = |rank: usize| {
+        let seen = &clean[rank].3;
+        (op_at(seen, 5, Phase::BeforePanel), op_at(seen, 5, Phase::AfterPanel))
+    };
+    let ((from, to), (from2, to2)) = (panel_ops(3), panel_ops(2));
+    let first = format!("0:at=3@{}", (from + to) / 2);
+    let probe = run(&first);
+    let second = format!("{first},at=2@{}", op_at(&probe[2].3, 5, Phase::AfterPanel) - (to2 - from2));
+    let runs = run(&second);
+    for (rank, (out, ..)) in runs.iter().enumerate() {
+        let report = out.as_ref().expect("two single failures are within the fault model");
+        assert_eq!((report.chaos_aborts, report.recoveries), (2, 2), "{second}: rank {rank}");
+        assert_eq!(report.victims, vec![3, 2], "{second}: rank {rank}");
+    }
+    let (_, ag, tau, _) = &runs[0];
+    let r = residual_of(n, seed, ag, tau);
     assert!(r < 3.0, "residual {r}");
 }
 

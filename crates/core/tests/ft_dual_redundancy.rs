@@ -108,17 +108,19 @@ fn dual_survives_four_victims_two_rows() {
     assert!(d < 1e-8, "diff {d}");
 }
 
-/// Chaos under `Coded(2)`: rank 2 dies at the 8th message op of rank 1's
-/// recovery — after it recomputed every group a victim held a copy of,
-/// finished groups included, on every owner — so every rank rolls back to
-/// the same boundary image a second time, and that rollback must undo those
-/// writes too (debug builds check each restore against the capture, bit for
-/// bit).
+/// Chaos under `Coded(2)`: rank 2 dies at the 11th message op of rank 1's
+/// recovery — its 3rd op of the recompute of every group a victim held a
+/// copy of, finished groups included, on every owner (on rank 2 the round
+/// runs the rollback's boundary alignment in ops 1–3, the repair and the
+/// Area 1/2 solve in ops 4–8, the recompute in ops 9–26, as
+/// `Ctx::chaos_ops` counts them) — so every rank rolls back to the same boundary
+/// image a second time, and that rollback must undo those writes too (debug
+/// builds check each restore against the capture, bit for bit).
 #[test]
 fn dual_chaos_kill_late_in_recovery_rolls_back_the_same_image() {
     let (n, nb, p, q) = (48, 4, 1, 4);
     let (reference, _) = ft_result(n, nb, p, q, 7, Variant::NonDelayed, Redundancy::Coded(2), FaultScript::none());
-    let script = FaultScript::parse("0:at=1@137,at=2@r1:7", p * q, 0..1).expect("kill script");
+    let script = FaultScript::parse("0:at=1@137,at=2@r1:10", p * q, 0..1).expect("kill script");
     let (got, report) = run_spmd(p, q, script, move |ctx| {
         let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Coded(2), |i, j| uniform_entry(7, i, j));
         let mut tau = vec![0.0; n - 1];

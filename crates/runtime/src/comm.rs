@@ -591,8 +591,12 @@ impl Ctx {
     /// Every rank rolls back to the same boundary, so every rank reads the
     /// same failures on the way forward — whichever points it had passed
     /// before the rollback, and whether or not it is a fresh replacement.
+    /// The boundaries from `next` on end the detector round again too: the
+    /// rollback's recovery commits boundary `next` once more, and that
+    /// commit clears the victims it repaired ([`Ctx::commit_boundary`]).
     pub fn rewind_failpoints(&self, next: u64) {
         self.next_failpoint.set(next);
+        self.detector.rewind(next);
     }
 
     /// Arm kill and flip injection: the algorithm's protection domain starts

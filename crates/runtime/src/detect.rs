@@ -250,6 +250,14 @@ impl Detector {
         }
     }
 
+    /// Let boundary `boundary` and every later one commit again: a rollback
+    /// re-runs them. Every rank rewinds to the same boundary before any of
+    /// them commits it (they agreed on it and on the victims first).
+    pub(crate) fn rewind(&self, boundary: u64) {
+        let mut st = self.lock();
+        st.committed = st.committed.min(boundary);
+    }
+
     /// Current epoch (used by replacements joining after agreement and by
     /// the distributed agreement protocol, which stamps it into frames).
     pub(crate) fn epoch(&self) -> u64 {

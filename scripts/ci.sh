@@ -237,7 +237,10 @@ done
 # through the one --faults flag (DESIGN.md "Fault injection"). A row is
 #   family ; solvers ; seeds ; variants ; want ; command ; spec ({s} = seed)
 # and expands to solvers x seeds x variants legs. Same seeds, same
-# schedules, same outcomes, every run. The contracts:
+# schedules, every run; a leg whose one kill fires replays exactly, but a
+# multi-kill leg can land its later kills elsewhere with thread timing (a
+# recovery or a typed rejection) until delivery order is seeded (ROADMAP
+# 1(a), the baton). The contracts:
 #   chaos   seeded kills at arbitrary message-op boundaries, in process:
 #           recover and pass verification (exit 0) or reject a
 #           beyond-tolerance victim set with the typed error (exit 3)
