@@ -148,9 +148,10 @@ pub enum FtError {
     },
     /// Silent data corruption the scrub engine detected but could neither
     /// correct in place nor clear by rolling back to its last verified
-    /// boundary image (rollback disabled, no image, or the same image
-    /// already failed to make progress). Derived from replicated scan
-    /// verdicts, so every rank returns the identical error.
+    /// boundary image (no image yet, the same image already failed to make
+    /// progress, or the scan right after a fail-stop recovery escalated).
+    /// Derived from replicated scan verdicts, so every rank returns the
+    /// identical error.
     ScrubUnrecoverable {
         /// Panel iteration whose boundary scan escalated.
         panel: usize,
@@ -196,6 +197,9 @@ impl std::fmt::Display for FtError {
                     crate::recovery::ToleranceCap::Encoding => "the code distance".to_string(),
                     crate::recovery::ToleranceCap::BackupHolders => {
                         format!("the Q-1 backup holders (the code itself would tolerate {encoding_max})")
+                    }
+                    crate::recovery::ToleranceCap::CatchUpSpread => {
+                        "Algorithm 3's catch-up (it spread the loss into every copy on the victims' process columns)".to_string()
                     }
                 };
                 write!(
@@ -1103,7 +1107,7 @@ pub fn ft_solve(
         commit_boundary_image(ctx, enc, tau, &st, &mut imgs, Phase::BeforePanel, enc.groups(), 0, &mut report);
     }
 
-    if scrub.engine.active() && scrub.engine.policy.rollback && !replacement {
+    if scrub.engine.active() && !replacement {
         // The freshly encoded matrix is trusted by definition (the paper's
         // protection domain opens here): it is the first verified image.
         // A replacement's buffer is garbage; its first verified image comes
@@ -1165,10 +1169,10 @@ struct ScrubCtl {
     last_rollback: Option<usize>,
 }
 
-/// Resolve an escalation: roll back to the last verified image when policy
-/// and the progress guard allow it (the caller then re-executes), otherwise
-/// return the typed terminal error. Deterministic over replicated state —
-/// every rank takes the same branch.
+/// Resolve an escalation: roll back to the last verified image (the caller
+/// then re-executes), unless there is none yet or the progress guard
+/// forbids it — then return the typed terminal error. Deterministic over
+/// replicated state — every rank takes the same branch.
 fn scrub_escalate(
     enc: &mut Encoded,
     tau: &mut [f64],
@@ -1177,12 +1181,9 @@ fn scrub_escalate(
     panel_idx: usize,
     esc: ScrubEscalation,
 ) -> Result<(), FtError> {
-    let rollback_ok =
-        scrub.engine.policy.rollback && scrub.img.as_ref().is_some_and(|i| scrub.last_rollback != Some(i.panel_idx));
-    if !rollback_ok {
+    let Some(image) = scrub.img.as_ref().filter(|i| scrub.last_rollback != Some(i.panel_idx)) else {
         return Err(FtError::ScrubUnrecoverable { panel: panel_idx, group: esc.group, block_col: esc.block_col });
-    }
-    let image = scrub.img.as_ref().unwrap();
+    };
     restore_image(enc, tau, st, image);
     scrub.last_rollback = Some(image.panel_idx);
     scrub.engine.report.rollbacks += 1;
@@ -1390,7 +1391,7 @@ fn run_loop(
         // there could freeze trailing corruption into the "known-good"
         // image; only full-coverage scans move it forward.
         let full_coverage = scope_closing || variant == Variant::NonDelayed;
-        if scan_due && full_coverage && scrub.engine.policy.rollback {
+        if scan_due && full_coverage {
             let s_next = if solver.panel_exists(st.k, n) { (st.k / nb) / q } else { enc.groups() };
             // Scrub images never enter the boundary agreement (they are
             // rollback-only, per rank), so their id and commit are unused.
@@ -1492,15 +1493,24 @@ fn recover_from(
                 }
             },
         };
+        // The scope's panels factored and checksummed so far, from the
+        // agreed boundary alone: a victim's scope holds no factors yet.
+        let spread = match &st.scope {
+            Some(sc) => {
+                let nfac = (st.k / enc.nb()) % ctx.npcol() + usize::from(phase != Phase::BeforePanel);
+                recovery::spread_columns(ctx, enc, &victims, variant, phase, nfac, sc.chk.panels_done)
+            }
+            None => Vec::new(),
+        };
         // Deterministic over the agreed victims and boundary: every rank
         // returns this same error, none panics — and none returns while a
         // peer can still die and wait for it in an agreement.
-        if let Err(tol) = recovery::check_tolerance(ctx, enc.redundancy(), &victims) {
+        if let Err(tol) = recovery::check_tolerance(ctx, enc, &victims, s, &spread) {
             leave_protection(ctx);
             return Err(FtError::exceeded(victims.clone(), st.panel_idx, phase, tol));
         }
         let sc = st.scope.get_or_insert_with(|| ScopeState::empty(ctx, enc));
-        recovery::recover(ctx, solver, enc, sc, &victims, me, variant, phase, s);
+        recovery::recover(ctx, solver, enc, sc, &victims, me, variant, phase, s, &spread);
         dtrace!(ctx, "driver: §5.3 recovery done");
         // Post-recovery scan: recovery rebuilt lost blocks *from* the
         // checksums, so silent corruption that predated the failure is now
@@ -1511,7 +1521,7 @@ fn recover_from(
         // corruption, so those verdicts are rollback-only. Escalation is
         // terminal here — there is no verified image that also reflects the
         // fail-stop repair.
-        if scrub.engine.active() && scrub.engine.policy.post_recovery {
+        if scrub.engine.active() {
             let trailing = if variant == Variant::NonDelayed {
                 TrailingScan::Live
             } else {

@@ -58,6 +58,11 @@ pub enum ToleranceCap {
     /// decode. A wider grid (not a stronger encoding) would raise the
     /// budget.
     BackupHolders,
+    /// Algorithm 3's checksum catch-up spread the victims' wiped blocks
+    /// into every row's copies on their process columns ([`spread_columns`]),
+    /// and fewer clean copies of some group remain than that row lost
+    /// member blocks of it.
+    CatchUpSpread,
 }
 
 /// A victim set that exceeds what the encoding can repair — the typed
@@ -68,7 +73,9 @@ pub struct ToleranceExceeded {
     pub row: usize,
     /// Victims observed in that row.
     pub count: usize,
-    /// The effective per-row limit: `min(encoding_max, Q − 1)`.
+    /// The effective per-row limit: `min(encoding_max, Q − 1)`, or, when
+    /// the catch-up spread the loss ([`ToleranceCap::CatchUpSpread`]), the
+    /// clean checksum copies left for the group that ran short.
     pub max_per_row: usize,
     /// The encoding's own per-row tolerance, before the `Q − 1` backup
     /// holder cap.
@@ -81,12 +88,16 @@ pub struct ToleranceExceeded {
 /// recovery: at most [`Redundancy::max_failures_per_row`] simultaneous
 /// victims per process row, further capped at `Q − 1` (a victim needs at
 /// least one live backup holder among its right neighbors — the verdict's
-/// [`ToleranceCap`] says which constraint actually bound). Deterministic —
-/// every rank evaluating the same victim list gets the identical verdict,
-/// which is what lets the driver return the same typed error everywhere
-/// instead of panicking on some ranks.
-pub fn check_tolerance(ctx: &Ctx, redundancy: Redundancy, victims: &[usize]) -> Result<(), ToleranceExceeded> {
-    let encoding_max = redundancy.max_failures_per_row();
+/// [`ToleranceCap`] says which constraint actually bound). When the
+/// recovery's catch-up spreads the loss into the copies on the process
+/// columns `spread` ([`spread_columns`]), every row must also keep, for
+/// each group but the open scope `s`, as many clean copies as it lost
+/// member blocks. Deterministic — every rank evaluating the same victims
+/// at the same agreed boundary gets the identical verdict, which is what
+/// lets the driver return the same typed error everywhere instead of
+/// panicking on some ranks.
+pub fn check_tolerance(ctx: &Ctx, enc: &Encoded, victims: &[usize], s: usize, spread: &[usize]) -> Result<(), ToleranceExceeded> {
+    let encoding_max = enc.redundancy().max_failures_per_row();
     let holder_cap = ctx.npcol().saturating_sub(1);
     let max_per_row = encoding_max.min(holder_cap);
     let cap = if holder_cap < encoding_max {
@@ -103,12 +114,79 @@ pub fn check_tolerance(ctx: &Ctx, redundancy: Redundancy, victims: &[usize]) -> 
             return Err(ToleranceExceeded { row: pv, count: *c, max_per_row, encoding_max, cap });
         }
     }
+    if spread.is_empty() {
+        return Ok(());
+    }
+    let mut by_row: Vec<(usize, usize)> = rows.into_iter().collect();
+    by_row.sort_unstable();
+    for (row, count) in by_row {
+        let cols: Vec<usize> = victims
+            .iter()
+            .map(|&v| ctx.grid().coords_of(v))
+            .filter_map(|(p, q)| (p == row).then_some(q))
+            .collect();
+        for g in (0..enc.groups()).filter(|&g| g != s) {
+            let unknowns = cols
+                .iter()
+                .filter(|&&qv| crate::areas::member_base(enc, g, qv) < enc.n())
+                .count();
+            let clean = clean_copies(enc, g, spread).count();
+            if clean < unknowns {
+                let cap = ToleranceCap::CatchUpSpread;
+                return Err(ToleranceExceeded { row, count, max_per_row: clean, encoding_max, cap });
+            }
+        }
+    }
     Ok(())
+}
+
+/// The process columns whose checksum copies are unusable in *every* row
+/// once Algorithm 3's catch-up has run: under [`Redundancy::Coded`], every
+/// victim's column when the catch-up of a recovery at `phase` — with `nfac`
+/// panels of the open scope factored and `chk_done` of them already in the
+/// checksums — applies a left update. That update reduces over every
+/// process row of each checksum column, so a victim's wiped blocks spread
+/// into every row's copy its process column owns. Empty otherwise:
+/// `Single` restores the victims' copies from their duplicates first, and a
+/// right update is row-local. A function of replicated state only, so every
+/// rank — a replacement included — computes the same list.
+pub fn spread_columns(
+    ctx: &Ctx,
+    enc: &Encoded,
+    victims: &[usize],
+    variant: Variant,
+    phase: Phase,
+    nfac: usize,
+    chk_done: usize,
+) -> Vec<usize> {
+    let left_update = variant == Variant::Delayed && chk_done < catch_up_span(phase, nfac).0;
+    if !left_update || enc.redundancy() == Redundancy::Single {
+        return Vec::new();
+    }
+    let cols: BTreeSet<usize> = victims.iter().map(|&v| ctx.grid().coords_of(v).1).collect();
+    cols.into_iter().collect()
+}
+
+/// How far the catch-up of a recovery at `phase` brings the checksums, with
+/// `nfac` panels of the open scope factored: the full updates of the first
+/// `.0` panels, plus the right update of the next one when `.1`.
+fn catch_up_span(phase: Phase, nfac: usize) -> (usize, bool) {
+    match phase {
+        Phase::BeforePanel | Phase::AfterLeftUpdate => (nfac, false),
+        Phase::AfterPanel => (nfac - 1, false),
+        Phase::AfterRightUpdate => (nfac - 1, true),
+    }
+}
+
+/// The checksum copies of group `g` whose owner column is not in `bad`.
+fn clean_copies<'a>(enc: &'a Encoded, g: usize, bad: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
+    (0..enc.ncopies()).filter(move |&c| !bad.contains(&enc.a.col_owner(enc.chk_col(g, c, 0))))
 }
 
 /// Run the full §5.3 recovery. Collective: every process calls with the
 /// same `victims` list (as delivered by the fail-point check); `me` marks
 /// the victims themselves, which act as the replacement processes.
+/// `spread` is [`spread_columns`] at this boundary.
 ///
 /// Precondition: the victim set satisfies [`check_tolerance`] — the callers
 /// in the driver verify it first and surface a typed error instead of ever
@@ -124,9 +202,10 @@ pub fn recover(
     variant: Variant,
     phase: Phase,
     s: usize,
+    spread: &[usize],
 ) {
     debug_assert!(
-        check_tolerance(ctx, enc.redundancy(), victims).is_ok(),
+        check_tolerance(ctx, enc, victims, s, spread).is_ok(),
         "recover() called with an unrecoverable victim set {victims:?} — the driver must check first"
     );
     // Group victims by process row (the fault model was verified upstream).
@@ -156,32 +235,31 @@ pub fn recover(
     //
     // The catch-up's left updates reduce over *every* process row of each
     // checksum column, so a victim's garbage blocks would contaminate the
-    // survivors' blocks of every checksum copy the victim's process column
-    // owns — corruption that nothing reads until a *later* failure solves
-    // Area 1/2 from those copies. Under `Single` the two copies are
-    // bit-identical at any quiescent point, so restore the victims' blocks
-    // from the surviving duplicates first; the copies then flow through the
-    // catch-up like everyone else's and step 6 has nothing left to do.
-    // Under `Coded` the Area 1/2 solve never reads victim-column
-    // copies and step 6 recomputes every affected group from the recovered
-    // data, so the contamination window is already closed there.
+    // blocks of every row's copies the victim's process column owns. Under
+    // `Single` the two copies are bit-identical at any quiescent point, so
+    // restore the victims' blocks from the surviving duplicates first; the
+    // copies then flow through the catch-up like everyone else's and step 6
+    // has nothing left to do. Under `Coded` the copies differ, so the Area
+    // 1/2 solve reads no copy on a `spread` column, in any row, and step 6
+    // recomputes every affected group from the recovered data.
     let chk_catch_up = variant == Variant::Delayed && !st.factors.is_empty();
     let pre_restored = chk_catch_up && enc.redundancy() == Redundancy::Single;
     if pre_restored {
         restore_checksum_duplicates(ctx, enc, victims);
     }
+    debug_assert_eq!(
+        spread,
+        spread_columns(ctx, enc, victims, variant, phase, st.factors.len(), st.chk.panels_done),
+        "the driver's spread columns disagree with the restored scope"
+    );
     if chk_catch_up {
-        let (full, extra_right) = match phase {
-            Phase::BeforePanel | Phase::AfterLeftUpdate => (st.factors.len(), false),
-            Phase::AfterPanel => (st.factors.len() - 1, false),
-            Phase::AfterRightUpdate => (st.factors.len() - 1, true),
-        };
+        let (full, extra_right) = catch_up_span(phase, st.factors.len());
         alg3_catch_up(ctx, solver, enc, st, s, full, extra_right);
     }
 
     // Step 4: Areas 1 and 2 — per process row, solve for the lost member
     // blocks of every group except the scope's own.
-    recover_areas_1_2(ctx, enc, &rows, s);
+    recover_areas_1_2(ctx, enc, &rows, s, spread);
 
     // Step 5: Area 4 — roll the unfactorized scope columns back to the
     // snapshot everywhere, then replay the saved panel updates.
@@ -291,7 +369,8 @@ fn restore_checksum_duplicates(ctx: &Ctx, enc: &mut Encoded, victims: &[usize]) 
 /// victims per process row. For each victim row and each group `g ≠ s`:
 ///
 /// * unknowns: the victims' member blocks `x₁ … x_m` of the group;
-/// * equations: the first `m` checksum copies whose owner column is live —
+/// * equations: the first `m` checksum copies whose owner column is live
+///   and not in `spread` —
 ///   `Σᵥ w_c(idxᵥ)·xᵥ = chk_c − Σ_live w_c(idx)·a` (any `m` Vandermonde
 ///   rows are independent);
 /// * one weighted live-sum row-reduction per equation, solved element-wise
@@ -300,7 +379,7 @@ fn restore_checksum_duplicates(ctx: &Ctx, enc: &mut Encoded, victims: &[usize]) 
 /// The `m ≤ 2` solves use the historical closed forms (division, Cramer) so
 /// `Single`/`Coded(2)` recoveries stay bit-identical across releases; `m ≥ 3`
 /// goes through [`solve_block_system`].
-fn recover_areas_1_2(ctx: &Ctx, enc: &mut Encoded, rows: &HashMap<usize, Vec<usize>>, s: usize) {
+fn recover_areas_1_2(ctx: &Ctx, enc: &mut Encoded, rows: &HashMap<usize, Vec<usize>>, s: usize, spread: &[usize]) {
     let mut row_list: Vec<(&usize, &Vec<usize>)> = rows.iter().collect();
     row_list.sort_by_key(|(p, _)| **p);
 
@@ -313,6 +392,7 @@ fn recover_areas_1_2(ctx: &Ctx, enc: &mut Encoded, rows: &HashMap<usize, Vec<usi
         vsorted.sort_unstable();
         let solver = vsorted[0];
         let victim_cols: Vec<usize> = vsorted.iter().map(|&v| ctx.grid().coords_of(v).1).collect();
+        let bad: Vec<usize> = victim_cols.iter().chain(spread).copied().collect();
 
         for g in 0..enc.groups() {
             if g == s {
@@ -331,11 +411,8 @@ fn recover_areas_1_2(ctx: &Ctx, enc: &mut Encoded, rows: &HashMap<usize, Vec<usi
             if m == 0 {
                 continue;
             }
-            // Equations: the first m checksum copies on live columns.
-            let eq_copies: Vec<usize> = (0..enc.ncopies())
-                .filter(|&c| !victim_cols.contains(&enc.a.col_owner(enc.chk_col(g, c, 0))))
-                .take(m)
-                .collect();
+            // Equations: the first m checksum copies on clean columns.
+            let eq_copies: Vec<usize> = clean_copies(enc, g, &bad).take(m).collect();
             assert_eq!(eq_copies.len(), m, "not enough surviving checksums for group {g}");
 
             // rhs_c = chk_c − Σ_live w_c·a, assembled on the solver.
@@ -511,21 +588,28 @@ mod tests {
     use super::*;
     use ft_runtime::{run_spmd, FaultScript};
 
-    /// `Coded(2)` decodes 2 losses per row, but on a 1×2 grid only one backup
-    /// holder exists — the effective budget is 1 and the verdict must blame
+    /// [`check_tolerance`] for `victims` of an `N = 32`, `nb = 2` matrix
+    /// under `red`, recovered at scope `s` with the copies on `spread` lost.
+    fn verdict(ctx: &Ctx, red: Redundancy, victims: &[usize], s: usize, spread: &[usize]) -> Result<(), ToleranceExceeded> {
+        let enc = Encoded::with_redundancy(ctx, 32, 2, red, |i, j| (i + 2 * j) as f64);
+        check_tolerance(ctx, &enc, victims, s, spread)
+    }
+
+    /// `Single` decodes one loss per row, but on a one-column grid no backup
+    /// holder exists — the effective budget is 0 and the verdict must blame
     /// the grid, not the encoding.
     #[test]
     fn tolerance_cap_names_the_backup_holder_limit() {
-        let verdicts = run_spmd(1, 2, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Coded(2), &[0, 1]));
+        let verdicts = run_spmd(2, 1, FaultScript::none(), |ctx| verdict(&ctx, Redundancy::Single, &[1], 0, &[]));
         for v in verdicts {
-            let e = v.expect_err("two victims in one row exceed the 1-holder budget");
+            let e = v.expect_err("a victim on a one-column grid exceeds the 0-holder budget");
             assert_eq!(
                 e,
                 ToleranceExceeded {
-                    row: 0,
-                    count: 2,
-                    max_per_row: 1,
-                    encoding_max: 2,
+                    row: 1,
+                    count: 1,
+                    max_per_row: 0,
+                    encoding_max: 1,
                     cap: ToleranceCap::BackupHolders,
                 }
             );
@@ -536,7 +620,7 @@ mod tests {
     /// encoding's own fault: 3 same-row victims against `Coded(2)`'s 2.
     #[test]
     fn tolerance_cap_names_the_encoding_limit() {
-        let verdicts = run_spmd(1, 4, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Coded(2), &[0, 1, 2]));
+        let verdicts = run_spmd(1, 4, FaultScript::none(), |ctx| verdict(&ctx, Redundancy::Coded(2), &[0, 1, 2], 0, &[]));
         for v in verdicts {
             let e = v.expect_err("three victims in one row exceed Coded(2)'s tolerance");
             assert_eq!(
@@ -552,11 +636,36 @@ mod tests {
         }
     }
 
+    /// Algorithm 3's catch-up spread the loss of two victims a row on all
+    /// four process columns of a 2×4 grid into every row's copies: no clean
+    /// copy is left, and the verdict says so — the same set without the
+    /// spread is within budget.
+    #[test]
+    fn tolerance_names_the_catch_up_spread() {
+        let verdicts = run_spmd(2, 4, FaultScript::none(), |ctx| {
+            let spread = verdict(&ctx, Redundancy::Coded(2), &[0, 1, 6, 7], 1, &[0, 1, 2, 3]);
+            (verdict(&ctx, Redundancy::Coded(2), &[0, 1, 6, 7], 1, &[]), spread)
+        });
+        for (plain, spread) in verdicts {
+            assert_eq!(plain, Ok(()));
+            assert_eq!(
+                spread.expect_err("no clean copy is left"),
+                ToleranceExceeded {
+                    row: 0,
+                    count: 2,
+                    max_per_row: 0,
+                    encoding_max: 2,
+                    cap: ToleranceCap::CatchUpSpread,
+                }
+            );
+        }
+    }
+
     /// Within budget on both axes: `Single` tolerates one victim per row,
     /// and one per row is exactly what this set has.
     #[test]
     fn tolerance_accepts_one_victim_per_row() {
-        let verdicts = run_spmd(2, 2, FaultScript::none(), |ctx| check_tolerance(&ctx, Redundancy::Single, &[0, 3]));
+        let verdicts = run_spmd(2, 2, FaultScript::none(), |ctx| verdict(&ctx, Redundancy::Single, &[0, 3], 0, &[]));
         for v in verdicts {
             v.expect("one victim per process row is within Single's budget");
         }
@@ -567,8 +676,8 @@ mod tests {
     #[test]
     fn tolerance_coded3_budget() {
         let verdicts = run_spmd(1, 6, FaultScript::none(), |ctx| {
-            check_tolerance(&ctx, Redundancy::Coded(3), &[0, 2, 4]).expect("three victims within Coded(3)");
-            check_tolerance(&ctx, Redundancy::Coded(3), &[0, 1, 2, 3])
+            verdict(&ctx, Redundancy::Coded(3), &[0, 2, 4], 0, &[]).expect("three victims within Coded(3)");
+            verdict(&ctx, Redundancy::Coded(3), &[0, 1, 2, 3], 0, &[])
         });
         for v in verdicts {
             let e = v.expect_err("four victims in one row exceed Coded(3)");

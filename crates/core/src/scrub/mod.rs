@@ -26,7 +26,7 @@
 //!   Area 4 by snapshot + replay.
 //! * **Escalate**: multi-block or unlocalizable damage rolls the run back
 //!   to the last *verified* boundary image (the chaos-recovery path), or —
-//!   when rollback is off or makes no progress — fails with the typed
+//!   when there is none yet or rollback makes no progress — fails with the typed
 //!   [`crate::FtError::ScrubUnrecoverable`], identically on every rank.
 //!
 //! Every verdict is computed from replicated collective results, so all
@@ -297,7 +297,7 @@ impl ScrubEngine {
                 .iter()
                 .map(|&x| if x.is_finite() { x * x } else { 0.0 })
                 .sum::<f64>();
-            match diagnose(enc, &scan, ctx.npcol(), self.policy.tol) {
+            match diagnose(enc, &scan, ctx.npcol(), ScrubPolicy::TOL) {
                 Diagnosis::Clean => {}
                 Diagnosis::ChecksumCorrupt { copies } => {
                     self.report.detections += 1;
@@ -312,7 +312,7 @@ impl ScrubEngine {
                     correct::correct_member(ctx, enc, g, idx);
                     // Verify against copy 1 — an equation *independent* of
                     // the copy-0 rewrite (copy 0 is zero by construction).
-                    if enc.checksum_violation(ctx, g, 1, TAG_SCRUB.offset(36)) <= self.policy.tol {
+                    if enc.checksum_violation(ctx, g, 1, TAG_SCRUB.offset(36)) <= ScrubPolicy::TOL {
                         self.report.corrections += 1;
                     } else {
                         escalation = Some(ScrubEscalation {

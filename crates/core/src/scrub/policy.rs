@@ -12,74 +12,40 @@ pub enum ScrubCadence {
     #[default]
     Never,
     /// Scan at the end of every `k`-th panel iteration (`k ≥ 1`) and at
-    /// every scope boundary.
+    /// every scope boundary — the last chance before the finished group's
+    /// checksum recompute would absorb any corruption for good.
     Panels(usize),
-    /// Scan only at scope boundaries — the last chance before the finished
-    /// group's checksum recompute would absorb any corruption for good.
-    ScopeEnd,
 }
 
-/// Scrub engine configuration (see DESIGN.md §10).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Scrub engine configuration (see DESIGN.md §10). An active engine
+/// corrects in place what it can localize, escalates the rest to a
+/// verified-boundary-image rollback, and scans once more right after every
+/// fail-stop recovery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScrubPolicy {
-    /// Scan schedule.
+    /// Scan schedule. The default never scans ([`ScrubPolicy::disabled`]).
     pub cadence: ScrubCadence,
-    /// Absolute residual threshold separating corruption from accumulated
-    /// update roundoff. Flips in mantissa bits below the threshold are
-    /// undetectable by construction — and equally invisible to the final
-    /// `r∞` verification (the detectability floor, DESIGN.md §10).
-    pub tol: f64,
-    /// Escalate uncorrectable damage (multi-block, or unlocalizable under
-    /// [`crate::Redundancy::Single`]) to a verified-boundary-image rollback
-    /// instead of failing with a typed error immediately.
-    pub rollback: bool,
-    /// Run an extra pass right after every fail-stop recovery.
-    pub post_recovery: bool,
-}
-
-impl Default for ScrubPolicy {
-    /// The default policy never scans ([`ScrubPolicy::disabled`]).
-    fn default() -> Self {
-        Self::disabled()
-    }
 }
 
 impl ScrubPolicy {
-    /// Default residual threshold: far above the checksum-update roundoff
-    /// of any test-sized problem (~1e-12) and below the smallest seeded
-    /// injector flip (high-mantissa bits of O(1) entries, ~1e-7).
-    pub const DEFAULT_TOL: f64 = 1e-8;
+    /// Absolute residual threshold separating corruption from accumulated
+    /// update roundoff: far above the checksum-update roundoff of any
+    /// test-sized problem (~1e-12) and below the smallest seeded injector
+    /// flip (high-mantissa bits of O(1) entries, ~1e-7). Flips in mantissa
+    /// bits below it are undetectable by construction — and equally
+    /// invisible to the final `r∞` verification (the detectability floor,
+    /// DESIGN.md §10).
+    pub const TOL: f64 = 1e-8;
 
     /// The engine does nothing (the default for plain [`crate::ft_pdgehrd`]).
     pub fn disabled() -> Self {
-        Self {
-            cadence: ScrubCadence::Never,
-            tol: Self::DEFAULT_TOL,
-            rollback: true,
-            post_recovery: false,
-        }
+        Self { cadence: ScrubCadence::Never }
     }
 
-    /// Scan every `k` panels (and at scope boundaries), correct in place,
-    /// escalate to rollback.
+    /// Scan every `k` panels (and at scope boundaries).
     pub fn every_panels(k: usize) -> Self {
         assert!(k >= 1, "scrub cadence must be at least one panel");
-        Self {
-            cadence: ScrubCadence::Panels(k),
-            tol: Self::DEFAULT_TOL,
-            rollback: true,
-            post_recovery: true,
-        }
-    }
-
-    /// Scan at scope boundaries only.
-    pub fn scope_end() -> Self {
-        Self {
-            cadence: ScrubCadence::ScopeEnd,
-            tol: Self::DEFAULT_TOL,
-            rollback: true,
-            post_recovery: true,
-        }
+        Self { cadence: ScrubCadence::Panels(k) }
     }
 
     /// Whether the engine ever scans.
@@ -94,7 +60,6 @@ impl ScrubPolicy {
         match self.cadence {
             ScrubCadence::Never => false,
             ScrubCadence::Panels(k) => scope_closing || (panel_idx + 1).is_multiple_of(k),
-            ScrubCadence::ScopeEnd => scope_closing,
         }
     }
 }
@@ -114,10 +79,6 @@ mod tests {
         assert!(!p2.due(0, false)); // after panel 0: 1 % 2 != 0
         assert!(p2.due(1, false));
         assert!(p2.due(0, true)); // scope boundary always scans
-
-        let se = ScrubPolicy::scope_end();
-        assert!(!se.due(5, false));
-        assert!(se.due(5, true));
     }
 
     #[test]

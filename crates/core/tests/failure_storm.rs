@@ -8,7 +8,7 @@
 use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
 use ft_hess::{
     assert_theorem1, failpoint, ft_pdgehrd, ft_pdgehrd_full, ft_pdgeqrf, Encoded, FtError, FtReport, Phase, Redundancy,
-    ScrubPolicy, Variant,
+    ScrubPolicy, ToleranceCap, Variant,
 };
 use ft_lapack::{extract_h, extract_r, hessenberg_residual, orghr, orgqr, qr_residual};
 use ft_runtime::{run_spmd, FaultScript, PlannedFailure};
@@ -287,6 +287,45 @@ fn chaos_seeded_storm_recovers() {
     let script = FaultScript::parse("0:at=0@197,at=0@227,at=2@321", 4, 0..1).unwrap();
     let r = table_leg(2, 2, Redundancy::Single, false, Variant::Delayed, script).expect("recovers");
     assert!(r < 3.0, "residual {r}");
+}
+
+/// `Coded(f)` under Algorithm 3 with victims in two process rows and two
+/// process columns, scripted at panel 1's start. The recovery's checksum
+/// catch-up reduces over every process row of each checksum column, so it
+/// spreads each victim's wiped blocks into every row's copies on that
+/// victim's column; Areas 1/2 may solve only from copies on the other
+/// columns. On 2×4 `Coded(2)`, {0, 5} (columns 0 and 1) leaves enough of
+/// them and recovers, for both solvers (it read r∞ ≈ 1e14 when every row
+/// still solved from the spread copies). 2×2 `Coded(1)` {0, 3} and 2×4
+/// `Coded(2)` {0, 1, 6, 7} spread into every column: every rank returns the
+/// one typed error, named at the agreed boundary.
+#[test]
+fn coded_alg3_victims_in_two_rows_recover_or_give_one_typed_error() {
+    let script = |victims: &[usize]| {
+        let point = failpoint(1, Phase::BeforePanel);
+        FaultScript::new(victims.iter().map(|&victim| PlannedFailure { victim, point }).collect())
+    };
+    for qr in [false, true] {
+        let solver = if qr { "qr" } else { "hessenberg" };
+        let r = table_leg(2, 4, Redundancy::Coded(2), qr, Variant::Delayed, script(&[0, 5]))
+            .unwrap_or_else(|e| panic!("{solver}: {{0, 5}} on 2x4 is within the code: {e}"));
+        assert!(r < 3.0, "{solver}: residual {r}");
+        for (p, q, red, victims) in [
+            (2, 2, Redundancy::Coded(1), vec![0, 3]),
+            (2, 4, Redundancy::Coded(2), vec![0, 1, 6, 7]),
+        ] {
+            match table_leg(p, q, red, qr, Variant::Delayed, script(&victims)) {
+                Err(FtError::ExceededCodeDistance { victims: got, panel, phase, cap, .. }) => {
+                    assert_eq!(
+                        (got, panel, phase, cap),
+                        (victims, 1, Phase::BeforePanel, ToleranceCap::CatchUpSpread),
+                        "{solver} {p}x{q}"
+                    );
+                }
+                other => panic!("{solver} {p}x{q} {victims:?}: expected the typed error, got {other:?}"),
+            }
+        }
+    }
 }
 
 /// Beyond-tolerance chaos: two kills in the same process row. Every rank —

@@ -6,7 +6,9 @@
 
 use ft_dense::gen::uniform_entry;
 use ft_dense::Matrix;
-use ft_hess::{failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, FtError, Phase, Redundancy, ScrubPolicy, ScrubReport, Variant};
+use ft_hess::{
+    failpoint, ft_pdgehrd, ft_pdgehrd_full, Encoded, FtError, FtSolver, Phase, Redundancy, ScrubPolicy, ScrubReport, Variant,
+};
 use ft_lapack::{extract_h, hessenberg_eigenvalues};
 use ft_runtime::{run_spmd, Ctx, FaultScript};
 
@@ -275,24 +277,25 @@ fn delayed_trailing_flip_is_rollback_only() {
     }
 }
 
+/// The same unlocalizable `Single` flip struck again every time the run
+/// passes its boundary — damage a rollback cannot outrun. The first
+/// escalation rolls back to the last verified image; the re-run escalates
+/// out of that same image, which the progress guard turns into the typed
+/// terminal error, identical on every rank.
 #[test]
-fn uncorrectable_without_rollback_is_typed_error_on_all_ranks() {
+fn uncorrectable_after_a_rollback_is_typed_error_on_all_ranks() {
     let (n, nb, p, q) = (24, 2, 2, 2);
-    let policy = ScrubPolicy { rollback: false, ..ScrubPolicy::every_panels(1) };
-    let results = corrupted_run(
-        n,
-        nb,
-        p,
-        q,
-        75,
-        Variant::NonDelayed,
-        Redundancy::Single,
-        policy,
-        2,
-        Phase::AfterLeftUpdate,
-        |_ctx, enc| bump(enc, 20, 8, 1.0),
-    );
-    let errs: Vec<FtError> = results.into_iter().map(|r| r.expect_err("must not complete")).collect();
+    let errs = run_spmd(p, q, FaultScript::none(), move |ctx| {
+        let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Single, |i, j| uniform_entry(75, i, j));
+        let mut tau = vec![0.0; n - 1];
+        let mut hook = |_: &Ctx, enc: &mut Encoded, panel: usize, phase: Phase| {
+            if (panel, phase) == (2, Phase::AfterLeftUpdate) {
+                bump(enc, 20, 8, 1.0);
+            }
+        };
+        ft_pdgehrd_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::every_panels(1), &mut hook)
+            .expect_err("must not complete")
+    });
     for e in &errs {
         assert_eq!(e, &errs[0], "ranks diverge on the error");
         let FtError::ScrubUnrecoverable { panel, group, block_col } = e else {
@@ -301,6 +304,37 @@ fn uncorrectable_without_rollback_is_typed_error_on_all_ranks() {
         assert_eq!(*panel, 2);
         assert_eq!(*group, 2, "flip at column 8 lives in group 2 (Q·nb = 4)");
         assert_eq!(*block_col, 4);
+    }
+}
+
+/// Corruption that predates a fail-stop failure is caught by the scan right
+/// after the recovery — and is terminal there, since no verified image also
+/// reflects the repair. The flip lands at panel 2's right update, before
+/// that panel's end-of-iteration scan; rank 3 fails at the panel's next
+/// boundary, so the post-recovery scan is the first to see it.
+#[test]
+fn post_recovery_escalation_is_typed_error_on_all_ranks() {
+    let (n, nb, p, q) = (24, 2, 2, 2);
+    let script = FaultScript::one(3, failpoint(2, Phase::AfterLeftUpdate));
+    let errs = run_spmd(p, q, script, move |ctx| {
+        let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Single, |i, j| uniform_entry(75, i, j));
+        let mut tau = vec![0.0; n - 1];
+        let mut fired = false;
+        let mut hook = |_: &Ctx, enc: &mut Encoded, panel: usize, phase: Phase| {
+            if !fired && (panel, phase) == (2, Phase::AfterRightUpdate) {
+                fired = true;
+                bump(enc, 20, 8, 1.0);
+            }
+        };
+        ft_pdgehrd_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, ScrubPolicy::every_panels(1), &mut hook)
+            .expect_err("must not complete")
+    });
+    for e in &errs {
+        assert_eq!(e, &errs[0], "ranks diverge on the error");
+        assert!(
+            matches!(e, FtError::ScrubUnrecoverable { panel: 2, .. }),
+            "expected ScrubUnrecoverable at panel 2, got {e:?}"
+        );
     }
 }
 
@@ -464,28 +498,41 @@ fn post_recovery_scan_extra_pass() {
 }
 
 /// A kill's recovery gets the post-recovery pass too: scripted failures and
-/// kills share one recovery path. The same kill with the pass switched off
-/// scans exactly once less, and both runs match the fault-free one.
+/// kills share one recovery path. The kill strikes rank 2 mid-panel, before
+/// that panel's end-of-iteration scan, and the rollback re-runs the panel
+/// from its start: the run scans once per panel, as the fault-free run
+/// does, plus exactly once right after the recovery — and matches the
+/// fault-free factor.
 #[test]
 fn post_recovery_scan_runs_after_a_kill_too() {
     let (n, nb, p, q) = (48, 4, 2, 2);
     let reference = clean_run(n, nb, p, q, 82, Variant::NonDelayed, Redundancy::Single);
-    let run = |post_recovery: bool| {
-        let policy = ScrubPolicy { post_recovery, ..ScrubPolicy::every_panels(1) };
-        let script = FaultScript::parse("0:at=2@137", p * q, 0..1).unwrap();
+    let panels = ft_hess::Hessenberg.panel_count(n, nb);
+    let run = |spec: &str| {
+        let script = FaultScript::parse(spec, p * q, 0..1).unwrap();
         run_spmd(p, q, script, move |ctx| {
             let mut enc = Encoded::with_redundancy(&ctx, n, nb, Redundancy::Single, |i, j| uniform_entry(82, i, j));
             let mut tau = vec![0.0; n - 1];
-            let rep = ft_pdgehrd_full(&ctx, &mut enc, Variant::NonDelayed, &mut tau, policy, &mut |_, _, _, _| {})
-                .expect("within the fault model");
-            assert!(rep.chaos_aborts > 0, "the kill never fired");
-            assert_eq!(rep.recoveries, 1);
-            (enc.gather_logical(&ctx, 810), rep.scrub)
+            let rep = ft_pdgehrd_full(
+                &ctx,
+                &mut enc,
+                Variant::NonDelayed,
+                &mut tau,
+                ScrubPolicy::every_panels(1),
+                &mut |_, _, _, _| {},
+            )
+            .expect("within the fault model");
+            (enc.gather_logical(&ctx, 810), rep)
         })
     };
-    for ((got, with), (_, without)) in run(true).into_iter().zip(run(false)) {
-        assert_eq!(with.scans, without.scans + 1, "post-recovery pass after the kill");
-        assert_eq!(with.escalations, 0);
+    for (_, rep) in run(&format!("0:at=2@{}", u64::MAX)) {
+        assert_eq!((rep.recoveries, rep.scrub.scans), (0, panels), "a fault-free run scans once a panel");
+    }
+    for (got, rep) in run("0:at=2@137") {
+        assert!(rep.chaos_aborts > 0, "the kill never fired");
+        assert_eq!(rep.recoveries, 1);
+        assert_eq!(rep.scrub.scans, panels + 1, "one scan a panel and one after the kill's recovery");
+        assert_eq!(rep.scrub.escalations, 0);
         let d = got.max_abs_diff(&reference);
         assert!(d < 1e-10, "diff {d}");
     }

@@ -419,9 +419,9 @@ impl Ctx {
     }
 
     /// Element-wise minimum all-reduce over the whole grid: linear gather
-    /// to rank 0, then tree broadcast of the result. Used by the
-    /// distributed recovery path to agree on the common rollback boundary
-    /// — tiny payloads off the critical path, so the linear gather is fine.
+    /// to rank 0, then tree broadcast of the result. Every rollback uses it,
+    /// on every fabric, to settle the common boundary image — tiny payloads
+    /// off the critical path, so the linear gather is fine.
     pub fn allreduce_min_world(&self, data: &mut [f64], tag: impl Into<Tag>) {
         let tag = tag.into();
         let world = self.grid().size();

@@ -1,18 +1,18 @@
 //! Per-process communication context: tagged point-to-point messages over
 //! a pluggable [`Transport`], revocable barriers, fail-point checks, chaos
 //! injection and the per-phase traffic ledger. The tree collectives live in
-//! [`crate::collectives`]; failure detection and agreement in
-//! [`crate::detect`].
+//! [`crate::collectives`]; failure detection in [`crate::detect`];
+//! agreement and the message barrier in [`crate::dist`].
 
-use crate::detect::{self, Detector, FailureAgreement, InterruptReason};
+use crate::detect::{self, Detector, InterruptReason};
 use crate::fault::{FaultScript, SdcFlip};
 use crate::grid::Grid;
 use crate::tag::{Leg, Tag, TrafficLedger, TrafficPhase};
 use crate::transport::{CommError, Msg, Transport};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Receive timeout — a deadlock in the SPMD protocol aborts loudly instead
 /// of hanging the test suite. 120 s by default: generous for a peer that is
@@ -47,49 +47,71 @@ pub fn recv_timeout_env() -> Result<Duration, String> {
     parsed.clone()
 }
 
-/// Receive poll granularity: how often a blocked receive re-checks the
-/// revocation flag and peer liveness while waiting. Control messages from
-/// dying peers wake receivers immediately; the poll is the safety net.
+/// Receive poll granularity: how often a blocked receive — or a barrier
+/// waiter — sweeps its transport for peer deaths while waiting.
 const RECV_POLL: Duration = Duration::from_millis(50);
 
-/// Wire key of the runtime's control channel (death notices). Outside the
-/// [`Tag`] encoding, so it can never collide with algorithm traffic.
-pub(crate) const CTRL_WIRE: u64 = u64::MAX;
-
-/// Distributed agreement frames (see [`crate::dist`]).
+/// Agreement frames (see [`crate::dist`]).
 pub(crate) const AGREE_WIRE: u64 = u64::MAX - 1;
 
-/// Distributed barrier arrival frames (see [`crate::dist`]).
+/// Message-barrier arrival frames (see [`crate::dist`]).
 pub(crate) const BARRIER_WIRE: u64 = u64::MAX - 2;
 
-/// Lower edge of the distributed-control wire band. Frames at or above
-/// this key carry their own epoch/generation in the payload and bypass the
-/// normal epoch filter (an agreement frame *is* how epochs advance, so it
-/// cannot be fenced by them). Far outside the [`Tag`] encoding.
+/// Lower edge of the control wire band. Frames at or above this key carry
+/// their own epoch/generation in the payload and bypass the normal epoch
+/// filter (an agreement frame *is* how epochs advance, so it cannot be
+/// fenced by them). Far outside the [`Tag`] encoding.
 pub(crate) const DIST_CTRL_MIN: u64 = u64::MAX - 15;
 
-/// The [`Ctx`]s of an in-process world over `transports` (rank order): one
-/// shared detector, one shared script.
+/// The [`Ctx`]s of an in-process world over `transports` (rank order). The
+/// ranks share their transport fabric and the barrier rendezvous — nothing
+/// else: each holds its own copy of the script, detects deaths on its own
+/// and agrees through the wire protocol.
 pub(crate) fn world_ctxs(grid: Grid, script: FaultScript, transports: Vec<Box<dyn Transport>>) -> Vec<Ctx> {
     assert_eq!(transports.len(), grid.size(), "one transport endpoint per rank");
-    let (detector, script) = (Arc::new(Detector::default()), Arc::new(script));
+    let rendezvous = Arc::new(Rendezvous::default());
     transports
         .into_iter()
         .enumerate()
-        .map(|(rank, transport)| Ctx::build(rank, grid, transport, Arc::clone(&detector), Arc::clone(&script)))
+        .map(|(rank, transport)| Ctx::build(rank, grid, transport, Some(Arc::clone(&rendezvous)), script.clone()))
         .collect()
 }
 
-/// Build the single [`Ctx`] of one *process* in a multi-process world:
-/// the transport is the process's only tie to its peers, so the
-/// detector is process-local and barriers/agreement run as message
-/// protocols (see [`crate::dist`]) instead of shared-memory rendezvous.
+/// Build the single [`Ctx`] of one *process* in a multi-process world: the
+/// transport is the process's only tie to its peers, so its barrier is the
+/// message protocol of [`crate::dist`] rather than a rendezvous.
 pub(crate) fn distributed_ctx(grid: Grid, script: FaultScript, transport: Box<dyn Transport>) -> Ctx {
     assert_eq!(transport.world_size(), grid.size(), "transport world != grid size");
-    let rank = transport.rank();
-    let mut ctx = Ctx::build(rank, grid, transport, Arc::new(Detector::default()), Arc::new(script));
-    ctx.dist = true;
-    ctx
+    Ctx::build(transport.rank(), grid, transport, None, script)
+}
+
+/// The barrier of an in-process world: a counting rendezvous. A waiter that
+/// sweeps a death from its own transport revokes the generation of its
+/// epoch, which backs every waiter of that epoch out, and turns away every
+/// later arrival from it: all-or-none. An agreement moves every rank past
+/// the revoked epoch.
+#[derive(Debug, Default)]
+pub(crate) struct Rendezvous {
+    gate: Mutex<Gate>,
+    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    /// Ranks waiting in the current generation.
+    count: usize,
+    /// Completed generations.
+    gen: u64,
+    /// The latest epoch whose barriers were revoked.
+    revoked: Option<u64>,
+}
+
+impl Rendezvous {
+    /// Completed barrier generations so far.
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u64 {
+        self.gate.lock().expect("barrier poisoned").gen
+    }
 }
 
 /// A process's handle to the simulated machine. Not `Sync`: it lives on its
@@ -107,8 +129,13 @@ pub struct Ctx {
     /// the aborted epoch's data frames and no newer ones.
     #[allow(clippy::type_complexity)] // (src, wire) → FIFO of payloads; a type alias would obscure it
     pub(crate) stash: RefCell<HashMap<(usize, u64), VecDeque<(u64, Arc<[f64]>)>>>,
-    pub(crate) detector: Arc<Detector>,
-    script: Arc<FaultScript>,
+    /// This rank's own failure detector ([`crate::detect`]).
+    pub(crate) detector: RefCell<Detector>,
+    /// The in-process world's barrier; `None` when this `Ctx` is alone in
+    /// its process and its barrier is the message protocol of
+    /// [`crate::dist`].
+    pub(crate) rendezvous: Option<Arc<Rendezvous>>,
+    script: FaultScript,
     /// SDC flip indices that already fired on this rank — a rollback that
     /// re-executes ops must not re-corrupt.
     sdc_fired: RefCell<HashSet<usize>>,
@@ -123,21 +150,8 @@ pub struct Ctx {
     /// Communication epoch: bumped by each failure agreement; messages
     /// stamped with an older epoch are stragglers from an aborted attempt.
     pub(crate) epoch: Cell<u64>,
-    /// Multi-process world: this `Ctx` is alone in its process, peers are
-    /// reachable only through the transport. Barriers and agreement run as
-    /// message protocols ([`crate::dist`]), peer deaths are detected from
-    /// the wire (heartbeat silence / EOF) and swept into the detector.
-    pub(crate) dist: bool,
-    /// Distributed-barrier generation within the current epoch.
+    /// Message-barrier generation within the current epoch.
     pub(crate) bar_gen: Cell<u64>,
-    /// Peers already swept into the detector as dead (reset when a
-    /// replacement comes back alive, so a re-death is re-reported).
-    pub(crate) swept: RefCell<Vec<bool>>,
-    /// Highest peer incarnation already folded into the detector. A bump
-    /// above this is positive death evidence even when the replacement
-    /// reconnected faster than the silence threshold: the handshake saying
-    /// "incarnation k+1" proves incarnation k is gone.
-    pub(crate) seen_inc: RefCell<Vec<u32>>,
     /// Chaos injection armed (the algorithm's protection domain is active).
     chaos_armed: Cell<bool>,
     /// Message operations performed since arming (chaos clock).
@@ -164,7 +178,13 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    fn build(rank: usize, grid: Grid, transport: Box<dyn Transport>, detector: Arc<Detector>, script: Arc<FaultScript>) -> Ctx {
+    fn build(
+        rank: usize,
+        grid: Grid,
+        transport: Box<dyn Transport>,
+        rendezvous: Option<Arc<Rendezvous>>,
+        script: FaultScript,
+    ) -> Ctx {
         let world = grid.size();
         let (p, q) = grid.coords_of(rank);
         Ctx {
@@ -174,16 +194,14 @@ impl Ctx {
             col_ranks: (0..grid.nprow()).map(|r| grid.rank_of(r, q)).collect(),
             transport,
             stash: RefCell::new(HashMap::new()),
-            detector,
+            detector: RefCell::new(Detector::new(world)),
+            rendezvous,
             script,
             sdc_fired: RefCell::new(HashSet::new()),
             sdc_pending: RefCell::new(Vec::new()),
             next_failpoint: Cell::new(0),
             epoch: Cell::new(0),
-            dist: false,
             bar_gen: Cell::new(0),
-            swept: RefCell::new(vec![false; world]),
-            seen_inc: RefCell::new(vec![0; world]),
             chaos_armed: Cell::new(false),
             ops: Cell::new(0),
             chaos_fired: RefCell::new(HashSet::new()),
@@ -205,10 +223,19 @@ impl Ctx {
         self.rank
     }
 
-    /// Whether this `Ctx` runs in a multi-process (distributed) world.
+    /// Whether this `Ctx` is alone in its process (a multi-process world):
+    /// its barrier is a message protocol, a chaos kill is a real process
+    /// death, and failures can strike whether or not the script has kills.
+    /// Detection and agreement are the same on every fabric.
     #[inline]
     pub fn distributed(&self) -> bool {
-        self.dist
+        self.rendezvous.is_none()
+    }
+
+    /// Whether deaths can strike this run: kills are scripted, or peers are
+    /// real processes. Only then do waits sweep the transport for them.
+    fn failures_on(&self) -> bool {
+        !self.script.kills().is_empty() || self.distributed()
     }
 
     /// Snapshot of the transport's per-peer wire counters (all-zero for
@@ -392,46 +419,28 @@ impl Ctx {
                 return Ok(d);
             }
         }
-        // In a distributed world failures come from the wire, not from a
-        // script — the failure paths are always armed there.
-        let failures_on = !self.script.kills().is_empty() || self.dist;
-        let mut waited = Duration::ZERO;
+        let failures_on = self.failures_on();
+        // Since the inbox last delivered data, or since entry.
+        let mut quiet = Instant::now();
         loop {
-            // Liveness is judged only when the inbox runs dry (the Timeout
-            // arm): a frame that already made it across the wire must beat
-            // a concurrently-observed death, or a rank that finished and
-            // closed its sockets reads as failed to a slow receiver that
-            // still holds the rank's final frame unread.
-            let slice = RECV_POLL.min(timeout.saturating_sub(waited));
+            let slice = RECV_POLL.min(timeout.saturating_sub(quiet.elapsed()));
             match self.transport.recv(slice) {
-                Ok(msg) => {
-                    if msg.wire == CTRL_WIRE {
-                        continue; // death notice: the loop re-checks the flags
-                    }
-                    if msg.wire >= DIST_CTRL_MIN {
-                        // Distributed control frames fence themselves (the
-                        // epoch/generation rides in the payload); stash for
-                        // the protocol in `crate::dist` to consume.
-                        let agree_frame = msg.wire == AGREE_WIRE;
-                        self.stash
-                            .borrow_mut()
-                            .entry((msg.src, msg.wire))
-                            .or_default()
-                            .push_back((msg.epoch, msg.payload));
-                        // An agreement frame doubles as a revocation
-                        // notice: its sender is already in the failure
-                        // handler, and a steady gossip stream would starve
-                        // the dry-inbox arm below, so the liveness fold
-                        // and the revocation check cannot wait for a
-                        // quiet inbox.
-                        if agree_frame {
-                            self.sweep_dead_peers();
-                            if self.detector.is_revoked() {
-                                return Err(CommError::Revoked);
-                            }
-                        }
+                Ok(msg) if msg.wire >= DIST_CTRL_MIN => {
+                    // Control frames fence themselves (the epoch or
+                    // generation rides in the payload); stash for the
+                    // protocols in `crate::dist` to consume. They are not
+                    // data: a steady gossip stream must not starve the
+                    // liveness check below.
+                    self.stash
+                        .borrow_mut()
+                        .entry((msg.src, msg.wire))
+                        .or_default()
+                        .push_back((msg.epoch, msg.payload));
+                    if quiet.elapsed() < RECV_POLL {
                         continue;
                     }
+                }
+                Ok(msg) => {
                     if msg.epoch < self.epoch.get() {
                         continue; // straggler from an aborted (revoked) epoch
                     }
@@ -443,61 +452,36 @@ impl Ctx {
                         .entry((msg.src, msg.wire))
                         .or_default()
                         .push_back((msg.epoch, msg.payload));
+                    quiet = Instant::now();
+                    continue;
                 }
-                Err(CommError::Timeout) => {
-                    // Inbox drained: a closed peer endpoint is now a real
-                    // failure, not just in-flight data racing the death.
-                    if self.dist {
-                        self.sweep_dead_peers();
-                    }
-                    if failures_on && self.detector.is_revoked() {
-                        return Err(CommError::Revoked);
-                    }
-                    if failures_on && self.transport.is_peer_dead(src) {
-                        return Err(CommError::PeerDead { peer: src });
-                    }
-                    waited += slice;
-                    if waited >= timeout {
-                        return Err(CommError::Timeout);
-                    }
-                }
+                Err(CommError::Timeout) => {}
                 Err(e) => return Err(e),
+            }
+            // No data for a whole poll: only now is liveness judged. A frame
+            // that already made it across the wire beats a concurrently
+            // observed death — a rank that finished and closed its sockets
+            // is no failure to a receiver still holding its last frame — and
+            // a rank stops where it can make no more progress, so the op
+            // clock it stops at does not depend on when it looked.
+            if failures_on && self.sweep_revoked() {
+                return Err(CommError::Revoked);
+            }
+            if failures_on && self.transport.is_peer_dead(src) {
+                return Err(CommError::PeerDead { peer: src });
+            }
+            if quiet.elapsed() >= timeout {
+                return Err(CommError::Timeout);
             }
         }
     }
 
-    /// Fold transport-level death evidence (heartbeat silence, connection
-    /// EOF) into the local detector — the distributed replacement for a
-    /// dying peer's shared-memory `revoke`. Idempotent per death; a peer
-    /// that comes back (replacement reconnected) re-arms its slot so a
-    /// second death is reported again.
-    pub(crate) fn sweep_dead_peers(&self) {
-        let mut swept = self.swept.borrow_mut();
-        let mut seen_inc = self.seen_inc.borrow_mut();
-        for r in 0..self.grid.size() {
-            if r == self.rank {
-                continue;
-            }
-            // A reconnect handshake reporting a higher incarnation proves
-            // the previous incarnation died, even if the replacement came
-            // back up inside the silence threshold (a fast launcher
-            // respawns the victim in milliseconds — the slot never looks
-            // dead, but a death happened all the same).
-            let inc = self.transport.peer_incarnation(r);
-            if inc > seen_inc[r] {
-                seen_inc[r] = inc;
-                self.detector.revoke(r);
-                continue; // the slot is alive again: skip the silence check
-            }
-            if self.transport.is_peer_dead(r) {
-                if !swept[r] {
-                    swept[r] = true;
-                    self.detector.revoke(r);
-                }
-            } else {
-                swept[r] = false;
-            }
-        }
+    /// Sweep the transport's death evidence into this rank's detector, and
+    /// say whether a death awaits agreement.
+    pub(crate) fn sweep_revoked(&self) -> bool {
+        let mut detector = self.detector.borrow_mut();
+        detector.sweep(self.rank, &*self.transport);
+        detector.is_revoked()
     }
 
     /// Terminal receive failure: decode the wire key back into its `Tag`
@@ -519,7 +503,7 @@ impl Ctx {
     /// Ranks currently known to have failed: the detector's uncommitted
     /// victim round plus any closed transport endpoints. Sorted.
     pub fn known_dead(&self) -> Vec<usize> {
-        let mut d = self.detector.current_victims();
+        let mut d = self.detector.borrow().victims();
         for r in 0..self.grid.size() {
             if self.transport.is_peer_dead(r) && !d.contains(&r) {
                 d.push(r);
@@ -531,19 +515,55 @@ impl Ctx {
 
     // --- barriers -----------------------------------------------------------
 
-    /// World barrier. Revocable: if a failure notification arrives while
-    /// waiting, the barrier aborts (all-or-none per generation) and the
-    /// call unwinds to the enclosing failure handler.
+    /// World barrier. Revocable: if a death is observed while waiting, the
+    /// barrier aborts (all-or-none per generation) and the call unwinds to
+    /// the enclosing failure handler. In process it is a rendezvous, across
+    /// processes the message protocol of [`crate::dist`].
     pub fn barrier(&self) {
-        if self.dist {
-            if self.dist_barrier().is_err() {
-                detect::raise_interrupt(InterruptReason::Revoked, self.rank);
-            }
-            return;
-        }
-        if self.detector.barrier(self.grid.size()).is_err() {
+        let passed = match &self.rendezvous {
+            Some(rv) => self.rendezvous_barrier(rv),
+            None => self.dist_barrier(),
+        };
+        if passed.is_err() {
             detect::raise_interrupt(InterruptReason::Revoked, self.rank);
         }
+    }
+
+    /// The in-process barrier; see [`Rendezvous`]. Waiters sweep their own
+    /// transport every [`RECV_POLL`] when deaths can strike.
+    fn rendezvous_barrier(&self, rv: &Rendezvous) -> Result<(), ()> {
+        let (epoch, failures_on) = (self.epoch.get(), self.failures_on());
+        let revoked = |gate: &mut Gate| {
+            let revoked = gate.revoked >= Some(epoch) || (failures_on && self.sweep_revoked());
+            if revoked {
+                gate.revoked = gate.revoked.max(Some(epoch));
+                rv.cv.notify_all();
+            }
+            revoked
+        };
+        let mut gate = rv.gate.lock().expect("barrier poisoned");
+        if revoked(&mut gate) {
+            return Err(());
+        }
+        gate.count += 1;
+        if gate.count == self.grid.size() {
+            gate.count = 0;
+            gate.gen += 1;
+            rv.cv.notify_all();
+            return Ok(());
+        }
+        let gen = gate.gen;
+        while gate.gen == gen {
+            if revoked(&mut gate) {
+                gate.count -= 1; // withdraw the arrival
+                return Err(());
+            }
+            gate = match failures_on {
+                true => rv.cv.wait_timeout(gate, RECV_POLL).expect("barrier poisoned").0,
+                false => rv.cv.wait(gate).expect("barrier poisoned"),
+            };
+        }
+        Ok(())
     }
 
     /// Ranks of this process's grid row, in column order.
@@ -581,7 +601,8 @@ impl Ctx {
         }
         self.next_failpoint.set(point + 1);
         let victims = self.script.victims_at(point);
-        self.detector.merge_round(&victims);
+        // Scripted deaths keep their rank's incarnation: nothing respawns.
+        self.detector.borrow_mut().merge_round(victims.iter().map(|&v| (v, 0)));
         victims
     }
 
@@ -596,7 +617,7 @@ impl Ctx {
     /// commit clears the victims it repaired ([`Ctx::commit_boundary`]).
     pub fn rewind_failpoints(&self, next: u64) {
         self.next_failpoint.set(next);
-        self.detector.rewind(next);
+        self.detector.borrow_mut().rewind(next);
     }
 
     /// Arm kill and flip injection: the algorithm's protection domain starts
@@ -640,39 +661,11 @@ impl Ctx {
         self.in_recovery.set(false);
     }
 
-    /// Full-world failure agreement — the ULFM `MPI_Comm_agree` analogue.
-    ///
-    /// Called by every process (survivors and replacements alike) after a
-    /// failure aborted the current attempt. Blocks until the whole world
-    /// arrives, then everyone returns the **identical** sorted victim set
-    /// accumulated since the last committed boundary, the communication
-    /// epoch is bumped (stragglers from the aborted epoch will be dropped
-    /// on receive), the local out-of-order stash is purged, and victims
-    /// reopen their transport endpoints as replacement processes.
-    pub fn agree_on_failures(&self) -> FailureAgreement {
-        if self.dist {
-            return self.dist_agree();
-        }
-        // The victim reopens *before* the rendezvous: agreement is a full
-        // barrier, so by reopening first we guarantee no survivor can send
-        // to a still-closed replacement endpoint afterwards (the message
-        // would be silently dropped and the replacement would deadlock).
-        // Reopening early is safe — anything delivered before the epoch
-        // bump is discarded by the epoch check on receive.
-        if self.transport.is_peer_dead(self.rank) {
-            self.transport.reopen();
-        }
-        let res = self.detector.agree(self.grid.size());
-        self.epoch.set(res.epoch);
-        self.stash.borrow_mut().clear();
-        res
-    }
-
     /// Commit fail-point boundary `id`: recovery (if any) for the current
     /// failure round is complete and protection is re-armed. Clears the
-    /// detector's victim round. Cheap when nothing failed.
+    /// detector's victim round.
     pub fn commit_boundary(&self, id: u64) {
-        self.detector.commit(id);
+        self.detector.borrow_mut().commit(id);
     }
 
     /// Whether silent-corruption flips can strike this run (armed and at
@@ -716,7 +709,7 @@ impl Ctx {
         };
         if let Some(idx) = self.script.kill_index(self.rank, op, rec) {
             if self.chaos_fired.borrow_mut().insert(idx) {
-                if self.dist {
+                if self.distributed() {
                     self.dist_die(idx);
                 } else {
                     self.die();
@@ -738,26 +731,15 @@ impl Ctx {
         std::process::abort();
     }
 
-    /// Fail-stop death of this process: revoke the world, close the
-    /// endpoint, wake peers blocked in receives, and unwind. The thread
-    /// survives to play the replacement process after agreement.
+    /// Fail-stop death of this in-process rank, and its replacement taking
+    /// the rank over at once: the endpoint reopens under the next
+    /// incarnation — the death evidence every peer's sweep reads, as a
+    /// respawned process's handshake is over TCP — so nothing sent to the
+    /// replacement afterwards is lost. Then unwind: the thread plays the
+    /// replacement, which rejoins through agreement with nothing.
     fn die(&self) -> ! {
-        self.detector.revoke(self.rank);
-        self.transport.close();
-        let epoch = self.epoch.get();
-        for dst in 0..self.grid.size() {
-            if dst != self.rank {
-                self.transport.send(
-                    dst,
-                    Msg {
-                        src: self.rank,
-                        wire: CTRL_WIRE,
-                        epoch,
-                        payload: Arc::from(&[] as &[f64]),
-                    },
-                );
-            }
-        }
+        self.transport.reopen();
+        self.detector.borrow_mut().revoke((self.rank, self.transport.incarnation()));
         detect::raise_interrupt(InterruptReason::Died, self.rank)
     }
 }
@@ -865,7 +847,7 @@ mod tests {
             if ctx.rank() == 0 {
                 ctx.send(1, 7, &[]);
             }
-            assert_eq!(ctx.detector.barrier_generation(), 0, "an empty script must not reach the barrier");
+            assert_eq!(ctx.rendezvous.as_ref().unwrap().generation(), 0, "an empty script must not reach the barrier");
         });
     }
 
@@ -885,9 +867,9 @@ mod tests {
             if ctx.rank() != 3 {
                 ctx.send(3, 7, &[]);
             }
-            assert_eq!(ctx.detector.barrier_generation(), 0, "a fail point must not reach the barrier");
+            assert_eq!(ctx.rendezvous.as_ref().unwrap().generation(), 0, "a fail point must not reach the barrier");
             // The victim is in the round a kill's agreement would return.
-            assert_eq!(ctx.detector.current_victims(), vec![2]);
+            assert_eq!(ctx.detector.borrow().victims(), vec![2]);
         });
     }
 

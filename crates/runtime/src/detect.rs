@@ -1,20 +1,21 @@
-//! Failure detection and agreement — the substrate the paper assumes from
-//! FT-MPI (§5) and that ULFM spells out as `revoke` + `agree`.
+//! Failure detection — the substrate the paper assumes from FT-MPI (§5) and
+//! that ULFM spells out as `revoke` + `agree`.
 //!
-//! One [`Detector`] is shared by every process of a world. It is the single
-//! source of truth about failures and plays two roles:
+//! Every [`crate::Ctx`] owns one [`Detector`]: plain per-rank state, shared
+//! with nobody. A rank learns of a death only from its transport — a peer
+//! whose endpoint is closed, or whose incarnation rose because a replacement
+//! took the rank over — and its detector plays two roles:
 //!
-//! 1. **Revocation** (asynchronous failures): a chaos victim *revokes* the
-//!    world as it dies. Every communication call and every barrier checks
-//!    the revocation flag; on observing it, the call raises an
-//!    [`Interrupt`] unwind instead of returning garbage. Blocked peers are
-//!    woken by control messages and by the revocable barrier's condvar.
-//! 2. **Agreement**: after unwinding, every process (victims' replacements
-//!    included) calls `agree`, a full-world rendezvous that snapshots the
-//!    cumulative victim set of the current round, bumps the communication
-//!    epoch (so straggler messages from the aborted epoch are discarded),
-//!    and clears the revocation flag. All participants leave with an
-//!    identical, sorted victim set — the ULFM `MPI_Comm_agree` analogue.
+//! 1. **Revocation**: a death this rank observed revokes its view of the
+//!    world. A receive that waited a whole poll without data, and every
+//!    barrier waiter, sweeps the transport into the detector; a death not
+//!    yet agreed makes the call raise an [`Interrupt`] unwind instead of
+//!    returning garbage.
+//! 2. **The victim round** that agreement starts from: after unwinding, every
+//!    process (victims' replacements included) gossips its round until all
+//!    hold the identical union ([`crate::dist`], one protocol on every
+//!    fabric). The agreed union goes back into the round and clears the
+//!    revocation, unless a death raced the exchange.
 //!
 //! Scripted failures need neither: every rank reads their victims from the
 //! script at the fail point ([`crate::Ctx::check_failpoint`]). They only
@@ -27,10 +28,9 @@
 //! is cleared when the algorithm *commits* a fail-point boundary (recovery
 //! done, protection re-armed).
 
+use crate::transport::Transport;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Why a communication call unwound. Carried inside [`Interrupt`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,7 @@ pub(crate) fn install_quiet_interrupt_hook() {
     });
 }
 
-/// Result of one agreement round.
+/// Result of one agreement ([`crate::Ctx::agree_on_failures`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureAgreement {
     /// Sorted union of every victim detected since the last committed
@@ -102,309 +102,253 @@ pub struct FailureAgreement {
     pub epoch: u64,
 }
 
-#[derive(Debug, Default)]
-struct DetectorState {
-    /// Cumulative victims of the current round (scripted + chaos).
-    round: BTreeSet<usize>,
-    /// Victims revoked since the last agreement. A boundary commit may race
-    /// a fresh revocation (the committer hasn't observed it yet), and must
-    /// not wipe a victim nobody has agreed on — these survive the commit.
-    pending_revoked: BTreeSet<usize>,
-    /// World revoked: survivors must abort to agreement.
-    revoked: bool,
-    /// Communication epoch; bumped by each agreement.
-    epoch: u64,
-    /// Agreement rendezvous bookkeeping (generation-counted barrier).
-    agree_count: usize,
-    agree_gen: u64,
-    agree_victims: Vec<usize>,
-    /// Revocable-barrier bookkeeping.
-    bar_count: usize,
-    bar_gen: u64,
+/// One death: the rank, and the incarnation that replaced the one that
+/// died. A rank killed twice dies twice, under two names. A scripted
+/// failure respawns nothing and is named by incarnation 0.
+pub(crate) type Death = (usize, u32);
+
+/// One rank's failure detector. See the module docs.
+#[derive(Debug)]
+pub(crate) struct Detector {
+    /// Cumulative deaths of the current round (scripted + observed).
+    round: BTreeSet<Death>,
+    /// Deaths observed since the last agreement. A boundary commit may race
+    /// a fresh revocation, and must not wipe a death nobody has agreed on —
+    /// these survive the commit.
+    pending: BTreeSet<Death>,
     /// Highest committed boundary id + 1 (0 = nothing committed).
     committed: u64,
-}
-
-/// Shared failure detector for one world. See the module docs.
-#[derive(Debug, Default)]
-pub(crate) struct Detector {
-    state: Mutex<DetectorState>,
-    cv: Condvar,
-    /// Lock-free mirror of `state.revoked`.
-    revoked: AtomicBool,
-    /// `true` while the current round has uncommitted victims — lets
-    /// `commit` skip the lock entirely on the fault-free path.
-    dirty: AtomicBool,
+    /// Per peer: its closed endpoint was already swept (re-armed when the
+    /// endpoint comes back, so a second death is reported again).
+    swept: Vec<bool>,
+    /// Per peer: the highest incarnation whose predecessor's death is
+    /// already swept. A bump above it is positive death evidence even when
+    /// the replacement reopened the rank before this rank looked:
+    /// incarnation k+1 proves incarnation k is gone.
+    seen_inc: Vec<u32>,
 }
 
 impl Detector {
-    fn lock(&self) -> std::sync::MutexGuard<'_, DetectorState> {
-        self.state.lock().expect("detector poisoned")
+    /// A detector for one rank of a `world`-rank world.
+    pub(crate) fn new(world: usize) -> Detector {
+        Detector {
+            round: BTreeSet::new(),
+            pending: BTreeSet::new(),
+            committed: 0,
+            swept: vec![false; world],
+            seen_inc: vec![0; world],
+        }
     }
 
-    /// Asynchronous death: revoke the world. Wakes barrier/agreement
-    /// waiters so nobody sleeps through the failure.
-    pub(crate) fn revoke(&self, victim: usize) {
-        let mut st = self.lock();
-        st.round.insert(victim);
-        st.pending_revoked.insert(victim);
-        st.revoked = true;
-        self.revoked.store(true, Ordering::Release);
-        self.dirty.store(true, Ordering::Release);
-        self.cv.notify_all();
+    /// A death observed: revoke this rank's view until it is agreed.
+    pub(crate) fn revoke(&mut self, death: Death) {
+        self.round.insert(death);
+        self.pending.insert(death);
     }
 
-    /// Whether the world is currently revoked (lock-free).
+    /// Whether a death this rank observed awaits agreement.
     pub(crate) fn is_revoked(&self) -> bool {
-        self.revoked.load(Ordering::Acquire)
+        !self.pending.is_empty()
     }
 
-    /// Snapshot of the current round's victims (diagnostics).
-    pub(crate) fn current_victims(&self) -> Vec<usize> {
-        self.lock().round.iter().copied().collect()
+    /// The current round's deaths, sorted.
+    pub(crate) fn deaths(&self) -> Vec<Death> {
+        self.round.iter().copied().collect()
     }
 
-    /// Full-world agreement rendezvous. Blocks until all `world` processes
-    /// arrive, then atomically: snapshots the round's victims, bumps the
-    /// epoch, clears the revocation flag. Everyone returns the same
-    /// [`FailureAgreement`].
-    pub(crate) fn agree(&self, world: usize) -> FailureAgreement {
-        let mut st = self.lock();
-        st.agree_count += 1;
-        if st.agree_count == world {
-            st.agree_count = 0;
-            st.agree_gen += 1;
-            st.epoch += 1;
-            st.revoked = false;
-            self.revoked.store(false, Ordering::Release);
-            st.agree_victims = st.round.iter().copied().collect();
-            // Everything revoked so far is now part of an agreement; only
-            // revocations arriving after this point must survive commits.
-            st.pending_revoked.clear();
-            self.cv.notify_all();
-        } else {
-            let gen = st.agree_gen;
-            while st.agree_gen == gen {
-                st = self.cv.wait(st).expect("detector poisoned");
+    /// The current round's victims, sorted.
+    pub(crate) fn victims(&self) -> Vec<usize> {
+        victims_of(&self.round)
+    }
+
+    /// Fold `transport`'s death evidence about every peer of rank `me` into
+    /// the round: an incarnation above the one already seen, or a closed
+    /// endpoint — the death of the current incarnation, which its successor
+    /// will announce once more. Idempotent per death.
+    pub(crate) fn sweep(&mut self, me: usize, transport: &dyn Transport) {
+        for r in (0..self.swept.len()).filter(|&r| r != me) {
+            let inc = transport.peer_incarnation(r);
+            if inc > self.seen_inc[r] {
+                self.seen_inc[r] = inc;
+                self.revoke((r, inc));
+                continue; // the slot is alive again: skip the closed check
             }
-        }
-        FailureAgreement { victims: st.agree_victims.clone(), epoch: st.epoch }
-    }
-
-    /// Revocable barrier: all `world` processes must arrive for anyone to
-    /// pass. If the world is revoked before this generation completes,
-    /// every waiter backs out with `Err(())` (all-or-none: a generation
-    /// that completed delivers `Ok` to all its participants).
-    pub(crate) fn barrier(&self, world: usize) -> Result<(), ()> {
-        let mut st = self.lock();
-        if st.revoked {
-            return Err(());
-        }
-        st.bar_count += 1;
-        if st.bar_count == world {
-            st.bar_count = 0;
-            st.bar_gen += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = st.bar_gen;
-        while st.bar_gen == gen && !st.revoked {
-            st = self.cv.wait(st).expect("detector poisoned");
-        }
-        if st.bar_gen == gen {
-            // Revoked before completion: withdraw our arrival.
-            st.bar_count -= 1;
-            Err(())
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Completed barrier generations so far.
-    #[cfg(test)]
-    pub(crate) fn barrier_generation(&self) -> u64 {
-        self.lock().bar_gen
-    }
-
-    /// Commit fail-point boundary `id`: recovery for the current round is
-    /// complete and protection is re-armed, so the round's victim set is
-    /// cleared — except victims revoked since the last agreement. Such a
-    /// victim's death raced this commit (the committer cannot have
-    /// recovered what it never observed), and dropping it would leave a
-    /// dead process that no agreement ever reports. Idempotent per boundary
-    /// — racing late committers of the same boundary must not wipe victims
-    /// of a *new* failure that struck after the first commit.
-    pub(crate) fn commit(&self, boundary: u64) {
-        if !self.dirty.load(Ordering::Acquire) {
-            return;
-        }
-        let mut st = self.lock();
-        if st.committed <= boundary {
-            st.committed = boundary + 1;
-            let keep = std::mem::take(&mut st.pending_revoked);
-            st.pending_revoked = keep.clone();
-            st.round = keep;
-            if st.round.is_empty() && !st.revoked {
-                self.dirty.store(false, Ordering::Release);
+            let dead = transport.is_peer_dead(r);
+            if dead && !self.swept[r] {
+                self.seen_inc[r] = self.seen_inc[r].max(inc + 1);
+                self.revoke((r, inc + 1));
             }
+            self.swept[r] = dead;
+        }
+    }
+
+    /// Commit fail-point boundary `boundary`: recovery for the current round
+    /// is complete and protection is re-armed, so the round is cleared —
+    /// except deaths observed since the last agreement. Such a death raced
+    /// this commit (the committer cannot have recovered what it never
+    /// agreed on), and dropping it would leave a dead process that no
+    /// agreement ever reports. Idempotent per boundary: a boundary already
+    /// committed and not rewound clears nothing.
+    pub(crate) fn commit(&mut self, boundary: u64) {
+        if self.committed <= boundary {
+            self.committed = boundary + 1;
+            self.round.clone_from(&self.pending);
         }
     }
 
     /// Let boundary `boundary` and every later one commit again: a rollback
     /// re-runs them. Every rank rewinds to the same boundary before any of
     /// them commits it (they agreed on it and on the victims first).
-    pub(crate) fn rewind(&self, boundary: u64) {
-        let mut st = self.lock();
-        st.committed = st.committed.min(boundary);
+    pub(crate) fn rewind(&mut self, boundary: u64) {
+        self.committed = self.committed.min(boundary);
     }
 
-    /// Current epoch (used by replacements joining after agreement and by
-    /// the distributed agreement protocol, which stamps it into frames).
-    pub(crate) fn epoch(&self) -> u64 {
-        self.lock().epoch
+    /// Add `deaths` to the current round without revoking: the scripted
+    /// victims of a fail point every rank has just read, or the deaths an
+    /// agreement iteration learned from a peer's view.
+    pub(crate) fn merge_round(&mut self, deaths: impl IntoIterator<Item = Death>) {
+        self.round.extend(deaths);
     }
 
-    /// Add `victims` to the current round without revoking the world: the
-    /// scripted victims of a fail point every rank has just read, or the
-    /// victims a distributed agreement iteration learned from a peer's view
-    /// (the message-protocol analogue of hearing a `revoke` through shared
-    /// memory).
-    pub(crate) fn merge_round(&self, victims: &[usize]) {
-        if victims.is_empty() {
-            return;
-        }
-        let mut st = self.lock();
-        for &v in victims {
-            st.round.insert(v);
-        }
-        self.dirty.store(true, Ordering::Release);
+    /// Install an agreement's result, the union every rank computed. A
+    /// death this rank observed that did not make it into the union (it
+    /// raced the exchange) stays pending and keeps the view revoked, so the
+    /// next communication call aborts into a fresh agreement instead of
+    /// silently dropping the victim.
+    pub(crate) fn agreed(&mut self, union: &BTreeSet<Death>) {
+        self.round.extend(union);
+        self.pending.retain(|d| !union.contains(d));
     }
+}
 
-    /// Install the converged result of a *distributed* agreement: `victims`
-    /// is the union every rank computed from the exchanged views, `epoch`
-    /// the new communication epoch. Mirrors what the shared-memory
-    /// rendezvous does on completion — with one difference: a death this
-    /// rank observed locally but that did not make it into the union (it
-    /// raced the exchange) stays pending and keeps the world revoked, so
-    /// the very next communication call aborts into a fresh agreement
-    /// instead of silently dropping the victim.
-    pub(crate) fn apply_remote_agreement(&self, victims: &[usize], epoch: u64) {
-        let mut st = self.lock();
-        for &v in victims {
-            st.round.insert(v);
-        }
-        st.epoch = epoch;
-        st.agree_victims = victims.to_vec();
-        st.pending_revoked = st.round.iter().copied().filter(|v| !victims.contains(v)).collect();
-        st.revoked = !st.pending_revoked.is_empty();
-        self.revoked.store(st.revoked, Ordering::Release);
-        self.dirty.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
+/// The distinct ranks of `deaths`, sorted.
+pub(crate) fn victims_of<'a>(deaths: impl IntoIterator<Item = &'a Death>) -> Vec<usize> {
+    let ranks: BTreeSet<usize> = deaths.into_iter().map(|&(r, _)| r).collect();
+    ranks.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::transport::MpscTransport;
 
     #[test]
     fn revoke_then_agree_converges_and_clears() {
-        let d = Arc::new(Detector::default());
-        d.revoke(3);
-        d.merge_round(&[1]);
+        let mut d = Detector::new(4);
+        d.revoke((3, 1));
+        d.merge_round([(1, 0)]);
         assert!(d.is_revoked());
-        let world = 4;
-        let results: Vec<FailureAgreement> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..world).map(|_| s.spawn(|| d.agree(world))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in &results {
-            assert_eq!(r.victims, vec![1, 3], "divergent victim set");
-            assert_eq!(r.epoch, 1);
-        }
+        d.agreed(&BTreeSet::from([(1, 0), (3, 1)]));
         assert!(!d.is_revoked(), "agreement must clear revocation");
+        assert_eq!(d.victims(), vec![1, 3]);
         // Commit clears the round; the next agreement sees only new victims.
         d.commit(0);
-        d.revoke(2);
-        let results: Vec<FailureAgreement> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..world).map(|_| s.spawn(|| d.agree(world))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in &results {
-            assert_eq!(r.victims, vec![2]);
-            assert_eq!(r.epoch, 2);
-        }
-        assert_eq!(d.epoch(), 2);
+        d.revoke((2, 1));
+        assert_eq!(d.victims(), vec![2]);
+        // A victim killed again is a new death, and the agreement on the
+        // first does not settle it.
+        d.revoke((2, 2));
+        d.agreed(&BTreeSet::from([(2, 1)]));
+        assert_eq!((d.is_revoked(), d.deaths()), (true, vec![(2, 1), (2, 2)]));
     }
 
     #[test]
     fn commit_is_idempotent_per_boundary() {
-        let d = Detector::default();
-        d.merge_round(&[5]);
-        d.commit(7); // first committer clears
-        assert!(d.current_victims().is_empty());
-        d.merge_round(&[6]); // a NEW failure after the first commit...
-        d.commit(7); // ...survives late committers of the same boundary
-        assert_eq!(d.current_victims(), vec![6]);
+        let mut d = Detector::new(8);
+        d.merge_round([(5, 0)]);
+        d.commit(7); // first commit clears
+        assert!(d.victims().is_empty());
+        d.merge_round([(6, 0)]); // a NEW failure after the commit...
+        d.commit(7); // ...survives a second commit of the same boundary
+        assert_eq!(d.victims(), vec![6]);
+        d.rewind(7); // a rollback re-runs boundary 7: its commit clears again
+        d.commit(7);
+        assert!(d.victims().is_empty());
     }
 
     #[test]
     fn commit_keeps_unagreed_revocations() {
         // A revocation racing a boundary commit: the committer cannot have
-        // recovered a death it never observed, so the victim must survive
+        // recovered a death it never agreed on, so the victim must survive
         // into the next agreement instead of silently vanishing.
-        let d = Detector::default();
-        d.revoke(3);
-        assert_eq!(d.agree(1).victims, vec![3]);
+        let mut d = Detector::new(4);
+        d.revoke((3, 1));
+        d.agreed(&BTreeSet::from([(3, 1)]));
         d.commit(0); // agreed victim: cleared
-        assert!(d.current_victims().is_empty());
-        d.revoke(2); // dies...
+        assert!(d.victims().is_empty());
+        d.revoke((2, 1)); // dies...
         d.commit(1); // ...just as a later boundary commits
-        assert_eq!(d.current_victims(), vec![2], "unagreed victim wiped by commit");
-        assert_eq!(d.agree(1).victims, vec![2]);
+        assert_eq!(d.victims(), vec![2], "unagreed victim wiped by commit");
+        // A death that raced the exchange stays pending and revoked.
+        d.revoke((1, 1));
+        d.agreed(&BTreeSet::from([(2, 1)]));
+        assert!(d.is_revoked(), "a death outside the union was dropped");
+        d.agreed(&BTreeSet::from([(1, 1), (2, 1)]));
         d.commit(2);
-        assert!(d.current_victims().is_empty());
+        assert!(d.victims().is_empty());
+    }
+
+    #[test]
+    fn sweep_reads_closed_endpoints_and_incarnation_bumps_once_each() {
+        let eps = MpscTransport::fabric(3);
+        let mut d = Detector::new(3);
+        d.sweep(0, &eps[0]);
+        assert!(!d.is_revoked(), "a quiet fabric reads as a death");
+        // Rank 1's endpoint closes, and its replacement reopens it before
+        // the agreement ends: one death, however often it is swept.
+        eps[1].close();
+        d.sweep(0, &eps[0]);
+        d.sweep(0, &eps[0]);
+        eps[1].reopen();
+        d.sweep(0, &eps[0]);
+        d.agreed(&BTreeSet::from([(1, 1)]));
+        d.sweep(0, &eps[0]);
+        assert_eq!((d.is_revoked(), d.deaths()), (false, vec![(1, 1)]), "one death swept as two");
+        d.commit(0);
+        // Rank 2 dies and is replaced before this rank looks: the
+        // incarnation bump is the only evidence left, and it is enough.
+        eps[2].close();
+        eps[2].reopen();
+        d.sweep(0, &eps[0]);
+        assert_eq!((d.is_revoked(), d.deaths()), (true, vec![(2, 1)]));
     }
 
     #[test]
     fn barrier_completes_without_revocation() {
-        let d = Arc::new(Detector::default());
-        let world = 3;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..world).map(|_| s.spawn(|| d.barrier(world))).collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), Ok(()));
+        let gens = crate::run_spmd(1, 3, crate::FaultScript::none(), |ctx| {
+            for _ in 0..5 {
+                ctx.barrier();
             }
+            ctx.rendezvous.as_ref().expect("in-process").generation()
         });
+        assert_eq!(gens, vec![5; 3]);
     }
 
     #[test]
     fn barrier_backs_out_on_revocation() {
-        let d = Arc::new(Detector::default());
-        let world = 3;
-        std::thread::scope(|s| {
-            // Only 2 of 3 arrive; the third revokes instead.
-            let a = s.spawn(|| d.barrier(world));
-            let b = s.spawn(|| d.barrier(world));
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            d.revoke(2);
-            assert_eq!(a.join().unwrap(), Err(()));
-            assert_eq!(b.join().unwrap(), Err(()));
+        // Rank 2 dies at its first op while ranks 0 and 1 wait in the
+        // rendezvous: each waiter sweeps the death from its own transport,
+        // nobody passes the generation, and after the agreement the
+        // barrier completes again.
+        let script = crate::FaultScript::parse("0:at=2@0", 3, 0..1).unwrap();
+        let out = crate::run_spmd(1, 3, script, |ctx| {
+            ctx.arm_chaos();
+            let r = catch_interrupt(|| {
+                if ctx.rank() == 2 {
+                    ctx.send(0, 7, &[]); // dies here
+                }
+                ctx.barrier();
+            });
+            let reason = r.expect_err("a barrier passed a death").reason;
+            let agreed = ctx.agree_on_failures();
+            ctx.barrier();
+            ctx.barrier();
+            (reason, agreed.victims, ctx.rendezvous.as_ref().expect("in-process").generation())
         });
-        // After agreement the barrier works again.
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..world).map(|_| s.spawn(|| d.agree(world))).collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..world).map(|_| s.spawn(|| d.barrier(world))).collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), Ok(()));
-            }
-        });
+        for (rank, (reason, victims, generation)) in out.into_iter().enumerate() {
+            let want = if rank == 2 { InterruptReason::Died } else { InterruptReason::Revoked };
+            assert_eq!((reason, victims, generation), (want, vec![2], 2), "rank {rank}");
+        }
     }
 
     #[test]

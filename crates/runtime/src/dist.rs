@@ -1,53 +1,56 @@
-//! Message-protocol replacements for the shared-memory barrier and
-//! agreement when the world spans real processes ([`Ctx::distributed`]).
+//! Failure agreement on every fabric, and the barrier of a world whose
+//! ranks share no memory ([`Ctx::distributed`]). Both are wire protocols on
+//! reserved control wires, at or above [`crate::comm::DIST_CTRL_MIN`]:
 //!
-//! The in-process world funnels both through one `Arc<Detector>` — a
-//! counting rendezvous on a mutex. A multi-process world has no shared
-//! memory, so the same two primitives become wire protocols on reserved
-//! control wires just below [`crate::comm::CTRL_WIRE`]:
-//!
-//! * **Barrier** — symmetric all-to-all arrival exchange: every rank sends
-//!   `ARRIVE(epoch, gen)` to every peer and waits for the matching frame
-//!   from each. Revocable: a death observed while waiting (dead-peer sweep)
-//!   backs the waiter out with `Err`, exactly like the shared barrier.
-//!   Generations reset to 0 at each agreement, so an aborted generation's
-//!   stragglers are discarded by their `(epoch, gen)` stamp.
-//! * **Agreement** — latest-wins view gossip: every rank rebroadcasts its
-//!   current victim view `{incarnation, epoch, victims}` on a short tick,
-//!   keeps only the *freshest* view received from each peer, and exits
-//!   once its own view and every peer's latest view all equal their
-//!   union. Views only ever grow (monotone under union), so the exit
-//!   condition is stable: the exit iteration itself broadcast the final
-//!   union, and a straggler that still needs it holds that frame — every
-//!   rank returns the identical sorted union and epoch. Gossip rather
-//!   than lock-step rounds because frames sent to a *dying* incarnation
-//!   can vanish silently (the write lands in the kernel buffer of a
-//!   socket whose peer is already dead), which would desynchronize any
-//!   round-counting scheme; retransmission plus latest-wins makes both
-//!   loss and duplication harmless. A replacement process (fresh
-//!   detector, empty view) simply joins with `{}` and adopts the
-//!   survivors' union one tick later.
+//! * **Agreement** ([`Ctx::agree_on_failures`]) — latest-wins view gossip,
+//!   in process and across processes alike: every rank broadcasts its
+//!   current view `{incarnation, epoch, deaths}`, keeps only the *freshest*
+//!   view received from each peer, and exits as soon as the view it last
+//!   broadcast and every peer's latest view all equal their union. A death
+//!   is a victim rank and the incarnation that replaced it, so a rank killed
+//!   twice counts twice and no rank can take its second death for its first.
+//!   Views only ever grow (monotone under union), so the exit condition is
+//!   stable: the exiting rank has itself broadcast the final union, and a
+//!   straggler that still needs it holds that frame — every rank returns
+//!   the identical sorted union and epoch. A rank that has not converged
+//!   rebroadcasts once per [`AGREE_RESEND`] window, which bounds the
+//!   gossip's rate; retransmission plus latest-wins makes loss and
+//!   duplication harmless. Gossip rather than lock-step rounds because
+//!   frames sent to a *dying* incarnation can vanish silently (the write
+//!   lands in the kernel buffer of a socket whose peer is already dead),
+//!   which would desynchronize any round-counting scheme.
+//! * **Barrier** ([`Ctx::barrier`] across processes) — symmetric
+//!   all-to-all arrival exchange: every rank sends `ARRIVE(epoch, gen)` to
+//!   every peer and waits for the matching frame from each. Revocable: a
+//!   death swept while waiting backs the waiter out with `Err`, as the
+//!   in-process rendezvous does. Generations reset to 0 at each agreement,
+//!   so an aborted generation's stragglers are discarded by their
+//!   `(epoch, gen)` stamp.
 //!
 //! ## Epoch fencing and incarnations
 //!
 //! Control frames carry their own epoch/generation *in the payload* and
 //! bypass the data-plane epoch filter — an agreement frame is how epochs
-//! advance, so it cannot be fenced by them. Stale barrier frames are
-//! dropped by their stamp; stale agreement frames from a victim's previous
-//! incarnation are dropped by comparing the incarnation in the payload
-//! against the latest one the transport's reconnect handshake reported.
+//! advance, so it cannot be fenced by them. An agreement therefore fences
+//! its own frames: it counts only views stamped with its current epoch. A
+//! view from an older epoch is left over from an agreement that already
+//! ended (its sender gossiped on after this rank exited) and is dropped. A
+//! view from a newer epoch means its sender already ended this agreement
+//! and began the next; this rank joins that one — it adopts the epoch,
+//! forgets the views it held, and converges with the sender on the bigger
+//! union. A replacement process (fresh detector, epoch 0, empty view) is
+//! heard once it has adopted the survivors' epoch, one window after its
+//! first broadcast. Frames from a victim's previous incarnation are dropped
+//! by the incarnation in the payload.
 //!
 //! ## Scope
 //!
-//! A rank that leaves agreement early and then learns of a *new* failure
-//! simply starts gossiping a larger view; stragglers still in the old
-//! instance fold those frames in and both converge on the bigger union at
-//! a consistent epoch. The residual wedge — a permanently-dead rank that
-//! is never respawned — is bounded by the control timeout, which turns
-//! the hang into a typed panic.
+//! The residual wedge — a permanently-dead rank that is never respawned —
+//! is bounded by the control timeout, which turns the hang into a typed
+//! panic.
 
-use crate::comm::{Ctx, AGREE_WIRE, BARRIER_WIRE, CTRL_WIRE, DIST_CTRL_MIN};
-use crate::detect::FailureAgreement;
+use crate::comm::{Ctx, AGREE_WIRE, BARRIER_WIRE, DIST_CTRL_MIN};
+use crate::detect::{self, Death, FailureAgreement};
 use crate::transport::{CommError, Msg};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -60,15 +63,15 @@ use crate::comm::recv_timeout as ctrl_timeout;
 /// How often a blocked control receive re-sweeps peer liveness.
 const CTRL_POLL: Duration = Duration::from_millis(20);
 
-/// Agreement rebroadcast tick: a participant that has not converged yet
+/// Agreement rebroadcast window: a participant that has not converged
 /// resends its view this often, so frames lost in a dying incarnation's
 /// socket buffer never stall the exchange.
 const AGREE_RESEND: Duration = Duration::from_millis(50);
 
 impl Ctx {
     /// Fire-and-forget control frame. Control traffic bypasses the chaos
-    /// op clock and the traffic ledger, mirroring the shared-memory
-    /// detector whose rendezvous never counted as message ops.
+    /// op clock and the traffic ledger, so no protocol's frames move a
+    /// pinned kill or a traffic count.
     fn send_ctrl(&self, dst: usize, wire: u64, payload: &[f64]) {
         self.transport.send(
             dst,
@@ -81,73 +84,69 @@ impl Ctx {
         );
     }
 
-    /// Pop the next control frame from `(src, wire)`, pulling frames off
-    /// the transport (and stashing everything else) until one arrives.
-    /// With `abort_on_revoke`, a revocation observed while waiting returns
-    /// `Err(())` — the revocable-barrier contract. Agreement runs with it
-    /// off: it *is* the revocation handler and must keep collecting.
-    fn recv_ctrl(&self, src: usize, wire: u64, abort_on_revoke: bool) -> Result<Arc<[f64]>, ()> {
+    /// Pull the next frame off the transport, waiting at most `wait`, into
+    /// the stash; data stragglers from an aborted epoch are dropped. Returns
+    /// the frame's wire, or `None` when nothing arrived.
+    fn pull_ctrl(&self, wait: Duration) -> Option<u64> {
+        match self.transport.recv(wait) {
+            Ok(msg) if msg.wire < DIST_CTRL_MIN && msg.epoch < self.epoch.get() => Some(msg.wire),
+            Ok(msg) => {
+                self.stash
+                    .borrow_mut()
+                    .entry((msg.src, msg.wire))
+                    .or_default()
+                    .push_back((msg.epoch, msg.payload));
+                Some(msg.wire)
+            }
+            Err(CommError::Timeout) => None,
+            Err(e) => panic!("rank {}: control recv failed: {e}", self.rank()),
+        }
+    }
+
+    /// Pop the next barrier frame from `src`, pulling frames off the
+    /// transport until one arrives. A death swept while waiting returns
+    /// `Err(())` — the revocable-barrier contract.
+    fn recv_barrier_frame(&self, src: usize) -> Result<Arc<[f64]>, ()> {
         let mut waited = Duration::ZERO;
         loop {
-            if let Some(q) = self.stash.borrow_mut().get_mut(&(src, wire)) {
+            if let Some(q) = self.stash.borrow_mut().get_mut(&(src, BARRIER_WIRE)) {
                 if let Some((_, d)) = q.pop_front() {
                     return Ok(d);
                 }
             }
-            match self.transport.recv(CTRL_POLL) {
-                Ok(msg) => {
-                    if msg.wire == CTRL_WIRE {
-                        continue;
-                    }
-                    if msg.wire < DIST_CTRL_MIN && msg.epoch < self.epoch.get() {
-                        continue; // data straggler from an aborted epoch
-                    }
-                    let agree_frame = msg.wire == AGREE_WIRE;
-                    self.stash
-                        .borrow_mut()
-                        .entry((msg.src, msg.wire))
-                        .or_default()
-                        .push_back((msg.epoch, msg.payload));
-                    // An agreement frame is a revocation notice: its
-                    // sender is inside the failure handler, so a barrier
-                    // waiter must back out now — a steady gossip stream
-                    // would otherwise starve the dry-inbox arm below.
-                    if agree_frame && abort_on_revoke {
-                        self.sweep_dead_peers();
-                        if self.detector.is_revoked() {
-                            return Err(());
-                        }
-                    }
-                }
-                Err(CommError::Timeout) => {
+            match self.pull_ctrl(CTRL_POLL) {
+                // An agreement frame is a revocation notice: its sender is
+                // inside the failure handler, so a barrier waiter must back
+                // out now — a steady gossip stream would otherwise starve
+                // the dry-inbox arm below.
+                Some(AGREE_WIRE) if self.sweep_revoked() => return Err(()),
+                Some(_) => {}
+                None => {
                     // Inbox dry: only now may liveness be judged, so a
                     // frame that already crossed the wire always beats a
                     // concurrently-observed death of its sender (a rank
                     // that finished and closed its sockets is not a
                     // failure to a receiver still holding its last frame).
-                    self.sweep_dead_peers();
-                    if abort_on_revoke && self.detector.is_revoked() {
+                    if self.sweep_revoked() {
                         return Err(());
                     }
                     waited += CTRL_POLL;
                     if waited >= ctrl_timeout() {
-                        self.partition_panic(&format!("distributed control recv (src={src}, wire={wire:#x})"));
+                        self.partition_panic(&format!("barrier recv (src={src})"));
                     }
                 }
-                Err(e) => panic!("rank {}: distributed control recv failed: {e}", self.rank()),
             }
         }
     }
 
     /// All-to-all arrival barrier; see the module docs. `Err(())` when a
-    /// failure revoked the world before this generation completed.
+    /// death revoked the world before this generation completed.
     pub(crate) fn dist_barrier(&self) -> Result<(), ()> {
         let world = self.grid().size();
         if world == 1 {
             return Ok(());
         }
-        self.sweep_dead_peers();
-        if self.detector.is_revoked() {
+        if self.sweep_revoked() {
             return Err(());
         }
         let epoch = self.epoch.get();
@@ -163,7 +162,7 @@ impl Ctx {
                 continue;
             }
             loop {
-                let p = self.recv_ctrl(r, BARRIER_WIRE, true)?;
+                let p = self.recv_barrier_frame(r)?;
                 if p.len() != 2 {
                     continue;
                 }
@@ -182,38 +181,6 @@ impl Ctx {
         Ok(())
     }
 
-    /// Pull frames off the transport into the stash for one full `wait`
-    /// window. The window is never cut short: the gossip tick doubles as
-    /// the rebroadcast rate limit, and an uncapped loop would let two
-    /// agreeing ranks ping-pong frames at megahertz rates and flood every
-    /// other inbox in the world.
-    fn pump_ctrl(&self, wait: Duration) {
-        let deadline = Instant::now() + wait;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return;
-            }
-            match self.transport.recv(left.min(CTRL_POLL)) {
-                Ok(msg) => {
-                    if msg.wire == CTRL_WIRE {
-                        continue;
-                    }
-                    if msg.wire < DIST_CTRL_MIN && msg.epoch < self.epoch.get() {
-                        continue; // data straggler from an aborted epoch
-                    }
-                    self.stash
-                        .borrow_mut()
-                        .entry((msg.src, msg.wire))
-                        .or_default()
-                        .push_back((msg.epoch, msg.payload));
-                }
-                Err(CommError::Timeout) => {}
-                Err(e) => panic!("rank {}: distributed control recv failed: {e}", self.rank()),
-            }
-        }
-    }
-
     /// The control plane wedged past its deadline: some set of ranks is
     /// unreachable and no replacement ever healed the view — an
     /// unhealable partition. Raise the *typed* [`CommError::Partitioned`]
@@ -221,116 +188,121 @@ impl Ctx {
     /// deadline surfaces the identical error (and the identical exit
     /// code) instead of a hang or an anonymous panic string.
     fn partition_panic(&self, what: &str) -> ! {
-        let mut unreachable = self.known_dead();
-        unreachable.sort_unstable();
-        unreachable.dedup();
+        let unreachable = self.known_dead();
         let err = CommError::Partitioned { unreachable };
         eprintln!("rank {}: {what} timed out after {:?} — {err}", self.rank(), ctrl_timeout());
         std::panic::panic_any(err);
     }
 
-    /// Latest-wins gossip agreement; see the module docs. Converges to the
-    /// identical sorted victim union and new epoch on every rank, installs
-    /// both into the local detector, resets the barrier generation, and
-    /// flushes the aborted epoch's data frames from the stash (control
-    /// frames fence themselves; data a fast peer already sent under the
-    /// *new* epoch is kept).
-    pub(crate) fn dist_agree(&self) -> FailureAgreement {
+    /// Fold the agreement frames the stash holds into `latest`, the view
+    /// each peer last broadcast at `epoch`; see the module docs' fencing.
+    /// Returns the epoch, moved on when a peer has already moved on.
+    fn fold_views(&self, mut epoch: u64, latest: &mut [Option<BTreeSet<Death>>]) -> u64 {
+        let mut stash = self.stash.borrow_mut();
+        for r in (0..latest.len()).filter(|&r| r != self.rank()) {
+            let Some(q) = stash.get_mut(&(r, AGREE_WIRE)) else { continue };
+            while let Some((_, p)) = q.pop_front() {
+                if p.len() < 3 || (p[0] as u32) < self.transport.peer_incarnation(r) {
+                    continue; // malformed, or from a dead predecessor
+                }
+                let e = p[1] as u64;
+                if e < epoch {
+                    continue; // left over from an agreement that ended
+                }
+                if e > epoch {
+                    epoch = e;
+                    latest.fill(None);
+                }
+                let n = (p[2] as usize).min((p.len() - 3) / 2);
+                latest[r] = Some(p[3..3 + 2 * n].chunks_exact(2).map(|d| (d[0] as usize, d[1] as u32)).collect());
+            }
+        }
+        epoch
+    }
+
+    /// Full-world failure agreement — the ULFM `MPI_Comm_agree` analogue,
+    /// one gossip protocol on every fabric (see the module docs).
+    ///
+    /// Called by every process (survivors and replacements alike) after a
+    /// failure aborted the current attempt. Everyone returns the
+    /// **identical** sorted victim set accumulated since the last committed
+    /// boundary and the identical new communication epoch. The union goes
+    /// into this rank's detector, the message-barrier generation restarts,
+    /// and the aborted epoch's data frames are flushed from the stash
+    /// (control frames fence themselves; data a fast peer already sent
+    /// under the *new* epoch is kept).
+    pub fn agree_on_failures(&self) -> FailureAgreement {
         let world = self.grid().size();
         let inc = self.transport.incarnation() as f64;
-        // Freshest `(epoch, victims)` view seen from each peer so far.
-        let mut latest: Vec<Option<(u64, Vec<usize>)>> = vec![None; world];
+        let mut epoch = self.epoch.get();
+        // The view each peer last broadcast at `epoch`.
+        let mut latest: Vec<Option<BTreeSet<Death>>> = vec![None; world];
         let deadline = Instant::now() + ctrl_timeout();
         // When shrink mode armed an adoption during this agreement, the
         // time from launching it to convergence is the stall the shrink
         // protocol cost the survivors.
         let mut adoption_started: Option<Instant> = None;
         loop {
-            self.sweep_dead_peers();
-            let mut mine = self.detector.current_victims();
-            mine.sort_unstable();
-            mine.dedup();
+            self.sweep_revoked();
+            let mine = self.detector.borrow().deaths();
             // Elastic shrink: agreement requires a frame from *every* rank,
             // so a dead rank that no launcher will re-spawn must be adopted
             // by a survivor from inside this very loop — the adopted thread
             // then joins the gossip like any replacement would.
-            if self.try_shrink_adoptions(&mine) && adoption_started.is_none() {
+            if self.try_shrink_adoptions(&detect::victims_of(&mine)) && adoption_started.is_none() {
                 adoption_started = Some(Instant::now());
             }
-            let epoch = self.detector.epoch();
-            let mut frame = Vec::with_capacity(3 + mine.len());
-            frame.push(inc);
-            frame.push(epoch as f64);
-            frame.push(mine.len() as f64);
-            frame.extend(mine.iter().map(|&v| v as f64));
-            for r in 0..world {
-                if r != self.rank() {
-                    self.send_ctrl(r, AGREE_WIRE, &frame);
-                }
+            let sent = epoch;
+            let mut frame = Vec::with_capacity(3 + 2 * mine.len());
+            frame.extend([inc, epoch as f64, mine.len() as f64]);
+            frame.extend(mine.iter().flat_map(|&(v, i)| [v as f64, i as f64]));
+            for r in (0..world).filter(|&r| r != self.rank()) {
+                self.send_ctrl(r, AGREE_WIRE, &frame);
             }
-            self.pump_ctrl(AGREE_RESEND);
-            {
-                let mut stash = self.stash.borrow_mut();
-                for (r, slot) in latest.iter_mut().enumerate() {
-                    if r == self.rank() {
-                        continue;
+            let mine: BTreeSet<Death> = mine.into_iter().collect();
+            let window = Instant::now() + AGREE_RESEND;
+            let mut union = mine.clone();
+            loop {
+                epoch = self.fold_views(epoch, &mut latest);
+                union.extend(latest.iter().flatten().flatten());
+                let heard = latest
+                    .iter()
+                    .enumerate()
+                    .all(|(r, v)| r == self.rank() || v.as_ref() == Some(&union));
+                if heard && sent == epoch && mine == union {
+                    if let Some(t0) = adoption_started {
+                        self.add_shrink_stall(t0.elapsed().as_secs_f64());
                     }
-                    let Some(q) = stash.get_mut(&(r, AGREE_WIRE)) else { continue };
-                    while let Some((_, p)) = q.pop_front() {
-                        // Frames from a dead predecessor of a respawned
-                        // rank are strays of the aborted epoch: drop them.
-                        if p.len() >= 3 && (p[0] as u32) >= self.transport.peer_incarnation(r) {
-                            let e = p[1] as u64;
-                            let n = p[2] as usize;
-                            let vs = p[3..3 + n.min(p.len() - 3)].iter().map(|&v| v as usize).collect();
-                            *slot = Some((e, vs));
-                        }
-                    }
+                    return self.install_agreement(&union, epoch + 1);
                 }
+                let left = window.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                self.pull_ctrl(left.min(CTRL_POLL));
             }
             if Instant::now() >= deadline {
-                self.partition_panic("distributed agreement");
-            }
-            if (0..world).any(|r| r != self.rank() && latest[r].is_none()) {
-                continue; // someone has never spoken: rebroadcast and wait
-            }
-            let mut union = BTreeSet::new();
-            union.extend(mine.iter().copied());
-            let mut emax = epoch;
-            for (e, vs) in latest.iter().flatten() {
-                emax = emax.max(*e);
-                union.extend(vs.iter().copied());
-            }
-            let union: Vec<usize> = union.into_iter().collect();
-            let all_equal = latest.iter().enumerate().all(|(r, slot)| {
-                r == self.rank()
-                    || slot.as_ref().is_some_and(|(_, vs)| {
-                        let mut s = vs.clone();
-                        s.sort_unstable();
-                        s.dedup();
-                        s == union
-                    })
-            });
-            if all_equal && mine == union {
-                if let Some(t0) = adoption_started {
-                    self.add_shrink_stall(t0.elapsed().as_secs_f64());
-                }
-                let epoch_new = emax + 1;
-                self.detector.apply_remote_agreement(&union, epoch_new);
-                self.epoch.set(epoch_new);
-                self.bar_gen.set(0);
-                self.stash.borrow_mut().retain(|&(_, w), q| {
-                    if w >= DIST_CTRL_MIN {
-                        return true;
-                    }
-                    q.retain(|&(e, _)| e >= epoch_new);
-                    !q.is_empty()
-                });
-                return FailureAgreement { victims: union, epoch: epoch_new };
+                self.partition_panic("agreement");
             }
             // Adopt what the peers know and gossip the bigger view.
-            self.detector.merge_round(&union);
+            self.detector.borrow_mut().merge_round(union);
         }
+    }
+
+    /// Install an agreement's result on this rank; see
+    /// [`Ctx::agree_on_failures`].
+    fn install_agreement(&self, union: &BTreeSet<Death>, epoch: u64) -> FailureAgreement {
+        self.detector.borrow_mut().agreed(union);
+        self.epoch.set(epoch);
+        self.bar_gen.set(0);
+        self.stash.borrow_mut().retain(|&(_, w), q| {
+            if w >= DIST_CTRL_MIN {
+                return true;
+            }
+            q.retain(|&(e, _)| e >= epoch);
+            !q.is_empty()
+        });
+        FailureAgreement { victims: detect::victims_of(union), epoch }
     }
 }
 
@@ -393,7 +365,7 @@ mod tests {
         // own detector; the others learn of it purely through the exchange.
         let out = run_dist(1, 3, |ctx| {
             if ctx.rank() == 2 {
-                ctx.detector.revoke(2);
+                ctx.detector.borrow_mut().revoke((2, 1));
             }
             let agreed = ctx.agree_on_failures();
             (agreed.victims, agreed.epoch)
@@ -411,10 +383,10 @@ mod tests {
         // detector for the commit to clear.
         let out = run_dist(2, 2, |ctx| {
             if ctx.rank() == 0 {
-                ctx.detector.revoke(2);
+                ctx.detector.borrow_mut().revoke((2, 1));
             }
             if ctx.rank() == 1 {
-                ctx.detector.revoke(3);
+                ctx.detector.borrow_mut().revoke((3, 1));
             }
             let agreed = ctx.agree_on_failures();
             ctx.commit_boundary(0);
@@ -423,13 +395,46 @@ mod tests {
         assert_eq!(out, vec![vec![2, 3]; 4]);
     }
 
+    /// The one agreement body, on the in-process mpsc world and on the
+    /// in-process TCP world: identical victims and epochs. Ranks 0 and 1
+    /// each know of a different death; everyone agrees, passes a barrier
+    /// and commits; then rank 3 alone knows of a third death, and the
+    /// second agreement must name only that one — the first agreement's
+    /// late frames are fenced out by their epoch.
+    #[test]
+    fn one_agreement_on_both_fabrics() {
+        let body = |ctx: Ctx| {
+            let knows = [Some((2, 1)), Some((3, 1)), None, None][ctx.rank()];
+            if let Some(death) = knows {
+                ctx.detector.borrow_mut().revoke(death);
+            }
+            let first = ctx.agree_on_failures();
+            ctx.barrier();
+            ctx.commit_boundary(0);
+            if ctx.rank() == 3 {
+                ctx.detector.borrow_mut().revoke((1, 1));
+            }
+            let second = ctx.agree_on_failures();
+            (first.victims, first.epoch, second.victims, second.epoch)
+        };
+        let mpsc = crate::run_spmd(2, 2, FaultScript::none(), body);
+        let tcp: Vec<Box<dyn crate::Transport>> = TcpTransport::fabric_localhost(4)
+            .expect("fabric")
+            .into_iter()
+            .map(|t| Box::new(t) as Box<dyn crate::Transport>)
+            .collect();
+        let tcp = crate::run_spmd_with(2, 2, FaultScript::none(), tcp, body);
+        assert_eq!(mpsc, vec![(vec![2, 3], 1, vec![1], 2); 4], "mpsc");
+        assert_eq!(tcp, mpsc, "the TCP world agreed otherwise");
+    }
+
     #[test]
     fn dist_barrier_works_after_agreement_resets_generations() {
         run_dist(1, 2, |ctx| {
             ctx.barrier();
             ctx.barrier();
             if ctx.rank() == 0 {
-                ctx.detector.revoke(1);
+                ctx.detector.borrow_mut().revoke((1, 1));
             }
             ctx.agree_on_failures();
             ctx.commit_boundary(0);

@@ -30,11 +30,13 @@
 //! before recovering data (§5.3 step 1).
 //!
 //! *Kills* ([`ChaosKill`]) strike at arbitrary message-op boundaries with
-//! no cooperation from the algorithm. The victim revokes
-//! the world and closes its endpoint as it dies; every blocked or future
-//! communication call on a survivor unwinds with a typed [`Interrupt`]
-//! (catch it with [`catch_interrupt`]), and all processes then converge on
-//! an identical victim set through [`Ctx::agree_on_failures`] before
+//! no cooperation from the algorithm. In process, the victim's replacement
+//! takes the rank over at once, under the next transport incarnation; every
+//! survivor learns of the death from its own transport, the way it would of
+//! a killed process, and its blocked or next communication call unwinds
+//! with a typed [`Interrupt`] (catch it with [`catch_interrupt`]). All
+//! processes then converge on an identical victim set through
+//! [`Ctx::agree_on_failures`] — one wire protocol on every fabric — before
 //! restarting from their last consistent state. Messages from the aborted
 //! attempt are discarded by epoch. Every fault kind is deterministic in the
 //! script.
@@ -125,15 +127,17 @@ where
 
 /// Run **one rank** of a multi-process world: this process owns a single
 /// [`Ctx`] whose only tie to its `p·q − 1` peers is `transport` (typically
-/// a [`tcp::TcpTransport`]). Barriers and failure agreement run as message
-/// protocols over reserved control wires ([`dist`]); peer deaths are
-/// detected from the wire (heartbeat silence / connection EOF) instead of
-/// a shared revocation flag. The script's kills are evaluated against this
-/// rank's op clock exactly as in-process, but a strike is a *real* process
-/// death: the victim emits a `FT_CHAOS_KILL` marker for the launcher to
-/// SIGKILL it (aborting itself if nobody does). Fail-point failures read
-/// the script exactly as in-process: their victims drop their data and
-/// recover without leaving the process.
+/// a [`tcp::TcpTransport`]). Its barrier is a message protocol over a
+/// reserved control wire ([`dist`]) rather than an in-process rendezvous.
+/// Death detection — from the transport: heartbeat silence, connection
+/// EOF, a respawn's incarnation — and agreement are the ones every fabric
+/// runs. The script's kills are evaluated against this rank's op clock
+/// exactly as in-process, but a strike is a *real* process death: the
+/// victim emits a `FT_CHAOS_KILL` marker for the launcher to SIGKILL it
+/// (aborting itself if nobody does). Fail-point failures read the script
+/// exactly as in-process: their victims drop their data and recover
+/// without leaving the process.
+///
 /// Terminal communication faults (an unhealable partition's agreement
 /// deadline, raised as a typed [`CommError::Partitioned`] unwind) are
 /// caught and surfaced as `Err` so every surviving rank process can exit
@@ -214,6 +218,32 @@ mod tests {
             agreed.victims
         });
         assert_eq!(out, vec![vec![1], vec![1]]);
+    }
+
+    #[test]
+    fn a_victim_replaced_before_a_survivor_looks_is_still_agreed() {
+        // Rank 1 dies at its first armed op, and its replacement reopens
+        // the endpoint at once. Rank 0 looks only after that: no closed
+        // endpoint is left to see, and the incarnation the reopen bumped is
+        // the only evidence of the death — enough for the survivor to
+        // revoke and for both to agree on the victim.
+        use std::time::Duration;
+        let died = std::sync::Barrier::new(2);
+        let out = run_spmd(1, 2, kill_at("1@0"), |ctx| {
+            ctx.arm_chaos();
+            if ctx.rank() == 1 {
+                let r = catch_interrupt(|| ctx.send(0, 7, &[1.0]));
+                assert_eq!(r.expect_err("the kill did not fire").reason, InterruptReason::Died);
+                died.wait();
+            } else {
+                died.wait();
+                assert!(!ctx.transport.is_peer_dead(1), "the replacement left the endpoint closed");
+                assert_eq!(ctx.try_recv(1, 9, Duration::from_secs(5)), Err(CommError::Revoked), "the death went unseen");
+            }
+            let agreed = ctx.agree_on_failures();
+            (agreed.victims, agreed.epoch)
+        });
+        assert_eq!(out, vec![(vec![1], 1); 2]);
     }
 
     #[test]

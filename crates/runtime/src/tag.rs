@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn max_tag_wire_stays_below_the_control_channels() {
-        // The distributed runtime reserves [DIST_CTRL_MIN, u64::MAX] for
+        // The runtime reserves [DIST_CTRL_MIN, u64::MAX] for
         // its control wires (heartbeats ride frame kinds, but barrier/
         // agreement frames ride reserved wire keys). The largest key the
         // tag encoding can produce must stay strictly below them, so no

@@ -14,16 +14,16 @@
 //!
 //! ## Peer-death signaling
 //!
-//! A process killed by the chaos injector *closes* its endpoint
-//! ([`Transport::close`]): the fabric marks the rank dead, subsequent
-//! messages to it are dropped on the floor, and survivors asking
-//! [`Transport::is_peer_dead`] see the death instead of blocking forever.
-//! `recv` therefore returns a typed [`CommError`] — never a panic — and
-//! the layer above decides whether a timeout is a protocol deadlock or a
-//! failure to run agreement on. When the replacement process takes over
-//! the dead rank it calls [`Transport::reopen`].
+//! A transport is a rank's only source of death evidence
+//! ([`crate::detect`]): a peer whose endpoint is closed
+//! ([`Transport::is_peer_dead`]), or whose incarnation rose
+//! ([`Transport::peer_incarnation`]) because a replacement reopened the rank
+//! ([`Transport::reopen`]). Sends to a closed endpoint are dropped on the
+//! floor; `recv` returns a typed [`CommError`] — never a panic — and the
+//! layer above decides whether a timeout is a protocol deadlock or a failure
+//! to run agreement on.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -252,7 +252,9 @@ pub trait Transport: Send {
     fn close(&self) {}
 
     /// Reopen this endpoint: a replacement process has taken over the
-    /// rank. Default: no-op.
+    /// rank, under the next [`Transport::incarnation`] — the evidence that
+    /// lets a peer see the death after the endpoint is open again.
+    /// Default: no-op.
     fn reopen(&self) {}
 
     /// Whether `peer`'s endpoint is currently closed. Default: `false`
@@ -321,12 +323,13 @@ pub(crate) fn poll_then_park(rx: &Receiver<Msg>, timeout: Duration) -> Result<Ms
 
 /// The default in-process fabric: one unbounded `std::sync::mpsc` channel
 /// per endpoint, senders shared by everyone, plus a shared dead-endpoint
-/// mask for peer-death signaling.
+/// mask and incarnation table for peer-death signaling.
 pub struct MpscTransport {
     rank: usize,
     txs: Arc<Vec<Sender<Msg>>>,
     rx: Receiver<Msg>,
     dead: Arc<Vec<AtomicBool>>,
+    incarnations: Arc<Vec<AtomicU32>>,
 }
 
 impl MpscTransport {
@@ -341,9 +344,16 @@ impl MpscTransport {
         }
         let txs = Arc::new(txs);
         let dead: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
+        let incarnations: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
         rxs.into_iter()
             .enumerate()
-            .map(|(rank, rx)| MpscTransport { rank, txs: Arc::clone(&txs), rx, dead: Arc::clone(&dead) })
+            .map(|(rank, rx)| MpscTransport {
+                rank,
+                txs: Arc::clone(&txs),
+                rx,
+                dead: Arc::clone(&dead),
+                incarnations: Arc::clone(&incarnations),
+            })
             .collect()
     }
 }
@@ -374,12 +384,24 @@ impl Transport for MpscTransport {
         self.dead[self.rank].store(true, Ordering::Release);
     }
 
+    /// A replacement takes the rank over under the next incarnation, the
+    /// way a respawned TCP process announces one: the bump outlives the
+    /// reopen, so a peer that looks only afterwards still sees the death.
     fn reopen(&self) {
+        self.incarnations[self.rank].fetch_add(1, Ordering::AcqRel);
         self.dead[self.rank].store(false, Ordering::Release);
     }
 
     fn is_peer_dead(&self, peer: usize) -> bool {
         self.dead[peer].load(Ordering::Acquire)
+    }
+
+    fn incarnation(&self) -> u32 {
+        self.peer_incarnation(self.rank)
+    }
+
+    fn peer_incarnation(&self, peer: usize) -> u32 {
+        self.incarnations[peer].load(Ordering::Acquire)
     }
 }
 
@@ -525,9 +547,12 @@ mod tests {
         // The message vanished: nothing arrives even though it was "sent".
         assert_eq!(b.recv(Duration::from_millis(10)).err(), Some(CommError::Timeout));
 
-        // The replacement reopens the endpoint and traffic flows again.
+        // The replacement reopens the endpoint under the next incarnation
+        // and traffic flows again.
+        assert_eq!((a.peer_incarnation(1), b.incarnation()), (0, 0));
         b.reopen();
         assert!(!a.is_peer_dead(1));
+        assert_eq!((a.peer_incarnation(1), b.incarnation()), (1, 1), "the death left no evidence");
         a.send(1, msg(0, 4, 2.0));
         assert_eq!(b.recv(Duration::from_secs(5)).unwrap().payload[0], 2.0);
     }

@@ -216,8 +216,22 @@ for solver in hessenberg qr; do
         --fail 2:1:0 --fail 2:1:2 --fail 2:1:4 --fail 2:1:7 --fail 2:1:9 --fail 2:1:11 --verify
     echo "  $solver 2x6 3+3 two-row: recovered, verified"
     count_leg mk
+    # Algorithm 3 two-row legs: Coded(2) victims in both process rows of a
+    # 2x4 grid. The recovery's checksum catch-up spreads each victim's loss
+    # into every row's copies on its process column, so Areas 1/2 solve only
+    # from copies on victim-free columns: {0,5} keeps enough and recovers,
+    # {0,1,6,7} spans every column and is the typed rejection. A wrong
+    # answer fails --verify (exit 1).
+    for set in "0 5:0" "0 1 6 7:3"; do
+        fails=""
+        for v in ${set%:*}; do fails="$fails --fail 1:0:$v"; done
+        # shellcheck disable=SC2086
+        soak_leg "${set#*:}" $BIN --n 48 --nb 4 --grid 2x4 --solver "$solver" --redundancy 2 --variant alg3 $fails --verify
+        echo "  $solver alg3 2x4 {${set%:*}}: exit $rc"
+        count_leg mk
+    done
 done
-need_runs mk "hessenberg qr" 11
+need_runs mk "hessenberg qr" 13
 
 # Distributed smoke: the real multi-process TCP transport on localhost —
 # one OS process per rank, wired by the launcher's probed ports. Both ABFT
