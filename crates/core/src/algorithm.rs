@@ -1571,7 +1571,7 @@ mod tests {
     use std::cell::RefCell;
     use std::collections::VecDeque;
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
     use std::sync::{Arc, Barrier, Mutex};
     use std::time::Duration;
 
@@ -1977,14 +1977,16 @@ mod tests {
     struct Died;
 
     /// One endpoint of an mpsc fabric that outlives its process: the
-    /// `die_at`-th send closes it and unwinds the rank, and a replacement
-    /// takes it over under the next incarnation — what a SIGKILL and the
-    /// launcher's respawn do to a TCP endpoint. The deaths of one run strike
-    /// together: each waits at `together` for the others.
+    /// `die_at`-th send closes it (peers read it dead, and what is sent to
+    /// it vanishes) and unwinds the rank, and a replacement reopens it under
+    /// the next incarnation — what a SIGKILL and the launcher's respawn do
+    /// to a TCP endpoint. The deaths of one run strike together: each waits
+    /// at `together` for the others.
     struct Mortal {
         ep: Arc<Mutex<MpscTransport>>,
         rank: usize,
         world: usize,
+        closed: Arc<Vec<AtomicBool>>,
         incarnations: Arc<Vec<AtomicU32>>,
         sends: Arc<AtomicU64>,
         die_at: Option<u64>,
@@ -2001,22 +2003,21 @@ mod tests {
         fn send(&self, dst: usize, msg: Msg) {
             if Some(self.sends.fetch_add(1, Ordering::Relaxed)) == self.die_at {
                 self.together.wait();
-                self.ep.lock().unwrap().close();
+                self.closed[self.rank].store(true, Ordering::Release);
                 resume_unwind(Box::new(Died));
             }
-            self.ep.lock().unwrap().send(dst, msg);
+            if !self.closed[dst].load(Ordering::Acquire) {
+                self.ep.lock().unwrap().send(dst, msg);
+            }
         }
         fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
             self.ep.lock().unwrap().recv(timeout)
-        }
-        fn close(&self) {
-            self.ep.lock().unwrap().close();
         }
         fn reopen(&self) {
             self.ep.lock().unwrap().reopen();
         }
         fn is_peer_dead(&self, peer: usize) -> bool {
-            self.ep.lock().unwrap().is_peer_dead(peer)
+            self.closed[peer].load(Ordering::Acquire)
         }
         fn incarnation(&self) -> u32 {
             self.incarnations[self.rank].load(Ordering::Acquire)
@@ -2038,13 +2039,15 @@ mod tests {
     ) -> Vec<R> {
         let (f, world) = (&f, p * q);
         let incarnations: Arc<Vec<AtomicU32>> = Arc::new((0..world).map(|_| AtomicU32::new(0)).collect());
+        let closed: Arc<Vec<AtomicBool>> = Arc::new((0..world).map(|_| AtomicBool::new(false)).collect());
         let together = Arc::new(Barrier::new(deaths.len()));
         std::thread::scope(|scope| {
             let ranks: Vec<_> = MpscTransport::fabric(world)
                 .into_iter()
                 .enumerate()
                 .map(|(rank, ep)| {
-                    let (incarnations, together) = (Arc::clone(&incarnations), Arc::clone(&together));
+                    let (incarnations, closed, together) =
+                        (Arc::clone(&incarnations), Arc::clone(&closed), Arc::clone(&together));
                     let die_at = deaths.iter().find(|&&(v, _)| v == rank).map(|&(_, at)| at);
                     scope.spawn(move || {
                         let ep = Arc::new(Mutex::new(ep));
@@ -2054,6 +2057,7 @@ mod tests {
                                 ep: Arc::clone(&ep),
                                 rank,
                                 world,
+                                closed: Arc::clone(&closed),
                                 incarnations: Arc::clone(&incarnations),
                                 sends: Arc::clone(&sends),
                                 die_at,
@@ -2068,6 +2072,7 @@ mod tests {
                             Err(death) if death.is::<Died>() => {
                                 incarnations[rank].store(1, Ordering::Release);
                                 ep.lock().unwrap().reopen();
+                                closed[rank].store(false, Ordering::Release);
                                 life(None)
                             }
                             Err(other) => resume_unwind(other),

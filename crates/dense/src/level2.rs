@@ -130,6 +130,30 @@ pub fn gemv_n_by_column(m: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x
     }
 }
 
+/// `gemv(Trans::Yes)` one column, one running sum at a time, as it was
+/// before it carried several columns per sweep: the oracle the kernel is
+/// held to bit for bit, and the yardstick `benches/kernels.rs` times it
+/// against. Counts no flops.
+#[doc(hidden)]
+pub fn gemv_t_by_column(m: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x: &[f64], beta: f64, y: &mut [f64]) {
+    if beta == 0.0 {
+        y.fill(0.0);
+    } else if beta != 1.0 {
+        y.iter_mut().for_each(|yi| *yi *= beta);
+    }
+    if alpha == 0.0 || m == 0 {
+        return;
+    }
+    for j in 0..n {
+        let col = &a[j * lda..j * lda + m];
+        let mut s = 0.0;
+        for i in 0..m {
+            s += col[i] * x[i];
+        }
+        y[j] += alpha * s;
+    }
+}
+
 /// `y[j] += alpha * A(:,j)·x` for columns `j0, j0+1, …`, `B` at a time while
 /// `B` more fit below `n`; returns the first column left over. Every dot is
 /// summed from zero in row order, one accumulator per column, so the bits
@@ -189,7 +213,93 @@ pub fn trmv(uplo: UpLo, trans: Trans, diag: Diag, n: usize, a: &[f64], lda: usiz
     }
     assert!(a.len() >= lda * (n - 1) + n, "trmv: A buffer too small");
     add_flops(n as u64 * n as u64);
+    trmv_lanes(uplo, trans, matches!(diag, Diag::Unit), n, a, lda, x.as_chunks_mut::<1>().0);
+}
 
+/// `x ← op(A)·x` on `L` vectors side by side: `x[i][c]` is element `i` of
+/// vector `c`. Every lane runs [`trmv_scalar`]'s recurrence on its own
+/// vector, so no lane's bits depend on `L` or on its neighbours; [`trmv`] is
+/// the one-lane case and `trmm(Side::Left)` runs 32 columns of `B` at once.
+/// The caller has checked the shapes.
+///
+/// Each element is finished in one go, its sum held in registers across the
+/// lanes: it starts from `x[e]·A(e,e)` (or `x[e]`) and takes the products
+/// of its row of `op(A)` in exactly the order the scalar loop adds them,
+/// `a·x` for the dot sweeps and `x·a` for the column sweeps. The column
+/// sweeps skip a zero `x[k]`, so a lane whose `x[k]` is zero keeps its sum
+/// (adding the zero product would turn −0.0 into +0.0, and `0·∞` is NaN).
+/// Every element is computed before the entries it reads are overwritten.
+pub(crate) fn trmv_lanes<const L: usize>(
+    uplo: UpLo,
+    trans: Trans,
+    unit: bool,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    x: &mut [[f64; L]],
+) {
+    let start = |xe: [f64; L], aee: f64| if unit { xe } else { xe.map(|v| v * aee) };
+    let add_dot = |s: &mut [f64; L], ak: f64, xk: &[f64; L]| {
+        for c in 0..L {
+            s[c] += ak * xk[c];
+        }
+    };
+    let add_sweep = |s: &mut [f64; L], ak: f64, xk: &[f64; L]| {
+        for c in 0..L {
+            let p = xk[c] * ak;
+            s[c] = if xk[c] != 0.0 { s[c] + p } else { s[c] };
+        }
+    };
+    match (uplo, trans) {
+        (UpLo::Upper, Trans::No) => {
+            // x[e] = A(e,e)·x[e] + Σ_{k>e} A(e,k)·x[k], k rising.
+            for e in 0..n {
+                let mut s = start(x[e], a[e + e * lda]);
+                for k in e + 1..n {
+                    add_sweep(&mut s, a[e + k * lda], &x[k]);
+                }
+                x[e] = s;
+            }
+        }
+        (UpLo::Upper, Trans::Yes) => {
+            // x[e] = A(e,e)·x[e] + Σ_{k<e} A(k,e)·x[k], k rising.
+            for e in (0..n).rev() {
+                let col = &a[e * lda..e * lda + e + 1];
+                let mut s = start(x[e], col[e]);
+                x[..e].iter().zip(col).for_each(|(xk, &ak)| add_dot(&mut s, ak, xk));
+                x[e] = s;
+            }
+        }
+        (UpLo::Lower, Trans::No) => {
+            // x[e] = A(e,e)·x[e] + Σ_{k<e} A(e,k)·x[k], k falling.
+            for e in (0..n).rev() {
+                let mut s = start(x[e], a[e + e * lda]);
+                for k in (0..e).rev() {
+                    add_sweep(&mut s, a[e + k * lda], &x[k]);
+                }
+                x[e] = s;
+            }
+        }
+        (UpLo::Lower, Trans::Yes) => {
+            // x[e] = A(e,e)·x[e] + Σ_{k>e} A(k,e)·x[k], k rising.
+            for e in 0..n {
+                let col = &a[e * lda..e * lda + n];
+                let mut s = start(x[e], col[e]);
+                x[e + 1..]
+                    .iter()
+                    .zip(&col[e + 1..])
+                    .for_each(|(xk, &ak)| add_dot(&mut s, ak, xk));
+                x[e] = s;
+            }
+        }
+    }
+}
+
+/// [`trmv`] as it was before its body took lanes: the scalar recurrence
+/// every lane of [`trmv_lanes`] is held to bit for bit, and the loop
+/// `trmm_left_by_column` runs per column. Counts no flops.
+#[doc(hidden)]
+pub fn trmv_scalar(uplo: UpLo, trans: Trans, diag: Diag, n: usize, a: &[f64], lda: usize, x: &mut [f64]) {
     let unit = matches!(diag, Diag::Unit);
     match (uplo, trans) {
         (UpLo::Upper, Trans::No) => {
@@ -286,28 +396,6 @@ mod tests {
         let mut y = vec![f64::NAN; 2];
         gemv(Trans::No, 2, 2, 1.0, a.as_slice(), 2, &[1.0, 2.0], 0.0, &mut y);
         assert_eq!(y, vec![1.0, 2.0]);
-    }
-
-    /// `gemv(Trans::Yes)` as it was before it carried several columns per
-    /// sweep: one column, one running sum at a time. Kept as the oracle the
-    /// blocked kernel is held to, bit for bit.
-    fn gemv_t_by_column(m: usize, n: usize, alpha: f64, a: &[f64], lda: usize, x: &[f64], beta: f64, y: &mut [f64]) {
-        if beta == 0.0 {
-            y.fill(0.0);
-        } else if beta != 1.0 {
-            y.iter_mut().for_each(|yi| *yi *= beta);
-        }
-        if alpha == 0.0 || m == 0 {
-            return;
-        }
-        for j in 0..n {
-            let col = &a[j * lda..j * lda + m];
-            let mut s = 0.0;
-            for i in 0..m {
-                s += col[i] * x[i];
-            }
-            y[j] += alpha * s;
-        }
     }
 
     /// Blocked against by-column on one shape, every α and β of the sweep,
@@ -448,6 +536,31 @@ mod tests {
                     trmv(uplo, trans, diag, n, a.as_slice(), n, &mut x);
                     for i in 0..n {
                         assert!((x[i] - expect[i]).abs() < 1e-12, "{uplo:?} {trans:?} {diag:?} i={i}: {} vs {}", x[i], expect[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `trmv` is the one-lane case of the lane body: bitwise the scalar
+    /// recurrence it replaced, for all eight variants, with ±0, ±∞ and NaN
+    /// in `x` and NaN wherever `A` must not be read.
+    #[test]
+    fn trmv_is_bitwise_the_scalar_recurrence() {
+        use crate::level3::tests::{adversarial_rhs, same_bits, triangle_with_nan_elsewhere};
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(0x7A34);
+        for n in (0..=9).chain([31, 32, 33]) {
+            for uplo in [UpLo::Upper, UpLo::Lower] {
+                for trans in [Trans::No, Trans::Yes] {
+                    for diag in [Diag::Unit, Diag::NonUnit] {
+                        let (a, lda) = triangle_with_nan_elsewhere(&mut rng, uplo, diag, n);
+                        for _ in 0..4 {
+                            let x = adversarial_rhs(&mut rng, n, 1, n)[..n].to_vec();
+                            let (mut got, mut want) = (x.clone(), x);
+                            trmv(uplo, trans, diag, n, &a, lda, &mut got);
+                            trmv_scalar(uplo, trans, diag, n, &a, lda, &mut want);
+                            assert!(same_bits(&got, &want), "{uplo:?} {trans:?} {diag:?} n={n}");
+                        }
                     }
                 }
             }

@@ -44,6 +44,7 @@
 //! path.
 
 use crate::counters::{add_flops, add_gemm_call};
+use crate::level2::trmv_lanes;
 use crate::simd::Isa;
 use crate::{simd, Diag, Side, Trans, UpLo};
 use std::sync::OnceLock;
@@ -711,13 +712,30 @@ pub fn trmm(
     let unit = matches!(diag, Diag::Unit);
     match side {
         Side::Left => {
-            // Per column of B: b_j ← op(A)·b_j (a trmv), then scale by alpha.
-            for j in 0..n {
-                let col = &mut b[j * ldb..j * ldb + m];
-                crate::level2::trmv(uplo, trans, diag, m, a, lda, col);
-                if alpha != 1.0 {
-                    for v in col.iter_mut() {
-                        *v *= alpha;
+            // The columns of B are independent right-hand sides: 32 at a
+            // time are transposed into a row-major tile, one column a lane,
+            // and run trmv's recurrence side by side; each lane is then
+            // scaled by α on its way back, as a trmv-then-scale per column
+            // did. That loop also counted m² per column on top of the
+            // m·n·m above, and the count is kept.
+            add_flops(n as u64 * m as u64 * m as u64);
+            const L: usize = 32;
+            let mut tile = vec![[0.0f64; L]; m];
+            for j0 in (0..n).step_by(L) {
+                let w = L.min(n - j0);
+                for c in 0..L {
+                    if c < w {
+                        let col = &b[(j0 + c) * ldb..(j0 + c) * ldb + m];
+                        tile.iter_mut().zip(col).for_each(|(row, &v)| row[c] = v);
+                    } else {
+                        tile.iter_mut().for_each(|row| row[c] = 0.0);
+                    }
+                }
+                trmv_lanes(uplo, trans, unit, m, a, lda, &mut tile);
+                for c in 0..w {
+                    let col = &mut b[(j0 + c) * ldb..(j0 + c) * ldb + m];
+                    for (v, row) in col.iter_mut().zip(&tile) {
+                        *v = if alpha != 1.0 { row[c] * alpha } else { row[c] };
                     }
                 }
             }
@@ -735,46 +753,27 @@ pub fn trmm(
                     Trans::Yes => a[j + i * lda],
                 }
             };
-            let js: Box<dyn Iterator<Item = usize>> = if effective_upper {
-                // op(A) effectively upper: col j uses B cols i <= j → go right→left.
-                Box::new((0..n).rev())
-            } else {
-                Box::new(0..n)
-            };
-            for j in js {
+            for jj in 0..n {
+                // op(A) effectively upper: column j reads B's columns i ≤ j,
+                // so go right→left; lower: left→right.
+                let j = if effective_upper { n - 1 - jj } else { jj };
                 let dj = if unit { 1.0 } else { aval(j, j) };
                 // Scale the diagonal contribution first (in place).
-                {
-                    let col = &mut b[j * ldb..j * ldb + m];
-                    let f = alpha * dj;
-                    if f != 1.0 {
-                        for v in col.iter_mut() {
-                            *v *= f;
-                        }
-                    }
+                let f = alpha * dj;
+                if f != 1.0 {
+                    b[j * ldb..j * ldb + m].iter_mut().for_each(|v| *v *= f);
                 }
-                let range: Box<dyn Iterator<Item = usize>> = if effective_upper { Box::new(0..j) } else { Box::new(j + 1..n) };
+                let range = if effective_upper { 0..j } else { j + 1..n };
                 for i in range {
                     let f = alpha * aval(i, j);
                     if f == 0.0 {
                         continue;
                     }
-                    // b_j += f * b_i  — two disjoint columns of B.
-                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+                    // b_j += f·b_i: two disjoint columns of B.
+                    let (lo, hi) = (i.min(j), i.max(j));
                     let (first, second) = b.split_at_mut(hi * ldb);
-                    let (src, dst): (&[f64], &mut [f64]) = if i < j {
-                        (&first[lo * ldb..lo * ldb + m], &mut second[..m])
-                    } else {
-                        let s: &[f64] = &second[..m];
-                        // i > j: src is the later column; dst the earlier one.
-                        // We cannot hand out overlapping borrows, so copy src.
-                        let tmp: Vec<f64> = s.to_vec();
-                        let dstc = &mut first[lo * ldb..lo * ldb + m];
-                        for (d, t) in dstc.iter_mut().zip(&tmp) {
-                            *d += f * t;
-                        }
-                        continue;
-                    };
+                    let (lo_col, hi_col) = (&mut first[lo * ldb..lo * ldb + m], &mut second[..m]);
+                    let (dst, src) = if i < j { (hi_col, &*lo_col) } else { (lo_col, &*hi_col) };
                     for (d, s) in dst.iter_mut().zip(src) {
                         *d += f * s;
                     }
@@ -784,8 +783,39 @@ pub fn trmm(
     }
 }
 
+/// `trmm(Side::Left)` as it was before its columns took lanes: one scalar
+/// trmv per column of `B`, then the column scaled by `α`. The oracle the
+/// lane kernel is held to bit for bit, and the yardstick
+/// `benches/kernels.rs` times it against. Counts no flops.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn trmm_left_by_column(
+    uplo: UpLo,
+    trans: Trans,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &mut [f64],
+    ldb: usize,
+) {
+    for j in 0..n {
+        let col = &mut b[j * ldb..j * ldb + m];
+        if alpha == 0.0 {
+            col.fill(0.0);
+            continue;
+        }
+        crate::level2::trmv_scalar(uplo, trans, diag, m, a, lda, col);
+        if alpha != 1.0 {
+            col.iter_mut().for_each(|v| *v *= alpha);
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Matrix;
 
@@ -1035,6 +1065,103 @@ mod tests {
                         }
                         let d = b.max_abs_diff(&want);
                         assert!(d < 1e-12, "{side:?} {uplo:?} {trans:?} {diag:?}: diff {d}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An adversarial right-hand side for the triangular kernels: `ld > rows`
+    /// with NaN in the gaps and canary words past the last column, ±0 in
+    /// about a quarter of the entries (the column sweeps skip a zero `x[k]`
+    /// per lane, next to lanes that do not), whole zero columns, and now and
+    /// then ±∞ or NaN.
+    pub(crate) fn adversarial_rhs(rng: &mut crate::rng::Xoshiro256, rows: usize, cols: usize, ld: usize) -> Vec<f64> {
+        let mut b = vec![f64::NAN; ld * cols + 3];
+        let end = if cols == 0 { 0 } else { ld * (cols - 1) + rows };
+        b[end..].fill(7.25);
+        for j in 0..cols {
+            let zero_col = rng.next_below(9) == 0;
+            for i in 0..rows {
+                b[i + j * ld] = match (zero_col, rng.next_below(40)) {
+                    (true, _) | (_, 0..=4) => 0.0,
+                    (_, 5..=9) => -0.0,
+                    (_, 10) => f64::INFINITY,
+                    (_, 11) => f64::NEG_INFINITY,
+                    (_, 12) => f64::NAN,
+                    _ => rng.range_f64(-2.0, 2.0),
+                };
+            }
+        }
+        b
+    }
+
+    /// An `n×n` triangle with leading dimension `n + 2`: NaN outside the
+    /// selected triangle, in the gaps and — for a unit diagonal — on the
+    /// diagonal, so a read of any of them shows.
+    pub(crate) fn triangle_with_nan_elsewhere(
+        rng: &mut crate::rng::Xoshiro256,
+        uplo: UpLo,
+        diag: Diag,
+        n: usize,
+    ) -> (Vec<f64>, usize) {
+        let lda = n + 2;
+        let mut a = vec![f64::NAN; lda * n.max(1)];
+        for j in 0..n {
+            for i in 0..n {
+                let inside = match uplo {
+                    UpLo::Upper => i < j,
+                    UpLo::Lower => i > j,
+                } || (i == j && matches!(diag, Diag::NonUnit));
+                if inside {
+                    a[i + j * lda] = if rng.next_below(10) == 0 { 0.0 } else { rng.range_f64(-1.5, 1.5) };
+                }
+            }
+        }
+        (a, lda)
+    }
+
+    /// Equal bits, except that any NaN equals any NaN: IEEE leaves a NaN's
+    /// payload to the operand order, which LLVM may commute.
+    pub(crate) fn same_bits(got: &[f64], want: &[f64]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    /// `trmm(Side::Left)` runs 32 columns of `B` side by side: every column
+    /// must be bitwise the scalar trmv-then-scale it replaced, for all eight
+    /// variants and α ∈ {1, −0.5, 0}, at column counts on both sides of the
+    /// lane width, with the gaps and canaries of `B` left as they were.
+    #[test]
+    fn trmm_left_lanes_are_bitwise_the_column_loop() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(0x7A33);
+        for (m, n) in [
+            (1, 1),
+            (2, 3),
+            (3, 31),
+            (5, 32),
+            (7, 33),
+            (17, 1),
+            (9, 65),
+            (32, 70),
+            (32, 96),
+            (33, 40),
+        ] {
+            for uplo in [UpLo::Upper, UpLo::Lower] {
+                for trans in [Trans::No, Trans::Yes] {
+                    for diag in [Diag::Unit, Diag::NonUnit] {
+                        let (a, lda) = triangle_with_nan_elsewhere(&mut rng, uplo, diag, m);
+                        let ldb = m + 3;
+                        let b = adversarial_rhs(&mut rng, m, n, ldb);
+                        for alpha in [1.0, -0.5, 0.0] {
+                            let (mut got, mut want) = (b.clone(), b.clone());
+                            trmm(Side::Left, uplo, trans, diag, m, n, alpha, &a, lda, &mut got, ldb);
+                            trmm_left_by_column(uplo, trans, diag, m, n, alpha, &a, lda, &mut want, ldb);
+                            assert!(same_bits(&got, &want), "{uplo:?} {trans:?} {diag:?} m={m} n={n} α={alpha}");
+                        }
                     }
                 }
             }

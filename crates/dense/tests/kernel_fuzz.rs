@@ -32,11 +32,13 @@
 //! Deterministic: the seed is fixed (override with `FT_FUZZ_SEED` to
 //! explore a different corner of the space; CI pins it).
 
-use ft_dense::level2::gemv;
-use ft_dense::level3::{blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, PackedA, MR, NR};
+use ft_dense::level2::{gemv, trmv, trmv_scalar};
+use ft_dense::level3::{
+    blocking, detected_isas, gemm, gemm_naive, gemm_packed_a, set_isa_override, trmm, trmm_left_by_column, PackedA, MR, NR,
+};
 use ft_dense::rng::Xoshiro256;
 use ft_dense::simd::Isa;
-use ft_dense::{Matrix, Trans, EPS};
+use ft_dense::{Diag, Matrix, Side, Trans, UpLo, EPS};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard};
 
@@ -516,5 +518,77 @@ fn gemv_n_sweep_is_bitwise_column_by_column() {
             assert_eq!(g.to_bits(), w.to_bits(), "round {round}: m={m} n={n} lda={lda} α={alpha} β={beta} row {i}");
         }
         assert!(got.iter().all(|v| v.is_finite()), "round {round}: read a stride gap or y under β = 0");
+    }
+}
+
+/// `trmm(Side::Left)` runs its columns 32 to a lane tile and `trmv` is the
+/// tile's one-lane case: over seeded shapes (column counts on both sides of
+/// every multiple of the lane width), variants, strides and coefficients,
+/// with ±0, ±∞ and NaN in `B` and NaN wherever `A` must not be read, both
+/// must be bitwise the scalar per-column loop they replaced — the gaps and
+/// the canary words past `B`'s last column included. NaN equals NaN: IEEE
+/// leaves the payload to the operand order.
+#[test]
+fn trmm_left_lanes_are_bitwise_column_by_column() {
+    let mut rng = Xoshiro256::seed_from_u64(fuzz_seed() ^ 0x7A33);
+    let rounds: usize = std::env::var("FT_FUZZ_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(400);
+    let pick = |rng: &mut Xoshiro256, v: f64| match rng.next_below(30) {
+        0..=3 => 0.0,
+        4..=7 => -0.0,
+        8 => f64::INFINITY,
+        9 => f64::NAN,
+        _ => v,
+    };
+    let same = |g: &[f64], w: &[f64]| {
+        g.iter()
+            .zip(w)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    };
+    for round in 0..rounds {
+        let m = rng.range_usize(0, 40);
+        let n = match rng.next_below(3) {
+            0 => rng.range_usize(0, 8),
+            1 => 32 * rng.range_usize(1, 4) + rng.range_usize(0, 3) - 1,
+            _ => rng.range_usize(0, 140),
+        };
+        let uplo = if rng.next_below(2) == 0 { UpLo::Upper } else { UpLo::Lower };
+        let trans = if rng.next_below(2) == 0 { Trans::No } else { Trans::Yes };
+        let diag = if rng.next_below(2) == 0 { Diag::Unit } else { Diag::NonUnit };
+        let lda = m.max(1) + rng.range_usize(0, 3);
+        let mut a = vec![f64::NAN; lda * m.max(1)];
+        for j in 0..m {
+            for i in 0..m {
+                let inside = if uplo == UpLo::Upper { i < j } else { i > j };
+                if inside || (i == j && diag == Diag::NonUnit) {
+                    let v = rng.range_f64(-1.5, 1.5);
+                    a[i + j * lda] = if rng.next_below(8) == 0 { 0.0 } else { v };
+                }
+            }
+        }
+        let ldb = m.max(1) + (rng.next_below(2) as usize) * rng.range_usize(1, 6);
+        let mut b = strided_with_nan_gaps(&mut rng, m, n, ldb);
+        b.extend_from_slice(&[7.25; 3]);
+        for j in 0..n {
+            for i in 0..m {
+                let v = b[i + j * ldb];
+                b[i + j * ldb] = pick(&mut rng, v);
+            }
+        }
+        let alpha = COEFFS[rng.range_usize(0, COEFFS.len())];
+
+        let (mut got, mut want) = (b.clone(), b.clone());
+        trmm(Side::Left, uplo, trans, diag, m, n, alpha, &a, lda, &mut got, ldb);
+        trmm_left_by_column(uplo, trans, diag, m, n, alpha, &a, lda, &mut want, ldb);
+        assert!(
+            same(&got, &want),
+            "round {round}: trmm {uplo:?} {trans:?} {diag:?} m={m} n={n} lda={lda} ldb={ldb} α={alpha}"
+        );
+
+        if n > 0 {
+            let (mut got, mut want) = (b[..m].to_vec(), b[..m].to_vec());
+            trmv(uplo, trans, diag, m, &a, lda, &mut got);
+            trmv_scalar(uplo, trans, diag, m, &a, lda, &mut want);
+            assert!(same(&got, &want), "round {round}: trmv {uplo:?} {trans:?} {diag:?} m={m} lda={lda}");
+        }
     }
 }

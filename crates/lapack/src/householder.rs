@@ -7,8 +7,9 @@
 //! where `V` is unit lower trapezoidal (column `j` has an implicit 1 at row
 //! `j` and zeros above) and `T` is `k×k` upper triangular.
 
+use ft_dense::counters::add_flops;
 use ft_dense::level1::{axpy, nrm2, scal};
-use ft_dense::level2::{gemv, ger, trmv};
+use ft_dense::level2::{gemv, gemv_t_by_column, ger, trmv, trmv_scalar};
 use ft_dense::level3::{gemm, trmm};
 use ft_dense::{Diag, Side, Trans, UpLo};
 
@@ -68,6 +69,7 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
     assert!(ldv >= m.max(1));
     assert!(ldt >= k.max(1));
     assert_eq!(tau.len(), k);
+    let (dots, nj) = tail_dots(m, k, v, ldv);
     for i in 0..k {
         if tau[i] == 0.0 {
             for j in 0..=i {
@@ -77,26 +79,117 @@ pub fn larft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f6
         }
         // t(0..i) = −τᵢ · V(i..m, 0..i)ᵀ · v_i, exploiting v_i = [0…0, 1, tail].
         // Row i of V holds the stored entries of earlier columns (all below
-        // their unit), and v_i's unit contributes V(i, j) directly:
+        // their unit), and v_i's unit contributes V(i, j) directly; the
+        // tail's dots are added as `gemv(Trans::Yes)` with β = 1 would add them.
         let mut tcol = vec![0.0; i];
         for (j, tc) in tcol.iter_mut().enumerate() {
             *tc = -tau[i] * v[i + j * ldv];
         }
         if m > i + 1 {
-            gemv(
-                Trans::Yes,
-                m - i - 1,
-                i,
-                -tau[i],
-                &v[i + 1..],
-                ldv,
-                &v[i + 1 + i * ldv..i + 1 + i * ldv + (m - i - 1)],
-                1.0,
-                &mut tcol,
-            );
+            add_flops(2 * (m - i - 1) as u64 * i as u64);
+            let row = &dots[i * nj..];
+            for (j, tc) in tcol.iter_mut().enumerate() {
+                *tc += -tau[i] * row[j / 8][j % 8];
+            }
         }
         // t(0..i) ← T(0..i,0..i)·t(0..i)
         trmv(UpLo::Upper, Trans::No, Diag::NonUnit, i, t, ldt, &mut tcol);
+        for (j, tc) in tcol.iter().enumerate() {
+            t[j + i * ldt] = *tc;
+        }
+        t[i + i * ldt] = tau[i];
+    }
+}
+
+/// Rows of `V` per transposed tile in [`tail_dots`].
+const DOT_ROWS: usize = 64;
+
+/// The dots `larft` needs, in one pass over `V`: `S(i, j) = Σ_{r>i}
+/// V(r,j)·V(r,i)` for every `j < i < k`, returned as `[f64; 8]` blocks at
+/// `[i·nj + j/8][j % 8]` with `nj = ⌈k/8⌉` (the other lanes hold scratch).
+/// Each dot is its own chain, summed from zero in row order with a multiply
+/// then an add, as `gemv(Trans::Yes)`'s column sweep sums it, so no bit
+/// depends on the blocking. `DOT_ROWS` rows at a time are transposed into a
+/// row-major tile whose eight-column blocks are the lanes; eight columns `i`
+/// share each pass over the tile, each with its own eight-lane chain.
+fn tail_dots(m: usize, k: usize, v: &[f64], ldv: usize) -> (Vec<[f64; 8]>, usize) {
+    const IB: usize = 8;
+    let nj = k.div_ceil(8);
+    let kp = 8 * nj;
+    let mut dots = vec![[0.0f64; 8]; kp * nj];
+    let mut tile = vec![0.0f64; DOT_ROWS.min(m) * kp];
+    for r0 in (0..m).step_by(DOT_ROWS) {
+        let r1 = (r0 + DOT_ROWS).min(m);
+        for j in 0..k {
+            let col = &v[j * ldv + r0..j * ldv + r1];
+            col.iter().enumerate().for_each(|(r, &x)| tile[r * kp + j] = x);
+        }
+        for i0 in (0..k).step_by(IB) {
+            // Dot (j, i) takes rows r > i: the rows below i0 + IB take every
+            // column of this block, the ones above it only some.
+            let head = r0.max(i0 + 1)..r1.min(i0 + IB);
+            let bulk = r0.max(i0 + IB)..r1;
+            for jb in 0..=i0 / 8 {
+                for r in head.clone() {
+                    let row = &tile[(r - r0) * kp..];
+                    for ii in 0..r - i0 {
+                        let (vi, s) = (row[i0 + ii], &mut dots[(i0 + ii) * nj + jb]);
+                        (0..8).for_each(|c| s[c] += row[8 * jb + c] * vi);
+                    }
+                }
+                let mut acc: [[f64; 8]; IB] = std::array::from_fn(|ii| dots[(i0 + ii) * nj + jb]);
+                dot_rows(&tile[(bulk.start - r0).min(r1 - r0) * kp..(r1 - r0) * kp], kp, jb, i0, &mut acc);
+                for (ii, s) in acc.into_iter().enumerate() {
+                    dots[(i0 + ii) * nj + jb] = s;
+                }
+            }
+        }
+    }
+    (dots, nj)
+}
+
+/// Every row of `tile` into the eight chains of `acc`: lanes `8·jb..` of a
+/// row times its entry `i0 + ii`, added to `acc[ii]`. The sums live in
+/// registers for the whole pass (the head rows, which take only some `ii`,
+/// are added by the caller).
+#[inline(always)]
+fn dot_rows(tile: &[f64], kp: usize, jb: usize, i0: usize, acc: &mut [[f64; 8]; 8]) {
+    let mut a = *acc;
+    for row in tile.chunks_exact(kp) {
+        let vj: [f64; 8] = row[8 * jb..8 * jb + 8].try_into().unwrap();
+        let vi: [f64; 8] = row[i0..i0 + 8].try_into().unwrap();
+        for ii in 0..8 {
+            for c in 0..8 {
+                a[ii][c] += vj[c] * vi[ii];
+            }
+        }
+    }
+    *acc = a;
+}
+
+/// [`larft`] as it was before its dots shared a pass over `V`: one
+/// `gemv(Trans::Yes)` per reflector, run as the one-column-at-a-time loop
+/// `gemv_t_by_column`, and the scalar trmv. The oracle `larft` is held to
+/// bit for bit, and the yardstick `benches/kernels.rs` times it against.
+/// Counts no flops.
+#[doc(hidden)]
+pub fn larft_by_column(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64], t: &mut [f64], ldt: usize) {
+    for i in 0..k {
+        if tau[i] == 0.0 {
+            for j in 0..=i {
+                t[j + i * ldt] = 0.0;
+            }
+            continue;
+        }
+        let mut tcol = vec![0.0; i];
+        for (j, tc) in tcol.iter_mut().enumerate() {
+            *tc = -tau[i] * v[i + j * ldv];
+        }
+        if m > i + 1 {
+            let tail = &v[i + 1 + i * ldv..i + 1 + i * ldv + (m - i - 1)];
+            gemv_t_by_column(m - i - 1, i, -tau[i], &v[i + 1..], ldv, tail, 1.0, &mut tcol);
+        }
+        trmv_scalar(UpLo::Upper, Trans::No, Diag::NonUnit, i, t, ldt, &mut tcol);
         for (j, tc) in tcol.iter().enumerate() {
             t[j + i * ldt] = *tc;
         }
@@ -351,6 +444,65 @@ mod tests {
         assert_eq!(t[(0, 1)], 0.0);
         assert_eq!(t[(1, 1)], 0.0);
         assert_eq!(t[(0, 0)], 0.7);
+    }
+
+    /// `larft` takes every dot in one pass over `V`, eight columns a lane
+    /// block: bitwise the one-`gemv`-per-reflector loop it replaced, over
+    /// τ = 0 columns, `m ≤ k`, `ldv > m` with NaN in the gaps and above the
+    /// unit diagonal (never read), row counts on both sides of the tile
+    /// height and column counts off the lane width. `T`'s lower triangle and
+    /// gaps must stay as they were.
+    #[test]
+    fn larft_is_bitwise_the_column_loop() {
+        let mut rng = ft_dense::rng::Xoshiro256::seed_from_u64(0x1A2F);
+        let shapes = [
+            (1, 1),
+            (2, 3),
+            (5, 8),
+            (8, 8),
+            (9, 17),
+            (40, 8),
+            (37, 13),
+            (63, 9),
+            (64, 16),
+            (65, 24),
+            (100, 33),
+            (200, 40),
+            (1152, 32),
+        ];
+        for (m, k) in shapes {
+            for ldv in [m, m + 3] {
+                let mut v = vec![f64::NAN; ldv * k + k];
+                for j in 0..k {
+                    for i in j + 1..m {
+                        v[i + j * ldv] = match rng.next_below(12) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => rng.range_f64(-1.0, 1.0),
+                        };
+                    }
+                }
+                // Rows at and past m of the columns' first entries are read
+                // by both loops when m ≤ k (the row-i term of V(i, j)).
+                for i in m..k {
+                    for j in 0..i {
+                        v[i + j * ldv] = rng.range_f64(-1.0, 1.0);
+                    }
+                }
+                let tau: Vec<f64> = (0..k)
+                    .map(|_| if rng.next_below(5) == 0 { 0.0 } else { rng.range_f64(0.5, 2.0) })
+                    .collect();
+                let ldt = k + 2;
+                let (mut got, mut want) = (vec![f64::NAN; ldt * k], vec![f64::NAN; ldt * k]);
+                larft(m, k, &v, ldv, &tau, &mut got, ldt);
+                larft_by_column(m, k, &v, ldv, &tau, &mut want, ldt);
+                let same = got
+                    .iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+                assert!(same, "m={m} k={k} ldv={ldv}");
+            }
+        }
     }
 
     #[test]

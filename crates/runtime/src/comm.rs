@@ -530,7 +530,9 @@ impl Ctx {
     }
 
     /// The in-process barrier; see [`Rendezvous`]. Waiters sweep their own
-    /// transport every [`RECV_POLL`] when deaths can strike.
+    /// transport every [`RECV_POLL`] when deaths can strike. A waiter still
+    /// held past [`recv_timeout`] withdraws its arrival and raises the typed
+    /// [`CommError::Partitioned`], as the message barrier does.
     fn rendezvous_barrier(&self, rv: &Rendezvous) -> Result<(), ()> {
         let (epoch, failures_on) = (self.epoch.get(), self.failures_on());
         let revoked = |gate: &mut Gate| {
@@ -552,16 +554,20 @@ impl Ctx {
             rv.cv.notify_all();
             return Ok(());
         }
-        let gen = gate.gen;
+        let (gen, deadline) = (gate.gen, Instant::now() + recv_timeout());
         while gate.gen == gen {
             if revoked(&mut gate) {
                 gate.count -= 1; // withdraw the arrival
                 return Err(());
             }
-            gate = match failures_on {
-                true => rv.cv.wait_timeout(gate, RECV_POLL).expect("barrier poisoned").0,
-                false => rv.cv.wait(gate).expect("barrier poisoned"),
-            };
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                gate.count -= 1;
+                drop(gate);
+                self.partition_panic("barrier rendezvous");
+            }
+            let slice = if failures_on { RECV_POLL.min(left) } else { left };
+            gate = rv.cv.wait_timeout(gate, slice).expect("barrier poisoned").0;
         }
         Ok(())
     }
@@ -748,6 +754,41 @@ impl Ctx {
 mod tests {
     use super::*;
     use crate::run_spmd;
+
+    /// A rendezvous that cannot complete — a rank leaves without arriving,
+    /// with no death on record and failures off — ends at the receive
+    /// deadline in the typed `Partitioned`, as the message barrier does,
+    /// instead of waiting for good. Re-runs itself in a child process with
+    /// `FT_RECV_TIMEOUT_MS=300`, since the deadline is read once a process.
+    #[test]
+    fn rendezvous_barrier_ends_at_the_receive_deadline() {
+        const NAME: &str = "comm::tests::rendezvous_barrier_ends_at_the_receive_deadline";
+        if std::env::var_os("FT_RECV_TIMEOUT_MS").is_none() {
+            let exe = std::env::current_exe().expect("test binary path");
+            let out = std::process::Command::new(exe)
+                .args(["--exact", NAME, "--test-threads", "1"])
+                .env("FT_RECV_TIMEOUT_MS", "300")
+                .output()
+                .expect("re-run the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
+        let t = Instant::now();
+        let out = run_spmd(1, 2, FaultScript::none(), |ctx| {
+            if ctx.rank() == 1 {
+                return None;
+            }
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.barrier()));
+            r.err().and_then(|p| p.downcast::<CommError>().ok()).map(|e| *e)
+        });
+        assert!(matches!(out[0], Some(CommError::Partitioned { .. })), "{:?}", out[0]);
+        assert!(t.elapsed() < Duration::from_secs(30), "waited {:?}", t.elapsed());
+    }
 
     #[test]
     fn p2p_send_recv() {

@@ -230,7 +230,50 @@ pub(crate) fn victims_of<'a>(deaths: impl IntoIterator<Item = &'a Death>) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::MpscTransport;
+    use crate::transport::{CommError, Msg};
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    /// The death evidence a fabric shows a sweep, set by hand: which
+    /// endpoints read closed, and each rank's incarnation.
+    struct Evidence {
+        closed: Vec<Cell<bool>>,
+        incarnations: Vec<Cell<u32>>,
+    }
+
+    impl Evidence {
+        fn new(n: usize) -> Evidence {
+            Evidence {
+                closed: (0..n).map(|_| Cell::new(false)).collect(),
+                incarnations: (0..n).map(|_| Cell::new(0)).collect(),
+            }
+        }
+        /// A replacement takes `rank` over: open again, next incarnation.
+        fn replace(&self, rank: usize) {
+            self.closed[rank].set(false);
+            self.incarnations[rank].set(self.incarnations[rank].get() + 1);
+        }
+    }
+
+    // `Cell` keeps the fake `!Sync`; `Transport` asks only for `Send`.
+    impl Transport for Evidence {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn world_size(&self) -> usize {
+            self.closed.len()
+        }
+        fn send(&self, _dst: usize, _msg: Msg) {}
+        fn recv(&self, _timeout: Duration) -> Result<Msg, CommError> {
+            Err(CommError::Timeout)
+        }
+        fn is_peer_dead(&self, peer: usize) -> bool {
+            self.closed[peer].get()
+        }
+        fn peer_incarnation(&self, peer: usize) -> u32 {
+            self.incarnations[peer].get()
+        }
+    }
 
     #[test]
     fn revoke_then_agree_converges_and_clears() {
@@ -290,26 +333,26 @@ mod tests {
 
     #[test]
     fn sweep_reads_closed_endpoints_and_incarnation_bumps_once_each() {
-        let eps = MpscTransport::fabric(3);
+        let ev = Evidence::new(3);
         let mut d = Detector::new(3);
-        d.sweep(0, &eps[0]);
+        d.sweep(0, &ev);
         assert!(!d.is_revoked(), "a quiet fabric reads as a death");
         // Rank 1's endpoint closes, and its replacement reopens it before
         // the agreement ends: one death, however often it is swept.
-        eps[1].close();
-        d.sweep(0, &eps[0]);
-        d.sweep(0, &eps[0]);
-        eps[1].reopen();
-        d.sweep(0, &eps[0]);
+        ev.closed[1].set(true);
+        d.sweep(0, &ev);
+        d.sweep(0, &ev);
+        ev.replace(1);
+        d.sweep(0, &ev);
         d.agreed(&BTreeSet::from([(1, 1)]));
-        d.sweep(0, &eps[0]);
+        d.sweep(0, &ev);
         assert_eq!((d.is_revoked(), d.deaths()), (false, vec![(1, 1)]), "one death swept as two");
         d.commit(0);
         // Rank 2 dies and is replaced before this rank looks: the
         // incarnation bump is the only evidence left, and it is enough.
-        eps[2].close();
-        eps[2].reopen();
-        d.sweep(0, &eps[0]);
+        ev.closed[2].set(true);
+        ev.replace(2);
+        d.sweep(0, &ev);
         assert_eq!((d.is_revoked(), d.deaths()), (true, vec![(2, 1)]));
     }
 

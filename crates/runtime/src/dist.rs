@@ -187,7 +187,7 @@ impl Ctx {
     /// as an unwind payload so every surviving rank that hits its own
     /// deadline surfaces the identical error (and the identical exit
     /// code) instead of a hang or an anonymous panic string.
-    fn partition_panic(&self, what: &str) -> ! {
+    pub(crate) fn partition_panic(&self, what: &str) -> ! {
         let unreachable = self.known_dead();
         let err = CommError::Partitioned { unreachable };
         eprintln!("rank {}: {what} timed out after {:?} — {err}", self.rank(), ctrl_timeout());

@@ -595,10 +595,6 @@ impl Transport for TcpTransport {
         poll_then_park(&self.inbox_rx, timeout)
     }
 
-    fn close(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-    }
-
     fn is_peer_dead(&self, peer: usize) -> bool {
         if peer == self.shared.rank {
             return self.shared.done();
@@ -2191,9 +2187,9 @@ mod tests {
             assert_eq!(b.recv(timeout).err(), Some(CommError::Timeout));
             assert!(start.elapsed() >= timeout, "timed out after {:?} < {timeout:?}", start.elapsed());
         }
-        // A closed endpoint says so, whatever is queued.
+        // A torn-down endpoint says so, whatever is queued.
         b.send(1, msg(1, 3, &[4.0]));
-        b.close();
+        b.shared.shutdown.store(true, Ordering::Release);
         assert_eq!(b.recv(Duration::from_secs(5)).err(), Some(CommError::Closed));
     }
 

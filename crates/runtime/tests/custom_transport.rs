@@ -44,9 +44,6 @@ impl Transport for CountingTransport {
         self.delivered.fetch_add(1, Ordering::Relaxed);
         Ok(msg)
     }
-    fn close(&self) {
-        self.inner.close()
-    }
     fn reopen(&self) {
         self.inner.reopen()
     }

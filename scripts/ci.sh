@@ -53,10 +53,15 @@ cargo bench --no-run -q
 # pclmulqdq fold is dispatched): built with the repo's own flags, that is the
 # gate a CRC compiled to gathers fails — or if gemv(Trans::No) at hess_grid's
 # 640x160 panel shape is below 1.25x the one-column-per-pass loop of the
-# same run. The gates live inside the bench binary; its `# wire CRC` line
-# names the path this host took, its `# panel gemv` line prints both GEMV
-# readings. Smoke runs write their JSON under target/, never over the
-# committed BENCH_kernels.json.
+# same run, or if a reflector kernel at qr_grid's shapes falls below its
+# floor against the loop it replaced, timed in the same run: trmm Left
+# 32x1100 (2.5x one trmv a column), larft 1152x32 (2x one gemv a
+# reflector), gemv(Trans::Yes) 576x31 (1.25x one running sum at a time).
+# The gates live inside the bench binary; its `# wire CRC` line names the
+# path this host took, its `# panel gemv` and `# trmm_left_lanes` /
+# `# larft_lanes` / `# gemv_t_sweep` lines print both readings. Smoke runs
+# write their JSON under target/, never over the committed
+# BENCH_kernels.json.
 echo "== kernels perf smoke"
 FT_BENCH_SMOKE=1 cargo bench -q --bench kernels
 
