@@ -716,9 +716,7 @@ pub fn trmm(
             // time are transposed into a row-major tile, one column a lane,
             // and run trmv's recurrence side by side; each lane is then
             // scaled by α on its way back, as a trmv-then-scale per column
-            // did. That loop also counted m² per column on top of the
-            // m·n·m above, and the count is kept.
-            add_flops(n as u64 * m as u64 * m as u64);
+            // did.
             const L: usize = 32;
             let mut tile = vec![[0.0f64; L]; m];
             for j0 in (0..n).step_by(L) {

@@ -47,8 +47,8 @@ pub fn recv_timeout_env() -> Result<Duration, String> {
     parsed.clone()
 }
 
-/// Receive poll granularity: how often a blocked receive — or a barrier
-/// waiter — sweeps its transport for peer deaths while waiting.
+/// The tick of [`Ctx::wait`]: a blocked call wakes at least this often, and
+/// liveness is judged only once a whole tick has passed without data.
 const RECV_POLL: Duration = Duration::from_millis(50);
 
 /// Agreement frames (see [`crate::dist`]).
@@ -97,7 +97,7 @@ pub(crate) struct Rendezvous {
 }
 
 #[derive(Debug, Default)]
-struct Gate {
+pub(crate) struct Gate {
     /// Ranks waiting in the current generation.
     count: usize,
     /// Completed generations.
@@ -112,6 +112,47 @@ impl Rendezvous {
     pub(crate) fn generation(&self) -> u64 {
         self.gate.lock().expect("barrier poisoned").gen
     }
+}
+
+/// What a blocked call waits for in [`Ctx::wait`]: it keys the frames the
+/// wait hands over, says what the wait blocks on, and names the call in the
+/// verdict of its deadline.
+#[derive(Clone, Copy)]
+pub(crate) enum Waiting<'a> {
+    /// A data receive: the next frame from `src` on `wire`.
+    Recv { src: usize, wire: u64 },
+    /// The message barrier: the next arrival frame from `src`.
+    Arrival { src: usize },
+    /// The in-process barrier: its gate, blocked on through the condvar.
+    Rendezvous(&'a Rendezvous),
+    /// Failure agreement: the views gossiped to this rank.
+    Agreement,
+}
+
+impl std::fmt::Display for Waiting<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Waiting::Recv { src, wire } => match Tag::decode_wire(wire) {
+                Some((tag, leg)) => write!(f, "recv(src={src}, tag={tag:?}/{leg} [wire {wire:#x}])"),
+                None => write!(f, "recv(src={src}, wire {wire:#x})"),
+            },
+            Waiting::Arrival { src } => write!(f, "message barrier (arrival from rank {src})"),
+            Waiting::Rendezvous(_) => write!(f, "barrier rendezvous"),
+            Waiting::Agreement => write!(f, "agreement"),
+        }
+    }
+}
+
+/// One wake of [`Ctx::wait`], as its waiter sees it.
+pub(crate) struct Wake {
+    /// The frame at the wait's key, when that is what woke it.
+    pub(crate) frame: Option<Arc<[f64]>>,
+    /// A whole tick passed without data while deaths can strike.
+    pub(crate) judged: bool,
+    /// Judged, and the sweep left a death awaiting agreement.
+    pub(crate) revoked: bool,
+    /// The deadline has passed: the wait ends after this wake.
+    pub(crate) expired: bool,
 }
 
 /// A process's handle to the simulated machine. Not `Sync`: it lives on its
@@ -387,7 +428,7 @@ impl Ctx {
     pub fn try_recv(&self, src: usize, tag: impl Into<Tag>, timeout: Duration) -> Result<Vec<f64>, CommError> {
         let tag = tag.into();
         self.chaos_tick();
-        self.recv_wire_impl(src, tag.wire(Leg::P2p), timeout).map(|p| p.to_vec())
+        self.recv_wire_impl(src, tag.wire(Leg::P2p), Some(timeout)).map(|p| p.to_vec())
     }
 
     pub(crate) fn send_wire(&self, dst: usize, wire: u64, phase: TrafficPhase, payload: Arc<[f64]>) {
@@ -402,78 +443,117 @@ impl Ctx {
 
     pub(crate) fn recv_wire(&self, src: usize, wire: u64) -> Arc<[f64]> {
         self.chaos_tick();
-        match self.recv_wire_impl(src, wire, recv_timeout()) {
+        match self.recv_wire_impl(src, wire, None) {
             Ok(p) => p,
             // A dead peer without agreement yet is the same condition as a
             // revocation: abort to the next agreement point.
-            Err(CommError::Revoked) | Err(CommError::PeerDead { .. }) => {
-                detect::raise_interrupt(InterruptReason::Revoked, self.rank)
-            }
-            Err(err) => self.recv_failure(src, wire, err),
+            Err(_) => detect::raise_interrupt(InterruptReason::Revoked, self.rank),
         }
     }
 
-    fn recv_wire_impl(&self, src: usize, wire: u64, timeout: Duration) -> Result<Arc<[f64]>, CommError> {
-        if let Some(q) = self.stash.borrow_mut().get_mut(&(src, wire)) {
-            if let Some((_, d)) = q.pop_front() {
-                return Ok(d);
-            }
-        }
-        let failures_on = self.failures_on();
+    /// The receive of `(src, wire)`: blocking when `try_for` is `None`.
+    fn recv_wire_impl(&self, src: usize, wire: u64, try_for: Option<Duration>) -> Result<Arc<[f64]>, CommError> {
+        self.wait(Waiting::Recv { src, wire }, try_for, |w, _| match w.frame.take() {
+            Some(p) => Some(Ok(p)),
+            None if w.revoked => Some(Err(CommError::Revoked)),
+            None if w.judged && self.transport.is_peer_dead(src) => Some(Err(CommError::PeerDead { peer: src })),
+            None => None,
+        })
+    }
+
+    /// The one blocking wait of a `Ctx`: every receive, both barriers and
+    /// the agreement block here and nowhere else (DESIGN.md §7). `poll` is
+    /// what the caller waits for; it sees every wake, the first on entry,
+    /// with the rendezvous's gate locked if that is what blocks, and ends
+    /// the wait by returning `Some`. The wait owns the rest:
+    ///
+    /// * **the stash and the inbox**: a frame at `what`'s key goes to
+    ///   `poll`, any other into the stash; a data frame from an older epoch
+    ///   is a straggler of an aborted attempt and dropped;
+    /// * **the tick**: each wake blocks at most [`RECV_POLL`], on the inbox
+    ///   or on the rendezvous's condvar, which `notify_all` wakes at once;
+    /// * **the liveness rule**: only a wake after a whole tick without data
+    ///   (control frames are not data) judges liveness, sweeping the
+    ///   transport's death evidence when deaths can strike. A frame that
+    ///   made it across the wire beats a concurrently observed death, and
+    ///   a rank stops where it can make no more progress, so the op clock
+    ///   it stops at does not depend on when it looked;
+    /// * **the deadline**: `try_for`, else [`recv_timeout`], in wall time
+    ///   from entry or from the last data frame;
+    /// * **the outcome** past it: `Timeout` to a `try_for` wait, and for
+    ///   every blocking call the typed [`CommError::Partitioned`] unwind
+    ///   naming `what` and the known-dead ranks. A transport error is
+    ///   returned or unwound the same way.
+    pub(crate) fn wait<T>(
+        &self,
+        what: Waiting<'_>,
+        try_for: Option<Duration>,
+        mut poll: impl FnMut(&mut Wake, Option<&mut Gate>) -> Option<Result<T, CommError>>,
+    ) -> Result<T, CommError> {
+        let key = match what {
+            Waiting::Recv { src, wire } => Some((src, wire)),
+            Waiting::Arrival { src } => Some((src, BARRIER_WIRE)),
+            Waiting::Rendezvous(_) | Waiting::Agreement => None,
+        };
+        let mut gate = match what {
+            Waiting::Rendezvous(rv) => Some(rv.gate.lock().expect("barrier poisoned")),
+            _ => None,
+        };
+        let (timeout, failures_on) = (try_for.unwrap_or_else(recv_timeout), self.failures_on());
+        let frame = key.and_then(|k| self.stash.borrow_mut().get_mut(&k)?.pop_front());
+        let mut wake = Wake {
+            frame: frame.map(|(_, d)| d),
+            judged: false,
+            revoked: false,
+            expired: false,
+        };
         // Since the inbox last delivered data, or since entry.
         let mut quiet = Instant::now();
-        loop {
+        let failed = loop {
+            if let Some(done) = poll(&mut wake, gate.as_deref_mut()) {
+                return done;
+            }
+            if wake.expired {
+                break None;
+            }
             let slice = RECV_POLL.min(timeout.saturating_sub(quiet.elapsed()));
-            match self.transport.recv(slice) {
-                Ok(msg) if msg.wire >= DIST_CTRL_MIN => {
-                    // Control frames fence themselves (the epoch or
-                    // generation rides in the payload); stash for the
-                    // protocols in `crate::dist` to consume. They are not
-                    // data: a steady gossip stream must not starve the
-                    // liveness check below.
-                    self.stash
-                        .borrow_mut()
-                        .entry((msg.src, msg.wire))
-                        .or_default()
-                        .push_back((msg.epoch, msg.payload));
-                    if quiet.elapsed() < RECV_POLL {
-                        continue;
+            match (what, gate.take()) {
+                (Waiting::Rendezvous(rv), Some(g)) => gate = Some(rv.cv.wait_timeout(g, slice).expect("barrier poisoned").0),
+                _ => match self.transport.recv(slice) {
+                    Ok(msg) if msg.wire < DIST_CTRL_MIN && msg.epoch < self.epoch.get() => {}
+                    Ok(msg) if key == Some((msg.src, msg.wire)) => wake.frame = Some(msg.payload),
+                    Ok(msg) => {
+                        // Data restarts the quiet clock. Control frames
+                        // fence themselves (their epoch or generation rides
+                        // in the payload) and are no data.
+                        if msg.wire < DIST_CTRL_MIN {
+                            quiet = Instant::now();
+                        }
+                        let mut stash = self.stash.borrow_mut();
+                        stash
+                            .entry((msg.src, msg.wire))
+                            .or_default()
+                            .push_back((msg.epoch, msg.payload));
                     }
-                }
-                Ok(msg) => {
-                    if msg.epoch < self.epoch.get() {
-                        continue; // straggler from an aborted (revoked) epoch
-                    }
-                    if msg.src == src && msg.wire == wire {
-                        return Ok(msg.payload);
-                    }
-                    self.stash
-                        .borrow_mut()
-                        .entry((msg.src, msg.wire))
-                        .or_default()
-                        .push_back((msg.epoch, msg.payload));
-                    quiet = Instant::now();
-                    continue;
-                }
-                Err(CommError::Timeout) => {}
-                Err(e) => return Err(e),
+                    Err(CommError::Timeout) => {}
+                    Err(e) => break Some(e),
+                },
             }
-            // No data for a whole poll: only now is liveness judged. A frame
-            // that already made it across the wire beats a concurrently
-            // observed death — a rank that finished and closed its sockets
-            // is no failure to a receiver still holding its last frame — and
-            // a rank stops where it can make no more progress, so the op
-            // clock it stops at does not depend on when it looked.
-            if failures_on && self.sweep_revoked() {
-                return Err(CommError::Revoked);
-            }
-            if failures_on && self.transport.is_peer_dead(src) {
-                return Err(CommError::PeerDead { peer: src });
-            }
-            if quiet.elapsed() >= timeout {
-                return Err(CommError::Timeout);
-            }
+            let idle = quiet.elapsed();
+            wake.judged = failures_on && idle >= RECV_POLL.min(timeout);
+            wake.revoked = wake.judged && self.sweep_revoked();
+            wake.expired = idle >= timeout;
+        };
+        drop(gate);
+        let err = failed.unwrap_or_else(|| match try_for {
+            Some(_) => CommError::Timeout,
+            None => CommError::Partitioned { wait: what.to_string(), unreachable: self.known_dead() },
+        });
+        if try_for.is_none() {
+            eprintln!("rank {}: {err} (deadline {timeout:?})", self.rank);
+            std::panic::panic_any(err);
         }
+        Err(err)
     }
 
     /// Sweep the transport's death evidence into this rank's detector, and
@@ -482,22 +562,6 @@ impl Ctx {
         let mut detector = self.detector.borrow_mut();
         detector.sweep(self.rank, &*self.transport);
         detector.is_revoked()
-    }
-
-    /// Terminal receive failure: decode the wire key back into its `Tag`
-    /// and collective leg, and name every peer currently known dead, so a
-    /// protocol deadlock is debuggable from the message alone.
-    fn recv_failure(&self, src: usize, wire: u64, err: CommError) -> ! {
-        let what = match Tag::decode_wire(wire) {
-            Some((tag, leg)) => format!("{tag:?}/{leg} [wire {wire:#x}]"),
-            None => format!("wire {wire:#x}"),
-        };
-        panic!(
-            "rank {}: recv(src={src}, tag={what}) failed: {err} after {:?} — SPMD protocol deadlock; known dead/failed ranks: {:?}",
-            self.rank,
-            recv_timeout(),
-            self.known_dead()
-        )
     }
 
     /// Ranks currently known to have failed: the detector's uncommitted
@@ -529,47 +593,41 @@ impl Ctx {
         }
     }
 
-    /// The in-process barrier; see [`Rendezvous`]. Waiters sweep their own
-    /// transport every [`RECV_POLL`] when deaths can strike. A waiter still
-    /// held past [`recv_timeout`] withdraws its arrival and raises the typed
-    /// [`CommError::Partitioned`], as the message barrier does.
-    fn rendezvous_barrier(&self, rv: &Rendezvous) -> Result<(), ()> {
-        let (epoch, failures_on) = (self.epoch.get(), self.failures_on());
-        let revoked = |gate: &mut Gate| {
-            let revoked = gate.revoked >= Some(epoch) || (failures_on && self.sweep_revoked());
-            if revoked {
-                gate.revoked = gate.revoked.max(Some(epoch));
-                rv.cv.notify_all();
-            }
-            revoked
-        };
-        let mut gate = rv.gate.lock().expect("barrier poisoned");
-        if revoked(&mut gate) {
-            return Err(());
-        }
-        gate.count += 1;
-        if gate.count == self.grid.size() {
-            gate.count = 0;
-            gate.gen += 1;
+    /// The in-process barrier; see [`Rendezvous`]. A rank that already
+    /// sees a death does not arrive; an arrival waits in [`Ctx::wait`] and
+    /// withdraws when it backs out or its deadline passes.
+    fn rendezvous_barrier(&self, rv: &Rendezvous) -> Result<(), CommError> {
+        let epoch = self.epoch.get();
+        let revoke = |gate: &mut Gate| {
+            gate.revoked = gate.revoked.max(Some(epoch));
             rv.cv.notify_all();
-            return Ok(());
-        }
-        let (gen, deadline) = (gate.gen, Instant::now() + recv_timeout());
-        while gate.gen == gen {
-            if revoked(&mut gate) {
+            Err(CommError::Revoked)
+        };
+        let gen = {
+            let mut gate = rv.gate.lock().expect("barrier poisoned");
+            if gate.revoked >= Some(epoch) || (self.failures_on() && self.sweep_revoked()) {
+                return revoke(&mut gate);
+            }
+            gate.count += 1;
+            if gate.count == self.grid.size() {
+                gate.count = 0;
+                gate.gen += 1;
+                rv.cv.notify_all();
+                return Ok(());
+            }
+            gate.gen
+        };
+        self.wait(Waiting::Rendezvous(rv), None, |w, gate| {
+            let gate = gate.expect("a rendezvous waits on its gate");
+            if gate.gen != gen {
+                return Some(Ok(()));
+            }
+            let revoked = gate.revoked >= Some(epoch) || w.revoked;
+            if revoked || w.expired {
                 gate.count -= 1; // withdraw the arrival
-                return Err(());
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                gate.count -= 1;
-                drop(gate);
-                self.partition_panic("barrier rendezvous");
-            }
-            let slice = if failures_on { RECV_POLL.min(left) } else { left };
-            gate = rv.cv.wait_timeout(gate, slice).expect("barrier poisoned").0;
-        }
-        Ok(())
+            revoked.then(|| revoke(gate))
+        })
     }
 
     /// Ranks of this process's grid row, in column order.
@@ -755,39 +813,116 @@ mod tests {
     use super::*;
     use crate::run_spmd;
 
-    /// A rendezvous that cannot complete — a rank leaves without arriving,
-    /// with no death on record and failures off — ends at the receive
-    /// deadline in the typed `Partitioned`, as the message barrier does,
-    /// instead of waiting for good. Re-runs itself in a child process with
-    /// `FT_RECV_TIMEOUT_MS=300`, since the deadline is read once a process.
+    /// Re-run test `name` in a child process under `FT_RECV_TIMEOUT_MS=300`
+    /// (the deadline is read once a process), killed if it outlives a 20 s
+    /// fuse so a wait that ignores its deadline fails instead of hanging.
+    /// Returns whether this is the parent; the child runs the test's body.
+    fn rerun_at_300_ms(name: &str) -> bool {
+        if std::env::var("FT_RECV_TIMEOUT_MS").as_deref() == Ok("300") {
+            detect::install_quiet_interrupt_hook();
+            return false;
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        let mut child = std::process::Command::new(exe)
+            .args(["--exact", name, "--test-threads", "1"])
+            .env("FT_RECV_TIMEOUT_MS", "300")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("re-run the test binary");
+        let fuse = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("poll the child").is_none() {
+            if Instant::now() > fuse {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{name} outlived its 20 s fuse: a wait ignored its deadline");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect the child");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        true
+    }
+
+    /// The only peer of a rank in a two-rank world: it reports no death and
+    /// sends nothing but, when `gossip` is set, an agreement frame every
+    /// 10 ms — never an arrival, never data.
+    struct Peer {
+        gossip: bool,
+        last: Cell<Instant>,
+    }
+
+    impl Transport for Peer {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn world_size(&self) -> usize {
+            2
+        }
+        fn send(&self, _dst: usize, _msg: Msg) {}
+        fn recv(&self, timeout: Duration) -> Result<Msg, CommError> {
+            let due = self.last.get() + Duration::from_millis(10);
+            let gap = due.saturating_duration_since(Instant::now());
+            if !self.gossip || gap > timeout {
+                std::thread::sleep(timeout);
+                return Err(CommError::Timeout);
+            }
+            std::thread::sleep(gap);
+            self.last.set(Instant::now());
+            Ok(Msg {
+                src: 1,
+                wire: AGREE_WIRE,
+                epoch: 0,
+                payload: Arc::from([0.0, 0.0, 0.0].as_slice()),
+            })
+        }
+    }
+
+    /// Rank 0 of a two-rank world whose other rank is a [`Peer`].
+    fn lone(gossip: bool) -> Ctx {
+        distributed_ctx(Grid::new(1, 2), FaultScript::none(), Box::new(Peer { gossip, last: Cell::new(Instant::now()) }))
+    }
+
+    /// The `CommError` that `call` unwinds with.
+    fn unwound(call: impl FnOnce()) -> Option<CommError> {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+        r.err().and_then(|p| p.downcast::<CommError>().ok()).map(|e| *e)
+    }
+
+    /// Every blocking call that cannot complete — its peer never sends, or
+    /// a rank leaves a rendezvous without arriving, with no death on record
+    /// — ends at the deadline in the typed `Partitioned`, and its message
+    /// names the wait that timed out. The deadline is wall time: the
+    /// receive and the message barrier wait under a peer's agreement gossip
+    /// every 10 ms, which holds no clock.
     #[test]
-    fn rendezvous_barrier_ends_at_the_receive_deadline() {
-        const NAME: &str = "comm::tests::rendezvous_barrier_ends_at_the_receive_deadline";
-        if std::env::var_os("FT_RECV_TIMEOUT_MS").is_none() {
-            let exe = std::env::current_exe().expect("test binary path");
-            let out = std::process::Command::new(exe)
-                .args(["--exact", NAME, "--test-threads", "1"])
-                .env("FT_RECV_TIMEOUT_MS", "300")
-                .output()
-                .expect("re-run the test binary");
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            assert!(
-                out.status.success() && stdout.contains("1 passed"),
-                "{stdout}{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
+    fn every_blocking_wait_ends_at_the_deadline_typed_and_named() {
+        if rerun_at_300_ms("comm::tests::every_blocking_wait_ends_at_the_deadline_typed_and_named") {
             return;
         }
-        let t = Instant::now();
-        let out = run_spmd(1, 2, FaultScript::none(), |ctx| {
-            if ctx.rank() == 1 {
-                return None;
-            }
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.barrier()));
-            r.err().and_then(|p| p.downcast::<CommError>().ok()).map(|e| *e)
-        });
-        assert!(matches!(out[0], Some(CommError::Partitioned { .. })), "{:?}", out[0]);
-        assert!(t.elapsed() < Duration::from_secs(30), "waited {:?}", t.elapsed());
+        let rendezvous = || {
+            let out = run_spmd(1, 2, FaultScript::none(), |ctx| (ctx.rank() == 0).then(|| unwound(|| ctx.barrier())));
+            out[0].clone().flatten()
+        };
+        let rows: [(&str, &dyn Fn() -> Option<CommError>); 4] = [
+            ("recv(src=1, tag=User(7)/p2p", &|| unwound(|| drop(lone(true).recv(1, 7)))),
+            ("barrier rendezvous", &rendezvous),
+            ("message barrier (arrival from rank 1)", &|| unwound(|| lone(true).barrier())),
+            ("agreement", &|| unwound(|| drop(lone(false).agree_on_failures()))),
+        ];
+        for (name, call) in rows {
+            let t = Instant::now();
+            let err = call();
+            let msg = err.as_ref().map(ToString::to_string).unwrap_or_default();
+            let typed = matches!(err, Some(CommError::Partitioned { .. }));
+            assert!(typed && msg.contains(name) && msg.contains("timed out"), "{name}: ended in {err:?}");
+            assert!(t.elapsed() < Duration::from_secs(2), "{name}: waited {:?}", t.elapsed());
+        }
     }
 
     #[test]

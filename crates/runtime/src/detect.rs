@@ -7,10 +7,10 @@
 //! took the rank over — and its detector plays two roles:
 //!
 //! 1. **Revocation**: a death this rank observed revokes its view of the
-//!    world. A receive that waited a whole poll without data, and every
-//!    barrier waiter, sweeps the transport into the detector; a death not
-//!    yet agreed makes the call raise an [`Interrupt`] unwind instead of
-//!    returning garbage.
+//!    world. Every blocking call waits in `Ctx::wait`, which sweeps the
+//!    transport into the detector after a whole tick without data; a death
+//!    not yet agreed makes the call raise an [`Interrupt`] unwind instead
+//!    of returning garbage.
 //! 2. **The victim round** that agreement starts from: after unwinding, every
 //!    process (victims' replacements included) gossips its round until all
 //!    hold the identical union ([`crate::dist`], one protocol on every

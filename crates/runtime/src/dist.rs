@@ -27,6 +27,11 @@
 //!   so an aborted generation's stragglers are discarded by their
 //!   `(epoch, gen)` stamp.
 //!
+//! Both wait in [`Ctx::wait`], the one wait under every blocking call: it
+//! stashes what arrives, judges liveness and ends a wedge — a
+//! permanently-dead rank that is never respawned — at its deadline, in the
+//! typed [`CommError::Partitioned`] unwind.
+//!
 //! ## Epoch fencing and incarnations
 //!
 //! Control frames carry their own epoch/generation *in the payload* and
@@ -42,26 +47,13 @@
 //! heard once it has adopted the survivors' epoch, one window after its
 //! first broadcast. Frames from a victim's previous incarnation are dropped
 //! by the incarnation in the payload.
-//!
-//! ## Scope
-//!
-//! The residual wedge — a permanently-dead rank that is never respawned —
-//! is bounded by the control timeout, which turns the hang into a typed
-//! panic.
 
-use crate::comm::{Ctx, AGREE_WIRE, BARRIER_WIRE, DIST_CTRL_MIN};
+use crate::comm::{Ctx, Waiting, AGREE_WIRE, BARRIER_WIRE, DIST_CTRL_MIN};
 use crate::detect::{self, Death, FailureAgreement};
 use crate::transport::{CommError, Msg};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A wedged control protocol aborts loudly instead of hanging the run;
-/// shares the (env-overridable) budget of [`crate::comm::recv_timeout`].
-use crate::comm::recv_timeout as ctrl_timeout;
-
-/// How often a blocked control receive re-sweeps peer liveness.
-const CTRL_POLL: Duration = Duration::from_millis(20);
 
 /// Agreement rebroadcast window: a participant that has not converged
 /// resends its view this often, so frames lost in a dying incarnation's
@@ -84,70 +76,15 @@ impl Ctx {
         );
     }
 
-    /// Pull the next frame off the transport, waiting at most `wait`, into
-    /// the stash; data stragglers from an aborted epoch are dropped. Returns
-    /// the frame's wire, or `None` when nothing arrived.
-    fn pull_ctrl(&self, wait: Duration) -> Option<u64> {
-        match self.transport.recv(wait) {
-            Ok(msg) if msg.wire < DIST_CTRL_MIN && msg.epoch < self.epoch.get() => Some(msg.wire),
-            Ok(msg) => {
-                self.stash
-                    .borrow_mut()
-                    .entry((msg.src, msg.wire))
-                    .or_default()
-                    .push_back((msg.epoch, msg.payload));
-                Some(msg.wire)
-            }
-            Err(CommError::Timeout) => None,
-            Err(e) => panic!("rank {}: control recv failed: {e}", self.rank()),
-        }
-    }
-
-    /// Pop the next barrier frame from `src`, pulling frames off the
-    /// transport until one arrives. A death swept while waiting returns
-    /// `Err(())` — the revocable-barrier contract.
-    fn recv_barrier_frame(&self, src: usize) -> Result<Arc<[f64]>, ()> {
-        let mut waited = Duration::ZERO;
-        loop {
-            if let Some(q) = self.stash.borrow_mut().get_mut(&(src, BARRIER_WIRE)) {
-                if let Some((_, d)) = q.pop_front() {
-                    return Ok(d);
-                }
-            }
-            match self.pull_ctrl(CTRL_POLL) {
-                // An agreement frame is a revocation notice: its sender is
-                // inside the failure handler, so a barrier waiter must back
-                // out now — a steady gossip stream would otherwise starve
-                // the dry-inbox arm below.
-                Some(AGREE_WIRE) if self.sweep_revoked() => return Err(()),
-                Some(_) => {}
-                None => {
-                    // Inbox dry: only now may liveness be judged, so a
-                    // frame that already crossed the wire always beats a
-                    // concurrently-observed death of its sender (a rank
-                    // that finished and closed its sockets is not a
-                    // failure to a receiver still holding its last frame).
-                    if self.sweep_revoked() {
-                        return Err(());
-                    }
-                    waited += CTRL_POLL;
-                    if waited >= ctrl_timeout() {
-                        self.partition_panic(&format!("barrier recv (src={src})"));
-                    }
-                }
-            }
-        }
-    }
-
-    /// All-to-all arrival barrier; see the module docs. `Err(())` when a
-    /// death revoked the world before this generation completed.
-    pub(crate) fn dist_barrier(&self) -> Result<(), ()> {
+    /// All-to-all arrival barrier; see the module docs. `Err` when a death
+    /// revoked the world before this generation completed.
+    pub(crate) fn dist_barrier(&self) -> Result<(), CommError> {
         let world = self.grid().size();
         if world == 1 {
             return Ok(());
         }
         if self.sweep_revoked() {
-            return Err(());
+            return Err(CommError::Revoked);
         }
         let epoch = self.epoch.get();
         let gen = self.bar_gen.get();
@@ -162,7 +99,10 @@ impl Ctx {
                 continue;
             }
             loop {
-                let p = self.recv_barrier_frame(r)?;
+                let p = self.wait(Waiting::Arrival { src: r }, None, |w, _| match w.frame.take() {
+                    Some(p) => Some(Ok(p)),
+                    None => w.revoked.then_some(Err(CommError::Revoked)),
+                })?;
                 if p.len() != 2 {
                     continue;
                 }
@@ -179,19 +119,6 @@ impl Ctx {
         }
         self.bar_gen.set(gen + 1);
         Ok(())
-    }
-
-    /// The control plane wedged past its deadline: some set of ranks is
-    /// unreachable and no replacement ever healed the view — an
-    /// unhealable partition. Raise the *typed* [`CommError::Partitioned`]
-    /// as an unwind payload so every surviving rank that hits its own
-    /// deadline surfaces the identical error (and the identical exit
-    /// code) instead of a hang or an anonymous panic string.
-    pub(crate) fn partition_panic(&self, what: &str) -> ! {
-        let unreachable = self.known_dead();
-        let err = CommError::Partitioned { unreachable };
-        eprintln!("rank {}: {what} timed out after {:?} — {err}", self.rank(), ctrl_timeout());
-        std::panic::panic_any(err);
     }
 
     /// Fold the agreement frames the stash holds into `latest`, the view
@@ -237,56 +164,51 @@ impl Ctx {
         let mut epoch = self.epoch.get();
         // The view each peer last broadcast at `epoch`.
         let mut latest: Vec<Option<BTreeSet<Death>>> = vec![None; world];
-        let deadline = Instant::now() + ctrl_timeout();
+        // This rank's last broadcast view, the epoch it went out at, when
+        // the next is due, and the union of everything heard since.
+        let (mut mine, mut sent, mut resend) = (BTreeSet::new(), None, Instant::now());
+        let mut union = BTreeSet::new();
         // When shrink mode armed an adoption during this agreement, the
         // time from launching it to convergence is the stall the shrink
         // protocol cost the survivors.
         let mut adoption_started: Option<Instant> = None;
-        loop {
+        let agreed = self.wait(Waiting::Agreement, None, |_, _| loop {
+            epoch = self.fold_views(epoch, &mut latest);
+            union.extend(latest.iter().flatten().flatten());
+            let heard = latest
+                .iter()
+                .enumerate()
+                .all(|(r, v)| r == self.rank() || v.as_ref() == Some(&union));
+            if heard && sent == Some(epoch) && mine == union {
+                if let Some(t0) = adoption_started {
+                    self.add_shrink_stall(t0.elapsed().as_secs_f64());
+                }
+                return Some(Ok(self.install_agreement(&union, epoch + 1)));
+            }
+            if Instant::now() < resend {
+                return None;
+            }
+            // Adopt what the peers know and gossip the bigger view.
+            self.detector.borrow_mut().merge_round(std::mem::take(&mut union));
             self.sweep_revoked();
-            let mine = self.detector.borrow().deaths();
+            let deaths = self.detector.borrow().deaths();
             // Elastic shrink: agreement requires a frame from *every* rank,
             // so a dead rank that no launcher will re-spawn must be adopted
             // by a survivor from inside this very loop — the adopted thread
             // then joins the gossip like any replacement would.
-            if self.try_shrink_adoptions(&detect::victims_of(&mine)) && adoption_started.is_none() {
+            if self.try_shrink_adoptions(&detect::victims_of(&deaths)) && adoption_started.is_none() {
                 adoption_started = Some(Instant::now());
             }
-            let sent = epoch;
-            let mut frame = Vec::with_capacity(3 + 2 * mine.len());
-            frame.extend([inc, epoch as f64, mine.len() as f64]);
-            frame.extend(mine.iter().flat_map(|&(v, i)| [v as f64, i as f64]));
+            let mut frame = Vec::with_capacity(3 + 2 * deaths.len());
+            frame.extend([inc, epoch as f64, deaths.len() as f64]);
+            frame.extend(deaths.iter().flat_map(|&(v, i)| [v as f64, i as f64]));
             for r in (0..world).filter(|&r| r != self.rank()) {
                 self.send_ctrl(r, AGREE_WIRE, &frame);
             }
-            let mine: BTreeSet<Death> = mine.into_iter().collect();
-            let window = Instant::now() + AGREE_RESEND;
-            let mut union = mine.clone();
-            loop {
-                epoch = self.fold_views(epoch, &mut latest);
-                union.extend(latest.iter().flatten().flatten());
-                let heard = latest
-                    .iter()
-                    .enumerate()
-                    .all(|(r, v)| r == self.rank() || v.as_ref() == Some(&union));
-                if heard && sent == epoch && mine == union {
-                    if let Some(t0) = adoption_started {
-                        self.add_shrink_stall(t0.elapsed().as_secs_f64());
-                    }
-                    return self.install_agreement(&union, epoch + 1);
-                }
-                let left = window.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                self.pull_ctrl(left.min(CTRL_POLL));
-            }
-            if Instant::now() >= deadline {
-                self.partition_panic("agreement");
-            }
-            // Adopt what the peers know and gossip the bigger view.
-            self.detector.borrow_mut().merge_round(union);
-        }
+            (mine, sent, resend) = (deaths.into_iter().collect(), Some(epoch), Instant::now() + AGREE_RESEND);
+            union.clone_from(&mine);
+        });
+        agreed.expect("a blocking wait returns only what its poll does")
     }
 
     /// Install an agreement's result on this rank; see

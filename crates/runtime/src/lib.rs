@@ -138,11 +138,11 @@ where
 /// exactly as in-process: their victims drop their data and recover
 /// without leaving the process.
 ///
-/// Terminal communication faults (an unhealable partition's agreement
-/// deadline, raised as a typed [`CommError::Partitioned`] unwind) are
-/// caught and surfaced as `Err` so every surviving rank process can exit
-/// with the identical typed error instead of a panic trace. Genuine
-/// panics still propagate.
+/// Terminal communication faults (any blocking call's deadline — a
+/// receive, a barrier or the agreement — raised as a typed
+/// [`CommError::Partitioned`] unwind) are caught and surfaced as `Err` so
+/// every surviving rank process can exit with the identical typed error
+/// instead of a panic trace. Genuine panics still propagate.
 pub fn run_distributed<R>(
     p: usize,
     q: usize,

@@ -44,12 +44,15 @@ pub enum CommError {
     Revoked,
     /// This endpoint itself is closed / the fabric was torn down.
     Closed,
-    /// The fabric is partitioned: the listed peers stayed unreachable past
-    /// every retry and agreement deadline. Unlike a death, nobody can
-    /// recover this — the run ends with this same typed error on every
-    /// rank that can still make progress.
+    /// A blocking call outwaited its deadline: the fabric is partitioned,
+    /// or the protocol wedged. Unlike a death, nobody can recover this —
+    /// the run ends with this typed error on every rank that can still
+    /// make progress.
     Partitioned {
-        /// Sorted ranks this endpoint could not reach.
+        /// The call that timed out: a receive (with its tag and leg), a
+        /// barrier or the agreement.
+        wait: String,
+        /// Sorted ranks known dead when it timed out.
         unreachable: Vec<usize>,
     },
 }
@@ -61,8 +64,8 @@ impl std::fmt::Display for CommError {
             CommError::PeerDead { peer } => write!(f, "peer rank {peer} is dead (endpoint closed)"),
             CommError::Revoked => write!(f, "communication epoch revoked by a failure"),
             CommError::Closed => write!(f, "local endpoint closed"),
-            CommError::Partitioned { unreachable } => {
-                write!(f, "network partition: agreement timed out, ranks {unreachable:?} unreachable")
+            CommError::Partitioned { wait, unreachable } => {
+                write!(f, "network partition: {wait} timed out, ranks {unreachable:?} unreachable")
             }
         }
     }

@@ -12,6 +12,19 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# One wait in Ctx (DESIGN.md §7): at most one inbox receive and one condvar
+# wait in these files, both in `Ctx::wait`.
+# Why: a seeded delivery baton (ROADMAP 1(b)) deadlocks on any block it cannot see.
+echo "== one wait in Ctx"
+seam=(crates/runtime/src/{comm,dist,detect,collectives}.rs)
+for call in 'transport.recv(' 'wait_timeout('; do
+    if [ "$(cat "${seam[@]}" | grep -oF "$call" | wc -l)" -gt 1 ]; then
+        echo "more than one '$call' in the runtime's wait seam; block only in Ctx::wait:"
+        grep -nF "$call" "${seam[@]}"
+        exit 1
+    fi
+done
+
 # The full suite runs twice: once pinned to the scalar microkernel (the
 # pre-SIMD reference semantics) and once on the best detected ISA
 # (DESIGN.md §14). A determinism bug that only manifests under one

@@ -512,8 +512,9 @@ fn sigstop_past_death_budget_is_replaced_or_resumed() {
 }
 
 /// A wedged protocol must fail *typed*, never hang: a lone child rank whose
-/// three peers never start exhausts its receive timeout and aborts with a
-/// diagnostic naming the timeout — well inside the wall-clock ceiling.
+/// three peers never start exhausts its receive timeout and exits 3 with
+/// the typed verdict naming the receive that timed out — well inside the
+/// wall-clock ceiling.
 #[test]
 fn missing_peers_produce_typed_timeout_not_a_hang() {
     let start = Instant::now();
@@ -535,8 +536,12 @@ fn missing_peers_produce_typed_timeout_not_a_hang() {
         ],
         2_000,
     );
-    assert_ne!(out.status, 0, "a rank with no peers cannot succeed");
-    assert!(out.stderr.contains("timed out"), "expected a typed timeout diagnostic, got:\n{}", out.stderr);
+    assert_eq!(out.status, 3, "a rank with no peers must exit typed:\n{}", out.stderr);
+    assert!(
+        out.stderr.contains("UNRECOVERABLE") && out.stderr.contains("recv(src=") && out.stderr.contains("timed out"),
+        "expected the typed verdict naming the receive, got:\n{}",
+        out.stderr
+    );
     assert!(
         start.elapsed() < Duration::from_secs(60),
         "typed timeout took {:?} — effectively a hang",
