@@ -62,7 +62,7 @@ pub use model::{asymptotic_overhead, flop_model, storage_overhead_elements, Flop
 pub use recovery::{check_tolerance, recover, spread_columns, ToleranceCap, ToleranceExceeded};
 pub use scope::ScopeState;
 pub use scrub::{
-    assert_theorem1, diagnose, first_theorem1_violation, local_row_span, locate_member, scan_group, scrub_groups, Diagnosis,
-    GroupScan, ScrubCadence, ScrubEngine, ScrubEscalation, ScrubFinding, ScrubPolicy, ScrubReport, TrailingScan,
+    assert_theorem1, diagnose, first_theorem1_violation, local_row_span, locate_member, scan_group, Diagnosis, GroupScan,
+    ScrubCadence, ScrubEngine, ScrubEscalation, ScrubPolicy, ScrubReport, TrailingScan,
 };
 pub use solver::{solver_by_name, FtSolver, Hessenberg, HouseholderQr, SOLVERS};

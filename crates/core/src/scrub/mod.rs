@@ -69,57 +69,6 @@ pub fn assert_theorem1(ctx: &Ctx, enc: &Encoded, scope: usize, tol: f64, solver:
     checked
 }
 
-/// One detected (and possibly corrected) checksum violation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScrubFinding {
-    /// Checksum group.
-    pub group: usize,
-    /// Largest absolute violation observed across the copies.
-    pub magnitude: f64,
-    /// Located member index within the group (when localizable).
-    pub member_index: Option<usize>,
-    /// Whether the corruption was repaired (member block rewritten, or
-    /// convicted checksum copies recomputed).
-    pub corrected: bool,
-}
-
-/// Scan the checksum groups in `groups` (global indices) against the
-/// current data; correct what the encoding allows — a located member block
-/// is rewritten from the checksums, convicted checksum copies are
-/// recomputed from the data. Collective; the findings are replicated on
-/// every process.
-///
-/// `tol` is the absolute violation threshold (scale it to
-/// `‖A‖·N·ε·updates` for production use; tests use tight values). This is
-/// the one-shot entry point; the driver-integrated engine is
-/// [`ScrubEngine`].
-pub fn scrub_groups(ctx: &Ctx, enc: &mut Encoded, groups: impl Iterator<Item = usize>, tol: f64) -> Vec<ScrubFinding> {
-    let mut findings = Vec::new();
-    for g in groups {
-        let scan = scan_group(ctx, enc, g, TAG_SCRUB);
-        let magnitude = scan.viol.iter().fold(0.0f64, |m, &v| m.max(v));
-        match diagnose(enc, &scan, ctx.npcol(), tol) {
-            Diagnosis::Clean => {}
-            Diagnosis::ChecksumCorrupt { .. } => {
-                enc.compute_group_checksum(ctx, g);
-                findings.push(ScrubFinding { group: g, magnitude, member_index: None, corrected: true });
-            }
-            Diagnosis::DataCorrupt { member } => {
-                if let Some(idx) = member {
-                    correct::correct_member(ctx, enc, g, idx);
-                }
-                findings.push(ScrubFinding {
-                    group: g,
-                    magnitude,
-                    member_index: member,
-                    corrected: member.is_some(),
-                });
-            }
-        }
-    }
-    findings
-}
-
 /// Per-rank scrub statistics, aggregated grid-wide by
 /// [`ScrubReport::gathered`] for the CLI summary table.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -351,14 +300,25 @@ mod tests {
     use ft_dense::gen::uniform_entry;
     use ft_runtime::{run_spmd, FaultScript};
 
+    /// One pass of the engine over every group of a freshly encoded
+    /// matrix (no scope active, checksums live): the per-rank report, and
+    /// the escalation if a group stayed corrupt.
+    fn scrub_all(ctx: &Ctx, enc: &mut Encoded) -> (ScrubReport, Result<(), ScrubEscalation>) {
+        let mut engine = ScrubEngine::new(ScrubPolicy::every_panels(1));
+        let st = ScopeState::empty(ctx, enc);
+        let s = enc.groups();
+        let res = engine.scrub_pass(ctx, &crate::Hessenberg, enc, &st, s, Phase::AfterLeftUpdate, TrailingScan::Live);
+        (engine.report, res)
+    }
+
     #[test]
     fn clean_matrix_yields_no_findings() {
         run_spmd(1, 4, FaultScript::none(), |ctx| {
             let mut enc = Encoded::with_redundancy(&ctx, 16, 2, Redundancy::Coded(2), |i, j| uniform_entry(1, i, j));
             enc.compute_initial_checksums(&ctx);
-            let gs = 0..enc.groups();
-            let f = scrub_groups(&ctx, &mut enc, gs, 1e-10);
-            assert!(f.is_empty(), "{f:?}");
+            let (rep, res) = scrub_all(&ctx, &mut enc);
+            assert_eq!(res, Ok(()));
+            assert_eq!((rep.scans, rep.detections), (1, 0), "{rep:?}");
         });
     }
 
@@ -371,13 +331,10 @@ mod tests {
                 let v = enc.a.get(2, 1);
                 enc.a.set(2, 1, v + 9.0);
             }
-            let gs = 0..enc.groups();
-            let f = scrub_groups(&ctx, &mut enc, gs, 1e-10);
-            assert_eq!(f.len(), 1);
-            assert_eq!(f[0].group, 0);
-            assert!((f[0].magnitude - 9.0).abs() < 1e-10);
-            assert_eq!(f[0].member_index, None);
-            assert!(!f[0].corrected);
+            // Duplicated checksums cannot name the member: the pass escalates.
+            let (rep, res) = scrub_all(&ctx, &mut enc);
+            assert_eq!(res, Err(ScrubEscalation { group: 0, block_col: 0 }));
+            assert_eq!((rep.detections, rep.corrections, rep.escalations), (1, 0, 1), "{rep:?}");
         });
     }
 
@@ -395,11 +352,9 @@ mod tests {
                     let v = enc.a.get(5, corrupt_col);
                     enc.a.set(5, corrupt_col, v - 3.5);
                 }
-                let gs = 0..enc.groups();
-                let f = scrub_groups(&ctx, &mut enc, gs, 1e-9);
-                assert_eq!(f.len(), 1, "col {corrupt_col}");
-                assert_eq!(f[0].member_index, Some(enc.member_index(corrupt_col)));
-                assert!(f[0].corrected);
+                let (rep, res) = scrub_all(&ctx, &mut enc);
+                assert_eq!(res, Ok(()), "col {corrupt_col}");
+                assert_eq!((rep.detections, rep.corrections), (1, 1), "col {corrupt_col}: {rep:?}");
                 // The corruption is healed.
                 let after = enc.gather_logical(&ctx, 7302);
                 let d = after.max_abs_diff(&before);
@@ -423,10 +378,9 @@ mod tests {
                     enc.a.set(r, 5, -1e6);
                 }
             }
-            let gs = 0..enc.groups();
-            let f = scrub_groups(&ctx, &mut enc, gs, 1e-9);
-            assert_eq!(f.len(), 1);
-            assert!(f[0].corrected);
+            let (rep, res) = scrub_all(&ctx, &mut enc);
+            assert_eq!(res, Ok(()));
+            assert_eq!((rep.detections, rep.corrections), (1, 1), "{rep:?}");
             let after = enc.gather_logical(&ctx, 7306);
             assert!(after.max_abs_diff(&before) < 1e-9);
         });
@@ -443,11 +397,9 @@ mod tests {
                 let v = enc.a.get(6, cc);
                 enc.a.set(6, cc, v * 2.0 + 1.0);
             }
-            let gs = 0..enc.groups();
-            let f = scrub_groups(&ctx, &mut enc, gs, 1e-9);
-            assert_eq!(f.len(), 1);
-            assert_eq!(f[0].member_index, None);
-            assert!(f[0].corrected, "checksum repair must be reported as corrected");
+            let (rep, res) = scrub_all(&ctx, &mut enc);
+            assert_eq!(res, Ok(()));
+            assert_eq!((rep.detections, rep.chk_repairs, rep.corrections), (1, 1, 0), "{rep:?}");
             // Data untouched, and the checksum invariant holds again.
             let after = enc.gather_logical(&ctx, 7312);
             assert_eq!(after.max_abs_diff(&before), 0.0);

@@ -22,9 +22,10 @@
 //! * [`Isa::Neon`] — 8×6 tile, 24 `float64x2_t` accumulators, `vfmaq_f64`.
 //!
 //! The default comes from the `FT_GEMM_ISA` environment variable
-//! (`scalar|avx2|avx512|neon|auto`, read once; unknown or unsupported values
-//! panic loudly rather than silently falling back), and tests can switch ISAs
-//! mid-process with [`set_isa_override`].
+//! (`scalar|avx2|avx512|neon|auto`, read once). [`isa_env`] returns an
+//! unknown or unsupported value as an error for a binary to report at
+//! startup; the first GEMM panics on one nobody checked rather than silently
+//! falling back. Tests can switch ISAs mid-process with [`set_isa_override`].
 //!
 //! ## Determinism contract (see DESIGN.md §14)
 //!
@@ -123,24 +124,28 @@ pub fn detected_isas() -> &'static [Isa] {
     })
 }
 
+/// The ISA `FT_GEMM_ISA` asks for: unset, empty or `auto` is the best
+/// detected one. A name that is not an ISA, or one this host cannot run,
+/// is an `Err` naming the variable — a usage error for a binary to report
+/// at startup, before the first GEMM.
+pub fn isa_env() -> Result<Isa, String> {
+    let avail = detected_isas();
+    match std::env::var("FT_GEMM_ISA").ok().as_deref() {
+        None | Some("auto") | Some("") => Ok(*avail.last().unwrap()),
+        Some(name) => match Isa::from_name(name) {
+            None => Err(format!("FT_GEMM_ISA: '{name}' is not one of scalar|avx2|avx512|neon|auto")),
+            Some(isa) if !avail.contains(&isa) => Err(format!(
+                "FT_GEMM_ISA: {name} requested but this host only supports {:?}",
+                avail.iter().map(|i| i.name()).collect::<Vec<_>>()
+            )),
+            Some(isa) => Ok(isa),
+        },
+    }
+}
+
 fn default_isa() -> Isa {
     static DEFAULT: OnceLock<Isa> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        let avail = detected_isas();
-        match std::env::var("FT_GEMM_ISA").ok().as_deref() {
-            None | Some("auto") | Some("") => *avail.last().unwrap(),
-            Some(name) => {
-                let isa = Isa::from_name(name)
-                    .unwrap_or_else(|| panic!("FT_GEMM_ISA={name:?} is not one of scalar|avx2|avx512|neon|auto"));
-                assert!(
-                    avail.contains(&isa),
-                    "FT_GEMM_ISA={name} requested but this host only supports {:?}",
-                    avail.iter().map(|i| i.name()).collect::<Vec<_>>()
-                );
-                isa
-            }
-        }
-    })
+    *DEFAULT.get_or_init(|| isa_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Process-global test override: 0 = none, otherwise `isa as u8 + 1`.

@@ -138,9 +138,7 @@ where
 /// exactly as in-process: their victims drop their data and recover
 /// without leaving the process.
 ///
-/// Terminal communication faults (any blocking call's deadline — a
-/// receive, a barrier or the agreement — raised as a typed
-/// [`CommError::Partitioned`] unwind) are caught and surfaced as `Err` so
+/// Terminal communication faults are caught as by [`catch_comm_error`], so
 /// every surviving rank process can exit with the identical typed error
 /// instead of a panic trace. Genuine panics still propagate.
 pub fn run_distributed<R>(
@@ -150,11 +148,20 @@ pub fn run_distributed<R>(
     transport: Box<dyn Transport>,
     f: impl FnOnce(Ctx) -> R,
 ) -> Result<R, CommError> {
-    // Real peers can die at any time, scripted or not: interrupt unwinds
-    // are normal control flow here, keep them off stderr.
-    detect::install_quiet_interrupt_hook();
     let ctx = comm::distributed_ctx(Grid::new(p, q), script, transport);
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx))) {
+    catch_comm_error(|| f(ctx))
+}
+
+/// Run one rank's `f`, catching the typed [`CommError`] unwind a blocking
+/// call raises at its deadline (a receive, a barrier or the agreement: the
+/// [`CommError::Partitioned`] verdict) as `Err`. Installs the hook that
+/// keeps interrupt and `CommError` unwinds off stderr — real peers can die
+/// at any time, and the verdict already printed its one line. Genuine
+/// panics propagate. In-process and distributed ranks end through this one
+/// catch.
+pub fn catch_comm_error<R>(f: impl FnOnce() -> R) -> Result<R, CommError> {
+    detect::install_quiet_interrupt_hook();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(v) => Ok(v),
         Err(payload) => match payload.downcast::<CommError>() {
             Ok(e) => Err(*e),

@@ -101,8 +101,8 @@
 //! EOF/error and did not come back within [`TcpConfig::hb_grace_beats`]
 //! heartbeats, or whose last frame (heartbeats included) is older than
 //! `hb_miss_limit × hb_interval`. Between "slow" and "dead" sits a
-//! *suspicion* level: after 2 beats of silence the liveness thread marks
-//! the peer suspected, and any later frame rescinds the suspicion (counted
+//! *suspicion* level: after 2 beats of silence the peer's link thread marks
+//! it suspected, and any later frame rescinds the suspicion (counted
 //! in the traffic ledger) — an injected sub-grace stall never escalates to
 //! a spurious recovery. A peer that keeps sending unparseable frames
 //! (oversize length, repeated CRC failures across [`STRIKE_LIMIT`]
@@ -375,6 +375,31 @@ impl Shared {
     fn done(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
+
+    /// The beat of `peer`'s link thread: `true` once `next_beat` has passed
+    /// (and re-armed) before teardown. Each beat judges the peer's silence:
+    /// a missed beat is counted, and two beats of silence raise suspicion,
+    /// not a verdict. The next frame rescinds it (counted); only the
+    /// grace/miss thresholds in `is_peer_dead` escalate to dead.
+    fn beat(&self, peer: usize, next_beat: &mut Instant) -> bool {
+        if Instant::now() < *next_beat {
+            return false;
+        }
+        *next_beat = Instant::now() + self.hb_interval;
+        if self.done() {
+            return false;
+        }
+        let st = &self.peers[peer];
+        let last = st.last_seen_ms.load(Ordering::Relaxed);
+        let (silent, hb_ms) = (self.now_ms().saturating_sub(last), self.hb_interval.as_millis().max(1) as u64);
+        if last > 0 && silent > hb_ms {
+            st.counters.hb_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        if last > 0 && silent > 2 * hb_ms && !st.departed.load(Ordering::Acquire) {
+            st.suspected.store(true, Ordering::Release);
+        }
+        true
+    }
 }
 
 fn strike(st: &PeerState) {
@@ -513,10 +538,6 @@ impl TcpTransport {
             threads.push(t);
         }
 
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || liveness_loop(shared)));
-        }
         // Each thread spawned above needs a few microseconds to reach its
         // first blocking call, and the ones queued behind this thread have
         // not had them yet. Let them run now: a caller that goes straight on
@@ -886,7 +907,8 @@ fn parse_control(raw: &[u8; HEADER_LEN]) -> Option<(u8, u64)> {
 
 /// `read_exact` against a wall-clock deadline over a stream whose read
 /// timeout is short: used for the HELLO_ACK leg of the resume handshake.
-fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
+/// `on_wait` runs at each read timeout.
+fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant, mut on_wait: impl FnMut()) -> bool {
     let mut filled = 0;
     while filled < buf.len() {
         if Instant::now() >= deadline {
@@ -895,7 +917,7 @@ fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant
         match stream.read(&mut buf[filled..]) {
             Ok(0) => return false,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => on_wait(),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return false,
         }
@@ -1264,11 +1286,12 @@ struct Dialer {
 }
 
 impl Dialer {
-    fn establish(&mut self, shared: &Shared, dst: usize) -> Option<TcpStream> {
+    fn establish(&mut self, shared: &Shared, dst: usize, next_beat: &mut Instant) -> Option<TcpStream> {
         let deadline = Instant::now() + self.conn_timeout;
         let mut backoff = BACKOFF_INIT;
         let mut attempt = 0u64;
         loop {
+            shared.beat(dst, next_beat);
             // During teardown the budget shrinks to two quick attempts: a
             // frame sent before close still deserves its flush even to a
             // peer this link never connected to (its ARRIVE/GOODBYE may be
@@ -1316,12 +1339,15 @@ impl Dialer {
 
     /// Open a session: connect, HELLO, and read back the HELLO_ACK's
     /// delivered-sequence announcement. Runs with the link unlocked — it
-    /// can take the whole connect budget.
-    fn dial(&mut self, shared: &Shared, dst: usize) -> Option<(TcpStream, u64)> {
-        let mut stream = self.establish(shared, dst)?;
+    /// can take the whole connect budget, so it keeps the link's beat.
+    fn dial(&mut self, shared: &Shared, dst: usize, next_beat: &mut Instant) -> Option<(TcpStream, u64)> {
+        let mut stream = self.establish(shared, dst, next_beat)?;
         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         let mut hdr = [0u8; HEADER_LEN];
-        if !read_exact_deadline(&mut stream, &mut hdr, Instant::now() + Duration::from_secs(2)) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        if !read_exact_deadline(&mut stream, &mut hdr, deadline, || {
+            shared.beat(dst, next_beat);
+        }) {
             return None;
         }
         match parse_control(&hdr) {
@@ -1632,15 +1658,11 @@ fn link_loop(shared: Arc<Shared>, cell: Arc<Mutex<Link>>, mut dialer: Dialer) {
     let mut drain_until: Option<Instant> = None;
     loop {
         link.drain_control();
-        let beat = Instant::now() >= next_beat;
-        if beat {
-            next_beat = Instant::now() + shared.hb_interval;
-        }
-        let beat = beat && !shared.done();
+        let beat = shared.beat(dst, &mut next_beat);
         if link.stream.is_none() && (beat || !link.window.is_empty() || link.leaving == Some(true)) && !link.blackholed(&shared) {
             let was_connected = dialer.ever_connected;
             drop(link);
-            let session = dialer.dial(&shared, dst);
+            let session = dialer.dial(&shared, dst, &mut next_beat);
             link = lock();
             if let Some((stream, delivered)) = session {
                 link.resume(&shared, stream, delivered, was_connected);
@@ -1681,31 +1703,6 @@ fn link_loop(shared: Arc<Shared>, cell: Arc<Mutex<Link>>, mut dialer: Dialer) {
             None => std::thread::park_timeout(next_beat.saturating_duration_since(Instant::now())),
         }
         link = lock();
-    }
-}
-
-/// Liveness bookkeeping, once per beat: count missed beats and raise
-/// suspicion. (The beats themselves are sent by the link threads.)
-fn liveness_loop(shared: Arc<Shared>) {
-    let hb_ms = shared.hb_interval.as_millis().max(1) as u64;
-    while !shared.done() {
-        std::thread::park_timeout(shared.hb_interval); // teardown unparks
-        for (peer, st) in shared.peers.iter().enumerate() {
-            let last = st.last_seen_ms.load(Ordering::Relaxed);
-            if peer == shared.rank || last == 0 {
-                continue;
-            }
-            let silent = shared.now_ms().saturating_sub(last);
-            if silent > hb_ms {
-                st.counters.hb_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // Two beats of silence: suspicion, not a verdict. The next
-            // frame rescinds it (counted); only the grace/miss
-            // thresholds in `is_peer_dead` escalate to dead.
-            if silent > 2 * hb_ms && !st.departed.load(Ordering::Acquire) {
-                st.suspected.store(true, Ordering::Release);
-            }
-        }
     }
 }
 

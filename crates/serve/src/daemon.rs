@@ -29,8 +29,8 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Daemon configuration, fully resolved (flags + `FT_HB_*` env already
-/// folded in by the CLI — nothing below reads the environment).
+/// Daemon configuration, resolved from the flags. Job fabrics' liveness
+/// knobs are not in it: workers inherit the daemon's `FT_HB_*`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker slots in the pool.
@@ -38,19 +38,13 @@ pub struct ServeConfig {
     /// Control-plane listen port (0 = ephemeral; the bound port is
     /// announced in the `FT_SERVE_LISTEN` marker).
     pub port: u16,
-    /// Admission limits (queue depth, tenant quota, batch width).
+    /// Admission limits (queue depth, tenant quota).
     pub limits: Limits,
     /// First port of the range job fabrics are carved from.
     pub job_port_base: u16,
     /// Checkpoint/result persistence directory (None = no restart
     /// survival; jobs submitted with `ckpt` still checkpoint in memory).
     pub state_dir: Option<PathBuf>,
-    /// Pool-wide heartbeat knobs handed to every job fabric. Per-pool by
-    /// design: submit clients never influence them, so daemon and clients
-    /// can disagree about `FT_HB_*` without anyone exiting 2.
-    pub hb_interval_ms: u64,
-    pub hb_miss_limit: u32,
-    pub conn_timeout_ms: u64,
     /// Command prefix that launches one worker; the daemon appends
     /// `--connect-port <port> --slot <slot>`.
     pub worker_argv: Vec<String>,
@@ -508,9 +502,6 @@ impl Daemon {
             port_base: js.port_base,
             incarnation: js.incarnations[jr],
             replacement,
-            hb_interval_ms: self.cfg.hb_interval_ms,
-            hb_miss_limit: self.cfg.hb_miss_limit,
-            conn_timeout_ms: self.cfg.conn_timeout_ms,
             resume,
         };
         let tenant = js.tenant;

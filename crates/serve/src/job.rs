@@ -117,8 +117,6 @@ const MAX_N: usize = 1 << 14;
 /// Largest `P` or `Q` a SUBMIT may name: `P·Q` stays ≤ 2²⁰ ranks, and the
 /// `2f ≤ Q` copies of `Coded(f)` stay ≤ 2¹⁰.
 const MAX_GRID_SIDE: usize = 1 << 10;
-/// Largest count a word may carry: every integer up to 2⁵³ is exact in `f64`.
-const MAX_EXACT: usize = 1 << 53;
 
 /// A header word as an integer in `0..=cap`. `as usize` saturates — NaN and
 /// −1 to 0, 1e300 to `usize::MAX` — and truncates 4.5 to 4, so a word that
@@ -337,11 +335,6 @@ pub struct Assignment {
     /// Join as a replacement: skip encoding, enter recovery, let the
     /// survivors ship the rollback boundary (the in-flight recovery path).
     pub replacement: bool,
-    /// Pool-resolved heartbeat knobs — workers never read `FT_HB_*`
-    /// themselves, so daemon and clients can disagree freely.
-    pub hb_interval_ms: u64,
-    pub hb_miss_limit: u32,
-    pub conn_timeout_ms: u64,
     /// Serialized [`ft_hess::FtCheckpoint`] to resume from (whole-pool
     /// restart), or empty for a fresh run.
     pub resume: Vec<u8>,
@@ -355,9 +348,6 @@ impl Assignment {
             self.port_base as f64,
             self.incarnation as f64,
             if self.replacement { 1.0 } else { 0.0 },
-            self.hb_interval_ms as f64,
-            self.hb_miss_limit as f64,
-            self.conn_timeout_ms as f64,
             self.resume.len() as f64,
         ];
         w.extend_from_slice(&self.spec.to_words());
@@ -369,20 +359,17 @@ impl Assignment {
     /// its type, the rank by the spec's grid, and the resume length by the
     /// words that follow.
     pub fn from_words(w: &[f64]) -> Result<Assignment, String> {
-        if w.len() < 8 {
+        if w.len() < 5 {
             return Err(format!("assignment header truncated: {} words", w.len()));
         }
-        let resume_len = int_word(w[7], "resume length", 8 * (w.len() - 8))?;
+        let resume_len = int_word(w[4], "resume length", 8 * (w.len() - 5))?;
         let resume_words = resume_len.div_ceil(8);
-        let spec = JobSpec::from_words(&w[8..w.len() - resume_words])?;
+        let spec = JobSpec::from_words(&w[5..w.len() - resume_words])?;
         Ok(Assignment {
             job_rank: int_word(w[0], "job rank", spec.ranks() - 1)?,
             port_base: int_word(w[1], "port base", u16::MAX.into())? as u16,
             incarnation: int_word(w[2], "incarnation", u32::MAX as usize)? as u32,
             replacement: int_word(w[3], "replacement flag", 1)? == 1,
-            hb_interval_ms: int_word(w[4], "heartbeat interval", MAX_EXACT)? as u64,
-            hb_miss_limit: int_word(w[5], "heartbeat miss limit", u32::MAX as usize)? as u32,
-            conn_timeout_ms: int_word(w[6], "connect timeout", MAX_EXACT)? as u64,
             resume: unpack_bytes(&w[w.len() - resume_words..], resume_len)?,
             spec,
         })
@@ -603,9 +590,6 @@ mod tests {
                 port_base: 23000,
                 incarnation: 2,
                 replacement: true,
-                hb_interval_ms: 50,
-                hb_miss_limit: 40,
-                conn_timeout_ms: 9000,
                 resume: (0..blob_len).map(|i| (i * 37 % 251) as u8).collect(),
             };
             assert_eq!(Assignment::from_words(&a.to_words()).unwrap(), a, "blob_len={blob_len}");
@@ -653,14 +637,11 @@ mod tests {
             port_base: 23000,
             incarnation: 2,
             replacement: false,
-            hb_interval_ms: 50,
-            hb_miss_limit: 40,
-            conn_timeout_ms: 9000,
             resume: vec![7; 9],
         };
         let good = a.to_words();
         assert_eq!(Assignment::from_words(&good).unwrap(), a);
-        for i in 0..8 {
+        for i in 0..5 {
             for bad in [1e19, 2f64.powi(60), -1.0, f64::NAN, 0.5] {
                 let mut w = good.clone();
                 w[i] = bad;
@@ -671,7 +652,7 @@ mod tests {
         w[0] = 2.0;
         assert!(Assignment::from_words(&w).is_err(), "job rank 2 of a 1x2 grid");
         w = good.clone();
-        w[7] = (8 * (w.len() - 8) + 1) as f64;
+        w[4] = (8 * (w.len() - 5) + 1) as f64;
         assert!(Assignment::from_words(&w).is_err(), "resume longer than the frame");
     }
 
@@ -725,9 +706,6 @@ mod tests {
             port_base: 23000,
             incarnation: 1,
             replacement: true,
-            hb_interval_ms: 100,
-            hb_miss_limit: 30,
-            conn_timeout_ms: 10_000,
             resume: (0..13).collect(),
         };
         // Each decoder as words in, its value's own words out.

@@ -10,8 +10,7 @@
 //! * [`job`] — specs, results, typed rejections, and their `f64`-word
 //!   codecs (everything rides the transport's native payload type).
 //! * [`scheduler`] — pure admission + placement: bounded FIFO with typed
-//!   backpressure, per-tenant quotas, strict head-of-line ordering, and
-//!   head-only batching of 1-rank jobs.
+//!   backpressure, per-tenant quotas and strict head-of-line ordering.
 //! * [`daemon`] — the event-loop state machine owning processes, sockets,
 //!   checkpoint persistence, and the failure policy (grid jobs recover
 //!   in-fabric via ABFT; 1-rank jobs get one retry, then `WorkerLost`).

@@ -12,11 +12,9 @@
 //!   placed, nothing behind it runs. Starvation-freedom for big jobs is
 //!   worth more to a shared pool than utilization, and it keeps latency
 //!   analysis honest (the bench measures what queued jobs actually wait).
-//! * **Head-only batching.** The one FIFO-preserving exception: when the
-//!   head is a 1-rank job, consecutive 1-rank jobs right behind it are
-//!   dispatched in the same sweep (up to `batch_max`), each on its own
-//!   idle slot. Small matrices stream through the pool without a
-//!   round-trip through the event loop per job.
+//!   One sweep places heads until one does not fit, each on the lowest
+//!   idle slots, so a run of 1-rank jobs streams through the pool without
+//!   a round-trip through the event loop per job.
 
 use crate::job::RejectReason;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -28,14 +26,6 @@ pub struct Limits {
     pub queue_depth: usize,
     /// Max queued + running jobs per tenant.
     pub tenant_quota: usize,
-    /// Max 1-rank jobs dispatched in one head-of-line sweep.
-    pub batch_max: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Self {
-        Limits { queue_depth: 16, tenant_quota: 4, batch_max: 4 }
-    }
 }
 
 /// Outcome of [`Scheduler::submit`].
@@ -47,9 +37,8 @@ pub enum Admission {
     Reject(RejectReason),
 }
 
-/// One placement decision from [`Scheduler::dispatch`]: which jobs start
-/// now and on which slots. 1-rank batches produce `jobs.len() > 1` with
-/// one slot each; a grid job produces one job spanning `slots`.
+/// One placement from [`Scheduler::dispatch`]: a job that starts now and
+/// the slots it spans (one for a 1-rank job).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dispatch {
     pub job: u64,
@@ -144,34 +133,21 @@ impl Scheduler {
         Admission::Accept(job)
     }
 
-    /// Place as many jobs as the head of the queue and the idle set allow.
-    /// Strict FIFO: stops at the first job that does not fit. A 1-rank
-    /// head additionally pulls consecutive 1-rank followers (head-only
-    /// batching), each onto its own slot.
+    /// Place as many jobs as the head of the queue and the idle set allow,
+    /// each on the lowest idle slots. Strict FIFO: stops at the first job
+    /// that does not fit.
     pub fn dispatch(&mut self) -> Vec<Dispatch> {
         let mut out = Vec::new();
         while let Some(head) = self.queue.front() {
             if head.ranks > self.idle.len() {
                 break;
             }
-            if head.ranks == 1 {
-                let mut batched = 0;
-                while batched < self.limits.batch_max && !self.idle.is_empty() && self.queue.front().is_some_and(|j| j.ranks == 1)
-                {
-                    let j = self.queue.pop_front().expect("front checked");
-                    let slot = *self.idle.iter().next().expect("idle checked");
-                    self.idle.remove(&slot);
-                    out.push(Dispatch { job: j.job, slots: vec![slot] });
-                    batched += 1;
-                }
-            } else {
-                let j = self.queue.pop_front().expect("front checked");
-                let slots: Vec<usize> = self.idle.iter().copied().take(j.ranks).collect();
-                for s in &slots {
-                    self.idle.remove(s);
-                }
-                out.push(Dispatch { job: j.job, slots });
+            let j = self.queue.pop_front().expect("front checked");
+            let slots: Vec<usize> = self.idle.iter().copied().take(j.ranks).collect();
+            for s in &slots {
+                self.idle.remove(s);
             }
+            out.push(Dispatch { job: j.job, slots });
         }
         out
     }
@@ -221,7 +197,7 @@ mod tests {
     use super::*;
 
     fn sched(pool: usize) -> Scheduler {
-        Scheduler::new(pool, Limits { queue_depth: 4, tenant_quota: 2, batch_max: 3 })
+        Scheduler::new(pool, Limits { queue_depth: 4, tenant_quota: 2 })
     }
 
     fn accept(s: &mut Scheduler, tenant: u32, ranks: usize) -> u64 {
@@ -286,22 +262,21 @@ mod tests {
     }
 
     #[test]
-    fn one_rank_head_batches_consecutive_one_rank_followers_only() {
-        let mut s = Scheduler::new(4, Limits { queue_depth: 8, tenant_quota: 8, batch_max: 3 });
+    fn one_sweep_places_heads_in_fifo_order_until_one_does_not_fit() {
+        let mut s = Scheduler::new(4, Limits { queue_depth: 8, tenant_quota: 8 });
         let a = accept(&mut s, 1, 1);
         let b = accept(&mut s, 2, 1);
         let c = accept(&mut s, 3, 1);
-        let d = accept(&mut s, 4, 1); // beyond batch_max this sweep? No — new sweep picks it up.
+        let d = accept(&mut s, 4, 1);
         let e = accept(&mut s, 5, 2);
         let got = s.dispatch();
-        // batch_max=3 caps the first sweep's batch; the outer loop then
-        // re-examines the head, so d lands too, then e takes 2 of the 0
-        // remaining slots — which it can't.
+        // The four 1-rank heads take the four slots in one sweep; e needs 2
+        // of the 0 remaining slots and waits.
         let jobs: Vec<u64> = got.iter().map(|x| x.job).collect();
         assert_eq!(jobs, vec![a, b, c, d]);
         assert!(got.iter().all(|x| x.slots.len() == 1));
         let used: BTreeSet<usize> = got.iter().flat_map(|x| x.slots.clone()).collect();
-        assert_eq!(used.len(), 4, "each batched job gets its own slot");
+        assert_eq!(used.len(), 4, "each 1-rank job gets its own slot");
         assert_eq!(s.queued(), 1, "the 2-rank job waits");
         s.release(0);
         s.release(1);
@@ -313,7 +288,7 @@ mod tests {
 
     #[test]
     fn requeue_front_restores_fifo_position_for_retry() {
-        let mut s = Scheduler::new(1, Limits { queue_depth: 8, tenant_quota: 8, batch_max: 4 });
+        let mut s = Scheduler::new(1, Limits { queue_depth: 8, tenant_quota: 8 });
         let a = accept(&mut s, 1, 1);
         let b = accept(&mut s, 2, 1);
         let got = s.dispatch();

@@ -3,12 +3,13 @@
 //! A worker connects back to the daemon's control port, registers its slot,
 //! and then blocks on the control stream waiting for assignments. Each
 //! assignment carries everything needed to run one rank of one job: the
-//! spec, this rank's position, the job fabric's port range, heartbeat
-//! knobs, and (after a whole-pool restart) a serialized checkpoint to
-//! resume from. Multi-rank jobs build a private [`TcpTransport`] fabric on
-//! their own port range — fully disjoint from the control plane and from
-//! every other concurrent job — while 1-rank jobs run on an in-process
-//! fabric with zero connection setup.
+//! spec, this rank's position, the job fabric's port range, and (after a
+//! whole-pool restart) a serialized checkpoint to resume from. Heartbeat
+//! knobs are the `FT_HB_*` the worker inherits from the daemon. Multi-rank
+//! jobs build a private [`TcpTransport`] fabric on their own port range —
+//! fully disjoint from the control plane and from every other concurrent
+//! job — while 1-rank jobs run on an in-process fabric with zero
+//! connection setup.
 //!
 //! Failure containment: a worker that dies mid-job takes down only its own
 //! rank. The job's surviving ranks detect the death through their fabric's
@@ -22,7 +23,7 @@ use ft_pblas::{pd_gather_traffic, Desc, DistMatrix};
 use ft_runtime::{jobs, run_distributed, Ctx, FaultScript, JobFrame, MpscTransport, Tag, TcpConfig, TcpTransport, Transport};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Send a frame on the shared control-stream writer, ignoring failures —
 /// a dead daemon is detected by the blocking read loop, not here.
@@ -52,11 +53,13 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
     let transport: Box<dyn Transport> = if world == 1 {
         Box::new(MpscTransport::fabric(1).remove(0))
     } else {
-        let mut cfg = TcpConfig::new(a.job_rank, world);
-        cfg.hb_interval = Duration::from_millis(a.hb_interval_ms);
-        cfg.hb_miss_limit = a.hb_miss_limit;
-        cfg.conn_timeout = Duration::from_millis(a.conn_timeout_ms);
-        cfg.incarnation = a.incarnation;
+        // The pool's liveness knobs: the `FT_HB_*` this worker inherited
+        // from the daemon, checked when it started.
+        let mut cfg = TcpConfig {
+            incarnation: a.incarnation,
+            ..TcpConfig::new(a.job_rank, world)
+        };
+        cfg.apply_env().expect("FT_HB_* is checked at startup");
         match TcpTransport::connect(cfg, a.port_base) {
             Ok(t) => Box::new(t),
             Err(e) => {

@@ -25,6 +25,25 @@ for call in 'transport.recv(' 'wait_timeout('; do
     fi
 done
 
+# Every knob declared once (src/knobs.rs): each `FT_*` name in the non-test
+# part of a file that reads the environment must be a row of the knob table,
+# which `--help` prints; and each verb's `--help` exits 0.
+# Why: a variable read outside the table escapes the startup check and the docs.
+echo "== every knob declared once"
+cargo build --release -q --bin abft-hessenberg
+help=$(./target/release/abft-hessenberg --help)
+for f in $(grep -rlE 'env::var(_os)?\(' --include='*.rs' crates/*/src src); do
+    for name in $(awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$f" | grep -oE '"FT_[A-Z0-9_]+"' | tr -d '"' | sort -u); do
+        if ! grep -qw "$name" <<<"$help"; then
+            echo "$f reads $name, which is not a row of the knob table (src/knobs.rs)"
+            exit 1
+        fi
+    done
+done
+for verb in "" serve submit serve-worker; do
+    ./target/release/abft-hessenberg $verb --help >/dev/null || { echo "abft-hessenberg $verb --help failed"; exit 1; }
+done
+
 # The full suite runs twice: once pinned to the scalar microkernel (the
 # pre-SIMD reference semantics) and once on the best detected ISA
 # (DESIGN.md §14). A determinism bug that only manifests under one

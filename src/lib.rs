@@ -19,6 +19,7 @@
 //! * [`serve`] — the persistent multi-tenant solver service: a daemonized
 //!   pool of worker processes streaming reduction jobs over the TCP
 //!   transport's job frames (DESIGN.md §15).
+//! * [`knobs`] — the binary's one table of flags and `FT_*` variables.
 
 pub use ft_dense as dense;
 pub use ft_hess as hess;
@@ -26,3 +27,5 @@ pub use ft_lapack as lapack;
 pub use ft_pblas as pblas;
 pub use ft_runtime as runtime;
 pub use ft_serve as serve;
+
+pub mod knobs;

@@ -1,192 +1,35 @@
 //! `abft-hessenberg` — command-line driver for the solver-agnostic ABFT
-//! framework: fault-tolerant Hessenberg reduction or Householder QR.
-//!
-//! ```text
-//! abft-hessenberg [OPTIONS]
-//!
-//!   --n <N>              matrix dimension (default 512)
-//!   --nb <NB>            blocking factor / panel width (default 16)
-//!   --grid <PxQ>         process grid (default 2x2)
-//!   --solver <S>         hessenberg | qr (default hessenberg); qr is the
-//!                        left-only second solver on the same framework
-//!                        (no --variant cr, no --print-eigs)
-//!   --variant <V>        plain | alg2 | alg3 | cr (default alg2)
-//!   --redundancy <R>     single | <f> (default single; numeric f keeps 2f
-//!                        weighted checksum copies, tolerates f same-row
-//!                        failures and needs Q ≥ 2f; `dual` spells 2)
-//!   --fail <P:PH:R>      scripted failure: panel : phase(0-3) : rank
-//!                        (repeatable)
-//!   --mtti <PANELS>      Poisson failures with this MTTI (in panels)
-//!   --faults <SEED[:ITEM,...]>
-//!                        the one fault script (DESIGN.md "Fault
-//!                        injection"); one seed drives every item:
-//!                          kill=K   K seeded kills at arbitrary message-op
-//!                                   boundaries (real SIGKILLs + re-spawn
-//!                                   with --distributed)
-//!                          at=R@OP  kill rank R at its OP-th message op;
-//!                                   at=R@rROUND:OP kills inside recovery
-//!                                   round ROUND (repeatable)
-//!                          flip=K   K seeded silent bit flips in local
-//!                                   blocks (in-process only); implies
-//!                                   --scrub-every 1 unless given
-//!                          drop=P dup=P reorder=P corrupt=P reset=P
-//!                          delay=P@MS  part=A-B@S[+D]
-//!                                   wire faults on every rank's outbound
-//!                                   links (--distributed only); part= cuts
-//!                                   the link A->B from S ms, healing after
-//!                                   D ms. The hardened transport (CRC
-//!                                   frames, sequenced window, session
-//!                                   resume) must mask all of it
-//!                        kill/at/flip need --variant alg2 or alg3; every
-//!                        rank an item names must lie in the grid;
-//!                        beyond-tolerance kills, uncorrectable flips and
-//!                        an unhealed partition exit with code 3 (the same
-//!                        typed error on every surviving rank)
-//!   --scrub-every <K>    scrub pass every K panel iterations and at every
-//!                        scope boundary (alg2/alg3 only; default: off, or
-//!                        1 under --faults flip=)
-//!   --cr-interval <K>    C/R checkpoint interval in panels (default 8)
-//!   --seed <S>           matrix / trace seed (default 2013)
-//!   --verify             compute the distributed residual r∞ afterwards
-//!   --print-eigs         rank 0 prints the eigenvalues of H (sorted)
-//!   --help               this text
-//!
-//! Distributed mode (real processes over localhost TCP):
-//!
-//!   --distributed        launch P·Q child processes of this binary, one
-//!                        per rank, wired by TCP (grid from --grid);
-//!                        --faults kills are real SIGKILLs and the victim
-//!                        is re-spawned as a replacement
-//!   --rank <R>           internal: run as the child process of rank R
-//!   --port-base <B>      listen ports B..B+P*Q-1 (default: probed)
-//!   --hb-interval-ms <T> heartbeat period (default 100)
-//!   --hb-miss-limit <K>  beats of silence before a peer is suspected
-//!                        dead (default 30)
-//!   --conn-timeout-ms <T> connect/reconnect budget (default 10000)
-//!   --shrink             elastic shrink: a killed rank is NOT re-spawned —
-//!                        the lowest-ranked survivor adopts the victim's
-//!                        rank as a thread of its own process and the run
-//!                        completes on fewer processes; adopted ranks /
-//!                        redistributed bytes / stall time are reported in
-//!                        the summary (distributed only)
-//!
-//!   Env knobs (CLI flags win): FT_HB_INTERVAL_MS, FT_HB_MISS_LIMIT,
-//!   FT_HB_GRACE_BEATS (beats of reconnect grace before a closed-socket
-//!   peer is declared dead, default 4), FT_RECV_TIMEOUT_MS (a positive
-//!   number of milliseconds, default 120000). All validated at startup;
-//!   inconsistent values exit with code 2.
-//!
-//!   --faults flip= is not available with --distributed (flip injection
-//!   assumes the in-process world). --fail / --mtti victims drop their data
-//!   and recover without leaving their process, exactly as in-process; use
-//!   --faults kill= / at= for real process death.
-//! ```
-//!
-//! Examples:
-//!
-//! ```text
-//! abft-hessenberg --n 768 --grid 4x4 --fail 10:2:5 --verify
-//! abft-hessenberg --n 768 --grid 2x4 --variant alg3 --mtti 12
-//! abft-hessenberg --n 512 --grid 4x4 --variant cr --mtti 10
-//! abft-hessenberg --n 512 --grid 2x4 --redundancy dual --faults 7:flip=2 --verify
-//! abft-hessenberg --n 256 --grid 2x2 --distributed --faults 0:at=3@120 --verify
-//! abft-hessenberg --n 512 --grid 2x2 --solver qr --faults 5:kill=2 --verify
-//! abft-hessenberg --n 64 --nb 8 --grid 2x2 --distributed --faults 3:kill=1,drop=0.05,dup=0.05 --verify
-//! ```
+//! framework: a fault-tolerant Hessenberg reduction or Householder QR, in
+//! one process or as one process per rank (`--distributed`), and the
+//! persistent job service (`serve` / `submit`, see `serve_cli`). Every flag
+//! and `FT_*` variable is a row of [`abft_hessenberg::knobs::KNOBS`]; each
+//! verb's `--help` prints its rows.
 
 use abft_hessenberg::dense::gen::uniform_entry;
 use abft_hessenberg::dense::Matrix;
 use abft_hessenberg::hess::{
-    cr_pdgehrd, failpoint, ft_solve, solver_by_name, DriverControl, Encoded, FtError, FtSolver, Hessenberg, Phase, Redundancy,
-    ScrubPolicy, ScrubReport, Variant,
+    cr_pdgehrd, failpoint, ft_solve, DriverControl, Encoded, FtError, FtSolver, Hessenberg, Phase, Redundancy, ScrubPolicy,
+    ScrubReport,
 };
+use abft_hessenberg::knobs::{self, num, Args, Mode, Verb};
 use abft_hessenberg::lapack::hessenberg_eigenvalues;
 use abft_hessenberg::pblas::{pd_extract_h, pd_gather_traffic, pd_gather_transport, Desc, DistMatrix};
 use abft_hessenberg::runtime::{
-    poisson_failures, recv_timeout_env, run_distributed, run_spmd, CommError, Ctx, FaultScript, PeerCounters, PlannedFailure,
+    catch_comm_error, poisson_failures, run_distributed, run_spmd, CommError, Ctx, FaultScript, PeerCounters, PlannedFailure,
     TcpConfig, TcpTransport, TrafficLedger, TrafficPhase, TransportStats,
 };
 use std::io::BufRead;
 use std::process::exit;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 mod serve_cli;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Plain,
-    Alg2,
-    Alg3,
-    Cr,
-}
-
-impl Mode {
-    /// The ABFT variant this mode runs, if it is one.
-    fn variant(self) -> Option<Variant> {
-        match self {
-            Mode::Alg2 => Some(Variant::NonDelayed),
-            Mode::Alg3 => Some(Variant::Delayed),
-            Mode::Plain | Mode::Cr => None,
-        }
-    }
-}
-
-fn usage() -> ! {
-    // The module docs are the single source of truth for the help text.
-    let doc = include_str!("main.rs");
-    for line in doc.lines().take_while(|l| l.starts_with("//!")) {
-        println!("{}", line.trim_start_matches("//!").trim_start_matches(' '));
-    }
-    exit(0)
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}\nrun with --help for usage");
     exit(2)
 }
 
-/// `FT_RECV_TIMEOUT_MS` is read once per process; a bad value is a usage
-/// error here, at startup, not a panic in the first receive.
-fn check_recv_timeout() {
-    if let Err(e) = recv_timeout_env() {
-        fail(&e)
-    }
-}
-
-fn parse<T: FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| fail(&format!("{what}: bad value '{v}'")))
-}
-
-/// The command line as a cursor — every verb's flag loop pulls values from
-/// it, so "needs a value" / "bad value" are usage errors (exit 2) worded
-/// once.
-struct Args(std::vec::IntoIter<String>);
-
-impl Args {
-    fn next(&mut self) -> Option<String> {
-        self.0.next()
-    }
-
-    fn val(&mut self, flag: &str) -> String {
-        self.0.next().unwrap_or_else(|| fail(&format!("{flag} needs a value")))
-    }
-
-    fn num<T: FromStr>(&mut self, flag: &str) -> T {
-        parse(&self.val(flag), flag)
-    }
-
-    fn positive<T: FromStr + PartialOrd + Default>(&mut self, flag: &str) -> T {
-        let v: T = self.num(flag);
-        if v <= T::default() {
-            fail(&format!("{flag}: must be at least 1"));
-        }
-        v
-    }
-}
-
-/// The job-shape flags — `--n/--nb/--grid/--solver/--variant/--redundancy/
-/// --seed` — parsed in one place for the driver and for `submit` (only the
+/// The job shape, shared by the driver and `submit` (only the table's
 /// defaults differ).
 #[derive(Clone, Copy)]
 struct Shape {
@@ -200,126 +43,35 @@ struct Shape {
     seed: u64,
 }
 
-/// The driver's defaults.
-impl Default for Shape {
-    fn default() -> Self {
-        Shape {
-            n: 512,
-            nb: 16,
-            p: 2,
-            q: 2,
-            solver: &Hessenberg,
-            mode: Mode::Alg2,
-            redundancy: Redundancy::Single,
-            seed: 2013,
-        }
-    }
-}
-
 impl Shape {
-    /// Consume `flag` (and its value) if it is a shape flag.
-    fn parse_flag(&mut self, flag: &str, args: &mut Args) -> bool {
-        match flag {
-            "--n" => self.n = args.positive(flag),
-            "--nb" => self.nb = args.positive(flag),
-            "--grid" => {
-                let v = args.val(flag);
-                let (ps, qs) = v.split_once(['x', 'X']).unwrap_or_else(|| fail("--grid: use PxQ"));
-                self.p = parse(ps, "--grid P");
-                self.q = parse(qs, "--grid Q");
-                if self.p == 0 || self.q == 0 {
-                    fail("--grid: P and Q must be at least 1");
-                }
-            }
-            "--solver" => {
-                let v = args.val(flag);
-                self.solver = solver_by_name(&v).unwrap_or_else(|| fail(&format!("--solver: unknown '{v}'")));
-            }
-            "--variant" => {
-                self.mode = match args.val(flag).as_str() {
-                    "plain" => Mode::Plain,
-                    "alg2" => Mode::Alg2,
-                    "alg3" => Mode::Alg3,
-                    "cr" => Mode::Cr,
-                    other => fail(&format!("--variant: unknown '{other}'")),
-                }
-            }
-            "--redundancy" => {
-                self.redundancy = match args.val(flag).as_str() {
-                    "single" => Redundancy::Single,
-                    "dual" => Redundancy::Coded(2),
-                    other => match other.parse::<usize>() {
-                        Ok(f) if f >= 1 => Redundancy::Coded(f),
-                        _ => fail(&format!("--redundancy: unknown '{other}' (single | f ≥ 1)")),
-                    },
-                }
-            }
-            "--seed" => self.seed = args.num(flag),
-            _ => return false,
-        }
-        true
+    fn from_args(a: &Args) -> Result<Shape, String> {
+        let (p, q) = a.get("--grid", knobs::grid)?;
+        Ok(Shape {
+            n: a.get("--n", num)?,
+            nb: a.get("--nb", num)?,
+            p,
+            q,
+            solver: a.get("--solver", knobs::solver)?,
+            mode: a.get("--variant", knobs::mode)?,
+            redundancy: a.get("--redundancy", knobs::redundancy)?,
+            seed: a.get("--seed", num)?,
+        })
     }
 }
 
-/// The fabric-liveness flags shared by the driver and `serve`.
-#[derive(Clone, Copy, Default, PartialEq)]
-struct HbFlags {
-    interval_ms: Option<u64>,
-    miss_limit: Option<u32>,
-    conn_timeout_ms: Option<u64>,
-}
-
-impl HbFlags {
-    fn parse_flag(&mut self, flag: &str, args: &mut Args) -> bool {
-        match flag {
-            "--hb-interval-ms" => self.interval_ms = Some(args.positive(flag)),
-            "--hb-miss-limit" => self.miss_limit = Some(args.positive(flag)),
-            "--conn-timeout-ms" => self.conn_timeout_ms = Some(args.positive(flag)),
-            _ => return false,
-        }
-        true
-    }
-
-    /// The transport config a fabric actually runs with: built-in defaults,
-    /// overlaid with the `FT_HB_*` environment, overlaid with
-    /// these flags — and validated, so inconsistent liveness settings die as
-    /// a usage error (exit 2) before any socket work starts.
-    fn tcp_config(&self, rank: usize, world: usize) -> TcpConfig {
-        let mut cfg = TcpConfig::new(rank, world);
-        if let Err(e) = cfg.apply_env() {
-            fail(&format!("transport config: {e}"));
-        }
-        if let Some(ms) = self.interval_ms {
-            cfg.hb_interval = Duration::from_millis(ms);
-        }
-        if let Some(k) = self.miss_limit {
-            cfg.hb_miss_limit = k;
-        }
-        if let Some(ms) = self.conn_timeout_ms {
-            cfg.conn_timeout = Duration::from_millis(ms);
-        }
-        if let Err(e) = cfg.validate() {
-            fail(&format!("transport config: {e}"));
-        }
-        cfg
-    }
-}
-
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct Opts {
     shape: Shape,
     /// The run's one fault script: the `--faults` items plus the
     /// `--fail` / `--mtti` fail-point failures.
     faults: FaultScript,
     scrub_every: Option<usize>,
-    mtti: Option<f64>,
-    cr_interval: Option<usize>,
+    cr_interval: usize,
     verify: bool,
     // Distributed (TCP multi-process) mode.
     distributed: bool,
     rank: Option<usize>,
     port_base: Option<u16>,
-    hb: HbFlags,
     shrink: bool,
     respawn: u32,
     chaos_fired: Vec<usize>,
@@ -332,55 +84,12 @@ impl Opts {
     }
 }
 
-fn parse_args() -> Opts {
-    let mut o = Opts::default();
-    let mut faults: Option<String> = None;
-    let mut failures: Vec<PlannedFailure> = Vec::new();
-    let mut args = Args(std::env::args().skip(1).collect::<Vec<_>>().into_iter());
-    while let Some(arg) = args.next() {
-        let flag = arg.as_str();
-        if o.shape.parse_flag(flag, &mut args) || o.hb.parse_flag(flag, &mut args) {
-            continue;
-        }
-        match flag {
-            "--help" | "-h" => usage(),
-            "--fail" => {
-                let v = args.val(flag);
-                let parts: Vec<&str> = v.split(':').collect();
-                if parts.len() != 3 {
-                    fail("--fail: use PANEL:PHASE:RANK");
-                }
-                let ph: usize = parse(parts[1], "--fail phase");
-                if ph > 3 {
-                    fail("--fail: phase is 0..=3");
-                }
-                failures.push(PlannedFailure {
-                    victim: parse(parts[2], "--fail rank"),
-                    point: failpoint(parse(parts[0], "--fail panel"), Phase::ALL[ph]),
-                });
-            }
-            "--faults" => faults = Some(args.val(flag)),
-            "--scrub-every" => o.scrub_every = Some(args.positive(flag)),
-            "--mtti" => o.mtti = Some(args.num(flag)),
-            "--cr-interval" => o.cr_interval = Some(args.num(flag)),
-            "--verify" => o.verify = true,
-            "--print-eigs" => o.print_eigs = true,
-            "--distributed" => o.distributed = true,
-            "--rank" => o.rank = Some(args.num(flag)),
-            "--port-base" => o.port_base = Some(args.num(flag)),
-            "--shrink" => o.shrink = true,
-            "--respawn" => o.respawn = args.num(flag),
-            "--chaos-fired" => {
-                let v = args.val(flag);
-                o.chaos_fired
-                    .extend(v.split(',').filter(|s| !s.is_empty()).map(|s| parse::<usize>(s, flag)));
-            }
-            other => fail(&format!("unknown argument '{other}'")),
-        }
-    }
-    let Shape { n, nb, solver, seed, .. } = o.shape;
-    if let Some(mtti) = o.mtti {
-        let poisson = poisson_failures(solver.panel_count(n, nb) as u64, mtti, o.world(), seed);
+fn opts(a: &Args) -> Result<Opts, String> {
+    let shape = Shape::from_args(a)?;
+    let Shape { n, nb, p, q, solver, seed, .. } = shape;
+    let mut failures: Vec<PlannedFailure> = a.all("--fail").map(knobs::fail_point).collect::<Result<_, _>>()?;
+    if let Some(mtti) = a.opt("--mtti", num)? {
+        let poisson = poisson_failures(solver.panel_count(n, nb) as u64, mtti, p * q, seed);
         failures.extend(poisson.into_iter().map(|f| PlannedFailure {
             victim: f.victim,
             point: failpoint(f.point as usize, Phase::AfterLeftUpdate),
@@ -389,10 +98,22 @@ fn parse_args() -> Opts {
     // The grammar belongs to the runtime; it needs the grid (rank
     // references) and the op window (seeded events), both known only now.
     // No flag = a bare seed = the empty script.
-    let script = FaultScript::parse(faults.as_deref().unwrap_or("0"), o.world(), 50..op_hi(&o.shape))
-        .unwrap_or_else(|e| fail(&format!("--faults: {e}")));
-    o.faults = script.with_failures(failures);
-    o
+    let script = FaultScript::parse(a.all("--faults").last().unwrap_or("0"), p * q, 50..op_hi(&shape))
+        .map_err(|e| format!("--faults: {e}"))?;
+    Ok(Opts {
+        shape,
+        faults: script.with_failures(failures),
+        scrub_every: a.opt("--scrub-every", num)?,
+        cr_interval: a.get("--cr-interval", num)?,
+        verify: a.has("--verify"),
+        distributed: a.has("--distributed"),
+        rank: a.opt("--rank", num)?,
+        port_base: a.opt("--port-base", num)?,
+        shrink: a.has("--shrink"),
+        respawn: a.get("--respawn", num)?,
+        chaos_fired: a.opt("--chaos-fired", knobs::list)?.unwrap_or_default(),
+        print_eigs: a.has("--print-eigs"),
+    })
 }
 
 fn print_scrub_summary(s: &ScrubReport) {
@@ -439,74 +160,58 @@ fn print_transport_summary(stats: &TransportStats) {
 }
 
 /// Flag combinations that make no sense together, rejected identically in
-/// both in-process and distributed modes (exit 2).
-fn sanity_check(o: &Opts) {
+/// both in-process and distributed modes (exit 2). A flag that needs
+/// another is the table's check.
+fn sanity_check(o: &Opts) -> Result<(), String> {
     let Shape { solver, mode, redundancy, q, .. } = o.shape;
     // The encoder asserts this; say it as a usage error before anything runs.
     if q < redundancy.min_q() {
         let (f, min_q) = (redundancy.max_failures_per_row(), redundancy.min_q());
-        fail(&format!("--redundancy {f} needs Q >= {min_q} process columns for its checksums (got Q = {q})"));
+        return Err(format!("--redundancy {f} needs Q >= {min_q} process columns for its checksums (got Q = {q})"));
     }
     // `cr` is the Hessenberg checkpoint/restart baseline and the spectrum
     // needs the Hessenberg form: features of that one solver, not framework
     // dispatch.
-    if solver.name() != Hessenberg.name() {
-        if mode == Mode::Cr {
-            fail(&format!(
-                "--variant cr is the Hessenberg checkpoint/restart baseline; not available with --solver {}",
-                solver.name()
-            ));
-        }
-        if o.print_eigs {
-            fail(&format!(
-                "--print-eigs needs the Hessenberg form (no spectrum to extract); not available with --solver {}",
-                solver.name()
-            ));
-        }
+    let other = solver.name();
+    if other != Hessenberg.name() && mode == Mode::Cr {
+        return Err(format!(
+            "--variant cr is the Hessenberg checkpoint/restart baseline; not available with --solver {other}"
+        ));
+    }
+    if other != Hessenberg.name() && o.print_eigs {
+        return Err(format!(
+            "--print-eigs needs the Hessenberg form (no spectrum to extract); not available with --solver {other}"
+        ));
     }
     let abft = mode.variant().is_some();
     let (kills, flips) = (!o.faults.kills().is_empty(), !o.faults.flips().is_empty());
     if kills && !abft {
-        fail("--faults kill= / at= need --variant alg2 or alg3 (the others never arm the injector)");
+        return Err("--faults kill= / at= need --variant alg2 or alg3 (the others never arm the injector)".into());
     }
     if (flips || o.scrub_every.is_some()) && !abft {
-        fail("--faults flip= / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)");
+        return Err(
+            "--faults flip= / --scrub-every need --variant alg2 or alg3 (the scrub engine lives in the ABFT driver)".into(),
+        );
     }
-    if !(o.distributed || o.rank.is_some()) {
-        if o.shrink
-            || o.port_base.is_some()
-            || o.hb != HbFlags::default()
-            || !o.faults.net_is_empty()
-            || o.print_eigs
-            || o.respawn > 0
-            || !o.chaos_fired.is_empty()
-        {
-            fail("--shrink / --port-base / --hb-interval-ms / --hb-miss-limit / --conn-timeout-ms / --faults wire items (drop= delay= dup= reorder= corrupt= reset= part=) / --print-eigs need --distributed");
-        }
-        return;
+    if !o.distributed && !o.faults.net_is_empty() {
+        return Err("--faults wire items (drop= delay= dup= reorder= corrupt= reset= part=) need --distributed".into());
+    }
+    if !o.distributed {
+        return Ok(());
     }
     let world = o.world();
     if flips {
-        fail("--faults flip= assumes the in-process flip injector; not available with --distributed");
+        return Err("--faults flip= assumes the in-process flip injector; not available with --distributed".into());
     }
     if mode == Mode::Cr {
-        fail("--variant cr is not available with --distributed");
+        return Err("--variant cr is not available with --distributed".into());
     }
     if o.shrink && !abft {
-        fail("--shrink needs --variant alg2 or alg3 (an adopted rank re-enters through ABFT recovery)");
+        return Err("--shrink needs --variant alg2 or alg3 (an adopted rank re-enters through ABFT recovery)".into());
     }
-    if let Some(r) = o.rank {
-        if !o.distributed {
-            fail("--rank is the internal child-mode flag; it needs --distributed");
-        }
-        if r >= world {
-            fail(&format!("--rank {r} is outside the {world}-rank grid"));
-        }
-        if o.port_base.is_none() {
-            fail("--rank needs an explicit --port-base");
-        }
-    } else if o.respawn > 0 || !o.chaos_fired.is_empty() {
-        fail("--respawn / --chaos-fired are internal child-mode flags (need --rank)");
+    match o.rank {
+        Some(r) if r >= world => Err(format!("--rank {r} is outside the {world}-rank grid")),
+        _ => Ok(()),
     }
 }
 
@@ -579,7 +284,7 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
         None => {
             let mut a = DistMatrix::from_global_fn(ctx, desc, entry);
             let events = if mode == Mode::Cr {
-                let rep = cr_pdgehrd(ctx, &mut a, o.cr_interval.unwrap_or(8), &mut tau);
+                let rep = cr_pdgehrd(ctx, &mut a, o.cr_interval, &mut tau);
                 (rep.rollbacks, rep.lost_panels)
             } else {
                 solver.plain(ctx, &mut a, &mut tau);
@@ -700,31 +405,36 @@ fn print_summary(o: &Opts, out: &RankOutcome) -> i32 {
     0
 }
 
-/// Turn one rank's result into its exit code: the typed rejection is
-/// reported (exit 3), rank 0 prints the summary, everybody else is done.
-fn finish(o: &Opts, rank: usize, res: Result<RankOutcome, FtError>) -> i32 {
-    match res {
-        Err(err) => {
-            let who = if o.distributed { format!("rank {rank}: ") } else { String::new() };
-            eprintln!("{who}UNRECOVERABLE: {err}");
-            3
-        }
-        Ok(out) if rank == 0 => print_summary(o, &out),
-        Ok(_) => 0,
-    }
+/// Turn one rank's result into its exit code: the typed rejection — the
+/// solver's beyond-tolerance verdict, or a blocking call's deadline caught
+/// as [`CommError`] — is reported (exit 3), rank 0 prints the summary,
+/// everybody else is done. In-process and distributed runs end alike.
+fn finish(o: &Opts, rank: usize, res: Result<Result<RankOutcome, FtError>, CommError>) -> i32 {
+    let (what, err) = match res {
+        Ok(Ok(out)) if rank == 0 => return print_summary(o, &out),
+        Ok(Ok(_)) => return 0,
+        Ok(Err(err)) => ("UNRECOVERABLE", err.to_string()),
+        Err(err @ CommError::Partitioned { .. }) => ("UNRECOVERABLE", err.to_string()),
+        Err(err) => ("transport", err.to_string()),
+    };
+    let who = if o.distributed { format!("rank {rank}: ") } else { String::new() };
+    eprintln!("{who}{what}: {err}");
+    3
 }
 
 /// Run `rank` of the TCP fabric inside this process and return its exit
-/// code. Partition agreement: every surviving rank lands in the `Err` arm
-/// with the same typed error and the same code — no hang, no split verdicts
-/// (DESIGN.md §16).
+/// code. Its liveness knobs are the `FT_HB_*` it inherited, checked at
+/// startup. Partition agreement: every surviving rank lands in the same
+/// typed error and the same code — no hang, no split verdicts (DESIGN.md
+/// §16).
 fn run_tcp_rank(o: &Opts, rank: usize, incarnation: u32, faults: FaultScript, setup: impl FnOnce(&Ctx)) -> i32 {
-    let port_base = o.port_base.expect("checked in sanity_check");
-    let cfg = TcpConfig {
+    let port_base = o.port_base.expect("--rank and an adopted rank have a port base");
+    let mut cfg = TcpConfig {
         incarnation,
         faults: faults.clone(),
-        ..o.hb.tcp_config(rank, o.world())
+        ..TcpConfig::new(rank, o.world())
     };
+    cfg.apply_env().expect("FT_HB_* is checked at startup");
     let transport = match TcpTransport::connect(cfg, port_base) {
         Ok(t) => t,
         Err(e) => {
@@ -734,19 +444,9 @@ fn run_tcp_rank(o: &Opts, rank: usize, incarnation: u32, faults: FaultScript, se
     };
     let run = run_distributed(o.shape.p, o.shape.q, faults, Box::new(transport), |ctx| {
         setup(&ctx);
-        finish(o, rank, rank_body(&ctx, o))
+        rank_body(&ctx, o)
     });
-    match run {
-        Ok(code) => code,
-        Err(err @ CommError::Partitioned { .. }) => {
-            eprintln!("rank {rank}: UNRECOVERABLE: {err}");
-            3
-        }
-        Err(err) => {
-            eprintln!("rank {rank}: transport: {err}");
-            3
-        }
-    }
+    finish(o, rank, run)
 }
 
 /// Host a dead peer's rank inside this process (elastic shrink): bind the
@@ -835,7 +535,7 @@ fn marker_field<T: std::str::FromStr>(rest: &str, key: &str) -> Option<T> {
 
 /// Spawn rank `rank` as a child process: the launcher's own command line,
 /// verbatim, plus the internal child-mode flags — so a flag is declared in
-/// `parse_args` and nowhere else.
+/// the knob table and nowhere else, and the environment is inherited.
 fn spawn_rank(
     exe: &std::path::Path,
     probed_port_base: Option<u16>,
@@ -889,9 +589,6 @@ fn spawn_rank(
 /// and exit with rank 0's code.
 fn parent_main(o: Opts) -> ! {
     let world = o.world();
-    // Validate the liveness config once, up front — a bad FT_HB_* value or
-    // CLI combination must not get as far as spawning children.
-    let _ = o.hb.tcp_config(0, world);
     // A probed base is the one thing the children cannot read off the
     // launcher's own command line.
     let probed = o.port_base.is_none().then(|| probe_port_base(world));
@@ -1020,16 +717,33 @@ fn shape_line(s: &Shape) -> String {
 }
 
 fn main() {
-    // Serving-plane verbs (`serve` / `submit` / `serve-worker`) route
-    // before the classic flag parser — they have their own flag grammar
-    // (and `submit` must work without --distributed).
-    if let Some(code) = serve_cli::route() {
-        exit(code);
+    let mut argv = std::env::args().skip(1).peekable();
+    // The first word names a verb, or the driver's flags begin.
+    let verb = Verb::ALL[1..]
+        .iter()
+        .copied()
+        .find(|v| argv.next_if(|w| w == v.name()).is_some())
+        .unwrap_or(Verb::Run);
+    let args = knobs::parse(verb, argv).unwrap_or_else(|e| fail(&e));
+    if args.help {
+        print!("{}", knobs::help(verb));
+        exit(0)
     }
-    let o = parse_args();
-    sanity_check(&o);
-    // Before the in-process run, and before the launcher spawns a rank.
-    check_recv_timeout();
+    // Before any rank starts: in process, in the launcher and in each of
+    // its children, in the daemon and in each of its workers.
+    knobs::check_env(verb).unwrap_or_else(|e| fail(&e));
+    let code = match verb {
+        Verb::Run => run(&args),
+        Verb::Serve => serve_cli::serve(&args),
+        Verb::Submit => serve_cli::submit(&args),
+        Verb::Worker => serve_cli::worker(&args),
+    };
+    exit(code.unwrap_or_else(|e| fail(&e)))
+}
+
+fn run(a: &Args) -> Result<i32, String> {
+    let o = opts(a)?;
+    sanity_check(&o)?;
     if let Some(rank) = o.rank {
         child_main(o, rank);
     }
@@ -1040,9 +754,9 @@ fn main() {
     // DESIGN.md §10) — no round-up needed.
     let Shape { p, q, seed, .. } = o.shape;
     println!("abft-hessenberg: {} failures={} seed={seed}", shape_line(&o.shape), o.faults.failures().len());
-    let rank0 = run_spmd(p, q, o.faults.clone(), |ctx| rank_body(&ctx, &o))
+    let rank0 = run_spmd(p, q, o.faults.clone(), |ctx| catch_comm_error(|| rank_body(&ctx, &o)))
         .into_iter()
         .next()
         .unwrap();
-    exit(finish(&o, 0, rank0))
+    Ok(finish(&o, 0, rank0))
 }

@@ -1,11 +1,12 @@
-//! Configuration-contract battery: every malformed transport knob or fault
-//! script — CLI flag or `FT_*` environment variable — must die as a *usage
-//! error*
-//! (exit 2) with a diagnostic naming the offending knob, before any
-//! socket work starts and without ever panicking. The launcher dry-runs
-//! the resolved config precisely so these failures happen once, in the
-//! parent, instead of as four cryptic child crashes.
+//! Configuration-contract battery: every malformed knob — a flag of any
+//! verb or an `FT_*` environment variable, each a row of the one knob table
+//! — must die as a *usage error* (exit 2) with a diagnostic naming the
+//! offending knob, before any socket work starts and without ever
+//! panicking. The launcher checks the environment precisely so these
+//! failures happen once, in the parent, instead of as four cryptic child
+//! crashes.
 
+use abft_hessenberg::knobs::{Verb, DIR, KNOBS};
 use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_abft-hessenberg");
@@ -109,7 +110,9 @@ fn out_of_grid_rank_references_are_usage_errors() {
 /// unknown arguments, and the retired wire-fault environment variable
 /// (spelled in two pieces here so a grep for it over the tree stays empty)
 /// is read by nothing — a malformed value used to stop the launcher with
-/// exit 2.
+/// exit 2. Heartbeats are set by `FT_HB_*` alone, the connect budget is the
+/// transport's default and `serve` has no batch width: their flags are
+/// unknown arguments of the driver and of `serve` alike.
 #[test]
 fn removed_injector_flags_and_env_are_gone() {
     for (flag, val) in [
@@ -117,11 +120,23 @@ fn removed_injector_flags_and_env_are_gone() {
         ("--sdc", "7:1"),
         ("--kill-at", "3@120"),
         ("--net-chaos", "9:drop=0.1"),
+        ("--hb-interval-ms", "50"),
+        ("--hb-miss-limit", "20"),
+        ("--conn-timeout-ms", "10000"),
     ] {
         let mut args = DIST.to_vec();
         args.extend_from_slice(&[flag, val]);
         let o = run(&args, &[]);
         assert_usage_error(&o, &format!("unknown argument '{flag}'"), flag);
+    }
+    for (flag, val) in [
+        ("--batch-max", "4"),
+        ("--hb-interval-ms", "50"),
+        ("--hb-miss-limit", "20"),
+        ("--conn-timeout-ms", "10000"),
+    ] {
+        let o = run(&["serve", "--pool", "1", flag, val], &[]);
+        assert_usage_error(&o, &format!("unknown argument '{flag}'"), &format!("serve {flag}"));
     }
     let retired = concat!("FT_NET", "_CHAOS");
     let o = run(
@@ -150,22 +165,6 @@ fn fault_items_are_checked_against_the_run_mode() {
     args.extend_from_slice(&["--faults", "1:flip=1"]);
     let o = run(&args, &[]);
     assert_usage_error(&o, "flip=", "flip= with --distributed");
-}
-
-#[test]
-fn zero_cli_heartbeat_interval_is_a_usage_error() {
-    let mut args = DIST.to_vec();
-    args.extend_from_slice(&["--hb-interval-ms", "0"]);
-    let o = run(&args, &[]);
-    assert_usage_error(&o, "--hb-interval-ms", "zero CLI hb interval");
-}
-
-#[test]
-fn zero_cli_miss_limit_is_a_usage_error() {
-    let mut args = DIST.to_vec();
-    args.extend_from_slice(&["--hb-miss-limit", "0"]);
-    let o = run(&args, &[]);
-    assert_usage_error(&o, "--hb-miss-limit", "zero CLI miss limit");
 }
 
 /// The environment overlay must hit the *launcher* before any child is
@@ -263,19 +262,100 @@ fn submit_rejects_non_abft_variants_as_usage_errors() {
     }
 }
 
-/// `serve` resolves its pool's heartbeat knobs through the driver's own
-/// `--hb-*` overlay: the same flags, the same floor, the same exit code.
-#[test]
-fn serve_and_driver_share_the_heartbeat_flag_overlay() {
-    for flag in ["--hb-interval-ms", "--hb-miss-limit", "--conn-timeout-ms"] {
-        let mut args = DIST.to_vec();
-        args.extend_from_slice(&[flag, "0"]);
-        let driver = run(&args, &[]);
-        assert_usage_error(&driver, flag, &format!("driver {flag} 0"));
-        let serve = run(&["serve", "--pool", "1", flag, "0"], &[]);
-        assert_usage_error(&serve, flag, &format!("serve {flag} 0"));
-        assert_eq!(driver.stderr, serve.stderr, "{flag}: the two verbs word the error differently");
+/// A command line on which `verb` gets as far as its checks: the driver's
+/// smallest run, a one-slot pool, a worker of a daemon nobody runs.
+fn verb_line(verb: Verb) -> Vec<&'static str> {
+    match verb {
+        Verb::Run => vec!["--grid", "1x2", "--n", "32", "--nb", "8"],
+        Verb::Serve => vec!["serve", "--pool", "1"],
+        Verb::Submit => vec!["submit", "--port", "1"],
+        Verb::Worker => vec!["serve-worker", "--connect-port", "1", "--slot", "0"],
     }
-    let serve = run(&["serve", "--pool", "1"], &[("FT_HB_GRACE_BEATS", "0")]);
-    assert_usage_error(&serve, "FT_HB_GRACE_BEATS", "serve: zero grace beats from the environment");
+}
+
+/// The table drives every check: each row that takes a value, given a
+/// malformed one on each verb it belongs to — a flag on the command line,
+/// a variable in the environment — is the exit-2 usage error naming it,
+/// decided before any rank, socket or daemon exists. (`FT_GEMM_ISA=bogus`
+/// used to panic in the first GEMM, exit 101.)
+#[test]
+fn every_knob_rejects_a_malformed_value_on_each_of_its_verbs() {
+    let mut checked = 0;
+    for k in KNOBS {
+        for verb in Verb::ALL.into_iter().filter(|&v| k.on(v)) {
+            let mut args = verb_line(verb);
+            let bad = if k.kind.metavar == DIR.metavar { "" } else { "bogus" };
+            let o = match (k.kind.metavar, k.is_env()) {
+                ("", _) => continue,
+                (_, true) => run(&args, &[(k.name, bad)]),
+                (_, false) => {
+                    args.extend_from_slice(&[k.name, bad]);
+                    run(&args, &[])
+                }
+            };
+            assert_usage_error(&o, k.name, &format!("{} {}", verb.name(), k.name));
+            assert!(!o.stdout.contains("FT_RANK_SPAWN"), "{}: a rank was spawned", k.name);
+            checked += 1;
+        }
+    }
+    assert!(checked >= 40, "only {checked} (row, verb) pairs take a value");
+}
+
+/// A flag given to a verb it does not belong to is a usage error naming
+/// that verb, for every flag of the table.
+#[test]
+fn a_flag_of_another_verb_is_a_usage_error() {
+    for k in KNOBS.iter().filter(|k| !k.is_env()) {
+        let taken = |v: Verb| KNOBS.iter().any(|o| o.name == k.name && o.on(v));
+        for verb in Verb::ALL.into_iter().filter(|&v| !taken(v)) {
+            let mut args = verb_line(verb);
+            args.extend_from_slice(&[k.name, "1"]);
+            let o = run(&args, &[]);
+            let needle = format!("{} is not a {} flag", k.name, verb.name());
+            assert_usage_error(&o, &needle, &format!("{} {}", verb.name(), k.name));
+        }
+    }
+}
+
+/// Each verb's `--help` is its rows of the table, and exits 0.
+#[test]
+fn every_verb_prints_its_rows_as_help() {
+    for verb in Verb::ALL {
+        let mut args = verb_line(verb)[..usize::from(verb != Verb::Run)].to_vec();
+        args.push("--help");
+        let o = run(&args, &[]);
+        assert_eq!(o.status, 0, "{} --help: {}", verb.name(), o.stderr);
+        for k in KNOBS.iter().filter(|k| k.on(verb)) {
+            assert!(o.stdout.contains(k.name), "{} --help lacks {}:\n{}", verb.name(), k.name, o.stdout);
+        }
+    }
+}
+
+/// README's run, environment, `serve` and `submit` tables list exactly the
+/// table's public rows, one knob a row.
+#[test]
+fn readme_tables_list_exactly_the_public_rows() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    for (header, verb, env) in [
+        ("| flag | meaning |", Verb::Run, false),
+        ("| env var | meaning |", Verb::Run, true),
+        ("| `serve` flag | meaning |", Verb::Serve, false),
+        ("| `submit` flag | meaning |", Verb::Submit, false),
+    ] {
+        let at = readme.find(header).unwrap_or_else(|| panic!("README has no '{header}' table"));
+        let mut listed: Vec<&str> = readme[at..]
+            .lines()
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.trim_start_matches("| `").split([' ', '`']).next().unwrap())
+            .collect();
+        let mut public: Vec<&str> = KNOBS
+            .iter()
+            .filter(|k| k.on(verb) && !k.internal && k.is_env() == env)
+            .map(|k| k.name)
+            .collect();
+        listed.sort_unstable();
+        public.sort_unstable();
+        assert_eq!(listed, public, "README table '{header}'");
+    }
 }

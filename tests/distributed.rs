@@ -73,9 +73,17 @@ fn signal(pid: u32, sig: &str) {
 /// `settle` (letting the fabric form), SIGSTOPs that rank's process for
 /// `pause`, then SIGCONTs it. A watchdog SIGKILLs the whole launcher at
 /// [`WALL_LIMIT`] so a wedged stall can never hang the suite.
-fn run_stalled(args: &[&str], recv_timeout_ms: u64, stall_rank: usize, settle: Duration, pause: Duration) -> RunOutput {
+fn run_stalled(
+    args: &[&str],
+    envs: &[(&str, &str)],
+    recv_timeout_ms: u64,
+    stall_rank: usize,
+    settle: Duration,
+    pause: Duration,
+) -> RunOutput {
     let mut child = Command::new(BIN)
         .args(args)
+        .envs(envs.iter().copied())
         .env("FT_RECV_TIMEOUT_MS", recv_timeout_ms.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -465,7 +473,7 @@ fn sigstop_within_grace_resumes_without_recovery() {
     ];
     let clean = run(&base, 60_000);
     assert_eq!(clean.status, 0, "{}\n{}", clean.stdout, clean.stderr);
-    let out = run_stalled(&base, 60_000, 3, Duration::from_millis(100), Duration::from_millis(1200));
+    let out = run_stalled(&base, &[], 60_000, 3, Duration::from_millis(100), Duration::from_millis(1200));
     assert_eq!(out.status, 0, "{}\n{}", out.stdout, out.stderr);
     assert!(out.stdout.contains("recoveries: 0"), "a sub-grace SIGSTOP was misread as a death:\n{}", out.stdout);
     assert_bitwise_eigs(&clean.stdout, &out.stdout, "sigstop-within-grace");
@@ -493,8 +501,10 @@ fn sigstop_past_death_budget_is_replaced_or_resumed() {
     let clean = run(&base, 60_000);
     assert_eq!(clean.status, 0, "{}\n{}", clean.stdout, clean.stderr);
     let mut args = base.to_vec();
-    args.extend_from_slice(&["--shrink", "--hb-interval-ms", "50", "--hb-miss-limit", "20"]);
-    let out = run_stalled(&args, 15_000, 3, Duration::from_millis(150), Duration::from_secs(4));
+    args.push("--shrink");
+    // The death budget is the run's environment, inherited by every rank.
+    let hb = [("FT_HB_INTERVAL_MS", "50"), ("FT_HB_MISS_LIMIT", "20")];
+    let out = run_stalled(&args, &hb, 15_000, 3, Duration::from_millis(150), Duration::from_secs(4));
     assert_eq!(out.status, 0, "{}\n{}", out.stdout, out.stderr);
     if out.stdout.contains("recoveries: 0") {
         assert_bitwise_eigs(&clean.stdout, &out.stdout, "sigstop-outpaced");
@@ -547,4 +557,19 @@ fn missing_peers_produce_typed_timeout_not_a_hang() {
         "typed timeout took {:?} — effectively a hang",
         start.elapsed()
     );
+}
+
+/// The same deadline in process ends the same way: each rank's blocking
+/// call times out into the typed verdict, caught by the one catch every
+/// rank runs under — exit 3 with `UNRECOVERABLE`, or 0 when the run beats
+/// the deadline — never a panic (it was exit 101 with a panic banner per
+/// rank).
+#[test]
+fn in_process_deadline_exits_typed_never_a_panic() {
+    let out = run(&["--n", "512", "--nb", "16", "--grid", "2x2"], 1);
+    assert!(out.status == 0 || out.status == 3, "exit {} — stderr:\n{}", out.status, out.stderr);
+    assert!(!out.stderr.contains("panicked"), "a deadline panicked:\n{}", out.stderr);
+    if out.status == 3 {
+        assert!(out.stderr.contains("UNRECOVERABLE") && out.stderr.contains("timed out"), "{}", out.stderr);
+    }
 }
