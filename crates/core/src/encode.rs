@@ -258,14 +258,6 @@ impl Encoded {
         self.groups
     }
 
-    /// Checksum group of logical column `c` (= its panel scope: group `s`
-    /// covers block columns `sQ..sQ+Q−1`).
-    #[inline]
-    pub fn group_of_col(&self, c: usize) -> usize {
-        debug_assert!(c < self.n);
-        (c / self.nb) / self.q
-    }
-
     /// Logical columns of group `g` (clamped to `N`).
     pub fn group_cols(&self, g: usize) -> std::ops::Range<usize> {
         let start = g * self.q * self.nb;
@@ -470,9 +462,6 @@ mod tests {
             let enc = Encoded::from_global_fn(&ctx, 18, 3, |i, j| (i + j) as f64);
             // 6 block columns, Q=3 → 2 groups.
             assert_eq!(enc.groups(), 2);
-            assert_eq!(enc.group_of_col(0), 0);
-            assert_eq!(enc.group_of_col(8), 0);
-            assert_eq!(enc.group_of_col(9), 1);
             assert_eq!(enc.group_cols(0), 0..9);
             assert_eq!(enc.group_cols(1), 9..18);
             // Checksum columns start at N and copies are adjacent blocks.

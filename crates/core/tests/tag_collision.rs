@@ -33,13 +33,12 @@ fn inventory() -> Vec<(&'static str, Tag)> {
     for c in 0..=13 {
         tags.push(("pblas/panel", Tag::Panel(c)));
     }
-    // pblas SUMMA pdgemm: Trailing(0..=5); pblas left update: Trailing(8).
-    for c in 0..=5 {
-        tags.push(("pblas/pdgemm", Tag::Trailing(c)));
-    }
+    // pblas left update: Trailing(8).
     tags.push(("pblas/left-update", Tag::Trailing(8)));
-    // pblas verification gathers.
+    // pblas verification: the norms off User(0x170), the right-applied
+    // reflectors' row all-reduce.
     tags.push(("pblas/verify", Tag::User(0x170)));
+    tags.push(("pblas/verify-right", Tag::User(0x178)));
 
     // Initial encoding: Checksum(0) offset by the copy index.
     for copy in 0..NCOPIES_MAX {

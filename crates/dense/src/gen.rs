@@ -38,15 +38,6 @@ pub fn uniform_indexed_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| uniform_entry(seed, i, j))
 }
 
-/// Standard-normal-ish matrix (sum of 4 uniforms, Irwin–Hall), seeded.
-pub fn gaussian(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| {
-        let s: f64 = (0..4).map(|_| rng.next_f64() - 0.5).sum();
-        s * (3.0f64).sqrt() // variance 4/12 → scale to ~1
-    })
-}
-
 /// A matrix with prescribed eigenvalues: `A = S·diag(vals)·S⁻¹` is expensive
 /// to build exactly; instead we return an upper Hessenberg matrix whose
 /// diagonal dominates, giving well-conditioned eigenvalues close to `vals`.

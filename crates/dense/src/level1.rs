@@ -105,12 +105,6 @@ pub fn iamax(x: &[f64]) -> Option<usize> {
     best
 }
 
-/// Sum of absolute values `‖x‖₁`.
-pub fn asum(x: &[f64]) -> f64 {
-    add_flops(x.len() as u64);
-    x.iter().map(|v| v.abs()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,10 +166,5 @@ mod tests {
         let mut z = [0.0; 2];
         copy(&x, &mut z);
         assert_eq!(z, [3.0, 4.0]);
-    }
-
-    #[test]
-    fn asum_basic() {
-        assert_eq!(asum(&[1.0, -2.0, 3.0]), 6.0);
     }
 }

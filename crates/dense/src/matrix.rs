@@ -117,26 +117,10 @@ impl Matrix {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Copy of row `i` (rows are strided in column-major storage).
-    pub fn row_copy(&self, i: usize) -> Vec<f64> {
-        assert!(i < self.rows);
-        (0..self.cols).map(|j| self[(i, j)]).collect()
-    }
-
     /// Copy out the sub-matrix with top-left corner `(i, j)` and shape `m × n`.
     pub fn submatrix(&self, i: usize, j: usize, m: usize, n: usize) -> Matrix {
         assert!(i + m <= self.rows && j + n <= self.cols, "submatrix out of range");
         Matrix::from_fn(m, n, |r, c| self[(i + r, j + c)])
-    }
-
-    /// Overwrite the sub-matrix with top-left corner `(i, j)` with `src`.
-    pub fn set_submatrix(&mut self, i: usize, j: usize, src: &Matrix) {
-        assert!(i + src.rows <= self.rows && j + src.cols <= self.cols);
-        for c in 0..src.cols {
-            for r in 0..src.rows {
-                self[(i + r, j + c)] = src[(r, c)];
-            }
-        }
     }
 
     /// Transposed copy.
@@ -239,10 +223,7 @@ mod tests {
         let s = m.submatrix(1, 2, 3, 2);
         assert_eq!(s[(0, 0)], 12.0);
         assert_eq!(s[(2, 1)], 33.0);
-        let mut t = Matrix::zeros(5, 5);
-        t.set_submatrix(1, 2, &s);
-        assert_eq!(t[(3, 3)], 33.0);
-        assert_eq!(t[(0, 0)], 0.0);
+        assert_eq!(s, Matrix::from_fn(3, 2, |i, j| m[(1 + i, 2 + j)]));
     }
 
     #[test]
@@ -252,12 +233,6 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transposed(), m);
-    }
-
-    #[test]
-    fn row_copy_strided() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(m.row_copy(1), vec![3.0, 4.0]);
     }
 
     #[test]

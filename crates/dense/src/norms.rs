@@ -7,13 +7,6 @@ pub fn max_abs(a: &Matrix) -> f64 {
     a.as_slice().iter().fold(0.0, |m, &x| m.max(x.abs()))
 }
 
-/// One-norm: maximum absolute column sum.
-pub fn one_norm(a: &Matrix) -> f64 {
-    (0..a.cols())
-        .map(|j| a.col(j).iter().map(|x| x.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
 /// Infinity-norm: maximum absolute row sum. This is the norm used by the
 /// paper's residual `r∞ = ‖A − UHUᵀ‖∞ / (‖A‖∞ · N · ε)` (Section 7.3).
 pub fn inf_norm(a: &Matrix) -> f64 {
@@ -31,18 +24,6 @@ pub fn fro_norm(a: &Matrix) -> f64 {
     crate::level1::nrm2(a.as_slice())
 }
 
-/// Infinity-norm of a raw column-major sub-matrix (`m×n`, leading dim `ld`).
-pub fn inf_norm_raw(m: usize, n: usize, a: &[f64], ld: usize) -> f64 {
-    let mut rowsum = vec![0.0f64; m];
-    for j in 0..n {
-        let col = &a[j * ld..j * ld + m];
-        for (i, &v) in col.iter().enumerate() {
-            rowsum[i] += v.abs();
-        }
-    }
-    rowsum.into_iter().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,7 +31,6 @@ mod tests {
     #[test]
     fn norms_of_known_matrix() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[-3.0, 4.0]]);
-        assert_eq!(one_norm(&a), 6.0); // col sums 4, 6
         assert_eq!(inf_norm(&a), 7.0); // row sums 3, 7
         assert_eq!(max_abs(&a), 4.0);
         assert!((fro_norm(&a) - (30.0f64).sqrt()).abs() < 1e-14);
@@ -59,17 +39,7 @@ mod tests {
     #[test]
     fn norms_empty() {
         let a = Matrix::zeros(0, 0);
-        assert_eq!(one_norm(&a), 0.0);
         assert_eq!(inf_norm(&a), 0.0);
         assert_eq!(fro_norm(&a), 0.0);
-    }
-
-    #[test]
-    fn inf_norm_raw_matches() {
-        let a = Matrix::from_fn(4, 3, |i, j| (i as f64) - (j as f64) * 0.5);
-        assert_eq!(inf_norm(&a), inf_norm_raw(4, 3, a.as_slice(), 4));
-        // sub-block (1..3, 1..3)
-        let sub = a.submatrix(1, 1, 2, 2);
-        assert_eq!(inf_norm(&sub), inf_norm_raw(2, 2, &a.as_slice()[1 + 4..], 4));
     }
 }

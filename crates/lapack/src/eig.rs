@@ -264,11 +264,6 @@ pub fn eigenvalues(a: &Matrix, nb: usize) -> Result<Vec<Eigenvalue>, EigError> {
     hessenberg_eigenvalues(&extract_h(&work))
 }
 
-/// The eigenvalue of the largest magnitude (`None` for an empty matrix).
-pub fn dominant_eigenvalue(eigs: &[Eigenvalue]) -> Option<Eigenvalue> {
-    eigs.iter().copied().max_by(|a, b| a.abs().total_cmp(&b.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,7 +334,7 @@ mod tests {
     fn google_matrix_dominant_eigenvalue_is_one() {
         let g = gen::google_matrix(40, 0.85, 4, 9);
         let eigs = eigenvalues(&g, 8).unwrap();
-        let dom = dominant_eigenvalue(&eigs).unwrap();
+        let dom = eigs.iter().max_by(|a, b| a.abs().total_cmp(&b.abs())).unwrap();
         assert!((dom.re - 1.0).abs() < 1e-8, "dominant {dom:?}");
         assert!(dom.im.abs() < 1e-8);
     }

@@ -64,19 +64,6 @@ pub fn is_hessenberg(h: &Matrix) -> bool {
     true
 }
 
-/// Largest magnitude strictly below the first subdiagonal (0 for an exact
-/// Hessenberg matrix) — useful to assess "approximately Hessenberg" results.
-pub fn below_subdiagonal_max(h: &Matrix) -> f64 {
-    let n = h.rows();
-    let mut m = 0.0f64;
-    for j in 0..h.cols() {
-        for i in j + 2..n {
-            m = m.max(h[(i, j)].abs());
-        }
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +93,6 @@ mod tests {
         assert!(is_hessenberg(&h));
         h[(3, 0)] = 1e-30;
         assert!(!is_hessenberg(&h));
-        assert_eq!(below_subdiagonal_max(&h), 1e-30);
     }
 
     #[test]

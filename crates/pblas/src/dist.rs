@@ -289,12 +289,6 @@ impl DistMatrix {
             }
         }
     }
-
-    /// Scatter a replicated global matrix: keep only this process's entries.
-    pub fn from_global(ctx: &Ctx, desc: Desc, global: &Matrix) -> Self {
-        assert_eq!((global.rows(), global.cols()), (desc.m, desc.n));
-        Self::from_global_fn(ctx, desc, |i, j| global[(i, j)])
-    }
 }
 
 #[cfg(test)]

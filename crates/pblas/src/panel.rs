@@ -159,6 +159,13 @@ pub(crate) fn v_local_rows(vfull: &Matrix, r0: usize, n: usize, a: &DistMatrix) 
     select_rows(vfull, r0, lrn - lr0, a.row_runs(lr0, lrn))
 }
 
+/// [`v_local_rows`] across the process row: the rows of `vfull` at my local
+/// columns in `[r0, n)`, the `V` rows a right application `X·V` contracts.
+pub(crate) fn v_local_cols(vfull: &Matrix, r0: usize, n: usize, a: &DistMatrix) -> Matrix {
+    let (lc0, lcn) = (a.local_cols_below(r0), a.local_cols_below(n));
+    select_rows(vfull, r0, lcn - lc0, a.col_runs(lc0, lcn))
+}
+
 /// The `m` rows of `vfull` (row 0 = global index `r0`) that the block runs
 /// `runs` name, in run order: one slice copy per run and column.
 fn select_rows(vfull: &Matrix, r0: usize, m: usize, runs: impl Iterator<Item = (usize, usize, usize)>) -> Matrix {
@@ -199,9 +206,9 @@ fn extract_v_local(a: &DistMatrix, k: usize, j: usize, from_g: usize, n: usize, 
 /// solver's `v_row_offset` — 1 for Hessenberg reflectors below the first
 /// subdiagonal, 0 for QR reflectors at the diagonal) with explicit
 /// unit/zero structure, read from the reflectors stored in `a`. Collective.
-/// Used by [`pdlaqrf`] and by [`crate::verify::pd_orghr`] /
-/// [`crate::verify::pd_orgqr`] to rebuild `Q` after the fact; [`pdlahrd`]
-/// assembles its own from the V buffer every process column holds.
+/// Used by [`pdlaqrf`] and by [`crate::verify`] to apply `Q` after the
+/// fact; [`pdlahrd`] assembles its own from the V buffer every process
+/// column holds.
 pub fn replicate_reflector_block(ctx: &Ctx, a: &DistMatrix, n: usize, k: usize, w: usize, off: usize) -> Matrix {
     let q_pan = a.col_owner(k);
     let vm = n - k - off;

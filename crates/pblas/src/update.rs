@@ -103,8 +103,8 @@ pub fn left_update(
 
 /// [`left_update`] with an explicit choice of the `T` operator:
 /// [`Trans::Yes`] applies `Qᵀ = I − V·Tᵀ·Vᵀ` (the reduction's left update);
-/// [`Trans::No`] applies `Q = I − V·T·Vᵀ` (used when *assembling* `Q`, e.g.
-/// by [`crate::verify::pd_orghr`]).
+/// [`Trans::No`] applies `Q = I − V·T·Vᵀ` (used when *verifying*: the
+/// residuals of [`crate::verify`] apply `Q` from the left).
 #[allow(clippy::too_many_arguments)]
 pub fn left_update_op(
     ctx: &Ctx,

@@ -1,116 +1,98 @@
-//! Distributed verification: assemble `Q` from the stored reflectors
-//! (`pd_orghr` / `pd_orgqr`, the distributed `DORGHR`/`DORGQR`), extract
-//! `H` or `R`, and compute the paper's `r∞`-style residuals — all without
-//! gathering the matrices to one process, so verification scales with the
+//! Distributed verification: apply `Q` of a completed reduction as its
+//! block reflectors (each replicated one panel at a time, as the
+//! distributed `DORMHR`/`DORMQR` would), extract `H` or `R`, and compute the
+//! paper's `r∞`-style residuals — all without gathering the matrices to one
+//! process or forming `Q` explicitly, so verification scales with the
 //! computation.
 
 use crate::dist::DistMatrix;
-use crate::panel::{replicate_reflector_block, v_local_rows};
-use crate::pdgemm::pdgemm;
-use crate::update::left_update_op;
-use ft_dense::Matrix;
-use ft_dense::{Trans, EPS};
+use crate::panel::{replicate_reflector_block, v_local_cols, v_local_rows};
+use crate::update::{left_update_op, right_update};
+use ft_dense::level3::{gemm, trmm};
+use ft_dense::{Diag, Matrix, Side, Trans, UpLo, EPS};
 use ft_lapack::householder::larft;
 use ft_runtime::{Ctx, Tag, TrafficLedger, TransportStats};
 
-const TAG_NORM: Tag = Tag::User(0x170);
+const TAG_VERIFY: Tag = Tag::User(0x170);
+const TAG_RIGHT_W: Tag = Tag::User(0x178);
 
-/// The panel partition `(k, w)` the blocked Hessenberg reduction used for
-/// `n`/`nb`.
-pub fn panel_blocks(n: usize, nb: usize) -> Vec<(usize, usize)> {
-    let mut blocks = Vec::new();
-    let mut k = 0;
-    while k + 2 < n {
-        let w = nb.min(n - 2 - k);
-        blocks.push((k, w));
-        k += w;
-    }
-    blocks
+/// The block reflectors `B_j = I − V_j·T_j·V_jᵀ` of a completed reduction,
+/// `Q = B₀·B₁⋯B_last`: the panel partition of `reduced`'s logical `n×n`
+/// part with reflector units `off` rows below the panel's columns (1 for
+/// Hessenberg, whose panels stop two columns short; 0 for QR).
+struct Reflectors<'a> {
+    reduced: &'a DistMatrix,
+    tau: &'a [f64],
+    n: usize,
+    off: usize,
 }
 
-/// The panel partition `(k, w)` the blocked QR factorization used for
-/// `n`/`nb` (QR reduces every column; Hessenberg stops two short).
-pub fn qr_panel_blocks(n: usize, nb: usize) -> Vec<(usize, usize)> {
-    let mut blocks = Vec::new();
-    let mut k = 0;
-    while k < n {
-        let w = nb.min(n - k);
-        blocks.push((k, w));
-        k += w;
+impl Reflectors<'_> {
+    /// The panel partition `(k, w)` the reduction used: every `nb` columns
+    /// up to `n − 2` for Hessenberg, `n` for QR.
+    fn blocks(&self) -> Vec<(usize, usize)> {
+        let (nb, end) = (self.reduced.desc().nb, self.n.saturating_sub(2 * self.off));
+        (0..end).step_by(nb).map(|k| (k, nb.min(end - k))).collect()
     }
-    blocks
-}
 
-/// Assemble the orthogonal factor `Q` of a completed distributed reduction
-/// (the output of `pdgehrd`/`ft_pdgehrd` with its `tau`): distributed
-/// `DORGHR`. SPMD, collective.
-///
-/// `n` is the logical dimension (pass `a.desc().n` for plain matrices; the
-/// encoded FT matrix is larger). The result lives on the same grid with the
-/// same blocking.
-pub fn pd_orghr(ctx: &Ctx, a: &DistMatrix, n: usize, tau: &[f64]) -> DistMatrix {
-    let nb = a.desc().nb;
-    let mut qm = DistMatrix::from_global_fn(ctx, crate::dist::Desc { m: n, n, nb }, |i, j| if i == j { 1.0 } else { 0.0 });
-    // Q = B₀·B₁⋯B_last·I: apply the block reflectors from the last panel
-    // backwards, each as Q ← (I − V·T·Vᵀ)·Q restricted to rows k+1..n.
-    for &(k, w) in panel_blocks(n, nb).iter().rev() {
-        let vfull = replicate_reflector_block(ctx, a, n, k, w, 1);
-        // T from V and tau (replicated → local larft).
+    /// Panel `[k, k+w)`'s `(V, T)`, replicated on every process
+    /// (collective): `V` holds global rows `k+off..n`.
+    fn block(&self, ctx: &Ctx, k: usize, w: usize) -> (Matrix, Matrix) {
+        let v = replicate_reflector_block(ctx, self.reduced, self.n, k, w, self.off);
         let mut t = Matrix::zeros(w, w);
-        larft(vfull.rows(), w, vfull.as_slice(), vfull.rows().max(1), &tau[k..k + w], t.as_mut_slice(), w);
-        // V restricted to my local rows in [k+1, n).
-        let v_myrows = v_local_rows(&vfull, k + 1, n, &qm);
-        // Columns ≤ k of Q stay identity under these reflectors only if we
-        // skip them — but unlike the shared-memory code we apply to all
-        // local columns: the reflectors have zero rows above k+1, so
-        // columns j ≤ k pick up contributions only in rows k+1.. where the
-        // identity has zeros *until later blocks touch them*. Since we go
-        // backwards, earlier columns are still e_j with zeros in rows k+1..
-        // except entry j itself (j ≤ k < k+1), so the update is a no-op
-        // there mathematically; we restrict to columns > k to save the
-        // work, exactly like DORGHR.
-        let lc0 = qm.local_cols_below(k + 1);
-        let cols: Vec<usize> = (lc0..qm.lcols()).collect();
-        left_update_op(ctx, &mut qm, k + 1, n, &cols, &v_myrows, &t, Trans::No);
+        larft(v.rows(), w, v.as_slice(), v.rows().max(1), &self.tau[k..k + w], t.as_mut_slice(), w);
+        (v, t)
     }
-    qm
-}
 
-/// Assemble the orthogonal factor `Q` of a completed distributed QR
-/// factorization (the output of `pdgeqrf`/`ft_pdgeqrf` with its `tau`):
-/// distributed `DORGQR`. SPMD, collective. Mirrors [`pd_orghr`] with the
-/// QR panel partition and reflector units on the diagonal
-/// (`v_row_offset = 0`).
-pub fn pd_orgqr(ctx: &Ctx, a: &DistMatrix, n: usize, tau: &[f64]) -> DistMatrix {
-    let nb = a.desc().nb;
-    let mut qm = DistMatrix::from_global_fn(ctx, crate::dist::Desc { m: n, n, nb }, |i, j| if i == j { 1.0 } else { 0.0 });
-    for &(k, w) in qr_panel_blocks(n, nb).iter().rev() {
-        let vfull = replicate_reflector_block(ctx, a, n, k, w, 0);
-        let mut t = Matrix::zeros(w, w);
-        larft(vfull.rows(), w, vfull.as_slice(), vfull.rows().max(1), &tau[k..k + w], t.as_mut_slice(), w);
-        // V restricted to my local rows in [k, n).
-        let v_myrows = v_local_rows(&vfull, k, n, &qm);
-        // Going backwards, columns j < k are still e_j with zeros in the
-        // reflector's row range [k, n) — a mathematical no-op we skip,
-        // exactly like DORGQR. Column k itself IS in range (the unit sits
-        // on the diagonal), so the restriction starts at k, not k+1.
-        let lc0 = qm.local_cols_below(k);
-        let cols: Vec<usize> = (lc0..qm.lcols()).collect();
-        left_update_op(ctx, &mut qm, k, n, &cols, &v_myrows, &t, Trans::No);
+    /// `x ← op(B)·x` on rows `k+off..n` of the columns from `c0` on
+    /// (collective within each process column).
+    fn left(&self, ctx: &Ctx, x: &mut DistMatrix, k: usize, c0: usize, (v, t): &(Matrix, Matrix), op: Trans) {
+        let row0 = k + self.off;
+        let v_myrows = v_local_rows(v, row0, self.n, x);
+        let cols: Vec<usize> = (x.local_cols_below(c0)..x.local_cols_below(self.n)).collect();
+        left_update_op(ctx, x, row0, self.n, &cols, &v_myrows, t, op);
     }
-    qm
+
+    /// `x ← Q·x` ([`Trans::No`]: blocks last→first, each on the columns
+    /// from its panel on — the only ones it can touch while `x` starts
+    /// upper Hessenberg, upper triangular or `I`) or `x ← Qᵀ·x`
+    /// ([`Trans::Yes`]: blocks first→last, every column). Collective.
+    fn apply_left(&self, ctx: &Ctx, x: &mut DistMatrix, op: Trans) {
+        let mut blocks = self.blocks();
+        if op == Trans::No {
+            blocks.reverse();
+        }
+        for (k, w) in blocks {
+            let b = self.block(ctx, k, w);
+            let c0 = if op == Trans::No { k } else { 0 };
+            self.left(ctx, x, k, c0, &b, op);
+        }
+    }
+
+    /// `x ← x·Bᵀ` on columns `k+off..n` of every row: `W = X·V` summed
+    /// across the process row, `W ← W·Tᵀ`, `X −= W·Vᵀ`. Collective within
+    /// each process row.
+    fn right_t(&self, ctx: &Ctx, x: &mut DistMatrix, k: usize, (v, t): &(Matrix, Matrix)) {
+        let (row0, n, w) = (k + self.off, self.n, t.rows());
+        let (lc0, lcn) = (x.local_cols_below(row0), x.local_cols_below(n));
+        let (m, nc) = (x.local_rows_below(n), lcn - lc0);
+        let vc = v_local_cols(v, row0, n, x);
+        let ldl = x.local().ld().max(1);
+        let mut wm = vec![0.0f64; m * w];
+        if m > 0 && nc > 0 {
+            let xs = &x.local().as_slice()[lc0 * ldl..];
+            gemm(Trans::No, Trans::No, m, w, nc, 1.0, xs, ldl, vc.as_slice(), nc, 0.0, &mut wm, m);
+        }
+        ctx.allreduce_sum_row(&mut wm, TAG_RIGHT_W);
+        trmm(Side::Right, UpLo::Upper, Trans::Yes, Diag::NonUnit, m, w, 1.0, t.as_slice(), w, &mut wm, m.max(1));
+        right_update(x, n, &(lc0..lcn).collect::<Vec<_>>(), &vc, &Matrix::from_vec(m, w, wm));
+    }
 }
 
 /// `H` of a completed reduction: copy with the reflectors zeroed below the
 /// first subdiagonal (local; no communication).
 pub fn pd_extract_h(ctx: &Ctx, a: &DistMatrix, n: usize) -> DistMatrix {
     logical_copy(ctx, a, n, |gc| gc + 2)
-}
-
-/// `R` of a completed QR factorization: copy with the reflectors zeroed
-/// strictly below the diagonal (local; no communication).
-pub fn pd_extract_r(ctx: &Ctx, a: &DistMatrix, n: usize) -> DistMatrix {
-    logical_copy(ctx, a, n, |gc| gc + 1)
 }
 
 /// The logical `n×n` block of `a` as a matrix of its own, global column
@@ -271,21 +253,18 @@ pub fn pd_gather_transport(ctx: &Ctx, tag: impl Into<Tag>) -> TransportStats {
 /// fully distributed. `a0` holds the *original* matrix, `reduced` the
 /// reduction output (reflectors below the subdiagonal), `tau` its scalars.
 /// Result replicated on every process.
+///
+/// `Q·H·Qᵀ = B₀⋯B_last·H·B_lastᵀ⋯B₀ᵀ` is built from `H` one block a side
+/// at a time, last block first; nothing forms `Q`.
 pub fn pd_hessenberg_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
-    let qm = pd_orghr(ctx, reduced, n, tau);
-    let h = pd_extract_h(ctx, reduced, n);
-    // T1 = Q·H ; R = A0 − T1·Qᵀ
-    let nb = a0.desc().nb;
-    let mut t1 = DistMatrix::zeros(ctx, crate::dist::Desc { m: n, n, nb });
-    pdgemm(ctx, Trans::No, 1.0, &qm, &h, 0.0, &mut t1);
-    // r = a0's logical part (a0 may be encoded).
-    let mut r = logical_copy(ctx, a0, n, |_| n);
-    pdgemm(ctx, Trans::Yes, -1.0, &t1, &qm, 1.0, &mut r);
-    let na = pd_inf_norm(ctx, a0, n, TAG_NORM);
-    if na == 0.0 {
-        return 0.0;
+    let q = Reflectors { reduced, tau, n, off: 1 };
+    let mut x = pd_extract_h(ctx, reduced, n);
+    for (k, w) in q.blocks().into_iter().rev() {
+        let b = q.block(ctx, k, w);
+        q.left(ctx, &mut x, k, k, &b, Trans::No);
+        q.right_t(ctx, &mut x, k, &b);
     }
-    pd_inf_norm(ctx, &r, n, TAG_NORM.offset(4)) / (na * n as f64 * EPS)
+    scaled_residual(ctx, a0, x, n)
 }
 
 /// The QR analogue of the §7.3 residual, computed fully distributed:
@@ -293,29 +272,40 @@ pub fn pd_hessenberg_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, 
 /// `reduced` the factorization output (reflectors below the diagonal),
 /// `tau` its scalars. Result replicated on every process.
 pub fn pd_qr_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
-    let qm = pd_orgqr(ctx, reduced, n, tau);
-    let rm = pd_extract_r(ctx, reduced, n);
-    // r = a0's logical part (a0 may be encoded).
-    let mut r = logical_copy(ctx, a0, n, |_| n);
-    // r ← a0 − Q·R
-    pdgemm(ctx, Trans::No, -1.0, &qm, &rm, 1.0, &mut r);
-    let na = pd_inf_norm(ctx, a0, n, TAG_NORM.offset(8));
+    let mut x = logical_copy(ctx, reduced, n, |gc| gc + 1);
+    Reflectors { reduced, tau, n, off: 0 }.apply_left(ctx, &mut x, Trans::No);
+    scaled_residual(ctx, a0, x, n)
+}
+
+/// Scaled orthogonality residual `‖QᵀQ − I‖∞ / (N·ε)` of the `Q` of a
+/// completed distributed QR factorization (`reduced`, `tau` as for
+/// [`pd_qr_residual`]), replicated on every process: `I` gets `Q` and then
+/// `Qᵀ` applied from the left.
+pub fn pd_orthogonality_residual(ctx: &Ctx, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+    let desc = crate::dist::Desc { m: n, n, nb: reduced.desc().nb };
+    let eye = DistMatrix::from_global_fn(ctx, desc, |i, j| if i == j { 1.0 } else { 0.0 });
+    let q = Reflectors { reduced, tau, n, off: 0 };
+    let mut x = eye.clone();
+    q.apply_left(ctx, &mut x, Trans::No);
+    q.apply_left(ctx, &mut x, Trans::Yes);
+    // ‖I‖∞ = 1: the scaled residual against I is the orthogonality's.
+    scaled_residual(ctx, &eye, x, n)
+}
+
+/// `‖A₀ − X‖∞ / (‖A₀‖∞·N·ε)` over the logical `n×n` block (`a0` may be
+/// encoded: its logical block sits at the same local indices as `x`'s).
+fn scaled_residual(ctx: &Ctx, a0: &DistMatrix, mut x: DistMatrix, n: usize) -> f64 {
+    let lrn = x.local_rows_below(n);
+    for lc in 0..x.local_cols_below(n) {
+        for (xv, av) in x.local_mut().col_mut(lc)[..lrn].iter_mut().zip(&a0.local().col(lc)[..lrn]) {
+            *xv -= av;
+        }
+    }
+    let na = pd_inf_norm(ctx, a0, n, TAG_VERIFY);
     if na == 0.0 {
         return 0.0;
     }
-    pd_inf_norm(ctx, &r, n, TAG_NORM.offset(12)) / (na * n as f64 * EPS)
-}
-
-/// Scaled orthogonality residual `‖Q·Qᵀ − I‖∞ / (N·ε)` of a distributed
-/// square `Q`, replicated on every process. (For square `Q`,
-/// `‖QQᵀ − I‖ = ‖QᵀQ − I‖` up to the norm's row/column asymmetry — both
-/// vanish exactly when `Q` is orthogonal.)
-pub fn pd_orthogonality_residual(ctx: &Ctx, qm: &DistMatrix, n: usize) -> f64 {
-    let nb = qm.desc().nb;
-    let mut g = DistMatrix::from_global_fn(ctx, crate::dist::Desc { m: n, n, nb }, |i, j| if i == j { 1.0 } else { 0.0 });
-    // g ← Q·Qᵀ − I
-    pdgemm(ctx, Trans::Yes, 1.0, qm, qm, -1.0, &mut g);
-    pd_inf_norm(ctx, &g, n, TAG_NORM.offset(16)) / (n as f64 * EPS)
+    pd_inf_norm(ctx, &x, n, TAG_VERIFY.offset(2)) / (na * n as f64 * EPS)
 }
 
 #[cfg(test)]
@@ -325,6 +315,16 @@ mod tests {
     use crate::hessd::pdgehrd;
     use ft_dense::gen::{uniform_entry, uniform_indexed_matrix};
     use ft_runtime::{run_spmd, FaultScript};
+
+    /// `Q` applied to `I` as its block reflectors, on a ragged grid, is
+    /// the shared-memory `orghr`/`orgqr`: the left-apply loop every residual
+    /// runs, for both reflector layouts.
+    fn q_from_identity(ctx: &Ctx, reduced: &DistMatrix, n: usize, tau: &[f64], off: usize) -> Matrix {
+        let mut x =
+            DistMatrix::from_global_fn(ctx, Desc { m: n, n, nb: reduced.desc().nb }, |i, j| if i == j { 1.0 } else { 0.0 });
+        Reflectors { reduced, tau, n, off }.apply_left(ctx, &mut x, Trans::No);
+        x.gather_all(ctx, 890)
+    }
 
     #[test]
     fn pd_orghr_matches_shared() {
@@ -340,12 +340,8 @@ mod tests {
             let mut a = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
             let mut tau = vec![0.0; n - 1];
             pdgehrd(&ctx, &mut a, &mut tau);
-            let qd = pd_orghr(&ctx, &a, n, &tau);
-            let qg = qd.gather_all(&ctx, 890);
-            if ctx.rank() == 0 {
-                let d = qg.max_abs_diff(&q_ref);
-                assert!(d < 1e-10, "Q mismatch: {d}");
-            }
+            let d = q_from_identity(&ctx, &a, n, &tau, 1).max_abs_diff(&q_ref);
+            assert!(d < 1e-10, "Q mismatch: {d}");
         });
     }
 
@@ -364,7 +360,7 @@ mod tests {
             let all: &dyn Fn(usize, usize) -> bool = &|_, _| true;
             for (what, got, keep) in [
                 ("H", pd_extract_h(&ctx, &a, n), h),
-                ("R", pd_extract_r(&ctx, &a, n), r),
+                ("R", logical_copy(&ctx, &a, n, |gc| gc + 1), r),
                 ("A0", logical_copy(&ctx, &a, n, |_| n), all),
             ] {
                 let mut want = DistMatrix::zeros(&ctx, Desc { m: n, n, nb });
@@ -417,17 +413,65 @@ mod tests {
             let mut a = a0.clone();
             let mut tau = vec![0.0; n];
             crate::qrd::pdgeqrf(&ctx, &mut a, &mut tau);
-            let qd = pd_orgqr(&ctx, &a, n, &tau);
-            let qg = qd.gather_all(&ctx, 891);
-            if ctx.rank() == 0 {
-                let d = qg.max_abs_diff(&q_ref);
-                assert!(d < 1e-10, "Q mismatch: {d}");
-            }
+            let d = q_from_identity(&ctx, &a, n, &tau, 0).max_abs_diff(&q_ref);
+            assert!(d < 1e-10, "Q mismatch: {d}");
             let r = pd_qr_residual(&ctx, &a0, &a, n, &tau);
             assert!(r < 3.0, "distributed QR residual {r}");
-            let orth = pd_orthogonality_residual(&ctx, &qd, n);
+            let orth = pd_orthogonality_residual(&ctx, &a, n, &tau);
             assert!(orth < 3.0, "distributed orthogonality {orth}");
         });
+    }
+
+    /// A factor perturbed by δ far above roundoff — one entry of `H` or `R`,
+    /// one `tau` — moves each distributed residual to the sequential
+    /// explicit-`Q` value of the same perturbed factor, bit-identical on
+    /// every rank, on ragged grids. Applying the right-hand blocks in the
+    /// wrong order, or `T` for `Tᵀ`, lands orders of magnitude away.
+    #[test]
+    fn residuals_of_a_perturbed_factor_match_the_explicit_q_ones() {
+        let (n, nb, seed, delta) = (37, 4, 38, 1e-3);
+        let a0g = uniform_indexed_matrix(n, n, seed);
+        let close = |got: f64, want: f64, what: &str| {
+            assert!(want > 1e6, "{what}: δ too small to dominate roundoff ({want})");
+            assert!((got - want).abs() <= 1e-6 * want, "{what}: distributed {got} vs sequential {want}");
+        };
+        // Hessenberg: H(3, 9) += δ.
+        let mut hf = a0g.clone();
+        let mut htau = vec![0.0; n - 1];
+        ft_lapack::gehrd(&mut hf, nb, &mut htau);
+        hf[(3, 9)] += delta;
+        let hess_want = ft_lapack::hessenberg_residual(&a0g, &ft_lapack::extract_h(&hf), &ft_lapack::orghr(&hf, &htau));
+        // QR: R(5, 20) += δ for the residual, tau[6] += δ for orthogonality.
+        let mut qf = a0g.clone();
+        let mut qtau = vec![0.0; n];
+        ft_lapack::qr::geqrf(&mut qf, nb, &mut qtau);
+        qf[(5, 20)] += delta;
+        let qr_want = ft_lapack::qr::qr_residual(&a0g, &ft_lapack::qr::orgqr(&qf, &qtau), &ft_lapack::qr::extract_r(&qf));
+        qtau[6] += delta;
+        let orth_want = ft_lapack::orthogonality_residual(&ft_lapack::qr::orgqr(&qf, &qtau));
+        for (p, q) in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)] {
+            let got = run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let a0 = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(seed, i, j));
+                let (mut h, mut ht) = (a0.clone(), vec![0.0; n - 1]);
+                pdgehrd(&ctx, &mut h, &mut ht);
+                let (mut r, mut rt) = (a0.clone(), vec![0.0; n]);
+                crate::qrd::pdgeqrf(&ctx, &mut r, &mut rt);
+                for (m, i, j) in [(&mut h, 3, 9), (&mut r, 5, 20)] {
+                    if m.owns_row(i) && m.owns_col(j) {
+                        m.set(i, j, m.get(i, j) + delta);
+                    }
+                }
+                let hess = pd_hessenberg_residual(&ctx, &a0, &h, n, &ht);
+                let qr = pd_qr_residual(&ctx, &a0, &r, n, &rt);
+                rt[6] += delta;
+                [hess, qr, pd_orthogonality_residual(&ctx, &r, n, &rt)].map(f64::to_bits)
+            });
+            assert!(got.iter().all(|g| *g == got[0]), "{p}x{q}: ranks disagree");
+            let [hess, qr, orth] = got[0].map(f64::from_bits);
+            close(hess, hess_want, &format!("{p}x{q} hessenberg"));
+            close(qr, qr_want, &format!("{p}x{q} qr"));
+            close(orth, orth_want, &format!("{p}x{q} orthogonality"));
+        }
     }
 
     #[test]

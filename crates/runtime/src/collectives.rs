@@ -80,30 +80,6 @@ fn member_index(members: &[usize], rank: usize) -> Option<usize> {
     members.iter().position(|&r| r == rank)
 }
 
-/// A broadcast that has been *posted* but not yet completed — the split-phase
-/// half of [`Ctx::post_bcast_row`] / [`Ctx::post_bcast_col`].
-///
-/// The root's sends happen eagerly at post time (mpsc sends never block), so
-/// between `post` and [`Ctx::wait_bcast`] every member is free to compute:
-/// this is what lets `pdgemm` overlap the panel-`t+1` broadcast with the
-/// panel-`t` local GEMM. The payload travels as a shared `Arc<[f64]>`, so
-/// completion is allocation-free on the root and one receive elsewhere.
-#[must_use = "a posted broadcast must be completed with wait_bcast"]
-pub struct PendingBcast {
-    /// Rank the completion receive comes from (the root).
-    src: usize,
-    wire: u64,
-    /// The root keeps its payload locally instead of receiving.
-    local: Option<Arc<[f64]>>,
-}
-
-impl PendingBcast {
-    /// Whether the caller was the broadcast root.
-    pub fn is_root(&self) -> bool {
-        self.local.is_some()
-    }
-}
-
 /// A row sum-reduction that has been *posted* but not yet completed — the
 /// split-phase half of [`Ctx::post_reduce_sum_row`].
 ///
@@ -308,57 +284,6 @@ impl Ctx {
         }
     }
 
-    /// Post a *flat eager* broadcast of `data` from `root` over `members`:
-    /// the root pushes the payload to every other member right now (mpsc
-    /// sends are non-blocking), non-roots record where to receive from and
-    /// return immediately. Complete with [`Ctx::wait_bcast`].
-    ///
-    /// Flat vs the binomial tree of [`Ctx::bcast_group`]: same total traffic
-    /// (P−1 messages, one payload allocation), but the root's ⌈log₂ P⌉
-    /// critical-path forwarding hops collapse to zero *waiting* hops because
-    /// every send is posted before anyone blocks. The root pays O(P) send
-    /// calls — cheap handle pushes — which it then hides under its own
-    /// compute. The caller must be a member (or the root itself), otherwise
-    /// the eventual `wait_bcast` would block forever.
-    pub(crate) fn post_bcast_group(&self, members: &[usize], root: usize, data: &[f64], tag: Tag) -> PendingBcast {
-        let wire = tag.wire(Leg::Bcast);
-        if self.rank() == root {
-            let payload: Arc<[f64]> = Arc::from(data);
-            for &peer in members {
-                if peer != root {
-                    self.send_wire(peer, wire, tag.phase(), Arc::clone(&payload));
-                }
-            }
-            PendingBcast { src: root, wire, local: Some(payload) }
-        } else {
-            debug_assert!(member_index(members, self.rank()).is_some(), "post_bcast: caller not in group");
-            PendingBcast { src: root, wire, local: None }
-        }
-    }
-
-    /// Complete a broadcast posted with [`Ctx::post_bcast_row`] /
-    /// [`Ctx::post_bcast_col`], returning the root's payload.
-    pub fn wait_bcast(&self, pending: PendingBcast) -> Arc<[f64]> {
-        match pending.local {
-            Some(p) => p,
-            None => self.recv_wire(pending.src, pending.wire),
-        }
-    }
-
-    /// Post an eager broadcast within this process's grid row from the
-    /// process at column `root_q`. Only the root's `data` is read.
-    pub fn post_bcast_row(&self, root_q: usize, data: &[f64], tag: impl Into<Tag>) -> PendingBcast {
-        let root = self.grid().rank_of(self.myrow(), root_q);
-        self.post_bcast_group(self.row_ranks(), root, data, tag.into())
-    }
-
-    /// Post an eager broadcast within this process's grid column from the
-    /// process at row `root_p`. Only the root's `data` is read.
-    pub fn post_bcast_col(&self, root_p: usize, data: &[f64], tag: impl Into<Tag>) -> PendingBcast {
-        let root = self.grid().rank_of(root_p, self.mycol());
-        self.post_bcast_group(self.col_ranks(), root, data, tag.into())
-    }
-
     // --- broadcasts ----------------------------------------------------------
 
     /// Broadcast within this process's grid row from the process at column
@@ -543,48 +468,6 @@ mod tests {
         });
         let sums: Vec<f64> = results.into_iter().flatten().collect();
         assert_eq!(sums, vec![6.0, 6.0]);
-    }
-
-    #[test]
-    fn posted_broadcast_overlaps_compute() {
-        run_spmd(2, 3, FaultScript::none(), |ctx| {
-            // Two broadcasts in flight at once on distinct tags — the
-            // double-buffered pdgemm pattern.
-            let d0 = vec![ctx.myrow() as f64; 4];
-            let p0 = ctx.post_bcast_row(0, &d0, 41);
-            let d1 = vec![ctx.myrow() as f64 + 10.0; 4];
-            let p1 = ctx.post_bcast_row(1, &d1, 42);
-            // "Compute" happens here, then completion in post order.
-            let r0 = ctx.wait_bcast(p0);
-            let r1 = ctx.wait_bcast(p1);
-            assert_eq!(&r0[..], &vec![ctx.myrow() as f64; 4][..]);
-            assert_eq!(&r1[..], &vec![ctx.myrow() as f64 + 10.0; 4][..]);
-        });
-    }
-
-    #[test]
-    fn posted_broadcast_matches_tree_traffic() {
-        // Flat eager broadcast delivers exactly P−1 messages, like the tree.
-        let out = run_spmd(1, 4, FaultScript::none(), |ctx| {
-            let before = ctx.msgs_sent();
-            let d = vec![2.5; 8];
-            let p = ctx.post_bcast_row(2, &d, 43);
-            let r = ctx.wait_bcast(p);
-            assert_eq!(&r[..], &[2.5; 8][..]);
-            ctx.msgs_sent() - before
-        });
-        assert_eq!(out.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn posted_col_broadcast() {
-        run_spmd(3, 2, FaultScript::none(), |ctx| {
-            let d = vec![ctx.mycol() as f64 * 2.0];
-            let p = ctx.post_bcast_col(2, &d, 44);
-            assert_eq!(p.is_root(), ctx.myrow() == 2);
-            let r = ctx.wait_bcast(p);
-            assert_eq!(&r[..], &[ctx.mycol() as f64 * 2.0][..]);
-        });
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub mod tag;
 pub mod tcp;
 pub mod transport;
 
-pub use collectives::PendingBcast;
 pub use comm::{recv_timeout_env, Ctx};
 pub use detect::{catch_interrupt, FailureAgreement, Interrupt, InterruptReason};
 pub use fault::{poisson_failures, ChaosKill, ChaosPoint, FaultScript, PlannedFailure, SdcFlip};

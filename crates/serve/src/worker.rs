@@ -119,7 +119,7 @@ fn run_assignment(job: u64, tenant: u32, a: Assignment, writer: &Arc<Mutex<TcpSt
             Ok(report) => {
                 let a0 = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| matrix[i * n + j]);
                 // The factorization residual only — the CLI's stricter
-                // `verify_residual` would add an orgqr per QR job.
+                // `verify_residual` would add `QᵀQ − I` per QR job.
                 let residual = solver.residual(&ctx, &a0, &enc.a, n, &tau);
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 let factor = enc.gather_logical_root(&ctx, Tag::job(job, 0));

@@ -274,14 +274,20 @@ need_runs mk "hessenberg qr" 13
 # one OS process per rank, wired by the launcher's probed ports. Both ABFT
 # variants must finish fault-free and pass verification. The shortened
 # receive timeout turns any protocol wedge into a typed abort instead of a
-# CI hang (the launcher's own 600 s watchdog is the backstop).
-echo "== distributed smoke (localhost TCP, 2x2, both solvers)"
+# CI hang (the launcher's own 600 s watchdog is the backstop). One ragged
+# 2x3 leg per solver (N = 70 is no multiple of nb = 8) runs the residuals'
+# reflector applications across real processes: the right-hand row
+# all-reduce over Q = 3, not a power of two, and the left-hand column
+# reduce over P = 2.
+echo "== distributed smoke (localhost TCP, 2x2 and ragged 2x3, both solvers)"
 DIST="env FT_RECV_TIMEOUT_MS=60000 $BIN --distributed --grid 2x2 --n 64 --nb 8"
 for solver in hessenberg qr; do
     for variant in alg2 alg3; do
         soak_leg 0 $DIST --solver "$solver" --variant "$variant" --verify
         echo "  $solver $variant: fault-free, verified"
     done
+    soak_leg 0 env FT_RECV_TIMEOUT_MS=60000 $BIN --distributed --grid 2x3 --n 70 --nb 8 --solver "$solver" --verify
+    echo "  $solver 2x3 N=70: fault-free, verified"
 done
 
 # The fault soaks: every injected-fault family is a row of one table, run

@@ -18,9 +18,18 @@ use abft_hessenberg::runtime::{
     catch_comm_error, poisson_failures, run_distributed, run_spmd, CommError, Ctx, FaultScript, PeerCounters, PlannedFailure,
     TcpConfig, TcpTransport, TrafficLedger, TrafficPhase, TransportStats,
 };
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::process::exit;
 use std::time::{Duration, Instant};
+
+/// `println!` that ignores a closed stdout (`abft-hessenberg … | head -1`):
+/// the launcher keeps reaping its ranks and every run exits with its own
+/// code instead of panicking on the first line nobody reads.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 mod serve_cli;
 
@@ -117,16 +126,16 @@ fn opts(a: &Args) -> Result<Opts, String> {
 }
 
 fn print_scrub_summary(s: &ScrubReport) {
-    println!("scrub (grid-wide, aggregated):");
-    println!("  {:<22} {:>10}", "scans", s.scans);
-    println!("  {:<22} {:>10}", "detections", s.detections);
-    println!("  {:<22} {:>10}", "corrections", s.corrections);
-    println!("  {:<22} {:>10}", "checksum repairs", s.chk_repairs);
-    println!("  {:<22} {:>10}", "area-3 repairs", s.area3_repairs);
-    println!("  {:<22} {:>10}", "escalations", s.escalations);
-    println!("  {:<22} {:>10}", "rollbacks", s.rollbacks);
-    println!("  {:<22} {:>10.4}", "scan seconds (mean)", s.scan_secs);
-    println!("  {:<22} {:>10.3e}", "residual mass (frob2)", s.residual_mass);
+    say!("scrub (grid-wide, aggregated):");
+    say!("  {:<22} {:>10}", "scans", s.scans);
+    say!("  {:<22} {:>10}", "detections", s.detections);
+    say!("  {:<22} {:>10}", "corrections", s.corrections);
+    say!("  {:<22} {:>10}", "checksum repairs", s.chk_repairs);
+    say!("  {:<22} {:>10}", "area-3 repairs", s.area3_repairs);
+    say!("  {:<22} {:>10}", "escalations", s.escalations);
+    say!("  {:<22} {:>10}", "rollbacks", s.rollbacks);
+    say!("  {:<22} {:>10.4}", "scan seconds (mean)", s.scan_secs);
+    say!("  {:<22} {:>10.3e}", "residual mass (frob2)", s.residual_mass);
 }
 
 fn print_transport_summary(stats: &TransportStats) {
@@ -148,9 +157,9 @@ fn print_transport_summary(stats: &TransportStats) {
     ];
     let line = |label: &str, cell: &dyn Fn(&Col) -> String| {
         let cells: String = COLS.iter().map(|col| format!(" {:>w$}", cell(col), w = col.1)).collect();
-        println!("  {label:>4}{cells}");
+        say!("  {label:>4}{cells}");
     };
-    println!("transport (grid-wide, by peer):");
+    say!("transport (grid-wide, by peer):");
     line("peer", &|col| col.0.to_string());
     for (r, c) in stats.peers.iter().enumerate() {
         line(&r.to_string(), &|col| (col.2)(c).to_string());
@@ -343,38 +352,38 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
 fn print_summary(o: &Opts, out: &RankOutcome) -> i32 {
     let Shape { n, solver, mode, .. } = o.shape;
     let gf = solver.flop_coef() * (n as f64).powi(3) / out.secs / 1e9;
-    println!("time: {:.3} s  ({gf:.2} effective GFLOP/s)", out.secs);
+    say!("time: {:.3} s  ({gf:.2} effective GFLOP/s)", out.secs);
     let (events, lost) = out.events;
     match mode {
         Mode::Plain => {}
-        Mode::Cr => println!("rollbacks: {events}, lost panel iterations: {lost}"),
+        Mode::Cr => say!("rollbacks: {events}, lost panel iterations: {lost}"),
         // Arbitrary-point aborts exist only where kills are live: scripted
         // in-process, or any run over a real transport.
-        _ if !o.faults.kills().is_empty() || o.distributed => println!("recoveries: {events}, chaos aborts: {lost}"),
-        _ => println!("recoveries: {events}"),
+        _ if !o.faults.kills().is_empty() || o.distributed => say!("recoveries: {events}, chaos aborts: {lost}"),
+        _ => say!("recoveries: {events}"),
     }
     if let (secs, words @ 1..) = out.commit {
-        println!("commit (rank 0): {secs:.4} s in barriers and image captures, {words} words copied into images");
+        say!("commit (rank 0): {secs:.4} s in barriers and image captures, {words} words copied into images");
     }
     if let Some(s) = &out.scrub {
         print_scrub_summary(s);
     }
-    println!("traffic (grid-wide, by phase):");
+    say!("traffic (grid-wide, by phase):");
     for ph in TrafficPhase::ALL {
         let t = out.traffic.phase(ph);
         if t.msgs > 0 {
-            println!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
+            say!("  {:<16} {:>12} bytes  {:>8} msgs", ph.name(), t.bytes, t.msgs);
         }
     }
-    println!("  {:<16} {:>12} bytes  {:>8} msgs", "total", out.traffic.total_bytes(), out.traffic.total_msgs());
+    say!("  {:<16} {:>12} bytes  {:>8} msgs", "total", out.traffic.total_bytes(), out.traffic.total_msgs());
     if let Some((ranks, stall)) = &out.shrink {
         if ranks.is_empty() {
-            println!("shrink: armed, no rank adopted");
+            say!("shrink: armed, no rank adopted");
         } else {
-            println!("shrink (survivor-adopted ranks):");
-            println!("  {:<22} {:?}", "adopted ranks", ranks);
-            println!("  {:<22} {:>10} bytes", "redistributed", out.traffic.phase(TrafficPhase::Recovery).bytes);
-            println!("  {:<22} {:>10.3} s", "agreement stall", stall);
+            say!("shrink (survivor-adopted ranks):");
+            say!("  {:<22} {:?}", "adopted ranks", ranks);
+            say!("  {:<22} {:>10} bytes", "redistributed", out.traffic.phase(TrafficPhase::Recovery).bytes);
+            say!("  {:<22} {:>10.3} s", "agreement stall", stall);
         }
     }
     if let Some(wire) = &out.wire {
@@ -389,18 +398,18 @@ fn print_summary(o: &Opts, out: &RankOutcome) -> i32 {
             }
         };
         ev.sort_by(|a, b| (a.re, a.im).partial_cmp(&(b.re, b.im)).unwrap());
-        println!("eigenvalues ({}):", ev.len());
+        say!("eigenvalues ({}):", ev.len());
         for e in &ev {
-            println!("eig {:+.15e} {:+.15e}", e.re, e.im);
+            say!("eig {:+.15e} {:+.15e}", e.re, e.im);
         }
     }
     if let Some(r) = out.residual {
-        println!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
+        say!("residual r_inf = {r:.4}  (paper threshold r_t = 3)");
         if r >= 3.0 {
             eprintln!("VERIFICATION FAILED");
             return 1;
         }
-        println!("verification passed");
+        say!("verification passed");
     }
     0
 }
@@ -464,7 +473,7 @@ fn adopt_rank(mut o: Opts, victim: usize, incarnation: u32) {
     // still apply to its links, the kills (all struck or moot) do not.
     let faults = o.faults.clone().with_kills(Vec::new());
     let code = run_tcp_rank(&o, victim, incarnation, faults, |_| {});
-    println!("FT_SHRINK_CODE rank={victim} code={code}");
+    say!("FT_SHRINK_CODE rank={victim} code={code}");
 }
 
 /// Child mode: run as rank `rank` of the TCP fabric and exit with the
@@ -597,7 +606,7 @@ fn parent_main(o: Opts) -> ! {
         eprintln!("cannot locate own binary: {e}");
         exit(3)
     });
-    println!(
+    say!(
         "abft-hessenberg (distributed): {} ports={}..{} kills={} seed={}",
         shape_line(&o.shape),
         port_base,
@@ -613,7 +622,7 @@ fn parent_main(o: Opts) -> ! {
             Ok(c) => {
                 // The pid marker lets external harnesses (stall soaks,
                 // SIGSTOP tests) target a specific rank's process.
-                println!("FT_RANK_SPAWN rank={rank} pid={} incarnation=0", c.id());
+                say!("FT_RANK_SPAWN rank={rank} pid={} incarnation=0", c.id());
                 children.push(Some(c));
             }
             Err(e) => {
@@ -659,15 +668,15 @@ fn parent_main(o: Opts) -> ! {
                     if o.shrink {
                         // Final: the survivors must adopt this rank.
                         shrunk[rank] = true;
-                        println!("launcher: SIGKILL rank {rank} (chaos kill #{idx}, shrink — no re-spawn)");
+                        say!("launcher: SIGKILL rank {rank} (chaos kill #{idx}, shrink — no re-spawn)");
                     } else {
                         pending_respawn[rank] = true;
-                        println!("launcher: SIGKILL rank {rank} (chaos kill #{idx})");
+                        say!("launcher: SIGKILL rank {rank} (chaos kill #{idx})");
                     }
                 }
             }
             LauncherEvent::ShrinkCode { rank, code } => {
-                println!("launcher: adopted rank {rank} finished with code {code}");
+                say!("launcher: adopted rank {rank} finished with code {code}");
                 if rank == 0 {
                     code0 = code;
                 }
@@ -676,7 +685,7 @@ fn parent_main(o: Opts) -> ! {
                 // Under --shrink, rank 0 may end up hosted by any process,
                 // so every survivor's stdout is passed through.
                 if rank == 0 || o.shrink {
-                    println!("{line}");
+                    say!("{line}");
                 }
             }
             LauncherEvent::Eof { rank } => {
@@ -686,8 +695,8 @@ fn parent_main(o: Opts) -> ! {
                     incarnation[rank] += 1;
                     match spawn_rank(&exe, probed, rank, incarnation[rank], &fired, &tx) {
                         Ok(c) => {
-                            println!("launcher: re-spawned rank {rank} (incarnation {})", incarnation[rank]);
-                            println!("FT_RANK_SPAWN rank={rank} pid={} incarnation={}", c.id(), incarnation[rank]);
+                            say!("launcher: re-spawned rank {rank} (incarnation {})", incarnation[rank]);
+                            say!("FT_RANK_SPAWN rank={rank} pid={} incarnation={}", c.id(), incarnation[rank]);
                             children[rank] = Some(c);
                         }
                         Err(e) => {
@@ -726,7 +735,7 @@ fn main() {
         .unwrap_or(Verb::Run);
     let args = knobs::parse(verb, argv).unwrap_or_else(|e| fail(&e));
     if args.help {
-        print!("{}", knobs::help(verb));
+        let _ = std::io::stdout().write_all(knobs::help(verb).as_bytes());
         exit(0)
     }
     // Before any rank starts: in process, in the launcher and in each of
@@ -753,7 +762,7 @@ fn run(a: &Args) -> Result<i32, String> {
     // Ragged N is handled by the encoder (zero-padded to whole blocks, see
     // DESIGN.md §10) — no round-up needed.
     let Shape { p, q, seed, .. } = o.shape;
-    println!("abft-hessenberg: {} failures={} seed={seed}", shape_line(&o.shape), o.faults.failures().len());
+    say!("abft-hessenberg: {} failures={} seed={seed}", shape_line(&o.shape), o.faults.failures().len());
     let rank0 = run_spmd(p, q, o.faults.clone(), |ctx| catch_comm_error(|| rank_body(&ctx, &o)))
         .into_iter()
         .next()

@@ -46,7 +46,7 @@ pub fn submit(a: &Args) -> Result<i32, String> {
     if a.has("--shutdown") {
         return Ok(match Client::shutdown(port) {
             Ok(()) => {
-                println!("daemon on port {port} draining");
+                say!("daemon on port {port} draining");
                 0
             }
             Err(e) => {
@@ -87,18 +87,21 @@ pub fn submit(a: &Args) -> Result<i32, String> {
     while client.outstanding() > 0 {
         match client.next_event() {
             Ok(Event::Accepted { job, seq }) => {
-                println!("FT_SUBMIT_ACCEPT job={job} seq={seq}");
+                say!("FT_SUBMIT_ACCEPT job={job} seq={seq}");
                 let _ = std::io::stdout().flush();
             }
             Ok(Event::Rejected { job, seq, reason }) => {
-                println!("FT_SUBMIT_REJECT job={job} seq={seq} reason={}", reason.name());
+                say!("FT_SUBMIT_REJECT job={job} seq={seq} reason={}", reason.name());
                 let _ = std::io::stdout().flush();
                 worst = worst.max(3);
             }
             Ok(Event::Completed { job, result }) => {
-                println!(
+                say!(
                     "FT_SUBMIT_RESULT job={job} residual={:.4} recoveries={} wall_ms={:.1} bytes={}",
-                    result.residual, result.recoveries, result.wall_ms, result.bytes
+                    result.residual,
+                    result.recoveries,
+                    result.wall_ms,
+                    result.bytes
                 );
                 let _ = std::io::stdout().flush();
                 if result.residual >= 3.0 {

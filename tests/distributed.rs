@@ -34,13 +34,22 @@ struct RunOutput {
 /// Run the binary with `args`, enforcing [`WALL_LIMIT`]. Ports are left to
 /// the launcher's own probing so parallel tests never collide.
 fn run(args: &[&str], recv_timeout_ms: u64) -> RunOutput {
-    let child = Command::new(BIN)
+    reap(spawn(args, recv_timeout_ms), args)
+}
+
+/// Start the binary with `args`, stdout and stderr piped.
+fn spawn(args: &[&str], recv_timeout_ms: u64) -> std::process::Child {
+    Command::new(BIN)
         .args(args)
         .env("FT_RECV_TIMEOUT_MS", recv_timeout_ms.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn launcher");
+        .expect("spawn launcher")
+}
+
+/// Wait for `child` within [`WALL_LIMIT`] and collect what it printed.
+fn reap(child: std::process::Child, args: &[&str]) -> RunOutput {
     let deadline = Instant::now() + WALL_LIMIT;
     // Reap on a helper thread so the deadline also covers a child that
     // produces no output at all.
@@ -181,6 +190,27 @@ fn fault_free_smoke_both_variants() {
         assert_eq!(out.status, 0, "{variant}: {}\n{}", out.stdout, out.stderr);
         assert!(out.stdout.contains("verification passed"), "{variant}: {}", out.stdout);
         assert!(out.stdout.contains("recoveries: 0"), "{variant}: {}", out.stdout);
+    }
+}
+
+/// A reader that stops after one line (`… | head -1`) closes stdout under a
+/// run that still has lines to print: the launcher keeps reaping its ranks
+/// and exits with rank 0's code, an in-process run with its own, and
+/// neither panics on the write that fails.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    for launcher in [true, false] {
+        let args = ["--distributed", "--grid", "1x2", "--n", "32", "--nb", "8", "--verify"];
+        let args = if launcher { &args[..] } else { &args[1..] };
+        let mut child = spawn(args, 30_000);
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("piped"))
+            .read_line(&mut first)
+            .expect("first line");
+        assert!(first.starts_with("abft-hessenberg"), "{args:?}: {first}");
+        let out = reap(child, args);
+        assert_ne!(out.status, 101, "{args:?}: {}", out.stderr);
+        assert!(!out.stderr.contains("panicked"), "{args:?}: {}", out.stderr);
     }
 }
 

@@ -110,7 +110,7 @@ fn shared_and_distributed_agree_without_faults() {
 
 #[test]
 fn distributed_verification_after_failure() {
-    // The fully distributed residual pipeline (pd_orghr + SUMMA pdgemm)
+    // The fully distributed residual (Q applied as its block reflectors)
     // verifies a fault-recovered reduction without gathering anything.
     use abft_hessenberg::pblas::{pd_hessenberg_residual, Desc, DistMatrix};
     let (n, nb, p, q) = (64, 8, 2, 2);

@@ -151,10 +151,11 @@ fn quota_and_queue_backpressure_reject_typed() {
     let port = d.port;
     let h = std::thread::spawn(move || {
         let mut a = Client::connect(port, 7).expect("tenant A");
-        // Big enough (hundreds of ms on one rank) that the head job is
-        // still running while both tenants' submissions are admitted —
-        // otherwise an early completion drains the queue mid-test.
-        let s = spec(SolverId::Hessenberg, 320, 8, 1, 50, false);
+        // Big enough (about 0.2 s on one rank; N = 320 took 25 ms and lost
+        // the race about one run in ten) that the head job is still running
+        // while both tenants' submissions are admitted — otherwise an early
+        // completion drains the queue mid-test.
+        let s = spec(SolverId::Hessenberg, 640, 8, 1, 50, false);
         // A: first job dispatches onto the only slot, second queues, third
         // is over tenant 7's quota of 2 (queued + running).
         for _ in 0..3 {
