@@ -12,9 +12,9 @@
 //! * packed GEMM must reach ≥ 3× the naive GFLOP/s at 512×512 (the PR-3
 //!   acceptance bar; the measured ratio is recorded in the artifact);
 //! * every detected vector ISA's packed GEMM must reach ≥ 42× the naive
-//!   GFLOP/s at 512×512, a floor the forced-scalar tile does not reach
-//!   (both readings are printed; the vector/scalar ratio is reported in the
-//!   artifact, not gated);
+//!   GFLOP/s at 512×512, the two timed alternately, a floor the
+//!   forced-scalar tile does not reach (both readings are printed; the
+//!   vector/scalar ratio is reported in the artifact, not gated);
 //! * the wire's CRC32 (`ft_runtime::crc`) over 1 MiB must reach ≥ 3× the
 //!   byte-at-a-time table loop of the same run on any host, and ≥ 20× where
 //!   the carry-less-multiply fold is dispatched (62× here). Built with the
@@ -379,60 +379,39 @@ fn main() {
     println!("# packed/naive speedup: {ratio_256:.2}x at 256, {ratio_512:.2}x at 512");
 
     // Vector-tile floor: every detected fused ISA's packed kernel at n=512
-    // against the naive 512³ loop timed above — a denominator kernel work
-    // cannot move (the forced-scalar packed tile it replaces is
-    // auto-vectorized and got 17 % faster under the gate). The floor sits
-    // between what the forced-scalar tile reads (32–35× here) and the
-    // slowest vector ISA (AVX2 51–62×, AVX-512 67–80×), so a dispatch that
-    // quietly runs the scalar tile fails it. A single sample on a shared CI
-    // box can dip well below steady state under transient neighbor load, so
-    // a sub-floor reading deepens best-of for that cell — identical
-    // semantics (best observed time), more samples, and the retry is
-    // printed rather than silent. (Load can only slow the naive loop, which
-    // raises the ratio; it is not re-measured.)
+    // against the naive 512³ loop, the two timed alternately (`paired`), so
+    // a slow phase of the shared host hits both sides of the ratio. A GEMM
+    // sample is eight products, so it is not one product re-warming the
+    // caches the naive loop just swept (on a 2-core AVX-512 host AVX-512
+    // read 65–74× at one product a sample, 72–97× at eight). The naive
+    // loop is a denominator kernel work cannot move (the forced-scalar
+    // packed tile it replaces is auto-vectorized and got 17 % faster under
+    // the gate). The floor sits between what the forced-scalar tile reads
+    // (30–38× paired on that host) and the slowest vector ISA (AVX2 44–58×),
+    // so a dispatch that quietly runs the scalar tile fails it. The scalar
+    // tile's ratio is paired the same way and printed.
     const VECTOR_VS_NAIVE_FLOOR: f64 = 42.0;
-    let naive_512 = naive_gf[&512];
-    let measure_512 = |isa: Isa| -> f64 {
-        set_isa_override(Some(isa));
+    let mut vs_naive_512 = std::collections::HashMap::new();
+    {
         let n = 512usize;
         let a = uniform(n, n, 1);
         let b = uniform(n, n, 2);
-        let mut c = Matrix::zeros(n, n);
-        let fl = (2 * n * n * n) as f64;
-        let t = best_of(r, || {
-            gemm(
-                Trans::No,
-                Trans::No,
-                n,
-                n,
-                n,
-                1.0,
-                black_box(a.as_slice()),
-                n,
-                black_box(b.as_slice()),
-                n,
-                0.0,
-                c.as_mut_slice(),
-                n,
-            );
-        });
+        let (mut c, mut c_naive) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        let mul = |c: &mut Matrix, naive: bool| {
+            let f = if naive { gemm_naive } else { gemm };
+            let (a, b) = (black_box(a.as_slice()), black_box(b.as_slice()));
+            f(Trans::No, Trans::No, n, n, n, 1.0, a, n, b, n, 0.0, c.as_mut_slice(), n)
+        };
+        for &isa in detected_isas() {
+            set_isa_override(Some(isa));
+            let (t, t_naive) = paired(r, || (0..8).for_each(|_| mul(&mut c, false)), || mul(&mut c_naive, true));
+            vs_naive_512.insert(isa, 8.0 * t_naive / t);
+        }
         set_isa_override(None);
-        gflops(fl, t)
-    };
-    for &isa in detected_isas().iter().filter(|isa| isa.fused()) {
-        let mut tries = 0;
-        while isa_gf_512[&isa] / naive_512 < VECTOR_VS_NAIVE_FLOOR && tries < 3 {
-            tries += 1;
-            let v = measure_512(isa).max(isa_gf_512[&isa]);
-            isa_gf_512.insert(isa, v);
-        }
-        if tries > 0 {
-            println!("# {} gate cell re-measured {tries}x (transient load)", isa.name());
-        }
     }
     let scalar_512 = isa_gf_512[&Isa::Scalar];
     for &isa in detected_isas() {
-        let ratio = isa_gf_512[&isa] / naive_512;
+        let ratio = vs_naive_512[&isa];
         let side = if ratio < VECTOR_VS_NAIVE_FLOOR { "below" } else { "above" };
         println!(
             "# packed_{} / naive at 512: {ratio:.1}x ({side} the {VECTOR_VS_NAIVE_FLOOR}x vector floor)",
@@ -492,7 +471,7 @@ fn main() {
         std::process::exit(1);
     }
     for &isa in detected_isas().iter().filter(|isa| isa.fused()) {
-        let ratio = isa_gf_512[&isa] / naive_512;
+        let ratio = vs_naive_512[&isa];
         if ratio < VECTOR_VS_NAIVE_FLOOR {
             eprintln!("FAIL: packed_{} below {VECTOR_VS_NAIVE_FLOOR}x naive at 512x512 ({ratio:.1}x)", isa.name());
             std::process::exit(1);

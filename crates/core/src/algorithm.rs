@@ -463,29 +463,68 @@ pub(crate) fn alg3_catch_up(
     st.chk.right_done_for_next = extra_right && right_done;
 }
 
-/// Resume point within one panel iteration — where re-execution picks up
-/// after a chaos rollback to a committed boundary. The driver loop is a
-/// fall-through sequence of these steps; a fresh iteration starts at
-/// [`Step::Begin`], a restored one at whatever the boundary image says.
+/// Where the driver stands: a panel iteration and the last of its phase
+/// boundaries passed — `None` before its `BeforePanel`. The driver loop is a
+/// fall-through over the phases, so re-execution after a rollback or a
+/// recovery picks up right after `passed`. Everything else about the
+/// position is derived from these two, never stored beside them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Step {
-    /// Scope entry (snapshot) + the `BeforePanel` fail point.
-    #[default]
-    Begin,
-    /// `pdlahrd` + bookkeeping + the `AfterPanel` fail point.
-    Panel,
-    /// Right update + the `AfterRightUpdate` fail point.
-    Right,
-    /// Left update + the `AfterLeftUpdate` fail point.
-    Left,
-    /// tau write, checksum-progress marker, scope-end work, advance.
-    ScopeEnd,
+pub(crate) struct Position {
+    pub(crate) panel: usize,
+    pub(crate) passed: Option<Phase>,
 }
 
-impl Step {
-    /// Inverse of `step as u64` (the control-image wire form).
-    fn from_index(i: u64) -> Step {
-        [Step::Begin, Step::Panel, Step::Right, Step::Left, Step::ScopeEnd][i as usize]
+impl Position {
+    /// Panel `panel`'s start, before any of its boundaries.
+    pub(crate) fn start(panel: usize) -> Position {
+        Position { panel, passed: None }
+    }
+
+    /// The panel's first column: every panel but the ragged last is `nb`
+    /// wide.
+    pub(crate) fn k(self, nb: usize) -> usize {
+        self.panel * nb
+    }
+
+    /// The open scope (= checksum group): the panel's once one of its
+    /// boundaries is passed, `enc.groups()` while none is open — the
+    /// pre-loop boundary, where the whole matrix is Areas 1/2.
+    pub(crate) fn scope(self, enc: &Encoded) -> usize {
+        match self.passed {
+            Some(_) => self.panel / enc.members_per_group(),
+            None => enc.groups(),
+        }
+    }
+
+    /// The phase a recovery here repairs: the last boundary passed.
+    pub(crate) fn phase(self) -> Phase {
+        self.passed.unwrap_or_default()
+    }
+
+    /// Boundary id: the fail points passed so far, `4·panel + boundaries
+    /// passed in it` — the first fail point a rollback to this boundary
+    /// re-arms ([`Ctx::rewind_failpoints`]). The pre-loop boundary is 0.
+    pub(crate) fn id(self) -> u64 {
+        failpoint(self.panel, Phase::BeforePanel) + self.boundaries_passed()
+    }
+
+    /// Boundaries passed in the panel, 0 to 4 — the control image's form of
+    /// `passed`.
+    fn boundaries_passed(self) -> u64 {
+        self.passed.map_or(0, |p| p as u64 + 1)
+    }
+
+    /// Which of the open scope's updates are done here: both updates of its
+    /// first `.0` panels, and the right update of the next one when `.1`.
+    /// The interrupted panel's own are done from its `AfterRightUpdate`
+    /// (right) and `AfterLeftUpdate` (both) on.
+    pub(crate) fn updates_done(self, enc: &Encoded) -> (usize, bool) {
+        let before = self.panel % enc.members_per_group();
+        match self.passed {
+            Some(Phase::AfterLeftUpdate) => (before + 1, false),
+            Some(Phase::AfterRightUpdate) => (before, true),
+            _ => (before, false),
+        }
     }
 }
 
@@ -493,9 +532,7 @@ impl Step {
 /// besides the matrix itself).
 struct DriverState {
     scope: Option<ScopeState>,
-    k: usize,
-    panel_idx: usize,
-    resume: Step,
+    pos: Position,
 }
 
 /// Bitwise image of one process's state at a committed fail-point boundary.
@@ -523,21 +560,12 @@ struct BoundaryImage {
     shadow: Vec<f64>,
     tau: Vec<f64>,
     scope: Option<ScopeState>,
-    k: usize,
-    panel_idx: usize,
-    resume: Step,
-    /// The boundary's phase — tells recovery how far the interrupted
-    /// iteration had progressed.
-    phase: Phase,
-    /// Scope (= checksum group) index at the boundary; `enc.groups()` for
-    /// the pre-loop boundary where no scope exists yet.
-    s: usize,
-    /// Boundary id (`failpoint + 1`; 0 for the pre-loop boundary) — also the
-    /// first fail point a rollback to this image re-arms.
-    id: u64,
+    /// The boundary: where the driver stood at the commit.
+    pos: Position,
     /// Commit number: the images committed before this one, the same on
     /// every rank. A rollback recovery commits the boundary it restored
-    /// again, same `id`, next `seq`: the alignment min-reduces over `seq`.
+    /// again, same position, next `seq`: the alignment min-reduces over
+    /// `seq`.
     seq: u64,
 }
 
@@ -583,8 +611,8 @@ fn ft_live(ctx: &Ctx) -> bool {
 ///   every group a victim's column held a copy of, on every owner, finished
 ///   groups included, so a `Coded` image holds every group's rows `[0, N)`.
 ///
-/// `whole`, and the pre-loop boundary (`s = enc.groups()`, no scope open),
-/// hold the whole buffer.
+/// `whole`, and the pre-loop boundary (`s = enc.groups()`, no scope open:
+/// [`Position::scope`]), hold the whole buffer.
 fn image_spans(enc: &Encoded, s: usize, whole: bool, spans: &mut Vec<Range<usize>>) {
     let a = &enc.a;
     spans.clear();
@@ -607,21 +635,11 @@ fn image_spans(enc: &Encoded, s: usize, whole: bool, spans: &mut Vec<Range<usize
 }
 
 /// Refill the image in `slot` — reusing its buffers, allocating only into an
-/// empty slot — with this rank's state at boundary `(phase, s, id)`, commit
+/// empty slot — with this rank's state at the boundary it stands on, commit
 /// number `seq`. Returns the matrix words copied.
-#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
-fn capture_image(
-    slot: &mut Option<BoundaryImage>,
-    enc: &Encoded,
-    tau: &[f64],
-    st: &DriverState,
-    phase: Phase,
-    s: usize,
-    (id, seq): (u64, u64),
-    whole: bool,
-) -> usize {
+fn capture_image(slot: &mut Option<BoundaryImage>, enc: &Encoded, tau: &[f64], st: &DriverState, seq: u64, whole: bool) -> usize {
     let img = slot.get_or_insert_with(BoundaryImage::default);
-    image_spans(enc, s, whole, &mut img.spans);
+    image_spans(enc, st.pos.scope(enc), whole, &mut img.spans);
     let buf = enc.a.local().as_slice();
     img.data.clear();
     for r in &img.spans {
@@ -634,8 +652,7 @@ fn capture_image(
     img.tau.clear();
     img.tau.extend_from_slice(tau);
     img.scope.clone_from(&st.scope);
-    (img.k, img.panel_idx, img.resume) = (st.k, st.panel_idx, st.resume);
-    (img.phase, img.s, img.id, img.seq) = (phase, s, id, seq);
+    (img.pos, img.seq) = (st.pos, seq);
     img.data.len()
 }
 
@@ -652,55 +669,46 @@ fn restore_image(enc: &mut Encoded, tau: &mut [f64], st: &mut DriverState, img: 
     }
     debug_assert!(
         buf.iter().zip(&img.shadow).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "boundary image {} (panel {}, {:?}): the restored buffer differs from the capture",
-        img.id,
-        img.panel_idx,
-        img.phase
+        "boundary image {} ({:?}): the restored buffer differs from the capture",
+        img.seq,
+        img.pos
     );
     tau[..img.tau.len()].copy_from_slice(&img.tau);
     st.scope.clone_from(&img.scope);
-    st.k = img.k;
-    st.panel_idx = img.panel_idx;
-    st.resume = img.resume;
+    st.pos = img.pos;
 }
 
-/// Pass the fail-point boundary `(panel_idx, phase)`: read the script's
-/// failures at its fail point; when there are none, commit a panel's
-/// `BeforePanel` boundary and only end the detector round at the other
-/// three. `Some` stops the loop right here, uncommitted, for
+/// Pass the fail-point boundary `phase` of the driver's panel: read the
+/// script's failures at its fail point; when there are none, commit a
+/// panel's `BeforePanel` boundary and only end the detector round at the
+/// other three. `Some` stops the loop right here, uncommitted, for
 /// [`recover_from`], which commits the boundary once its failures are
 /// repaired. A kill therefore rolls back to the start of the panel it
 /// struck — or of the panel before, when [`align_boundary`] demotes `prev`.
-#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn pass_boundary(
     ctx: &Ctx,
     enc: &Encoded,
     tau: &[f64],
     st: &mut DriverState,
     imgs: &mut Images,
-    next: Step,
     phase: Phase,
-    s: usize,
     report: &mut FtReport,
 ) -> Option<Halt> {
-    st.resume = next;
-    let point = failpoint(st.panel_idx, phase);
-    let victims = ctx.check_failpoint(point);
+    st.pos.passed = Some(phase);
+    let victims = ctx.check_failpoint(failpoint(st.pos.panel, phase));
     if !victims.is_empty() {
-        return Some(Halt::Scripted { victims, phase, s });
+        return Some(Halt::Scripted { victims });
     }
-    // Boundary ids are fail-point ids shifted by one; id 0 is the pre-loop
-    // boundary right after the initial encoding.
     if phase == Phase::BeforePanel {
-        commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, point + 1, report);
+        commit_boundary_image(ctx, enc, tau, st, imgs, report);
     } else {
-        ctx.commit_boundary(point + 1);
+        ctx.commit_boundary(st.pos.id());
     }
     None
 }
 
-/// Commit boundary `id`, the state `st` sits on at `(phase, s)`, and, when
-/// the fault-tolerance machinery is live, push this rank's boundary image.
+/// Commit the boundary `st` stands on and, when the fault-tolerance
+/// machinery is live, push this rank's boundary image.
 ///
 /// The barrier is what keeps every rank's image pinned to the same
 /// boundary: a revocable barrier is all-or-none, survivors only observe an
@@ -712,95 +720,63 @@ fn pass_boundary(
 /// repaired before the commit: the commit clears them from the detector
 /// round, the image holds the repaired state, and a rollback to it re-arms
 /// exactly the points after it ([`Ctx::rewind_failpoints`]).
-#[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
-fn commit_boundary_image(
-    ctx: &Ctx,
-    enc: &Encoded,
-    tau: &[f64],
-    st: &DriverState,
-    imgs: &mut Images,
-    phase: Phase,
-    s: usize,
-    id: u64,
-    report: &mut FtReport,
-) {
+fn commit_boundary_image(ctx: &Ctx, enc: &Encoded, tau: &[f64], st: &DriverState, imgs: &mut Images, report: &mut FtReport) {
     if ft_live(ctx) {
         let t = Instant::now();
         ctx.barrier();
-        report.image_words += push_image(imgs, enc, tau, st, phase, s, id);
+        report.image_words += push_image(imgs, enc, tau, st);
         report.commit_secs += t.elapsed().as_secs_f64();
     }
-    ctx.commit_boundary(id);
+    ctx.commit_boundary(st.pos.id());
 }
 
 /// A commit's capture: `cur` becomes `prev`, and the image two commits back,
 /// out of reach now, lends its buffers to the new `cur`, the next commit
 /// number. Returns the matrix words copied.
-fn push_image(imgs: &mut Images, enc: &Encoded, tau: &[f64], st: &DriverState, phase: Phase, s: usize, id: u64) -> usize {
+fn push_image(imgs: &mut Images, enc: &Encoded, tau: &[f64], st: &DriverState) -> usize {
     let seq = imgs.cur.as_ref().map_or(0, |i| i.seq + 1);
     std::mem::swap(&mut imgs.cur, &mut imgs.prev);
-    capture_image(&mut imgs.cur, enc, tau, st, phase, s, (id, seq), imgs.whole)
+    capture_image(&mut imgs.cur, enc, tau, st, seq, imgs.whole)
 }
 
-/// Flat encoding of a [`BoundaryImage`]'s control state (everything but the
-/// matrix buffer, which [`crate::recovery`] rebuilds from the checksums) for
-/// shipping to a victim. Layout: a 14-word header followed by the full `tau`
-/// vector.
+/// What of a [`BoundaryImage`] a rank that rejoins with nothing cannot
+/// derive, flat for shipping to a victim: the commit number, the position
+/// (its panel, and the boundaries passed in it), the open scope's checksum
+/// progress, then `tau`. The matrix buffer is rebuilt from the checksums by
+/// [`crate::recovery`], the scope layout from the position.
 fn serialize_ctl_image(img: &BoundaryImage) -> Vec<f64> {
-    let mut buf = vec![0.0; CTL_HEADER + img.tau.len()];
-    buf[0] = img.id as f64;
-    buf[1] = img.k as f64;
-    buf[2] = img.panel_idx as f64;
-    buf[3] = img.resume as u64 as f64;
-    buf[4] = img.phase as u64 as f64;
-    buf[5] = img.s as f64;
-    if let Some(sc) = &img.scope {
-        buf[6] = 1.0;
-        buf[7] = sc.scope as f64;
-        buf[8] = sc.start_col as f64;
-        buf[9] = sc.end_col as f64;
-        buf[10] = sc.holders as f64;
-        buf[11] = sc.chk.panels_done as f64;
-        buf[12] = if sc.chk.right_done_for_next { 1.0 } else { 0.0 };
-    }
-    buf[13] = img.seq as f64;
-    buf[CTL_HEADER..].copy_from_slice(&img.tau);
-    buf
+    let chk = img.scope.as_ref().map_or_else(ChkProgress::default, |sc| sc.chk);
+    let head = [
+        img.seq,
+        img.pos.panel as u64,
+        img.pos.boundaries_passed(),
+        chk.panels_done as u64,
+        chk.right_done_for_next.into(),
+    ];
+    head.into_iter().map(|w| w as f64).chain(img.tau.iter().copied()).collect()
 }
 
-const CTL_HEADER: usize = 14;
-
-/// Rebuild a victim's [`BoundaryImage`] from the control state a survivor
+/// Rebuild a victim's [`BoundaryImage`] from the control image a survivor
 /// shipped. It holds no matrix words — [`crate::recovery::recover`] wipes
-/// and rebuilds the victim's buffer — and its scope carries only the
-/// locally-computable layout fields; snapshots, factors and panel backups
-/// are restored from the live holders by [`ScopeState::repair_after_failure`].
+/// and rebuilds the victim's buffer — and its scope, open at every boundary
+/// but the pre-loop one, carries the layout of the position's scope and the
+/// shipped checksum progress; snapshots, factors and panel backups are
+/// restored from the live holders by [`ScopeState::repair_after_failure`].
 fn deserialize_ctl_image(ctx: &Ctx, enc: &Encoded, buf: &[f64]) -> BoundaryImage {
-    let scope = (buf[6] != 0.0).then(|| {
-        let (start_col, end_col) = (buf[8] as usize, buf[9] as usize);
-        ScopeState {
-            scope: buf[7] as usize,
-            start_col,
-            end_col,
-            holders: buf[10] as usize,
-            local_cols: (enc.a.local_cols_below(start_col)..enc.a.local_cols_below(end_col)).collect(),
-            chk: ChkProgress {
-                panels_done: buf[11] as usize,
-                right_done_for_next: buf[12] != 0.0,
-            },
-            ..ScopeState::empty(ctx, enc)
-        }
-    });
+    let [seq, panel, passed, panels_done, right_done, tau @ ..] = buf else {
+        panic!("control image of {} words is shorter than its head", buf.len());
+    };
+    let passed = (*passed as u64).checked_sub(1).map(Phase::from_index);
+    let pos = Position { panel: *panel as usize, passed };
+    let chk = ChkProgress {
+        panels_done: *panels_done as usize,
+        right_done_for_next: *right_done != 0.0,
+    };
     BoundaryImage {
-        tau: buf[CTL_HEADER..].to_vec(),
-        scope,
-        k: buf[1] as usize,
-        panel_idx: buf[2] as usize,
-        resume: Step::from_index(buf[3] as u64),
-        phase: Phase::from_index(buf[4] as u64),
-        s: buf[5] as usize,
-        id: buf[0] as u64,
-        seq: buf[13] as u64,
+        tau: tau.to_vec(),
+        scope: passed.map(|_| ScopeState { chk, ..ScopeState::layout(ctx, enc, pos.scope(enc)) }),
+        pos,
+        seq: *seq as u64,
         ..Default::default()
     }
 }
@@ -1052,30 +1028,19 @@ pub fn ft_solve(
     let mut report = FtReport::default();
     let t_total = Instant::now();
 
-    // A resumed run re-enters at a checkpointed scope entry: walk the panel
-    // widths to the matching matrix offset and verify the alignment the
-    // resume contract promises.
+    // A resumed run re-enters at a checkpointed scope entry: verify the
+    // alignment the resume contract promises.
     assert!(!(replacement && start_panel > 0), "a replacement cannot also resume from a checkpoint");
-    let mut start_k = 0usize;
-    for p in 0..start_panel {
-        assert!(
-            solver.panel_exists(start_k, n),
-            "start_panel {start_panel} is beyond the final panel (stuck at {p})"
-        );
-        start_k += solver.panel_width(start_k, n, nb);
-    }
+    let resuming = start_panel > 0;
+    let mut st = DriverState { scope: None, pos: Position::start(start_panel) };
     assert!(
-        start_panel == 0 || !solver.panel_exists(start_k, n) || (start_k / nb).is_multiple_of(q),
+        !resuming || solver.panel_exists(Position::start(start_panel - 1).k(nb), n),
+        "start_panel {start_panel} is beyond the final panel"
+    );
+    assert!(
+        !resuming || !solver.panel_exists(st.pos.k(nb), n) || start_panel.is_multiple_of(q),
         "resume must start at a scope entry (block column a multiple of Q)"
     );
-    let resuming = start_panel > 0;
-
-    let mut st = DriverState {
-        scope: None,
-        k: start_k,
-        panel_idx: start_panel,
-        resume: Step::Begin,
-    };
     let mut imgs = Images::default();
 
     if !replacement && !resuming {
@@ -1102,9 +1067,9 @@ pub fn ft_solve(
         // whole matrix is reconstructible from the initial checksums. A
         // resumed run's pre-loop boundary is its restored checkpoint — the
         // same shape (no scope open, every group solvable from its stored
-        // checksum), just at a later panel. No scope is open: the image is
-        // the whole buffer.
-        commit_boundary_image(ctx, enc, tau, &st, &mut imgs, Phase::BeforePanel, enc.groups(), 0, &mut report);
+        // checksum), just at a later panel, and its id is that panel's first
+        // fail point. No scope is open: the image is the whole buffer.
+        commit_boundary_image(ctx, enc, tau, &st, &mut imgs, &mut report);
     }
 
     if scrub.engine.active() && !replacement {
@@ -1112,7 +1077,7 @@ pub fn ft_solve(
         // protection domain opens here): it is the first verified image.
         // A replacement's buffer is garbage; its first verified image comes
         // from its first clean boundary scan.
-        report.image_words += capture_image(&mut scrub.img, enc, tau, &st, Phase::BeforePanel, enc.groups(), (0, 0), true);
+        report.image_words += capture_image(&mut scrub.img, enc, tau, &st, 0, true);
     }
 
     // A replacement enters the recovery protocol before running a single
@@ -1178,14 +1143,17 @@ fn scrub_escalate(
     tau: &mut [f64],
     st: &mut DriverState,
     scrub: &mut ScrubCtl,
-    panel_idx: usize,
     esc: ScrubEscalation,
 ) -> Result<(), FtError> {
-    let Some(image) = scrub.img.as_ref().filter(|i| scrub.last_rollback != Some(i.panel_idx)) else {
-        return Err(FtError::ScrubUnrecoverable { panel: panel_idx, group: esc.group, block_col: esc.block_col });
+    let Some(image) = scrub.img.as_ref().filter(|i| scrub.last_rollback != Some(i.pos.panel)) else {
+        return Err(FtError::ScrubUnrecoverable {
+            panel: st.pos.panel,
+            group: esc.group,
+            block_col: esc.block_col,
+        });
     };
     restore_image(enc, tau, st, image);
-    scrub.last_rollback = Some(image.panel_idx);
+    scrub.last_rollback = Some(image.pos.panel);
     scrub.engine.report.rollbacks += 1;
     Ok(())
 }
@@ -1205,11 +1173,11 @@ fn apply_sdc_flips(ctx: &Ctx, enc: &mut Encoded) {
     }
 }
 
-/// One pass of the driver loop from `st.resume` to completion (`Ok(None)`)
-/// or to a fail point the script names victims at (`Ok(Some(..))`, the
-/// state left on that boundary, uncommitted). Unwinds with an
-/// [`ft_runtime::Interrupt`] on a kill (caught by the caller); returns `Err`
-/// only for the scrub engine's typed verdict.
+/// One pass of the driver loop from the boundary `st` stands on to
+/// completion (`Ok(None)`) or to a fail point the script names victims at
+/// (`Ok(Some(..))`, the state left on that boundary, uncommitted). Unwinds
+/// with an [`ft_runtime::Interrupt`] on a kill (caught by the caller);
+/// returns `Err` only for the scrub engine's typed verdict.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the driver loop
 fn run_loop(
     ctx: &Ctx,
@@ -1229,32 +1197,32 @@ fn run_loop(
     let q = ctx.npcol();
     let include_chk = variant == Variant::NonDelayed;
 
-    while solver.panel_exists(st.k, n) {
-        let w = solver.panel_width(st.k, n, nb);
-        let bc = st.k / nb;
-        let s = bc / q;
+    while solver.panel_exists(st.pos.k(nb), n) {
+        let (panel, k) = (st.pos.panel, st.pos.k(nb));
+        let w = solver.panel_width(k, n, nb);
+        let s = panel / q;
 
-        if st.resume == Step::Begin {
-            if bc.is_multiple_of(q) {
+        if st.pos.passed.is_none() {
+            if panel.is_multiple_of(q) {
                 let t = Instant::now();
                 st.scope = Some(ScopeState::begin(ctx, enc, s));
                 report.snapshot_secs += t.elapsed().as_secs_f64();
             }
-            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::Panel, Phase::BeforePanel, s, report) {
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Phase::BeforePanel, report) {
                 return Ok(Some(halt));
             }
-            observe(hook, ctx, enc, st.panel_idx, Phase::BeforePanel);
+            observe(hook, ctx, enc, panel, Phase::BeforePanel);
         }
 
         // `Ve` of this panel (NonDelayed): computed once for the pseudo-
         // checksum store and handed to the right update. A run that resumes
-        // at `Step::Right` — after a rollback or a recovery — recomputes it
+        // after `AfterPanel` — after a rollback or a recovery — recomputes it
         // from the (replicated, restored) factors: a replacement process
         // keeps nothing across its death.
         let mut ve_panel: Option<Matrix> = None;
 
-        if st.resume == Step::Panel {
-            let f = solver.factor_panel(ctx, &mut enc.a, n, st.k, w);
+        if st.pos.passed == Some(Phase::BeforePanel) {
+            let f = solver.factor_panel(ctx, &mut enc.a, n, k, w);
             debug_assert_eq!(f.v_row_offset, solver.v_row_offset(), "panel kernel/solver geometry mismatch");
             if solver.has_right_update() && variant == Variant::NonDelayed {
                 let ve = ve_rows(enc, &f);
@@ -1266,13 +1234,13 @@ fn run_loop(
                 st.scope.as_mut().unwrap().bookkeep_panel(ctx, enc, f);
                 report.bookkeeping_secs += t.elapsed().as_secs_f64();
             }
-            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::Right, Phase::AfterPanel, s, report) {
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Phase::AfterPanel, report) {
                 return Ok(Some(halt));
             }
-            observe(hook, ctx, enc, st.panel_idx, Phase::AfterPanel);
+            observe(hook, ctx, enc, panel, Phase::AfterPanel);
         }
 
-        if st.resume == Step::Right {
+        if st.pos.passed == Some(Phase::AfterPanel) {
             // On resume after a rollback the panel's factors come from the
             // scope bookkeeping (replicated and deterministic), not from a
             // re-run of the panel kernel. A left-only solver does no work
@@ -1281,31 +1249,31 @@ fn run_loop(
             if solver.has_right_update() {
                 let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored");
                 let ve = ve_panel.take().unwrap_or_else(|| ve_rows(enc, f));
-                ft_right(enc, f, &ve, st.k + w, n, include_chk, s);
+                ft_right(enc, f, &ve, k + w, n, include_chk, s);
             }
-            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::Left, Phase::AfterRightUpdate, s, report) {
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Phase::AfterRightUpdate, report) {
                 return Ok(Some(halt));
             }
-            observe(hook, ctx, enc, st.panel_idx, Phase::AfterRightUpdate);
+            observe(hook, ctx, enc, panel, Phase::AfterRightUpdate);
         }
 
-        if st.resume == Step::Left {
+        if st.pos.passed == Some(Phase::AfterRightUpdate) {
             let f = st.scope.as_ref().unwrap().factors.last().expect("panel factored");
-            ft_left(ctx, enc, f, st.k + w, n, include_chk, s);
-            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Step::ScopeEnd, Phase::AfterLeftUpdate, s, report) {
+            ft_left(ctx, enc, f, k + w, n, include_chk, s);
+            if let Some(halt) = pass_boundary(ctx, enc, tau, st, imgs, Phase::AfterLeftUpdate, report) {
                 return Ok(Some(halt));
             }
-            observe(hook, ctx, enc, st.panel_idx, Phase::AfterLeftUpdate);
+            observe(hook, ctx, enc, panel, Phase::AfterLeftUpdate);
         }
 
-        // Step::ScopeEnd — tau write, progress marker, scope-end work.
+        // After `AfterLeftUpdate`: tau write, progress marker, scope-end work.
         {
             let sc = st.scope.as_mut().unwrap();
             if include_chk {
                 // Keep the progress marker meaningful for both variants.
                 sc.chk.panels_done = sc.factors.len();
             }
-            tau[st.k..st.k + w].copy_from_slice(&sc.factors.last().expect("panel factored").tau);
+            tau[k..k + w].copy_from_slice(&sc.factors.last().expect("panel factored").tau);
         }
         // Seeded silent corruption lands here — the quiescent boundary the
         // injector's message-op clock drains into. A re-execution after a
@@ -1313,9 +1281,9 @@ fn run_loop(
         if ctx.sdc_enabled() {
             apply_sdc_flips(ctx, enc);
         }
-        let last_panel_overall = !solver.panel_exists(st.k + w, n);
-        let scope_closing = bc % q == q - 1 || last_panel_overall;
-        let scan_due = scrub.engine.due(st.panel_idx, scope_closing);
+        let last_panel_overall = !solver.panel_exists(k + w, n);
+        let scope_closing = panel % q == q - 1 || last_panel_overall;
+        let scan_due = scrub.engine.due(panel, scope_closing);
         if scope_closing {
             let t = Instant::now();
             let sc = st.scope.as_mut().unwrap();
@@ -1337,11 +1305,8 @@ fn run_loop(
                     TrailingScan::Suspect
                 };
                 let sc = st.scope.as_ref().unwrap();
-                if let Err(esc) = scrub
-                    .engine
-                    .scrub_pass(ctx, solver, enc, sc, s, Phase::AfterLeftUpdate, trailing)
-                {
-                    scrub_escalate(enc, tau, st, scrub, st.panel_idx, esc)?;
+                if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, sc, st.pos, trailing) {
+                    scrub_escalate(enc, tau, st, scrub, esc)?;
                     continue; // re-execute from the restored verified boundary
                 }
             }
@@ -1356,7 +1321,7 @@ fn run_loop(
             // is nothing left to resume.
             if !last_panel_overall {
                 if let Some(f) = sink.as_mut() {
-                    f(ctx, enc, tau, st.panel_idx);
+                    f(ctx, enc, tau, panel);
                 }
             }
         } else if scan_due {
@@ -1370,18 +1335,13 @@ fn run_loop(
             } else {
                 TrailingScan::Skip
             };
-            if let Err(esc) = scrub
-                .engine
-                .scrub_pass(ctx, solver, enc, sc, s, Phase::AfterLeftUpdate, trailing)
-            {
-                scrub_escalate(enc, tau, st, scrub, st.panel_idx, esc)?;
+            if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, sc, st.pos, trailing) {
+                scrub_escalate(enc, tau, st, scrub, esc)?;
                 continue;
             }
         }
 
-        st.panel_idx += 1;
-        st.k += w;
-        st.resume = Step::Begin;
+        st.pos = Position::start(panel + 1);
 
         // A clean (or fully corrected) scan verifies this boundary: refresh
         // the scrub rollback image. Chaos boundary images are not reused —
@@ -1392,10 +1352,9 @@ fn run_loop(
         // image; only full-coverage scans move it forward.
         let full_coverage = scope_closing || variant == Variant::NonDelayed;
         if scan_due && full_coverage {
-            let s_next = if solver.panel_exists(st.k, n) { (st.k / nb) / q } else { enc.groups() };
             // Scrub images never enter the boundary agreement (they are
-            // rollback-only, per rank), so their id and commit are unused.
-            report.image_words += capture_image(&mut scrub.img, enc, tau, st, Phase::BeforePanel, s_next, (0, 0), true);
+            // rollback-only, per rank), so their commit number is unused.
+            report.image_words += capture_image(&mut scrub.img, enc, tau, st, 0, true);
         }
     }
 
@@ -1423,11 +1382,11 @@ fn observe(hook: &mut Option<&mut PhaseHook>, ctx: &Ctx, enc: &mut Encoded, pane
 
 /// Why the driver loop stopped short of the last panel.
 enum Halt {
-    /// The script names `victims` at the fail point of the boundary
-    /// `(phase, s)` the driver state sits on, not yet committed. Every rank
-    /// read the same victims there and stopped there: nothing to agree on,
-    /// nothing to roll back.
-    Scripted { victims: Vec<usize>, phase: Phase, s: usize },
+    /// The script names `victims` at the fail point of the boundary the
+    /// driver state stands on, not yet committed. Every rank read the same
+    /// victims there and stopped there: nothing to agree on, nothing to
+    /// roll back.
+    Scripted { victims: Vec<usize> },
     /// A kill unwound this rank mid-step (its own death or the revocation
     /// it caused), or the rank is a replacement joining the run: agree on
     /// the victims, roll back to the last committed boundary image.
@@ -1463,43 +1422,36 @@ fn recover_from(
     scrub: &mut ScrubCtl,
     report: &mut FtReport,
 ) -> Result<Option<Halt>, FtError> {
-    let (victims, at) = match halt {
-        Halt::Scripted { victims, phase, s } => (victims, Some((phase, s))),
+    let (victims, scripted) = match halt {
+        Halt::Scripted { victims } => (victims, true),
         Halt::Interrupted => {
             let agreed = ctx.agree_on_failures();
             dtrace!(ctx, "driver: agreed victims={:?} epoch={}", agreed.victims, agreed.epoch);
-            (agreed.victims, None)
+            (agreed.victims, false)
         }
     };
     let me = victims.contains(&ctx.rank());
     let t = Instant::now();
     ctx.begin_recovery();
     let outcome = catch_interrupt(|| {
-        let (phase, s, id) = match at {
-            Some((phase, s)) => (phase, s, failpoint(st.panel_idx, phase) + 1),
-            None => match align_boundary(ctx, enc, imgs, &victims, me) {
+        if !scripted {
+            match align_boundary(ctx, enc, imgs, &victims, me) {
                 Some(image) => {
                     restore_image(enc, tau, st, image);
-                    ctx.rewind_failpoints(image.id);
-                    dtrace!(ctx, "driver: rolled back to boundary id={} panel={}", image.id, st.panel_idx);
-                    (image.phase, image.s, image.id)
+                    ctx.rewind_failpoints(image.pos.id());
+                    dtrace!(ctx, "driver: rolled back to boundary {:?}", image.pos);
                 }
                 // Every rank is a victim: no boundary survives to roll back
                 // to, and the gate below rejects a world without a survivor.
                 // Its verdict names panel 0's start.
-                None => {
-                    st.panel_idx = 0;
-                    (Phase::BeforePanel, enc.groups(), 0)
-                }
-            },
-        };
-        // The scope's panels factored and checksummed so far, from the
-        // agreed boundary alone: a victim's scope holds no factors yet.
-        let spread = match &st.scope {
-            Some(sc) => {
-                let nfac = (st.k / enc.nb()) % ctx.npcol() + usize::from(phase != Phase::BeforePanel);
-                recovery::spread_columns(ctx, enc, &victims, variant, phase, nfac, sc.chk.panels_done)
+                None => st.pos = Position::start(0),
             }
+        }
+        let (pos, s) = (st.pos, st.pos.scope(enc));
+        // From the agreed boundary alone: a victim's scope holds no factors
+        // yet.
+        let spread = match &st.scope {
+            Some(sc) => recovery::spread_columns(ctx, enc, &victims, variant, pos, sc.chk.panels_done),
             None => Vec::new(),
         };
         // Deterministic over the agreed victims and boundary: every rank
@@ -1507,10 +1459,10 @@ fn recover_from(
         // peer can still die and wait for it in an agreement.
         if let Err(tol) = recovery::check_tolerance(ctx, enc, &victims, s, &spread) {
             leave_protection(ctx);
-            return Err(FtError::exceeded(victims.clone(), st.panel_idx, phase, tol));
+            return Err(FtError::exceeded(victims.clone(), pos.panel, pos.phase(), tol));
         }
         let sc = st.scope.get_or_insert_with(|| ScopeState::empty(ctx, enc));
-        recovery::recover(ctx, solver, enc, sc, &victims, me, variant, phase, s, &spread);
+        recovery::recover(ctx, solver, enc, sc, &victims, me, variant, pos, &spread);
         dtrace!(ctx, "driver: §5.3 recovery done");
         // Post-recovery scan: recovery rebuilt lost blocks *from* the
         // checksums, so silent corruption that predated the failure is now
@@ -1527,16 +1479,12 @@ fn recover_from(
             } else {
                 TrailingScan::Suspect
             };
-            if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, sc, s, phase, trailing) {
+            if let Err(esc) = scrub.engine.scrub_pass(ctx, solver, enc, sc, pos, trailing) {
                 leave_protection(ctx);
-                return Err(FtError::ScrubUnrecoverable {
-                    panel: st.panel_idx,
-                    group: esc.group,
-                    block_col: esc.block_col,
-                });
+                return Err(FtError::ScrubUnrecoverable { panel: pos.panel, group: esc.group, block_col: esc.block_col });
             }
         }
-        Ok((phase, s, id))
+        Ok(())
     });
     ctx.end_recovery();
     report.recovery_secs += t.elapsed().as_secs_f64();
@@ -1544,13 +1492,13 @@ fn recover_from(
         report.chaos_aborts += 1;
         return Ok(Some(Halt::Interrupted));
     };
-    let (phase, s, id) = recovered?;
+    recovered?;
     report.recoveries += 1;
     report.victims.extend_from_slice(&victims);
     let committed = catch_interrupt(|| {
-        commit_boundary_image(ctx, enc, tau, st, imgs, phase, s, id, report);
-        if at.is_some() {
-            observe(hook, ctx, enc, st.panel_idx, phase);
+        commit_boundary_image(ctx, enc, tau, st, imgs, report);
+        if scripted {
+            observe(hook, ctx, enc, st.pos.panel, st.pos.phase());
         }
     });
     if committed.is_err() {
@@ -1873,30 +1821,30 @@ mod tests {
             ctx.arm_chaos();
             let enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(3, i, j));
             let tau = vec![0.0; n];
-            let mut st = DriverState { scope: None, k: 0, panel_idx: 0, resume: Step::Begin };
+            let mut st = DriverState { scope: None, pos: Position::start(0) };
             let (mut imgs, mut report) = (Images::default(), FtReport::default());
             let (mut buffers, mut last_id) = (Vec::new(), None);
+            let id = |img: &Option<BoundaryImage>| img.as_ref().map(|i| i.pos.id());
             for panel in 0..n / nb {
-                st.panel_idx = panel;
+                st.pos = Position::start(panel);
                 for phase in Phase::ALL {
-                    let (cur_id, prev_id, words) =
-                        (imgs.cur.as_ref().map(|i| i.id), imgs.prev.as_ref().map(|i| i.id), report.image_words);
-                    let halt = pass_boundary(&ctx, &enc, &tau, &mut st, &mut imgs, Step::Begin, phase, panel / 2, &mut report);
+                    let (cur_id, prev_id, words) = (id(&imgs.cur), id(&imgs.prev), report.image_words);
+                    let halt = pass_boundary(&ctx, &enc, &tau, &mut st, &mut imgs, phase, &mut report);
                     assert!(halt.is_none(), "an empty script halted the loop");
                     if phase != Phase::BeforePanel {
-                        let now = (imgs.cur.as_ref().map(|i| i.id), imgs.prev.as_ref().map(|i| i.id), report.image_words);
+                        let now = (id(&imgs.cur), id(&imgs.prev), report.image_words);
                         assert_eq!(now, (cur_id, prev_id, words), "panel {panel} {phase:?}: a mid-panel boundary committed");
                         continue;
                     }
-                    assert_eq!(imgs.prev.as_ref().map(|i| i.id), last_id, "panel {panel} {phase:?}: prev is not the last commit");
+                    assert_eq!(id(&imgs.prev), last_id, "panel {panel} {phase:?}: prev is not the last commit");
                     let cur = imgs.cur.as_ref().expect("a live commit captures");
-                    assert_eq!(cur.id, failpoint(panel, phase) + 1, "panel {panel}: the commit is not the panel's start");
+                    assert_eq!(cur.pos.id(), failpoint(panel, phase) + 1, "panel {panel}: the commit is not the panel's start");
                     assert_eq!(cur.seq, panel as u64, "panel {panel}: the commit number");
                     if buffers.len() < 2 {
                         buffers.push(cur.data.as_ptr());
                     }
                     assert!(buffers.contains(&cur.data.as_ptr()), "panel {panel} {phase:?}: a commit allocated a new image");
-                    last_id = Some(cur.id);
+                    last_id = Some(cur.pos.id());
                 }
             }
         });
@@ -1913,22 +1861,75 @@ mod tests {
     fn alignment_puts_every_rank_on_the_older_of_two_commits_of_a_boundary() {
         let (n, nb, victim) = (24, 4, 3);
         let id = failpoint(1, Phase::BeforePanel) + 1;
+        let at = Position { panel: 1, passed: Some(Phase::BeforePanel) };
         for (fabric, ends) in on_both_fabrics(2, 2, |ctx| {
             let enc = Encoded::from_global_fn(&ctx, n, nb, |i, j| uniform_entry(3, i, j));
-            let st = DriverState { scope: None, k: nb, panel_idx: 1, resume: Step::Panel };
+            let st = DriverState { scope: None, pos: at };
             let mut imgs = Images::default();
-            push_image(&mut imgs, &enc, &[1.0; 24], &st, Phase::BeforePanel, 0, id);
+            push_image(&mut imgs, &enc, &[1.0; 24], &st);
             if ctx.rank() % 2 == 0 {
-                push_image(&mut imgs, &enc, &[2.0; 24], &st, Phase::BeforePanel, 0, id);
+                push_image(&mut imgs, &enc, &[2.0; 24], &st);
             }
             let me = ctx.rank() == victim;
             let image = align_boundary(&ctx, &enc, &mut imgs, &[victim], me).expect("survivors hold images");
             assert_eq!(image.data.is_empty(), me, "rank {}: only the victim's image holds no words", ctx.rank());
-            (image.id, image.seq, image.tau[0], image.panel_idx, image.resume)
+            (image.pos.id(), image.seq, image.tau[0], image.pos)
         }) {
             for (rank, end) in ends.iter().enumerate() {
-                assert_eq!(end, &(id, 0, 1.0, 1, Step::Panel), "{fabric} rank {rank}: not the older image");
+                assert_eq!(end, &(id, 0, 1.0, at), "{fabric} rank {rank}: not the older image");
             }
+        }
+    }
+
+    /// Every position the driver can stand on — the pre-loop boundary,
+    /// each phase of a mid-scope panel, of a scope-closing one and of the
+    /// last panel, and a resumed run's pre-loop boundary — derives the id
+    /// of the fail point a rollback to it re-arms, and survives the trip to
+    /// a victim: the control image carries the position, the commit number,
+    /// the checksum progress and `tau`, and the victim's rebuilt scope
+    /// layout is the one [`ScopeState::begin`] builds. Hessenberg panels,
+    /// `Single` and `Coded(2)`, ragged last panels.
+    #[test]
+    fn every_driver_position_derives_its_id_and_ships_to_a_victim() {
+        for (p, q, n, nb, redundancy) in [
+            (2usize, 3usize, 36usize, 4usize, Redundancy::Single),
+            (1, 4, 34, 4, Redundancy::Coded(2)),
+        ] {
+            run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let enc = Encoded::with_redundancy(&ctx, n, nb, redundancy, |i, j| uniform_entry(4, i, j));
+                let last = Hessenberg.panel_count(n, nb) - 1;
+                let mut positions = vec![Position::start(0), Position::start(q)];
+                for panel in [q + 1, 2 * q - 1, last] {
+                    positions.extend(Phase::ALL.map(|phase| Position { panel, passed: Some(phase) }));
+                }
+                for (seq, pos) in positions.into_iter().enumerate() {
+                    let at = format!("{p}x{q} {redundancy:?} {pos:?} rank {}", ctx.rank());
+                    let want_id = match pos.passed {
+                        Some(phase) => failpoint(pos.panel, phase) + 1,
+                        None => failpoint(pos.panel, Phase::BeforePanel),
+                    };
+                    assert_eq!(pos.id(), want_id, "{at}: boundary id");
+
+                    let (full, right) = pos.updates_done(&enc);
+                    let chk = ChkProgress { panels_done: full, right_done_for_next: right };
+                    let begun = pos
+                        .passed
+                        .map(|_| ScopeState { chk, ..ScopeState::begin(&ctx, &enc, pos.panel / q) });
+                    let img = BoundaryImage {
+                        tau: (0..n).map(|i| (i * seq) as f64 + 0.5).collect(),
+                        scope: begun.clone(),
+                        pos,
+                        seq: seq as u64 + 7,
+                        ..Default::default()
+                    };
+                    let back = deserialize_ctl_image(&ctx, &enc, &serialize_ctl_image(&img));
+                    assert_eq!((back.pos, back.seq), (img.pos, img.seq), "{at}: position and commit number");
+                    assert_eq!(bits(&back.tau), bits(&img.tau), "{at}: tau");
+                    let layout =
+                        |sc: &ScopeState| (sc.scope, sc.start_col, sc.end_col, sc.holders, sc.local_cols.clone(), sc.chk);
+                    assert_eq!(back.scope.as_ref().map(layout), begun.as_ref().map(layout), "{at}: scope layout");
+                }
+            });
         }
     }
 

@@ -59,7 +59,7 @@ pub use algorithm::{
 pub use checkpoint_restart::{cr_failpoint, cr_pdgehrd, CrReport, FtCheckpoint};
 pub use encode::{Encoded, Redundancy};
 pub use model::{asymptotic_overhead, flop_model, storage_overhead_elements, FlopModel};
-pub use recovery::{check_tolerance, recover, spread_columns, ToleranceCap, ToleranceExceeded};
+pub use recovery::{check_tolerance, ToleranceCap, ToleranceExceeded};
 pub use scope::ScopeState;
 pub use scrub::{
     assert_theorem1, diagnose, first_theorem1_violation, local_row_span, locate_member, scan_group, Diagnosis, GroupScan,

@@ -30,7 +30,7 @@
 //! Vandermonde solve: the surviving weighted checksums give as many
 //! independent equations as there are lost member blocks.
 
-use crate::algorithm::{alg3_catch_up, ft_left, ft_right, store_ve, ve_rows, Phase, Variant};
+use crate::algorithm::{alg3_catch_up, ft_left, ft_right, store_ve, ve_rows, Position, Variant};
 use crate::encode::{Encoded, Redundancy};
 use crate::scope::ScopeState;
 use crate::solver::FtSolver;
@@ -142,24 +142,23 @@ pub fn check_tolerance(ctx: &Ctx, enc: &Encoded, victims: &[usize], s: usize, sp
 
 /// The process columns whose checksum copies are unusable in *every* row
 /// once Algorithm 3's catch-up has run: under [`Redundancy::Coded`], every
-/// victim's column when the catch-up of a recovery at `phase` — with `nfac`
-/// panels of the open scope factored and `chk_done` of them already in the
-/// checksums — applies a left update. That update reduces over every
-/// process row of each checksum column, so a victim's wiped blocks spread
-/// into every row's copy its process column owns. Empty otherwise:
-/// `Single` restores the victims' copies from their duplicates first, and a
-/// right update is row-local. A function of replicated state only, so every
-/// rank — a replacement included — computes the same list.
-pub fn spread_columns(
+/// victim's column when the catch-up of a recovery at `pos` — with
+/// `chk_done` of the open scope's panels already in the checksums — applies
+/// a left update. That update reduces over every process row of each
+/// checksum column, so a victim's wiped blocks spread into every row's copy
+/// its process column owns. Empty otherwise: `Single` restores the victims'
+/// copies from their duplicates first, and a right update is row-local. A
+/// function of replicated state only, so every rank — a replacement
+/// included — computes the same list.
+pub(crate) fn spread_columns(
     ctx: &Ctx,
     enc: &Encoded,
     victims: &[usize],
     variant: Variant,
-    phase: Phase,
-    nfac: usize,
+    pos: Position,
     chk_done: usize,
 ) -> Vec<usize> {
-    let left_update = variant == Variant::Delayed && chk_done < catch_up_span(phase, nfac).0;
+    let left_update = variant == Variant::Delayed && chk_done < pos.updates_done(enc).0;
     if !left_update || enc.redundancy() == Redundancy::Single {
         return Vec::new();
     }
@@ -167,32 +166,21 @@ pub fn spread_columns(
     cols.into_iter().collect()
 }
 
-/// How far the catch-up of a recovery at `phase` brings the checksums, with
-/// `nfac` panels of the open scope factored: the full updates of the first
-/// `.0` panels, plus the right update of the next one when `.1`.
-fn catch_up_span(phase: Phase, nfac: usize) -> (usize, bool) {
-    match phase {
-        Phase::BeforePanel | Phase::AfterLeftUpdate => (nfac, false),
-        Phase::AfterPanel => (nfac - 1, false),
-        Phase::AfterRightUpdate => (nfac - 1, true),
-    }
-}
-
 /// The checksum copies of group `g` whose owner column is not in `bad`.
 fn clean_copies<'a>(enc: &'a Encoded, g: usize, bad: &'a [usize]) -> impl Iterator<Item = usize> + 'a {
     (0..enc.ncopies()).filter(move |&c| !bad.contains(&enc.a.col_owner(enc.chk_col(g, c, 0))))
 }
 
-/// Run the full §5.3 recovery. Collective: every process calls with the
-/// same `victims` list (as delivered by the fail-point check); `me` marks
-/// the victims themselves, which act as the replacement processes.
-/// `spread` is [`spread_columns`] at this boundary.
+/// Run the full §5.3 recovery at the boundary `pos`. Collective: every
+/// process calls with the same `victims` list (as delivered by the
+/// fail-point check); `me` marks the victims themselves, which act as the
+/// replacement processes. `spread` is [`spread_columns`] at this boundary.
 ///
 /// Precondition: the victim set satisfies [`check_tolerance`] — the callers
 /// in the driver verify it first and surface a typed error instead of ever
 /// reaching this function with an unrecoverable set.
 #[allow(clippy::too_many_arguments)]
-pub fn recover(
+pub(crate) fn recover(
     ctx: &Ctx,
     solver: &dyn FtSolver,
     enc: &mut Encoded,
@@ -200,10 +188,10 @@ pub fn recover(
     victims: &[usize],
     me: bool,
     variant: Variant,
-    phase: Phase,
-    s: usize,
+    pos: Position,
     spread: &[usize],
 ) {
+    let s = pos.scope(enc);
     debug_assert!(
         check_tolerance(ctx, enc, victims, s, spread).is_ok(),
         "recover() called with an unrecoverable victim set {victims:?} — the driver must check first"
@@ -249,11 +237,11 @@ pub fn recover(
     }
     debug_assert_eq!(
         spread,
-        spread_columns(ctx, enc, victims, variant, phase, st.factors.len(), st.chk.panels_done),
+        spread_columns(ctx, enc, victims, variant, pos, st.chk.panels_done),
         "the driver's spread columns disagree with the restored scope"
     );
     if chk_catch_up {
-        let (full, extra_right) = catch_up_span(phase, st.factors.len());
+        let (full, extra_right) = pos.updates_done(enc);
         alg3_catch_up(ctx, solver, enc, st, s, full, extra_right);
     }
 
@@ -263,7 +251,7 @@ pub fn recover(
 
     // Step 5: Area 4 — roll the unfactorized scope columns back to the
     // snapshot everywhere, then replay the saved panel updates.
-    replay_area4(ctx, solver, enc, st, s, phase);
+    replay_area4(ctx, solver, enc, st, pos);
 
     // Step 6: restore the victims' lost checksum blocks. With the paper's
     // duplicated checksums, copy from the surviving duplicate (§5.2); with
@@ -302,14 +290,14 @@ pub fn recover(
     }
 }
 
-/// §5.3 step 5 — shared with the scrub engine's Area-4 refresh: roll the
+/// §5.3 step 5 — also the scrub engine's Area-4 refresh: roll the
 /// unfactorized scope columns back to the scope snapshot on **every**
-/// process and replay the saved per-panel updates (phase-aware for the
-/// interrupted iteration). The collectives are deterministic, so the
+/// process and replay the saved per-panel updates done at `pos`
+/// ([`Position::updates_done`]). The collectives are deterministic, so the
 /// rebuild is bit-identical on clean processes and only wrong blocks
 /// actually change — which is what makes it safe to run over a
 /// *suspected-corrupt* matrix as well as after a fail-stop wipe.
-pub(crate) fn replay_area4(ctx: &Ctx, solver: &dyn FtSolver, enc: &mut Encoded, st: &ScopeState, s: usize, phase: Phase) {
+pub(crate) fn replay_area4(ctx: &Ctx, solver: &dyn FtSolver, enc: &mut Encoded, st: &ScopeState, pos: Position) {
     // (At BeforePanel the interrupted panel has not run, but `factors` then
     // holds only completed panels, so this bound is right at every phase.)
     let a4_start = st.factors.last().map(|f| f.k + f.w).unwrap_or(st.start_col);
@@ -317,26 +305,14 @@ pub(crate) fn replay_area4(ctx: &Ctx, solver: &dyn FtSolver, enc: &mut Encoded, 
         return; // no unfactorized scope columns left (uniform: replicated bookkeeping)
     }
     st.restore_snapshot_from(enc, a4_start);
-    let nfac = st.factors.len();
-    for j in 0..nfac {
-        let f = st.factors[j].clone();
-        let last = j + 1 == nfac;
-        let (do_right, do_left) = if !last {
-            (true, true)
-        } else {
-            match phase {
-                Phase::BeforePanel => (true, true), // all factors are completed panels
-                Phase::AfterPanel => (false, false),
-                Phase::AfterRightUpdate => (true, false),
-                Phase::AfterLeftUpdate => (true, true),
-            }
-        };
-        if do_right && solver.has_right_update() {
-            let ve = ve_rows(enc, &f);
-            ft_right(enc, &f, &ve, a4_start, st.end_col, false, s);
+    let (full, right) = pos.updates_done(enc);
+    for (j, f) in st.factors.iter().enumerate().take(full + usize::from(right)) {
+        if solver.has_right_update() {
+            let ve = ve_rows(enc, f);
+            ft_right(enc, f, &ve, a4_start, st.end_col, false, st.scope);
         }
-        if do_left {
-            ft_left(ctx, enc, &f, a4_start, st.end_col, false, s);
+        if j < full {
+            ft_left(ctx, enc, f, a4_start, st.end_col, false, st.scope);
         }
     }
 }

@@ -116,21 +116,21 @@ fn write_local_cols(enc: &mut Encoded, cols: &[usize], data: &[f64]) {
 }
 
 impl ScopeState {
-    /// A sentinel "no scope active" state, used by the chaos-mode driver for
-    /// the boundary image taken before the first panel scope begins. Its
-    /// scope id is `enc.groups()` — past every real group — so recovery's
-    /// `g == s` scope exclusion never matches and Areas 1/2 reconstruction
-    /// covers the whole matrix from the initial checksums. Purely local
-    /// (no snapshot exchange); the backup vectors exist but are empty.
-    pub fn empty(ctx: &Ctx, enc: &Encoded) -> Self {
-        let q = ctx.npcol();
-        let holders = enc.redundancy().max_failures_per_row().min(q.saturating_sub(1));
+    /// Scope `scope`'s layout — its columns, my local ones among them, the
+    /// holder count — with nothing snapshotted or held yet: what [`begin`]
+    /// builds before its exchange, and all that a victim rejoining with
+    /// nothing can rebuild on its own. Purely local.
+    ///
+    /// [`begin`]: ScopeState::begin
+    pub(crate) fn layout(ctx: &Ctx, enc: &Encoded, scope: usize) -> Self {
+        let holders = enc.redundancy().max_failures_per_row().min(ctx.npcol().saturating_sub(1));
+        let cols = enc.group_cols(scope);
         Self {
-            scope: enc.groups(),
-            start_col: 0,
-            end_col: 0,
+            scope,
+            start_col: cols.start,
+            end_col: cols.end,
             holders,
-            local_cols: Vec::new(),
+            local_cols: (enc.a.local_cols_below(cols.start)..enc.a.local_cols_below(cols.end)).collect(),
             snapshot_own: Arc::from([]),
             snapshot_backups: vec![Arc::from([]); holders],
             factors: Vec::new(),
@@ -140,40 +140,30 @@ impl ScopeState {
         }
     }
 
+    /// A sentinel "no scope active" state, used by the chaos-mode driver for
+    /// the boundary image taken before the first panel scope begins. Its
+    /// scope id is `enc.groups()` — past every real group — so recovery's
+    /// `g == s` scope exclusion never matches and Areas 1/2 reconstruction
+    /// covers the whole matrix from the initial checksums. It holds no
+    /// column; the backup vectors exist but are empty.
+    pub fn empty(ctx: &Ctx, enc: &Encoded) -> Self {
+        Self::layout(ctx, enc, enc.groups())
+    }
+
     /// Scope entry: take the diskless snapshot (local copy + copies on the
     /// `h` right neighbors). Collective.
     pub fn begin(ctx: &Ctx, enc: &Encoded, scope: usize) -> Self {
-        let q = ctx.npcol();
-        let holders = enc.redundancy().max_failures_per_row().min(q.saturating_sub(1));
-        let start_col = scope * q * enc.nb();
-        let end_col = ((scope + 1) * q * enc.nb()).min(enc.n());
-        let lc0 = enc.a.local_cols_below(start_col);
-        let lc1 = enc.a.local_cols_below(end_col);
-        let local_cols: Vec<usize> = (lc0..lc1).collect();
-        let snapshot_own: Arc<[f64]> = copy_local_cols(enc, &local_cols).into();
-
+        let mut st = Self::layout(ctx, enc, scope);
+        st.snapshot_own = copy_local_cols(enc, &st.local_cols).into();
         // Ring exchanges within the process row: send to +d, receive from −d.
-        let mut snapshot_backups = Vec::with_capacity(holders);
-        for d in 1..=holders {
+        let q = ctx.npcol();
+        for d in 1..=st.holders {
             let right = ctx.grid().rank_of(ctx.myrow(), (ctx.mycol() + d) % q);
             let left = ctx.grid().rank_of(ctx.myrow(), (ctx.mycol() + q - d) % q);
-            ctx.send_arc(right, TAG_SNAP.offset(d as u16), Arc::clone(&snapshot_own));
-            snapshot_backups.push(ctx.recv_arc(left, TAG_SNAP.offset(d as u16)));
+            ctx.send_arc(right, TAG_SNAP.offset(d as u16), Arc::clone(&st.snapshot_own));
+            st.snapshot_backups[d - 1] = ctx.recv_arc(left, TAG_SNAP.offset(d as u16));
         }
-
-        Self {
-            scope,
-            start_col,
-            end_col,
-            holders,
-            local_cols,
-            snapshot_own,
-            snapshot_backups,
-            factors: Vec::new(),
-            panel_backups: Vec::new(),
-            my_panel_pieces: Vec::new(),
-            chk: ChkProgress::default(),
-        }
+        st
     }
 
     /// Panel bookkeeping (Algorithm 2 lines 8–9): the panel-owning process

@@ -1,7 +1,8 @@
 //! In-place correction: rewrite a located member block from the surviving
-//! checksums, repair convicted checksum copies, and heal the active scope's
-//! Areas 3/4 from the diskless bookkeeping (which the injector cannot
-//! reach — it only corrupts the matrix buffer).
+//! checksums, and heal the active scope's Area 3 from the diskless
+//! bookkeeping (which the injector cannot reach — it only corrupts the
+//! matrix buffer). Area 4 is refreshed by the recovery's own replay,
+//! [`crate::recovery::replay_area4`].
 
 use crate::encode::Encoded;
 use crate::scope::ScopeState;
@@ -69,20 +70,4 @@ pub(crate) fn heal_area3(enc: &mut Encoded, st: &ScopeState) -> usize {
         }
     }
     repaired
-}
-
-/// Area 4 of the active scope: the unfactorized scope columns have no live
-/// checksum mid-scope, so corruption there is *refreshed away* rather than
-/// detected — snapshot rollback plus deterministic replay of the saved
-/// panel updates rebuilds them bit-identically from trusted sources (the
-/// scope snapshot and the replicated factors). Collective.
-pub(crate) fn refresh_area4(
-    ctx: &Ctx,
-    solver: &dyn crate::solver::FtSolver,
-    enc: &mut Encoded,
-    st: &ScopeState,
-    s: usize,
-    phase: crate::algorithm::Phase,
-) {
-    crate::recovery::replay_area4(ctx, solver, enc, st, s, phase);
 }

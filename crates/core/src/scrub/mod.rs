@@ -41,7 +41,7 @@ pub use localize::{local_row_span, locate_member};
 pub use policy::{ScrubCadence, ScrubPolicy};
 pub use residual::{diagnose, first_theorem1_violation, scan_group, Diagnosis, GroupScan};
 
-use crate::algorithm::Phase;
+use crate::algorithm::Position;
 use crate::encode::Encoded;
 use crate::scope::ScopeState;
 use crate::solver::FtSolver;
@@ -170,9 +170,9 @@ pub struct ScrubEscalation {
 }
 
 /// The driver-integrated scrub engine: policy + accumulated report. The
-/// factorization driver calls [`ScrubEngine::scrub_pass`] at due
-/// boundaries; rollback images and escalation handling live in the driver,
-/// which owns the boundary-image machinery.
+/// factorization driver runs a scrub pass at due boundaries; rollback
+/// images and escalation handling live in the driver, which owns the
+/// boundary-image machinery.
 #[derive(Debug, Clone, Default)]
 pub struct ScrubEngine {
     /// Scan schedule and correction policy.
@@ -206,24 +206,24 @@ impl ScrubEngine {
 
     /// One full scrub pass at a quiescent boundary: heal the active scope's
     /// Areas 3/4 from the diskless bookkeeping, then scan, diagnose and
-    /// correct every group with live checksums. `trailing` says how the
-    /// groups after scope `s` are treated (see [`TrailingScan`]); `phase`
-    /// tells the Area-4 replay how far the current iteration progressed.
+    /// correct every group with live checksums, at the driver's boundary
+    /// `pos` — its open scope `s` and, for the Area-4 replay, how far the
+    /// current iteration progressed. `trailing` says how the groups after
+    /// scope `s` are treated (see [`TrailingScan`]).
     ///
     /// Collective. Returns the first uncorrectable group as a
     /// [`ScrubEscalation`] (replicated — every rank agrees).
-    #[allow(clippy::too_many_arguments)] // driver-internal plumbing
-    pub fn scrub_pass(
+    pub(crate) fn scrub_pass(
         &mut self,
         ctx: &Ctx,
         solver: &dyn FtSolver,
         enc: &mut Encoded,
         st: &ScopeState,
-        s: usize,
-        phase: Phase,
+        pos: Position,
         trailing: TrailingScan,
     ) -> Result<(), ScrubEscalation> {
         let t = Instant::now();
+        let s = pos.scope(enc);
         self.report.scans += 1;
 
         // The active scope first: its group-s checksums are stale mid-scope
@@ -233,7 +233,7 @@ impl ScrubEngine {
         // would absorb any lingering scope corruption for good.
         self.report.area3_repairs += correct::heal_area3(enc, st);
         if st.scope < enc.groups() {
-            correct::refresh_area4(ctx, solver, enc, st, s, phase);
+            crate::recovery::replay_area4(ctx, solver, enc, st, pos);
         }
 
         let mut escalation: Option<ScrubEscalation> = None;
@@ -306,8 +306,7 @@ mod tests {
     fn scrub_all(ctx: &Ctx, enc: &mut Encoded) -> (ScrubReport, Result<(), ScrubEscalation>) {
         let mut engine = ScrubEngine::new(ScrubPolicy::every_panels(1));
         let st = ScopeState::empty(ctx, enc);
-        let s = enc.groups();
-        let res = engine.scrub_pass(ctx, &crate::Hessenberg, enc, &st, s, Phase::AfterLeftUpdate, TrailingScan::Live);
+        let res = engine.scrub_pass(ctx, &crate::Hessenberg, enc, &st, Position::start(0), TrailingScan::Live);
         (engine.report, res)
     }
 

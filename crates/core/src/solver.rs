@@ -202,8 +202,8 @@ impl FtSolver for HouseholderQr {
     /// QR has no spectrum to fall back on, so its acceptance check is the
     /// worse of the factorization residual and the loss of orthogonality.
     fn verify_residual(&self, ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
-        self.residual(ctx, a0, reduced, n, tau)
-            .max(pd_orthogonality_residual(ctx, reduced, n, tau))
+        let (qr, orth) = pd_orthogonality_residual(ctx, a0, reduced, n, tau);
+        qr.max(orth)
     }
 
     fn flop_coef(&self) -> f64 {

@@ -277,19 +277,25 @@ pub fn pd_qr_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize
     scaled_residual(ctx, a0, x, n)
 }
 
-/// Scaled orthogonality residual `‖QᵀQ − I‖∞ / (N·ε)` of the `Q` of a
-/// completed distributed QR factorization (`reduced`, `tau` as for
-/// [`pd_qr_residual`]), replicated on every process: `I` gets `Q` and then
-/// `Qᵀ` applied from the left.
-pub fn pd_orthogonality_residual(ctx: &Ctx, reduced: &DistMatrix, n: usize, tau: &[f64]) -> f64 {
+/// Both accuracy checks of a completed distributed QR factorization
+/// (`a0`, `reduced`, `tau` as for [`pd_qr_residual`]), replicated on every
+/// process: the factorization residual [`pd_qr_residual`] returns, bit for
+/// bit, and the scaled orthogonality residual `‖QᵀQ − I‖∞ / (N·ε)`. One
+/// sweep, last block first, replicates each block once and applies it to
+/// both `R` and `I`; then `I` gets `Qᵀ` applied from the left.
+pub fn pd_orthogonality_residual(ctx: &Ctx, a0: &DistMatrix, reduced: &DistMatrix, n: usize, tau: &[f64]) -> (f64, f64) {
     let desc = crate::dist::Desc { m: n, n, nb: reduced.desc().nb };
     let eye = DistMatrix::from_global_fn(ctx, desc, |i, j| if i == j { 1.0 } else { 0.0 });
     let q = Reflectors { reduced, tau, n, off: 0 };
-    let mut x = eye.clone();
-    q.apply_left(ctx, &mut x, Trans::No);
-    q.apply_left(ctx, &mut x, Trans::Yes);
+    let (mut qr, mut qi) = (logical_copy(ctx, reduced, n, |gc| gc + 1), eye.clone());
+    for (k, w) in q.blocks().into_iter().rev() {
+        let b = q.block(ctx, k, w);
+        q.left(ctx, &mut qr, k, k, &b, Trans::No);
+        q.left(ctx, &mut qi, k, k, &b, Trans::No);
+    }
+    q.apply_left(ctx, &mut qi, Trans::Yes);
     // ‖I‖∞ = 1: the scaled residual against I is the orthogonality's.
-    scaled_residual(ctx, &eye, x, n)
+    (scaled_residual(ctx, a0, qr, n), scaled_residual(ctx, &eye, qi, n))
 }
 
 /// `‖A₀ − X‖∞ / (‖A₀‖∞·N·ε)` over the logical `n×n` block (`a0` may be
@@ -417,7 +423,7 @@ mod tests {
             assert!(d < 1e-10, "Q mismatch: {d}");
             let r = pd_qr_residual(&ctx, &a0, &a, n, &tau);
             assert!(r < 3.0, "distributed QR residual {r}");
-            let orth = pd_orthogonality_residual(&ctx, &a, n, &tau);
+            let (_, orth) = pd_orthogonality_residual(&ctx, &a0, &a, n, &tau);
             assert!(orth < 3.0, "distributed orthogonality {orth}");
         });
     }
@@ -464,13 +470,29 @@ mod tests {
                 let hess = pd_hessenberg_residual(&ctx, &a0, &h, n, &ht);
                 let qr = pd_qr_residual(&ctx, &a0, &r, n, &rt);
                 rt[6] += delta;
-                [hess, qr, pd_orthogonality_residual(&ctx, &r, n, &rt)].map(f64::to_bits)
+                [hess, qr, pd_orthogonality_residual(&ctx, &a0, &r, n, &rt).1].map(f64::to_bits)
             });
             assert!(got.iter().all(|g| *g == got[0]), "{p}x{q}: ranks disagree");
             let [hess, qr, orth] = got[0].map(f64::from_bits);
             close(hess, hess_want, &format!("{p}x{q} hessenberg"));
             close(qr, qr_want, &format!("{p}x{q} qr"));
             close(orth, orth_want, &format!("{p}x{q} orthogonality"));
+        }
+    }
+
+    /// The QR residual of the sweep that also checks orthogonality is bit
+    /// for bit [`pd_qr_residual`]'s, on ragged grids.
+    #[test]
+    fn shared_sweep_qr_residual_is_pd_qr_residual() {
+        let (n, nb) = (23, 4);
+        for (p, q) in [(1, 1), (2, 3), (3, 2)] {
+            run_spmd(p, q, FaultScript::none(), move |ctx| {
+                let a0 = DistMatrix::from_global_fn(&ctx, Desc { m: n, n, nb }, |i, j| uniform_entry(39, i, j));
+                let (mut r, mut tau) = (a0.clone(), vec![0.0; n]);
+                crate::qrd::pdgeqrf(&ctx, &mut r, &mut tau);
+                let (qr, _) = pd_orthogonality_residual(&ctx, &a0, &r, n, &tau);
+                assert_eq!(qr.to_bits(), pd_qr_residual(&ctx, &a0, &r, n, &tau).to_bits(), "{p}x{q}");
+            });
         }
     }
 

@@ -309,29 +309,16 @@ fn rank_body(ctx: &Ctx, o: &Opts) -> Result<RankOutcome, FtError> {
     // Grid-wide per-phase traffic (collective; identical on all ranks).
     let traffic = pd_gather_traffic(ctx, 620);
     let wire = ctx.distributed().then(|| pd_gather_transport(ctx, 624));
-    // Shrink report (collective): every rank contributes its adopted-rank
-    // flags and agreement-stall seconds; rank 0 aggregates. The adopted
-    // threads participate like any rank, so the gather is world-complete
-    // even after the process count shrank.
+    // Shrink report (collective): every rank's adopted-rank flags and
+    // agreement-stall seconds, summed over the world. The adopted threads
+    // participate like any rank, so the sum is world-complete even after
+    // the process count shrank.
     let shrink = o.shrink.then(|| {
-        let world = o.world();
         let (flags, stall) = ctx.shrink_stats();
-        if ctx.rank() == 0 {
-            let mut ranks: Vec<usize> = (0..world).filter(|&r| flags[r]).collect();
-            let mut stall_total = stall;
-            for r in 1..world {
-                let p = ctx.recv(r, 628u64);
-                ranks.extend((0..world).filter(|&v| p[v] != 0.0));
-                stall_total += p[world];
-            }
-            ranks.sort_unstable();
-            (ranks, stall_total)
-        } else {
-            let mut payload: Vec<f64> = (0..world).map(|r| if flags[r] { 1.0 } else { 0.0 }).collect();
-            payload.push(stall);
-            ctx.send(0, 628u64, &payload);
-            (Vec::new(), 0.0)
-        }
+        let mut row: Vec<f64> = flags.iter().map(|&f| f64::from(u8::from(f))).chain([stall]).collect();
+        ctx.allreduce_sum_world(&mut row, 628u64);
+        let world = flags.len();
+        ((0..world).filter(|&r| row[r] != 0.0).collect(), row[world])
     });
     let h = o.print_eigs.then(|| pd_extract_h(ctx, &a, n).gather_root(ctx, 626)).flatten();
     Ok(RankOutcome {
